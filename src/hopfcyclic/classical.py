@@ -34,7 +34,6 @@ from .groups import (
     subgroup_as_group,
 )
 from .hopf import AxiomCheck, ValidationReport
-from .linalg import QQ
 
 TUPLE_BUDGET = 10 ** 7
 
@@ -692,7 +691,7 @@ def induce_class_function(g, sub, chi_sub):
     for cls in g.conjugacy_classes():
         gt = cls[0]
         va, vb, vc = route_a(gt), route_b(gt), route_c(gt)
-        if not (f.eq(va, vb) and f.eq(vb, vc)):
+        if not va == vb == vc:
             raise GroupError(f"induction routes disagree at class of {g.names[gt]}")
         values.append(vb)
     return ClassFunction(g, values, f)
@@ -708,8 +707,8 @@ def frobenius_reciprocity_check(g, sub, chi_sub):
     for k, theta in enumerate(irreducible_characters(g)):
         lhs = induced.inner(theta)
         rhs = chi_sub.inner(theta.restrict(subset, subgrp))
-        checks.append(AxiomCheck(f"reciprocity vs irreducible {k}", QQ.eq(lhs, rhs),
-                                 None if QQ.eq(lhs, rhs) else f"{lhs} != {rhs}"))
+        checks.append(AxiomCheck(f"reciprocity vs irreducible {k}", lhs == rhs,
+                                 None if lhs == rhs else f"{lhs} != {rhs}"))
     return ValidationReport(checks)
 
 

@@ -78,7 +78,10 @@ def _parse_field(text):
     if text is None or text.lower() == "q":
         return QQ
     if text.lower().startswith("fp:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+        try:
+            return PrimeField(int(text.split(":", 1)[1]))
+        except ValueError as exc:
+            raise InputError(f"bad field {text!r}: {exc}") from None
     raise InputError(f"unknown field {text!r} (use q or fp:<prime>)")
 
 
@@ -112,12 +115,16 @@ def _resolve_setup(args, field):
     return GaloisSetup(h, b, takeuchi_subalgebra_to_quotient(h, b), f"{name}/k")
 
 
-def _clamp_degree(n):
+def _clamp_degree(n, cap=5):
     if n is None:
         return 3
-    if not 0 <= n <= 5:
-        raise InputError("max degree must be between 0 and 5")
+    if not 0 <= n <= cap:
+        raise InputError(f"max degree must be between 0 and {cap}")
     return n
+
+
+# HC_n needs the cyclic module up to degree n + 2, which is built up to 6 at most
+HC_MAX_DEGREE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +180,7 @@ def cmd_galois(args, field):
 
 
 def cmd_homology(args, field):
-    n = _clamp_degree(args.max_degree)
+    n = _clamp_degree(args.max_degree, HC_MAX_DEGREE if args.theory == "hc" else 5)
     rep = Report("homology", {"hopf": args.hopf, "theory": args.theory,
                               "max_degree": n, "field": field.name})
     setup = _resolve_setup(args, field)
@@ -182,7 +189,7 @@ def cmd_homology(args, field):
         cm = relative_cyclic(setup.hopf, setup.subalgebra, n + 1)
         dims = hochschild_homology(cm, n)
     else:
-        cm = relative_cyclic(setup.hopf, setup.subalgebra, min(n + 2, 6))
+        cm = relative_cyclic(setup.hopf, setup.subalgebra, n + 2)
         dims = cyclic_homology(cm, n)
     rep.add_check("cyclic module identities", check_identities(cm).ok)
     rep.tables["dimensions"] = {f"degree {k}": dims[k] for k in range(len(dims))}
@@ -326,7 +333,7 @@ def cmd_classical(args, field):
             chi = _resolve_chi(g, sub, args.chi)
             induced = induce_class_function(g, sub, chi)
             rep.tables["induced_character"] = {
-                f"class of {g.names[cls[0]]}": QQ.to_str(induced.values[k])
+                f"class of {g.names[cls[0]]}": str(induced.values[k])
                 for k, cls in enumerate(g.conjugacy_classes())
             }
             rep.add_check("three induction routes agree", True)

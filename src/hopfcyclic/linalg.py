@@ -45,32 +45,41 @@ class Inconsistent(LinAlgError):
 
 
 class RationalField:
-    """The field Q.  Values are Fraction (or gmpy2.mpq when available)."""
+    """The field Q.
+
+    Values: an integral value is a plain ``int``; only a non-integral value
+    is a ``Fraction`` (``gmpy2.mpq`` when gmpy2 is installed).  ``zero``,
+    ``one``, ``from_int``, ``from_str`` and ``inv`` keep to this, and the
+    sparse kernels combine values with ``+``, ``-`` and ``*`` only, which
+    may leave an integral ``Fraction`` such as ``Fraction(2)``.  ``int``,
+    ``Fraction`` and ``mpq`` compare, hash and ``str()`` identically, so
+    either form of a value gives the same equality and the same report.
+    Division happens only in ``inv``: ``int / int`` would give a float.
+    """
 
     name = "Q"
+    p = None
+    zero = 0
+    one = 1
 
     def __init__(self, use_gmpy=_mpq is not None):
         self._frac = _mpq if use_gmpy else Fraction
-        self.zero = self._frac(0)
-        self.one = self._frac(1)
 
     def __repr__(self):
         return "QQ"
 
+    @staticmethod
+    def _normal(q):
+        return int(q.numerator) if q.denominator == 1 else q
+
     def from_int(self, n):
-        return self._frac(n)
+        return int(n)
 
     def from_str(self, s):
-        return self._frac(str(s))
-
-    def to_str(self, a):
-        return str(a)
+        return self._normal(self._frac(str(s)))
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -81,29 +90,64 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / self._frac(a)
+        return self._normal(1 / self._frac(a))
 
     def is_zero(self, a):
         return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def pivot_size(self, a):
         # smallest-numerator pivot heuristic keeps intermediate entries tame
         return (abs(a.numerator), a.denominator)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015; the first 12 reach only 3.18e23).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality test for n < 3.3e24; larger n raise ValueError."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large (limit {_MR_LIMIT})")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """F_p for a prime p.  Values are ints in [0, p)."""
+    """F_p for a prime p.
+
+    Values are ints in [0, p), one residue per class, so ``==`` on values
+    (and on ``SparseMatrix.data``) is equality in F_p.  The sparse kernels
+    use native ``+``, ``-``, ``*`` and reduce with ``% p``.
+    """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -118,14 +162,8 @@ class PrimeField:
             return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
         return int(s) % self.p
 
-    def to_str(self, a):
-        return str(a)
-
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -141,9 +179,6 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
     def pivot_size(self, a):
         return (1, 1)
 
@@ -158,9 +193,11 @@ QQ = RationalField()
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over an exact field.
 
-    Entries live in ``data: {(row, col): value}`` with no explicit zeros,
-    so equality is structural.  Derived row/column adjacency, the reduced
-    row echelon form and the rank are cached on first use.
+    Entries live in ``data: {(row, col): value}`` with no explicit zeros
+    and every value in its field's canonical form (see ``RationalField``
+    and ``PrimeField``), so equality is ``==`` on ``data``.  Derived
+    row/column adjacency, the reduced row echelon form and the rank are
+    cached on first use.
     """
 
     __slots__ = ("rows", "cols", "field", "data", "_rows_map", "_cols_map", "_rref", "_rank")
@@ -236,7 +273,7 @@ class SparseMatrix:
         return (
             self.rows == self.cols
             and len(self.data) == self.rows
-            and all(i == j and self.field.eq(v, self.field.one) for (i, j), v in self.data.items())
+            and all(i == j and v == 1 for (i, j), v in self.data.items())
         )
 
     def rows_map(self):
@@ -264,11 +301,7 @@ class SparseMatrix:
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if set(self.data) != set(other.data):
-            return False
-        return all(self.field.eq(v, other.data[k]) for k, v in self.data.items())
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -281,19 +314,25 @@ class SparseMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        f = self.field
+        p = self.field.p
         data = dict(self.data)
         for k, v in other.data.items():
-            s = f.add(data.get(k, f.zero), v)
-            if f.is_zero(s):
-                data.pop(k, None)
-            else:
+            s = data.get(k, 0) + v
+            if p is not None:
+                s %= p
+            if s:
                 data[k] = s
-        return SparseMatrix(self.rows, self.cols, f, data)
+            else:
+                data.pop(k, None)
+        return SparseMatrix(self.rows, self.cols, self.field, data)
 
     def __neg__(self):
-        f = self.field
-        return SparseMatrix(self.rows, self.cols, f, {k: f.neg(v) for k, v in self.data.items()})
+        p = self.field.p
+        if p is None:
+            data = {k: -v for k, v in self.data.items()}
+        else:
+            data = {k: p - v for k, v in self.data.items()}
+        return SparseMatrix(self.rows, self.cols, self.field, data)
 
     def __sub__(self, other):
         return self + (-other)
@@ -307,8 +346,9 @@ class SparseMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        f = self.field
+        p = self.field.p
         out = {}
+        get = out.get
         orows = other.rows_map()
         for (i, k), a in self.data.items():
             row = orows.get(k)
@@ -316,12 +356,17 @@ class SparseMatrix:
                 continue
             for j, b in row.items():
                 key = (i, j)
-                s = f.add(out.get(key, f.zero), f.mul(a, b))
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparseMatrix(self.rows, other.cols, f, out)
+                out[key] = get(key, 0) + a * b
+        # each entry is reduced once and zeros are dropped only here
+        if p is None:
+            data = {key: v for key, v in out.items() if v}
+        else:
+            data = {}
+            for key, v in out.items():
+                v %= p
+                if v:
+                    data[key] = v
+        return SparseMatrix(self.rows, other.cols, self.field, data)
 
     def t(self):
         return SparseMatrix(
@@ -404,12 +449,14 @@ def _echelon_rows(rows_in, ncols, field):
 
     Returns [(pivot col, row)] in increasing pivot column: an echelon
     basis of the row space, not a canonical one, so its length is the
-    rank.  The input rows are not modified.
+    rank.  The input rows are not modified.  Updates use native operators,
+    with one ``% p`` per update over F_p (``field.p`` is None over Q).
     """
+    p = field.p
     rows = {}
     col_index = {}  # col -> live unpivoted rows with an entry there
     for i, r in enumerate(rows_in):
-        r = {c: v for c, v in r.items() if not field.is_zero(v)}
+        r = {c: v for c, v in r.items() if v}
         if not r:
             continue
         rows[i] = r
@@ -427,27 +474,33 @@ def _echelon_rows(rows_in, ncols, field):
             if cc != c:
                 col_index[cc].discard(piv)
         pv = prow.pop(c)
-        if not field.eq(pv, field.one):
+        if pv != 1:
             inv = field.inv(pv)
-            prow = {cc: field.mul(v, inv) for cc, v in prow.items()}
+            if p is None:
+                prow = {cc: v * inv for cc, v in prow.items()}
+            else:
+                prow = {cc: v * inv % p for cc, v in prow.items()}
         for i in live:
             r = rows[i]
             fac = r.pop(c)
             for cc, v in prow.items():
                 old = r.get(cc)
                 if old is None:
-                    r[cc] = field.neg(field.mul(fac, v))
+                    # -fac * v is nonzero: a product of nonzero field elements
+                    r[cc] = -fac * v if p is None else -fac * v % p
                     col_index.setdefault(cc, set()).add(i)
                     continue
-                nv = field.sub(old, field.mul(fac, v))
-                if field.is_zero(nv):
+                nv = old - fac * v
+                if p is not None:
+                    nv %= p
+                if nv:
+                    r[cc] = nv
+                else:
                     del r[cc]
                     col_index[cc].discard(i)
-                else:
-                    r[cc] = nv
             if not r:
                 del rows[i]
-        prow[c] = field.one
+        prow[c] = 1
         echelon.append((c, prow))
     return echelon
 
@@ -461,6 +514,7 @@ def _rref_rows(rows_in, ncols, field):
     ``solve``).  Returns (pivot_cols, rows) with rows ordered by pivot
     column.
     """
+    p = field.p
     echelon = _echelon_rows(rows_in, ncols, field)
     by_col = dict(echelon)
     for pc, row in reversed(echelon):
@@ -471,11 +525,13 @@ def _rref_rows(rows_in, ncols, field):
             for c2, v in by_col[cc].items():
                 if c2 == cc:
                     continue
-                nv = field.sub(row.get(c2, field.zero), field.mul(fac, v))
-                if field.is_zero(nv):
-                    row.pop(c2, None)
-                else:
+                nv = row.get(c2, 0) - fac * v
+                if p is not None:
+                    nv %= p
+                if nv:
                     row[c2] = nv
+                else:
+                    row.pop(c2, None)
     return [c for c, _ in echelon], [r for _, r in echelon]
 
 

@@ -10,7 +10,8 @@ from itertools import product
 
 
 def dense_rank(rows):
-    m = [list(r) for r in rows]
+    # entries may be ints, so divide as Fractions: int / int would be a float
+    m = [[Fraction(x) for x in r] for r in rows]
     if not m:
         return 0
     ncols = len(m[0])

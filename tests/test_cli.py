@@ -158,3 +158,30 @@ def test_timing_flag_included_only_on_request():
     assert "timing_seconds" not in json.loads(no_timing)
     _, with_timing = run(["--format", "json", "--timing", "validate", "kC2"])
     assert "timing_seconds" in json.loads(with_timing)
+
+
+def test_bad_field_exit_two_with_message():
+    for spec in ("fp:8", "fp:1", "fp:abc", "fp:-7", "fp:4000000000000000000000000"):
+        code, text = run(["--field", spec, "validate", "kC2"])
+        assert code == 2, spec
+        assert f"bad field '{spec}'" in text
+
+
+def test_field_large_prime_modulus():
+    # 2^61 - 1: trial division never finished; Miller-Rabin is immediate
+    code, text = run(["--format", "json", "--field", "fp:2305843009213693951",
+                      "validate", "kC2"])
+    assert code == 0
+    assert json.loads(text)["params"]["field"] == "F2305843009213693951"
+
+
+def test_hc_degree_cap_is_input_error():
+    code, text = run(["homology", "kC2", "--theory", "hc", "--max-degree", "5"])
+    assert code == 2
+    assert "between 0 and 4" in text
+    code, text = run(["--format", "json", "homology", "kC2", "--theory", "hc",
+                      "--max-degree", "4"])
+    assert code == 0
+    assert json.loads(text)["tables"]["dimensions"]["degree 4"] == 2
+    code, _ = run(["homology", "kC2", "--theory", "hh", "--max-degree", "5"])
+    assert code == 0

@@ -117,3 +117,96 @@ def test_total_homology_base_field_various():
         s = builtin_setup(name)
         dc = extension_double_complex(s, 2, 2)
         assert total_homology_dims(dc, 1) == want
+
+
+def _matrices(obj, seen):
+    """Every SparseMatrix reachable from ``obj`` through attributes (slots
+    too), dicts, lists and tuples."""
+    if id(obj) in seen or isinstance(obj, (int, str, float, type(None))):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, SparseMatrix):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+        children += [getattr(obj, s, None) for s in getattr(type(obj), "__slots__", ())]
+    for child in children:
+        yield from _matrices(child, seen)
+
+
+def test_fp_constructions_keep_canonical_residues(tmp_path):
+    # SparseMatrix equality compares ``data`` with ==, which is F_p equality
+    # only when every value is the residue in [0, p); zeros are never stored
+    import json
+
+    from hopfcyclic.cyclic import (
+        coextension_space,
+        hopf_cyclic_comodule_algebra,
+        normalized_complex,
+    )
+    from hopfcyclic.iso import comodule_algebra_transform
+    from hopfcyclic.linalg import (
+        PrimeField,
+        apply_on_leg,
+        inverse,
+        kernel,
+        permutation_matrix,
+        quotient_by_columns,
+        solve,
+        span_columns,
+    )
+    from hopfcyclic.loaders import load_hopf_json, load_ideal_file
+    from hopfcyclic.presets import SETUP_NAMES
+    from hopfcyclic.sayd import coad_module
+    from hopfcyclic.specseq import tor_complex
+
+    f = PrimeField(7)
+    built = []
+    for name in SETUP_NAMES:
+        s = builtin_setup(name, f)
+        h = s.hopf
+        built += [s, h.mult, h.unit, h.comult, h.counit]
+        if name in ("kS3/kC2", "H4/B", "OS3/OC2"):
+            ad, coad = ad_module(h), coad_module(h)
+            cm = relative_cyclic(h, s.subalgebra, 2)
+            built += [ad, coad, cm, normalized_complex(cm),
+                      coextension_space(h, s.quotient, 3),
+                      hopf_cyclic_coalgebra(s.quotient, ad, 2),
+                      hopf_cyclic_comodule_algebra(h, s.subalgebra, coad, 2),
+                      module_coalgebra_transform(s, 2), comodule_algebra_transform(s, 1),
+                      tor_complex(h, right_module_k(h), ad_left_module(h), 2)]
+            dc = extension_double_complex(s, 2, 2)
+            built += [[dc.dh(p, q), dc.dv(p, q + 1)] for p in range(1, 3) for q in range(2)]
+    # file input: every coefficient here is 1 mod 7, written as 8, -6, 15/15
+    kc2 = {"dim": 2, "basis": ["e", "g"],
+           "mult": [[0, 0, 0, "8"], [0, 1, 1, -6], [1, 0, 1, "15/15"], [1, 1, 0, 1]],
+           "unit": ["8", "0"], "comult": [[0, 0, 0, "-6"], [1, 1, 1, "1"]],
+           "counit": [8, "1"], "antipode": [[0, 0, "-13"], [1, 1, "1/8"]]}
+    h = load_hopf_json(kc2, f)
+    assert h.validate().ok
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"generators": [["-1", "8"]]}))
+    gens = load_ideal_file(str(path), h)
+    built += [h, h.mult, h.unit, h.comult, h.counit, gens]
+    # the linear-algebra operations on matrices with every residue class
+    m = SparseMatrix.from_entries(3, 4, f, [(i, j, f.from_int(3 * i - 5 * j + i * j))
+                                            for i in range(3) for j in range(4)])
+    sq = SparseMatrix.from_dense([[f.from_int(v) for v in r]
+                                  for r in ([2, -1, 0], [5, 3, -4], [1, 1, 6])], f)
+    built += [kernel(m), span_columns(m), quotient_by_columns(3, m), m.rref(), m @ m.t(),
+              m + m, -m, m - m.scale(f.from_int(-1)), m.kron(sq), inverse(sq),
+              solve(sq, m), apply_on_leg(sq, [3, 3], 1), permutation_matrix([3, 2], [1, 0], f)]
+
+    seen = set()
+    mats = list(_matrices(built, seen))
+    assert len(mats) > 500
+    values = [v for mat in mats for v in mat.data.values()]
+    for d in (h.mult, h.unit, h.comult, h.counit):
+        values += d.values()
+    values += [v for row in m.rref()[1] for v in row.values()]
+    assert values and all(type(v) is int and 0 < v < f.p for v in values)

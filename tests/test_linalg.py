@@ -1,4 +1,6 @@
+import numbers
 import random
+from fractions import Fraction
 
 import pytest
 from oracle import dense_rank
@@ -17,6 +19,7 @@ from hopfcyclic.linalg import (
     homology_space,
     induced_map,
     inverse,
+    is_prime,
     kernel,
     permutation_matrix,
     quotient_by_columns,
@@ -126,8 +129,172 @@ def test_rank_forward_elimination_matches_reference(field):
 
 
 def test_prime_field_rejects_composite():
-    with pytest.raises(ValueError):
-        PrimeField(6)
+    for modulus in (6, 0, 1, 8, -7, 2**61 + 1):
+        with pytest.raises(ValueError):
+            PrimeField(modulus)
+
+
+def test_is_prime_matches_sieve_and_strong_pseudoprimes():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for n in range(2, limit):
+        if sieve[n]:
+            for m in range(n * n, limit, n):
+                sieve[m] = False
+    assert [n for n in range(-3, limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # Carmichael numbers, and composites that are strong pseudoprimes to every
+    # prime base up to 7, 31 and 37 (the last one is caught only by base 41)
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    # the largest prime below the deterministic bound
+    for n in (2**31 - 1, 2**61 - 1, 3317044064679887385961813):
+        assert is_prime(n)
+
+
+def test_prime_field_large_modulus_is_fast_and_bounded():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1  # trial division never finished here
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**127 - 1)
+
+
+# --- the native-operator kernels against dense references written here ------
+
+Q_VALUES = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(2)]
+
+
+def _random_mixed(rng, rows, cols, field, density):
+    """Sparse matrix whose Q entries mix ints with non-integral Fractions
+    (and an integral Fraction(2)); F_p entries are residues from from_int."""
+    data = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                if field is QQ:
+                    data[(i, j)] = rng.choice(Q_VALUES)
+                else:
+                    v = field.from_int(rng.randint(-10, 10))
+                    if v:
+                        data[(i, j)] = v
+    return SparseMatrix(rows, cols, field, data)
+
+
+def _ref_scalars(field):
+    """(to_exact, reduce, inverse) for the dense reference: Fractions over Q,
+    plain residues mod p over F_p."""
+    if field is QQ:
+        return Fraction, lambda x: x, lambda x: 1 / x
+    p = field.p
+    return (lambda x: x % p), (lambda x: x % p), (lambda x: pow(x, p - 2, p))
+
+
+def _dense(m, field):
+    exact, _, _ = _ref_scalars(field)
+    return [[exact(m.data.get((i, j), 0)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _dense_product(a, b, field):
+    _, red, _ = _ref_scalars(field)
+    return [[red(sum(x * y for x, y in zip(row, col))) for col in zip(*b)] for row in a]
+
+
+def _dense_rref(rows, field):
+    """Textbook Gauss-Jordan: (pivot columns, nonzero rows as dicts)."""
+    _, red, inv = _ref_scalars(field)
+    m = [list(r) for r in rows]
+    pivots, r = [], 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        piv = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        iv = inv(m[r][c])
+        m[r] = [red(x * iv) for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c] != 0:
+                fac = m[k][c]
+                m[k] = [red(x - fac * y) for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, [{c: v for c, v in enumerate(row) if v != 0} for row in m[:r]]
+
+
+def _assert_clean(m, field):
+    """No explicit zeros, no floats, F_p values in [1, p)."""
+    for v in m.data.values():
+        assert v != 0 and not isinstance(v, float)
+        if field is QQ:
+            assert isinstance(v, numbers.Rational)  # int, Fraction or gmpy2.mpq
+        else:
+            assert type(v) is int and 0 < v < field.p
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_kernels_match_dense_reference(field):
+    rng = random.Random(11)
+    for k in range(80):
+        n, m_, l = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.1, 0.3, 0.6])
+        a = _random_mixed(rng, n, m_, field, density)
+        b = _random_mixed(rng, m_, l, field, density)
+        cancels = k % 4 == 0
+        if cancels:
+            # [a a] @ [b; -b]: every term is matched by its negative
+            a, b = SparseMatrix.hstack([a, a]), SparseMatrix.vstack([b, -b])
+        prod = a @ b
+        want = _dense_product(_dense(a, field), _dense(b, field), field)
+        _assert_clean(prod, field)
+        assert _dense(prod, field) == want
+        assert prod == SparseMatrix.from_dense(want, field)
+        if cancels:
+            assert prod.data == {}
+        for mat in (a, a.t(), prod, a + a, a - a, -a):
+            _assert_clean(mat, field)
+            dense = _dense(mat, field)
+            pivots, rows = _dense_rref(dense, field)
+            fresh = SparseMatrix(mat.rows, mat.cols, field, dict(mat.data))
+            assert fresh.rank() == len(pivots)
+            got_piv, got_rows = SparseMatrix(mat.rows, mat.cols, field, dict(mat.data)).rref()
+            assert got_piv == pivots and got_rows == rows
+            for row in got_rows:
+                assert all(v != 0 and not isinstance(v, float) for v in row.values())
+                if field is not QQ:
+                    assert all(0 < v < field.p for v in row.values())
+        assert (a - a).is_zero_matrix()
+        assert a + (-a) == SparseMatrix.zeros(a.rows, a.cols, field)
+
+
+def test_q_integral_fraction_equals_int_and_cancels():
+    two_int = SparseMatrix(1, 1, QQ, {(0, 0): 2})
+    two_frac = SparseMatrix(1, 1, QQ, {(0, 0): Fraction(2)})
+    assert two_int == two_frac and two_frac == two_int
+    assert two_frac @ two_frac == SparseMatrix(1, 1, QQ, {(0, 0): 4})
+    half = SparseMatrix(1, 2, QQ, {(0, 0): Fraction(1, 2), (0, 1): Fraction(-3, 4)})
+    col = SparseMatrix(2, 1, QQ, {(0, 0): 3, (1, 0): 2})
+    assert (half @ col).is_zero_matrix()  # 3/2 - 3/2: no explicit zero kept
+    assert (half @ col).data == {}
+    quarter = SparseMatrix(2, 1, QQ, {(0, 0): Fraction(1, 2), (1, 0): 4})
+    assert half @ quarter == SparseMatrix(1, 1, QQ, {(0, 0): Fraction(-11, 4)})
+    assert (two_frac - two_int).data == {}
+
+
+def test_field_values_are_int_when_integral():
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    assert type(QQ.from_int(-4)) is int
+    assert type(QQ.from_str("6/3")) is int and QQ.from_str("6/3") == 2
+    assert QQ.from_str("-3/4") == Fraction(-3, 4)
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(4) == Fraction(1, 4)
+    assert str(QQ.from_str("6/3")) == str(Fraction(2)) == "2"
+    assert hash(Fraction(2)) == hash(2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    f7 = PrimeField(7)
+    assert f7.from_str("1/2") == 4 and f7.from_int(-1) == 6 and f7.p == 7
+    assert QQ.p is None
 
 
 def test_coequalizer_equal_maps_is_whole_codomain():
