@@ -13,7 +13,6 @@ degree n and the Connes boundary reaches one degree further.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .hopf import AxiomCheck, HopfError, ValidationReport
@@ -26,7 +25,9 @@ from .linalg import (
     induced_map,
     inverse,
     kernel,
+    leg_map,
     permutation_matrix,
+    permute_legs,
     quotient_by_columns,
 )
 
@@ -452,37 +453,21 @@ def hopf_cocyclic_coalgebra(c, m, n_max, spaces=None):
 
 def _diagonal_coaction_columns(h, b, legs):
     """Diagonal left coaction on B^{(x) legs} as a matrix
-    B^{(x) legs} -> H (x) B^{(x) legs}, built column by column."""
-    f = h.field
-    bd = b.dim
-    co = b.coaction_b  # B -> H (x) B
-    pairs = []
-    for j in range(bd):
-        terms = []
-        for row, v in co.cols_map().get(j, {}).items():
-            terms.append(((row // bd, row % bd), v))
-        pairs.append(terms)
-    cols = []
-    for tup in itertools.product(range(bd), repeat=legs):
-        col = {}
-        for combo in itertools.product(*[pairs[j] for j in tup]):
-            coeff = f.one
-            hpart = dict(h.unit)
-            for (hcomp, _), v in combo:
-                coeff = f.mul(coeff, v)
-                hpart = h.e_mul(hpart, h.basis_vec(hcomp))
-            bidx = 0
-            for (_, bcomp), _v in combo:
-                bidx = bidx * bd + bcomp
-            for hi, hv in hpart.items():
-                key = hi * (bd ** legs) + bidx
-                s = f.add(col.get(key, f.zero), f.mul(coeff, hv))
-                if f.is_zero(s):
-                    col.pop(key, None)
-                else:
-                    col[key] = s
-        cols.append(col)
-    return SparseMatrix.from_columns(h.dim * bd ** legs, cols, f)
+    B^{(x) legs} -> H (x) B^{(x) legs}.
+
+    The H-part b^1_(-1) ... b^k_(-1) is carried as one leg and multiplied
+    by each coaction factor as soon as that factor is split off.
+    """
+    d, bd, f = h.dim, b.dim, h.field
+    # carry: g (x) b -> b_(0) (x) g b_(-1)
+    x, dims = leg_map(b.coaction_b, SparseMatrix.identity(d * bd, f), [d, bd], 1,
+                      out_dims=[d, bd])
+    x, dims = leg_map(h.mu, x, dims, 0, 2)
+    carry = permute_legs(x, dims, [1, 0])[0]
+    x, dims = leg_map(h.eta, SparseMatrix.identity(bd ** legs, f), [bd] * legs, 0, 0)
+    for k in range(legs):
+        x, dims = leg_map(carry, x, dims, k, 2, [bd, d])
+    return permute_legs(x, dims, [legs] + list(range(legs)))[0]
 
 
 def comodule_algebra_space(h, b, m, n):

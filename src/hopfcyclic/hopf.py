@@ -137,12 +137,6 @@ class HopfAlgebra:
                         out[k] = s
         return out
 
-    def e_mul_many(self, vecs):
-        acc = dict(self.unit)
-        for v in vecs:
-            acc = self.e_mul(acc, v)
-        return acc
-
     def e_delta(self, a):
         f = self.field
         out = {}
@@ -177,15 +171,6 @@ class HopfAlgebra:
             terms = nxt
         return terms
 
-    def e_eps(self, a):
-        f = self.field
-        out = f.zero
-        for i, v in a.items():
-            c = self.counit.get(i)
-            if c is not None:
-                out = f.add(out, f.mul(v, c))
-        return out
-
     def _apply_matrix(self, m, a):
         f = self.field
         out = {}
@@ -200,11 +185,6 @@ class HopfAlgebra:
 
     def e_antipode(self, a):
         return self._apply_matrix(self.antipode, a)
-
-    def e_antipode_inv(self, a):
-        if self.antipode_inv is None:
-            raise HopfError(f"{self.name}: antipode is not invertible")
-        return self._apply_matrix(self.antipode_inv, a)
 
     def basis_vec(self, i):
         return {i: self.field.one}
@@ -442,46 +422,6 @@ class QuotientModuleCoalgebra:
     def lift(self, cvec):
         return self.parent._apply_matrix(self.space.section, cvec)
 
-    def c_delta(self, cvec):
-        f = self.parent.field
-        out = {}
-        c = self.dim
-        for k, v in cvec.items():
-            for (row, col), m in self.delta_c.data.items():
-                if col == k:
-                    key = (row // c, row % c)
-                    s = f.add(out.get(key, f.zero), f.mul(v, m))
-                    if f.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-        return out
-
-    def c_eps(self, cvec):
-        f = self.parent.field
-        out = f.zero
-        for k, v in cvec.items():
-            m = self.eps_c.data.get((0, k))
-            if m is not None:
-                out = f.add(out, f.mul(v, m))
-        return out
-
-    def c_act(self, cvec, hvec):
-        """Right action c . h on reduced coordinates."""
-        f = self.parent.field
-        d = self.parent.dim
-        out = {}
-        for k, v in cvec.items():
-            for i, w in hvec.items():
-                col = k * d + i
-                for row, m in self.action.cols_map().get(col, {}).items():
-                    s = f.add(out.get(row, f.zero), f.mul(f.mul(v, w), m))
-                    if f.is_zero(s):
-                        out.pop(row, None)
-                    else:
-                        out[row] = s
-        return out
-
 
 def right_ideal_closure(h, generator_cols):
     """Span of the right ideal generated by the given columns of H."""
@@ -547,9 +487,6 @@ class ComoduleSubalgebra:
 
     def __repr__(self):
         return f"ComoduleSubalgebra(dim={self.dim} in {self.parent.name})"
-
-    def basis_cols(self):
-        return self.space.section
 
     def include(self, bvec):
         """H-coordinates of an element given in B-coordinates."""

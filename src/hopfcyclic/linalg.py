@@ -358,15 +358,7 @@ class SparseMatrix:
                 key = (i, j)
                 out[key] = get(key, 0) + a * b
         # each entry is reduced once and zeros are dropped only here
-        if p is None:
-            data = {key: v for key, v in out.items() if v}
-        else:
-            data = {}
-            for key, v in out.items():
-                v %= p
-                if v:
-                    data[key] = v
-        return SparseMatrix(self.rows, other.cols, self.field, data)
+        return SparseMatrix(self.rows, other.cols, self.field, _reduced(out, p))
 
     def t(self):
         return SparseMatrix(
@@ -858,14 +850,76 @@ def apply_on_leg(op, dims, pos, arity=1, out_dims=None):
     return SparseMatrix(left * mid_out * right, left * mid_in * right, f, data)
 
 
-def permutation_matrix(dims, perm, field):
-    """Permutation of tensor legs; target tuple j is source tuple (t[perm[k]])_k."""
+def leg_map(op, x, dims, pos, arity=1, out_dims=None):
+    """(id (x) op (x) id) @ x for a column set x on the tensor product ``dims``.
+
+    Same leg conventions as ``apply_on_leg``, but works from the nonzeros
+    of x instead of assembling id (x) op (x) id over the whole ambient, so
+    a chain of leg maps costs what the columns it carries cost.  Returns
+    (matrix, new leg dims); ``out_dims`` (default: one leg of dimension
+    op.rows) replaces dims[pos:pos+arity].
+    """
+    if out_dims is None:
+        out_dims = [op.rows]
+    mid_in = tensor_dim(dims[pos : pos + arity])
+    right = tensor_dim(dims[pos + arity :])
+    if op.cols != mid_in or op.rows != tensor_dim(out_dims) or x.rows != tensor_dim(dims):
+        raise ShapeMismatch("operator arity does not match leg dims")
+    block_in, block_out = mid_in * right, op.rows * right
+    op_cols = op.cols_map()
+    out = {}
+    get = out.get
+    for i, row in x.rows_map().items():
+        lft, rest = divmod(i, block_in)
+        mid, rgt = divmod(rest, right)
+        col = op_cols.get(mid)
+        if not col:
+            continue
+        base = lft * block_out + rgt
+        for r, v in col.items():
+            r = base + r * right
+            for j, a in row.items():
+                key = (r, j)
+                out[key] = get(key, 0) + v * a
+    new_dims = list(dims[:pos]) + list(out_dims) + list(dims[pos + arity :])
+    return SparseMatrix(tensor_dim(new_dims), x.cols, x.field, _reduced(out, x.field.p)), new_dims
+
+
+def _reduced(acc, p):
+    """Accumulated sums in canonical form, zeros dropped (one ``% p`` each over F_p)."""
+    if p is None:
+        return {key: v for key, v in acc.items() if v}
+    data = {}
+    for key, v in acc.items():
+        v %= p
+        if v:
+            data[key] = v
+    return data
+
+
+def permute_legs(x, dims, perm):
+    """Permute the tensor legs of a column set x: target leg k is source leg perm[k].
+
+    Every flat index is remapped in one pass over the digits, leg by leg.
+    Returns (matrix, permuted dims).
+    """
     if sorted(perm) != list(range(len(dims))):
         raise ShapeMismatch("not a permutation of legs")
+    if x.rows != tensor_dim(dims):
+        raise ShapeMismatch("column set does not live on the leg dims")
     out_dims = [dims[p] for p in perm]
-    n = tensor_dim(dims)
-    data = {}
-    for idx in range(n):
-        t = tensor_unindex(dims, idx)
-        data[(tensor_index(out_dims, tuple(t[p] for p in perm)), idx)] = field.one
-    return SparseMatrix(n, n, field, data)
+    stride = [0] * len(dims)  # stride in the target of each source leg
+    s = 1
+    for k in reversed(range(len(dims))):
+        stride[perm[k]] = s
+        s *= out_dims[k]
+    target = [0]
+    for d, st in zip(dims, stride):
+        target = [base + t * st for base in target for t in range(d)]
+    data = {(target[i], j): v for (i, j), v in x.data.items()}
+    return SparseMatrix(x.rows, x.cols, x.field, data), out_dims
+
+
+def permutation_matrix(dims, perm, field):
+    """Permutation of tensor legs; target tuple j is source tuple (t[perm[k]])_k."""
+    return permute_legs(SparseMatrix.identity(tensor_dim(dims), field), dims, perm)[0]

@@ -47,6 +47,25 @@ def _coeff(field, value):
     return field.from_str(str(value))
 
 
+def _row(row, arity, dim, key, f):
+    """(indices, coefficient) of one structure-constant row, indices checked against dim."""
+    row = list(row)
+    if len(row) != arity + 1:
+        raise InputError(f"{key} row {row} needs {arity} indices and a coefficient")
+    idx = tuple(int(i) for i in row[:arity])
+    for i in idx:
+        if not 0 <= i < dim:
+            raise InputError(f"{key} index {i} outside 0..{dim - 1} in row {row}")
+    return idx, _coeff(f, row[arity])
+
+
+def _vector(data, key, dim, f):
+    values = list(data[key])
+    if len(values) != dim:
+        raise InputError(f"{key} has length {len(values)}, expected dim {dim}")
+    return {i: _coeff(f, v) for i, v in enumerate(values)}
+
+
 def load_hopf_json(data, field=None):
     try:
         dim = int(data["dim"])
@@ -54,15 +73,12 @@ def load_hopf_json(data, field=None):
         if len(basis) != dim:
             raise InputError("basis length does not match dim")
         f = field if field is not None else _field_from_spec(data.get("field"))
-        mult = {}
-        for i, j, k, v in data["mult"]:
-            mult[(int(i), int(j), int(k))] = _coeff(f, v)
-        unit = {i: _coeff(f, v) for i, v in enumerate(data["unit"])}
-        comult = {}
-        for k, i, j, v in data["comult"]:
-            comult[(int(k), int(i), int(j))] = _coeff(f, v)
-        counit = {i: _coeff(f, v) for i, v in enumerate(data["counit"])}
-        entries = [(int(i), int(j), _coeff(f, v)) for i, j, v in data["antipode"]]
+        mult = dict(_row(row, 3, dim, "mult", f) for row in data["mult"])
+        unit = _vector(data, "unit", dim, f)
+        comult = dict(_row(row, 3, dim, "comult", f) for row in data["comult"])
+        counit = _vector(data, "counit", dim, f)
+        entries = [(i, j, v) for (i, j), v in
+                   (_row(row, 2, dim, "antipode", f) for row in data["antipode"])]
         antipode = SparseMatrix.from_entries(dim, dim, f, entries)
         return HopfAlgebra(data.get("name", "hopf"), f, basis, mult, unit,
                            comult, counit, antipode)
@@ -89,10 +105,6 @@ def load_ideal_file(path, h):
         return SparseMatrix.from_columns(h.dim, cols, h.field)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ideal file: {exc}") from exc
-
-
-def load_subalgebra_file(path, h):
-    return load_ideal_file(path, h)
 
 
 def load_group_file(path):

@@ -1,4 +1,5 @@
 import json
+import time
 
 from hopfcyclic.cli import run
 
@@ -105,8 +106,8 @@ def test_field_fp_char_divides_order_still_valid_algebra():
     assert code == 0
 
 
-def test_file_input(tmp_path):
-    spec = {
+def _kc2_spec():
+    return {
         "name": "kC2-file",
         "field": {"type": "Q"},
         "dim": 2,
@@ -117,10 +118,46 @@ def test_file_input(tmp_path):
         "counit": ["1", "1"],
         "antipode": [[0, 0, "1"], [1, 1, "1"]],
     }
+
+
+def test_file_input(tmp_path):
     path = tmp_path / "kc2.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(_kc2_spec()))
     code, text = run(["validate", str(path)])
     assert code == 0
+
+
+def _assert_bad_hopf_file(tmp_path, spec, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["validate", str(path)], ["homology", str(path), "--max-degree", "1"]):
+        code, text = run(argv)
+        assert code == 2, (argv, text)
+        assert "bad Hopf algebra file:" in text and detail in text, text
+
+
+def test_hopf_file_mult_index_out_of_range_exit_two(tmp_path):
+    # was accepted: validate reported 5 axiom failures, homology "counit is not H-linear"
+    spec = _kc2_spec()
+    spec["mult"][1] = [0, 1, 5, "1"]
+    _assert_bad_hopf_file(tmp_path, spec, "mult index 5 outside 0..1")
+
+
+def test_hopf_file_antipode_index_out_of_range_exit_two(tmp_path):
+    # was an uncaught ShapeMismatch traceback
+    spec = _kc2_spec()
+    spec["antipode"][1] = [1, 7, "1"]
+    _assert_bad_hopf_file(tmp_path, spec, "antipode index 7 outside 0..1")
+
+
+def test_hopf_file_unit_length_mismatch_exit_two(tmp_path):
+    # was exit 1 with "coad(...) fails: ['module unit']"
+    spec = _kc2_spec()
+    spec["unit"] = ["1", "0", "1"]
+    _assert_bad_hopf_file(tmp_path, spec, "unit has length 3, expected dim 2")
+    spec = _kc2_spec()
+    spec["counit"] = ["1"]
+    _assert_bad_hopf_file(tmp_path, spec, "counit has length 1, expected dim 2")
 
 
 def test_bad_file_exit_two(tmp_path):
@@ -185,3 +222,21 @@ def test_hc_degree_cap_is_input_error():
     assert json.loads(text)["tables"]["dimensions"]["degree 4"] == 2
     code, _ = run(["homology", "kC2", "--theory", "hh", "--max-degree", "5"])
     assert code == 0
+
+
+def test_isocheck_os3_oc2_higher_degree_within_budget():
+    # both ran for minutes when the transform ambients were expanded
+    # Sweedler combination by Sweedler combination
+    for args, dims in ((["--theorem", "3.7", "--max-degree", "2"], None),
+                       (["--theorem", "3.4", "--max-degree", "3"], [6, 12, 24, 48])):
+        start = time.perf_counter()
+        tables = []
+        for field in ("q", "fp:2147483647"):
+            code, text = run(["--format", "json", "--field", field, "isocheck", "OS3/OC2"] + args)
+            data = json.loads(text)
+            assert code == 0 and data["summary"]["fail"] == 0, (args, field)
+            tables.append(data["tables"])
+        assert tables[0] == tables[1], args
+        if dims is not None:
+            assert list(tables[0]["dims"].values()) == dims
+        assert time.perf_counter() - start < 60, args

@@ -1,12 +1,20 @@
+import itertools
+import random
+
 import pytest
 
 from hopfcyclic.cyclic import (
+    _diagonal_coaction_columns,
     hopf_cyclic_coalgebra,
     relative_cyclic,
 )
 from hopfcyclic.hopf import NotHopfIdeal
 from hopfcyclic.iso import (
     CyclicMap,
+    _gamma_ambient,
+    _gamma_inv_unprojected,
+    _phi_ambient,
+    _psi_ambient,
     adjoint_commutator_space,
     check_cyclic_map,
     comodule_algebra_transform,
@@ -14,8 +22,8 @@ from hopfcyclic.iso import (
     module_coalgebra_transform,
     normal_quotient_comparison,
 )
-from hopfcyclic.linalg import QQ, SparseMatrix
-from hopfcyclic.presets import builtin_setup
+from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix
+from hopfcyclic.presets import SETUP_NAMES, builtin_setup
 from hopfcyclic.sayd import ad_module
 
 
@@ -101,8 +109,6 @@ def test_dual_transform_gamma0_collapse():
     h, b = s.hopf, s.subalgebra
     src_space = gamma.source.spaces[0]
     tgt_space = gamma.target.spaces[0]
-    from hopfcyclic.iso import _gamma_ambient
-
     amb = _gamma_ambient(h, b, 0)
     for jb in range(b.dim):
         bvec = b.include({jb: QQ.one})
@@ -152,3 +158,193 @@ def test_adjoint_commutator_space_dims():
     s = builtin_setup("kS3/kC2")
     adb = adjoint_commutator_space(s.hopf, s.subalgebra)
     assert adb.dim == 4  # kS3 modulo commutators with kC2
+
+
+# --- the leg-by-leg ambient builders against element-level references -------
+#
+# The references expand every Sweedler combination one element at a time,
+# as the builders did before they were written as leg-map chains.  Each
+# computes only the columns in ``keep`` (all when None) and returns a list
+# of column dicts, None for a skipped column.
+
+
+def _mul_many(h, vecs):
+    acc = dict(h.unit)
+    for v in vecs:
+        acc = h.e_mul(acc, v)
+    return acc
+
+
+def _accumulate(col, legs, dims, coeff, f):
+    for combo in itertools.product(*[leg.items() for leg in legs]):
+        c = coeff
+        idx = 0
+        for (i, v), dd in zip(combo, dims):
+            c = f.mul(c, v)
+            idx = idx * dd + i
+        s = f.add(col.get(idx, f.zero), c)
+        if f.is_zero(s):
+            col.pop(idx, None)
+        else:
+            col[idx] = s
+
+
+def _coefficient(f, combo):
+    coeff = f.one
+    for _, v in combo:
+        coeff = f.mul(coeff, v)
+    return coeff
+
+
+def _ref_psi(h, c, n, keep):
+    f, d = h.field, h.dim
+    cols = []
+    for k, tup in enumerate(itertools.product(*[range(dd) for dd in [c.dim] * (n + 1) + [d]])):
+        if keep is not None and k not in keep:
+            cols.append(None)
+            continue
+        expansions = [h.e_delta(c.lift({tup[i]: f.one})) for i in range(n + 1)]
+        col = {}
+        for combo in itertools.product(*[e.items() for e in expansions]):
+            pairs = [t for t, _ in combo]
+            legs = [h.e_mul(h.e_mul(h.basis_vec(pairs[n][1]), h.basis_vec(tup[n + 1])),
+                            h.e_antipode(h.basis_vec(pairs[0][0])))]
+            for j in range(1, n + 1):
+                legs.append(h.e_mul(h.basis_vec(pairs[j - 1][1]),
+                                    h.e_antipode(h.basis_vec(pairs[j][0]))))
+            _accumulate(col, legs, [d] * (n + 1), _coefficient(f, combo), f)
+        cols.append(col)
+    return cols
+
+
+def _ref_phi(h, c, n, keep):
+    f, d = h.field, h.dim
+    cols = []
+    for k, tup in enumerate(itertools.product(range(d), repeat=n + 1)):
+        if keep is not None and k not in keep:
+            cols.append(None)
+            continue
+        expansions = [h.e_delta_iter(h.basis_vec(tup[i]), i) for i in range(n + 1)]
+        col = {}
+        for combo in itertools.product(*[e.items() for e in expansions]):
+            paths = [t for t, _ in combo]
+            legs = []
+            for j in range(n + 1):
+                prod = _mul_many(h, [h.basis_vec(paths[i][j + 1]) for i in range(j + 1, n + 1)])
+                legs.append(c.bar(prod))
+            legs.append(_mul_many(h, [h.basis_vec(paths[i][0]) for i in range(n + 1)]))
+            _accumulate(col, legs, [c.dim] * (n + 1) + [d], _coefficient(f, combo), f)
+        cols.append(col)
+    return cols
+
+
+def _ref_gamma(h, b, n, keep):
+    f, d = h.field, h.dim
+    bcols = b.space.section.cols_map()
+    cols = []
+    for k, tup in enumerate(itertools.product(*[range(dd) for dd in [d] + [b.dim] * (n + 1)])):
+        if keep is not None and k not in keep:
+            cols.append(None)
+            continue
+        h_exp = h.e_delta_iter(h.basis_vec(tup[0]), n)
+        b_exps = [h.e_delta_iter(dict(bcols.get(tup[1 + i], {})), i) for i in range(n + 1)]
+        col = {}
+        for combo in itertools.product(h_exp.items(), *[e.items() for e in b_exps]):
+            hpath = combo[0][0]
+            bpaths = [t for t, _ in combo[1:]]
+            legs = []
+            for j in range(n):
+                factors = [h.basis_vec(bpaths[i][j + 1]) for i in range(j + 1, n + 1)]
+                factors.append(h.basis_vec(hpath[j + 1]))
+                legs.append(_mul_many(h, factors))
+            last = [h.basis_vec(bpaths[i][0]) for i in range(n + 1)]
+            last.append(h.basis_vec(hpath[0]))
+            legs.append(_mul_many(h, last))
+            _accumulate(col, legs, [d] * (n + 1), _coefficient(f, combo), f)
+        cols.append(col)
+    return cols
+
+
+def _ref_gamma_inv_unprojected(h, b, n, keep):
+    f, d = h.field, h.dim
+    cols = []
+    for k, tup in enumerate(itertools.product(range(d), repeat=n + 1)):
+        if keep is not None and k not in keep:
+            cols.append(None)
+            continue
+        exps = [h.e_delta_iter(h.basis_vec(tup[i]), 1) for i in range(n)]
+        exps.append(h.e_delta_iter(h.basis_vec(tup[n]), 2))
+        col = {}
+        for combo in itertools.product(*[e.items() for e in exps]):
+            paths = [t for t, _ in combo]
+            legs = [h.basis_vec(paths[n][1])]
+            legs.append(h.e_mul(h.basis_vec(paths[n][2]), h.e_antipode(h.basis_vec(paths[0][0]))))
+            for j in range(1, n + 1):
+                legs.append(h.e_mul(h.basis_vec(paths[j - 1][1]),
+                                    h.e_antipode(h.basis_vec(paths[j][0]))))
+            _accumulate(col, legs, [d] * (n + 2), _coefficient(f, combo), f)
+        cols.append(col)
+    return cols
+
+
+def _ref_diagonal_coaction(h, b, n, keep):
+    f, bd, legs = h.field, b.dim, n + 1
+    pairs = [[((row // bd, row % bd), v) for row, v in b.coaction_b.cols_map().get(j, {}).items()]
+             for j in range(bd)]
+    cols = []
+    for k, tup in enumerate(itertools.product(range(bd), repeat=legs)):
+        if keep is not None and k not in keep:
+            cols.append(None)
+            continue
+        col = {}
+        for combo in itertools.product(*[pairs[j] for j in tup]):
+            hpart = _mul_many(h, [h.basis_vec(hcomp) for (hcomp, _), _ in combo])
+            bidx = 0
+            for (_, bcomp), _ in combo:
+                bidx = bidx * bd + bcomp
+            coeff = _coefficient(f, combo)
+            for hi, hv in hpart.items():
+                key = hi * bd ** legs + bidx
+                s = f.add(col.get(key, f.zero), f.mul(coeff, hv))
+                if f.is_zero(s):
+                    col.pop(key, None)
+                else:
+                    col[key] = s
+        cols.append(col)
+    return cols
+
+
+_BUILDERS = [
+    ("psi", _psi_ambient, _ref_psi, "quotient"),
+    ("phi", _phi_ambient, _ref_phi, "quotient"),
+    ("gamma", _gamma_ambient, _ref_gamma, "subalgebra"),
+    ("gamma_inv", _gamma_inv_unprojected, _ref_gamma_inv_unprojected, "subalgebra"),
+    ("diagonal_coaction", lambda h, b, n: _diagonal_coaction_columns(h, b, n + 1),
+     _ref_diagonal_coaction, "subalgebra"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_leg_map_builders_match_element_references(name, field):
+    s = builtin_setup(name, field)
+    rng = random.Random(f"{name} {field}")
+    for n in range(3):
+        for label, build, reference, side in _BUILDERS:
+            other = getattr(s, side)
+            got = build(s.hopf, other, n)
+            keep = None
+            if name == "OS3/OC2" and n == 2:
+                # the element-level expansion of gamma takes seconds per column
+                # here (minutes for all 162), so a seeded sample is compared
+                size = 1 if label == "gamma" else 12
+                keep = set(rng.sample(range(got.cols), size))
+            want = reference(s.hopf, other, n, keep)
+            assert len(want) == got.cols, (label, n)
+            got_cols = got.cols_map()
+            for j, col in enumerate(want):
+                if col is not None:
+                    assert got_cols.get(j, {}) == col, (label, n, j)
+            assert all(v != 0 for v in got.data.values())
+            if field is not QQ:
+                assert all(0 < v < field.p for v in got.data.values())

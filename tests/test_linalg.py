@@ -21,7 +21,9 @@ from hopfcyclic.linalg import (
     inverse,
     is_prime,
     kernel,
+    leg_map,
     permutation_matrix,
+    permute_legs,
     quotient_by_columns,
     solve,
     span_columns,
@@ -263,6 +265,71 @@ def test_kernels_match_dense_reference(field):
                     assert all(0 < v < field.p for v in row.values())
         assert (a - a).is_zero_matrix()
         assert a + (-a) == SparseMatrix.zeros(a.rows, a.cols, field)
+
+
+def _reference_permutation(dims, perm, field):
+    """The permutation of legs index by index, through tensor_unindex/tensor_index."""
+    out_dims = [dims[p] for p in perm]
+    n = tensor_dim(dims)
+    data = {}
+    for idx in range(n):
+        t = tensor_unindex(dims, idx)
+        data[(tensor_index(out_dims, tuple(t[p] for p in perm)), idx)] = field.one
+    return SparseMatrix(n, n, field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_leg_map_and_permute_legs_match_full_ambient(field):
+    rng = random.Random(23)
+    cancelled = 0
+    for k in range(150):
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        cancels = k % 4 == 0
+        pos = rng.randrange(len(dims) + (not cancels))
+        arity = 1 if cancels else rng.randint(0, len(dims) - pos)
+        out_dims = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        ncols = rng.randint(0, 5)
+        density = rng.choice([0.0, 0.2, 0.5, 0.9])
+        op = _random_mixed(rng, tensor_dim(out_dims), tensor_dim(dims[pos:pos + arity]),
+                           field, density)
+        x = _random_mixed(rng, tensor_dim(dims), ncols, field, density)
+        if cancels:
+            # op = [a, -a] on a doubled leg and x equal on both halves:
+            # every product is matched by its negative
+            half = op.cols
+            op = SparseMatrix.hstack([op, -op])
+            dims = dims[:pos] + [2 * half] + dims[pos + 1:]
+            right = tensor_dim(dims[pos + 1:])
+            x = _random_mixed(rng, tensor_dim(dims), ncols, field, density)
+            data = {}
+            for (i, j), v in x.data.items():
+                lft, rest = divmod(i, 2 * half * right)
+                mid, rgt = divmod(rest, right)
+                if mid < half:
+                    data[(i, j)] = v
+                    data[((lft * 2 * half + mid + half) * right + rgt, j)] = v
+            x = SparseMatrix(x.rows, ncols, field, data)
+        got, got_dims = leg_map(op, x, dims, pos, arity, out_dims)
+        want = apply_on_leg(op, dims, pos, arity) @ x
+        assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+        assert got_dims == dims[:pos] + out_dims + dims[pos + arity:]
+        _assert_clean(got, field)
+        if cancels:
+            assert got.data == {}
+            cancelled += bool(x.data and op.data)
+
+        perm = list(range(len(dims)))
+        rng.shuffle(perm)
+        ref = _reference_permutation(dims, perm, field)
+        assert permutation_matrix(dims, perm, field) == ref
+        got, got_dims = permute_legs(x, dims, perm)
+        assert got == ref @ x and got_dims == [dims[p] for p in perm]
+        _assert_clean(got, field)
+    assert cancelled >= 10
+    with pytest.raises(ShapeMismatch):
+        leg_map(SparseMatrix.identity(2, field), SparseMatrix.identity(6, field), [2, 3], 1)
+    with pytest.raises(ShapeMismatch):
+        permute_legs(SparseMatrix.identity(6, field), [2, 3], [0, 0])
 
 
 def test_q_integral_fraction_equals_int_and_cancels():
