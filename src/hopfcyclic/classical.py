@@ -363,9 +363,6 @@ def left_picture_set(g, sub, n_max):
     def elems(n):
         return quotients[n].reps
 
-    def canon_at(n, t):
-        return quotients[n].canon[t]
-
     def coface(n, i, e):
         if i <= n:
             t = e[:i] + (g.identity,) + e[i:]

@@ -295,7 +295,10 @@ def _resolve_chi(g, sub, text):
                 order += 1
             vals.append(QQ.one if order % 2 == 1 else QQ.from_int(-1))
         return ClassFunction(subgrp, vals)
-    vals = [QQ.from_str(v) for v in text.split(",")]
+    try:
+        vals = [QQ.from_str(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --chi {text!r}: {exc}") from None
     return ClassFunction(subgrp, vals)
 
 

@@ -290,74 +290,67 @@ def relative_cocyclic_coext(h, c, n_max, spaces=None):
 # constructions 3a/3b: Hopf-cyclic objects of the module coalgebra C
 
 
-def _act_on_coalgebra_by(c, hvec):
-    """Right action by a fixed element of H, as a matrix C -> C."""
-    f = c.parent.field
-    d = c.parent.dim
-    data = {}
-    for (row, col), m in c.action.data.items():
-        k, i = divmod(col, d)
-        a = hvec.get(i)
-        if a is None:
-            continue
-        key = (row, k)
-        s = f.add(data.get(key, f.zero), f.mul(a, m))
-        if f.is_zero(s):
-            data.pop(key, None)
-        else:
-            data[key] = s
-    return SparseMatrix(c.dim, c.dim, f, data)
+def diagonal_action(c, legs):
+    """Diagonal right action C^{(x) legs} (x) H -> C^{(x) legs},
+    (c^1 ... c^k) (x) g -> c^1 g_(1) (x) ... (x) c^k g_(k)."""
+    return _diagonal_act(c, SparseMatrix.identity(c.dim ** legs * c.parent.dim, c.parent.field),
+                         legs)
 
 
-def _act_on_module_by(m, hvec):
-    """operator_action by a fixed element of H, as a matrix M -> M."""
-    f = m.hopf.field
-    md = m.dim
-    data = {}
-    for (row, col), v in m.operator_action.data.items():
-        i, j = divmod(col, md)
-        a = hvec.get(i)
-        if a is None:
-            continue
-        key = (row, j)
-        s = f.add(data.get(key, f.zero), f.mul(a, v))
-        if f.is_zero(s):
-            data.pop(key, None)
-        else:
-            data[key] = s
-    return SparseMatrix(md, md, f, data)
+def _diagonal_act(c, x, legs):
+    """The diagonal action applied to a column set x on C^{(x) legs} (x) H.
 
-
-def _diagonal_action_matrix(c, hvec, legs):
-    """Diagonal right action of a fixed element on C^{(x) legs}."""
+    The H-leg is carried from the last algebra leg to the first, leaving
+    one coproduct factor in each; its last piece is consumed by the counit.
+    """
     h = c.parent
-    f = h.field
-    total = SparseMatrix.zeros(c.dim ** legs, c.dim ** legs, f)
-    for tup, v in h.e_delta_iter(hvec, legs - 1).items():
-        m = _act_on_coalgebra_by(c, h.basis_vec(tup[0]))
-        for comp in tup[1:]:
-            m = m.kron(_act_on_coalgebra_by(c, h.basis_vec(comp)))
-        total = total + m.scale(v)
-    return total
+    d, cd = h.dim, c.dim
+    # carry: c (x) g -> g_(1) (x) c g_(2)
+    y, dims = leg_map(h.delta, SparseMatrix.identity(cd * d, h.field), [cd, d], 1,
+                      out_dims=[d, d])
+    y, dims = permute_legs(y, dims, [1, 0, 2])
+    carry = leg_map(c.action, y, dims, 1, 2)[0]
+    dims = [cd] * legs + [d]
+    for k in reversed(range(legs)):
+        x, dims = leg_map(carry, x, dims, k, 2, [d, cd])
+    return leg_map(h.eps, x, dims, 0, out_dims=[])[0]
+
+
+def generator_relations(c, legs, acts):
+    """Columns x (x) g.m - x.g (x) m spanning the relations of
+    C^{(x) legs} (x)_H M, one block for each algebra generator g of H;
+    ``acts[j]`` is the action on M of the j-th column of ``generator_matrix()``.
+
+    The coefficient term comes first: ``quotient_by_columns`` meets the
+    relations in the order their entries first appear, and this order needs
+    far fewer pivot rescalings than the reverse (none on kC2/k, kC3/k and
+    kS3/k up to degree 4).
+    """
+    h, f = c.parent, c.parent.field
+    ident_legs = SparseMatrix.identity(c.dim ** legs, f)
+    gens = h.generator_matrix()
+    rels = []
+    for j, act in enumerate(acts):
+        right = _diagonal_act(c, ident_legs.kron(gens.column(j)), legs)
+        rels.append(ident_legs.kron(act) - right.kron(SparseMatrix.identity(act.rows, f)))
+    return SparseMatrix.hstack(rels)
+
+
+def generator_actions(h, m):
+    """The operator action of M restricted to each algebra generator of H."""
+    gens = h.generator_matrix()
+    ident_m = SparseMatrix.identity(m.dim, h.field)
+    return [m.operator_action @ gens.column(j).kron(ident_m) for j in range(gens.cols)]
 
 
 def hopf_cyclic_spaces(c, m, n_max):
     """C^{(x) n+1} (x)_H M: quotients by the diagonal-versus-coefficient
     action relations, generated over an algebra generating set of H."""
-    h = c.parent
-    f = h.field
+    acts = generator_actions(c.parent, m)
     spaces = []
     for n in range(n_max + 1):
-        legdim = c.dim ** (n + 1)
-        ident_legs = SparseMatrix.identity(legdim, f)
-        ident_m = SparseMatrix.identity(m.dim, f)
-        rels = []
-        for gi in h.generators():
-            hv = h.basis_vec(gi)
-            diag = _diagonal_action_matrix(c, hv, n + 1)
-            actm = _act_on_module_by(m, hv)
-            rels.append(diag.kron(ident_m) - ident_legs.kron(actm))
-        spaces.append(quotient_by_columns(legdim * m.dim, SparseMatrix.hstack(rels)))
+        rels = generator_relations(c, n + 1, acts)
+        spaces.append(quotient_by_columns(rels.rows, rels))
     return spaces
 
 

@@ -126,10 +126,6 @@ class FiniteGroup:
                 cosets.append(cs)
         return cosets
 
-    def is_normal(self, sub):
-        subset = set(sub)
-        return all(self.conj(g, h) in subset for g in self.elements() for h in subset)
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 

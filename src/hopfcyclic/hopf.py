@@ -5,17 +5,24 @@ Conventions, fixed once and used everywhere:
 * ``mult[(i, j, k)]`` is the e_k coefficient of e_i . e_j;
 * ``comult[(k, i, j)]`` is the e_i (x) e_j coefficient of Delta(e_k);
 * matrices act on column vectors, tensor legs are indexed row-major with
-  the left factor slowest.
+  the left factor slowest;
+* an element of H is a d x 1 column.
 
 The module also builds the two sides of the Takeuchi correspondence for a
 Hopf algebra H: quotient right module coalgebras C = H/I and left coideal
 subalgebras B = H^{co C}, together with the canonical map, the translation
 map, and the cocanonical map of the associated homogeneous extension.
+
+Every operator is a chain of the structure matrices ``mu``, ``delta``,
+``eps``, ``eta`` and ``antipode`` (and the lifts and projections of the
+subquotients), applied leg by leg to the identity column set with
+``leg_map`` and ``permute_legs``.  The chain helpers below (``_link``,
+``_carry``, ``_linked``, ``_absorb``) are shared with the transforms of
+``iso``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .linalg import (
@@ -28,7 +35,9 @@ from .linalg import (
     induced_map,
     inverse,
     kernel,
+    leg_map,
     permutation_matrix,
+    permute_legs,
     quotient_by_columns,
     span_columns,
     span_contains,
@@ -84,12 +93,6 @@ class HopfAlgebra:
         self.counit = {k: v for k, v in counit.items() if not field.is_zero(v)}
         self.antipode = antipode
         self.generator_indices = generator_indices
-        self._mult_pairs = {}
-        for (i, j, k), v in self.mult.items():
-            self._mult_pairs.setdefault((i, j), {})[k] = v
-        self._comult_by_k = {}
-        for (k, i, j), v in self.comult.items():
-            self._comult_by_k.setdefault(k, {})[(i, j)] = v
         # derived structure matrices
         self.mu = SparseMatrix(
             d, d * d, field,
@@ -118,106 +121,20 @@ class HopfAlgebra:
             return list(self.generator_indices)
         return list(range(self.dim))
 
-    # element-level operations on sparse dict vectors -----------------------
+    def generator_matrix(self):
+        """The generators() as the columns of a d x k matrix."""
+        one = self.field.one
+        gens = self.generators()
+        return SparseMatrix(self.dim, len(gens), self.field,
+                            {(g, j): one for j, g in enumerate(gens)})
 
-    def e_mul(self, a, b):
-        f = self.field
-        out = {}
-        for i, va in a.items():
-            for j, vb in b.items():
-                prods = self._mult_pairs.get((i, j))
-                if not prods:
-                    continue
-                c = f.mul(va, vb)
-                for k, m in prods.items():
-                    s = f.add(out.get(k, f.zero), f.mul(c, m))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
+    def left_mult_matrix(self, a):
+        """Matrix of x -> a . x for an element a given as a d x 1 column."""
+        return self.mu @ a.kron(self.ident())
 
-    def e_delta(self, a):
-        f = self.field
-        out = {}
-        for k, v in a.items():
-            for key, m in self._comult_by_k.get(k, {}).items():
-                s = f.add(out.get(key, f.zero), f.mul(v, m))
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    def e_delta_iter(self, a, times):
-        """Iterated comultiplication with left-branch-first bracketing.
-
-        Returns a dict mapping (times+1)-tuples of basis indices to
-        coefficients; coassociativity makes the bracketing irrelevant but
-        one is fixed for determinism.
-        """
-        f = self.field
-        terms = {(k,): v for k, v in a.items()}
-        for _ in range(times):
-            nxt = {}
-            for tup, v in terms.items():
-                for (i, j), m in self._comult_by_k.get(tup[0], {}).items():
-                    key = (i, j) + tup[1:]
-                    s = f.add(nxt.get(key, f.zero), f.mul(v, m))
-                    if f.is_zero(s):
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = s
-            terms = nxt
-        return terms
-
-    def _apply_matrix(self, m, a):
-        f = self.field
-        out = {}
-        for i, v in a.items():
-            for r, w in m.cols_map().get(i, {}).items():
-                s = f.add(out.get(r, f.zero), f.mul(v, w))
-                if f.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
-
-    def e_antipode(self, a):
-        return self._apply_matrix(self.antipode, a)
-
-    def basis_vec(self, i):
-        return {i: self.field.one}
-
-    def left_mult_matrix(self, vec):
-        """Matrix of x -> vec . x."""
-        f = self.field
-        data = {}
-        for (i, j, k), m in self.mult.items():
-            a = vec.get(i)
-            if a is not None:
-                key = (k, j)
-                s = f.add(data.get(key, f.zero), f.mul(a, m))
-                if f.is_zero(s):
-                    data.pop(key, None)
-                else:
-                    data[key] = s
-        return SparseMatrix(self.dim, self.dim, f, data)
-
-    def right_mult_matrix(self, vec):
-        """Matrix of x -> x . vec."""
-        f = self.field
-        data = {}
-        for (i, j, k), m in self.mult.items():
-            a = vec.get(j)
-            if a is not None:
-                key = (k, i)
-                s = f.add(data.get(key, f.zero), f.mul(a, m))
-                if f.is_zero(s):
-                    data.pop(key, None)
-                else:
-                    data[key] = s
-        return SparseMatrix(self.dim, self.dim, f, data)
+    def right_mult_matrix(self, a):
+        """Matrix of x -> x . a for an element a given as a d x 1 column."""
+        return self.mu @ self.ident().kron(a)
 
     def is_commutative(self):
         d = self.dim
@@ -415,22 +332,13 @@ class QuotientModuleCoalgebra:
     def __repr__(self):
         return f"QuotientModuleCoalgebra({self.parent.name}/I, dim={self.dim})"
 
-    def bar(self, vec):
-        """Class in C of an element of H (dict vector)."""
-        return self.parent._apply_matrix(self.space.projection, vec)
-
-    def lift(self, cvec):
-        return self.parent._apply_matrix(self.space.section, cvec)
-
 
 def right_ideal_closure(h, generator_cols):
     """Span of the right ideal generated by the given columns of H."""
     current = span_columns(generator_cols)
     while True:
-        mats = [current.section]
-        for j in range(h.dim):
-            mats.append(h.right_mult_matrix(h.basis_vec(j)) @ current.section)
-        bigger = span_columns(SparseMatrix.hstack(mats))
+        products = h.mu @ current.section.kron(h.ident())  # every x e_j
+        bigger = span_columns(SparseMatrix.hstack([current.section, products]))
         if bigger.dim == current.dim:
             return bigger
         current = bigger
@@ -488,10 +396,6 @@ class ComoduleSubalgebra:
     def __repr__(self):
         return f"ComoduleSubalgebra(dim={self.dim} in {self.parent.name})"
 
-    def include(self, bvec):
-        """H-coordinates of an element given in B-coordinates."""
-        return self.parent._apply_matrix(self.space.section, bvec)
-
 
 def trivial_subalgebra(h):
     return ComoduleSubalgebra(h, span_columns(h.eta))
@@ -503,38 +407,25 @@ def subalgebra_from_columns(h, cols):
 
 def coinvariants(h, c):
     """H^{co C} as the equalizer of h -> h_(1) (x) bar(h_(2)) and h -> h (x) bar(1)."""
-    d, f = h.dim, h.field
-    cd = c.dim
+    d = h.dim
     rho = apply_on_leg(c.space.projection, [d, d], 1) @ h.delta
-    one_map = SparseMatrix(
-        d * cd, d, f,
-        {(i * cd + r, i): v for i in range(d) for r, v in c.onebar.cols_map().get(0, {}).items()},
-    )
-    eq = equalizer(rho, one_map)
+    eq = equalizer(rho, h.ident().kron(c.onebar))
     return ComoduleSubalgebra(h, eq)
 
 
 def iterated_coinvariance_ok(h, c, b, n):
     """b_(1) (x) ... (x) bar(b_(n+2)) = b_(1) (x) ... (x) b_(n+1) (x) bar(1)."""
-    d, f = h.dim, h.field
-    cd = c.dim
+    d = h.dim
     legs = n + 2
     delta_pow = h.ident()
     for k in range(legs - 1):
         delta_pow = apply_on_leg(h.delta, [d] * (k + 1), k) @ delta_pow
     dims = [d] * legs
     lhs = apply_on_leg(c.space.projection, dims, legs - 1) @ delta_pow @ b.space.section
-    one_col = c.onebar.cols_map().get(0, {})
     shorter = h.ident()
     for k in range(legs - 2):
         shorter = apply_on_leg(h.delta, [d] * (k + 1), k) @ shorter
-    rhs_core = shorter @ b.space.section
-    data = {}
-    for (row, col), v in rhs_core.data.items():
-        for r, w in one_col.items():
-            data[(row * cd + r, col)] = f.mul(v, w)
-    rhs = SparseMatrix(tensor_dim(dims[:-1]) * cd, b.dim, f, data)
-    return lhs == rhs
+    return lhs == (shorter @ b.space.section).kron(c.onebar)
 
 
 def takeuchi_subalgebra_to_quotient(h, b):
@@ -566,6 +457,75 @@ def galois_criterion(h, b, c):
 
 
 # ---------------------------------------------------------------------------
+# leg-by-leg structure-map chains
+#
+# An operator is a chain of structure matrices applied to the identity
+# column set through ``leg_map`` and ``permute_legs``.  A coproduct factor
+# is multiplied into the leg it belongs to as soon as it is split off, so
+# a column carries one leg per factor still to be placed, never the whole
+# Sweedler expansion.  Coassociativity makes the order of splitting
+# irrelevant, and the arithmetic is exact.
+
+
+def _identity_legs(dims, f):
+    return SparseMatrix.identity(tensor_dim(dims), f), list(dims)
+
+
+def _link(h):
+    """a (x) b -> a S(b_(1)) (x) b_(2), as a matrix on H (x) H."""
+    d = h.dim
+    x, dims = leg_map(h.delta, *_identity_legs([d, d], h.field), 1, out_dims=[d, d])
+    x, dims = leg_map(h.antipode, x, dims, 1)
+    return leg_map(h.mu, x, dims, 0, 2)[0]
+
+
+def _carry(h):
+    """p (x) r -> r_(1) (x) p r_(2), as a matrix on H (x) H."""
+    d = h.dim
+    x, dims = leg_map(h.delta, *_identity_legs([d, d], h.field), 1, out_dims=[d, d])
+    x, dims = permute_legs(x, dims, [1, 0, 2])
+    return leg_map(h.mu, x, dims, 1, 2)[0]
+
+
+def _linked(h, x, dims, n):
+    """Legs (g^0, ..., g^n, ...) -> (S(g^0_(1)), g^0_(2) S(g^1_(1)), ...,
+    g^{n-1}_(2) S(g^n_(1)), g^n_(2), ...)."""
+    d = h.dim
+    x, dims = leg_map(h.delta, x, dims, 0, out_dims=[d, d])
+    x, dims = leg_map(h.antipode, x, dims, 0)
+    link = _link(h)
+    for j in range(1, n + 1):
+        x, dims = leg_map(link, x, dims, j, 2, [d, d])
+    return x, dims
+
+
+def _absorb(h, x, dims, k, carry, split_last):
+    """Multiply the coproduct pieces of leg k+1 into legs 0..k, on the right.
+
+    Legs 0..k hold m, p_0, ..., p_{k-1} and leg k+1 holds e.  Afterwards
+    leg 0 holds m e_(1) and leg j+1 holds p_j e_(j+2).  With
+    ``split_last`` e has one piece more, e_(k+2), left as a new leg k+1.
+    ``carry`` is ``_carry(h)``.
+    """
+    d = h.dim
+    if split_last:
+        x, dims = leg_map(h.delta, x, dims, k + 1, out_dims=[d, d])
+    for j in range(k, 0, -1):
+        x, dims = leg_map(carry, x, dims, j, 2, [d, d])
+    return leg_map(h.mu, x, dims, 0, 2)
+
+
+def _absorbed_legs(h, n):
+    """h^0 (x) ... (x) h^n -> (h^0 h^1_(1) ... h^n_(1), h^1_(2) ... h^n_(2),
+    ..., h^n_(n+1)), as a column set on H^{(x) n+1} with its leg dims."""
+    x, dims = _identity_legs([h.dim] * (n + 1), h.field)
+    carry = _carry(h)
+    for i in range(1, n + 1):
+        x, dims = _absorb(h, x, dims, i - 1, carry, split_last=True)
+    return x, dims
+
+
+# ---------------------------------------------------------------------------
 # tensor powers over B and the canonical map
 
 
@@ -581,7 +541,7 @@ def tensor_power_over_b(h, b, legs):
         amb = space.tensor(SubquotientSpace.full(d, f))
         rels = []
         for jb in range(bcols.cols):
-            bvec = bcols.cols_map().get(jb, {})
+            bvec = bcols.column(jb)
             rb = induced_map(
                 apply_on_leg(h.right_mult_matrix(bvec), [d] * k, k - 1), space, space
             )
@@ -600,7 +560,7 @@ def commutator_quotient(h, b, space, legs):
     bcols = b.space.section
     rels = []
     for jb in range(bcols.cols):
-        bvec = bcols.cols_map().get(jb, {})
+        bvec = bcols.column(jb)
         right_last = induced_map(
             apply_on_leg(h.right_mult_matrix(bvec), [d] * legs, legs - 1), space, space
         )
@@ -622,74 +582,26 @@ def canonical_map_n(h, b, c, n):
         raise HopfError("canonical map needs degree n >= 1")
     d, cdim, f = h.dim, c.dim, h.field
     dom = tensor_power_over_b(h, b, n + 1)
-    target_dims = [d] + [cdim] * n
-    tdim = tensor_dim(target_dims)
-    src_dims = [d] * (n + 1)
+    tdim = d * cdim ** n
 
-    # forward: m (x) h^1 ... h^n -> m h^1_(1)...h^n_(1) (x) bar(prod h^i_(2)) (x) ...
-    cols = []
-    for tup in itertools.product(range(d), repeat=n + 1):
-        col = {}
-        expansions = [h.e_delta_iter(h.basis_vec(tup[i]), i) for i in range(1, n + 1)]
-        for combo in itertools.product(*[e.items() for e in expansions]):
-            coeff = f.one
-            for _, v in combo:
-                coeff = f.mul(coeff, v)
-            paths = [t for t, _ in combo]  # paths[i-1] has i+1 components
-            first = h.basis_vec(tup[0])
-            for i in range(1, n + 1):
-                first = h.e_mul(first, h.basis_vec(paths[i - 1][0]))
-            legs = [first]
-            for j in range(1, n + 1):
-                prod = dict(h.unit)
-                for i in range(j, n + 1):
-                    prod = h.e_mul(prod, h.basis_vec(paths[i - 1][j]))
-                legs.append(c.bar(prod))
-            _accumulate_tensor(col, legs, target_dims, coeff, f)
-        cols.append(col)
-    fwd_ambient = SparseMatrix.from_columns(tdim, cols, f)
-    can = induced_map(fwd_ambient, dom, SubquotientSpace.full(tdim, f))
+    # forward: m (x) h^1 ... h^n -> m h^1_(1)...h^n_(1) (x) bar(h^1_(2)...h^n_(2)) (x) ...
+    x, dims = _absorbed_legs(h, n)
+    for j in range(1, n + 1):
+        x, dims = leg_map(c.space.projection, x, dims, j)
+    can = induced_map(x, dom, SubquotientSpace.full(tdim, f))
 
     # inverse: m (x) bar g^1 (x) ... -> m S(g^1_(1)) (x) g^1_(2) S(g^2_(1)) (x) ...
-    cols = []
-    for tup in itertools.product(*[range(dd) for dd in target_dims]):
-        col = {}
-        lifts = [c.lift({tup[j]: f.one}) for j in range(1, n + 1)]
-        expansions = [h.e_delta(g) for g in lifts]
-        for combo in itertools.product(*[e.items() for e in expansions]):
-            coeff = f.one
-            for _, v in combo:
-                coeff = f.mul(coeff, v)
-            pairs = [t for t, _ in combo]
-            legs = [h.e_mul(h.basis_vec(tup[0]), h.e_antipode(h.basis_vec(pairs[0][0])))]
-            for j in range(1, n):
-                legs.append(
-                    h.e_mul(h.basis_vec(pairs[j - 1][1]), h.e_antipode(h.basis_vec(pairs[j][0])))
-                )
-            legs.append(h.basis_vec(pairs[n - 1][1]))
-            _accumulate_tensor(col, legs, src_dims, coeff, f)
-        cols.append(col)
-    inv_ambient = SparseMatrix.from_columns(tensor_dim(src_dims), cols, f)
-    can_inv = induced_map(inv_ambient, SubquotientSpace.full(tdim, f), dom)
+    x, dims = _identity_legs([d] + [cdim] * n, f)
+    for j in range(1, n + 1):
+        x, dims = leg_map(c.space.section, x, dims, j)
+    link = _link(h)
+    for j in range(n):
+        x, dims = leg_map(link, x, dims, j, 2, [d, d])
+    can_inv = induced_map(x, SubquotientSpace.full(tdim, f), dom)
 
     if not (can @ can_inv).is_identity() or not (can_inv @ can).is_identity():
         raise NotGalois(f"canonical map in degree {n} is not bijective")
     return can, can_inv, dom
-
-
-def _accumulate_tensor(col, legs, dims, coeff, f):
-    """Add coeff * (leg_0 (x) ... (x) leg_k) into a sparse column dict."""
-    for combo in itertools.product(*[leg.items() for leg in legs]):
-        c = coeff
-        idx = 0
-        for (i, v), dd in zip(combo, dims):
-            c = f.mul(c, v)
-            idx = idx * dd + i
-        s = f.add(col.get(idx, f.zero), c)
-        if f.is_zero(s):
-            col.pop(idx, None)
-        else:
-            col[idx] = s
 
 
 def translation_map(h, b, c):
@@ -698,16 +610,8 @@ def translation_map(h, b, c):
     dom2 = tensor_power_over_b(h, b, 2)
 
     def tau_from_lift(section):
-        cols = []
-        for j in range(c.dim):
-            lift = h._apply_matrix(section, {j: f.one})
-            col = {}
-            for (i1, i2), v in h.e_delta(lift).items():
-                legs = [h.e_antipode(h.basis_vec(i1)), h.basis_vec(i2)]
-                _accumulate_tensor(col, legs, [d, d], v, f)
-            cols.append(col)
-        ambient = SparseMatrix.from_columns(d * d, cols, f)
-        return dom2.projection @ ambient
+        x, dims = leg_map(h.delta, section, [d], 0, out_dims=[d, d])
+        return dom2.projection @ leg_map(h.antipode, x, dims, 0)[0]
 
     tau = tau_from_lift(c.space.section)
     # second, deliberately different lift: add something in the ideal
@@ -729,17 +633,10 @@ def cocanonical_map(h, b, c):
     """
     d, f = h.dim, h.field
     cot = cotensor_square(h, c)
-    cols = []
-    bcols = b.space.section
-    for jb in range(bcols.cols):
-        bvec = bcols.cols_map().get(jb, {})
-        for jd in range(d):
-            col = {}
-            for (i1, i2), v in h.e_delta(h.basis_vec(jd)).items():
-                legs = [h.e_mul(bvec, h.basis_vec(i1)), h.basis_vec(i2)]
-                _accumulate_tensor(col, legs, [d, d], v, f)
-            cols.append(col)
-    ambient = SparseMatrix.from_columns(d * d, cols, f)
+    x, dims = _identity_legs([b.dim, d], f)
+    x, dims = leg_map(b.space.section, x, dims, 0)
+    x, dims = leg_map(h.delta, x, dims, 1, out_dims=[d, d])
+    ambient = leg_map(h.mu, x, dims, 0, 2)[0]
     reduced = induced_map(ambient, SubquotientSpace.full(b.dim * d, f), cot)
     bij = reduced.rows == reduced.cols and reduced.rank() == reduced.rows
     return reduced, cot, bij

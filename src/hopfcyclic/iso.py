@@ -29,15 +29,24 @@ from dataclasses import dataclass
 
 from .cyclic import (
     CyclicModule,
-    _act_on_module_by,
-    _diagonal_action_matrix,
     coext_cyclic,
+    generator_actions,
+    generator_relations,
     hopf_cyclic_coalgebra,
     hopf_cyclic_comodule_algebra,
     hopf_cyclic_spaces,
     relative_cyclic,
 )
-from .hopf import AxiomCheck, NotHopfIdeal, ValidationReport
+from .hopf import (
+    AxiomCheck,
+    NotHopfIdeal,
+    ValidationReport,
+    _absorb,
+    _absorbed_legs,
+    _carry,
+    _identity_legs,
+    _linked,
+)
 from .linalg import (
     NotWellDefined,
     SparseMatrix,
@@ -47,7 +56,6 @@ from .linalg import (
     permute_legs,
     quotient_by_columns,
     span_contains,
-    tensor_dim,
 )
 from .sayd import ad_module, coad_module
 
@@ -104,67 +112,6 @@ def _mutually_inverse(fwd, bwd):
 
 
 # ---------------------------------------------------------------------------
-# leg-by-leg ambient builders
-#
-# Each ambient is a chain of structure matrices applied to the identity
-# column set through ``leg_map``.  A coproduct factor is multiplied into
-# the leg it belongs to as soon as it is split off, so a column carries
-# one leg per factor still to be placed, never the whole Sweedler
-# expansion: the cost grows with the sum of the coproduct sizes, not
-# their product.  Coassociativity makes the order of splitting
-# irrelevant, and the arithmetic is exact, so the matrices equal the
-# element-by-element expansions.
-
-
-def _identity_legs(dims, f):
-    return SparseMatrix.identity(tensor_dim(dims), f), list(dims)
-
-
-def _link(h):
-    """a (x) b -> a S(b_(1)) (x) b_(2), as a matrix on H (x) H."""
-    d = h.dim
-    x, dims = leg_map(h.delta, *_identity_legs([d, d], h.field), 1, out_dims=[d, d])
-    x, dims = leg_map(h.antipode, x, dims, 1)
-    return leg_map(h.mu, x, dims, 0, 2)[0]
-
-
-def _carry(h):
-    """p (x) r -> r_(1) (x) p r_(2), as a matrix on H (x) H."""
-    d = h.dim
-    x, dims = leg_map(h.delta, *_identity_legs([d, d], h.field), 1, out_dims=[d, d])
-    x, dims = permute_legs(x, dims, [1, 0, 2])
-    return leg_map(h.mu, x, dims, 1, 2)[0]
-
-
-def _linked(h, x, dims, n):
-    """Legs (g^0, ..., g^n, ...) -> (S(g^0_(1)), g^0_(2) S(g^1_(1)), ...,
-    g^{n-1}_(2) S(g^n_(1)), g^n_(2), ...)."""
-    d = h.dim
-    x, dims = leg_map(h.delta, x, dims, 0, out_dims=[d, d])
-    x, dims = leg_map(h.antipode, x, dims, 0)
-    link = _link(h)
-    for j in range(1, n + 1):
-        x, dims = leg_map(link, x, dims, j, 2, [d, d])
-    return x, dims
-
-
-def _absorb(h, x, dims, k, carry, split_last):
-    """Multiply the coproduct pieces of leg k+1 into legs 0..k, on the right.
-
-    Legs 0..k hold m, p_0, ..., p_{k-1} and leg k+1 holds e.  Afterwards
-    leg 0 holds m e_(1) and leg j+1 holds p_j e_(j+2).  With
-    ``split_last`` e has one piece more, e_(k+2), left as a new leg k+1.
-    ``carry`` is ``_carry(h)``.
-    """
-    d = h.dim
-    if split_last:
-        x, dims = leg_map(h.delta, x, dims, k + 1, out_dims=[d, d])
-    for j in range(k, 0, -1):
-        x, dims = leg_map(carry, x, dims, j, 2, [d, d])
-    return leg_map(h.mu, x, dims, 0, 2)
-
-
-# ---------------------------------------------------------------------------
 # the module-coalgebra side: psi and phi
 
 
@@ -187,10 +134,7 @@ def _psi_ambient(h, c, n):
 def _phi_ambient(h, c, n):
     """h^0 (x)_B ... (x)_B h^n -> (bar(prod h^i_(2)) (x) ... (x) bar 1) (x)_H
     h^0 h^1_(1) ... h^n_(1)."""
-    x, dims = _identity_legs([h.dim] * (n + 1), h.field)
-    carry = _carry(h)
-    for i in range(1, n + 1):
-        x, dims = _absorb(h, x, dims, i - 1, carry, split_last=True)
+    x, dims = _absorbed_legs(h, n)
     # (h^0 h^1_(1) ..., prod h^i_(2), ..., h^n_(n+1))
     x, dims = permute_legs(x, dims, list(range(1, n + 1)) + [0])
     for j in range(n):
@@ -304,18 +248,14 @@ def is_hopf_ideal(h, ideal):
     sect = ideal.section
     if not span_contains(sect, h.antipode @ sect):
         return False
-    mats = [sect]
-    for j in range(h.dim):
-        mats.append(h.left_mult_matrix(h.basis_vec(j)) @ sect)
-    return span_contains(sect, SparseMatrix.hstack(mats))
+    return span_contains(sect, h.mu @ h.ident().kron(sect))  # every e_j x
 
 
 def adjoint_commutator_space(h, b):
     """[ad(H)]_B: quotient of H by span{h b - b h}."""
-    f = h.field
     rels = []
     for jb in range(b.dim):
-        bvec = dict(b.space.section.cols_map().get(jb, {}))
+        bvec = b.space.section.column(jb)
         rels.append(h.right_mult_matrix(bvec) - h.left_mult_matrix(bvec))
     return quotient_by_columns(h.dim, SparseMatrix.hstack(rels))
 
@@ -336,29 +276,18 @@ def normal_quotient_comparison(setup, n_max, phi_maps=None, source=None):
     adb = adjoint_commutator_space(h, b)
     # Miyashita-Ulbrich style action of H/I on [ad(H)]_B: descend the adjoint
     # action of a lift; well-definedness is the Hopf-ideal hypothesis at work.
-    m_ad = ad_module(h)
-    mu_action = {}
-    for gi in h.generators():
-        hv = h.basis_vec(gi)
-        mu_action[gi] = induced_map(_act_on_module_by(m_ad, hv), adb, adb)
+    m = ad_module(h)
+    mu_action = [induced_map(act, adb, adb) for act in generator_actions(h, m)]
 
     rel_spaces = []
     for n in range(n_max + 1):
         legdim = cd ** (n + 1)
         amb = SubquotientSpace.full(legdim, f).tensor(adb)
-        rels = []
-        ident_m = SparseMatrix.identity(adb.dim, f)
-        ident_legs = SparseMatrix.identity(legdim, f)
-        for gi in h.generators():
-            hv = h.basis_vec(gi)
-            diag = _diagonal_action_matrix(c, hv, n + 1)
-            rels.append(diag.kron(ident_m) - ident_legs.kron(mu_action[gi]))
-        stage = quotient_by_columns(legdim * adb.dim, SparseMatrix.hstack(rels))
+        stage = quotient_by_columns(legdim * adb.dim, generator_relations(c, n + 1, mu_action))
         rel_spaces.append(amb.then(stage))
 
     if source is None:
         source = relative_cyclic(h, b, n_max)
-    m = ad_module(h)
     coeff_spaces = hopf_cyclic_spaces(c, m, n_max)
     comparison = {}
     ident_maps = {}

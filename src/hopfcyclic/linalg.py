@@ -76,7 +76,10 @@ class RationalField:
         return int(n)
 
     def from_str(self, s):
-        return self._normal(self._frac(str(s)))
+        try:
+            return self._normal(self._frac(str(s)))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
     def add(self, a, b):
         return a + b
@@ -159,7 +162,10 @@ class PrimeField:
         s = str(s)
         if "/" in s:
             num, den = s.split("/")
-            return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
+            den = int(den) % self.p
+            if den == 0:
+                raise ValueError(f"denominator of {s!r} is divisible by {self.p}")
+            return self.mul(int(num) % self.p, self.inv(den))
         return int(s) % self.p
 
     def add(self, a, b):
@@ -247,16 +253,6 @@ class SparseMatrix:
                     data[(i, j)] = v
         return cls(len(rows_list), len(rows_list[0]) if rows_list else 0, field, data)
 
-    @classmethod
-    def from_columns(cls, nrows, columns, field):
-        """Build from a list of sparse columns (dict row -> value)."""
-        data = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if not field.is_zero(v):
-                    data[(i, j)] = v
-        return cls(nrows, len(columns), field, data)
-
     # basic access ----------------------------------------------------------
 
     def get(self, i, j):
@@ -293,7 +289,9 @@ class SparseMatrix:
         return self._cols_map
 
     def column(self, j):
-        return dict(self.cols_map().get(j, {}))
+        """Column j as a rows x 1 matrix."""
+        col = self.cols_map().get(j, {})
+        return SparseMatrix(self.rows, 1, self.field, {(i, 0): v for i, v in col.items()})
 
     def to_dense(self):
         return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
@@ -826,12 +824,11 @@ def tensor_dim(dims):
     return n
 
 
-def apply_on_leg(op, dims, pos, arity=1, out_dims=None):
+def apply_on_leg(op, dims, pos, arity=1):
     """id (x) op (x) id acting on legs [pos, pos+arity) of a tensor product.
 
     ``op`` maps the tensor product of dims[pos:pos+arity] into a space of
-    dimension op.rows, interpreted as the product of ``out_dims`` (one leg
-    of dimension op.rows if omitted).  Returns the assembled sparse matrix.
+    dimension op.rows.  Returns the assembled sparse matrix.
     """
     f = op.field
     left = tensor_dim(dims[:pos])

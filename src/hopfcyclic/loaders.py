@@ -69,6 +69,8 @@ def _vector(data, key, dim, f):
 def load_hopf_json(data, field=None):
     try:
         dim = int(data["dim"])
+        if dim < 1:
+            raise InputError(f"dim must be at least 1, got {dim}")
         basis = list(data["basis"])
         if len(basis) != dim:
             raise InputError("basis length does not match dim")
@@ -96,13 +98,12 @@ def load_ideal_file(path, h):
         with open(path) as fh:
             data = json.load(fh)
         gens = data["generators"]
-        cols = []
-        for vec in gens:
+        entries = []
+        for j, vec in enumerate(gens):
             if len(vec) != h.dim:
                 raise InputError("generator length does not match dim")
-            cols.append({i: _coeff(h.field, v) for i, v in enumerate(vec)
-                         if not h.field.is_zero(_coeff(h.field, v))})
-        return SparseMatrix.from_columns(h.dim, cols, h.field)
+            entries += [(i, j, _coeff(h.field, v)) for i, v in enumerate(vec)]
+        return SparseMatrix.from_entries(h.dim, len(gens), h.field, entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ideal file: {exc}") from exc
 

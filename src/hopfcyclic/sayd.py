@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import AxiomCheck, HopfError, ValidationReport
-from .linalg import SparseMatrix, apply_on_leg, permutation_matrix
+from .linalg import SparseMatrix, apply_on_leg, leg_map, permutation_matrix, permute_legs
 
 
 class SaydError(HopfError):
@@ -172,21 +172,13 @@ def validate_sayd(m):
 def ad_module(h):
     """ad(H): H with the adjoint action h |> h' = h_(2) h' S(h_(1)) and
     coaction the comultiplication.  Rejected loudly if the checkers fail."""
-    d, f = h.dim, h.field
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            out = {}
-            for (a, b), v in h.e_delta(h.basis_vec(i)).items():
-                term = h.e_mul(h.e_mul(h.basis_vec(b), h.basis_vec(j)), h.e_antipode(h.basis_vec(a)))
-                for k, w in term.items():
-                    s = f.add(out.get(k, f.zero), f.mul(v, w))
-                    if f.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-            cols.append(out)
-    action = SparseMatrix.from_columns(d, cols, f)
+    d = h.dim
+    x, dims = leg_map(h.delta, SparseMatrix.identity(d * d, h.field), [d, d], 0,
+                      out_dims=[d, d])                  # (h1, h2, h')
+    x, dims = leg_map(h.antipode, x, dims, 0)
+    x, dims = permute_legs(x, dims, [1, 2, 0])           # (h2, h', S h1)
+    x, dims = leg_map(h.mu, x, dims, 0, 2)
+    action = leg_map(h.mu, x, dims, 0, 2)[0]
     m = SaydModule(h, "left-right", action, h.delta, name=f"ad({h.name})")
     rep = validate_sayd(m)
     if not rep.ok:
@@ -202,35 +194,17 @@ def coad_module(h):
     is attached as the cotensor structure; it is what the invariant cyclic
     object of a comodule subalgebra equalizes against.
     """
-    d, f = h.dim, h.field
-    cols = []
-    for j in range(d):
-        out = {}
-        for (a, b, c), v in h.e_delta_iter(h.basis_vec(j), 2).items():
-            left = h.e_mul(h.e_antipode(h.basis_vec(c)), h.basis_vec(a))
-            for k, w in left.items():
-                key = k * d + b
-                s = f.add(out.get(key, f.zero), f.mul(v, w))
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        cols.append(out)
-    coaction = SparseMatrix.from_columns(d * d, cols, f)
-    cot_cols = []
-    for j in range(d):
-        out = {}
-        for (a, b, c), v in h.e_delta_iter(h.basis_vec(j), 2).items():
-            right = h.e_mul(h.basis_vec(c), h.e_antipode(h.basis_vec(a)))
-            for k, w in right.items():
-                key = b * d + k
-                s = f.add(out.get(key, f.zero), f.mul(v, w))
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        cot_cols.append(out)
-    cotensor = SparseMatrix.from_columns(d * d, cot_cols, f)
+    d = h.dim
+    x, dims = leg_map(h.delta, h.ident(), [d], 0, out_dims=[d, d])
+    x, dims = leg_map(h.delta, x, dims, 1, out_dims=[d, d])      # (h1, h2, h3)
+    # S(h3) h1 (x) h2
+    y, ydims = leg_map(h.antipode, x, dims, 2)
+    y, ydims = permute_legs(y, ydims, [2, 0, 1])
+    coaction = leg_map(h.mu, y, ydims, 0, 2)[0]
+    # h2 (x) h3 S(h1)
+    y, ydims = leg_map(h.antipode, x, dims, 0)
+    y, ydims = permute_legs(y, ydims, [1, 2, 0])
+    cotensor = leg_map(h.mu, y, ydims, 1, 2)[0]
     m = SaydModule(h, "right-left", h.mu, coaction, name=f"coad({h.name})",
                    operator_action=h.mu, cotensor_coaction=cotensor)
     rep = validate_sayd(m)
@@ -240,17 +214,13 @@ def coad_module(h):
 
 
 def trivial_sayd(h, grouplike=None):
-    """k with the counit action and a group-like coaction.
+    """k with the counit action and a group-like coaction (a d x 1 column).
 
     The unit coaction only satisfies the compatibility when S^2 = id; for
     algebras like H4 one must twist by a suitable group-like (here g), the
     classical modular-pair-in-involution situation.
     """
-    f = h.field
-    if grouplike is None:
-        coaction = h.eta
-    else:
-        coaction = SparseMatrix(h.dim, 1, f, {(i, 0): v for i, v in grouplike.items()})
+    coaction = h.eta if grouplike is None else grouplike
     return SaydModule(h, "left-right", h.eps, coaction, name="k")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclic import _diagonal_action_matrix
+from .cyclic import diagonal_action
 from .hopf import AxiomCheck
 from .linalg import (
     NotWellDefined,
@@ -186,15 +186,13 @@ class ExtensionDoubleComplex:
 
     def _check_horizontal_linearity(self):
         """The coalgebra boundary must be a map of right H-modules."""
-        c, h = self.c, self.h
+        gens = self.h.generator_matrix()  # checked on the algebra generators
         for p in range(1, min(self.p_max, 2) + 1):
             bnd = self._coalgebra_boundary(p)
-            for gi in h.generators():
-                hv = h.basis_vec(gi)
-                big = _diagonal_action_matrix(c, hv, p + 1)
-                small = _diagonal_action_matrix(c, hv, p)
-                if not (bnd @ big == small @ bnd):
-                    raise NotWellDefined("coalgebra boundary is not H-linear")
+            ident = SparseMatrix.identity(bnd.cols, self.h.field)
+            lhs = bnd @ self._diagonal_consume(p) @ ident.kron(gens)
+            if not (lhs == diagonal_action(self.c, p) @ bnd.kron(gens)):
+                raise NotWellDefined("coalgebra boundary is not H-linear")
 
     def dh(self, p, q):
         """Horizontal differential X_{p,q} -> X_{p-1,q}."""
@@ -209,15 +207,7 @@ class ExtensionDoubleComplex:
     def _diagonal_consume(self, p):
         """C^{(x) p+1} (x) H -> C^{(x) p+1}, the diagonal right action."""
         if p not in self._diag_consume:
-            c, h = self.c, self.h
-            f = h.field
-            legdim = c.dim ** (p + 1)
-            data = {}
-            for j in range(h.dim):
-                dj = _diagonal_action_matrix(c, h.basis_vec(j), p + 1)
-                for (r, x), v in dj.data.items():
-                    data[(r, x * h.dim + j)] = v
-            self._diag_consume[p] = SparseMatrix(legdim, legdim * h.dim, f, data)
+            self._diag_consume[p] = diagonal_action(self.c, p + 1)
         return self._diag_consume[p]
 
     def dv(self, p, q):
@@ -383,12 +373,7 @@ def row_contraction_ok(c, p_max):
     f = c.parent.field
     for p in range(p_max):
         dims = [c.dim] * (p + 1)
-        hmat = SparseMatrix(
-            c.dim ** (p + 2), c.dim ** (p + 1), f,
-            {(r * c.dim ** (p + 1) + x, x): v
-             for x in range(c.dim ** (p + 1))
-             for r, v in c.onebar.cols_map().get(0, {}).items()},
-        )
+        hmat = c.onebar.kron(SparseMatrix.identity(c.dim ** (p + 1), f))
         # boundary on p+1 legs and on p legs
         def bnd(legs):
             acc = None
@@ -406,12 +391,7 @@ def row_contraction_ok(c, p_max):
             if not (lhs == ident - hmat_aug):
                 return False
         else:
-            hmat_prev = SparseMatrix(
-                c.dim ** (p + 1), c.dim ** p, f,
-                {(r * c.dim ** p + x, x): v
-                 for x in range(c.dim ** p)
-                 for r, v in c.onebar.cols_map().get(0, {}).items()},
-            )
+            hmat_prev = c.onebar.kron(SparseMatrix.identity(c.dim ** p, f))
             if not (lhs + hmat_prev @ bnd(p + 1) == ident):
                 return False
     return True

@@ -127,11 +127,12 @@ def test_file_input(tmp_path):
     assert code == 0
 
 
-def _assert_bad_hopf_file(tmp_path, spec, detail):
+def _assert_bad_hopf_file(tmp_path, spec, detail, field=()):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
-    for argv in (["validate", str(path)], ["homology", str(path), "--max-degree", "1"]):
-        code, text = run(argv)
+    for argv in (["validate", str(path)], ["homology", str(path), "--max-degree", "1"],
+                 ["galois", str(path)]):
+        code, text = run(list(field) + argv)
         assert code == 2, (argv, text)
         assert "bad Hopf algebra file:" in text and detail in text, text
 
@@ -158,6 +159,47 @@ def test_hopf_file_unit_length_mismatch_exit_two(tmp_path):
     spec = _kc2_spec()
     spec["counit"] = ["1"]
     _assert_bad_hopf_file(tmp_path, spec, "counit has length 1, expected dim 2")
+
+
+def test_hopf_file_zero_denominator_exit_two(tmp_path):
+    # was an uncaught ZeroDivisionError traceback
+    spec = _kc2_spec()
+    spec["mult"][0] = [0, 0, 0, "1/0"]
+    _assert_bad_hopf_file(tmp_path, spec, "zero denominator in '1/0'")
+
+
+def test_hopf_file_denominator_divisible_by_p_exit_two(tmp_path):
+    # "1/7" under --field fp:7 was an uncaught ZeroDivisionError traceback
+    spec = _kc2_spec()
+    spec["counit"] = ["1", "1/7"]
+    _assert_bad_hopf_file(tmp_path, spec, "denominator of '1/7' is divisible by 7",
+                          field=("--field", "fp:7"))
+
+
+def test_hopf_file_dim_zero_exit_two(tmp_path):
+    # validate crashed with IndexError; galois and homology exited 1 with
+    # "counit of the class of 1 is not 1"
+    spec = {"name": "empty", "dim": 0, "basis": [], "mult": [], "unit": [],
+            "comult": [], "counit": [], "antipode": []}
+    _assert_bad_hopf_file(tmp_path, spec, "dim must be at least 1, got 0")
+
+
+def test_generator_file_zero_denominator_exit_two(tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": [["-1", "1/0"]]}))
+    for option in ("--ideal", "--subalgebra"):
+        code, text = run(["galois", "kC2", option, str(path)])
+        assert code == 2, option
+        assert "bad ideal file: zero denominator in '1/0'" in text, text
+
+
+def test_classical_bad_chi_exit_two():
+    # "1/0" was a ZeroDivisionError traceback, "abc" a ValueError traceback
+    for chi, detail in (("1/0", "zero denominator in '1/0'"), ("abc", "bad --chi 'abc'")):
+        code, text = run(["classical", "--group", "S3", "--subgroup", "(12)",
+                          "--op", "frobenius", "--chi", chi])
+        assert code == 2, chi
+        assert detail in text, text
 
 
 def test_bad_file_exit_two(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import sweedler as sw
 
 from hopfcyclic.cyclic import (
     _diagonal_coaction_columns,
@@ -52,7 +53,7 @@ def test_phi_degree_zero_sends_class_to_one_tensor():
         cd = c.dim
         one_col = c.onebar.cols_map().get(0, {})
         for j in range(tgt.spaces[0].dim):
-            hvec = h._apply_matrix(tgt.spaces[0].section, {j: QQ.one})
+            hvec = sw.column(tgt.spaces[0].section, j)
             expected_ambient = {}
             for r, w in one_col.items():
                 for i, v in hvec.items():
@@ -111,10 +112,10 @@ def test_dual_transform_gamma0_collapse():
     tgt_space = gamma.target.spaces[0]
     amb = _gamma_ambient(h, b, 0)
     for jb in range(b.dim):
-        bvec = b.include({jb: QQ.one})
+        bvec = sw.column(b.space.section, jb)
         for i in range(h.dim):
             col = amb.column(jb + i * b.dim)
-            assert col == h.e_mul(bvec, h.basis_vec(i))
+            assert col.data == {(k, 0): v for k, v in sw.mul(h, bvec, sw.basis(h, i)).items()}
 
 
 def test_dual_transform_ks3_and_sweedler():
@@ -168,34 +169,6 @@ def test_adjoint_commutator_space_dims():
 # of column dicts, None for a skipped column.
 
 
-def _mul_many(h, vecs):
-    acc = dict(h.unit)
-    for v in vecs:
-        acc = h.e_mul(acc, v)
-    return acc
-
-
-def _accumulate(col, legs, dims, coeff, f):
-    for combo in itertools.product(*[leg.items() for leg in legs]):
-        c = coeff
-        idx = 0
-        for (i, v), dd in zip(combo, dims):
-            c = f.mul(c, v)
-            idx = idx * dd + i
-        s = f.add(col.get(idx, f.zero), c)
-        if f.is_zero(s):
-            col.pop(idx, None)
-        else:
-            col[idx] = s
-
-
-def _coefficient(f, combo):
-    coeff = f.one
-    for _, v in combo:
-        coeff = f.mul(coeff, v)
-    return coeff
-
-
 def _ref_psi(h, c, n, keep):
     f, d = h.field, h.dim
     cols = []
@@ -203,16 +176,16 @@ def _ref_psi(h, c, n, keep):
         if keep is not None and k not in keep:
             cols.append(None)
             continue
-        expansions = [h.e_delta(c.lift({tup[i]: f.one})) for i in range(n + 1)]
+        expansions = [sw.delta(h, sw.column(c.space.section, tup[i])) for i in range(n + 1)]
         col = {}
         for combo in itertools.product(*[e.items() for e in expansions]):
             pairs = [t for t, _ in combo]
-            legs = [h.e_mul(h.e_mul(h.basis_vec(pairs[n][1]), h.basis_vec(tup[n + 1])),
-                            h.e_antipode(h.basis_vec(pairs[0][0])))]
+            legs = [sw.mul(h, sw.mul(h, sw.basis(h, pairs[n][1]), sw.basis(h, tup[n + 1])),
+                           sw.antipode(h, sw.basis(h, pairs[0][0])))]
             for j in range(1, n + 1):
-                legs.append(h.e_mul(h.basis_vec(pairs[j - 1][1]),
-                                    h.e_antipode(h.basis_vec(pairs[j][0]))))
-            _accumulate(col, legs, [d] * (n + 1), _coefficient(f, combo), f)
+                legs.append(sw.mul(h, sw.basis(h, pairs[j - 1][1]),
+                                   sw.antipode(h, sw.basis(h, pairs[j][0]))))
+            sw.accumulate(col, legs, [d] * (n + 1), sw.coefficient(f, combo), f)
         cols.append(col)
     return cols
 
@@ -224,43 +197,43 @@ def _ref_phi(h, c, n, keep):
         if keep is not None and k not in keep:
             cols.append(None)
             continue
-        expansions = [h.e_delta_iter(h.basis_vec(tup[i]), i) for i in range(n + 1)]
+        expansions = [sw.delta_iter(h, sw.basis(h, tup[i]), i) for i in range(n + 1)]
         col = {}
         for combo in itertools.product(*[e.items() for e in expansions]):
             paths = [t for t, _ in combo]
             legs = []
             for j in range(n + 1):
-                prod = _mul_many(h, [h.basis_vec(paths[i][j + 1]) for i in range(j + 1, n + 1)])
-                legs.append(c.bar(prod))
-            legs.append(_mul_many(h, [h.basis_vec(paths[i][0]) for i in range(n + 1)]))
-            _accumulate(col, legs, [c.dim] * (n + 1) + [d], _coefficient(f, combo), f)
+                prod = sw.mul_many(h, [sw.basis(h, paths[i][j + 1]) for i in range(j + 1, n + 1)])
+                legs.append(sw.apply(c.space.projection, prod))
+            legs.append(sw.mul_many(h, [sw.basis(h, paths[i][0]) for i in range(n + 1)]))
+            sw.accumulate(col, legs, [c.dim] * (n + 1) + [d], sw.coefficient(f, combo), f)
         cols.append(col)
     return cols
 
 
 def _ref_gamma(h, b, n, keep):
     f, d = h.field, h.dim
-    bcols = b.space.section.cols_map()
     cols = []
     for k, tup in enumerate(itertools.product(*[range(dd) for dd in [d] + [b.dim] * (n + 1)])):
         if keep is not None and k not in keep:
             cols.append(None)
             continue
-        h_exp = h.e_delta_iter(h.basis_vec(tup[0]), n)
-        b_exps = [h.e_delta_iter(dict(bcols.get(tup[1 + i], {})), i) for i in range(n + 1)]
+        h_exp = sw.delta_iter(h, sw.basis(h, tup[0]), n)
+        b_exps = [sw.delta_iter(h, sw.column(b.space.section, tup[1 + i]), i)
+                  for i in range(n + 1)]
         col = {}
         for combo in itertools.product(h_exp.items(), *[e.items() for e in b_exps]):
             hpath = combo[0][0]
             bpaths = [t for t, _ in combo[1:]]
             legs = []
             for j in range(n):
-                factors = [h.basis_vec(bpaths[i][j + 1]) for i in range(j + 1, n + 1)]
-                factors.append(h.basis_vec(hpath[j + 1]))
-                legs.append(_mul_many(h, factors))
-            last = [h.basis_vec(bpaths[i][0]) for i in range(n + 1)]
-            last.append(h.basis_vec(hpath[0]))
-            legs.append(_mul_many(h, last))
-            _accumulate(col, legs, [d] * (n + 1), _coefficient(f, combo), f)
+                factors = [sw.basis(h, bpaths[i][j + 1]) for i in range(j + 1, n + 1)]
+                factors.append(sw.basis(h, hpath[j + 1]))
+                legs.append(sw.mul_many(h, factors))
+            last = [sw.basis(h, bpaths[i][0]) for i in range(n + 1)]
+            last.append(sw.basis(h, hpath[0]))
+            legs.append(sw.mul_many(h, last))
+            sw.accumulate(col, legs, [d] * (n + 1), sw.coefficient(f, combo), f)
         cols.append(col)
     return cols
 
@@ -272,24 +245,25 @@ def _ref_gamma_inv_unprojected(h, b, n, keep):
         if keep is not None and k not in keep:
             cols.append(None)
             continue
-        exps = [h.e_delta_iter(h.basis_vec(tup[i]), 1) for i in range(n)]
-        exps.append(h.e_delta_iter(h.basis_vec(tup[n]), 2))
+        exps = [sw.delta_iter(h, sw.basis(h, tup[i]), 1) for i in range(n)]
+        exps.append(sw.delta_iter(h, sw.basis(h, tup[n]), 2))
         col = {}
         for combo in itertools.product(*[e.items() for e in exps]):
             paths = [t for t, _ in combo]
-            legs = [h.basis_vec(paths[n][1])]
-            legs.append(h.e_mul(h.basis_vec(paths[n][2]), h.e_antipode(h.basis_vec(paths[0][0]))))
+            legs = [sw.basis(h, paths[n][1])]
+            legs.append(sw.mul(h, sw.basis(h, paths[n][2]),
+                               sw.antipode(h, sw.basis(h, paths[0][0]))))
             for j in range(1, n + 1):
-                legs.append(h.e_mul(h.basis_vec(paths[j - 1][1]),
-                                    h.e_antipode(h.basis_vec(paths[j][0]))))
-            _accumulate(col, legs, [d] * (n + 2), _coefficient(f, combo), f)
+                legs.append(sw.mul(h, sw.basis(h, paths[j - 1][1]),
+                                   sw.antipode(h, sw.basis(h, paths[j][0]))))
+            sw.accumulate(col, legs, [d] * (n + 2), sw.coefficient(f, combo), f)
         cols.append(col)
     return cols
 
 
 def _ref_diagonal_coaction(h, b, n, keep):
     f, bd, legs = h.field, b.dim, n + 1
-    pairs = [[((row // bd, row % bd), v) for row, v in b.coaction_b.cols_map().get(j, {}).items()]
+    pairs = [[((row // bd, row % bd), v) for row, v in sw.column(b.coaction_b, j).items()]
              for j in range(bd)]
     cols = []
     for k, tup in enumerate(itertools.product(range(bd), repeat=legs)):
@@ -298,11 +272,11 @@ def _ref_diagonal_coaction(h, b, n, keep):
             continue
         col = {}
         for combo in itertools.product(*[pairs[j] for j in tup]):
-            hpart = _mul_many(h, [h.basis_vec(hcomp) for (hcomp, _), _ in combo])
+            hpart = sw.mul_many(h, [sw.basis(h, hcomp) for (hcomp, _), _ in combo])
             bidx = 0
             for (_, bcomp), _ in combo:
                 bidx = bidx * bd + bcomp
-            coeff = _coefficient(f, combo)
+            coeff = sw.coefficient(f, combo)
             for hi, hv in hpart.items():
                 key = hi * bd ** legs + bidx
                 s = f.add(col.get(key, f.zero), f.mul(coeff, hv))

@@ -50,7 +50,7 @@ def test_kernel_rank_one_matrix():
     k = kernel(M([[1, 2], [2, 4]]))
     assert k.dim == 1
     col = k.section.column(0)
-    x, y = col.get(0, QQ.zero), col.get(1, QQ.zero)
+    x, y = col.get(0, 0), col.get(1, 0)
     assert x == QQ.from_int(-2) * y and y != 0
 
 
@@ -435,16 +435,14 @@ def test_induced_map_identity_and_zero():
 def test_induced_map_group_algebra_mult_descends():
     # kC2 (x)_{kC2} kC2 -> kC2 induced by multiplication, invertible 2x2
     mult = M([[1, 0, 0, 1], [0, 1, 1, 0]])  # H (x) H -> H for H = kC2
-    rel_cols = []
+    entries = []
     # h (x) g.h' - h.g (x) h' for basis pairs (h, h')
     for h in range(2):
         for hp in range(2):
-            col = {}
-            col[tensor_index((2, 2), (h, 1 - hp))] = QQ.one
-            key = tensor_index((2, 2), (1 - h, hp))
-            col[key] = QQ.add(col.get(key, QQ.zero), QQ.from_int(-1))
-            rel_cols.append(col)
-    rel = SparseMatrix.from_columns(4, rel_cols, QQ)
+            j = 2 * h + hp
+            entries.append((tensor_index((2, 2), (h, 1 - hp)), j, QQ.one))
+            entries.append((tensor_index((2, 2), (1 - h, hp)), j, QQ.from_int(-1)))
+    rel = SparseMatrix.from_entries(4, 4, QQ, entries)
     dom = quotient_by_columns(4, rel)
     assert dom.dim == 2
     cod = SubquotientSpace.full(2, QQ)
