@@ -58,6 +58,10 @@ class NotHopfIdeal(HopfError):
     pass
 
 
+class HypothesisError(HopfError):
+    """The given ideal or subalgebra breaks a hypothesis of the construction."""
+
+
 @dataclass
 class AxiomCheck:
     name: str
@@ -352,11 +356,11 @@ def quotient_module_coalgebra(h, generator_cols):
     d, f = h.dim, h.field
     if ideal.dim:
         if not (h.eps @ ideal.section).is_zero_matrix():
-            raise HopfError("ideal is not contained in the kernel of the counit")
+            raise HypothesisError("ideal is not contained in the kernel of the counit")
         ident = h.ident()
         side = SparseMatrix.hstack([ideal.section.kron(ident), ident.kron(ideal.section)])
         if not span_contains(side, h.delta @ ideal.section):
-            raise HopfError("ideal is not a coideal")
+            raise HypothesisError("ideal is not a coideal")
     space = quotient_by_columns(d, ideal.section)
     return QuotientModuleCoalgebra(h, ideal, space)
 
@@ -375,14 +379,14 @@ class ComoduleSubalgebra:
         h = parent
         d, f = h.dim, h.field
         if not span_contains(space.section, h.eta):
-            raise HopfError("subalgebra does not contain 1")
+            raise HypothesisError("subalgebra does not contain 1")
         prods = h.mu @ space.section.kron(space.section)
         if not span_contains(space.section, prods):
-            raise HopfError("subspace is not closed under multiplication")
+            raise HypothesisError("subspace is not closed under multiplication")
         # left coideal: Delta(B) inside H (x) B
         imgs = h.delta @ space.section
         if not span_contains(h.ident().kron(space.section), imgs):
-            raise HopfError("subspace is not a left coideal")
+            raise HypothesisError("subspace is not a left coideal")
         # witnesses on reduced coordinates
         self.mult_b = induced_map(
             h.mu @ space.section.kron(space.section),

@@ -180,7 +180,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0
@@ -537,8 +537,8 @@ class SubquotientSpace:
 
     ``rel_kind`` records what the relations are:
 
-    * "kernel": relations are exactly ker(projection); this is the pure
-      quotient case and enables a cheap full-ambient descent check.
+    * "kernel": a pure quotient, with span(rel_cols) = ker(projection);
+      full spaces are "kernel" with no relations (ker of the identity is 0).
     * "explicit": relations are spanned by the columns of ``rel_cols``
       (possibly none, the pure subspace case); the carrier subspace on
       which the space is defined is im(section) + span(rel_cols).
@@ -563,15 +563,11 @@ class SubquotientSpace:
     @classmethod
     def full(cls, n, field):
         ident = SparseMatrix.identity(n, field)
-        return cls(ident, ident)
+        return cls(ident, ident, "kernel")
 
     @property
     def field(self):
         return self.projection.field
-
-    @property
-    def is_full(self):
-        return self.dim == self.ambient_dim and self.projection.is_identity()
 
     def __repr__(self):
         return f"SubquotientSpace(dim={self.dim}, ambient={self.ambient_dim}, rel={self.rel_kind})"
@@ -582,31 +578,23 @@ class SubquotientSpace:
             raise ShapeMismatch("inner subquotient does not live on reduced space")
         proj = inner.projection @ self.projection
         sect = self.section @ inner.section
-        if self.rel_kind == "kernel" and inner.rel_kind == "kernel":
-            rel = SparseMatrix.hstack([self.rel_cols, self.section @ inner.rel_cols])
-            return SubquotientSpace(proj, sect, "kernel", rel)
-        # any mixed composition has explicit relations
+        # ker(q p) = ker p + s(ker q); any mixed composition has explicit relations
+        kind = "kernel" if self.rel_kind == inner.rel_kind == "kernel" else "explicit"
         rel = SparseMatrix.hstack([self.rel_cols, self.section @ inner.rel_cols])
-        return SubquotientSpace(proj, sect, "explicit", rel)
+        return SubquotientSpace(proj, sect, kind, rel)
 
     def tensor(self, other):
         """Tensor product of subquotients, on the kron-indexed ambient."""
         proj = self.projection.kron(other.projection)
         sect = self.section.kron(other.section)
-        if self.is_full and other.is_full:
-            return SubquotientSpace(proj, sect)
-        if self.is_full:
-            rel = SparseMatrix.identity(self.ambient_dim, self.field).kron(other.rel_cols)
-            return SubquotientSpace(proj, sect, other.rel_kind, rel)
-        if other.is_full:
-            rel = self.rel_cols.kron(SparseMatrix.identity(other.ambient_dim, self.field))
-            return SubquotientSpace(proj, sect, self.rel_kind, rel)
-        if self.rel_kind != other.rel_kind:
-            raise NotWellDefined("tensor of mixed subquotient kinds is not supported")
-        carrier_s = SparseMatrix.hstack([self.section, self.rel_cols])
-        carrier_o = SparseMatrix.hstack([other.section, other.rel_cols])
-        rel = SparseMatrix.hstack([self.rel_cols.kron(carrier_o), carrier_s.kron(other.rel_cols)])
-        return SubquotientSpace(proj, sect, self.rel_kind, rel)
+        if other.rel_kind == "kernel":
+            carrier = SparseMatrix.identity(other.ambient_dim, self.field)
+        else:
+            carrier = SparseMatrix.hstack([other.section, other.rel_cols])
+        # relations: rel (x) carrier + im(section) (x) rel; kernel-kind carriers are everything
+        rel = SparseMatrix.hstack([self.rel_cols.kron(carrier), self.section.kron(other.rel_cols)])
+        kind = "kernel" if self.rel_kind == other.rel_kind == "kernel" else "explicit"
+        return SubquotientSpace(proj, sect, kind, rel)
 
 
 def span_contains(basis, candidates):
@@ -622,32 +610,24 @@ def span_contains(basis, candidates):
 def induced_map(f, dom, cod):
     """Descend/restrict the ambient map ``f`` to reduced coordinates.
 
-    Returns cod.projection @ f @ dom.section after verifying that f maps
-    relations to relations (quotients) and carrier into carrier
-    (subspaces).  A failed check raises NotWellDefined: the map the caller
-    wrote down is not actually defined on the subquotient.
+    Returns cod.projection @ f @ dom.section after two checks: relations to
+    relations (cod.projection kills f @ dom.rel_cols, or for an explicit cod
+    these lie in span(cod.rel_cols)) and carrier into carrier (explicit cod).
+    A failure raises NotWellDefined: the map is not defined on the subquotient.
     """
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
         raise ShapeMismatch("map shape does not match ambient spaces")
     reduced = cod.projection @ f @ dom.section
-    # relations to relations
-    if dom.rel_kind == "kernel":
-        if not (reduced @ dom.projection == cod.projection @ f):
-            raise NotWellDefined("map does not descend: relations not preserved")
-    elif dom.rel_cols.cols:
+    if dom.rel_cols.cols:
         img = f @ dom.rel_cols
         if cod.rel_kind == "kernel":
-            if not (cod.projection @ img).is_zero_matrix():
-                raise NotWellDefined("map does not descend: relations not preserved")
+            descends = (cod.projection @ img).is_zero_matrix()
         else:
-            if not span_contains(cod.rel_cols, img):
-                raise NotWellDefined("map does not descend: relations not preserved")
-    # carrier into carrier
-    if cod.rel_kind == "explicit" and not cod.is_full:
-        if dom.rel_kind == "kernel" and not dom.is_full:
-            img = f  # quotient of the full ambient: everything must land in the carrier
-        else:
-            img = f @ dom.section
+            descends = span_contains(cod.rel_cols, img)
+        if not descends:
+            raise NotWellDefined("map does not descend: relations not preserved")
+    if cod.rel_kind == "explicit" and not cod.projection.is_identity():
+        img = f if dom.rel_kind == "kernel" else f @ dom.section
         if cod.rel_cols.cols == 0:
             if not (cod.section @ (cod.projection @ img) == img):
                 raise NotWellDefined("map does not restrict: image leaves the subspace")

@@ -193,6 +193,59 @@ def test_generator_file_zero_denominator_exit_two(tmp_path):
         assert "bad ideal file: zero denominator in '1/0'" in text, text
 
 
+def _assert_precondition_exit_two(tmp_path, option, generators, detail):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": generators}))
+    for command in ("galois", "homology"):
+        code, text = run([command, "kC2", option, str(path)])
+        assert code == 2, (command, text)
+        assert detail in text and "Traceback" not in text, text
+
+
+def test_ideal_outside_counit_kernel_exit_two(tmp_path):
+    # was exit 1: "construction [FAIL] ideal is not contained in the kernel of the counit"
+    _assert_precondition_exit_two(tmp_path, "--ideal", [["1", "0"]],
+                                  "--ideal file: ideal is not contained in the kernel of the counit")
+
+
+def test_subalgebra_without_one_exit_two(tmp_path):
+    # was exit 1: "construction [FAIL] subalgebra does not contain 1"
+    _assert_precondition_exit_two(tmp_path, "--subalgebra", [["0", "1"]],
+                                  "--subalgebra file: subalgebra does not contain 1")
+
+
+def test_broken_hopf_file_is_not_blamed_on_a_good_ideal_file(tmp_path):
+    # g.g = e + g is not associative; the zero ideal meets every hypothesis,
+    # and it is the induced structure on H/0 = H that fails
+    spec = _kc2_spec()
+    spec["mult"].append([1, 1, 1, "1"])
+    hopf_path, ideal_path = tmp_path / "hopf.json", tmp_path / "ideal.json"
+    hopf_path.write_text(json.dumps(spec))
+    ideal_path.write_text(json.dumps({"generators": [["0", "0"]]}))
+    for command in ("galois", "homology"):
+        code, text = run([command, str(hopf_path), "--ideal", str(ideal_path)])
+        assert code == 1, (command, text)
+        assert "--ideal file" not in text and "construction" in text, text
+
+
+def test_galois_translation_map_failure_is_reported(monkeypatch):
+    # a failing lift check used to escape as a construction failure and lose the report
+    import hopfcyclic.cli as cli
+    from hopfcyclic.hopf import HopfError
+
+    def fail(h, b, c):
+        raise HopfError("translation map depends on the choice of representatives")
+
+    monkeypatch.setattr(cli, "translation_map", fail)
+    code, text = run(["--format", "json", "galois", "kS3/kC2"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["translation map independent of lift"] == {
+        "name": "translation map independent of lift", "status": "fail",
+        "detail": "translation map depends on the choice of representatives"}
+    assert checks["cocanonical map bijective"]["status"] == "pass"
+
+
 def test_classical_bad_chi_exit_two():
     # "1/0" was a ZeroDivisionError traceback, "abc" a ValueError traceback
     for chi, detail in (("1/0", "zero denominator in '1/0'"), ("abc", "bad --chi 'abc'")):

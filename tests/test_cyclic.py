@@ -19,8 +19,23 @@ from hopfcyclic.cyclic import (
     with_replaced_cyclic,
     with_replaced_face,
 )
-from hopfcyclic.hopf import quotient_module_coalgebra, subalgebra_from_columns, trivial_subalgebra
-from hopfcyclic.linalg import QQ, SparseMatrix, SubquotientSpace, kernel
+from hopfcyclic.hopf import (
+    commutator_quotient,
+    quotient_module_coalgebra,
+    subalgebra_from_columns,
+    tensor_power_over_b,
+    trivial_subalgebra,
+)
+from hopfcyclic.linalg import (
+    QQ,
+    NotWellDefined,
+    SparseMatrix,
+    SubquotientSpace,
+    apply_on_leg,
+    induced_map,
+    kernel,
+    permutation_matrix,
+)
 from hopfcyclic.presets import builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module, trivial_sayd
 
@@ -191,6 +206,29 @@ def test_mutant_face_fails():
     zero = SparseMatrix.zeros(cm.spaces[0].dim, cm.spaces[1].dim, QQ)
     mutant = with_replaced_face(cm, 1, 0, zero)
     assert not check_identities(mutant).ok
+
+
+def test_maps_breaking_the_b_relations_do_not_descend():
+    # kS3/kC2 in degree 2: H^{(x)_B 3} and [H^{(x)_B 3}]_B are pure quotients,
+    # so the relation columns are the only check that can reject these maps
+    s = builtin_setup("kS3/kC2")
+    h, b = s.hopf, s.subalgebra
+    d, f = h.dim, h.field
+    dims = [d] * 3
+    tp2, tp3 = tensor_power_over_b(h, b, 2), tensor_power_over_b(h, b, 3)
+    cq2, cq3 = commutator_quotient(h, b, tp2, 2), commutator_quotient(h, b, tp3, 3)
+    swap = permutation_matrix([d, d], [1, 0], f)
+    face = apply_on_leg(h.mu, dims, 0, 2)                   # x y (x) z
+    swapped_face = apply_on_leg(h.mu @ swap, dims, 0, 2)    # y x (x) z
+    past = permutation_matrix(dims, [1, 0, 2], f)           # y (x) x (x) z
+    for dom, cod in ((tp3, tp2), (cq3, cq2)):
+        assert dom.rel_kind == cod.rel_kind == "kernel"
+        induced_map(face, dom, cod)
+        with pytest.raises(NotWellDefined, match="relations not preserved"):
+            induced_map(swapped_face, dom, cod)
+    for space in (tp3, cq3):
+        with pytest.raises(NotWellDefined, match="relations not preserved"):
+            induced_map(past, space, space)
 
 
 def test_hochschild_kc2_and_ks3():

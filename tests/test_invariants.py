@@ -210,3 +210,23 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
         values += d.values()
     values += [v for row in m.rref()[1] for v in row.values()]
     assert values and all(type(v) is int and 0 < v < f.p for v in values)
+
+
+def test_kernel_kind_relations_span_the_kernel_of_the_projection():
+    # the descent check of induced_map relies on span(rel_cols) = ker(projection)
+    from hopfcyclic.cyclic import hopf_cyclic_spaces
+    from hopfcyclic.hopf import commutator_quotient, tensor_power_over_b
+    from hopfcyclic.presets import SETUP_NAMES
+
+    for name in SETUP_NAMES:
+        s = builtin_setup(name)
+        h, b = s.hopf, s.subalgebra
+        spaces = [SubquotientSpace.full(h.dim, QQ)]
+        for legs in (1, 2, 3):
+            x = tensor_power_over_b(h, b, legs)
+            spaces += [x, commutator_quotient(h, b, x, legs)]
+        spaces += hopf_cyclic_spaces(s.quotient, ad_module(h), 2)
+        for sp in spaces:
+            assert sp.rel_kind == "kernel", (name, sp)
+            assert (sp.projection @ sp.rel_cols).is_zero_matrix(), (name, sp)
+            assert sp.rel_cols.rank() == sp.ambient_dim - sp.dim, (name, sp)

@@ -359,8 +359,12 @@ def test_field_values_are_int_when_integral():
     assert hash(Fraction(2)) == hash(2)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
+    assert type(QQ.inv(Fraction(-1))) is int and QQ.inv(Fraction(-1)) == -1
     f7 = PrimeField(7)
     assert f7.from_str("1/2") == 4 and f7.from_int(-1) == 6 and f7.p == 7
+    assert [f7.inv(a) for a in range(1, 7)] == [1, 4, 5, 2, 3, 6] and f7.inv(-1) == 6
+    with pytest.raises(ZeroDivisionError):
+        f7.inv(14)
     assert QQ.p is None
 
 
@@ -458,6 +462,19 @@ def test_induced_map_rejects_non_descending():
         induced_map(bad, q, q)
 
 
+def test_induced_map_quotient_into_explicit_subquotient():
+    # k^3 / <e2> into <e0, e1> / <e0>: the carrier holds both images below,
+    # so only the relation check tells them apart
+    dom = quotient_by_columns(3, M([[0], [0], [1]]))
+    cod = span_columns(M([[1, 0], [0, 1], [0, 0]])).then(quotient_by_columns(2, M([[1], [0]])))
+    assert dom.rel_kind == "kernel" and cod.rel_kind == "explicit"
+    good = M([[1, 0, 1], [0, 1, 0], [0, 0, 0]])  # e2 -> e0, a relation
+    assert induced_map(good, dom, cod) == M([[0, 1]])
+    bad = M([[1, 0, 0], [0, 1, 1], [0, 0, 0]])  # e2 -> e1, not a relation
+    with pytest.raises(NotWellDefined, match="relations not preserved"):
+        induced_map(bad, dom, cod)
+
+
 def test_induced_map_rejects_escaping_subspace():
     sub = span_columns(M([[1], [0]]))
     rot = M([[0, -1], [1, 0]])
@@ -472,6 +489,18 @@ def test_subquotient_tensor_and_then():
     q = quotient_by_columns(2, M([[1], [1]]))
     qq = q.tensor(SubquotientSpace.full(2, QQ))
     assert qq.dim == 2 and qq.rel_kind == "kernel"
+    # two non-full factors, of either kind: relations rel (x) carrier + carrier (x) rel
+    both = q.tensor(q)
+    assert both.dim == 1 and both.rel_kind == "kernel"
+    assert (both.projection @ both.rel_cols).is_zero_matrix() and both.rel_cols.rank() == 3
+    line_q, q_line = sub.tensor(q), q.tensor(sub)
+    assert line_q.rel_kind == q_line.rel_kind == "explicit" and line_q.dim == 1
+    assert (line_q.projection @ line_q.rel_cols).is_zero_matrix()
+    assert SparseMatrix.hstack([line_q.section, line_q.rel_cols]).rank() == 2
+    swap = permutation_matrix([2, 2], [1, 0], QQ)
+    assert induced_map(swap, line_q, q_line).rank() == 1
+    with pytest.raises(NotWellDefined, match="leaves the carrier"):
+        induced_map(SparseMatrix.identity(4, QQ), line_q, q_line)
 
 
 def test_homology_space_of_exact_pair_is_zero():
