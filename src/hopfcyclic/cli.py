@@ -2,10 +2,11 @@
 
 Subcommands: validate, galois, homology, isocheck, tor, spectral,
 classical.  Exit code 0 means every check passed, 1 means a mathematical
-check failed (the report carries a witness), 2 means the input could not
-be parsed.  Built-in algebras (kC2, kC3, kC4, kS3, OS3, OC2, H4) and
-pairs (kS3/kC2, kS3/kC3, H4/B, OS3/OC2, .../k) can be named in place of
-files, so the whole acceptance surface runs without external data.
+check failed (the report carries a witness), 2 means bad input: the input
+could not be parsed, or a Hopf algebra file given to any command but
+``validate`` breaks an axiom.  Built-in algebras (kC2, kC3, kC4, kS3, OS3,
+OC2, H4) and pairs (kS3/kC2, kS3/kC3, H4/B, OS3/OC2, .../k) can be named in
+place of files, so the whole acceptance surface runs without external data.
 """
 
 from __future__ import annotations
@@ -86,12 +87,19 @@ def _parse_field(text):
     raise InputError(f"unknown field {text!r} (use q or fp:<prime>)")
 
 
-def _resolve_hopf(arg, field):
+def _resolve_hopf(arg, field, check_axioms=True):
+    """A built-in algebra, or a loaded file that (unless ``validate`` reads
+    it) must pass every Hopf axiom: a file that breaks one is bad input."""
     if arg in presets.HOPF_NAMES or arg == "sweedler":
         return presets.builtin_hopf(arg, field)
-    if os.path.exists(arg):
-        return load_hopf_file(arg, field)
-    raise InputError(f"no built-in Hopf algebra or file named {arg!r}")
+    if not os.path.exists(arg):
+        raise InputError(f"no built-in Hopf algebra or file named {arg!r}")
+    h = load_hopf_file(arg, field)
+    failures = h.validate().failures() if check_axioms else []
+    if failures:
+        raise InputError("bad Hopf algebra file: " + "; ".join(
+            f"axiom {c.name!r} fails (witness {c.witness})" for c in failures))
+    return h
 
 
 def _resolve_setup(args, field):
@@ -138,7 +146,7 @@ HC_MAX_DEGREE = 4
 
 def cmd_validate(args, field):
     rep = Report("validate", {"hopf": args.hopf, "field": field.name})
-    h = _resolve_hopf(args.hopf, field)
+    h = _resolve_hopf(args.hopf, field, check_axioms=False)
     rep.params["dim"] = h.dim
     rep.add_validation("axiom: ", h.validate())
     ad = None

@@ -2,9 +2,13 @@
 
 A CyclicModule holds degrees 0..n_max of a cyclic object: per-degree space
 presentations plus face, degeneracy and cyclic operators on reduced
-coordinates.  All concrete operators are written on ambient tensor
-coordinates and pushed through ``induced_map``; its descent/restriction
-check is the machine substitute for the by-hand well-definedness proofs.
+coordinates.  Each construction is its spaces plus its faces, degeneracies
+and rotation written as ``LegChain`` composites of structure maps (mu,
+Delta, eps, the action of C, the coaction of B or M); ``build_cyclic`` and
+``build_cocyclic`` descend them through ``induced_map``, which applies a
+chain only to the sections and relation columns of the spaces, never
+assembling it over the ambient.  The descent/restriction check is the
+machine substitute for the by-hand well-definedness proofs.
 
 Truncation semantics: Hochschild homology is trusted up to n_max - 1 and
 cyclic homology up to n_max - 2, since the boundary at degree n consumes
@@ -13,10 +17,18 @@ degree n and the Connes boundary reaches one degree further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .hopf import AxiomCheck, HopfError, ValidationReport
+from .hopf import (
+    AxiomCheck,
+    HopfError,
+    ValidationReport,
+    coactions,
+    commutator_quotient,
+    tensor_power_over_b,
+)
 from .linalg import (
+    LegChain,
     NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
@@ -25,9 +37,6 @@ from .linalg import (
     induced_map,
     inverse,
     kernel,
-    leg_map,
-    permutation_matrix,
-    permute_legs,
     quotient_by_columns,
 )
 
@@ -178,35 +187,55 @@ def check_cocyclic_identities(ccm):
 
 
 # ---------------------------------------------------------------------------
+# the shared builders
+
+
+def build_cyclic(n_max, spaces, face, degeneracy, rotation, name=""):
+    """The cyclic module on ``spaces`` whose operators descend the ambient
+    chains face(n, i), degeneracy(n, j) and rotation(n)."""
+    t = {n: induced_map(rotation(n), spaces[n], spaces[n]) for n in range(n_max + 1)}
+    d = _descended(face, spaces, n_max, -1, 1)
+    s = _descended(degeneracy, spaces, n_max, 1, 1)
+    return CyclicModule(n_max, spaces, d, s, t, name=name)
+
+
+def build_cocyclic(n_max, spaces, coface, codegeneracy, rotation, name=""):
+    """The cocyclic module on ``spaces`` whose operators descend the ambient
+    chains coface(n, i), codegeneracy(n, j) and rotation(n)."""
+    tau = {n: induced_map(rotation(n), spaces[n], spaces[n]) for n in range(n_max + 1)}
+    delta = _descended(coface, spaces, n_max, 1, 2)
+    sigma = _descended(codegeneracy, spaces, n_max, -1, 0)
+    return CocyclicModule(n_max, spaces, delta, sigma, tau, name=name)
+
+
+def _descended(chain, spaces, n_max, shift, extra):
+    """{(n, i): chain(n, i) descended from degree n to n + shift} for
+    0 <= i < n + extra and every n whose target lies in the truncation."""
+    return {(n, i): induced_map(chain(n, i), spaces[n], spaces[n + shift])
+            for n in range(n_max + 1) if 0 <= n + shift <= n_max
+            for i in range(n + extra)}
+
+
+# ---------------------------------------------------------------------------
 # construction 1: relative cyclic object of the algebra extension B -> H
 
 
 def relative_cyclic(h, b, n_max):
     """C_n(H|B) = [H^{(x)_B n+1}]_B with multiplication faces, unit
     degeneracies, and rotation."""
-    from .hopf import commutator_quotient, tensor_power_over_b
-
     d, f = h.dim, h.field
-    spaces = []
-    for n in range(n_max + 1):
-        x = tensor_power_over_b(h, b, n + 1)
-        spaces.append(commutator_quotient(h, b, x, n + 1))
-    dops, sops, tops = {}, {}, {}
-    for n in range(n_max + 1):
-        dims = [d] * (n + 1)
-        rot = permutation_matrix(dims, [n] + list(range(n)), f)
-        tops[n] = induced_map(rot, spaces[n], spaces[n])
-        if n >= 1:
-            for i in range(n):
-                amb = apply_on_leg(h.mu, dims, i, 2)
-                dops[(n, i)] = induced_map(amb, spaces[n], spaces[n - 1])
-            amb = apply_on_leg(h.mu, [d] * (n + 1), 0, 2) @ rot
-            dops[(n, n)] = induced_map(amb, spaces[n], spaces[n - 1])
-        if n < n_max:
-            for j in range(n + 1):
-                amb = apply_on_leg(h.eta, dims, j + 1, 0)
-                sops[(n, j)] = induced_map(amb, spaces[n], spaces[n + 1])
-    return CyclicModule(n_max, spaces, dops, sops, tops, name=f"C(H|B) {h.name}")
+    spaces = [commutator_quotient(h, b, tensor_power_over_b(h, b, n + 1), n + 1)
+              for n in range(n_max + 1)]
+
+    def rotation(n):
+        return LegChain([d] * (n + 1), f).perm([n] + list(range(n)))
+
+    return build_cyclic(
+        n_max, spaces,
+        face=lambda n, i: (rotation(n).leg(h.mu, 0, 2) if i == n
+                           else LegChain([d] * (n + 1), f).leg(h.mu, i, 2)),
+        degeneracy=lambda n, j: LegChain([d] * (n + 1), f).leg(h.eta, j + 1, 0),
+        rotation=rotation, name=f"C(H|B) {h.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +250,19 @@ def coextension_space(h, c, legs):
     tensor-with-D step, so each stage only has to intersect with the
     newest junction, keeping the eliminations small.
     """
-    d, f = h.dim, h.field
-    rho = apply_on_leg(c.space.projection, [d, d], 1) @ h.delta   # d -> (D, C)
-    lam = apply_on_leg(c.space.projection, [d, d], 0) @ h.delta   # d -> (C, D)
+    d, cd, f = h.dim, c.dim, h.field
+    rho, lam = coactions(h, c)
     space = SubquotientSpace.full(d, f)
     for k in range(1, legs):
         amb = space.tensor(SubquotientSpace.full(d, f))
-        dims = [d] * (k + 1)
-        cond = apply_on_leg(rho, dims, k - 1) - apply_on_leg(lam, dims, k)
-        space = amb.then(kernel(cond @ amb.section))
-    dims = [d] * legs
-    right = apply_on_leg(rho, dims, legs - 1)        # C-leg appended at the end
-    left = apply_on_leg(lam, dims, 0)                # C-leg in front
-    out_dims = [c.dim] + dims
-    tail = permutation_matrix(out_dims, list(range(1, legs + 1)) + [0], f)
-    inv_cond = (right - tail @ left) @ space.section
-    return space.then(kernel(inv_cond))
+        chain = LegChain([d] * (k + 1), f)
+        sect = amb.section
+        cond = chain.leg(rho, k - 1, 1, [d, cd]) @ sect - chain.leg(lam, k, 1, [cd, d]) @ sect
+        space = amb.then(kernel(cond))
+    chain = LegChain([d] * legs, f)
+    right = chain.leg(rho, legs - 1, 1, [d, cd])                     # C-leg appended
+    left = chain.leg(lam, 0, 1, [cd, d]).perm(list(range(1, legs + 1)) + [0])
+    return space.then(kernel(right @ space.section - left @ space.section))
 
 
 def coext_cyclic(h, c, n_max, spaces=None):
@@ -245,20 +271,12 @@ def coext_cyclic(h, c, n_max, spaces=None):
     d, f = h.dim, h.field
     if spaces is None:
         spaces = [coextension_space(h, c, n + 1) for n in range(n_max + 1)]
-    dops, sops, tops = {}, {}, {}
-    for n in range(n_max + 1):
-        dims = [d] * (n + 1)
-        rot = permutation_matrix(dims, [n] + list(range(n)), f)
-        tops[n] = induced_map(rot, spaces[n], spaces[n])
-        if n >= 1:
-            for i in range(n + 1):
-                amb = apply_on_leg(h.eps, dims, i)
-                dops[(n, i)] = induced_map(amb, spaces[n], spaces[n - 1])
-        if n < n_max:
-            for j in range(n + 1):
-                amb = apply_on_leg(h.delta, dims, j)
-                sops[(n, j)] = induced_map(amb, spaces[n], spaces[n + 1])
-    return CyclicModule(n_max, spaces, dops, sops, tops, name=f"C({h.name}|C)")
+    return build_cyclic(
+        n_max, spaces,
+        face=lambda n, i: LegChain([d] * (n + 1), f).leg(h.eps, i, 1, []),
+        degeneracy=lambda n, j: LegChain([d] * (n + 1), f).leg(h.delta, j, 1, [d, d]),
+        rotation=lambda n: LegChain([d] * (n + 1), f).perm([n] + list(range(n))),
+        name=f"C({h.name}|C)")
 
 
 def relative_cocyclic_coext(h, c, n_max, spaces=None):
@@ -267,23 +285,16 @@ def relative_cocyclic_coext(h, c, n_max, spaces=None):
     d, f = h.dim, h.field
     if spaces is None:
         spaces = [coextension_space(h, c, n + 1) for n in range(n_max + 1)]
-    delta, sigma, tau = {}, {}, {}
-    for n in range(n_max + 1):
-        dims = [d] * (n + 1)
-        rotl = permutation_matrix(dims, list(range(1, n + 1)) + [0], f)
-        tau[n] = induced_map(rotl, spaces[n], spaces[n])
-        if n < n_max:
-            for i in range(n + 1):
-                amb = apply_on_leg(h.delta, dims, i)
-                delta[(n, i)] = induced_map(amb, spaces[n], spaces[n + 1])
-            wrap = permutation_matrix([d] * (n + 2), list(range(1, n + 2)) + [0], f) \
-                @ apply_on_leg(h.delta, dims, 0)
-            delta[(n, n + 1)] = induced_map(wrap, spaces[n], spaces[n + 1])
-        if n >= 1:
-            for j in range(n):
-                amb = apply_on_leg(h.eps, dims, j + 1)
-                sigma[(n, j)] = induced_map(amb, spaces[n], spaces[n - 1])
-    return CocyclicModule(n_max, spaces, delta, sigma, tau, name=f"C^({h.name}|C)")
+
+    def coface(n, i):
+        chain = LegChain([d] * (n + 1), f).leg(h.delta, 0 if i > n else i, 1, [d, d])
+        return chain.perm(list(range(1, n + 2)) + [0]) if i > n else chain
+
+    return build_cocyclic(
+        n_max, spaces, coface,
+        codegeneracy=lambda n, j: LegChain([d] * (n + 1), f).leg(h.eps, j + 1, 1, []),
+        rotation=lambda n: LegChain([d] * (n + 1), f).perm(list(range(1, n + 1)) + [0]),
+        name=f"C^({h.name}|C)")
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +304,24 @@ def relative_cocyclic_coext(h, c, n_max, spaces=None):
 def diagonal_action(c, legs):
     """Diagonal right action C^{(x) legs} (x) H -> C^{(x) legs},
     (c^1 ... c^k) (x) g -> c^1 g_(1) (x) ... (x) c^k g_(k)."""
-    return _diagonal_act(c, SparseMatrix.identity(c.dim ** legs * c.parent.dim, c.parent.field),
-                         legs)
+    return _diagonal_chain(c, legs).matrix()
 
 
-def _diagonal_act(c, x, legs):
-    """The diagonal action applied to a column set x on C^{(x) legs} (x) H.
+def _diagonal_chain(c, legs):
+    """The diagonal action as a chain on C^{(x) legs} (x) H.
 
     The H-leg is carried from the last algebra leg to the first, leaving
     one coproduct factor in each; its last piece is consumed by the counit.
     """
     h = c.parent
-    d, cd = h.dim, c.dim
+    d, cd, f = h.dim, c.dim, h.field
     # carry: c (x) g -> g_(1) (x) c g_(2)
-    y, dims = leg_map(h.delta, SparseMatrix.identity(cd * d, h.field), [cd, d], 1,
-                      out_dims=[d, d])
-    y, dims = permute_legs(y, dims, [1, 0, 2])
-    carry = leg_map(c.action, y, dims, 1, 2)[0]
-    dims = [cd] * legs + [d]
+    carry = LegChain([cd, d], f).leg(h.delta, 1, 1, [d, d]).perm([1, 0, 2]) \
+        .leg(c.action, 1, 2).matrix()
+    chain = LegChain([cd] * legs + [d], f)
     for k in reversed(range(legs)):
-        x, dims = leg_map(carry, x, dims, k, 2, [d, cd])
-    return leg_map(h.eps, x, dims, 0, out_dims=[])[0]
+        chain = chain.leg(carry, k, 2, [d, cd])
+    return chain.leg(h.eps, 0, 1, [])
 
 
 def generator_relations(c, legs, acts):
@@ -329,9 +337,10 @@ def generator_relations(c, legs, acts):
     h, f = c.parent, c.parent.field
     ident_legs = SparseMatrix.identity(c.dim ** legs, f)
     gens = h.generator_matrix()
+    diagonal = _diagonal_chain(c, legs)
     rels = []
     for j, act in enumerate(acts):
-        right = _diagonal_act(c, ident_legs.kron(gens.column(j)), legs)
+        right = diagonal @ ident_legs.kron(gens.column(j))
         rels.append(ident_legs.kron(act) - right.kron(SparseMatrix.identity(act.rows, f)))
     return SparseMatrix.hstack(rels)
 
@@ -354,39 +363,28 @@ def hopf_cyclic_spaces(c, m, n_max):
     return spaces
 
 
-def _coalgebra_cyclic_rotation(c, m, n):
-    """(c^0 ... c^n) (x) m -> (c^n . m_(1) (x) c^0 ... c^{n-1}) (x) m_(0)."""
-    h = c.parent
-    d, cd, md, f = h.dim, c.dim, m.dim, h.field
-    dims = [cd] * (n + 1) + [md]
-    step = apply_on_leg(m.coaction, dims, n + 1)       # (c^0..c^n, m0, m1)
-    dims2 = [cd] * (n + 1) + [md, d]
-    perm = permutation_matrix(dims2, [n, n + 2] + list(range(n)) + [n + 1], f)
-    step = perm @ step                                  # (c^n, h, c^0..c^{n-1}, m0)
-    dims3 = [cd, d] + [cd] * n + [md]
-    return apply_on_leg(c.action, dims3, 0, 2) @ step
-
-
 def hopf_cyclic_coalgebra(c, m, n_max, spaces=None):
     """Cyclic module C_n(C, M)_H: counit faces, coproduct degeneracies, and
-    the coefficient-twisted rotation."""
+    the coefficient-twisted rotation
+    (c^0 ... c^n) (x) m -> (c^n . m_(1) (x) c^0 ... c^{n-1}) (x) m_(0)."""
     h = c.parent
-    cd, md, f = c.dim, m.dim, h.field
+    d, cd, md, f = h.dim, c.dim, m.dim, h.field
     if spaces is None:
         spaces = hopf_cyclic_spaces(c, m, n_max)
-    dops, sops, tops = {}, {}, {}
-    for n in range(n_max + 1):
-        dims = [cd] * (n + 1) + [md]
-        tops[n] = induced_map(_coalgebra_cyclic_rotation(c, m, n), spaces[n], spaces[n])
-        if n >= 1:
-            for i in range(n + 1):
-                amb = apply_on_leg(c.eps_c, dims, i)
-                dops[(n, i)] = induced_map(amb, spaces[n], spaces[n - 1])
-        if n < n_max:
-            for j in range(n + 1):
-                amb = apply_on_leg(c.delta_c, dims, j)
-                sops[(n, j)] = induced_map(amb, spaces[n], spaces[n + 1])
-    return CyclicModule(n_max, spaces, dops, sops, tops, name=f"C(C,{m.name})_H")
+
+    def legs(n):
+        return LegChain([cd] * (n + 1) + [md], f)
+
+    def rotation(n):
+        return legs(n).leg(m.coaction, n + 1, 1, [md, d]) \
+            .perm([n, n + 2] + list(range(n)) + [n + 1]) \
+            .leg(c.action, 0, 2)                # (c^n . m1, c^0..c^{n-1}, m0)
+
+    return build_cyclic(
+        n_max, spaces,
+        face=lambda n, i: legs(n).leg(c.eps_c, i, 1, []),
+        degeneracy=lambda n, j: legs(n).leg(c.delta_c, j, 1, [cd, cd]),
+        rotation=rotation, name=f"C(C,{m.name})_H")
 
 
 def hopf_cocyclic_coalgebra(c, m, n_max, spaces=None):
@@ -399,45 +397,31 @@ def hopf_cocyclic_coalgebra(c, m, n_max, spaces=None):
     if spaces is None:
         spaces = hopf_cyclic_spaces(c, m, n_max)
 
-    def twisted_rotation(n):
-        # (c^0 ... c^n) (x) m -> (c^1 ... c^n (x) c^0 . S^{-1}(m_(1))) (x) m_(0)
-        dims = [cd] * (n + 1) + [md]
-        step = apply_on_leg(m.coaction, dims, n + 1)
-        dims2 = [cd] * (n + 1) + [md, d]
-        step = apply_on_leg(h.antipode_inv, dims2, n + 2) @ step
-        perm = permutation_matrix(dims2, list(range(1, n + 1)) + [0, n + 2, n + 1], f)
-        step = perm @ step                              # (c^1..c^n, c^0, S^{-1}m1, m0)
-        dims3 = [cd] * n + [cd, d, md]
-        return apply_on_leg(c.action, dims3, n, 2) @ step
+    def legs(n):
+        return LegChain([cd] * (n + 1) + [md], f)
 
-    delta, sigma, tau = {}, {}, {}
-    for n in range(n_max + 1):
-        dims = [cd] * (n + 1) + [md]
-        tau[n] = induced_map(twisted_rotation(n), spaces[n], spaces[n])
-        if n < n_max:
-            for i in range(n + 1):
-                amb = apply_on_leg(c.delta_c, dims, i)
-                delta[(n, i)] = induced_map(amb, spaces[n], spaces[n + 1])
-            # delta_{n+1} = tau_{n+1} after inserting at the front:
-            # (c^0_(2) (x) c^1 ... c^n (x) c^0_(1) S^{-1}(m_(1))) (x) m_(0)
-            step = apply_on_leg(m.coaction, dims, n + 1)
-            dims2 = [cd] * (n + 1) + [md, d]
-            step = apply_on_leg(h.antipode_inv, dims2, n + 2) @ step
-            step = apply_on_leg(c.delta_c, dims2, 0) @ step
-            dims3 = [cd, cd] + [cd] * n + [md, d]
-            perm = permutation_matrix(
-                dims3, [1] + list(range(2, n + 2)) + [0, n + 3, n + 2], f
-            )
-            step = perm @ step                          # (c^0_2, c^1.., c^0_1, S^-1 m1, m0)
-            dims4 = [cd] * (n + 1) + [cd, d, md]
-            delta[(n, n + 1)] = induced_map(
-                apply_on_leg(c.action, dims4, n + 1, 2) @ step, spaces[n], spaces[n + 1]
-            )
-        if n >= 1:
-            for j in range(n):
-                amb = apply_on_leg(c.eps_c, dims, j + 1)
-                sigma[(n, j)] = induced_map(amb, spaces[n], spaces[n - 1])
-    return CocyclicModule(n_max, spaces, delta, sigma, tau, name=f"C^(C,{m.name})_H")
+    def twisted(n):
+        # (c^0 ... c^n, m) -> (c^0 ... c^n, m_(0), S^{-1}(m_(1)))
+        return legs(n).leg(m.coaction, n + 1, 1, [md, d]).leg(h.antipode_inv, n + 2)
+
+    def rotation(n):
+        # (c^1 ... c^n (x) c^0 . S^{-1}(m_(1))) (x) m_(0)
+        return twisted(n).perm(list(range(1, n + 1)) + [0, n + 2, n + 1]) \
+            .leg(c.action, n, 2)
+
+    def coface(n, i):
+        if i <= n:
+            return legs(n).leg(c.delta_c, i, 1, [cd, cd])
+        # delta_{n+1} = tau_{n+1} after inserting at the front:
+        # (c^0_(2) (x) c^1 ... c^n (x) c^0_(1) S^{-1}(m_(1))) (x) m_(0)
+        return twisted(n).leg(c.delta_c, 0, 1, [cd, cd]) \
+            .perm([1] + list(range(2, n + 2)) + [0, n + 3, n + 2]) \
+            .leg(c.action, n + 1, 2)
+
+    return build_cocyclic(
+        n_max, spaces, coface,
+        codegeneracy=lambda n, j: legs(n).leg(c.eps_c, j + 1, 1, []),
+        rotation=rotation, name=f"C^(C,{m.name})_H")
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +437,17 @@ def _diagonal_coaction_columns(h, b, legs):
     """
     d, bd, f = h.dim, b.dim, h.field
     # carry: g (x) b -> b_(0) (x) g b_(-1)
-    x, dims = leg_map(b.coaction_b, SparseMatrix.identity(d * bd, f), [d, bd], 1,
-                      out_dims=[d, bd])
-    x, dims = leg_map(h.mu, x, dims, 0, 2)
-    carry = permute_legs(x, dims, [1, 0])[0]
-    x, dims = leg_map(h.eta, SparseMatrix.identity(bd ** legs, f), [bd] * legs, 0, 0)
+    carry = LegChain([d, bd], f).leg(b.coaction_b, 1, 1, [d, bd]).leg(h.mu, 0, 2) \
+        .perm([1, 0]).matrix()
+    chain = LegChain([bd] * legs, f).leg(h.eta, 0, 0)
     for k in range(legs):
-        x, dims = leg_map(carry, x, dims, k, 2, [bd, d])
-    return permute_legs(x, dims, [legs] + list(range(legs)))[0]
+        chain = chain.leg(carry, k, 2, [bd, d])
+    return chain.perm([legs] + list(range(legs))).matrix()
 
 
 def comodule_algebra_space(h, b, m, n):
     """M box_H B^{(x) n+1}: the coefficients' cotensor coaction matched
     against the diagonal left coaction of the algebra legs."""
-    f = h.field
     bd, md = b.dim, m.dim
     legs = n + 1
     dims = [md] + [bd] * legs
@@ -493,36 +474,21 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max, spaces=None):
         spaces = [comodule_algebra_space(h, b, m, n) for n in range(n_max + 1)]
     unit_b = b.space.projection @ h.eta
 
-    def last_leg_rotation(n, with_mult):
-        legs = n + 1
-        dims = [md] + [bd] * legs
-        step = apply_on_leg(b.coaction_b, dims, legs)   # (m, b0..b^{n-1}, h, b^n)
-        dims2 = [md] + [bd] * n + [d, bd]
-        perm = permutation_matrix(
-            dims2, [n + 1, 0, n + 2] + list(range(1, n + 1)), f
-        )
-        step = perm @ step                              # (h, m, b^n, b0..b^{n-1})
-        dims3 = [d, md, bd] + [bd] * n
-        step = apply_on_leg(m.operator_action, dims3, 0, 2) @ step
-        if not with_mult:
-            return step
-        dims4 = [md, bd, bd] + [bd] * (n - 1)
-        return apply_on_leg(b.mult_b, dims4, 1, 2) @ step
+    def legs(n):
+        return LegChain([md] + [bd] * (n + 1), f)
 
-    dops, sops, tops = {}, {}, {}
-    for n in range(n_max + 1):
-        dims = [md] + [bd] * (n + 1)
-        tops[n] = induced_map(last_leg_rotation(n, False), spaces[n], spaces[n])
-        if n >= 1:
-            for i in range(n):
-                amb = apply_on_leg(b.mult_b, dims, i + 1, 2)
-                dops[(n, i)] = induced_map(amb, spaces[n], spaces[n - 1])
-            dops[(n, n)] = induced_map(last_leg_rotation(n, True), spaces[n], spaces[n - 1])
-        if n < n_max:
-            for j in range(n + 1):
-                amb = apply_on_leg(unit_b, dims, j + 2, 0)
-                sops[(n, j)] = induced_map(amb, spaces[n], spaces[n + 1])
-    return CyclicModule(n_max, spaces, dops, sops, tops, name=f"C(B,{m.name})^H")
+    def rotation(n):
+        # (m, b^0..b^n) -> (b^n_(-1) m, b^n_(0), b^0..b^{n-1})
+        return legs(n).leg(b.coaction_b, n + 1, 1, [d, bd]) \
+            .perm([n + 1, 0, n + 2] + list(range(1, n + 1))) \
+            .leg(m.operator_action, 0, 2)
+
+    return build_cyclic(
+        n_max, spaces,
+        face=lambda n, i: (rotation(n).leg(b.mult_b, 1, 2) if i == n
+                           else legs(n).leg(b.mult_b, i + 1, 2)),
+        degeneracy=lambda n, j: legs(n).leg(unit_b, j + 2, 0),
+        rotation=rotation, name=f"C(B,{m.name})^H")
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +509,6 @@ def cyclic_dual(ccm):
             for j in range(n + 1):
                 sops[(n, j)] = ccm.delta[(n, j)]
     return CyclicModule(ccm.n_max, ccm.spaces, dops, sops, tops, name=f"dual({ccm.name})")
-
-
-def cyclic_modules_equal(a, b):
-    """Spaces assumed shared; compares every operator matrix."""
-    if a.n_max != b.n_max:
-        return False
-    for n in range(a.n_max + 1):
-        if not (a.t[n] == b.t[n]):
-            return False
-        if n >= 1 and any(not (a.d[(n, i)] == b.d[(n, i)]) for i in range(n + 1)):
-            return False
-        if n < a.n_max and any(not (a.s[(n, j)] == b.s[(n, j)]) for j in range(n + 1)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -684,19 +636,3 @@ def cyclic_homology(cm, upto=None):
         rank_in = total_map(n + 1).rank()
         dims.append(tot_dim - rank_out - rank_in)
     return dims
-
-
-# ---------------------------------------------------------------------------
-# operator mutation helpers (for the mutant acceptance checks)
-
-
-def with_replaced_cyclic(cm, n, matrix):
-    t = dict(cm.t)
-    t[n] = matrix
-    return replace(cm, t=t, name=cm.name + "[mutant t]")
-
-
-def with_replaced_face(cm, n, i, matrix):
-    d = dict(cm.d)
-    d[(n, i)] = matrix
-    return replace(cm, d=d, name=cm.name + "[mutant d]")

@@ -13,12 +13,13 @@ Hopf algebra H: quotient right module coalgebras C = H/I and left coideal
 subalgebras B = H^{co C}, together with the canonical map, the translation
 map, and the cocanonical map of the associated homogeneous extension.
 
-Every operator is a chain of the structure matrices ``mu``, ``delta``,
-``eps``, ``eta`` and ``antipode`` (and the lifts and projections of the
-subquotients), applied leg by leg to the identity column set with
-``leg_map`` and ``permute_legs``.  The chain helpers below (``_link``,
-``_carry``, ``_linked``, ``_absorb``) are shared with the transforms of
-``iso``.
+Every operator is a ``LegChain`` of the structure matrices ``mu``,
+``delta``, ``eps``, ``eta`` and ``antipode`` (and the lifts and
+projections of the subquotients).  A chain handed to ``induced_map`` is
+applied there to the columns of the spaces only; a chain is assembled
+(``matrix()``) only where it is itself a structure map, such as ``_link``
+and ``_carry``.  The chain helpers below (``_link``, ``_carry``,
+``_linked``, ``_absorb``) are shared with the transforms of ``iso``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from .linalg import (
     QQ,
     Inconsistent,
+    LegChain,
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
@@ -35,13 +37,10 @@ from .linalg import (
     induced_map,
     inverse,
     kernel,
-    leg_map,
     permutation_matrix,
-    permute_legs,
     quotient_by_columns,
     span_columns,
     span_contains,
-    tensor_dim,
     tensor_index,
 )
 
@@ -409,27 +408,28 @@ def subalgebra_from_columns(h, cols):
     return ComoduleSubalgebra(h, span_columns(cols))
 
 
+def coactions(h, c):
+    """The coactions of C on D = H induced by Delta: h -> h_(1) (x) bar(h_(2))
+    (D -> D (x) C) and h -> bar(h_(1)) (x) h_(2) (D -> C (x) D)."""
+    legs = LegChain([h.dim, h.dim], h.field)
+    p = c.space.projection
+    return legs.leg(p, 1) @ h.delta, legs.leg(p, 0) @ h.delta
+
+
 def coinvariants(h, c):
     """H^{co C} as the equalizer of h -> h_(1) (x) bar(h_(2)) and h -> h (x) bar(1)."""
-    d = h.dim
-    rho = apply_on_leg(c.space.projection, [d, d], 1) @ h.delta
-    eq = equalizer(rho, h.ident().kron(c.onebar))
+    eq = equalizer(coactions(h, c)[0], h.ident().kron(c.onebar))
     return ComoduleSubalgebra(h, eq)
 
 
 def iterated_coinvariance_ok(h, c, b, n):
     """b_(1) (x) ... (x) bar(b_(n+2)) = b_(1) (x) ... (x) b_(n+1) (x) bar(1)."""
     d = h.dim
-    legs = n + 2
-    delta_pow = h.ident()
-    for k in range(legs - 1):
-        delta_pow = apply_on_leg(h.delta, [d] * (k + 1), k) @ delta_pow
-    dims = [d] * legs
-    lhs = apply_on_leg(c.space.projection, dims, legs - 1) @ delta_pow @ b.space.section
-    shorter = h.ident()
-    for k in range(legs - 2):
-        shorter = apply_on_leg(h.delta, [d] * (k + 1), k) @ shorter
-    return lhs == (shorter @ b.space.section).kron(c.onebar)
+    split = LegChain([d], h.field)               # b -> b_(1) (x) ... (x) b_(n+1)
+    for k in range(n):
+        split = split.leg(h.delta, k, 1, [d, d])
+    lhs = split.leg(h.delta, n, 1, [d, d]).leg(c.space.projection, n + 1) @ b.space.section
+    return lhs == (split @ b.space.section).kron(c.onebar)
 
 
 def takeuchi_subalgebra_to_quotient(h, b):
@@ -463,48 +463,41 @@ def galois_criterion(h, b, c):
 # ---------------------------------------------------------------------------
 # leg-by-leg structure-map chains
 #
-# An operator is a chain of structure matrices applied to the identity
-# column set through ``leg_map`` and ``permute_legs``.  A coproduct factor
+# An operator is a ``LegChain`` of structure matrices.  A coproduct factor
 # is multiplied into the leg it belongs to as soon as it is split off, so
 # a column carries one leg per factor still to be placed, never the whole
 # Sweedler expansion.  Coassociativity makes the order of splitting
 # irrelevant, and the arithmetic is exact.
 
 
-def _identity_legs(dims, f):
-    return SparseMatrix.identity(tensor_dim(dims), f), list(dims)
-
-
 def _link(h):
     """a (x) b -> a S(b_(1)) (x) b_(2), as a matrix on H (x) H."""
     d = h.dim
-    x, dims = leg_map(h.delta, *_identity_legs([d, d], h.field), 1, out_dims=[d, d])
-    x, dims = leg_map(h.antipode, x, dims, 1)
-    return leg_map(h.mu, x, dims, 0, 2)[0]
+    return LegChain([d, d], h.field).leg(h.delta, 1, 1, [d, d]).leg(h.antipode, 1) \
+        .leg(h.mu, 0, 2).matrix()
 
 
 def _carry(h):
     """p (x) r -> r_(1) (x) p r_(2), as a matrix on H (x) H."""
     d = h.dim
-    x, dims = leg_map(h.delta, *_identity_legs([d, d], h.field), 1, out_dims=[d, d])
-    x, dims = permute_legs(x, dims, [1, 0, 2])
-    return leg_map(h.mu, x, dims, 1, 2)[0]
+    return LegChain([d, d], h.field).leg(h.delta, 1, 1, [d, d]).perm([1, 0, 2]) \
+        .leg(h.mu, 1, 2).matrix()
 
 
-def _linked(h, x, dims, n):
-    """Legs (g^0, ..., g^n, ...) -> (S(g^0_(1)), g^0_(2) S(g^1_(1)), ...,
-    g^{n-1}_(2) S(g^n_(1)), g^n_(2), ...)."""
+def _linked(h, chain, n):
+    """Extend ``chain``, whose legs are (g^0, ..., g^n, ...), by
+    (S(g^0_(1)), g^0_(2) S(g^1_(1)), ..., g^{n-1}_(2) S(g^n_(1)), g^n_(2), ...)."""
     d = h.dim
-    x, dims = leg_map(h.delta, x, dims, 0, out_dims=[d, d])
-    x, dims = leg_map(h.antipode, x, dims, 0)
+    chain = chain.leg(h.delta, 0, 1, [d, d]).leg(h.antipode, 0)
     link = _link(h)
     for j in range(1, n + 1):
-        x, dims = leg_map(link, x, dims, j, 2, [d, d])
-    return x, dims
+        chain = chain.leg(link, j, 2, [d, d])
+    return chain
 
 
-def _absorb(h, x, dims, k, carry, split_last):
-    """Multiply the coproduct pieces of leg k+1 into legs 0..k, on the right.
+def _absorb(h, chain, k, carry, split_last):
+    """Extend ``chain`` by multiplying the coproduct pieces of leg k+1 into
+    legs 0..k, on the right.
 
     Legs 0..k hold m, p_0, ..., p_{k-1} and leg k+1 holds e.  Afterwards
     leg 0 holds m e_(1) and leg j+1 holds p_j e_(j+2).  With
@@ -513,20 +506,20 @@ def _absorb(h, x, dims, k, carry, split_last):
     """
     d = h.dim
     if split_last:
-        x, dims = leg_map(h.delta, x, dims, k + 1, out_dims=[d, d])
+        chain = chain.leg(h.delta, k + 1, 1, [d, d])
     for j in range(k, 0, -1):
-        x, dims = leg_map(carry, x, dims, j, 2, [d, d])
-    return leg_map(h.mu, x, dims, 0, 2)
+        chain = chain.leg(carry, j, 2, [d, d])
+    return chain.leg(h.mu, 0, 2)
 
 
 def _absorbed_legs(h, n):
     """h^0 (x) ... (x) h^n -> (h^0 h^1_(1) ... h^n_(1), h^1_(2) ... h^n_(2),
-    ..., h^n_(n+1)), as a column set on H^{(x) n+1} with its leg dims."""
-    x, dims = _identity_legs([h.dim] * (n + 1), h.field)
+    ..., h^n_(n+1)), as a chain on H^{(x) n+1}."""
+    chain = LegChain([h.dim] * (n + 1), h.field)
     carry = _carry(h)
     for i in range(1, n + 1):
-        x, dims = _absorb(h, x, dims, i - 1, carry, split_last=True)
-    return x, dims
+        chain = _absorb(h, chain, i - 1, carry, split_last=True)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +540,7 @@ def tensor_power_over_b(h, b, legs):
         for jb in range(bcols.cols):
             bvec = bcols.column(jb)
             rb = induced_map(
-                apply_on_leg(h.right_mult_matrix(bvec), [d] * k, k - 1), space, space
+                LegChain([d] * k, f).leg(h.right_mult_matrix(bvec), k - 1), space, space
             )
             lb = h.left_mult_matrix(bvec)
             ident_r = SparseMatrix.identity(space.dim, f)
@@ -563,14 +556,11 @@ def commutator_quotient(h, b, space, legs):
     d, f = h.dim, h.field
     bcols = b.space.section
     rels = []
+    chain = LegChain([d] * legs, f)
     for jb in range(bcols.cols):
         bvec = bcols.column(jb)
-        right_last = induced_map(
-            apply_on_leg(h.right_mult_matrix(bvec), [d] * legs, legs - 1), space, space
-        )
-        left_first = induced_map(
-            apply_on_leg(h.left_mult_matrix(bvec), [d] * legs, 0), space, space
-        )
+        right_last = induced_map(chain.leg(h.right_mult_matrix(bvec), legs - 1), space, space)
+        left_first = induced_map(chain.leg(h.left_mult_matrix(bvec), 0), space, space)
         rels.append(right_last - left_first)
     stage = quotient_by_columns(space.dim, SparseMatrix.hstack(rels))
     return space.then(stage)
@@ -589,19 +579,19 @@ def canonical_map_n(h, b, c, n):
     tdim = d * cdim ** n
 
     # forward: m (x) h^1 ... h^n -> m h^1_(1)...h^n_(1) (x) bar(h^1_(2)...h^n_(2)) (x) ...
-    x, dims = _absorbed_legs(h, n)
+    chain = _absorbed_legs(h, n)
     for j in range(1, n + 1):
-        x, dims = leg_map(c.space.projection, x, dims, j)
-    can = induced_map(x, dom, SubquotientSpace.full(tdim, f))
+        chain = chain.leg(c.space.projection, j)
+    can = induced_map(chain, dom, SubquotientSpace.full(tdim, f))
 
     # inverse: m (x) bar g^1 (x) ... -> m S(g^1_(1)) (x) g^1_(2) S(g^2_(1)) (x) ...
-    x, dims = _identity_legs([d] + [cdim] * n, f)
+    chain = LegChain([d] + [cdim] * n, f)
     for j in range(1, n + 1):
-        x, dims = leg_map(c.space.section, x, dims, j)
+        chain = chain.leg(c.space.section, j)
     link = _link(h)
     for j in range(n):
-        x, dims = leg_map(link, x, dims, j, 2, [d, d])
-    can_inv = induced_map(x, SubquotientSpace.full(tdim, f), dom)
+        chain = chain.leg(link, j, 2, [d, d])
+    can_inv = induced_map(chain, SubquotientSpace.full(tdim, f), dom)
 
     if not (can @ can_inv).is_identity() or not (can_inv @ can).is_identity():
         raise NotGalois(f"canonical map in degree {n} is not bijective")
@@ -612,10 +602,10 @@ def translation_map(h, b, c):
     """tau(bar h) = S(h_(1)) (x)_B h_(2), checked independent of the lift."""
     d, f = h.dim, h.field
     dom2 = tensor_power_over_b(h, b, 2)
+    chain = LegChain([d], f).leg(h.delta, 0, 1, [d, d]).leg(h.antipode, 0)
 
     def tau_from_lift(section):
-        x, dims = leg_map(h.delta, section, [d], 0, out_dims=[d, d])
-        return dom2.projection @ leg_map(h.antipode, x, dims, 0)[0]
+        return dom2.projection @ (chain @ section)
 
     tau = tau_from_lift(c.space.section)
     # second, deliberately different lift: add something in the ideal
@@ -637,20 +627,17 @@ def cocanonical_map(h, b, c):
     """
     d, f = h.dim, h.field
     cot = cotensor_square(h, c)
-    x, dims = _identity_legs([b.dim, d], f)
-    x, dims = leg_map(b.space.section, x, dims, 0)
-    x, dims = leg_map(h.delta, x, dims, 1, out_dims=[d, d])
-    ambient = leg_map(h.mu, x, dims, 0, 2)[0]
-    reduced = induced_map(ambient, SubquotientSpace.full(b.dim * d, f), cot)
+    chain = LegChain([b.dim, d], f).leg(b.space.section, 0).leg(h.delta, 1, 1, [d, d]) \
+        .leg(h.mu, 0, 2)
+    reduced = induced_map(chain, SubquotientSpace.full(b.dim * d, f), cot)
     bij = reduced.rows == reduced.cols and reduced.rank() == reduced.rows
     return reduced, cot, bij
 
 
 def cotensor_square(h, c):
     """D box_C D inside D (x) D via the two induced coactions."""
-    d, f = h.dim, h.field
-    rho = apply_on_leg(c.space.projection, [d, d], 1) @ h.delta  # d -> d_(1) (x) bar d_(2)
-    lam = apply_on_leg(c.space.projection, [d, d], 0) @ h.delta  # d -> bar d_(1) (x) d_(2)
+    d = h.dim
+    rho, lam = coactions(h, c)
     left = apply_on_leg(rho, [d, d], 0, 1)
     right = apply_on_leg(lam, [d, d], 1, 1)
     return equalizer(left, right)

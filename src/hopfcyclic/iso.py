@@ -15,12 +15,14 @@ descent check replaces the by-hand well-definedness computations):
   over H, together with the explicit identification showing it agrees
   with the second family's counterpart.
 
-The ambient matrices are chains of structure matrices (``delta``, ``mu``,
-the antipode, the coaction of B, the lifts and projections of the
-subquotients) applied leg by leg to the identity with ``leg_map`` and
-``permute_legs``.  Each coproduct factor is multiplied into its target leg
-as soon as it is split off, so building a column costs the sum of the
-coproduct sizes, not their product.
+The ambient maps are ``LegChain`` composites of structure matrices
+(``delta``, ``mu``, the antipode, the coaction of B, the lifts and
+projections of the subquotients).  Each coproduct factor is multiplied
+into its target leg as soon as it is split off, so building a column costs
+the sum of the coproduct sizes, not their product.  Unlike the operators
+of ``cyclic``, each transform is assembled once (``matrix()``) and then
+descended: it is checked against several spaces, and applying a chain to
+the dense relation columns of each would cost more than the assembly.
 """
 
 from __future__ import annotations
@@ -44,16 +46,14 @@ from .hopf import (
     _absorb,
     _absorbed_legs,
     _carry,
-    _identity_legs,
     _linked,
 )
 from .linalg import (
+    LegChain,
     NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
     induced_map,
-    leg_map,
-    permute_legs,
     quotient_by_columns,
     span_contains,
 )
@@ -121,25 +121,22 @@ def _psi_ambient(h, c, n):
     Uses the fixed lift of H/I into H; independence of the lift is exactly
     what the descent check certifies.
     """
-    d = h.dim
-    x, dims = _identity_legs([c.dim] * (n + 1) + [d], h.field)
+    chain = LegChain([c.dim] * (n + 1) + [h.dim], h.field)
     for i in range(n + 1):
-        x, dims = leg_map(c.space.section, x, dims, i)
-    x, dims = _linked(h, x, dims, n)          # (S g^0_(1), legs 1..n, g^n_(2), h)
-    x, dims = permute_legs(x, dims, [n + 1, n + 2, 0] + list(range(1, n + 1)))
-    x, dims = leg_map(h.mu, x, dims, 0, 2)
-    return leg_map(h.mu, x, dims, 0, 2)[0]
+        chain = chain.leg(c.space.section, i)
+    chain = _linked(h, chain, n)              # (S g^0_(1), legs 1..n, g^n_(2), h)
+    chain = chain.perm([n + 1, n + 2, 0] + list(range(1, n + 1)))
+    return chain.leg(h.mu, 0, 2).leg(h.mu, 0, 2).matrix()
 
 
 def _phi_ambient(h, c, n):
     """h^0 (x)_B ... (x)_B h^n -> (bar(prod h^i_(2)) (x) ... (x) bar 1) (x)_H
     h^0 h^1_(1) ... h^n_(1)."""
-    x, dims = _absorbed_legs(h, n)
     # (h^0 h^1_(1) ..., prod h^i_(2), ..., h^n_(n+1))
-    x, dims = permute_legs(x, dims, list(range(1, n + 1)) + [0])
+    chain = _absorbed_legs(h, n).perm(list(range(1, n + 1)) + [0])
     for j in range(n):
-        x, dims = leg_map(c.space.projection, x, dims, j)
-    return leg_map(c.onebar, x, dims, n, 0)[0]
+        chain = chain.leg(c.space.projection, j)
+    return chain.leg(c.onebar, n, 0).matrix()
 
 
 def module_coalgebra_transform(setup, n_max, coefficients=None, source=None, target=None):
@@ -171,15 +168,15 @@ def module_coalgebra_transform(setup, n_max, coefficients=None, source=None, tar
 
 def _gamma_ambient(h, b, n):
     """h (x) b^0 ... b^n -> (prod_i b^i_(2) h_(2)) (x) ... (x) b^0 b^1_(1) ... h_(1)."""
-    x, dims = _identity_legs([h.dim] + [b.dim] * (n + 1), h.field)
-    x, dims = permute_legs(x, dims, list(range(1, n + 2)) + [0])    # (b^0, ..., b^n, h)
+    chain = LegChain([h.dim] + [b.dim] * (n + 1), h.field)
+    chain = chain.perm(list(range(1, n + 2)) + [0])                  # (b^0, ..., b^n, h)
     carry = _carry(h)
-    x, dims = leg_map(b.space.section, x, dims, 0)
+    chain = chain.leg(b.space.section, 0)
     for i in range(1, n + 1):
-        x, dims = leg_map(b.space.section, x, dims, i)
-        x, dims = _absorb(h, x, dims, i - 1, carry, split_last=True)
-    x, dims = _absorb(h, x, dims, n, carry, split_last=False)
-    return permute_legs(x, dims, list(range(1, n + 1)) + [0])[0]
+        chain = chain.leg(b.space.section, i)
+        chain = _absorb(h, chain, i - 1, carry, split_last=True)
+    chain = _absorb(h, chain, n, carry, split_last=False)
+    return chain.perm(list(range(1, n + 1)) + [0]).matrix()
 
 
 def _gamma_inv_ambient(h, b, n):
@@ -187,31 +184,17 @@ def _gamma_inv_ambient(h, b, n):
 
     Built with algebra legs in H first, then converted to B-coordinates.
     The legs only land in B on the coextension subspace, so the escape
-    check is done against that subspace by the caller; this returns both
-    the projected matrix and the raw one.
+    check is done against that subspace by the caller; this returns the
+    projected matrix, the raw one and the chain lifting the B-legs back.
     """
-    f = h.field
     d = h.dim
-    unprojected = _gamma_inv_unprojected(h, b, n)
-    proj_all = SparseMatrix.identity(d, f).kron(_iterated_kron(b.space.projection, n + 1))
-    lift_all = SparseMatrix.identity(d, f).kron(_iterated_kron(b.space.section, n + 1))
-    return proj_all @ unprojected, unprojected, lift_all
-
-
-def _gamma_inv_unprojected(h, b, n):
-    d = h.dim
-    x, dims = _identity_legs([d] * (n + 1), h.field)
-    x, dims = _linked(h, x, dims, n)          # (S h^0_(1), legs 2..n+1, h^n_(2))
-    x, dims = leg_map(h.delta, x, dims, n + 1, out_dims=[d, d])
-    x, dims = permute_legs(x, dims, [n + 1, n + 2, 0] + list(range(1, n + 1)))
-    return leg_map(h.mu, x, dims, 1, 2)[0]
-
-
-def _iterated_kron(m, times):
-    out = m
-    for _ in range(times - 1):
-        out = out.kron(m)
-    return out
+    chain = _linked(h, LegChain([d] * (n + 1), h.field), n)  # (S h^0_(1), legs 2..n+1, h^n_(2))
+    chain = chain.leg(h.delta, n + 1, 1, [d, d]).perm([n + 1, n + 2, 0] + list(range(1, n + 1)))
+    unprojected = chain.leg(h.mu, 1, 2).matrix()
+    project, lift = LegChain([d] * (n + 2), h.field), LegChain([d] + [b.dim] * (n + 1), h.field)
+    for j in range(1, n + 2):
+        project, lift = project.leg(b.space.projection, j), lift.leg(b.space.section, j)
+    return project @ unprojected, unprojected, lift
 
 
 def comodule_algebra_transform(setup, n_max, coefficients=None, source=None, target=None):
@@ -225,9 +208,9 @@ def comodule_algebra_transform(setup, n_max, coefficients=None, source=None, tar
     fwd, bwd = {}, {}
     for n in range(n_max + 1):
         fwd[n] = induced_map(_gamma_ambient(h, b, n), source.spaces[n], target.spaces[n])
-        mat, unproj, lift_all = _gamma_inv_ambient(h, b, n)
+        mat, unproj, lift = _gamma_inv_ambient(h, b, n)
         sect = target.spaces[n].section
-        if not (lift_all @ mat @ sect == unproj @ sect):
+        if not (lift @ (mat @ sect) == unproj @ sect):
             raise NotWellDefined("inverse transform leg escaped the subalgebra")
         bwd[n] = induced_map(mat, target.spaces[n], source.spaces[n])
     gamma = CyclicMap(source, target, fwd, name="to_coextension")

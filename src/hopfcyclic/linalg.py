@@ -610,14 +610,21 @@ def span_contains(basis, candidates):
 def induced_map(f, dom, cod):
     """Descend/restrict the ambient map ``f`` to reduced coordinates.
 
-    Returns cod.projection @ f @ dom.section after two checks: relations to
+    ``f`` is a matrix or a ``LegChain``: it is only applied on the right,
+    to the columns of ``dom.section`` and ``dom.rel_cols``.  Returns
+    cod.projection @ (f @ dom.section) after two checks: relations to
     relations (cod.projection kills f @ dom.rel_cols, or for an explicit cod
     these lie in span(cod.rel_cols)) and carrier into carrier (explicit cod).
+    The carrier of either kind of domain is im(section) + span(rel_cols)
+    (ker(projection) complements im(section)), and the first check already
+    sends span(rel_cols) into span(cod.rel_cols), so the carrier check runs
+    on f @ dom.section alone.
     A failure raises NotWellDefined: the map is not defined on the subquotient.
     """
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
         raise ShapeMismatch("map shape does not match ambient spaces")
-    reduced = cod.projection @ f @ dom.section
+    image = f @ dom.section
+    reduced = cod.projection @ image
     if dom.rel_cols.cols:
         img = f @ dom.rel_cols
         if cod.rel_kind == "kernel":
@@ -627,13 +634,12 @@ def induced_map(f, dom, cod):
         if not descends:
             raise NotWellDefined("map does not descend: relations not preserved")
     if cod.rel_kind == "explicit" and not cod.projection.is_identity():
-        img = f if dom.rel_kind == "kernel" else f @ dom.section
         if cod.rel_cols.cols == 0:
-            if not (cod.section @ (cod.projection @ img) == img):
+            if not (cod.section @ (cod.projection @ image) == image):
                 raise NotWellDefined("map does not restrict: image leaves the subspace")
         else:
             carrier = SparseMatrix.hstack([cod.section, cod.rel_cols])
-            if not span_contains(carrier, img):
+            if not span_contains(carrier, image):
                 raise NotWellDefined("map does not restrict: image leaves the carrier")
     return reduced
 
@@ -900,3 +906,50 @@ def permute_legs(x, dims, perm):
 def permutation_matrix(dims, perm, field):
     """Permutation of tensor legs; target tuple j is source tuple (t[perm[k]])_k."""
     return permute_legs(SparseMatrix.identity(tensor_dim(dims), field), dims, perm)[0]
+
+
+class LegChain:
+    """A composite of leg maps and leg permutations, kept as its steps.
+
+    Starts from the input leg dims; ``leg(op, pos, arity, out_dims)`` adds
+    id (x) op (x) id on legs [pos, pos+arity) (conventions of ``leg_map``)
+    and ``perm(perm)`` a permutation of the legs (``permute_legs``), each
+    returning a new chain.  ``chain @ x`` runs the steps on the nonzeros of
+    the column set x, so the operator is never assembled over the whole
+    ambient; ``rows`` and ``cols`` let ``induced_map`` take a chain where it
+    takes a matrix.  ``matrix()`` is ``chain @ identity``, for a chain that
+    is itself used as a structure map.
+    """
+
+    __slots__ = ("in_dims", "dims", "field", "steps", "rows", "cols")
+
+    def __init__(self, dims, field, steps=(), out_dims=None):
+        self.in_dims = list(dims)
+        self.dims = self.in_dims if out_dims is None else out_dims
+        self.field = field
+        self.steps = steps
+        self.rows = tensor_dim(self.dims)
+        self.cols = tensor_dim(self.in_dims)
+
+    def leg(self, op, pos, arity=1, out_dims=None):
+        out_dims = [op.rows] if out_dims is None else list(out_dims)
+        dims = self.dims[:pos] + out_dims + self.dims[pos + arity:]
+        return LegChain(self.in_dims, self.field, self.steps + ((op, pos, arity, out_dims),), dims)
+
+    def perm(self, perm):
+        dims = [self.dims[p] for p in perm]
+        return LegChain(self.in_dims, self.field, self.steps + ((list(perm),),), dims)
+
+    def __matmul__(self, x):
+        if x.rows != self.cols:
+            raise ShapeMismatch(f"chain on {self.cols} coordinates @ {x.rows}x{x.cols}")
+        dims = self.in_dims
+        for step in self.steps:
+            if len(step) == 1:
+                x, dims = permute_legs(x, dims, step[0])
+            else:
+                x, dims = leg_map(step[0], x, dims, *step[1:])
+        return x
+
+    def matrix(self):
+        return self @ SparseMatrix.identity(self.cols, self.field)

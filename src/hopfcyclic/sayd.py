@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import AxiomCheck, HopfError, ValidationReport
-from .linalg import SparseMatrix, apply_on_leg, leg_map, permutation_matrix, permute_legs
+from .linalg import LegChain, SparseMatrix, apply_on_leg, permutation_matrix
 
 
 class SaydError(HopfError):
@@ -104,28 +104,18 @@ def check_ayd(m):
     d, md, f = h.dim, m.dim, h.field
     lhs = m.coaction @ m.action
     if m.chirality == "left-right":
-        # (h.m)_(0) (x) (h.m)_(1) = h_(2).m_(0) (x) h_(3) m_(1) S(h_(1))
-        rhs = apply_on_leg(h.delta, [d, md], 0)                       # (h1, h2, m)
-        rhs = apply_on_leg(h.delta, [d, d, md], 0) @ rhs              # (h1, h2, h3, m)
-        rhs = apply_on_leg(m.coaction, [d, d, d, md], 3) @ rhs        # (h1, h2, h3, m0, m1)
-        rhs = permutation_matrix([d, d, d, md, d], [1, 3, 2, 4, 0], f) @ rhs
-        # (h2, m0, h3, m1, h1)
-        rhs = apply_on_leg(m.action, [d, md, d, d, d], 0, 2) @ rhs    # (m', h3, m1, h1)
-        rhs = apply_on_leg(h.antipode, [md, d, d, d], 3) @ rhs
-        rhs = apply_on_leg(h.mu, [md, d, d, d], 1, 2) @ rhs           # (m', h3 m1, S h1)
-        rhs = apply_on_leg(h.mu, [md, d, d], 1, 2) @ rhs              # (m', h3 m1 S h1)
+        # (h.m)_(0) (x) (h.m)_(1) = h_(2).m_(0) (x) h_(3) m_(1) S(h_(1)):
+        # (h1, h2, h3, m0, m1) -> (h2, m0, h3, m1, h1) -> (m', h3, m1, S h1) -> (m', h3 m1 S h1)
+        rhs = LegChain([d, md], f).leg(h.delta, 0, 1, [d, d]).leg(h.delta, 0, 1, [d, d]) \
+            .leg(m.coaction, 3, 1, [md, d]).perm([1, 3, 2, 4, 0]).leg(m.action, 0, 2) \
+            .leg(h.antipode, 3).leg(h.mu, 1, 2).leg(h.mu, 1, 2).matrix()
         dims = [d, md]
     else:
-        # (m.h)_(-1) (x) (m.h)_(0) = S(h_(3)) m_(-1) h_(1) (x) m_(0) h_(2)
-        rhs = apply_on_leg(h.delta, [md, d], 1)                       # (m, h1, h2)
-        rhs = apply_on_leg(h.delta, [md, d, d], 1) @ rhs              # (m, h1, h2, h3)
-        rhs = apply_on_leg(m.coaction, [md, d, d, d], 0) @ rhs        # (m-1, m0, h1, h2, h3)
-        rhs = permutation_matrix([d, md, d, d, d], [4, 0, 2, 1, 3], f) @ rhs
-        # (h3, m-1, h1, m0, h2)
-        rhs = apply_on_leg(h.antipode, [d, d, d, md, d], 0) @ rhs
-        rhs = apply_on_leg(h.mu, [d, d, d, md, d], 0, 2) @ rhs        # (S(h3) m-1, h1, m0, h2)
-        rhs = apply_on_leg(h.mu, [d, d, md, d], 0, 2) @ rhs           # (S(h3) m-1 h1, m0, h2)
-        rhs = apply_on_leg(m.action, [d, md, d], 1, 2) @ rhs          # (S(h3) m-1 h1, m0 h2)
+        # (m.h)_(-1) (x) (m.h)_(0) = S(h_(3)) m_(-1) h_(1) (x) m_(0) h_(2):
+        # (m-1, m0, h1, h2, h3) -> (h3, m-1, h1, m0, h2) -> (S(h3) m-1 h1, m0 h2)
+        rhs = LegChain([md, d], f).leg(h.delta, 1, 1, [d, d]).leg(h.delta, 1, 1, [d, d]) \
+            .leg(m.coaction, 0, 1, [d, md]).perm([4, 0, 2, 1, 3]).leg(h.antipode, 0) \
+            .leg(h.mu, 0, 2).leg(h.mu, 0, 2).leg(m.action, 1, 2).matrix()
         dims = [md, d]
     checks = [_compare("anti-Yetter-Drinfeld compatibility", lhs, rhs, dims, m)]
     return ValidationReport(checks)
@@ -173,12 +163,8 @@ def ad_module(h):
     """ad(H): H with the adjoint action h |> h' = h_(2) h' S(h_(1)) and
     coaction the comultiplication.  Rejected loudly if the checkers fail."""
     d = h.dim
-    x, dims = leg_map(h.delta, SparseMatrix.identity(d * d, h.field), [d, d], 0,
-                      out_dims=[d, d])                  # (h1, h2, h')
-    x, dims = leg_map(h.antipode, x, dims, 0)
-    x, dims = permute_legs(x, dims, [1, 2, 0])           # (h2, h', S h1)
-    x, dims = leg_map(h.mu, x, dims, 0, 2)
-    action = leg_map(h.mu, x, dims, 0, 2)[0]
+    action = LegChain([d, d], h.field).leg(h.delta, 0, 1, [d, d]).leg(h.antipode, 0) \
+        .perm([1, 2, 0]).leg(h.mu, 0, 2).leg(h.mu, 0, 2).matrix()  # (h2, h', S h1)
     m = SaydModule(h, "left-right", action, h.delta, name=f"ad({h.name})")
     rep = validate_sayd(m)
     if not rep.ok:
@@ -195,16 +181,11 @@ def coad_module(h):
     object of a comodule subalgebra equalizes against.
     """
     d = h.dim
-    x, dims = leg_map(h.delta, h.ident(), [d], 0, out_dims=[d, d])
-    x, dims = leg_map(h.delta, x, dims, 1, out_dims=[d, d])      # (h1, h2, h3)
-    # S(h3) h1 (x) h2
-    y, ydims = leg_map(h.antipode, x, dims, 2)
-    y, ydims = permute_legs(y, ydims, [2, 0, 1])
-    coaction = leg_map(h.mu, y, ydims, 0, 2)[0]
-    # h2 (x) h3 S(h1)
-    y, ydims = leg_map(h.antipode, x, dims, 0)
-    y, ydims = permute_legs(y, ydims, [1, 2, 0])
-    cotensor = leg_map(h.mu, y, ydims, 1, 2)[0]
+    split = LegChain([d], h.field).leg(h.delta, 0, 1, [d, d]).leg(h.delta, 1, 1, [d, d])
+    # (h1, h2, h3) -> S(h3) h1 (x) h2
+    coaction = split.leg(h.antipode, 2).perm([2, 0, 1]).leg(h.mu, 0, 2).matrix()
+    # (h1, h2, h3) -> h2 (x) h3 S(h1)
+    cotensor = split.leg(h.antipode, 0).perm([1, 2, 0]).leg(h.mu, 1, 2).matrix()
     m = SaydModule(h, "right-left", h.mu, coaction, name=f"coad({h.name})",
                    operator_action=h.mu, cotensor_coaction=cotensor)
     rep = validate_sayd(m)
@@ -229,9 +210,7 @@ def adjoint_action_identity_ok(h, ad=None):
     d, f = h.dim, h.field
     if ad is None:
         ad = ad_module(h)
-    # build (h, h') -> h_(2) |> (h' h_(1)) step by step on legs (h, h')
-    step = apply_on_leg(h.delta, [d, d], 0)                 # (h1, h2, h')
-    step = permutation_matrix([d, d, d], [1, 2, 0], f) @ step  # (h2, h', h1)
-    step = apply_on_leg(h.mu, [d, d, d], 1, 2) @ step       # (h2, h' h1)
-    lhs = ad.action @ step
+    # (h, h') -> (h1, h2, h') -> (h2, h', h1) -> (h2, h' h1), then the action
+    step = LegChain([d, d], f).leg(h.delta, 0, 1, [d, d]).perm([1, 2, 0]).leg(h.mu, 1, 2)
+    lhs = ad.action @ step.matrix()
     return lhs == h.mu

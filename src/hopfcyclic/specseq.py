@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclic import diagonal_action
-from .hopf import AxiomCheck
+from .hopf import AxiomCheck, _link
 from .linalg import (
+    LegChain,
     NotWellDefined,
     SparseMatrix,
     apply_on_leg,
@@ -568,10 +569,7 @@ def hochschild_tor_check(h, hh_dims, n_upto=3, ad=None):
 def _twist_invertible(h):
     """n (x) h -> n S(h_(1)) (x) h_(2) on N = H with right multiplication,
     with explicit inverse n (x) h -> n h_(1) (x) h_(2)."""
-    d, f = h.dim, h.field
-    dims = [d, d]
-    fwd = apply_on_leg(h.mu, [d, d, d], 0, 2) \
-        @ apply_on_leg(h.antipode, [d, d, d], 1) \
-        @ apply_on_leg(h.delta, dims, 1)
-    bwd = apply_on_leg(h.mu, [d, d, d], 0, 2) @ apply_on_leg(h.delta, dims, 1)
+    d = h.dim
+    fwd = _link(h)
+    bwd = LegChain([d, d], h.field).leg(h.delta, 1, 1, [d, d]).leg(h.mu, 0, 2).matrix()
     return (fwd @ bwd).is_identity() and (bwd @ fwd).is_identity()

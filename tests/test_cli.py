@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from hopfcyclic.cli import run
 
 
@@ -214,18 +216,44 @@ def test_subalgebra_without_one_exit_two(tmp_path):
                                   "--subalgebra file: subalgebra does not contain 1")
 
 
-def test_broken_hopf_file_is_not_blamed_on_a_good_ideal_file(tmp_path):
-    # g.g = e + g is not associative; the zero ideal meets every hypothesis,
-    # and it is the induced structure on H/0 = H that fails
+def _broken_kc2_spec():
+    # g.g = e + g: Delta and eps are no longer algebra maps
     spec = _kc2_spec()
     spec["mult"].append([1, 1, 1, "1"])
+    return spec
+
+
+def test_broken_hopf_file_is_not_blamed_on_a_good_ideal_file(tmp_path):
+    # the zero ideal meets every hypothesis; the Hopf file is what is broken
     hopf_path, ideal_path = tmp_path / "hopf.json", tmp_path / "ideal.json"
-    hopf_path.write_text(json.dumps(spec))
+    hopf_path.write_text(json.dumps(_broken_kc2_spec()))
     ideal_path.write_text(json.dumps({"generators": [["0", "0"]]}))
     for command in ("galois", "homology"):
         code, text = run([command, str(hopf_path), "--ideal", str(ideal_path)])
-        assert code == 1, (command, text)
-        assert "--ideal file" not in text and "construction" in text, text
+        assert code == 2, (command, text)
+        assert "--ideal file" not in text and "bad Hopf algebra file" in text, text
+
+
+@pytest.mark.parametrize("argv", [["galois"], ["homology", "--max-degree", "1"],
+                                  ["isocheck", "--theorem", "3.4", "--max-degree", "1"],
+                                  ["tor", "--max-degree", "1"], ["spectral"]],
+                         ids=lambda a: a[0])
+def test_hopf_file_breaking_an_axiom_exits_two_naming_it(tmp_path, argv):
+    # was exit 1: "construction [FAIL] right action is not a module coalgebra structure"
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_broken_kc2_spec()))
+    code, text = run([argv[0], str(path)] + argv[1:])
+    assert code == 2, text
+    assert "axiom 'comultiplication is an algebra map' fails (witness (g, g))" in text, text
+    assert "Traceback" not in text
+
+
+def test_validate_reports_a_broken_axiom_as_a_failed_check(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_broken_kc2_spec()))
+    code, text = run(["validate", str(path)])
+    assert code == 1
+    assert "comultiplication is an algebra map" in text and "bad Hopf algebra file" not in text
 
 
 def test_galois_translation_map_failure_is_reported(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hopfcyclic.cyclic import (
@@ -8,7 +10,6 @@ from hopfcyclic.cyclic import (
     coextension_space,
     cyclic_dual,
     cyclic_homology,
-    cyclic_modules_equal,
     hochschild_homology,
     hopf_cocyclic_coalgebra,
     hopf_cyclic_coalgebra,
@@ -16,8 +17,6 @@ from hopfcyclic.cyclic import (
     hopf_cyclic_spaces,
     relative_cyclic,
     relative_cocyclic_coext,
-    with_replaced_cyclic,
-    with_replaced_face,
 )
 from hopfcyclic.hopf import (
     commutator_quotient,
@@ -28,6 +27,7 @@ from hopfcyclic.hopf import (
 )
 from hopfcyclic.linalg import (
     QQ,
+    LegChain,
     NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
@@ -43,6 +43,11 @@ from hopfcyclic.sayd import ad_module, coad_module, trivial_sayd
 HH_H4 = [2, 1, 1, 1]
 HC_KC2 = [2, 0, 2]
 HC_H4 = [2, 1, 2]
+
+
+def cyclic_modules_equal(a, b):
+    """Spaces assumed shared; compares every operator matrix."""
+    return a.n_max == b.n_max and a.t == b.t and a.d == b.d and a.s == b.s
 
 
 def trivial_quotient(h):
@@ -191,11 +196,11 @@ def test_mutant_cyclic_operator_fails():
     s = builtin_setup("kC2/k")
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)
     # t -> t^2 still satisfies t^{n+1} = id but breaks the s/t compatibilities
-    mutant = with_replaced_cyclic(cm, 1, cm.t[1] @ cm.t[1])
+    mutant = replace(cm, t={**cm.t, 1: cm.t[1] @ cm.t[1]})
     rep = check_identities(mutant)
     assert not rep.ok
     # a rescaled rotation fails the torsion identity itself
-    scaled = with_replaced_cyclic(cm, 1, cm.t[1].scale(QQ.from_int(2)))
+    scaled = replace(cm, t={**cm.t, 1: cm.t[1].scale(QQ.from_int(2))})
     rep2 = check_identities(scaled)
     assert any("t^2 = id @ 1" in c.name for c in rep2.failures())
 
@@ -204,7 +209,7 @@ def test_mutant_face_fails():
     s = builtin_setup("kC2/k")
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)
     zero = SparseMatrix.zeros(cm.spaces[0].dim, cm.spaces[1].dim, QQ)
-    mutant = with_replaced_face(cm, 1, 0, zero)
+    mutant = replace(cm, d={**cm.d, (1, 0): zero})
     assert not check_identities(mutant).ok
 
 
@@ -218,17 +223,35 @@ def test_maps_breaking_the_b_relations_do_not_descend():
     tp2, tp3 = tensor_power_over_b(h, b, 2), tensor_power_over_b(h, b, 3)
     cq2, cq3 = commutator_quotient(h, b, tp2, 2), commutator_quotient(h, b, tp3, 3)
     swap = permutation_matrix([d, d], [1, 0], f)
-    face = apply_on_leg(h.mu, dims, 0, 2)                   # x y (x) z
-    swapped_face = apply_on_leg(h.mu @ swap, dims, 0, 2)    # y x (x) z
-    past = permutation_matrix(dims, [1, 0, 2], f)           # y (x) x (x) z
-    for dom, cod in ((tp3, tp2), (cq3, cq2)):
-        assert dom.rel_kind == cod.rel_kind == "kernel"
-        induced_map(face, dom, cod)
-        with pytest.raises(NotWellDefined, match="relations not preserved"):
-            induced_map(swapped_face, dom, cod)
-    for space in (tp3, cq3):
-        with pytest.raises(NotWellDefined, match="relations not preserved"):
-            induced_map(past, space, space)
+    assembled = (apply_on_leg(h.mu, dims, 0, 2),                 # x y (x) z
+                 apply_on_leg(h.mu @ swap, dims, 0, 2),          # y x (x) z
+                 permutation_matrix(dims, [1, 0, 2], f))         # y (x) x (x) z
+    legs = LegChain(dims, f)
+    chains = (legs.leg(h.mu, 0, 2), legs.perm([1, 0, 2]).leg(h.mu, 0, 2), legs.perm([1, 0, 2]))
+    for face, swapped_face, past in (assembled, chains):
+        for dom, cod in ((tp3, tp2), (cq3, cq2)):
+            assert dom.rel_kind == cod.rel_kind == "kernel"
+            induced_map(face, dom, cod)
+            with pytest.raises(NotWellDefined, match="relations not preserved"):
+                induced_map(swapped_face, dom, cod)
+        for space in (tp3, cq3):
+            with pytest.raises(NotWellDefined, match="relations not preserved"):
+                induced_map(past, space, space)
+
+
+def test_chain_leaving_a_coextension_space_does_not_restrict():
+    # (D box_C D)^C is an explicit subspace: the rotation restricts to it,
+    # the antipode on one leg does not
+    s = builtin_setup("kS3/kC2")
+    h, f = s.hopf, s.hopf.field
+    d = h.dim
+    space = coextension_space(h, s.quotient, 2)
+    assert space.rel_kind == "explicit" and space.rel_cols.cols == 0
+    legs = LegChain([d, d], f)
+    induced_map(legs.perm([1, 0]), space, space)
+    for bad in (legs.leg(h.antipode, 0), apply_on_leg(h.antipode, [d, d], 0)):
+        with pytest.raises(NotWellDefined, match="image leaves the subspace"):
+            induced_map(bad, space, space)
 
 
 def test_hochschild_kc2_and_ks3():

@@ -8,6 +8,7 @@ from oracle import dense_rank
 from hopfcyclic.linalg import (
     QQ,
     Inconsistent,
+    LegChain,
     NotWellDefined,
     PrimeField,
     ShapeMismatch,
@@ -330,6 +331,42 @@ def test_leg_map_and_permute_legs_match_full_ambient(field):
         leg_map(SparseMatrix.identity(2, field), SparseMatrix.identity(6, field), [2, 3], 1)
     with pytest.raises(ShapeMismatch):
         permute_legs(SparseMatrix.identity(6, field), [2, 3], [0, 0])
+
+    # random chains against the product of their assembled factors
+    seen = {"arity 0": 0, "arity 1": 0, "arity 2": 0, "out_dims []": 0,
+            "multi-leg out_dims": 0, "perm": 0}
+    for k in range(120):
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        chain, want, cur = LegChain(dims, field), SparseMatrix.identity(tensor_dim(dims), field), dims
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                perm = list(range(len(cur)))
+                rng.shuffle(perm)
+                chain = chain.perm(perm)
+                want = permutation_matrix(cur, perm, field) @ want
+                cur = [cur[p] for p in perm]
+                seen["perm"] += 1
+                continue
+            pos = rng.randrange(len(cur) + 1)
+            arity = rng.randint(0, min(2, len(cur) - pos))
+            out_dims = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+            op = _random_mixed(rng, tensor_dim(out_dims), tensor_dim(cur[pos:pos + arity]),
+                               field, rng.choice([0.3, 0.7]))
+            chain = chain.leg(op, pos, arity, out_dims)
+            want = apply_on_leg(op, cur, pos, arity) @ want
+            cur = cur[:pos] + out_dims + cur[pos + arity:]
+            seen[f"arity {arity}"] += 1
+            seen["out_dims []"] += not out_dims
+            seen["multi-leg out_dims"] += len(out_dims) > 1
+        x = _random_mixed(rng, tensor_dim(dims), rng.randint(0, 4), field, 0.5)
+        assert (chain.rows, chain.cols) == (want.rows, want.cols) and chain.dims == cur
+        got = chain @ x
+        assert got == want @ x and (got.rows, got.cols) == (want.rows, x.cols)
+        _assert_clean(got, field)
+        assert chain.matrix() == want
+    assert min(seen.values()) >= 10, seen
+    with pytest.raises(ShapeMismatch):
+        LegChain([2, 3], field) @ SparseMatrix.identity(5, field)
 
 
 def test_q_integral_fraction_equals_int_and_cancels():
