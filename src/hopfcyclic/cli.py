@@ -62,7 +62,7 @@ from .iso import (
     module_coalgebra_transform,
     normal_quotient_comparison,
 )
-from .linalg import NotWellDefined, PrimeField, QQ, span_contains
+from .linalg import LinAlgError, PrimeField, QQ, span_contains
 from .loaders import InputError, load_group_file, load_hopf_file, load_ideal_file
 from .report import Report
 from .sayd import ad_module, coad_module, validate_sayd
@@ -70,7 +70,7 @@ from .specseq import (
     ad_left_module,
     five_term_check,
     hochschild_tor_check,
-    right_module_k,
+    module_k,
     theorem_check,
     tor_dims,
 )
@@ -216,7 +216,7 @@ def cmd_tor(args, field):
     n = _clamp_degree(args.max_degree)
     rep = Report("tor", {"hopf": args.hopf, "max_degree": n, "field": field.name})
     h = _resolve_hopf(args.hopf, field)
-    dims = tor_dims(h, right_module_k(h), ad_left_module(h), n)
+    dims = tor_dims(h, module_k(h), ad_left_module(h), n)
     rep.tables["tor_k_ad"] = {f"degree {k}": dims[k] for k in range(len(dims))}
     rep.add_check("computed", True)
     return rep
@@ -447,7 +447,7 @@ def run(argv):
         report = COMMANDS[args.command](args, field)
     except (InputError, FileNotFoundError, GroupError) as exc:
         report = Report(args.command, error=str(exc))
-    except (HopfError, NotWellDefined) as exc:
+    except (HopfError, LinAlgError) as exc:
         report = Report(args.command)
         report.add_check("construction", False, str(exc))
     elapsed = time.monotonic() - start

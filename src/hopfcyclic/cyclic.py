@@ -32,8 +32,11 @@ from .linalg import (
     NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
+    alternating_sum,
     apply_on_leg,
+    block_matrix,
     equalizer,
+    homology_dims,
     induced_map,
     inverse,
     kernel,
@@ -519,13 +522,7 @@ def boundary(cm, n):
     """Hochschild boundary b = sum (-1)^i d_i in degree n."""
     if n < 1 or n > cm.n_max:
         raise TruncationError(f"boundary degree {n} outside 1..{cm.n_max}")
-    f = cm.t[0].field
-    acc = cm.d[(n, 0)]
-    sign = f.one
-    for i in range(1, n + 1):
-        sign = f.neg(sign)
-        acc = acc + cm.d[(n, i)].scale(sign)
-    return acc
+    return alternating_sum(cm.d[(n, i)] for i in range(n + 1))
 
 
 def hochschild_homology(cm, upto=None):
@@ -538,11 +535,7 @@ def hochschild_homology(cm, upto=None):
     for n in range(2, upto + 2):
         if not (bs[n - 1] @ bs[n]).is_zero_matrix():
             raise NotWellDefined("b^2 != 0")
-    dims = []
-    for n in range(upto + 1):
-        cyc = cm.spaces[n].dim - (bs[n].rank() if n >= 1 else 0)
-        dims.append(cyc - bs[n + 1].rank())
-    return dims
+    return homology_dims(cm.dims(), bs, upto)
 
 
 def connes_boundary(cm, n):
@@ -601,38 +594,20 @@ def cyclic_homology(cm, upto=None):
     if upto > cm.n_max - 2:
         raise TruncationError(f"HC trusted only up to degree {cm.n_max - 2}")
     nspaces, nb, nB = normalized_complex(cm)
-    f = cm.t[0].field
 
     def blocks(n):
-        return [n - 2 * p for p in range(n // 2 + 1) if n - 2 * p >= 0]
+        """{q: dim} over the columns q = n, n - 2, ... of Tot_n."""
+        return {q: nspaces[q].dim for q in range(n, -1, -2)}
 
     def total_map(n):
         src, tgt = blocks(n), blocks(n - 1)
-        tgt_off = {}
-        off = 0
-        for q in tgt:
-            tgt_off[q] = off
-            off += nspaces[q].dim
-        height = off
-        pieces = []
+        parts = {}
         for q in src:
-            data = {}
-            if q >= 1 and q - 1 in tgt_off:
-                o = tgt_off[q - 1]
-                for (r, cc), v in nb[q].data.items():
-                    data[(o + r, cc)] = v
-            if q + 1 in tgt_off:
-                o = tgt_off[q + 1]
-                for (r, cc), v in nB[q].data.items():
-                    key = (o + r, cc)
-                    data[key] = f.add(data.get(key, f.zero), v)
-            pieces.append(SparseMatrix(height, nspaces[q].dim, f, data))
-        return SparseMatrix.hstack(pieces)
+            if q - 1 in tgt:
+                parts[(q - 1, q)] = nb[q]
+            if q + 1 in tgt:
+                parts[(q + 1, q)] = nB[q]
+        return block_matrix(tgt, src, parts, cm.t[0].field)
 
-    dims = []
-    for n in range(upto + 1):
-        tot_dim = sum(nspaces[q].dim for q in blocks(n))
-        rank_out = total_map(n).rank() if n >= 1 else 0
-        rank_in = total_map(n + 1).rank()
-        dims.append(tot_dim - rank_out - rank_in)
-    return dims
+    tot = {n: total_map(n) for n in range(1, upto + 2)}
+    return homology_dims([sum(blocks(n).values()) for n in range(upto + 1)], tot, upto)

@@ -228,7 +228,6 @@ def symmetric_group(n):
 def quaternion_group():
     # order: 1, -1, i, -i, j, -j, k, -k
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
 
     def unit_mul(a, b):
         tbl = {

@@ -42,6 +42,7 @@ from .linalg import (
     span_columns,
     span_contains,
     tensor_index,
+    tensor_unindex,
 )
 
 
@@ -162,14 +163,8 @@ class HopfAlgebra:
             if lhs == rhs:
                 checks.append(AxiomCheck(name, True))
             else:
-                diff = lhs - rhs
-                key = min(diff.data)
-                col = key[1]
-                tup = []
-                for dd in reversed(dims):
-                    tup.append(col % dd)
-                    col //= dd
-                witness = ", ".join(self.basis[t] for t in reversed(tup))
+                col = min((lhs - rhs).data)[1]
+                witness = ", ".join(self.basis[t] for t in tensor_unindex(dims, col))
                 checks.append(AxiomCheck(name, False, f"({witness})"))
 
         check("associativity",
@@ -297,7 +292,7 @@ class QuotientModuleCoalgebra:
         self.dim = space.dim
         h = parent
         d, c, f = h.dim, self.dim, h.field
-        p, s = space.projection, space.section
+        p = space.projection
         # induced coalgebra structure: descent checks are the coideal property
         self.delta_c = induced_map(p.kron(p) @ h.delta, space, SubquotientSpace.full(c * c, f))
         self.eps_c = induced_map(h.eps, space, SubquotientSpace.full(1, f))
@@ -352,7 +347,7 @@ def quotient_module_coalgebra(h, generator_cols):
     check the coideal conditions (saturating the coalgebra side would
     silently change I, so it is checked, not forced)."""
     ideal = right_ideal_closure(h, generator_cols)
-    d, f = h.dim, h.field
+    d = h.dim
     if ideal.dim:
         if not (h.eps @ ideal.section).is_zero_matrix():
             raise HypothesisError("ideal is not contained in the kernel of the counit")

@@ -746,6 +746,56 @@ def homology_space(out_map, in_map):
     return z.then(q)
 
 
+def alternating_sum(terms):
+    """terms[0] - terms[1] + terms[2] - ...: every boundary is the signed sum
+    of its faces.  ``terms`` may be a generator, so that only the running
+    sum and one face are held at a time."""
+    acc = None
+    for i, term in enumerate(terms):
+        if i % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def block_matrix(row_dims, col_dims, blocks, field):
+    """The matrix whose block (r, c) is ``blocks[(r, c)]``, zero elsewhere.
+
+    ``row_dims`` and ``col_dims`` map block labels, in order, to sizes, which
+    fix the offsets.  Entries are placed in the order of ``blocks``: the
+    cost of an elimination depends on that order, not only on the entries.
+    """
+    def offsets(dims):
+        out, off = {}, 0
+        for label, size in dims.items():
+            out[label] = off
+            off += size
+        return out, off
+
+    row_off, rows = offsets(row_dims)
+    col_off, cols = offsets(col_dims)
+    data = {}
+    for (r, c), block in blocks.items():
+        if (block.rows, block.cols) != (row_dims[r], col_dims[c]):
+            raise ShapeMismatch(f"block ({r}, {c}) is {block.rows}x{block.cols}, "
+                                f"not {row_dims[r]}x{col_dims[c]}")
+        ro, co = row_off[r], col_off[c]
+        for (i, j), v in block.data.items():
+            data[(ro + i, co + j)] = v
+    return SparseMatrix(rows, cols, field, data)
+
+
+def homology_dims(dims, d, upto):
+    """dims[n] - rank d[n] - rank d[n + 1] for n <= upto: the homology of a
+    complex with boundaries d[n]: C_n -> C_{n-1}, where a missing d[n]
+    counts as zero.  Each matrix caches its rank, so each is eliminated once.
+    """
+    def rank(n):
+        return d[n].rank() if n in d else 0
+
+    return [dims[n] - rank(n) - rank(n + 1) for n in range(upto + 1)]
+
+
 def solve(a, b):
     """A particular solution X of a @ X = b (free variables set to zero)."""
     if a.rows != b.rows:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import AxiomCheck, HopfError, ValidationReport
-from .linalg import LegChain, SparseMatrix, apply_on_leg, permutation_matrix
+from .linalg import LegChain, SparseMatrix, apply_on_leg, permutation_matrix, tensor_unindex
 
 
 class SaydError(HopfError):
@@ -117,20 +117,15 @@ def check_ayd(m):
             .leg(m.coaction, 0, 1, [d, md]).perm([4, 0, 2, 1, 3]).leg(h.antipode, 0) \
             .leg(h.mu, 0, 2).leg(h.mu, 0, 2).leg(m.action, 1, 2).matrix()
         dims = [md, d]
-    checks = [_compare("anti-Yetter-Drinfeld compatibility", lhs, rhs, dims, m)]
+    checks = [_compare("anti-Yetter-Drinfeld compatibility", lhs, rhs, dims)]
     return ValidationReport(checks)
 
 
-def _compare(name, lhs, rhs, dims, m):
+def _compare(name, lhs, rhs, dims):
     if lhs == rhs:
         return AxiomCheck(name, True)
-    diff = lhs - rhs
-    col = min(diff.data)[1]
-    tup = []
-    for dd in reversed(dims):
-        tup.append(col % dd)
-        col //= dd
-    return AxiomCheck(name, False, f"basis pair {tuple(reversed(tup))}")
+    col = min((lhs - rhs).data)[1]
+    return AxiomCheck(name, False, f"basis pair {tensor_unindex(dims, col)}")
 
 
 def check_stable(m):
@@ -144,7 +139,7 @@ def check_stable(m):
     else:
         swap = permutation_matrix([d, md], [1, 0], f)
         composite = m.action @ swap @ m.coaction
-    checks = [_compare("stability", composite, ident, [md], m)]
+    checks = [_compare("stability", composite, ident, [md])]
     return ValidationReport(checks)
 
 

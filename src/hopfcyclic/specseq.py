@@ -20,7 +20,10 @@ from .linalg import (
     LegChain,
     NotWellDefined,
     SparseMatrix,
+    alternating_sum,
     apply_on_leg,
+    block_matrix,
+    homology_dims,
     homology_space,
     induced_map,
     kernel,
@@ -45,94 +48,50 @@ class ChainComplex:
             if n + 1 in self.d and not (self.d[n] @ self.d[n + 1]).is_zero_matrix():
                 raise NotWellDefined(f"d^2 != 0 at degree {n + 1}")
 
-    @property
-    def length(self):
-        return len(self.dims) - 1
-
     def homology_dims(self, upto):
-        out = []
-        for n in range(upto + 1):
-            cyc = self.dims[n] - (self.d[n].rank() if n in self.d else 0)
-            out.append(cyc - (self.d[n + 1].rank() if n + 1 in self.d else 0))
-        return out
+        return homology_dims(self.dims, self.d, upto)
 
 
-def left_module_k(h):
-    """k as a left H-module through the counit."""
+def module_k(h):
+    """k as a left or right H-module through the counit."""
     return 1, h.eps
 
 
-def right_module_k(h):
-    return 1, h.eps
-
-
-def bar_differential(h, act, mdim, q):
-    """d: H^{(x) q} (x) M part of the bar complex B_q = H^{(x) q+1} (x) M.
-
-    Faces multiply adjacent H-legs; the last face pushes into the module.
-    """
-    d = h.dim
-    f = h.field
-    dims = [d] * (q + 1) + [mdim]
-    acc = None
-    sign = f.one
-    for i in range(q):
-        term = apply_on_leg(h.mu, dims, i, 2).scale(sign)
-        acc = term if acc is None else acc + term
-        sign = f.neg(sign)
-    acc_last = apply_on_leg(act, dims, q, 2).scale(sign)
-    return acc_last if acc is None else acc + acc_last
-
-
-def bar_resolution(h, module, length):
-    """The bar resolution of a left H-module by free modules, with the
-    exactness of the augmented complex checked degree by degree."""
-    mdim, act = module
-    d, f = h.dim, h.field
-    dims = [d ** (q + 1) * mdim for q in range(length + 1)]
-    diffs = {q: bar_differential(h, act, mdim, q) for q in range(1, length + 1)}
-    cc = ChainComplex(dims, diffs)
-    aug = act
-    if not (aug @ diffs[1]).is_zero_matrix():
-        raise NotWellDefined("augmentation does not kill boundaries")
-    if aug.rank() != mdim:
-        raise NotWellDefined("augmentation is not surjective")
-    if kernel(aug).dim != diffs[1].rank():
-        raise NotWellDefined("bar resolution not exact at degree 0")
-    for q in range(1, length):
-        if dims[q] - diffs[q].rank() - diffs[q + 1].rank() != 0:
-            raise NotWellDefined(f"bar resolution not exact at degree {q}")
-    return cc
+def bar_boundary(h, consume, ndim, mact, mdim, q):
+    """The bar boundary N (x) H^{(x) q} (x) M -> N (x) H^{(x) q-1} (x) M
+    (Mac Lane, *Homology*, X.2): the first face acts on N by ``consume``
+    (N (x) H -> N), the middle faces multiply adjacent H-legs, and the last
+    face acts on M by ``mact`` (H (x) M -> M)."""
+    legdims = [ndim] + [h.dim] * q + [mdim]
+    faces = [consume] + [h.mu] * (q - 1) + [mact]
+    return alternating_sum(apply_on_leg(op, legdims, i, 2) for i, op in enumerate(faces))
 
 
 def tor_complex(h, nmod, mmod, length):
     """N (x)_H bar(M) collapsed along the freeness of the bar terms:
     T_q = N (x) H^{(x) q} (x) M."""
-    ndim, nact = nmod
-    mdim, mact = mmod
-    d, f = h.dim, h.field
-    dims = {}
-    diffs = {}
-    for q in range(length + 1):
-        dims[q] = ndim * d ** q * mdim
-    consume = _right_action_consuming(h, nmod)
-    for q in range(1, length + 1):
-        legdims = [ndim] + [d] * q + [mdim]
-        sign = f.one
-        acc = apply_on_leg(consume, legdims, 0, 2)
-        for i in range(1, q):
-            sign = f.neg(sign)
-            acc = acc + apply_on_leg(h.mu, legdims, i, 2).scale(sign)
-        sign = f.neg(sign)
-        acc = acc + apply_on_leg(mact, legdims, q, 2).scale(sign)
-        diffs[q] = acc
-    return ChainComplex([dims[q] for q in range(length + 1)], diffs)
+    (ndim, nact), (mdim, mact) = nmod, mmod
+    dims = [ndim * h.dim ** q * mdim for q in range(length + 1)]
+    diffs = {q: bar_boundary(h, nact, ndim, mact, mdim, q) for q in range(1, length + 1)}
+    return ChainComplex(dims, diffs)
 
 
-def _right_action_consuming(h, nmod):
-    """N (x) H -> N as a matrix, from the right action data."""
-    ndim, nact = nmod
-    return nact
+def bar_resolution(h, module, length):
+    """The bar resolution H^{(x) q+1} (x) M of a left H-module M by free
+    modules, which is the Tor complex with N = H acting on itself, with the
+    exactness of the augmented complex checked degree by degree."""
+    mdim, aug = module
+    cc = tor_complex(h, (h.dim, h.mu), module, length)
+    if not (aug @ cc.d[1]).is_zero_matrix():
+        raise NotWellDefined("augmentation does not kill boundaries")
+    if aug.rank() != mdim:
+        raise NotWellDefined("augmentation is not surjective")
+    if kernel(aug).dim != cc.d[1].rank():
+        raise NotWellDefined("bar resolution not exact at degree 0")
+    for q, dim in enumerate(cc.homology_dims(length - 1)):
+        if q and dim:
+            raise NotWellDefined(f"bar resolution not exact at degree {q}")
+    return cc
 
 
 def tor_dims(h, nmod, mmod, upto):
@@ -173,23 +132,11 @@ class ExtensionDoubleComplex:
     def dim(self, p, q):
         return self.c.dim ** (p + 1) * self.h.dim ** q * self.mmod[0]
 
-    def _coalgebra_boundary(self, p):
-        """sum (-1)^i (counit at leg i): C^{(x) p+1} -> C^{(x) p}."""
-        c, f = self.c, self.h.field
-        dims = [c.dim] * (p + 1)
-        acc = None
-        sign = f.one
-        for i in range(p + 1):
-            term = apply_on_leg(c.eps_c, dims, i).scale(sign)
-            acc = term if acc is None else acc + term
-            sign = f.neg(sign)
-        return acc
-
     def _check_horizontal_linearity(self):
         """The coalgebra boundary must be a map of right H-modules."""
         gens = self.h.generator_matrix()  # checked on the algebra generators
         for p in range(1, min(self.p_max, 2) + 1):
-            bnd = self._coalgebra_boundary(p)
+            bnd = coalgebra_boundary(self.c, p + 1)
             ident = SparseMatrix.identity(bnd.cols, self.h.field)
             lhs = bnd @ self._diagonal_consume(p) @ ident.kron(gens)
             if not (lhs == diagonal_action(self.c, p) @ bnd.kron(gens)):
@@ -200,7 +147,7 @@ class ExtensionDoubleComplex:
         key = (p, q)
         if key not in self._dh:
             rest = self.h.dim ** q * self.mmod[0]
-            mat = self._coalgebra_boundary(p)
+            mat = coalgebra_boundary(self.c, p + 1)
             ident = SparseMatrix.identity(rest, self.h.field)
             self._dh[key] = mat.kron(ident)
         return self._dh[key]
@@ -215,20 +162,10 @@ class ExtensionDoubleComplex:
         """Vertical differential X_{p,q} -> X_{p,q-1}, sign-twisted by (-1)^p."""
         key = (p, q)
         if key not in self._dv:
-            c, h = self.c, self.h
-            f = h.field
             mdim, mact = self.mmod
-            legdims = [c.dim ** (p + 1)] + [h.dim] * q + [mdim]
-            sign = f.one
-            acc = apply_on_leg(self._diagonal_consume(p), legdims, 0, 2)
-            for i in range(1, q):
-                sign = f.neg(sign)
-                acc = acc + apply_on_leg(h.mu, legdims, i, 2).scale(sign)
-            sign = f.neg(sign)
-            acc = acc + apply_on_leg(mact, legdims, q, 2).scale(sign)
-            if p % 2 == 1:
-                acc = acc.scale(f.neg(f.one))
-            self._dv[key] = acc
+            bnd = bar_boundary(self.h, self._diagonal_consume(p), self.c.dim ** (p + 1),
+                               mact, mdim, q)
+            self._dv[key] = -bnd if p % 2 else bnd
         return self._dv[key]
 
     def validate_square(self, p, q):
@@ -244,6 +181,12 @@ class ExtensionDoubleComplex:
     def validate_instantiated_squares(self):
         for (p, q) in sorted(set(self._dh) & set(self._dv)):
             self.validate_square(p, q)
+
+
+def coalgebra_boundary(c, legs):
+    """sum (-1)^i (counit at leg i): C^{(x) legs} -> C^{(x) legs-1}."""
+    dims = [c.dim] * legs
+    return alternating_sum(apply_on_leg(c.eps_c, dims, i) for i in range(legs))
 
 
 def extension_double_complex(setup, p_max, q_max, ad=None):
@@ -330,70 +273,50 @@ def spectral_pages(dc, up_to_page=2, window=None, transposed=False):
 # total complex
 
 
+def _total_cells(dc, n):
+    """{cell: dim} over the cells (p, n - p) of Tot_n inside the truncation
+    p <= p_max, q <= q_max, in increasing p."""
+    return {(p, n - p): dc.dim(p, n - p)
+            for p in range(min(n, dc.p_max) + 1) if n - p <= dc.q_max}
+
+
 def total_complex_map(dc, n):
-    """d: Tot_n -> Tot_{n-1} over cells with p <= p_max, q <= q_max."""
-    f = dc.h.field
-    src = [(p, n - p) for p in range(min(n, dc.p_max) + 1) if n - p <= dc.q_max]
-    tgt = [(p, n - 1 - p) for p in range(min(n - 1, dc.p_max) + 1) if n - 1 - p <= dc.q_max]
-    tgt_off = {}
-    off = 0
-    for cell in tgt:
-        tgt_off[cell] = off
-        off += dc.dim(*cell)
-    height = off
-    pieces = []
+    """d: Tot_n -> Tot_{n-1}, d_h + d_v on each cell."""
+    src, tgt = _total_cells(dc, n), _total_cells(dc, n - 1)
+    blocks = {}
     for (p, q) in src:
-        data = {}
-        if p >= 1 and (p - 1, q) in tgt_off:
-            o = tgt_off[(p - 1, q)]
-            for (r, cc), v in dc.dh(p, q).data.items():
-                data[(o + r, cc)] = v
-        if q >= 1 and (p, q - 1) in tgt_off:
-            o = tgt_off[(p, q - 1)]
-            for (r, cc), v in dc.dv(p, q).data.items():
-                key = (o + r, cc)
-                data[key] = f.add(data.get(key, f.zero), v)
-        pieces.append(SparseMatrix(height, dc.dim(p, q), f, data))
-    return SparseMatrix.hstack(pieces) if pieces else SparseMatrix.zeros(height, 0, f)
+        if (p - 1, q) in tgt:
+            blocks[((p - 1, q), (p, q))] = dc.dh(p, q)
+        if (p, q - 1) in tgt:
+            blocks[((p, q - 1), (p, q))] = dc.dv(p, q)
+    return block_matrix(tgt, src, blocks, dc.h.field)
+
+
+def _inclusion_into_total(dc, n, cell):
+    """The cell X_cell as a block of Tot_n; its transpose is the projection."""
+    dim = dc.dim(*cell)
+    return block_matrix(_total_cells(dc, n), {cell: dim},
+                        {(cell, cell): SparseMatrix.identity(dim, dc.h.field)}, dc.h.field)
 
 
 def total_homology_dims(dc, upto):
-    dims = []
-    for n in range(upto + 1):
-        tot_dim = sum(
-            dc.dim(p, n - p) for p in range(min(n, dc.p_max) + 1) if n - p <= dc.q_max
-        )
-        rank_out = total_complex_map(dc, n).rank() if n >= 1 else 0
-        rank_in = total_complex_map(dc, n + 1).rank()
-        dims.append(tot_dim - rank_out - rank_in)
-    return dims
+    dims = [sum(_total_cells(dc, n).values()) for n in range(upto + 1)]
+    return homology_dims(dims, {n: total_complex_map(dc, n) for n in range(1, upto + 2)}, upto)
 
 
 def row_contraction_ok(c, p_max):
     """The row complex contracts to k: insert-the-class-of-1 is a homotopy."""
     f = c.parent.field
     for p in range(p_max):
-        dims = [c.dim] * (p + 1)
         hmat = c.onebar.kron(SparseMatrix.identity(c.dim ** (p + 1), f))
-        # boundary on p+1 legs and on p legs
-        def bnd(legs):
-            acc = None
-            sign = f.one
-            for i in range(legs):
-                term = apply_on_leg(c.eps_c, [c.dim] * legs, i).scale(sign)
-                acc = term if acc is None else acc + term
-                sign = f.neg(sign)
-            return acc
-
-        lhs = bnd(p + 2) @ hmat
+        lhs = coalgebra_boundary(c, p + 2) @ hmat
         ident = SparseMatrix.identity(c.dim ** (p + 1), f)
         if p == 0:
-            proj = hmat_aug = c.onebar @ c.eps_c
-            if not (lhs == ident - hmat_aug):
+            if not (lhs == ident - c.onebar @ c.eps_c):
                 return False
         else:
             hmat_prev = c.onebar.kron(SparseMatrix.identity(c.dim ** p, f))
-            if not (lhs + hmat_prev @ bnd(p + 1) == ident):
+            if not (lhs + hmat_prev @ coalgebra_boundary(c, p + 1) == ident):
                 return False
     return True
 
@@ -415,7 +338,7 @@ class SpectralReport:
 def second_page_bottom_row(dc, p_upto):
     """E^2_{p,0} spaces for p <= p_upto (trustworthy up to p_max - 1)."""
     spots = {}
-    return [second_page_spot(dc, p, 0, spots=spots) for p in range(p_upto + 1)], spots
+    return [second_page_spot(dc, p, 0, spots=spots) for p in range(p_upto + 1)]
 
 
 def theorem_check(setup, hh_dims, n_upto=2, p_max=3, q_max=3, ad=None):
@@ -429,14 +352,13 @@ def theorem_check(setup, hh_dims, n_upto=2, p_max=3, q_max=3, ad=None):
     m = ad if ad is not None else ad_module(h)
     dc = extension_double_complex(setup, p_max, q_max, ad=m)
     checks = []
-    bottom, _ = second_page_bottom_row(dc, n_upto)
-    e2_row = [sp.dim for sp in bottom]
+    e2_row = [sp.dim for sp in second_page_bottom_row(dc, n_upto)]
     for n in range(n_upto + 1):
         checks.append(AxiomCheck(
             f"E2[{n},0] = HH_{n}(H|B)", e2_row[n] == hh_dims[n],
             None if e2_row[n] == hh_dims[n] else f"{e2_row[n]} != {hh_dims[n]}"))
     tot = total_homology_dims(dc, n_upto)
-    tor_vals = tor_dims(h, right_module_k(h), ad_left_module(h, m), n_upto)
+    tor_vals = tor_dims(h, module_k(h), ad_left_module(h, m), n_upto)
     for n in range(n_upto + 1):
         checks.append(AxiomCheck(
             f"H_{n}(Tot) = Tor_{n}(k, ad)", tot[n] == tor_vals[n],
@@ -477,20 +399,7 @@ def five_term_check(setup, p_max=3, q_max=3, ad=None):
     h1 = homology_space(total_complex_map(dc, 1), total_complex_map(dc, 2))
     h2 = homology_space(total_complex_map(dc, 2), total_complex_map(dc, 3))
 
-    def component_matrix(n, cell):
-        src = [(p, n - p) for p in range(min(n, dc.p_max) + 1) if n - p <= dc.q_max]
-        off = 0
-        offs = {}
-        for cl in src:
-            offs[cl] = off
-            off += dc.dim(*cl)
-        data = {}
-        o = offs[cell]
-        for r in range(dc.dim(*cell)):
-            data[(r, o + r)] = f.one
-        return SparseMatrix(dc.dim(*cell), off, f, data)
-
-    a = induced_map(component_matrix(2, (2, 0)), h2, e2_20)
+    a = induced_map(_inclusion_into_total(dc, 2, (2, 0)).t(), h2, e2_20)
     # d2 by the zig-zag: lift, move horizontally, solve vertically, move again
     reps = e2_20.section           # columns in X_{2,0}
     w = dc.dh(2, 0) @ reps
@@ -508,7 +417,7 @@ def five_term_check(setup, p_max=3, q_max=3, ad=None):
         if not (e2_01.projection @ out2 == d2):
             raise NotWellDefined("d2 depends on the choice of vertical lift")
     bmap = induced_map(_inclusion_into_total(dc, 1, (0, 1)), e2_01, h1)
-    cmap = induced_map(component_matrix(1, (1, 0)), h1, e2_10)
+    cmap = induced_map(_inclusion_into_total(dc, 1, (1, 0)).t(), h1, e2_10)
 
     def chk(name, cond, detail):
         return AxiomCheck(name, cond, None if cond else detail)
@@ -537,26 +446,11 @@ def five_term_check(setup, p_max=3, q_max=3, ad=None):
     return SpectralReport(checks, tables)
 
 
-def _inclusion_into_total(dc, n, cell):
-    f = dc.h.field
-    src = [(p, n - p) for p in range(min(n, dc.p_max) + 1) if n - p <= dc.q_max]
-    off = 0
-    offs = {}
-    for cl in src:
-        offs[cl] = off
-        off += dc.dim(*cl)
-    data = {}
-    o = offs[cell]
-    for r in range(dc.dim(*cell)):
-        data[(o + r, r)] = f.one
-    return SparseMatrix(off, dc.dim(*cell), f, data)
-
-
 def hochschild_tor_check(h, hh_dims, n_upto=3, ad=None):
     """Degreewise equality of HH(H) and Tor^H(k, ad H), plus the freeness
     twist n (x) h -> n S(h_(1)) (x) h_(2) being invertible."""
     m = ad if ad is not None else ad_module(h)
-    tor_vals = tor_dims(h, right_module_k(h), ad_left_module(h, m), n_upto)
+    tor_vals = tor_dims(h, module_k(h), ad_left_module(h, m), n_upto)
     checks = []
     for n in range(n_upto + 1):
         same = tor_vals[n] == hh_dims[n]

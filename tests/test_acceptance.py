@@ -50,7 +50,7 @@ from hopfcyclic.specseq import (
     ad_left_module,
     five_term_check,
     hochschild_tor_check,
-    right_module_k,
+    module_k,
     theorem_check,
     tor_dims,
 )
@@ -189,7 +189,7 @@ def test_criterion_7_hochschild_equals_tor():
         cm = relative_cyclic(s.hopf, s.subalgebra, 4)
         hh = hochschild_homology(cm)
         assert hh == want, (name, hh)
-        tor_vals = tor_dims(s.hopf, right_module_k(s.hopf),
+        tor_vals = tor_dims(s.hopf, module_k(s.hopf),
                             ad_left_module(s.hopf), 3)
         assert tor_vals == want, (name, tor_vals)
         rep = hochschild_tor_check(s.hopf, hh, 3)

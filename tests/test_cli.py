@@ -256,6 +256,22 @@ def test_validate_reports_a_broken_axiom_as_a_failed_check(tmp_path):
     assert "comultiplication is an algebra map" in text and "bad Hopf algebra file" not in text
 
 
+@pytest.mark.parametrize("error", ["Inconsistent", "ShapeMismatch"])
+def test_linear_algebra_error_is_a_construction_failure(monkeypatch, error):
+    # was an uncaught exception: run() caught only HopfError and NotWellDefined
+    import hopfcyclic.cli as cli
+    import hopfcyclic.linalg as linalg
+
+    def fail(args, field):
+        raise getattr(linalg, error)("solve: system has no solution")
+
+    monkeypatch.setitem(cli.COMMANDS, "tor", fail)
+    code, text = run(["tor", "kC2"])
+    assert code == 1, text
+    assert "[FAIL]" in text and "solve: system has no solution" in text, text
+    assert "Traceback" not in text
+
+
 def test_galois_translation_map_failure_is_reported(monkeypatch):
     # a failing lift check used to escape as a construction failure and lose the report
     import hopfcyclic.cli as cli

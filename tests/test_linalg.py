@@ -14,9 +14,12 @@ from hopfcyclic.linalg import (
     ShapeMismatch,
     SparseMatrix,
     SubquotientSpace,
+    alternating_sum,
     apply_on_leg,
+    block_matrix,
     coequalizer,
     equalizer,
+    homology_dims,
     homology_space,
     induced_map,
     inverse,
@@ -552,6 +555,24 @@ def test_homology_space_with_gap():
     d_in = M([[1], [0]])
     h = homology_space(d_out, d_in)
     assert h.dim == 1
+
+
+def test_alternating_sum_and_homology_dims():
+    a, b, c = M([[1, 2]]), M([[0, 5]]), M([[3, 0]])
+    assert alternating_sum(iter([a, b, c])) == M([[4, -3]])
+    # k --0--> k^2 --onto--> k; a missing d[n] counts as zero
+    d = {1: M([[1, 1]]), 2: SparseMatrix.zeros(2, 1, QQ)}
+    assert homology_dims([1, 2, 1], d, 2) == [0, 1, 1]
+    assert homology_dims([1, 2], {}, 1) == [1, 2]
+
+
+def test_block_matrix_places_blocks_and_rejects_a_wrong_shape():
+    rows, cols = {"x": 1, "y": 2}, {"u": 2, "v": 1}
+    got = block_matrix(rows, cols, {("y", "u"): M([[1, 2], [3, 4]]), ("x", "v"): M([[5]])}, QQ)
+    assert got == M([[0, 0, 5], [1, 2, 0], [3, 4, 0]])
+    assert list(got.data) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 2)]  # in block order
+    with pytest.raises(ShapeMismatch):
+        block_matrix(rows, cols, {("x", "u"): M([[1, 2], [3, 4]])}, QQ)
 
 
 def test_solve_and_inverse():

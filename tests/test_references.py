@@ -11,13 +11,26 @@ import itertools
 
 import pytest
 import sweedler as sw
-from oracle import adjoint_action, cyclic_group_algebra_dense, sweedler_dense
+from oracle import (
+    adjoint_action,
+    cyclic_group_algebra_dense,
+    hochschild_boundary,
+    sweedler_dense,
+    tor_boundary,
+)
 
-from hopfcyclic.cyclic import diagonal_action
-from hopfcyclic.hopf import canonical_map_n, cocanonical_map, tensor_power_over_b, translation_map
+from hopfcyclic.cyclic import boundary, diagonal_action, relative_cyclic
+from hopfcyclic.hopf import (
+    canonical_map_n,
+    cocanonical_map,
+    tensor_power_over_b,
+    translation_map,
+    trivial_subalgebra,
+)
 from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, SubquotientSpace, induced_map
 from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
+from hopfcyclic.specseq import ad_left_module, module_k, tor_complex
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -162,6 +175,31 @@ def test_ad_action_matches_oracle(name, field):
     for i, j in itertools.product(range(h.dim), repeat=2):
         got = {r: v for (r, col), v in action.data.items() if col == i * h.dim + j}
         assert got == values(adjoint_action(alg, i, j)), (i, j)
+
+
+def _oracle_matrix(cols, rows, field):
+    """Dense oracle columns (``Fraction`` entries) as a matrix over ``field``."""
+    data = {}
+    for j, col in enumerate(cols):
+        for i, v in enumerate(col):
+            x = field.from_str(str(v))
+            if not field.is_zero(x):
+                data[(i, j)] = x
+    return SparseMatrix(rows, len(cols), field, data)
+
+
+@fields
+@pytest.mark.parametrize("name", sorted(_ORACLE_ALGEBRAS))
+def test_boundaries_match_oracle(name, field):
+    # matrix for matrix, not only in rank: the Tor bar boundary with k through
+    # the counit and ad H, and the Hochschild boundary of C(H|k)
+    h = builtin_hopf(name, field)
+    alg = _ORACLE_ALGEBRAS[name]()
+    tor = tor_complex(h, module_k(h), ad_left_module(h), 3)
+    cm = relative_cyclic(h, trivial_subalgebra(h), 3)
+    for q in (1, 2, 3):
+        assert tor.d[q] == _oracle_matrix(tor_boundary(alg, q), h.dim ** q, field), q
+        assert boundary(cm, q) == _oracle_matrix(hochschild_boundary(alg, q), h.dim ** q, field), q
 
 
 @fields

@@ -89,7 +89,7 @@ def test_yetter_drinfeld_style_mismatch_fails_ayd():
     m = SaydModule(h, "left-right", h.mu, h.delta, name="mismatch")
     rep = check_ayd(m)
     assert not rep.ok
-    assert rep.failures()[0].witness is not None
+    assert rep.failures()[0].witness == "basis pair (1, 1)"
 
 
 def test_scaled_coaction_breaks_stability():
@@ -98,7 +98,7 @@ def test_scaled_coaction_breaks_stability():
     scaled = SaydModule(h, "left-right", ad.action, ad.coaction.scale(QQ.from_int(2)),
                         name="scaled")
     rep = check_stable(scaled)
-    assert not rep.ok and rep.failures()[0].witness is not None
+    assert not rep.ok and rep.failures()[0].witness == "basis pair (0,)"
 
 
 def test_chirality_shape_guard():

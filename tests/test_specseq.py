@@ -9,8 +9,7 @@ from hopfcyclic.specseq import (
     extension_double_complex,
     five_term_check,
     hochschild_tor_check,
-    left_module_k,
-    right_module_k,
+    module_k,
     ad_left_module,
     row_contraction_ok,
     spectral_pages,
@@ -38,14 +37,14 @@ def test_bar_resolution_trivial_algebra():
     from hopfcyclic.hopf import group_algebra
 
     triv = group_algebra(builtin_group("trivial"))
-    cc = bar_resolution(triv, left_module_k(triv), 3)
+    cc = bar_resolution(triv, module_k(triv), 3)
     assert cc.dims == [1, 1, 1, 1]
     assert cc.homology_dims(2) == [1, 0, 0]
 
 
 def test_bar_resolution_kc2_exact():
     h = builtin_hopf("kC2")
-    cc = bar_resolution(h, left_module_k(h), 4)
+    cc = bar_resolution(h, module_k(h), 4)
     assert cc.dims == [2, 4, 8, 16, 32]
     # exactness was asserted during construction; homology of the
     # unaugmented complex is k in degree 0 only
@@ -54,20 +53,20 @@ def test_bar_resolution_kc2_exact():
 
 def test_bar_resolution_sweedler_exact():
     h = builtin_hopf("H4")
-    cc = bar_resolution(h, left_module_k(h), 4)
+    cc = bar_resolution(h, module_k(h), 4)
     assert cc.homology_dims(3) == [1, 0, 0, 0]
 
 
 def test_tor_semisimple_group_algebras():
     h2 = builtin_hopf("kC2")
-    assert tor_dims(h2, right_module_k(h2), ad_left_module(h2), 3) == [2, 0, 0, 0]
+    assert tor_dims(h2, module_k(h2), ad_left_module(h2), 3) == [2, 0, 0, 0]
     h3 = builtin_hopf("kS3")
-    assert tor_dims(h3, right_module_k(h3), ad_left_module(h3), 3) == [3, 0, 0, 0]
+    assert tor_dims(h3, module_k(h3), ad_left_module(h3), 3) == [3, 0, 0, 0]
 
 
 def test_tor_sweedler_matches_oracle():
     h = builtin_hopf("H4")
-    assert tor_dims(h, right_module_k(h), ad_left_module(h), 3) == TOR_H4
+    assert tor_dims(h, module_k(h), ad_left_module(h), 3) == TOR_H4
 
 
 def test_corollary_check_group_algebras():
@@ -101,7 +100,7 @@ def test_double_complex_squares_and_total_homology_base_case():
     s = builtin_setup("kC2/k")
     dc = extension_double_complex(s, 3, 3)
     tot = total_homology_dims(dc, 2)
-    tor_vals = tor_dims(s.hopf, right_module_k(s.hopf), ad_left_module(s.hopf), 2)
+    tor_vals = tor_dims(s.hopf, module_k(s.hopf), ad_left_module(s.hopf), 2)
     dc.validate_instantiated_squares()
     assert tot == tor_vals == [2, 0, 0]
 
