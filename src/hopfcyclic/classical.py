@@ -56,21 +56,20 @@ class CocyclicFiniteSet:
         return [len(e) for e in self.elements]
 
 
-def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn,
-                       canon=lambda e: e):
+def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn):
     """Assemble a truncated cocyclic set from element enumerators and
     operator functions on representatives."""
-    elements = [sorted({canon(e) for e in elems_fn(n)}) for n in range(n_max + 1)]
+    elements = [sorted(set(elems_fn(n))) for n in range(n_max + 1)]
     index = [{e: k for k, e in enumerate(lst)} for lst in elements]
     coface, codegen, cocyclic = {}, {}, {}
     for n in range(n_max):
         for i in range(n + 2):
-            coface[(n, i)] = [index[n + 1][canon(coface_fn(n, i, e))] for e in elements[n]]
+            coface[(n, i)] = [index[n + 1][coface_fn(n, i, e)] for e in elements[n]]
     for n in range(1, n_max + 1):
         for j in range(n):
-            codegen[(n, j)] = [index[n - 1][canon(codegen_fn(n, j, e))] for e in elements[n]]
+            codegen[(n, j)] = [index[n - 1][codegen_fn(n, j, e)] for e in elements[n]]
     for n in range(n_max + 1):
-        cocyclic[n] = [index[n][canon(cocyclic_fn(n, e))] for e in elements[n]]
+        cocyclic[n] = [index[n][cocyclic_fn(n, e)] for e in elements[n]]
     return CocyclicFiniteSet(n_max, elements, coface, codegen, cocyclic)
 
 

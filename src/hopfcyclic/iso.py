@@ -139,18 +139,15 @@ def _phi_ambient(h, c, n):
     return chain.leg(c.onebar, n, 0).matrix()
 
 
-def module_coalgebra_transform(setup, n_max, coefficients=None, source=None, target=None):
+def module_coalgebra_transform(setup, n_max):
     """The isomorphism pair between C(H/I, ad(H))_H and C(H | B).
 
     Returns (to_relative, from_relative) as CyclicMaps; asserts they are
     mutually inverse degree by degree.
     """
     h, b, c = setup.hopf, setup.subalgebra, setup.quotient
-    m = coefficients if coefficients is not None else ad_module(h)
-    if source is None:
-        source = hopf_cyclic_coalgebra(c, m, n_max)
-    if target is None:
-        target = relative_cyclic(h, b, n_max)
+    source = hopf_cyclic_coalgebra(c, ad_module(h), n_max)
+    target = relative_cyclic(h, b, n_max)
     fwd, bwd = {}, {}
     for n in range(n_max + 1):
         fwd[n] = induced_map(_psi_ambient(h, c, n), source.spaces[n], target.spaces[n])
@@ -197,14 +194,11 @@ def _gamma_inv_ambient(h, b, n):
     return project @ unprojected, unprojected, lift
 
 
-def comodule_algebra_transform(setup, n_max, coefficients=None, source=None, target=None):
+def comodule_algebra_transform(setup, n_max):
     """The isomorphism pair between C(B, coad(H))^H and C(H | H/B+H)."""
     h, b, c = setup.hopf, setup.subalgebra, setup.quotient
-    m = coefficients if coefficients is not None else coad_module(h)
-    if source is None:
-        source = hopf_cyclic_comodule_algebra(h, b, m, n_max)
-    if target is None:
-        target = coext_cyclic(h, c, n_max)
+    source = hopf_cyclic_comodule_algebra(h, b, coad_module(h), n_max)
+    target = coext_cyclic(h, c, n_max)
     fwd, bwd = {}, {}
     for n in range(n_max + 1):
         fwd[n] = induced_map(_gamma_ambient(h, b, n), source.spaces[n], target.spaces[n])
@@ -243,7 +237,7 @@ def adjoint_commutator_space(h, b):
     return quotient_by_columns(h.dim, SparseMatrix.hstack(rels))
 
 
-def normal_quotient_comparison(setup, n_max, phi_maps=None, source=None):
+def normal_quotient_comparison(setup, n_max):
     """The comparison map into (H/I)^{(x) n+1} (x)_{H/I} [ad(H)]_B.
 
     Requires I to be a Hopf ideal (raises NotHopfIdeal otherwise).  Returns
@@ -269,8 +263,7 @@ def normal_quotient_comparison(setup, n_max, phi_maps=None, source=None):
         stage = quotient_by_columns(legdim * adb.dim, generator_relations(c, n + 1, mu_action))
         rel_spaces.append(amb.then(stage))
 
-    if source is None:
-        source = relative_cyclic(h, b, n_max)
+    source = relative_cyclic(h, b, n_max)
     coeff_spaces = hopf_cyclic_spaces(c, m, n_max)
     comparison = {}
     ident_maps = {}
@@ -283,8 +276,7 @@ def normal_quotient_comparison(setup, n_max, phi_maps=None, source=None):
         if not (j_fwd @ j_bwd).is_identity() or not (j_bwd @ j_fwd).is_identity():
             raise NotWellDefined("coefficient identification is not invertible")
         ident_maps[n] = j_fwd
-        phi_n = induced_map(amb, source.spaces[n], coeff_spaces[n]) \
-            if phi_maps is None else phi_maps[n]
+        phi_n = induced_map(amb, source.spaces[n], coeff_spaces[n])
         if not (ident_maps[n] @ comparison[n] == phi_n):
             raise NotWellDefined("comparison map does not match the adjoint transform")
     return comparison, ident_maps, rel_spaces

@@ -7,7 +7,10 @@ counit-contraction boundary horizontally and the bar boundary vertically
 sequences are computed directly from the definitions: first page as
 homology of columns (or rows), second page as homology of the first.
 Cells are built lazily so a requested window never instantiates the
-largest corners of the grid.
+largest corners of the grid.  One double complex carries every check of a
+run: it keeps each differential, page spot and total-complex map it has
+built, so ``theorem_check`` and ``five_term_check`` on the same instance
+eliminate each of them once.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ def tor_dims(h, nmod, mmod, upto):
     return cc.homology_dims(upto)
 
 
-def ad_left_module(h, ad=None):
-    m = ad if ad is not None else ad_module(h)
+def ad_left_module(h):
+    m = ad_module(h)
     return m.dim, m.operator_action
 
 
@@ -115,6 +118,8 @@ class ExtensionDoubleComplex:
     Horizontal: alternating counit contractions of the coalgebra legs
     (checked to be right H-linear).  Vertical: the bar boundary, scaled by
     (-1)^p; anticommutation is asserted on every instantiated square.
+    Every differential, action, page spot and total-complex map is built
+    once and kept, keyed by its kind and indices.
     """
 
     def __init__(self, c, mmod, p_max, q_max):
@@ -123,11 +128,15 @@ class ExtensionDoubleComplex:
         self.mmod = mmod
         self.p_max = p_max
         self.q_max = q_max
-        self._dh = {}
-        self._dv = {}
-        self._diag_consume = {}
+        self._built = {}
         self._checked_squares = set()
         self._check_horizontal_linearity()
+
+    def cached(self, key, build):
+        """The object kept under ``key``, built by ``build()`` on first use."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def dim(self, p, q):
         return self.c.dim ** (p + 1) * self.h.dim ** q * self.mmod[0]
@@ -144,29 +153,23 @@ class ExtensionDoubleComplex:
 
     def dh(self, p, q):
         """Horizontal differential X_{p,q} -> X_{p-1,q}."""
-        key = (p, q)
-        if key not in self._dh:
-            rest = self.h.dim ** q * self.mmod[0]
-            mat = coalgebra_boundary(self.c, p + 1)
-            ident = SparseMatrix.identity(rest, self.h.field)
-            self._dh[key] = mat.kron(ident)
-        return self._dh[key]
+        def build():
+            ident = SparseMatrix.identity(self.h.dim ** q * self.mmod[0], self.h.field)
+            return coalgebra_boundary(self.c, p + 1).kron(ident)
+        return self.cached(("dh", p, q), build)
 
     def _diagonal_consume(self, p):
         """C^{(x) p+1} (x) H -> C^{(x) p+1}, the diagonal right action."""
-        if p not in self._diag_consume:
-            self._diag_consume[p] = diagonal_action(self.c, p + 1)
-        return self._diag_consume[p]
+        return self.cached(("act", p), lambda: diagonal_action(self.c, p + 1))
 
     def dv(self, p, q):
         """Vertical differential X_{p,q} -> X_{p,q-1}, sign-twisted by (-1)^p."""
-        key = (p, q)
-        if key not in self._dv:
+        def build():
             mdim, mact = self.mmod
             bnd = bar_boundary(self.h, self._diagonal_consume(p), self.c.dim ** (p + 1),
                                mact, mdim, q)
-            self._dv[key] = -bnd if p % 2 else bnd
-        return self._dv[key]
+            return -bnd if p % 2 else bnd
+        return self.cached(("dv", p, q), build)
 
     def validate_square(self, p, q):
         """d_h d_v + d_v d_h = 0 into cell (p-1, q-1)."""
@@ -179,7 +182,8 @@ class ExtensionDoubleComplex:
             raise NotWellDefined(f"double complex squares fail at ({p},{q})")
 
     def validate_instantiated_squares(self):
-        for (p, q) in sorted(set(self._dh) & set(self._dv)):
+        for (p, q) in sorted(key[1:] for key in self._built
+                             if key[0] == "dh" and ("dv", *key[1:]) in self._built):
             self.validate_square(p, q)
 
 
@@ -189,10 +193,9 @@ def coalgebra_boundary(c, legs):
     return alternating_sum(apply_on_leg(c.eps_c, dims, i) for i in range(legs))
 
 
-def extension_double_complex(setup, p_max, q_max, ad=None):
-    h = setup.hopf
-    m = ad if ad is not None else ad_module(h)
-    return ExtensionDoubleComplex(setup.quotient, (m.dim, m.operator_action), p_max, q_max)
+def extension_double_complex(setup, p_max, q_max):
+    """The double complex of the extension with M = ad H."""
+    return ExtensionDoubleComplex(setup.quotient, ad_left_module(setup.hopf), p_max, q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -208,47 +211,34 @@ class SpectralPage:
 
 def first_page_spot(dc, p, q, transposed=False):
     """E^1_{p,q} as a subquotient of the cell (p, q)."""
-    if transposed:
-        out_map = dc.dh(p, q) if p >= 1 else SparseMatrix.zeros(0, dc.dim(p, q), dc.h.field)
-        in_map = dc.dh(p + 1, q)
-    else:
-        out_map = dc.dv(p, q) if q >= 1 else SparseMatrix.zeros(0, dc.dim(p, q), dc.h.field)
-        in_map = dc.dv(p, q + 1)
-    return homology_space(out_map, in_map)
+    def build():
+        if transposed:
+            out_map = dc.dh(p, q) if p >= 1 else SparseMatrix.zeros(0, dc.dim(p, q), dc.h.field)
+            in_map = dc.dh(p + 1, q)
+        else:
+            out_map = dc.dv(p, q) if q >= 1 else SparseMatrix.zeros(0, dc.dim(p, q), dc.h.field)
+            in_map = dc.dv(p, q + 1)
+        return homology_space(out_map, in_map)
+    return dc.cached(("E1", p, q, transposed), build)
 
 
-def second_page_spot(dc, p, q, transposed=False, spots=None):
-    """E^2_{p,q} as a nested subquotient of the cell (p, q).
-
-    ``spots`` optionally caches first-page spots keyed (p, q).
-    """
-
-    def spot(pp, qq):
-        if spots is not None and (pp, qq) in spots:
-            return spots[(pp, qq)]
-        s = first_page_spot(dc, pp, qq, transposed)
-        if spots is not None:
-            spots[(pp, qq)] = s
-        return s
-
-    here = spot(p, q)
-    if transposed:
-        out_amb = dc.dv(p, q) if q >= 1 else None
-        in_amb = dc.dv(p, q + 1)
-        prev = spot(p, q - 1) if q >= 1 else None
-        nxt = spot(p, q + 1)
-    else:
-        out_amb = dc.dh(p, q) if p >= 1 else None
-        in_amb = dc.dh(p + 1, q)
-        prev = spot(p - 1, q) if p >= 1 else None
-        nxt = spot(p + 1, q)
-    if out_amb is None:
-        out_red = SparseMatrix.zeros(0, here.dim, dc.h.field)
-    else:
-        out_red = induced_map(out_amb, here, prev)
-    in_red = induced_map(in_amb, nxt, here)
-    inner = homology_space(out_red, in_red)
-    return here.then(inner)
+def second_page_spot(dc, p, q, transposed=False):
+    """E^2_{p,q} as a nested subquotient of the cell (p, q)."""
+    def build():
+        here = first_page_spot(dc, p, q, transposed)
+        if transposed:
+            out_amb = dc.dv(p, q) if q >= 1 else None
+            in_amb, prev, nxt = dc.dv(p, q + 1), (p, q - 1), (p, q + 1)
+        else:
+            out_amb = dc.dh(p, q) if p >= 1 else None
+            in_amb, prev, nxt = dc.dh(p + 1, q), (p - 1, q), (p + 1, q)
+        if out_amb is None:
+            out_red = SparseMatrix.zeros(0, here.dim, dc.h.field)
+        else:
+            out_red = induced_map(out_amb, here, first_page_spot(dc, *prev, transposed))
+        in_red = induced_map(in_amb, first_page_spot(dc, *nxt, transposed), here)
+        return here.then(homology_space(out_red, in_red))
+    return dc.cached(("E2", p, q, transposed), build)
 
 
 def spectral_pages(dc, up_to_page=2, window=None, transposed=False):
@@ -263,8 +253,7 @@ def spectral_pages(dc, up_to_page=2, window=None, transposed=False):
         dims = {pq: first_page_spot(dc, *pq, transposed).dim for pq in window}
         pages.append(SpectralPage(1, dims, "transposed" if transposed else "standard"))
     if up_to_page >= 2:
-        spots = {}
-        dims = {pq: second_page_spot(dc, *pq, transposed, spots=spots).dim for pq in window}
+        dims = {pq: second_page_spot(dc, *pq, transposed).dim for pq in window}
         pages.append(SpectralPage(2, dims, "transposed" if transposed else "standard"))
     return pages
 
@@ -282,14 +271,16 @@ def _total_cells(dc, n):
 
 def total_complex_map(dc, n):
     """d: Tot_n -> Tot_{n-1}, d_h + d_v on each cell."""
-    src, tgt = _total_cells(dc, n), _total_cells(dc, n - 1)
-    blocks = {}
-    for (p, q) in src:
-        if (p - 1, q) in tgt:
-            blocks[((p - 1, q), (p, q))] = dc.dh(p, q)
-        if (p, q - 1) in tgt:
-            blocks[((p, q - 1), (p, q))] = dc.dv(p, q)
-    return block_matrix(tgt, src, blocks, dc.h.field)
+    def build():
+        src, tgt = _total_cells(dc, n), _total_cells(dc, n - 1)
+        blocks = {}
+        for (p, q) in src:
+            if (p - 1, q) in tgt:
+                blocks[((p - 1, q), (p, q))] = dc.dh(p, q)
+            if (p, q - 1) in tgt:
+                blocks[((p, q - 1), (p, q))] = dc.dv(p, q)
+        return block_matrix(tgt, src, blocks, dc.h.field)
+    return dc.cached(("Tot", n), build)
 
 
 def _inclusion_into_total(dc, n, cell):
@@ -335,40 +326,32 @@ class SpectralReport:
         return all(c.ok for c in self.checks)
 
 
-def second_page_bottom_row(dc, p_upto):
-    """E^2_{p,0} spaces for p <= p_upto (trustworthy up to p_max - 1)."""
-    spots = {}
-    return [second_page_spot(dc, p, 0, spots=spots) for p in range(p_upto + 1)]
-
-
-def theorem_check(setup, hh_dims, n_upto=2, p_max=3, q_max=3, ad=None):
+def theorem_check(dc, hh_dims):
     """dim E^2_{n,0} vs relative Hochschild homology, and total homology vs
-    Tor^H(k, ad H), for n <= n_upto.
+    Tor^H(k, M), for n up to the trusted window min(p_max, q_max) - 1 of
+    the double complex ``dc``.
 
-    q_max defaults one above n_upto so the truncated total complex carries
-    every boundary that feeds degrees <= n_upto.
+    In that window the truncated total complex carries every boundary that
+    feeds the degrees compared.
     """
-    h = setup.hopf
-    m = ad if ad is not None else ad_module(h)
-    dc = extension_double_complex(setup, p_max, q_max, ad=m)
+    n_upto = min(dc.p_max, dc.q_max) - 1
     checks = []
-    e2_row = [sp.dim for sp in second_page_bottom_row(dc, n_upto)]
+    e2_row = [second_page_spot(dc, n, 0).dim for n in range(n_upto + 1)]
     for n in range(n_upto + 1):
         checks.append(AxiomCheck(
             f"E2[{n},0] = HH_{n}(H|B)", e2_row[n] == hh_dims[n],
             None if e2_row[n] == hh_dims[n] else f"{e2_row[n]} != {hh_dims[n]}"))
     tot = total_homology_dims(dc, n_upto)
-    tor_vals = tor_dims(h, module_k(h), ad_left_module(h, m), n_upto)
+    tor_vals = tor_dims(dc.h, module_k(dc.h), dc.mmod, n_upto)
     for n in range(n_upto + 1):
         checks.append(AxiomCheck(
             f"H_{n}(Tot) = Tor_{n}(k, ad)", tot[n] == tor_vals[n],
             None if tot[n] == tor_vals[n] else f"{tot[n]} != {tor_vals[n]}"))
     checks.append(AxiomCheck("row complex contracts to k",
-                             row_contraction_ok(setup.quotient, min(p_max, 2))))
+                             row_contraction_ok(dc.c, min(dc.p_max, 2))))
     # transposed degeneration on the trusted window
-    bound = min(p_max, q_max) - 1
-    window = [(p, q) for p in range(1, p_max + 1) for q in range(q_max + 1)
-              if p + q <= bound and p >= 1]
+    window = [(p, q) for p in range(1, dc.p_max + 1) for q in range(dc.q_max + 1)
+              if p + q <= n_upto]
     tpages = spectral_pages(dc, 2, window=window, transposed=True)
     degen = all(v == 0 for v in tpages[-1].dims.values())
     checks.append(AxiomCheck("transposed page 2 vanishes for p > 0", degen,
@@ -384,17 +367,13 @@ def theorem_check(setup, hh_dims, n_upto=2, p_max=3, q_max=3, ad=None):
     return SpectralReport(checks, tables)
 
 
-def five_term_check(setup, p_max=3, q_max=3, ad=None):
+def five_term_check(dc):
     """Exactness of H_2 -> E2[2,0] -> E2[0,1] -> H_1 -> E2[1,0] -> 0 by rank
-    arithmetic on the explicitly constructed maps."""
-    h = setup.hopf
-    f = h.field
-    m = ad if ad is not None else ad_module(h)
-    dc = extension_double_complex(setup, p_max, q_max, ad=m)
-    spots = {}
-    e2_20 = second_page_spot(dc, 2, 0, spots=spots)
-    e2_01 = second_page_spot(dc, 0, 1, spots=spots)
-    e2_10 = second_page_spot(dc, 1, 0, spots=spots)
+    arithmetic on the explicitly constructed maps of the double complex."""
+    f = dc.h.field
+    e2_20 = second_page_spot(dc, 2, 0)
+    e2_01 = second_page_spot(dc, 0, 1)
+    e2_10 = second_page_spot(dc, 1, 0)
     # homology of the total complex at degrees 1, 2 as subquotients
     h1 = homology_space(total_complex_map(dc, 1), total_complex_map(dc, 2))
     h2 = homology_space(total_complex_map(dc, 2), total_complex_map(dc, 3))
@@ -446,18 +425,17 @@ def five_term_check(setup, p_max=3, q_max=3, ad=None):
     return SpectralReport(checks, tables)
 
 
-def hochschild_tor_check(h, hh_dims, n_upto=3, ad=None):
-    """Degreewise equality of HH(H) and Tor^H(k, ad H), plus the freeness
-    twist n (x) h -> n S(h_(1)) (x) h_(2) being invertible."""
-    m = ad if ad is not None else ad_module(h)
-    tor_vals = tor_dims(h, module_k(h), ad_left_module(h, m), n_upto)
+def hochschild_tor_check(h, hh_dims):
+    """Degreewise equality of HH(H) and Tor^H(k, ad H) in every degree of
+    ``hh_dims``, plus the freeness twist n (x) h -> n S(h_(1)) (x) h_(2)
+    being invertible."""
+    tor_vals = tor_dims(h, module_k(h), ad_left_module(h), len(hh_dims) - 1)
     checks = []
-    for n in range(n_upto + 1):
-        same = tor_vals[n] == hh_dims[n]
-        checks.append(AxiomCheck(f"HH_{n}(H) = Tor_{n}(k, ad H)", same,
-                                 None if same else f"{hh_dims[n]} != {tor_vals[n]}"))
+    for n, (hh, tor) in enumerate(zip(hh_dims, tor_vals)):
+        checks.append(AxiomCheck(f"HH_{n}(H) = Tor_{n}(k, ad H)", hh == tor,
+                                 None if hh == tor else f"{hh} != {tor}"))
     checks.append(AxiomCheck("untwisting map invertible", _twist_invertible(h)))
-    return SpectralReport(checks, {"HH": list(hh_dims[: n_upto + 1]), "Tor": tor_vals})
+    return SpectralReport(checks, {"HH": list(hh_dims), "Tor": tor_vals})
 
 
 def _twist_invertible(h):

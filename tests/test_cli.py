@@ -299,6 +299,35 @@ def test_classical_bad_chi_exit_two():
         assert detail in text, text
 
 
+def test_classical_chi_of_wrong_length_exit_two():
+    # (12) generates a subgroup with two classes, so three values are bad input
+    code, text = run(["classical", "--group", "S3", "--subgroup", "(12)",
+                      "--op", "frobenius", "--chi", "1,1,1"])
+    assert code == 2, text
+    assert "wrong number of class values" in text, text
+
+
+def test_classical_induction_routes_disagreeing_is_a_failed_check(monkeypatch):
+    # was a hard-coded PASS line, and the GroupError exited 2 as bad input
+    import hopfcyclic.cli as cli
+    from hopfcyclic.groups import GroupError
+
+    def fail(g, sub, chi):
+        raise GroupError("induction routes disagree at class 1")
+
+    monkeypatch.setattr(cli, "induce_class_function", fail)
+    code, text = run(["--format", "json", "classical", "--group", "S3", "--subgroup", "(12)",
+                      "--op", "frobenius"])
+    assert code == 1, text
+    report = json.loads(text)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["three induction routes agree"] == {
+        "name": "three induction routes agree", "status": "fail",
+        "detail": "induction routes disagree at class 1"}
+    assert "induced_character" not in report["tables"]
+    assert checks["class functions extended quotient of a point counts classes"]["status"] == "pass"
+
+
 def test_bad_file_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2}))

@@ -4,11 +4,7 @@ import random
 import pytest
 import sweedler as sw
 
-from hopfcyclic.cyclic import (
-    _diagonal_coaction_columns,
-    hopf_cyclic_coalgebra,
-    relative_cyclic,
-)
+from hopfcyclic.cyclic import _diagonal_coaction_columns, relative_cyclic
 from hopfcyclic.hopf import NotHopfIdeal
 from hopfcyclic.iso import (
     CyclicMap,
@@ -25,7 +21,6 @@ from hopfcyclic.iso import (
 )
 from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix
 from hopfcyclic.presets import SETUP_NAMES, builtin_setup
-from hopfcyclic.sayd import ad_module
 
 
 def test_identity_map_passes_checker():
@@ -46,9 +41,8 @@ def test_phi_degree_zero_sends_class_to_one_tensor():
     # phi_0([h]_B) = bar(1) (x)_H h
     for name in ("kS3/kC2", "H4/B"):
         s = builtin_setup(name)
-        src = hopf_cyclic_coalgebra(s.quotient, ad_module(s.hopf), 0)
-        tgt = relative_cyclic(s.hopf, s.subalgebra, 0)
-        psi, phi = module_coalgebra_transform(s, 0, source=src, target=tgt)
+        psi, phi = module_coalgebra_transform(s, 0)
+        src, tgt = psi.source, psi.target
         h, c = s.hopf, s.quotient
         cd = c.dim
         one_col = c.onebar.cols_map().get(0, {})

@@ -3,18 +3,23 @@ import pytest
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
 from hopfcyclic.linalg import NotWellDefined, SparseMatrix, QQ
 from hopfcyclic.presets import builtin_hopf, builtin_setup
+from hopfcyclic import specseq
+from hopfcyclic.cli import run
 from hopfcyclic.specseq import (
     ChainComplex,
     bar_resolution,
     extension_double_complex,
+    first_page_spot,
     five_term_check,
     hochschild_tor_check,
     module_k,
     ad_left_module,
     row_contraction_ok,
+    second_page_spot,
     spectral_pages,
     theorem_check,
     tor_dims,
+    total_complex_map,
     total_homology_dims,
 )
 
@@ -76,7 +81,7 @@ def test_corollary_check_group_algebras():
         cm = relative_cyclic(s.hopf, s.subalgebra, 4)
         hh = hochschild_homology(cm)
         assert hh == expected
-        rep = hochschild_tor_check(h, hh, 3)
+        rep = hochschild_tor_check(h, hh)
         assert rep.ok, rep.checks
 
 
@@ -85,7 +90,7 @@ def test_corollary_check_sweedler():
     cm = relative_cyclic(s.hopf, s.subalgebra, 4)
     hh = hochschild_homology(cm)
     assert hh == HH_H4
-    rep = hochschild_tor_check(s.hopf, hh, 3)
+    rep = hochschild_tor_check(s.hopf, hh)
     assert rep.ok, [c for c in rep.checks if not c.ok]
 
 
@@ -117,7 +122,7 @@ def test_theorem_check_ks3():
     s = builtin_setup("kS3/kC2")
     cm = relative_cyclic(s.hopf, s.subalgebra, 3)
     hh = hochschild_homology(cm)
-    rep = theorem_check(s, hh, n_upto=2)
+    rep = theorem_check(extension_double_complex(s, 3, 3), hh)
     assert rep.ok, [c for c in rep.checks if not c.ok]
 
 
@@ -125,13 +130,13 @@ def test_theorem_check_sweedler():
     s = builtin_setup("H4/B")
     cm = relative_cyclic(s.hopf, s.subalgebra, 3)
     hh = hochschild_homology(cm)
-    rep = theorem_check(s, hh, n_upto=2)
+    rep = theorem_check(extension_double_complex(s, 3, 3), hh)
     assert rep.ok, [c for c in rep.checks if not c.ok]
 
 
 def test_five_term_semisimple_trivial():
     s = builtin_setup("kS3/kC2")
-    rep = five_term_check(s)
+    rep = five_term_check(extension_double_complex(s, 3, 3))
     assert rep.ok, [c for c in rep.checks if not c.ok]
     # all higher Tor vanish so the sequence is exact for dimension reasons
     assert rep.tables["dims"]["E2[0,1]"] == 0
@@ -139,15 +144,55 @@ def test_five_term_semisimple_trivial():
 
 def test_five_term_sweedler():
     s = builtin_setup("H4/B")
-    rep = five_term_check(s)
+    rep = five_term_check(extension_double_complex(s, 3, 3))
     assert rep.ok, [c for c in rep.checks if not c.ok]
 
 
 def test_five_term_sweedler_base_field():
     # B = k: the tail identifies HH_1(H4) with Tor_1(k, ad H4)
     s = builtin_setup("H4/k")
-    rep = five_term_check(s)
+    rep = five_term_check(extension_double_complex(s, 3, 3))
     assert rep.ok, [c for c in rep.checks if not c.ok]
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)
     hh = hochschild_homology(cm)
     assert rep.tables["dims"]["E2[1,0]"] == hh[1] == TOR_H4[1]
+
+
+def test_double_complex_builds_each_object_once():
+    dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
+    for build, args in ((first_page_spot, (1, 0)), (first_page_spot, (1, 1, True)),
+                        (second_page_spot, (1, 0)), (second_page_spot, (1, 1, True)),
+                        (total_complex_map, (2,))):
+        assert build(dc, *args) is build(dc, *args), (build.__name__, args)
+
+
+def test_spectral_run_builds_one_double_complex(monkeypatch):
+    built = []
+    init = specseq.ExtensionDoubleComplex.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(specseq.ExtensionDoubleComplex, "__init__", counting_init)
+    code, text = run(["spectral", "H4/B"])
+    assert code == 0, text
+    assert len(built) == 1
+
+
+def test_shared_double_complex_checks_what_two_fresh_ones_check():
+    # theorem_check and five_term_check on one double complex validate the
+    # squares, and report the values, that each validates on its own instance
+    s = builtin_setup("H4/B")
+    hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
+    shared = extension_double_complex(s, 3, 3)
+    reports = [theorem_check(shared, hh), five_term_check(shared)]
+    alone_t, alone_f = extension_double_complex(s, 3, 3), extension_double_complex(s, 3, 3)
+    alone = [theorem_check(alone_t, hh), five_term_check(alone_f)]
+    assert shared._checked_squares == alone_t._checked_squares | alone_f._checked_squares
+    assert shared._checked_squares
+    for got, want in zip(reports, alone):
+        assert got.ok and want.ok
+        assert got.tables == want.tables
+        assert [(c.name, c.witness) for c in got.checks] == \
+            [(c.name, c.witness) for c in want.checks]
