@@ -16,7 +16,9 @@ codegeneracy sigma_j removes what delta_j and delta_{j+1} insert.  The
 dual-picture bijection carries the class of (g_0, ..., g_n) to the class
 of (g_0...g_n; H, g_0 H, ..., g_0...g_{n-1} H): the empty prefix comes
 first, which is what makes the operator indices align on both sides (and
-makes the stabilizer descriptions literally equal).
+makes the stabilizer descriptions literally equal).  Every cocyclic set is
+checked against ``cyclic.cocyclic_identities``, the same table of identities
+as the cocyclic modules, with operators composed as index tables.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .groups import (
     irreducible_characters,
     subgroup_as_group,
 )
+from .cyclic import cocyclic_identities
 from .hopf import AxiomCheck, ValidationReport
 
 TUPLE_BUDGET = 10 ** 7
@@ -75,62 +78,13 @@ def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn):
 
 def check_cocyclic_set(cs):
     """Cosimplicial and cocyclic identities on representatives."""
-    checks = []
-
-    def eq(name, left, right):
-        checks.append(AxiomCheck(name, left == right))
-
-    def comp(outer, inner):
-        return [outer[k] for k in inner]
-
-    N = cs.n_max
-    for n in range(N - 1):
-        for j in range(n + 3):
-            for i in range(min(j, n + 2)):
-                eq(f"delta{j} delta{i} @ {n}",
-                   comp(cs.coface[(n + 1, j)], cs.coface[(n, i)]),
-                   comp(cs.coface[(n + 1, i)], cs.coface[(n, j - 1)]))
-    for n in range(2, N + 1):
-        for j in range(n - 1):
-            for i in range(j + 1):
-                eq(f"sigma{j} sigma{i} @ {n}",
-                   comp(cs.codegen[(n - 1, j)], cs.codegen[(n, i)]),
-                   comp(cs.codegen[(n - 1, i)], cs.codegen[(n, j + 1)]))
-    for n in range(N):
-        for i in range(n + 2):
-            for j in range(n + 1):
-                lhs = comp(cs.codegen[(n + 1, j)], cs.coface[(n, i)])
-                if i < j:
-                    rhs = comp(cs.coface[(n - 1, i)], cs.codegen[(n, j - 1)])
-                elif i in (j, j + 1):
-                    rhs = list(range(len(cs.elements[n])))
-                else:
-                    rhs = comp(cs.coface[(n - 1, i - 1)], cs.codegen[(n, j)])
-                eq(f"sigma{j} delta{i} @ {n}", lhs, rhs)
-    for n in range(N + 1):
-        cur = list(range(len(cs.elements[n])))
-        for _ in range(n + 1):
-            cur = comp(cs.cocyclic[n], cur)
-        eq(f"tau^{n+1} = id @ {n}", cur, list(range(len(cs.elements[n]))))
-    for n in range(N):
-        eq(f"tau delta0 = delta{n+1} @ {n}",
-           comp(cs.cocyclic[n + 1], cs.coface[(n, 0)]), cs.coface[(n, n + 1)])
-        for i in range(1, n + 2):
-            eq(f"tau delta{i} @ {n}",
-               comp(cs.cocyclic[n + 1], cs.coface[(n, i)]),
-               comp(cs.coface[(n, i - 1)], cs.cocyclic[n]))
-    for n in range(1, N + 1):
-        eq(f"tau sigma0 @ {n}",
-           comp(cs.cocyclic[n - 1], cs.codegen[(n, 0)]),
-           comp(cs.codegen[(n, n - 1)], comp(cs.cocyclic[n], cs.cocyclic[n])))
-        for j in range(1, n):
-            eq(f"tau sigma{j} @ {n}",
-               comp(cs.cocyclic[n - 1], cs.codegen[(n, j)]),
-               comp(cs.codegen[(n, j - 1)], cs.cocyclic[n]))
-    return ValidationReport(checks)
+    table = cocyclic_identities(cs.n_max, cs.coface, cs.codegen, cs.cocyclic,
+                                lambda outer, inner: [outer[k] for k in inner],
+                                lambda n: list(range(len(cs.elements[n]))))
+    return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in table])
 
 
-def intertwining_checks(src, tgt, maps, tag=""):
+def intertwining_checks(src, tgt, maps):
     """maps[n] carries src degree-n indices to tgt degree-n indices;
     verifies bijectivity and commutation with every operator."""
     checks = []
@@ -142,22 +96,22 @@ def intertwining_checks(src, tgt, maps, tag=""):
     for n in range(N + 1):
         fwd = maps[n]
         checks.append(AxiomCheck(
-            f"{tag}bijective @ {n}",
+            f"bijective @ {n}",
             sorted(fwd) == list(range(len(tgt.elements[n])))
             and len(fwd) == len(src.elements[n]),
         ))
     for n in range(N):
         for i in range(n + 2):
-            eq(f"{tag}intertwines delta{i} @ {n}",
+            eq(f"intertwines delta{i} @ {n}",
                [maps[n + 1][k] for k in src.coface[(n, i)]],
                [tgt.coface[(n, i)][k] for k in maps[n]])
     for n in range(1, N + 1):
         for j in range(n):
-            eq(f"{tag}intertwines sigma{j} @ {n}",
+            eq(f"intertwines sigma{j} @ {n}",
                [maps[n - 1][k] for k in src.codegen[(n, j)]],
                [tgt.codegen[(n, j)][k] for k in maps[n]])
     for n in range(N + 1):
-        eq(f"{tag}intertwines tau @ {n}",
+        eq(f"intertwines tau @ {n}",
            [maps[n][k] for k in src.cocyclic[n]],
            [tgt.cocyclic[n][k] for k in maps[n]])
     return checks
@@ -327,18 +281,19 @@ def left_quotient(g, sub, n):
 
 def right_quotient(g, gset, n):
     """G \\ (ad(G) x X^{n+1}) under gg . (gt, xs) = (gg gt gg^{-1}, gg xs)."""
-    points = [
-        (gt,) + xs
-        for gt in g.elements()
-        for xs in itertools.product(range(gset.size), repeat=n + 1)
-    ]
+    return _conjugation_orbits(g, gset, n, lambda t: True)
+
+
+def _conjugation_orbits(g, gset, n, keep):
+    """Orbits of gg . (gt, xs) = (gg gt gg^{-1}, gg xs) on the points
+    (gt, x_0, ..., x_n) satisfying ``keep``, a condition the action preserves."""
+    points = [t for t in ((gt,) + xs for gt in g.elements()
+                          for xs in itertools.product(range(gset.size), repeat=n + 1))
+              if keep(t)]
 
     def neighbors(t):
-        gt, xs = t[0], t[1:]
-        return [
-            (g.conj(gg, gt),) + tuple(gset.apply(gg, x) for x in xs)
-            for gg in g.elements()
-        ]
+        return [(g.conj(gg, t[0]),) + tuple(gset.apply(gg, x) for x in t[1:])
+                for gg in g.elements()]
 
     return QuotientSet(points, neighbors)
 
@@ -380,33 +335,34 @@ def left_picture_set(g, sub, n_max):
     return cs, quotients
 
 
+def _right_coface(gset, n, i, t):
+    """delta_i on (gt; x_0..x_n): duplicate x_i, or for i = n + 1 append
+    gt . x_0, the wrap coface twisted by the conjugation coordinate."""
+    if i <= n:
+        return t[: i + 2] + t[i + 1:]
+    return t + (gset.apply(t[0], t[1]),)
+
+
+def _right_codegen(j, t):
+    """sigma_j on (gt; x_0..x_n): delete x_{j+1}."""
+    return t[: j + 2] + t[j + 3:]
+
+
+def _right_cocyclic(gset, t):
+    """tau on (gt; x_0..x_n): (gt; x_1, ..., x_n, gt . x_0)."""
+    return (t[0],) + t[2:] + (gset.apply(t[0], t[1]),)
+
+
 def right_picture_set(g, gset, n_max):
     """G \\ (ad(G) x (G/H)^{n+1}) with duplication cofaces (wrap coface
     twisted by the conjugation coordinate), deletion codegeneracies, and
     the twisted rotation, on canonical representatives."""
     quotients = {n: right_quotient(g, gset, n) for n in range(n_max + 1)}
-
-    def elems(n):
-        return quotients[n].reps
-
-    def coface(n, i, e):
-        gt, xs = e[0], e[1:]
-        if i <= n:
-            t = (gt,) + xs[: i + 1] + xs[i:]
-        else:
-            t = (gt,) + xs + (gset.apply(gt, xs[0]),)
-        return quotients[n + 1].canon[t]
-
-    def codegen(n, j, e):
-        gt, xs = e[0], e[1:]
-        t = (gt,) + xs[: j + 1] + xs[j + 2:]
-        return quotients[n - 1].canon[t]
-
-    def cocyc(n, e):
-        gt, xs = e[0], e[1:]
-        return quotients[n].canon[(gt,) + xs[1:] + (gset.apply(gt, xs[0]),)]
-
-    cs = build_cocyclic_set(n_max, elems, coface, codegen, cocyc)
+    cs = build_cocyclic_set(
+        n_max, lambda n: quotients[n].reps,
+        lambda n, i, e: quotients[n + 1].canon[_right_coface(gset, n, i, e)],
+        lambda n, j, e: quotients[n - 1].canon[_right_codegen(j, e)],
+        lambda n, e: quotients[n].canon[_right_cocyclic(gset, e)])
     return cs, quotients
 
 
@@ -548,50 +504,23 @@ def stabilizer_coincidence_check(g, sub, n_max, sample=None, seed=0):
 
 def extended_quotient(g, gset, n):
     """Orbits of (gt, x_0..x_n) with gt fixing every coordinate."""
-    points = [
-        (gt,) + xs
-        for gt in g.elements()
-        for xs in itertools.product(range(gset.size), repeat=n + 1)
-        if all(gset.apply(gt, x) == x for x in xs)
-    ]
-
-    def neighbors(t):
-        gt, xs = t[0], t[1:]
-        return [
-            (g.conj(gg, gt),) + tuple(gset.apply(gg, x) for x in xs)
-            for gg in g.elements()
-        ]
-
-    return QuotientSet(points, neighbors)
+    return _conjugation_orbits(
+        g, gset, n, lambda t: all(gset.apply(t[0], x) == x for x in t[1:]))
 
 
 def extended_quotient_check(g, gset, n_max):
     """The ambient cocyclic operators restrict to the extended quotients."""
     checks = []
-    fixed = {}
-    for n in range(n_max + 2):
-        fixed[n] = set(extended_quotient(g, gset, n).canon)
+    fixed = {n: set(extended_quotient(g, gset, n).canon) for n in range(n_max + 2)}
     for n in range(n_max + 1):
         pts = fixed[n]
-        ok_delta = all(
-            ((t[0],) + t[1: i + 2] + t[i + 1:]) in fixed[n + 1]
-            for t in pts for i in range(n + 1)
-        ) and all(
-            ((t[0],) + t[1:] + (gset.apply(t[0], t[1]),)) in fixed[n + 1]
-            for t in pts
-        )
-        checks.append(AxiomCheck(f"cofaces restrict @ {n}", ok_delta))
+        checks.append(AxiomCheck(f"cofaces restrict @ {n}", all(
+            _right_coface(gset, n, i, t) in fixed[n + 1] for t in pts for i in range(n + 2))))
         if n >= 1:
-            ok_sigma = all(
-                ((t[0],) + t[1: j + 2] + t[j + 3:]) in fixed[n - 1]
-                for t in pts for j in range(n)
-            )
-            checks.append(AxiomCheck(f"codegeneracies restrict @ {n}", ok_sigma))
-        ok_tau = all(
-            ((t[0],) + t[2:] + (gset.apply(t[0], t[1]),)) in fixed[n]
-            for t in pts
-        )
-        checks.append(AxiomCheck(f"cocyclic restricts @ {n}", ok_tau))
+            checks.append(AxiomCheck(f"codegeneracies restrict @ {n}", all(
+                _right_codegen(j, t) in fixed[n - 1] for t in pts for j in range(n))))
+        checks.append(AxiomCheck(f"cocyclic restricts @ {n}", all(
+            _right_cocyclic(gset, t) in fixed[n] for t in pts)))
     return ValidationReport(checks)
 
 
@@ -693,12 +622,12 @@ def induce_class_function(g, sub, chi_sub):
     return ClassFunction(g, values, f)
 
 
-def frobenius_reciprocity_check(g, sub, chi_sub):
-    """<chi induced, theta>_G = <chi, theta restricted>_H for every
-    built-in irreducible theta of G."""
+def frobenius_reciprocity_check(g, sub, chi_sub, induced):
+    """<induced, theta>_G = <chi, theta restricted>_H for every built-in
+    irreducible theta of G, where ``induced`` is the class function induced
+    from ``chi_sub`` (``induce_class_function``)."""
     subset = sorted(set(sub))
     subgrp = subgroup_as_group(g, subset)
-    induced = induce_class_function(g, sub, chi_sub)
     checks = []
     for k, theta in enumerate(irreducible_characters(g)):
         lhs = induced.inner(theta)

@@ -10,6 +10,11 @@ chain only to the sections and relation columns of the spaces, never
 assembling it over the ambient.  The descent/restriction check is the
 machine substitute for the by-hand well-definedness proofs.
 
+``cocyclic_identities`` is the one table of cosimplicial and cocyclic
+identities: it checks both the cocyclic modules here and the finite
+cocyclic sets of ``classical``, which differ only in how two operators
+compose.
+
 Truncation semantics: Hochschild homology is trusted up to n_max - 1 and
 cyclic homology up to n_max - 2, since the boundary at degree n consumes
 degree n and the Connes boundary reaches one degree further.
@@ -17,6 +22,7 @@ degree n and the Connes boundary reaches one degree further.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .hopf import (
@@ -138,55 +144,64 @@ def check_cyclic_identities(cm):
 
 
 def check_cocyclic_identities(ccm):
-    checks = []
+    """All cosimplicial and cocyclic identities valid within the truncation."""
+    f = ccm.tau[0].field
+    table = cocyclic_identities(ccm.n_max, ccm.delta, ccm.sigma, ccm.tau, operator.matmul,
+                                lambda n: SparseMatrix.identity(ccm.spaces[n].dim, f))
+    return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in table])
 
-    def eq(name, lhs, rhs):
-        checks.append(AxiomCheck(name, lhs == rhs))
 
-    N = ccm.n_max
+def cocyclic_identities(n_max, delta, sigma, tau, compose, ident):
+    """(name, lhs, rhs) for every cosimplicial and cocyclic identity in
+    degrees 0..n_max (Loday, *Cyclic Homology*, 6.1).
+
+    ``delta[(n, i)]``, ``sigma[(n, j)]`` and ``tau[n]`` are the operators
+    keyed as in ``CocyclicModule``, ``compose(outer, inner)`` composes two of
+    them and ``ident(n)`` is the identity in degree n: matrices for cocyclic
+    modules, index tables for the finite cocyclic sets of ``classical``.
+    """
+    N = n_max
     for n in range(N - 1):
         for j in range(n + 3):
             for i in range(min(j, n + 2)):
-                eq(f"delta{j} delta{i} = delta{i} delta{j-1} @ {n}",
-                   ccm.delta[(n + 1, j)] @ ccm.delta[(n, i)],
-                   ccm.delta[(n + 1, i)] @ ccm.delta[(n, j - 1)])
+                yield (f"delta{j} delta{i} @ {n}",
+                       compose(delta[(n + 1, j)], delta[(n, i)]),
+                       compose(delta[(n + 1, i)], delta[(n, j - 1)]))
     for n in range(2, N + 1):
         for j in range(n - 1):
             for i in range(j + 1):
-                eq(f"sigma{j} sigma{i} = sigma{i} sigma{j+1} @ {n}",
-                   ccm.sigma[(n - 1, j)] @ ccm.sigma[(n, i)],
-                   ccm.sigma[(n - 1, i)] @ ccm.sigma[(n, j + 1)])
+                yield (f"sigma{j} sigma{i} @ {n}",
+                       compose(sigma[(n - 1, j)], sigma[(n, i)]),
+                       compose(sigma[(n - 1, i)], sigma[(n, j + 1)]))
     for n in range(N):
         for i in range(n + 2):
             for j in range(n + 1):
-                lhs = ccm.sigma[(n + 1, j)] @ ccm.delta[(n, i)]
+                lhs = compose(sigma[(n + 1, j)], delta[(n, i)])
                 if i < j:
-                    rhs = ccm.delta[(n - 1, i)] @ ccm.sigma[(n, j - 1)]
+                    rhs = compose(delta[(n - 1, i)], sigma[(n, j - 1)])
                 elif i in (j, j + 1):
-                    rhs = SparseMatrix.identity(ccm.spaces[n].dim, lhs.field)
+                    rhs = ident(n)
                 else:
-                    rhs = ccm.delta[(n - 1, i - 1)] @ ccm.sigma[(n, j)]
-                eq(f"sigma{j} delta{i} @ {n}", lhs, rhs)
+                    rhs = compose(delta[(n - 1, i - 1)], sigma[(n, j)])
+                yield f"sigma{j} delta{i} @ {n}", lhs, rhs
     for n in range(N + 1):
-        power = SparseMatrix.identity(ccm.spaces[n].dim, ccm.tau[n].field)
+        power = ident(n)
         for _ in range(n + 1):
-            power = ccm.tau[n] @ power
-        eq(f"tau^{n+1} = id @ {n}", power,
-           SparseMatrix.identity(ccm.spaces[n].dim, ccm.tau[n].field))
+            power = compose(tau[n], power)
+        yield f"tau^{n+1} = id @ {n}", power, ident(n)
     for n in range(N):
-        eq(f"tau delta0 = delta{n+1} @ {n}",
-           ccm.tau[n + 1] @ ccm.delta[(n, 0)], ccm.delta[(n, n + 1)])
+        yield (f"tau delta0 = delta{n+1} @ {n}",
+               compose(tau[n + 1], delta[(n, 0)]), delta[(n, n + 1)])
         for i in range(1, n + 2):
-            eq(f"tau delta{i} = delta{i-1} tau @ {n}",
-               ccm.tau[n + 1] @ ccm.delta[(n, i)], ccm.delta[(n, i - 1)] @ ccm.tau[n])
+            yield (f"tau delta{i} @ {n}",
+                   compose(tau[n + 1], delta[(n, i)]), compose(delta[(n, i - 1)], tau[n]))
     for n in range(1, N + 1):
-        eq(f"sigma0-tau @ {n}",
-           ccm.tau[n - 1] @ ccm.sigma[(n, 0)],
-           ccm.sigma[(n, n - 1)] @ ccm.tau[n] @ ccm.tau[n])
+        yield (f"tau sigma0 @ {n}",
+               compose(tau[n - 1], sigma[(n, 0)]),
+               compose(compose(sigma[(n, n - 1)], tau[n]), tau[n]))
         for j in range(1, n):
-            eq(f"tau sigma{j} = sigma{j-1} tau @ {n}",
-               ccm.tau[n - 1] @ ccm.sigma[(n, j)], ccm.sigma[(n, j - 1)] @ ccm.tau[n])
-    return ValidationReport(checks)
+            yield (f"tau sigma{j} @ {n}",
+                   compose(tau[n - 1], sigma[(n, j)]), compose(sigma[(n, j - 1)], tau[n]))
 
 
 # ---------------------------------------------------------------------------

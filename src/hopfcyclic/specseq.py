@@ -241,13 +241,8 @@ def second_page_spot(dc, p, q, transposed=False):
     return dc.cached(("E2", p, q, transposed), build)
 
 
-def spectral_pages(dc, up_to_page=2, window=None, transposed=False):
-    """Page dims on a window of (p, q) cells (default: the trusted region
-    p + q <= min(p_max, q_max) - 1, plus the full q = 0 row on page 2)."""
-    if window is None:
-        bound = min(dc.p_max, dc.q_max) - 1
-        window = [(p, q) for p in range(dc.p_max + 1) for q in range(dc.q_max + 1)
-                  if p + q <= bound]
+def spectral_pages(dc, up_to_page, window, transposed=False):
+    """Page dims on the (p, q) cells of ``window``, pages 1..up_to_page."""
     pages = []
     if up_to_page >= 1:
         dims = {pq: first_page_spot(dc, *pq, transposed).dim for pq in window}
@@ -326,10 +321,11 @@ class SpectralReport:
         return all(c.ok for c in self.checks)
 
 
-def theorem_check(dc, hh_dims):
+def theorem_check(dc, hh_dims, tor):
     """dim E^2_{n,0} vs relative Hochschild homology, and total homology vs
-    Tor^H(k, M), for n up to the trusted window min(p_max, q_max) - 1 of
-    the double complex ``dc``.
+    Tor^H(k, M) (``tor``, the dims of Tor_q(k, dc.mmod) from degree 0), for
+    n up to the trusted window min(p_max, q_max) - 1 of the double complex
+    ``dc``.
 
     In that window the truncated total complex carries every boundary that
     feeds the degrees compared.
@@ -342,7 +338,7 @@ def theorem_check(dc, hh_dims):
             f"E2[{n},0] = HH_{n}(H|B)", e2_row[n] == hh_dims[n],
             None if e2_row[n] == hh_dims[n] else f"{e2_row[n]} != {hh_dims[n]}"))
     tot = total_homology_dims(dc, n_upto)
-    tor_vals = tor_dims(dc.h, module_k(dc.h), dc.mmod, n_upto)
+    tor_vals = tor[: n_upto + 1]
     for n in range(n_upto + 1):
         checks.append(AxiomCheck(
             f"H_{n}(Tot) = Tor_{n}(k, ad)", tot[n] == tor_vals[n],
@@ -425,15 +421,15 @@ def five_term_check(dc):
     return SpectralReport(checks, tables)
 
 
-def hochschild_tor_check(h, hh_dims):
-    """Degreewise equality of HH(H) and Tor^H(k, ad H) in every degree of
-    ``hh_dims``, plus the freeness twist n (x) h -> n S(h_(1)) (x) h_(2)
-    being invertible."""
-    tor_vals = tor_dims(h, module_k(h), ad_left_module(h), len(hh_dims) - 1)
+def hochschild_tor_check(h, hh_dims, tor):
+    """Degreewise equality of HH(H) and Tor^H(k, ad H) (``tor``, from degree
+    0) in every degree of ``hh_dims``, plus the freeness twist
+    n (x) h -> n S(h_(1)) (x) h_(2) being invertible."""
+    tor_vals = tor[: len(hh_dims)]
     checks = []
-    for n, (hh, tor) in enumerate(zip(hh_dims, tor_vals)):
-        checks.append(AxiomCheck(f"HH_{n}(H) = Tor_{n}(k, ad H)", hh == tor,
-                                 None if hh == tor else f"{hh} != {tor}"))
+    for n, (hh, t) in enumerate(zip(hh_dims, tor_vals, strict=True)):
+        checks.append(AxiomCheck(f"HH_{n}(H) = Tor_{n}(k, ad H)", hh == t,
+                                 None if hh == t else f"{hh} != {t}"))
     checks.append(AxiomCheck("untwisting map invertible", _twist_invertible(h)))
     return SpectralReport(checks, {"HH": list(hh_dims), "Tor": tor_vals})
 

@@ -193,7 +193,7 @@ def test_criterion_7_hochschild_equals_tor():
         tor_vals = tor_dims(s.hopf, module_k(s.hopf),
                             ad_left_module(s.hopf), 3)
         assert tor_vals == want, (name, tor_vals)
-        rep = hochschild_tor_check(s.hopf, hh)
+        rep = hochschild_tor_check(s.hopf, hh, tor_vals)
         assert rep.ok, (name, [c for c in rep.checks if not c.ok])
     # the cyclic theory agrees with its oracle as well
     s = builtin_setup("kC2/k")
@@ -207,7 +207,7 @@ def test_criterion_8_spectral_sequence():
         s = builtin_setup(name)
         hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
         dc = extension_double_complex(s, 3, 3)
-        rep = theorem_check(dc, hh)
+        rep = theorem_check(dc, hh, tor_dims(s.hopf, module_k(s.hopf), dc.mmod, 2))
         assert rep.ok, (name, [c for c in rep.checks if not c.ok])
         frep = five_term_check(dc)
         assert frep.ok, (name, [c for c in frep.checks if not c.ok])
@@ -229,8 +229,8 @@ def test_criterion_9_classical_suite():
     up_s = induce_class_function(g, sub, sign)
     assert up_t.values == [QQ.from_int(3), QQ.one, QQ.zero]
     assert up_s.values == [QQ.from_int(3), QQ.from_int(-1), QQ.zero]
-    assert frobenius_reciprocity_check(g, sub, trivial).ok
-    assert frobenius_reciprocity_check(g, sub, sign).ok
+    assert frobenius_reciprocity_check(g, sub, trivial, up_t).ok
+    assert frobenius_reciprocity_check(g, sub, sign, up_s).ok
     assert class_function_dim_check(g, hh0_dim=3).ok
     _finish("9 (classical suite)", start, 60)
 

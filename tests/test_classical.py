@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hopfcyclic.groups import (
@@ -9,12 +11,14 @@ from hopfcyclic.groups import (
     subgroup_as_group,
 )
 from hopfcyclic.classical import (
+    check_cocyclic_set,
     class_function_dim_check,
     direct_picture_check,
     dual_picture_check,
     extended_quotient,
     extended_quotient_check,
     extended_quotient_transport_check,
+    fiber_power_set,
     frobenius_reciprocity_check,
     induce_class_function,
     stabilizer_coincidence_check,
@@ -99,6 +103,32 @@ def test_extended_quotient_s3_cosets():
     assert rep.ok
 
 
+@pytest.mark.parametrize("gens", [[], ["(12)"], ["(123)"], ["(12)", "(123)"]])
+def test_extended_quotient_check_every_s3_subgroup(gens):
+    sub = S3.subgroup_closure([S3.index(x) for x in gens])
+    rep = extended_quotient_check(S3, coset_action(S3, sub), 2)
+    assert rep.ok, [c.name for c in rep.failures()]
+
+
+def test_cocyclic_sets_and_modules_check_the_same_identities():
+    from hopfcyclic.cyclic import check_cocyclic_identities, relative_cocyclic_coext
+    from hopfcyclic.presets import builtin_setup
+
+    s = builtin_setup("kC2/k")
+    module = check_cocyclic_identities(relative_cocyclic_coext(s.hopf, s.quotient, 3))
+    finite = check_cocyclic_set(fiber_power_set(S3, C2_IN_S3, 3))
+    assert [c.name for c in module.checks] == [c.name for c in finite.checks]
+
+
+def test_mutant_cocyclic_set_fails():
+    cs = fiber_power_set(S3, C2_IN_S3, 2)
+    assert check_cocyclic_set(cs).ok
+    swapped = list(cs.cocyclic[1])
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    mutant = replace(cs, cocyclic={**cs.cocyclic, 1: swapped})
+    assert not check_cocyclic_set(mutant).ok
+
+
 def test_extended_quotient_transport():
     rep = extended_quotient_transport_check(S3, C2_IN_S3, 1)
     assert rep.ok, [c.witness for c in rep.failures()]
@@ -126,7 +156,8 @@ def test_frobenius_reciprocity_s3():
     sub = subgroup_as_group(S3, C2_IN_S3)
     for vals in ([QQ.one, QQ.one], [QQ.one, QQ.from_int(-1)]):
         chi = ClassFunction(sub, list(vals))
-        rep = frobenius_reciprocity_check(S3, C2_IN_S3, chi)
+        rep = frobenius_reciprocity_check(
+            S3, C2_IN_S3, chi, induce_class_function(S3, C2_IN_S3, chi))
         assert rep.ok, [c.witness for c in rep.failures()]
 
 
@@ -148,7 +179,6 @@ def test_class_function_dims():
 def test_classical_matches_algebraic_dims():
     # linearized direct picture: fiber power sizes equal the dims of the
     # relative cyclic object of O(S3) over O(S3/C2)
-    from hopfcyclic.classical import fiber_power_set
     from hopfcyclic.cyclic import relative_cyclic
     from hopfcyclic.presets import builtin_setup
 

@@ -328,6 +328,34 @@ def test_classical_induction_routes_disagreeing_is_a_failed_check(monkeypatch):
     assert checks["class functions extended quotient of a point counts classes"]["status"] == "pass"
 
 
+def test_classical_reciprocity_checks_the_reported_induced_function(monkeypatch):
+    # reciprocity must check the induced function the report shows, not a fresh one
+    import hopfcyclic.cli as cli
+    from hopfcyclic.classical import induce_class_function
+    from hopfcyclic.groups import ClassFunction
+
+    def doubled(g, sub, chi):
+        true = induce_class_function(g, sub, chi)
+        return ClassFunction(g, [v + v for v in true.values], true.field)
+
+    monkeypatch.setattr(cli, "induce_class_function", doubled)
+    code, text = run(["--format", "json", "classical", "--group", "S3", "--subgroup", "(12)",
+                      "--op", "frobenius"])
+    assert code == 1, text
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["three induction routes agree"]["status"] == "pass"
+    assert checks["reciprocity reciprocity vs irreducible 0"]["status"] == "fail"
+
+
+def test_classical_reciprocity_skipped_without_character_table():
+    code, text = run(["--format", "json", "classical", "--group", "C3", "--op", "frobenius"])
+    assert code == 0, text
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["reciprocity"] == {
+        "name": "reciprocity", "status": "skip",
+        "detail": "no built-in rational character table for C3"}
+
+
 def test_bad_file_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2}))

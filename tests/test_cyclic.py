@@ -213,6 +213,17 @@ def test_mutant_face_fails():
     assert not check_identities(mutant).ok
 
 
+def test_mutant_cocyclic_operator_fails():
+    s = builtin_setup("kC2/k")
+    ccm = relative_cocyclic_coext(s.hopf, s.quotient, 2)
+    assert check_identities(ccm).ok
+    scaled = replace(ccm, tau={**ccm.tau, 1: ccm.tau[1].scale(QQ.from_int(2))})
+    assert "tau^2 = id @ 1" in [c.name for c in check_identities(scaled).failures()]
+    zero = SparseMatrix.zeros(ccm.spaces[1].dim, ccm.spaces[0].dim, QQ)
+    mutant = replace(ccm, delta={**ccm.delta, (0, 0): zero})
+    assert not check_identities(mutant).ok
+
+
 def test_maps_breaking_the_b_relations_do_not_descend():
     # kS3/kC2 in degree 2: H^{(x)_B 3} and [H^{(x)_B 3}]_B are pure quotients,
     # so the relation columns are the only check that can reject these maps
