@@ -576,18 +576,15 @@ def induce_class_function(g, sub, chi_sub):
     pairs = right_quotient(g, gset, 0)
 
     # Tr_i: extension by zero, must be constant on orbits (machine-checked)
-    tr_i = {}
-    for rep in pairs.reps:
-        vals = set()
-        for gg in g.elements():
-            gt2 = g.conj(gg, rep[0])
-            x2 = gset.apply(gg, rep[1])
-            r = _coset_rep(cosets, x2)
-            conj = g.mul(g.mul(g.inv(r), gt2), r)
-            vals.add(chi_at(conj) if conj in pos else f.zero)
-        if len(vals) != 1:
-            raise GroupError("extension by zero is not constant on orbits")
-        tr_i[pairs.index[rep]] = vals.pop()
+    orbit_values = {}
+    for (gt, x), rep in pairs.canon.items():
+        r = _coset_rep(cosets, x)
+        conj = g.mul(g.mul(g.inv(r), gt), r)
+        orbit_values.setdefault(pairs.index[rep], set()).add(
+            chi_at(conj) if conj in pos else f.zero)
+    if any(len(vals) != 1 for vals in orbit_values.values()):
+        raise GroupError("extension by zero is not constant on orbits")
+    tr_i = {k: vals.pop() for k, vals in orbit_values.items()}
 
     def route_a(gt):
         total = f.zero

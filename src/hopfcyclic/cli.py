@@ -219,7 +219,7 @@ def cmd_tor(args, field):
     h = _resolve_hopf(args.hopf, field)
     dims = tor_dims(h, module_k(h), ad_left_module(h), n)
     rep.tables["tor_k_ad"] = {f"degree {k}": dims[k] for k in range(len(dims))}
-    rep.add_check("computed", True)
+    rep.add_check("bar complex d^2 = 0", True)  # tor_dims raises otherwise
     return rep
 
 

@@ -140,16 +140,6 @@ class HopfAlgebra:
         """Matrix of x -> x . a for an element a given as a d x 1 column."""
         return self.mu @ self.ident().kron(a)
 
-    def is_commutative(self):
-        d = self.dim
-        swap = permutation_matrix([d, d], [1, 0], self.field)
-        return self.mu @ swap == self.mu
-
-    def is_cocommutative(self):
-        d = self.dim
-        swap = permutation_matrix([d, d], [1, 0], self.field)
-        return swap @ self.delta == self.delta
-
     # axiom validation -------------------------------------------------------
 
     def validate(self):

@@ -69,11 +69,6 @@ class CyclicMap:
     components: dict  # n -> matrix
     name: str = ""
 
-    def is_bijective(self):
-        return all(
-            m.rows == m.cols and m.rank() == m.rows for m in self.components.values()
-        )
-
 
 def check_cyclic_map(f):
     """Commutation with every face, degeneracy and cyclic operator, reported

@@ -202,11 +202,11 @@ class SparseMatrix:
     Entries live in ``data: {(row, col): value}`` with no explicit zeros
     and every value in its field's canonical form (see ``RationalField``
     and ``PrimeField``), so equality is ``==`` on ``data``.  Derived
-    row/column adjacency, the reduced row echelon form and the rank are
-    cached on first use.
+    row/column adjacency, the reduced row echelon form and the pivot
+    columns behind the rank are cached on first use.
     """
 
-    __slots__ = ("rows", "cols", "field", "data", "_rows_map", "_cols_map", "_rref", "_rank")
+    __slots__ = ("rows", "cols", "field", "data", "_rows_map", "_cols_map", "_rref", "_pivots")
 
     def __init__(self, rows, cols, field, data=None):
         self.rows = rows
@@ -216,7 +216,7 @@ class SparseMatrix:
         self._rows_map = None
         self._cols_map = None
         self._rref = None
-        self._rank = None
+        self._pivots = None
 
     # construction ---------------------------------------------------------
 
@@ -242,16 +242,6 @@ class SparseMatrix:
             else:
                 data[(i, j)] = v
         return cls(rows, cols, field, data)
-
-    @classmethod
-    def from_dense(cls, rows_list, field):
-        data = {}
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                v = field.from_int(v) if isinstance(v, int) else v
-                if not field.is_zero(v):
-                    data[(i, j)] = v
-        return cls(len(rows_list), len(rows_list[0]) if rows_list else 0, field, data)
 
     # basic access ----------------------------------------------------------
 
@@ -292,9 +282,6 @@ class SparseMatrix:
         """Column j as a rows x 1 matrix."""
         col = self.cols_map().get(j, {})
         return SparseMatrix(self.rows, 1, self.field, {(i, 0): v for i, v in col.items()})
-
-    def to_dense(self):
-        return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -412,20 +399,24 @@ class SparseMatrix:
             self._rref = _rref_rows(rows, self.cols, self.field)
         return self._rref
 
-    def rank(self):
+    def rank(self, cleared=frozenset()):
         """Exact rank, by forward elimination only (no back-substitution).
 
         Gives only the count; reuses the pivot count of a cached RREF.
         Over a field the rank does not depend on pivot order, so the
         short-row pivots of ``_echelon_rows`` change the cost, not the result.
+        The rows in ``cleared`` are left out of the elimination, and the
+        count is cached as the rank: only ``homology_dims`` passes rows
+        that it has shown to change no kernel.  The echelon pivot columns
+        are cached in ``_pivots``.
         """
-        if self._rank is None:
+        if self._pivots is None:
             if self._rref is not None:
-                self._rank = len(self._rref[0])
+                self._pivots = self._rref[0]
             else:
-                rows = list(self.rows_map().values())
-                self._rank = len(_echelon_rows(rows, self.cols, self.field))
-        return self._rank
+                rows = [r for i, r in self.rows_map().items() if i not in cleared]
+                self._pivots = [c for c, _ in _echelon_rows(rows, self.cols, self.field)]
+        return len(self._pivots)
 
 
 def _echelon_rows(rows_in, ncols, field):
@@ -788,12 +779,29 @@ def block_matrix(row_dims, col_dims, blocks, field):
 def homology_dims(dims, d, upto):
     """dims[n] - rank d[n] - rank d[n + 1] for n <= upto: the homology of a
     complex with boundaries d[n]: C_n -> C_{n-1}, where a missing d[n]
-    counts as zero.  Each matrix caches its rank, so each is eliminated once.
-    """
-    def rank(n):
-        return d[n].rank() if n in d else 0
+    counts as zero.  Raises NotWellDefined unless d[n - 1] @ d[n] = 0.
 
-    return [dims[n] - rank(n) - rank(n + 1) for n in range(upto + 1)]
+    Ranks are taken in increasing degree, each with clearing (the dual of
+    the twist of Chen and Kerber, 2011): rank d[n + 1] is computed on its
+    rows outside the pivot columns P_n of the echelon form of d[n].  This
+    is exact.  A vector of ker d[n] is determined by its coordinates off
+    P_n, so dropping the rows P_n is injective on ker d[n], which holds
+    im d[n + 1] once d[n] @ d[n + 1] = 0 is checked; the cleared matrix
+    then has the kernel of d[n + 1], and so its rank and, for the next
+    degree, a valid P_{n + 1}.  A missing d[n] leaves P_n empty.  Each
+    matrix caches its rank and pivots, so each is eliminated once.
+    """
+    ranks, pivots = [], ()
+    for n in range(upto + 2):
+        if n not in d:
+            ranks.append(0)
+            pivots = ()
+            continue
+        if n - 1 in d and not (d[n - 1] @ d[n]).is_zero_matrix():
+            raise NotWellDefined(f"not a complex: d^2 != 0 at degree {n}")
+        ranks.append(d[n].rank(cleared=frozenset(pivots)))
+        pivots = d[n]._pivots
+    return [dims[n] - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
 
 
 def solve(a, b):

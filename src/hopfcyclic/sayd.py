@@ -187,25 +187,3 @@ def coad_module(h):
     if not rep.ok:
         raise SaydError(f"coad({h.name}) fails: {[c.name for c in rep.failures()]}")
     return m
-
-
-def trivial_sayd(h, grouplike=None):
-    """k with the counit action and a group-like coaction (a d x 1 column).
-
-    The unit coaction only satisfies the compatibility when S^2 = id; for
-    algebras like H4 one must twist by a suitable group-like (here g), the
-    classical modular-pair-in-involution situation.
-    """
-    coaction = h.eta if grouplike is None else grouplike
-    return SaydModule(h, "left-right", h.eps, coaction, name="k")
-
-
-def adjoint_action_identity_ok(h, ad=None):
-    """h_(2) |> (h' h_(1)) = h h' for all basis pairs, as a matrix identity."""
-    d, f = h.dim, h.field
-    if ad is None:
-        ad = ad_module(h)
-    # (h, h') -> (h1, h2, h') -> (h2, h', h1) -> (h2, h' h1), then the action
-    step = LegChain([d, d], f).leg(h.delta, 0, 1, [d, d]).perm([1, 2, 0]).leg(h.mu, 1, 2)
-    lhs = ad.action @ step.matrix()
-    return lhs == h.mu

@@ -1,0 +1,65 @@
+"""Helpers that only the tests use: dense conversion and uncached copies of
+sparse matrices, and predicates on Hopf algebras, cyclic maps and SAYD
+coefficients."""
+
+from hopfcyclic.linalg import LegChain, SparseMatrix, permutation_matrix
+from hopfcyclic.sayd import SaydModule, ad_module
+
+
+def from_dense(rows_list, field):
+    """The sparse matrix with the given rows; int entries are mapped into ``field``."""
+    data = {}
+    for i, row in enumerate(rows_list):
+        for j, v in enumerate(row):
+            v = field.from_int(v) if isinstance(v, int) else v
+            if not field.is_zero(v):
+                data[(i, j)] = v
+    return SparseMatrix(len(rows_list), len(rows_list[0]) if rows_list else 0, field, data)
+
+
+def to_dense(m):
+    return [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def uncached(m):
+    """An uncached copy of m: its rank is eliminated on all of its rows."""
+    return SparseMatrix(m.rows, m.cols, m.field, dict(m.data))
+
+
+def is_bijective(cmap):
+    """Every component of a cyclic map is square and invertible."""
+    return all(m.rows == m.cols and m.rank() == m.rows for m in cmap.components.values())
+
+
+def _swap(h):
+    return permutation_matrix([h.dim, h.dim], [1, 0], h.field)
+
+
+def is_commutative(h):
+    return h.mu @ _swap(h) == h.mu
+
+
+def is_cocommutative(h):
+    return _swap(h) @ h.delta == h.delta
+
+
+def trivial_sayd(h, grouplike=None):
+    """k with the counit action and a group-like coaction (a d x 1 column).
+
+    The unit coaction only satisfies the compatibility when S^2 = id; for
+    algebras like H4 one must twist by a suitable group-like (here g), the
+    classical modular-pair-in-involution situation.
+    """
+    coaction = h.eta if grouplike is None else grouplike
+    return SaydModule(h, "left-right", h.eps, coaction, name="k")
+
+
+def adjoint_action_identity_ok(h, ad=None):
+    """h_(2) |> (h' h_(1)) = h h' for all basis pairs, as a matrix identity."""
+    d, f = h.dim, h.field
+    if ad is None:
+        ad = ad_module(h)
+    # (h, h') -> (h1, h2, h') -> (h2, h', h1) -> (h2, h' h1), then the action
+    step = LegChain([d, d], f).leg(h.delta, 0, 1, [d, d]).perm([1, 2, 0]).leg(h.mu, 1, 2)
+    lhs = ad.action @ step.matrix()
+    return lhs == h.mu

@@ -37,7 +37,8 @@ from hopfcyclic.linalg import (
     permutation_matrix,
 )
 from hopfcyclic.presets import builtin_hopf, builtin_setup
-from hopfcyclic.sayd import ad_module, coad_module, trivial_sayd
+from hopfcyclic.sayd import ad_module, coad_module
+from support import trivial_sayd
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 HH_H4 = [2, 1, 1, 1]

@@ -18,6 +18,7 @@ from hopfcyclic.specseq import (
     tor_dims,
     total_homology_dims,
 )
+from support import from_dense
 
 
 def test_isomorphic_cyclic_modules_share_homology():
@@ -196,7 +197,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     # the linear-algebra operations on matrices with every residue class
     m = SparseMatrix.from_entries(3, 4, f, [(i, j, f.from_int(3 * i - 5 * j + i * j))
                                             for i in range(3) for j in range(4)])
-    sq = SparseMatrix.from_dense([[f.from_int(v) for v in r]
+    sq = from_dense([[f.from_int(v) for v in r]
                                   for r in ([2, -1, 0], [5, 3, -4], [1, 1, 6])], f)
     built += [kernel(m), span_columns(m), quotient_by_columns(3, m), m.rref(), m @ m.t(),
               m + m, -m, m - m.scale(f.from_int(-1)), m.kron(sq), inverse(sq),

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 from oracle import dense_rank
+from support import from_dense, to_dense, uncached
 
+from hopfcyclic.cyclic import boundary, relative_cyclic
 from hopfcyclic.linalg import (
     QQ,
     Inconsistent,
@@ -35,10 +37,12 @@ from hopfcyclic.linalg import (
     tensor_index,
     tensor_unindex,
 )
+from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
+from hopfcyclic.specseq import ad_left_module, module_k, tor_complex
 
 
 def M(rows, field=QQ):
-    return SparseMatrix.from_dense([[field.from_int(x) for x in r] for r in rows], field)
+    return from_dense([[field.from_int(x) for x in r] for r in rows], field)
 
 
 def test_kernel_identity_is_zero():
@@ -128,7 +132,7 @@ def test_rank_forward_elimination_matches_reference(field):
         fresh = SparseMatrix(m.rows, m.cols, field, dict(m.data))
         r = m.rank()  # forward pass only: no RREF cached yet
         if field is QQ:
-            assert r == dense_rank(m.to_dense())
+            assert r == dense_rank(to_dense(m))
         assert r == len(fresh.rref()[0])
         assert r == fresh.rank()  # taken from the cached RREF
         assert m.rank() == r
@@ -252,7 +256,7 @@ def test_kernels_match_dense_reference(field):
         want = _dense_product(_dense(a, field), _dense(b, field), field)
         _assert_clean(prod, field)
         assert _dense(prod, field) == want
-        assert prod == SparseMatrix.from_dense(want, field)
+        assert prod == from_dense(want, field)
         if cancels:
             assert prod.data == {}
         for mat in (a, a.t(), prod, a + a, a - a, -a):
@@ -564,6 +568,40 @@ def test_alternating_sum_and_homology_dims():
     d = {1: M([[1, 1]]), 2: SparseMatrix.zeros(2, 1, QQ)}
     assert homology_dims([1, 2, 1], d, 2) == [0, 1, 1]
     assert homology_dims([1, 2], {}, 1) == [1, 2]
+
+
+def test_homology_dims_rejects_a_non_complex():
+    # k --1--> k --1--> k: d[1] @ d[2] != 0 is caught before d[2] is ranked
+    d = {1: M([[1]]), 2: M([[1]])}
+    with pytest.raises(NotWellDefined):
+        homology_dims([1, 1, 1], d, 1)
+
+
+def _assert_cleared_ranks_exact(dims, d, upto):
+    """Each rank that ``homology_dims`` caches on d[n], cleared by the
+    pivots of d[n - 1], equals the rank of a fresh copy on all its rows."""
+    homology_dims(dims, d, upto)
+    for n, m in d.items():
+        assert m.rank() == uncached(m).rank(), n
+
+
+CLEARING_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=str)
+
+
+@CLEARING_FIELDS
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_cleared_hochschild_ranks_are_exact(name, field):
+    setup = builtin_setup(name, field)
+    cm = relative_cyclic(setup.hopf, setup.subalgebra, 4)
+    _assert_cleared_ranks_exact(cm.dims(), {n: boundary(cm, n) for n in range(1, 5)}, 3)
+
+
+@CLEARING_FIELDS
+@pytest.mark.parametrize("name", sorted({pair.split("/")[0] for pair in SETUP_NAMES}))
+def test_cleared_tor_ranks_are_exact(name, field):
+    h = builtin_hopf(name, field)
+    cc = tor_complex(h, module_k(h), ad_left_module(h), 4)
+    _assert_cleared_ranks_exact(cc.dims, cc.d, 3)
 
 
 def test_block_matrix_places_blocks_and_rejects_a_wrong_shape():

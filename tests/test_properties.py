@@ -6,6 +6,8 @@ Random sparse matrices over Q and over F_(2^31-1) are checked against
 and the matrices at most 7 x 7, so every minor is below Hadamard's bound
 (3 sqrt 7)^7 < 2.1e6 < p; a minor vanishes mod p exactly when it
 vanishes over Q, and the dense rank over Q is the rank over F_p.
+``homology_dims``, which clears rows, is checked on random complexes over
+Q and F_7 against ranks taken on all rows.
 """
 
 from fractions import Fraction
@@ -16,18 +18,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracle import dense_rank  # noqa: E402
+from support import uncached  # noqa: E402
 
 from hopfcyclic.linalg import (  # noqa: E402
     QQ,
     Inconsistent,
     PrimeField,
     SparseMatrix,
+    homology_dims,
     kernel,
     quotient_by_columns,
     solve,
 )
 
 FP = PrimeField(2**31 - 1)
+F7 = PrimeField(7)
 MAX_SIDE = 7
 
 _q_entries = st.one_of(
@@ -116,3 +121,33 @@ def test_quotient_by_columns_matches_oracle(field, data):
                              {(i, m.cols - 1 - j): v for (i, j), v in m.data.items()})
     again = quotient_by_columns(m.rows, reordered)
     assert again.projection == q.projection and again.section == q.section
+
+
+@st.composite
+def _complexes(draw, field):
+    """(dims, d): each d[n] is missing (zero) or has its columns drawn from
+    ker d[n - 1], so that d[n - 1] @ d[n] = 0."""
+    dims = draw(st.lists(st.integers(0, MAX_SIDE), min_size=2, max_size=5))
+    d = {}
+    for n in range(1, len(dims)):
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        if n - 1 in d:
+            cycles = kernel(uncached(d[n - 1])).section
+            d[n] = cycles @ draw(_matrices(field, cycles.cols, dims[n]))[0]
+        else:
+            d[n] = draw(_matrices(field, dims[n - 1], dims[n]))[0]
+    return dims, d
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=str)
+@examples
+@given(data=st.data())
+def test_cleared_homology_dims_match_uncleared_ranks(field, data):
+    dims, d = data.draw(_complexes(field))
+    upto = len(dims) - 2
+    ranks = [uncached(d[n]).rank() if n in d else 0 for n in range(upto + 2)]
+    assert homology_dims(dims, d, upto) == [dims[n] - ranks[n] - ranks[n + 1]
+                                            for n in range(upto + 1)]
+    # the rank each d[n] caches, cleared or not, is its exact rank
+    assert all(d[n].rank() == ranks[n] for n in d)

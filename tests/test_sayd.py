@@ -7,13 +7,12 @@ from hopfcyclic.presets import builtin_hopf
 from hopfcyclic.sayd import (
     SaydModule,
     ad_module,
-    adjoint_action_identity_ok,
     check_ayd,
     check_stable,
     coad_module,
-    trivial_sayd,
     validate_sayd,
 )
+from support import adjoint_action_identity_ok, trivial_sayd
 
 
 def test_trivial_sayd_passes_when_antipode_involutive():
