@@ -96,51 +96,65 @@ def check_identities(x):
 
 
 def check_cyclic_identities(cm):
-    """All simplicial and cyclic identities valid within the truncation."""
+    """All simplicial and cyclic identities valid within the truncation.
+
+    Degree by degree: every right factor of a product at degree n is an
+    operator out of C_n or a temporary.  The operators out of C_n are taken
+    as copies that share their entries but no cache, so the row maps that
+    the products cache on them are freed once degree n is checked, and one
+    degree's maps are held at a time, not every degree's.
+    """
     checks = []
 
     def eq(name, lhs, rhs):
         checks.append(AxiomCheck(name, lhs == rhs))
 
     N = cm.n_max
-    for n in range(2, N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                eq(f"d{i} d{j} = d{j-1} d{i} @ {n}",
-                   cm.d[(n - 1, i)] @ cm.d[(n, j)], cm.d[(n - 1, j - 1)] @ cm.d[(n, i)])
-    for n in range(N - 1):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                eq(f"s{i} s{j} = s{j+1} s{i} @ {n}",
-                   cm.s[(n + 1, i)] @ cm.s[(n, j)], cm.s[(n + 1, j + 1)] @ cm.s[(n, i)])
-    for n in range(N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = cm.d[(n + 1, i)] @ cm.s[(n, j)]
-                if i < j:
-                    rhs = cm.s[(n - 1, j - 1)] @ cm.d[(n, i)]
-                elif i in (j, j + 1):
-                    rhs = SparseMatrix.identity(cm.spaces[n].dim, lhs.field)
-                else:
-                    rhs = cm.s[(n - 1, j)] @ cm.d[(n, i - 1)]
-                eq(f"d{i} s{j} @ {n}", lhs, rhs)
     for n in range(N + 1):
-        power = SparseMatrix.identity(cm.spaces[n].dim, cm.t[n].field)
+        d = {**cm.d, **{k: _sharing(m) for k, m in cm.d.items() if k[0] == n}}
+        s = {**cm.s, **{k: _sharing(m) for k, m in cm.s.items() if k[0] == n}}
+        t = {**cm.t, n: _sharing(cm.t[n])}
+        ident = SparseMatrix.identity(cm.spaces[n].dim, t[n].field)
+        if n >= 2:
+            for j in range(n + 1):
+                for i in range(j):
+                    eq(f"d{i} d{j} = d{j-1} d{i} @ {n}",
+                       d[(n - 1, i)] @ d[(n, j)], d[(n - 1, j - 1)] @ d[(n, i)])
+        if n < N - 1:
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    eq(f"s{i} s{j} = s{j+1} s{i} @ {n}",
+                       s[(n + 1, i)] @ s[(n, j)], s[(n + 1, j + 1)] @ s[(n, i)])
+        if n < N:
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    lhs = d[(n + 1, i)] @ s[(n, j)]
+                    if i < j:
+                        rhs = s[(n - 1, j - 1)] @ d[(n, i)]
+                    elif i in (j, j + 1):
+                        rhs = ident
+                    else:
+                        rhs = s[(n - 1, j)] @ d[(n, i - 1)]
+                    eq(f"d{i} s{j} @ {n}", lhs, rhs)
+        power = ident
         for _ in range(n + 1):
-            power = cm.t[n] @ power
-        eq(f"t^{n+1} = id @ {n}", power, SparseMatrix.identity(cm.spaces[n].dim, cm.t[n].field))
-    for n in range(1, N + 1):
-        eq(f"d0 t = d{n} @ {n}", cm.d[(n, 0)] @ cm.t[n], cm.d[(n, n)])
-        for i in range(1, n + 1):
-            eq(f"d{i} t = t d{i-1} @ {n}",
-               cm.d[(n, i)] @ cm.t[n], cm.t[n - 1] @ cm.d[(n, i - 1)])
-    for n in range(N):
-        eq(f"s0 t = t^2 s{n} @ {n}",
-           cm.s[(n, 0)] @ cm.t[n], cm.t[n + 1] @ cm.t[n + 1] @ cm.s[(n, n)])
-        for i in range(1, n + 1):
-            eq(f"s{i} t = t s{i-1} @ {n}",
-               cm.s[(n, i)] @ cm.t[n], cm.t[n + 1] @ cm.s[(n, i - 1)])
+            power = t[n] @ power
+        eq(f"t^{n+1} = id @ {n}", power, ident)
+        if n >= 1:
+            eq(f"d0 t = d{n} @ {n}", d[(n, 0)] @ t[n], d[(n, n)])
+            for i in range(1, n + 1):
+                eq(f"d{i} t = t d{i-1} @ {n}", d[(n, i)] @ t[n], t[n - 1] @ d[(n, i - 1)])
+        if n < N:
+            # t (t s_n), not (t t) s_n: the right factors stay in degree n
+            eq(f"s0 t = t^2 s{n} @ {n}", s[(n, 0)] @ t[n], t[n + 1] @ (t[n + 1] @ s[(n, n)]))
+            for i in range(1, n + 1):
+                eq(f"s{i} t = t s{i-1} @ {n}", s[(n, i)] @ t[n], t[n + 1] @ s[(n, i - 1)])
     return ValidationReport(checks)
+
+
+def _sharing(m):
+    """A copy of m that shares its entries, which never change, but no cache."""
+    return SparseMatrix(m.rows, m.cols, m.field, m.data)
 
 
 def check_cocyclic_identities(ccm):

@@ -518,37 +518,52 @@ def tensor_power_over_b(h, b, legs):
     """
     d, f = h.dim, h.field
     space = SubquotientSpace.full(d, f)
-    bcols = b.space.section
+    mults = _b_multiplications(h, b)
     for k in range(1, legs):
         amb = space.tensor(SubquotientSpace.full(d, f))
         rels = []
-        for jb in range(bcols.cols):
-            bvec = bcols.column(jb)
-            rb = induced_map(
-                LegChain([d] * k, f).leg(h.right_mult_matrix(bvec), k - 1), space, space
-            )
-            lb = h.left_mult_matrix(bvec)
+        for right, left in mults:
+            rb = induced_map(LegChain([d] * k, f).leg(right, k - 1), space, space)
             ident_r = SparseMatrix.identity(space.dim, f)
             ident_d = SparseMatrix.identity(d, f)
-            rels.append(rb.kron(ident_d) - ident_r.kron(lb))
-        stage = quotient_by_columns(space.dim * d, SparseMatrix.hstack(rels))
-        space = amb.then(stage)
+            rels.append(rb.kron(ident_d) - ident_r.kron(left))
+        space = amb.then(_quotient_by(space.dim * d, rels, f))
     return space
 
 
 def commutator_quotient(h, b, space, legs):
     """[X]_B: quotient of X = H^{(x)_B legs} by right-minus-left B-action."""
     d, f = h.dim, h.field
-    bcols = b.space.section
     rels = []
     chain = LegChain([d] * legs, f)
+    for right, left in _b_multiplications(h, b):
+        right_last = induced_map(chain.leg(right, legs - 1), space, space)
+        left_first = induced_map(chain.leg(left, 0), space, space)
+        rels.append(right_last - left_first)
+    return space.then(_quotient_by(space.dim, rels, f))
+
+
+def _b_multiplications(h, b):
+    """(right, left) multiplication matrices of each basis column of B.
+
+    A column whose two matrices are both the identity is 1, and every
+    relation it gives, x.1 - 1.x in some leg, is zero; it is left out.
+    """
+    bcols = b.space.section
+    mults = []
     for jb in range(bcols.cols):
         bvec = bcols.column(jb)
-        right_last = induced_map(chain.leg(h.right_mult_matrix(bvec), legs - 1), space, space)
-        left_first = induced_map(chain.leg(h.left_mult_matrix(bvec), 0), space, space)
-        rels.append(right_last - left_first)
-    stage = quotient_by_columns(space.dim, SparseMatrix.hstack(rels))
-    return space.then(stage)
+        right, left = h.right_mult_matrix(bvec), h.left_mult_matrix(bvec)
+        if not (right.is_identity() and left.is_identity()):
+            mults.append((right, left))
+    return mults
+
+
+def _quotient_by(n, rels, f):
+    """k^n modulo the columns of the matrices ``rels``; with none, all of k^n."""
+    if not rels:
+        return SubquotientSpace.full(n, f)
+    return quotient_by_columns(n, SparseMatrix.hstack(rels))
 
 
 def canonical_map_n(h, b, c, n):

@@ -202,11 +202,14 @@ class SparseMatrix:
     Entries live in ``data: {(row, col): value}`` with no explicit zeros
     and every value in its field's canonical form (see ``RationalField``
     and ``PrimeField``), so equality is ``==`` on ``data``.  Derived
-    row/column adjacency, the reduced row echelon form and the pivot
-    columns behind the rank are cached on first use.
+    row/column adjacency, the reduced row echelon form, the pivot columns
+    behind the rank and whether the matrix is an identity are cached on
+    first use.  Nothing writes to ``data`` after construction, so a cached
+    value stays true and a product may hand back a factor unchanged.
     """
 
-    __slots__ = ("rows", "cols", "field", "data", "_rows_map", "_cols_map", "_rref", "_pivots")
+    __slots__ = ("rows", "cols", "field", "data", "_rows_map", "_cols_map", "_rref", "_pivots",
+                 "_identity")
 
     def __init__(self, rows, cols, field, data=None):
         self.rows = rows
@@ -217,6 +220,7 @@ class SparseMatrix:
         self._cols_map = None
         self._rref = None
         self._pivots = None
+        self._identity = None
 
     # construction ---------------------------------------------------------
 
@@ -227,7 +231,9 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n, field):
         one = field.one
-        return cls(n, n, field, {(i, i): one for i in range(n)})
+        m = cls(n, n, field, {(i, i): one for i in range(n)})
+        m._identity = True
+        return m
 
     @classmethod
     def from_entries(cls, rows, cols, field, entries):
@@ -256,11 +262,13 @@ class SparseMatrix:
         return not self.data
 
     def is_identity(self):
-        return (
-            self.rows == self.cols
-            and len(self.data) == self.rows
-            and all(i == j and v == 1 for (i, j), v in self.data.items())
-        )
+        if self._identity is None:
+            self._identity = (
+                self.rows == self.cols
+                and len(self.data) == self.rows
+                and all(i == j and v == 1 for (i, j), v in self.data.items())
+            )
+        return self._identity
 
     def rows_map(self):
         if self._rows_map is None:
@@ -331,6 +339,11 @@ class SparseMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # a product with an identity factor is the other factor, key order and all
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         p = self.field.p
         out = {}
         get = out.get
@@ -352,6 +365,8 @@ class SparseMatrix:
 
     def kron(self, other):
         f = self.field
+        if self.is_identity() and other.is_identity():
+            return SparseMatrix.identity(self.rows * other.rows, f)
         data = {}
         for (i1, j1), a in self.data.items():
             for (i2, j2), b in other.data.items():
@@ -615,7 +630,15 @@ def induced_map(f, dom, cod):
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
         raise ShapeMismatch("map shape does not match ambient spaces")
     image = f @ dom.section
-    reduced = cod.projection @ image
+    if cod.projection.is_identity():
+        # ``image`` itself, its row indices swapped for the codomain's own int
+        # objects as the product did: the operators a module keeps then share
+        # them, instead of each holding one int object per entry
+        index = {i: i for i, _ in cod.projection.data}
+        reduced = SparseMatrix(image.rows, image.cols, image.field,
+                               {(index[i], j): v for (i, j), v in image.data.items()})
+    else:
+        reduced = cod.projection @ image
     if dom.rel_cols.cols:
         img = f @ dom.rel_cols
         if cod.rel_kind == "kernel":
@@ -737,6 +760,28 @@ def homology_space(out_map, in_map):
     return z.then(q)
 
 
+def composite_is_zero(a, b):
+    """True when a @ b = 0.  The product is summed one row at a time and
+    each row is dropped once it is seen to vanish, so the whole product,
+    which can be far larger than either factor before its terms cancel,
+    is never held."""
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    p = a.field.p
+    brows = b.rows_map()
+    for arow in a.rows_map().values():
+        acc = {}
+        get = acc.get
+        for k, x in arow.items():
+            brow = brows.get(k)
+            if brow:
+                for j, y in brow.items():
+                    acc[j] = get(j, 0) + x * y
+        if any(acc.values()) if p is None else any(v % p for v in acc.values()):
+            return False
+    return True
+
+
 def alternating_sum(terms):
     """terms[0] - terms[1] + terms[2] - ...: every boundary is the signed sum
     of its faces.  ``terms`` may be a generator, so that only the running
@@ -797,7 +842,7 @@ def homology_dims(dims, d, upto):
             ranks.append(0)
             pivots = ()
             continue
-        if n - 1 in d and not (d[n - 1] @ d[n]).is_zero_matrix():
+        if n - 1 in d and not composite_is_zero(d[n - 1], d[n]):
             raise NotWellDefined(f"not a complex: d^2 != 0 at degree {n}")
         ranks.append(d[n].rank(cleared=frozenset(pivots)))
         pivots = d[n]._pivots

@@ -314,3 +314,30 @@ def test_truncation_guards():
         cyclic_homology(cm, 1)
     with pytest.raises(TruncationError):
         boundary(cm, 3)
+
+
+def _cyclic_identity_names(N):
+    """The name of every simplicial and cyclic identity in degrees 0..N, one
+    family at a time."""
+    names = [f"d{i} d{j} = d{j-1} d{i} @ {n}"
+             for n in range(2, N + 1) for j in range(n + 1) for i in range(j)]
+    names += [f"s{i} s{j} = s{j+1} s{i} @ {n}"
+              for n in range(N - 1) for i in range(n + 1) for j in range(i, n + 1)]
+    names += [f"d{i} s{j} @ {n}" for n in range(N) for j in range(n + 1) for i in range(n + 2)]
+    names += [f"t^{n+1} = id @ {n}" for n in range(N + 1)]
+    names += [f"d0 t = d{n} @ {n}" for n in range(1, N + 1)]
+    names += [f"d{i} t = t d{i-1} @ {n}" for n in range(1, N + 1) for i in range(1, n + 1)]
+    names += [f"s0 t = t^2 s{n} @ {n}" for n in range(N)]
+    names += [f"s{i} t = t s{i-1} @ {n}" for n in range(N) for i in range(1, n + 1)]
+    return names
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
+    s = builtin_setup("kC2/k")
+    cm = relative_cyclic(s.hopf, s.subalgebra, n_max)
+    rep = check_identities(cm)
+    assert rep.ok
+    assert sorted(c.name for c in rep.checks) == sorted(_cyclic_identity_names(n_max))
+    ops = [*cm.d.values(), *cm.s.values(), *cm.t.values()]
+    assert all(m._rows_map is None for m in ops)

@@ -8,6 +8,7 @@ from hopfcyclic.hopf import (
     canonical_map_n,
     cocanonical_map,
     coinvariants,
+    commutator_quotient,
     galois_criterion,
     group_algebra,
     function_algebra,
@@ -20,8 +21,22 @@ from hopfcyclic.hopf import (
     translation_map,
     trivial_subalgebra,
 )
-from hopfcyclic.linalg import QQ, span_contains
-from hopfcyclic.presets import builtin_hopf, builtin_setup, _basis_columns, S3_C2_INDICES
+from hopfcyclic.linalg import (
+    QQ,
+    LegChain,
+    PrimeField,
+    SubquotientSpace,
+    induced_map,
+    quotient_by_columns,
+    span_contains,
+)
+from hopfcyclic.presets import (
+    SETUP_NAMES,
+    S3_C2_INDICES,
+    _basis_columns,
+    builtin_hopf,
+    builtin_setup,
+)
 from support import from_dense, is_cocommutative, is_commutative
 
 
@@ -239,3 +254,73 @@ def test_ideal_not_coideal_rejected():
     gens = SparseMatrix(2, 1, QQ, {(0, 0): QQ.one})
     with pytest.raises(HopfError):
         quotient_module_coalgebra(h, gens)
+
+
+# ---------------------------------------------------------------------------
+# the relations of 1 in B are zero, and leaving them out changes no space
+
+
+def _relations_of_every_b(h, b, rels_of):
+    """hstack of ``rels_of(right, left)`` over every basis column of B, 1 included."""
+    bcols = b.space.section
+    return SparseMatrix.hstack([
+        rels_of(h.right_mult_matrix(bcols.column(j)), h.left_mult_matrix(bcols.column(j)))
+        for j in range(bcols.cols)])
+
+
+def _tensor_power_keeping_unit(h, b, legs):
+    d, f = h.dim, h.field
+    space = SubquotientSpace.full(d, f)
+    for k in range(1, legs):
+        amb = space.tensor(SubquotientSpace.full(d, f))
+
+        def rels_of(right, left):
+            rb = induced_map(LegChain([d] * k, f).leg(right, k - 1), space, space)
+            return (rb.kron(SparseMatrix.identity(d, f))
+                    - SparseMatrix.identity(space.dim, f).kron(left))
+
+        stage = quotient_by_columns(space.dim * d, _relations_of_every_b(h, b, rels_of))
+        space = amb.then(stage)
+    return space
+
+
+def _commutator_quotient_keeping_unit(h, b, space, legs):
+    chain = LegChain([h.dim] * legs, h.field)
+
+    def rels_of(right, left):
+        return (induced_map(chain.leg(right, legs - 1), space, space)
+                - induced_map(chain.leg(left, 0), space, space))
+
+    return space.then(quotient_by_columns(space.dim, _relations_of_every_b(h, b, rels_of)))
+
+
+def _same_space(a, b):
+    return (a.projection == b.projection and a.section == b.section
+            and a.rel_cols == b.rel_cols and a.rel_kind == b.rel_kind)
+
+
+def _os3_coinvariants_from_columns(field):
+    """B = H^{co C} of OS3/OC2, rebuilt with ``subalgebra_from_columns``: its
+    basis columns are sums of delta functions, and 1 is none of them."""
+    s = builtin_setup("OS3/OC2", field)
+    return s.hopf, subalgebra_from_columns(s.hopf, s.subalgebra.space.section)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES + ("OS3 B from columns",))
+def test_leaving_out_the_relations_of_1_changes_no_space(name, field):
+    if name in SETUP_NAMES:
+        s = builtin_setup(name, field)
+        h, b = s.hopf, s.subalgebra
+        if name.endswith("/k"):
+            assert b.space.section == h.eta  # 1 is B's one basis column
+    else:
+        h, b = _os3_coinvariants_from_columns(field)
+        bcols = b.space.section
+        assert all(bcols.column(j) != h.eta for j in range(bcols.cols))
+    for legs in (1, 2, 3):
+        want = _tensor_power_keeping_unit(h, b, legs)
+        got = tensor_power_over_b(h, b, legs)
+        assert _same_space(got, want), legs
+        assert _same_space(commutator_quotient(h, b, got, legs),
+                           _commutator_quotient_keeping_unit(h, b, want, legs)), legs

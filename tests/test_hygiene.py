@@ -63,3 +63,75 @@ def test_every_module_level_definition_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+# dict methods that change a dict in place
+MUTATORS = {"pop", "popitem", "update", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+
+def _is_data(node):
+    return isinstance(node, ast.Attribute) and node.attr == "data"
+
+
+def _flat_targets(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _flat_targets(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _flat_targets(target.value)
+    else:
+        yield target
+
+
+def _data_writes(tree):
+    """Line numbers of every write to an attribute ``data`` outside
+    ``SparseMatrix.__init__``: ``x.data = ...``, ``x.data[k] = ...`` (also
+    augmented or deleted) and calls of a mutating method on ``x.data``."""
+    allowed = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "SparseMatrix"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in (t for tgt in targets for t in _flat_targets(tgt)):
+            if _is_data(target) or (isinstance(target, ast.Subscript) and _is_data(target.value)):
+                yield node.lineno
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and _is_data(node.func.value)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_matrix_data_is_written_after_construction(path):
+    """A matrix caches whether it is an identity, and a product with an
+    identity factor hands back the other factor itself: both are sound only
+    while no code changes a matrix's entries once it is built."""
+    lines = sorted(set(_data_writes(_tree(path))))
+    assert not lines, f"{path.name} writes to .data on lines {lines}"
+
+
+def test_data_write_detector_catches_each_form():
+    forms = [
+        "x.data[0, 1] = 2", "x.data[k] += 1", "del x.data[k]", "x.data = {}",
+        "a, x.data = 1, {}", "x.data.pop(k)", "x.data.update(y)", "x.data.setdefault(k, 1)",
+        "x.data.clear()", "x.data.popitem()",
+    ]
+    for src in forms:
+        assert list(_data_writes(ast.parse(src))), src
+    init = "class SparseMatrix:\n    def __init__(self, data):\n        self.data = data\n"
+    assert not list(_data_writes(ast.parse(init)))
+    reads = "y = x.data.get(k)\nd[x.data] = 1\nfor k, v in x.data.items():\n    pass\n"
+    assert not list(_data_writes(ast.parse(reads)))
+    other = "class Other:\n    def __init__(self, data):\n        self.data = data\n"
+    assert list(_data_writes(ast.parse(other)))

@@ -20,6 +20,7 @@ from hopfcyclic.linalg import (
     apply_on_leg,
     block_matrix,
     coequalizer,
+    composite_is_zero,
     equalizer,
     homology_dims,
     homology_space,
@@ -643,3 +644,100 @@ def test_shape_guards():
         M([[1]]) @ M([[1, 2], [3, 4]])
     with pytest.raises(ShapeMismatch):
         equalizer(M([[1]]), M([[1, 2]]))
+
+
+IDENTITY_FIELDS = [QQ, PrimeField(5), PrimeField(2**31 - 1)]
+identity_fields = pytest.mark.parametrize("field", IDENTITY_FIELDS, ids=str)
+
+
+def _product_via_dense(a, b):
+    f = a.field
+    return from_dense(_dense_product(_dense(a, f), _dense(b, f), f), f)
+
+
+def _dense_kron(a, b):
+    f = a.field
+    return from_dense(
+        [[f.mul(a.get(i1, j1), b.get(i2, j2)) for j1 in range(a.cols) for j2 in range(b.cols)]
+         for i1 in range(a.rows) for i2 in range(b.rows)], f)
+
+
+def _scrambled(field, rows, cols, seed):
+    """A matrix whose keys are in neither row-major nor column-major order."""
+    rng = random.Random(seed)
+    keys = [(i, j) for i in range(rows) for j in range(cols) if rng.random() < 0.6]
+    rng.shuffle(keys)
+    values = ["-1/2", "3", "2/3", "-4", "7"]  # nonzero in every field used here
+    return SparseMatrix(rows, cols, field,
+                        {k: field.from_str(values[n % len(values)]) for n, k in enumerate(keys)})
+
+
+@identity_fields
+def test_products_with_identity_factors_equal_dense_products(field):
+    x = _scrambled(field, 3, 4, 1)
+    i3, i4 = SparseMatrix.identity(3, field), SparseMatrix.identity(4, field)
+    # an identity built entry by entry is recognized too
+    j4 = SparseMatrix(4, 4, field, {(k, k): field.one for k in reversed(range(4))})
+    assert i3 @ x == _product_via_dense(i3, x) == x
+    assert x @ i4 == _product_via_dense(x, i4) == x
+    assert x @ j4 == _product_via_dense(x, j4) == x
+    assert i3.kron(i4) == _dense_kron(i3, i4) == SparseMatrix.identity(12, field)
+    assert i3.kron(j4) == _dense_kron(i3, j4)
+    assert (i3.kron(i4) @ x.kron(i4)) == x.kron(i4)
+
+
+@identity_fields
+def test_product_with_an_identity_keeps_the_other_factors_key_order(field):
+    x = _scrambled(field, 3, 4, 2)
+    assert list(x.data) != sorted(x.data)
+    assert list((x @ SparseMatrix.identity(4, field)).data) == list(x.data)
+    assert list((SparseMatrix.identity(3, field) @ x).data) == list(x.data)
+
+
+@identity_fields
+def test_identity_factor_still_checks_shapes(field):
+    x = _scrambled(field, 3, 4, 3)
+    with pytest.raises(ShapeMismatch):
+        SparseMatrix.identity(4, field) @ x
+    with pytest.raises(ShapeMismatch):
+        x @ SparseMatrix.identity(3, field)
+    with pytest.raises(ShapeMismatch):
+        SparseMatrix.identity(2, field) @ SparseMatrix.identity(3, field)
+
+
+def _look_alikes(field):
+    one, two = field.one, field.from_int(2)
+    return {
+        "2I": SparseMatrix.identity(3, field).scale(two),
+        "permutation": SparseMatrix(3, 3, field, {(1, 0): one, (2, 1): one, (0, 2): one}),
+        "I plus an off-diagonal entry": SparseMatrix(
+            3, 3, field, {(0, 0): one, (1, 1): one, (2, 2): one, (0, 2): one}),
+        "3x4 with ones on its diagonal": SparseMatrix(
+            3, 4, field, {(0, 0): one, (1, 1): one, (2, 2): one}),
+    }
+
+
+@identity_fields
+@pytest.mark.parametrize("kind", list(_look_alikes(QQ)))
+def test_identity_look_alikes_are_multiplied(field, kind):
+    m = _look_alikes(field)[kind]
+    assert not m.is_identity()
+    left, right = _scrambled(field, 2, m.rows, 4), _scrambled(field, m.cols, 2, 5)
+    assert left @ m == _product_via_dense(left, m)
+    assert m @ right == _product_via_dense(m, right)
+    assert m.kron(m) == _dense_kron(m, m)
+    assert m.kron(SparseMatrix.identity(2, field)) == _dense_kron(m, SparseMatrix.identity(2, field))
+
+
+@identity_fields
+def test_composite_is_zero_matches_the_product(field):
+    rng = random.Random(6)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = _scrambled(field, n, k, rng.randrange(10**6))
+        b = kernel(a).section  # a @ b = 0, with terms that cancel
+        assert composite_is_zero(a, b) and (a @ b).is_zero_matrix()
+        c = _scrambled(field, k, m, rng.randrange(10**6))
+        assert composite_is_zero(a, c) == (a @ c).is_zero_matrix()
+    with pytest.raises(ShapeMismatch):
+        composite_is_zero(SparseMatrix.identity(2, field), SparseMatrix.identity(3, field))
