@@ -10,10 +10,14 @@ chain only to the sections and relation columns of the spaces, never
 assembling it over the ambient.  The descent/restriction check is the
 machine substitute for the by-hand well-definedness proofs.
 
-``cocyclic_identities`` is the one table of cosimplicial and cocyclic
-identities: it checks both the cocyclic modules here and the finite
-cocyclic sets of ``classical``, which differ only in how two operators
-compose.
+``cyclic_identities`` and ``cocyclic_identities`` are the one table of
+simplicial and cyclic identities and the one of cosimplicial and cocyclic
+identities, written against a ``compose`` of two operators.
+``check_identities`` runs them on signed index tables (``IndexTable``)
+when every operator of a module has at most one entry in each column, or
+every one in each row, and on exact matrix products otherwise; the finite
+cocyclic sets of ``classical`` run the cocyclic table on unsigned index
+tables.
 
 Truncation semantics: Hochschild homology is trusted up to n_max - 1 and
 cyclic homology up to n_max - 2, since the boundary at degree n consumes
@@ -34,6 +38,7 @@ from .hopf import (
     tensor_power_over_b,
 )
 from .linalg import (
+    IndexTable,
     LegChain,
     NotWellDefined,
     SparseMatrix,
@@ -90,66 +95,57 @@ class CocyclicModule:
 
 
 def check_identities(x):
-    if isinstance(x, CyclicModule):
-        return check_cyclic_identities(x)
-    return check_cocyclic_identities(x)
+    """Every identity of a cyclic or cocyclic module within its truncation.
 
-
-def check_cyclic_identities(cm):
-    """All simplicial and cyclic identities valid within the truncation.
-
-    Degree by degree: every right factor of a product at degree n is an
-    operator out of C_n or a temporary.  The operators out of C_n are taken
-    as copies that share their entries but no cache, so the row maps that
-    the products cache on them are freed once degree n is checked, and one
-    degree's maps are held at a time, not every degree's.
+    Compared on signed index tables when every operator of x has at most
+    one entry in each column, or every one has at most one in each row;
+    otherwise by exact matrix products.
     """
-    checks = []
+    return identity_report(x, index_tables(x) or matrix_operators(x))
 
-    def eq(name, lhs, rhs):
-        checks.append(AxiomCheck(name, lhs == rhs))
 
-    N = cm.n_max
-    for n in range(N + 1):
-        d = {**cm.d, **{k: _sharing(m) for k, m in cm.d.items() if k[0] == n}}
-        s = {**cm.s, **{k: _sharing(m) for k, m in cm.s.items() if k[0] == n}}
-        t = {**cm.t, n: _sharing(cm.t[n])}
-        ident = SparseMatrix.identity(cm.spaces[n].dim, t[n].field)
-        if n >= 2:
-            for j in range(n + 1):
-                for i in range(j):
-                    eq(f"d{i} d{j} = d{j-1} d{i} @ {n}",
-                       d[(n - 1, i)] @ d[(n, j)], d[(n - 1, j - 1)] @ d[(n, i)])
-        if n < N - 1:
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    eq(f"s{i} s{j} = s{j+1} s{i} @ {n}",
-                       s[(n + 1, i)] @ s[(n, j)], s[(n + 1, j + 1)] @ s[(n, i)])
-        if n < N:
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = d[(n + 1, i)] @ s[(n, j)]
-                    if i < j:
-                        rhs = s[(n - 1, j - 1)] @ d[(n, i)]
-                    elif i in (j, j + 1):
-                        rhs = ident
-                    else:
-                        rhs = s[(n - 1, j)] @ d[(n, i - 1)]
-                    eq(f"d{i} s{j} @ {n}", lhs, rhs)
-        power = ident
-        for _ in range(n + 1):
-            power = t[n] @ power
-        eq(f"t^{n+1} = id @ {n}", power, ident)
-        if n >= 1:
-            eq(f"d0 t = d{n} @ {n}", d[(n, 0)] @ t[n], d[(n, n)])
-            for i in range(1, n + 1):
-                eq(f"d{i} t = t d{i-1} @ {n}", d[(n, i)] @ t[n], t[n - 1] @ d[(n, i - 1)])
-        if n < N:
-            # t (t s_n), not (t t) s_n: the right factors stay in degree n
-            eq(f"s0 t = t^2 s{n} @ {n}", s[(n, 0)] @ t[n], t[n + 1] @ (t[n + 1] @ s[(n, n)]))
-            for i in range(1, n + 1):
-                eq(f"s{i} t = t s{i-1} @ {n}", s[(n, i)] @ t[n], t[n + 1] @ s[(n, i - 1)])
-    return ValidationReport(checks)
+def identity_report(x, ops):
+    """The report of x's identity table on ``ops``, a triple (operators,
+    compose, ident) from ``index_tables`` or ``matrix_operators``."""
+    table = cyclic_identities if isinstance(x, CyclicModule) else cocyclic_identities
+    (faces, degens, rotations), compose, ident = ops
+    return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in
+                             table(x.n_max, faces, degens, rotations, compose, ident)])
+
+
+def _operators(x):
+    return (x.d, x.s, x.t) if isinstance(x, CyclicModule) else (x.delta, x.sigma, x.tau)
+
+
+def index_tables(x):
+    """x's operators as ``IndexTable``s of their columns, or else of their
+    rows, which compose in the reverse order; None when neither holds for
+    every operator."""
+    ops = _operators(x)
+    p = ops[2][0].field.p
+    for by_rows in (False, True):
+        tables = []
+        for op in ops:
+            tables.append({k: IndexTable.of(m, by_rows) for k, m in op.items()})
+            if any(tb is None for tb in tables[-1].values()):
+                break
+        else:
+            compose = (lambda a, b: b @ a) if by_rows else operator.matmul
+            return tables, compose, lambda n: IndexTable.identity(x.spaces[n].dim, p)
+    return None
+
+
+def matrix_operators(x):
+    """x's operators as matrices, composed by exact products.
+
+    The operators are copies that share their entries but no cache, so the
+    row maps that the products cache on them go with the check and none
+    stays on x.
+    """
+    ops = _operators(x)
+    f = ops[2][0].field
+    copies = [{k: _sharing(m) for k, m in op.items()} for op in ops]
+    return copies, operator.matmul, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
 
 
 def _sharing(m):
@@ -157,12 +153,55 @@ def _sharing(m):
     return SparseMatrix(m.rows, m.cols, m.field, m.data)
 
 
-def check_cocyclic_identities(ccm):
-    """All cosimplicial and cocyclic identities valid within the truncation."""
-    f = ccm.tau[0].field
-    table = cocyclic_identities(ccm.n_max, ccm.delta, ccm.sigma, ccm.tau, operator.matmul,
-                                lambda n: SparseMatrix.identity(ccm.spaces[n].dim, f))
-    return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in table])
+def cyclic_identities(n_max, d, s, t, compose, ident):
+    """(name, lhs, rhs) for every simplicial and cyclic identity in degrees
+    0..n_max (Loday, *Cyclic Homology*, 6.1), degree by degree.
+
+    ``d[(n, i)]``, ``s[(n, j)]`` and ``t[n]`` are the operators keyed as in
+    ``CyclicModule``, ``compose(outer, inner)`` composes two of them and
+    ``ident(n)`` is the identity in degree n.
+    """
+    N = n_max
+    for n in range(N + 1):
+        one = ident(n)
+        if n >= 2:
+            for j in range(n + 1):
+                for i in range(j):
+                    yield (f"d{i} d{j} = d{j-1} d{i} @ {n}",
+                           compose(d[(n - 1, i)], d[(n, j)]),
+                           compose(d[(n - 1, j - 1)], d[(n, i)]))
+        if n < N - 1:
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    yield (f"s{i} s{j} = s{j+1} s{i} @ {n}",
+                           compose(s[(n + 1, i)], s[(n, j)]),
+                           compose(s[(n + 1, j + 1)], s[(n, i)]))
+        if n < N:
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    lhs = compose(d[(n + 1, i)], s[(n, j)])
+                    if i < j:
+                        rhs = compose(s[(n - 1, j - 1)], d[(n, i)])
+                    elif i in (j, j + 1):
+                        rhs = one
+                    else:
+                        rhs = compose(s[(n - 1, j)], d[(n, i - 1)])
+                    yield f"d{i} s{j} @ {n}", lhs, rhs
+        power = one
+        for _ in range(n + 1):
+            power = compose(t[n], power)
+        yield f"t^{n+1} = id @ {n}", power, one
+        if n >= 1:
+            yield f"d0 t = d{n} @ {n}", compose(d[(n, 0)], t[n]), d[(n, n)]
+            for i in range(1, n + 1):
+                yield (f"d{i} t = t d{i-1} @ {n}",
+                       compose(d[(n, i)], t[n]), compose(t[n - 1], d[(n, i - 1)]))
+        if n < N:
+            yield (f"s0 t = t^2 s{n} @ {n}",
+                   compose(s[(n, 0)], t[n]), compose(t[n + 1], compose(t[n + 1], s[(n, n)])))
+            for i in range(1, n + 1):
+                yield (f"s{i} t = t s{i-1} @ {n}",
+                       compose(s[(n, i)], t[n]), compose(t[n + 1], s[(n, i - 1)]))
 
 
 def cocyclic_identities(n_max, delta, sigma, tau, compose, ident):

@@ -532,6 +532,71 @@ def _rref_rows(rows_in, ncols, field):
 
 
 # ---------------------------------------------------------------------------
+# signed index tables
+
+
+class IndexTable:
+    """A matrix with at most one entry in each column, as a signed index table.
+
+    ``idx[j]`` is the row of column j's entry and ``val[j]`` its value; an
+    empty column is ``-1``/``0``, and both lists end with that sentinel, so
+    indexing by ``-1`` reads an empty column.  Composing is one list pass,
+    ``(a @ b).idx = [a.idx[r] for r in b.idx]`` with the values multiplied,
+    and it carries the sentinel through.  A product of nonzero field
+    elements is never zero, so an empty column stays ``-1``/``0``, the
+    table of a product is the product of the tables, and two tables are
+    equal exactly when their matrices are.  ``p`` is the field's modulus,
+    None over Q.
+    """
+
+    __slots__ = ("rows", "cols", "p", "idx", "val")
+
+    def __init__(self, rows, cols, p, idx, val):
+        self.rows = rows
+        self.cols = cols
+        self.p = p
+        self.idx = idx
+        self.val = val
+
+    @classmethod
+    def of(cls, m, by_rows=False):
+        """The table of m, or with ``by_rows`` of its transpose, whose
+        products compose in the reverse order; None when a column (a row)
+        of m holds two entries."""
+        rows, cols = (m.cols, m.rows) if by_rows else (m.rows, m.cols)
+        idx = [-1] * (cols + 1)
+        val = [0] * (cols + 1)
+        for key, v in m.data.items():
+            i, j = key[::-1] if by_rows else key
+            if idx[j] >= 0:
+                return None
+            idx[j] = i
+            val[j] = v
+        return cls(rows, cols, m.field.p, idx, val)
+
+    @classmethod
+    def identity(cls, n, p):
+        return cls(n, n, p, [*range(n), -1], [1] * n + [0])
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        ia, va, p = self.idx, self.val, self.p
+        pairs = zip(other.idx, other.val)
+        if p is None:
+            val = [va[r] * v for r, v in pairs]
+        else:
+            val = [va[r] * v % p for r, v in pairs]
+        return IndexTable(self.rows, other.cols, p, [ia[r] for r in other.idx], val)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndexTable):
+            return NotImplemented
+        return ((self.rows, self.cols, self.idx, self.val)
+                == (other.rows, other.cols, other.idx, other.val))
+
+
+# ---------------------------------------------------------------------------
 # subquotient spaces
 
 

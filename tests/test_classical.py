@@ -111,11 +111,11 @@ def test_extended_quotient_check_every_s3_subgroup(gens):
 
 
 def test_cocyclic_sets_and_modules_check_the_same_identities():
-    from hopfcyclic.cyclic import check_cocyclic_identities, relative_cocyclic_coext
+    from hopfcyclic.cyclic import check_identities, relative_cocyclic_coext
     from hopfcyclic.presets import builtin_setup
 
     s = builtin_setup("kC2/k")
-    module = check_cocyclic_identities(relative_cocyclic_coext(s.hopf, s.quotient, 3))
+    module = check_identities(relative_cocyclic_coext(s.hopf, s.quotient, 3))
     finite = check_cocyclic_set(fiber_power_set(S3, C2_IN_S3, 3))
     assert [c.name for c in module.checks] == [c.name for c in finite.checks]
 

@@ -1,8 +1,10 @@
+import functools
 from dataclasses import replace
 
 import pytest
 
 from hopfcyclic.cyclic import (
+    CyclicModule,
     TruncationError,
     boundary,
     check_identities,
@@ -15,6 +17,9 @@ from hopfcyclic.cyclic import (
     hopf_cyclic_coalgebra,
     hopf_cyclic_comodule_algebra,
     hopf_cyclic_spaces,
+    identity_report,
+    index_tables,
+    matrix_operators,
     relative_cyclic,
     relative_cocyclic_coext,
 )
@@ -29,6 +34,8 @@ from hopfcyclic.linalg import (
     QQ,
     LegChain,
     NotWellDefined,
+    PrimeField,
+    ShapeMismatch,
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
@@ -36,9 +43,9 @@ from hopfcyclic.linalg import (
     kernel,
     permutation_matrix,
 )
-from hopfcyclic.presets import builtin_hopf, builtin_setup
+from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
-from support import trivial_sayd
+from support import trivial_sayd, uncached
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 HH_H4 = [2, 1, 1, 1]
@@ -341,3 +348,147 @@ def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
     assert sorted(c.name for c in rep.checks) == sorted(_cyclic_identity_names(n_max))
     ops = [*cm.d.values(), *cm.s.values(), *cm.t.values()]
     assert all(m._rows_map is None for m in ops)
+
+
+# ---------------------------------------------------------------------------
+# the identity check on index tables against exact matrix products
+
+EQUIVALENCE_FIELDS = [QQ, PrimeField(7), PrimeField(2**31 - 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _six_constructions(name, field):
+    n_max = 3
+    s = builtin_setup(name, field)
+    h, b, c = s.hopf, s.subalgebra, s.quotient
+    ad, coad = ad_module(h), coad_module(h)
+    spaces = [coextension_space(h, c, n + 1) for n in range(n_max + 1)]
+    hsp = hopf_cyclic_spaces(c, ad, n_max)
+    return {
+        "relative_cyclic": relative_cyclic(h, b, n_max),
+        "coext_cyclic": coext_cyclic(h, c, n_max, spaces=spaces),
+        "relative_cocyclic_coext": relative_cocyclic_coext(h, c, n_max, spaces=spaces),
+        "hopf_cyclic_coalgebra": hopf_cyclic_coalgebra(c, ad, n_max, spaces=hsp),
+        "hopf_cocyclic_coalgebra": hopf_cocyclic_coalgebra(c, ad, n_max, spaces=hsp),
+        "hopf_cyclic_comodule_algebra": hopf_cyclic_comodule_algebra(h, b, coad, n_max),
+    }
+
+
+def _operator_fields(x):
+    return ("d", "s", "t") if isinstance(x, CyclicModule) else ("delta", "sigma", "tau")
+
+
+def _with_operator(x, kind, key, m):
+    """x with operator ``key`` of ``kind`` (0 faces, 1 degeneracies, 2
+    rotations) replaced by m."""
+    name = _operator_fields(x)[kind]
+    return replace(x, **{name: {**getattr(x, name), key: m}})
+
+
+def _first_face(x):
+    faces = getattr(x, _operator_fields(x)[0])
+    return min(faces), faces[min(faces)]
+
+
+def _face_entry_moved(x):
+    """One entry of a face moved to another row of its column, an empty row
+    where there is one: the face keeps at most one entry per column, and
+    per row where it had that."""
+    key, m = _first_face(x)
+    (i, j), v = min(m.data.items())
+    used = {r for r, _ in m.data}
+    r = next((r for r in range(m.rows) if r not in used), (i + 1) % m.rows)
+    data = {k: w for k, w in m.data.items() if k != (i, j)}
+    return _with_operator(x, 0, key, SparseMatrix(m.rows, m.cols, m.field, {**data, (r, j): v}))
+
+
+def _face_entry_added(x):
+    """One more entry in a face column, in a row that already holds one."""
+    key, m = _first_face(x)
+    (i, j), _ = min(m.data.items())
+    r = next(r for r, _ in sorted(m.data) if r != i)
+    return _with_operator(x, 0, key, SparseMatrix(m.rows, m.cols, m.field,
+                                                  {**m.data, (r, j): m.field.one}))
+
+
+def _degeneracies_swapped(x):
+    degens = getattr(x, _operator_fields(x)[1])
+    swapped = {**degens, (2, 0): degens[(2, 1)], (2, 1): degens[(2, 0)]}
+    return replace(x, **{_operator_fields(x)[1]: swapped})
+
+
+def _face_zeroed(x):
+    key, m = _first_face(x)
+    return _with_operator(x, 0, key, SparseMatrix.zeros(m.rows, m.cols, m.field))
+
+
+def _rotation_scaled(x):
+    t = getattr(x, _operator_fields(x)[2])
+    return _with_operator(x, 2, 2, t[2].scale(t[2].field.from_int(2)))
+
+
+def _rotation_squared(x):
+    t = getattr(x, _operator_fields(x)[2])
+    return _with_operator(x, 2, 1, t[1] @ uncached(t[1]))  # no row map cached on x
+
+
+MUTANTS = {
+    "t scaled by 2": _rotation_scaled,
+    "t @ t": _rotation_squared,
+    "zero face": _face_zeroed,
+    "swapped degeneracies": _degeneracies_swapped,
+    "face entry moved": _face_entry_moved,
+    "extra face entry": _face_entry_added,
+}
+
+
+def _outcome(rep):
+    return [(c.name, c.ok) for c in rep.checks]
+
+
+def _matrix_outcome(x):
+    """The check by exact products, which leaves no row map on x."""
+    rep = identity_report(x, matrix_operators(x))
+    ops = [m for name in _operator_fields(x) for m in getattr(x, name).values()]
+    assert all(m._rows_map is None for m in ops)
+    return _outcome(rep)
+
+
+@pytest.mark.parametrize("field", EQUIVALENCE_FIELDS, ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_index_tables_and_matrix_products_check_alike(name, field):
+    """Same check names in the same order, with the same flags, on the six
+    constructions and on six mutants of each; the tables are used whenever
+    every operator has one kind of table, and only then.  Each mutant
+    breaks an identity of at least one construction."""
+    broken = set()
+    for kind, x in _six_constructions(name, field).items():
+        for mutant, make in [("none", lambda y: y), *MUTANTS.items()]:
+            y = make(x)
+            want = _matrix_outcome(y)
+            tables = index_tables(y)
+            if tables is not None:
+                assert _outcome(identity_report(y, tables)) == want, (kind, mutant)
+            assert _outcome(check_identities(y)) == want, (kind, mutant)
+            if mutant == "none":
+                assert all(ok for _, ok in want), kind
+            if mutant == "extra face entry":
+                assert tables is None, kind
+            if not all(ok for _, ok in want):
+                broken.add(mutant)
+    assert broken == set(MUTANTS)
+
+
+@pytest.mark.parametrize("name", ["kC2/k", "OS3/OC2", "kS3/kC2"])
+@pytest.mark.parametrize("kind", ["relative_cyclic", "relative_cocyclic_coext"])
+def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
+    x = _six_constructions(name, QQ)[kind]
+    key, m = _first_face(x)
+    padded = _with_operator(x, 0, key, SparseMatrix(m.rows + 1, m.cols, m.field, m.data))
+    tables = index_tables(padded)
+    assert tables is not None
+    for ops in (tables, matrix_operators(padded)):
+        with pytest.raises(ShapeMismatch):
+            identity_report(padded, ops)
+    with pytest.raises(ShapeMismatch):
+        check_identities(padded)

@@ -10,6 +10,7 @@ from hopfcyclic.cyclic import boundary, relative_cyclic
 from hopfcyclic.linalg import (
     QQ,
     Inconsistent,
+    IndexTable,
     LegChain,
     NotWellDefined,
     PrimeField,
@@ -741,3 +742,66 @@ def test_composite_is_zero_matches_the_product(field):
         assert composite_is_zero(a, c) == (a @ c).is_zero_matrix()
     with pytest.raises(ShapeMismatch):
         composite_is_zero(SparseMatrix.identity(2, field), SparseMatrix.identity(3, field))
+
+
+def _monomial(field, rows, cols, seed, by_rows=False):
+    """A matrix with at most one entry in each column (each row with
+    ``by_rows``), some columns (rows) empty, keys in scrambled order."""
+    rng = random.Random(seed)
+    values = ["-1/2", "3", "2/3", "-4", "7"]  # nonzero in every field used here
+    outer, inner = (rows, cols) if by_rows else (cols, rows)
+    data = {}
+    for k in rng.sample(range(outer), outer):
+        if rng.random() < 0.75:
+            other = rng.randrange(inner)
+            data[(k, other) if by_rows else (other, k)] = field.from_str(rng.choice(values))
+    return SparseMatrix(rows, cols, field, data)
+
+
+@identity_fields
+@pytest.mark.parametrize("by_rows", [False, True], ids=["columns", "rows"])
+def test_index_tables_compose_as_the_matrix_products(field, by_rows):
+    rng = random.Random(7)
+
+    def table(m):
+        return IndexTable.of(m, by_rows)
+
+    def compose(outer, inner):  # row tables compose in the reverse order
+        return inner @ outer if by_rows else outer @ inner
+
+    for _ in range(60):
+        n, k, m, q = (rng.randint(1, 5) for _ in range(4))
+        a, b, c = (_monomial(field, r, s, rng.randrange(10**6), by_rows)
+                   for r, s in ((n, k), (k, m), (m, q)))
+        assert compose(table(a), table(b)) == table(a @ b) == table(_product_via_dense(a, b))
+        # the composite's empty columns are read again by a further product
+        assert compose(compose(table(a), table(b)), table(c)) == table(a @ b @ c)
+        assert compose(table(a), compose(table(b), table(c))) == table(a @ b @ c)
+        assert compose(table(a), IndexTable.identity(k, field.p)) == table(a)
+        assert (table(a) == table(a.scale(field.from_int(2)))) == a.is_zero_matrix()
+    assert IndexTable.identity(4, field.p) == table(SparseMatrix.identity(4, field))
+
+
+@identity_fields
+def test_index_tables_hold_the_shape(field):
+    zero23, zero33 = SparseMatrix.zeros(2, 3, field), SparseMatrix.zeros(3, 3, field)
+    for by_rows in (False, True):
+        assert IndexTable.of(zero23, by_rows) != IndexTable.of(zero33, by_rows)
+    a, b = _monomial(field, 3, 4, 1), _monomial(field, 5, 2, 2)
+    with pytest.raises(ShapeMismatch):
+        IndexTable.of(a) @ IndexTable.of(b)
+    a_rows, b_rows = _monomial(field, 3, 4, 1, True), _monomial(field, 5, 2, 2, True)
+    with pytest.raises(ShapeMismatch):
+        IndexTable.of(b_rows, True) @ IndexTable.of(a_rows, True)
+    with pytest.raises(ShapeMismatch):
+        IndexTable.of(a) @ IndexTable.identity(3, field.p)
+
+
+@identity_fields
+def test_index_tables_only_of_monomial_matrices(field):
+    one = field.one
+    two_in_a_column = SparseMatrix(3, 2, field, {(0, 1): one, (2, 1): one})
+    assert IndexTable.of(two_in_a_column) is None
+    assert IndexTable.of(two_in_a_column, by_rows=True) is not None
+    assert IndexTable.of(two_in_a_column.t(), by_rows=True) is None
+    assert IndexTable.of(_scrambled(field, 4, 4, 8)) is None
