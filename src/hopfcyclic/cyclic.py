@@ -124,12 +124,8 @@ def index_tables(x):
     ops = _operators(x)
     p = ops[2][0].field.p
     for by_rows in (False, True):
-        tables = []
-        for op in ops:
-            tables.append({k: IndexTable.of(m, by_rows) for k, m in op.items()})
-            if any(tb is None for tb in tables[-1].values()):
-                break
-        else:
+        tables = [{k: IndexTable.of(m, by_rows) for k, m in op.items()} for op in ops]
+        if all(tb is not None for op in tables for tb in op.values()):
             compose = (lambda a, b: b @ a) if by_rows else operator.matmul
             return tables, compose, lambda n: IndexTable.identity(x.spaces[n].dim, p)
     return None
