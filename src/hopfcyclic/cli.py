@@ -67,11 +67,9 @@ from .loaders import InputError, load_group_file, load_hopf_file, load_ideal_fil
 from .report import Report
 from .sayd import ad_module, coad_module, validate_sayd
 from .specseq import (
-    ad_left_module,
     extension_double_complex,
     five_term_check,
     hochschild_tor_check,
-    module_k,
     theorem_check,
     tor_dims,
 )
@@ -217,7 +215,7 @@ def cmd_tor(args, field):
     n = _clamp_degree(args.max_degree)
     rep = Report("tor", {"hopf": args.hopf, "max_degree": n, "field": field.name})
     h = _resolve_hopf(args.hopf, field)
-    dims = tor_dims(h, module_k(h), ad_left_module(h), n)
+    dims = tor_dims(ad_module(h), n)
     rep.tables["tor_k_ad"] = {f"degree {k}": dims[k] for k in range(len(dims))}
     rep.add_check("bar complex d^2 = 0", True)  # tor_dims raises otherwise
     return rep
@@ -260,7 +258,7 @@ def cmd_spectral(args, field):
     hh = hochschild_homology(relative_cyclic(setup.hopf, setup.subalgebra, 3))
     dc = extension_double_complex(setup, 3, 3)
     # one Tor(k, ad H), to the degree 3 the absolute check needs; theorem_check reads <= 2
-    tor = tor_dims(setup.hopf, module_k(setup.hopf), dc.mmod, 3)
+    tor = tor_dims(dc.m, 3)
     srep = theorem_check(dc, hh, tor)
     frep = five_term_check(dc)
     # HH of the absolute cyclic module below sets the run's peak memory, so

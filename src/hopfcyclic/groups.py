@@ -155,19 +155,6 @@ class GSet:
     def apply(self, g, x):
         return self.act[g][x]
 
-    def orbits(self):
-        left = set(range(self.size))
-        out = []
-        while left:
-            x = min(left)
-            orb = sorted({self.apply(g, x) for g in self.group.elements()})
-            out.append(orb)
-            left -= set(orb)
-        return out
-
-    def stabilizer(self, x):
-        return [g for g in self.group.elements() if self.apply(g, x) == x]
-
 
 def coset_action(group, sub):
     """The left G-set G/H with points ordered by least coset representative."""

@@ -372,11 +372,7 @@ class ComoduleSubalgebra:
         if not span_contains(h.ident().kron(space.section), imgs):
             raise HypothesisError("subspace is not a left coideal")
         # witnesses on reduced coordinates
-        self.mult_b = induced_map(
-            h.mu @ space.section.kron(space.section),
-            SubquotientSpace.full(self.dim * self.dim, f),
-            space,
-        )
+        self.mult_b = induced_map(prods, SubquotientSpace.full(self.dim * self.dim, f), space)
         self.coaction_b = induced_map(
             h.delta, space, SubquotientSpace.full(d, f).tensor(space)
         )

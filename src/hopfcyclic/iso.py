@@ -47,6 +47,7 @@ from .hopf import (
     _absorbed_legs,
     _carry,
     _linked,
+    commutator_quotient,
 )
 from .linalg import (
     LegChain,
@@ -223,15 +224,6 @@ def is_hopf_ideal(h, ideal):
     return span_contains(sect, h.mu @ h.ident().kron(sect))  # every e_j x
 
 
-def adjoint_commutator_space(h, b):
-    """[ad(H)]_B: quotient of H by span{h b - b h}."""
-    rels = []
-    for jb in range(b.dim):
-        bvec = b.space.section.column(jb)
-        rels.append(h.right_mult_matrix(bvec) - h.left_mult_matrix(bvec))
-    return quotient_by_columns(h.dim, SparseMatrix.hstack(rels))
-
-
 def normal_quotient_comparison(setup, n_max):
     """The comparison map into (H/I)^{(x) n+1} (x)_{H/I} [ad(H)]_B.
 
@@ -245,7 +237,7 @@ def normal_quotient_comparison(setup, n_max):
     d, cd = h.dim, c.dim
     if not is_hopf_ideal(h, c.ideal):
         raise NotHopfIdeal(f"{setup.name}: ideal is not two-sided and antipode-stable")
-    adb = adjoint_commutator_space(h, b)
+    adb = commutator_quotient(h, b, SubquotientSpace.full(d, f), 1)  # [ad(H)]_B
     # Miyashita-Ulbrich style action of H/I on [ad(H)]_B: descend the adjoint
     # action of a lift; well-definedness is the Hopf-ideal hypothesis at work.
     m = ad_module(h)

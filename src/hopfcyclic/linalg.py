@@ -387,19 +387,6 @@ class SparseMatrix:
             off += m.cols
         return SparseMatrix(rows, off, f, data)
 
-    @staticmethod
-    def vstack(mats):
-        cols, f = mats[0].cols, mats[0].field
-        data = {}
-        off = 0
-        for m in mats:
-            if m.cols != cols:
-                raise ShapeMismatch("vstack col mismatch")
-            for (i, j), v in m.data.items():
-                data[(i + off, j)] = v
-            off += m.rows
-        return SparseMatrix(off, cols, f, data)
-
     # elimination ------------------------------------------------------------
 
     def rref(self):

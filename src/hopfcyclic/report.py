@@ -49,6 +49,11 @@ class Report:
             return 2
         return 1 if self.failed else 0
 
+    def summary(self):
+        """The number of pass, fail and skip lines."""
+        return {status: sum(1 for c in self.checks if c.status == status)
+                for status in ("pass", "fail", "skip")}
+
     def to_dict(self, timing=None):
         out = {
             "command": self.command,
@@ -59,11 +64,7 @@ class Report:
                 for c in self.checks
             ],
             "tables": self.tables,
-            "summary": {
-                "pass": sum(1 for c in self.checks if c.status == "pass"),
-                "fail": sum(1 for c in self.checks if c.status == "fail"),
-                "skip": sum(1 for c in self.checks if c.status == "skip"),
-            },
+            "summary": self.summary(),
         }
         if self.error is not None:
             out["error"] = self.error
@@ -94,10 +95,9 @@ class Report:
                     lines.append(f"   {str(k).ljust(kw)}  {table[k]}")
             else:
                 lines.append("   " + "  ".join(str(v) for v in table))
-        summary = (f"passed {sum(1 for c in self.checks if c.status == 'pass')}, "
-                   f"failed {sum(1 for c in self.checks if c.status == 'fail')}, "
-                   f"skipped {sum(1 for c in self.checks if c.status == 'skip')}")
-        lines.append(summary)
+        counts = self.summary()
+        lines.append(f"passed {counts['pass']}, failed {counts['fail']}, "
+                     f"skipped {counts['skip']}")
         if timing is not None:
             lines.append(f"elapsed: {timing:.2f}s")
         return "\n".join(lines) + "\n"

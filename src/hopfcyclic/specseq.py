@@ -1,5 +1,5 @@
-"""Bar resolutions, Tor, and the double complex tying the relative
-Hochschild homology of a homogeneous extension to Tor over H.
+"""Tor^H(k, M) for a SAYD module M, and the double complex tying the
+relative Hochschild homology of a homogeneous extension to Tor over H.
 
 The double complex has cells C^{(x) p+1} (x) H^{(x) q} (x) M with the
 counit-contraction boundary horizontally and the bar boundary vertically
@@ -36,72 +36,30 @@ from .sayd import ad_module
 
 
 # ---------------------------------------------------------------------------
-# chain complexes, bar resolution, Tor
-
-
-@dataclass
-class ChainComplex:
-    """Non-negatively graded with differentials d[n]: C_n -> C_{n-1};
-    ``homology_dims`` checks d^2 = 0."""
-
-    dims: list
-    d: dict
-
-    def homology_dims(self, upto):
-        return homology_dims(self.dims, self.d, upto)
-
-
-def module_k(h):
-    """k as a left or right H-module through the counit."""
-    return 1, h.eps
+# the bar complex and Tor
 
 
 def bar_boundary(h, consume, ndim, mact, mdim, q):
     """The bar boundary N (x) H^{(x) q} (x) M -> N (x) H^{(x) q-1} (x) M
     (Mac Lane, *Homology*, X.2): the first face acts on N by ``consume``
     (N (x) H -> N), the middle faces multiply adjacent H-legs, and the last
-    face acts on M by ``mact`` (H (x) M -> M)."""
+    face acts on M by ``mact`` (H (x) M -> M).  With N = k through the
+    counit it is the boundary of the Tor complex, with N = C^{(x) p+1} the
+    vertical boundary of the double complex."""
     legdims = [ndim] + [h.dim] * q + [mdim]
     faces = [consume] + [h.mu] * (q - 1) + [mact]
     return alternating_sum(apply_on_leg(op, legdims, i, 2) for i, op in enumerate(faces))
 
 
-def tor_complex(h, nmod, mmod, length):
-    """N (x)_H bar(M) collapsed along the freeness of the bar terms:
-    T_q = N (x) H^{(x) q} (x) M."""
-    (ndim, nact), (mdim, mact) = nmod, mmod
-    dims = [ndim * h.dim ** q * mdim for q in range(length + 1)]
-    diffs = {q: bar_boundary(h, nact, ndim, mact, mdim, q) for q in range(1, length + 1)}
-    return ChainComplex(dims, diffs)
-
-
-def bar_resolution(h, module, length):
-    """The bar resolution H^{(x) q+1} (x) M of a left H-module M by free
-    modules, which is the Tor complex with N = H acting on itself, with the
-    exactness of the augmented complex checked degree by degree."""
-    mdim, aug = module
-    cc = tor_complex(h, (h.dim, h.mu), module, length)
-    if not (aug @ cc.d[1]).is_zero_matrix():
-        raise NotWellDefined("augmentation does not kill boundaries")
-    if aug.rank() != mdim:
-        raise NotWellDefined("augmentation is not surjective")
-    if kernel(aug).dim != cc.d[1].rank():
-        raise NotWellDefined("bar resolution not exact at degree 0")
-    for q, dim in enumerate(cc.homology_dims(length - 1)):
-        if q and dim:
-            raise NotWellDefined(f"bar resolution not exact at degree {q}")
-    return cc
-
-
-def tor_dims(h, nmod, mmod, upto):
-    """dim Tor_q^H(N, M) for q <= upto via the collapsed bar complex."""
-    cc = tor_complex(h, nmod, mmod, upto + 1)
-    return cc.homology_dims(upto)
-
-
-def ad_left_module(h):
-    m = ad_module(h)
-    return m.dim, m.operator_action
+def tor_dims(m, upto):
+    """dim Tor_q^H(k, M) for q <= upto, M the SAYD module ``m``: the
+    homology of k (x) H^{(x) q} (x) M, which is k (x)_H of the bar
+    resolution of M collapsed along the freeness of its terms."""
+    h = m.hopf
+    dims = [h.dim ** q * m.dim for q in range(upto + 2)]
+    diffs = {q: bar_boundary(h, h.eps, 1, m.operator_action, m.dim, q)
+             for q in range(1, upto + 2)}
+    return homology_dims(dims, diffs, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +76,10 @@ class ExtensionDoubleComplex:
     once and kept, keyed by its kind and indices.
     """
 
-    def __init__(self, c, mmod, p_max, q_max):
+    def __init__(self, c, m, p_max, q_max):
         self.c = c
         self.h = c.parent
-        self.mmod = mmod
+        self.m = m
         self.p_max = p_max
         self.q_max = q_max
         self._built = {}
@@ -135,7 +93,7 @@ class ExtensionDoubleComplex:
         return self._built[key]
 
     def dim(self, p, q):
-        return self.c.dim ** (p + 1) * self.h.dim ** q * self.mmod[0]
+        return self.c.dim ** (p + 1) * self.h.dim ** q * self.m.dim
 
     def _check_horizontal_linearity(self):
         """The coalgebra boundary must be a map of right H-modules."""
@@ -150,7 +108,7 @@ class ExtensionDoubleComplex:
     def dh(self, p, q):
         """Horizontal differential X_{p,q} -> X_{p-1,q}."""
         def build():
-            ident = SparseMatrix.identity(self.h.dim ** q * self.mmod[0], self.h.field)
+            ident = SparseMatrix.identity(self.h.dim ** q * self.m.dim, self.h.field)
             return coalgebra_boundary(self.c, p + 1).kron(ident)
         return self.cached(("dh", p, q), build)
 
@@ -161,9 +119,8 @@ class ExtensionDoubleComplex:
     def dv(self, p, q):
         """Vertical differential X_{p,q} -> X_{p,q-1}, sign-twisted by (-1)^p."""
         def build():
-            mdim, mact = self.mmod
             bnd = bar_boundary(self.h, self._diagonal_consume(p), self.c.dim ** (p + 1),
-                               mact, mdim, q)
+                               self.m.operator_action, self.m.dim, q)
             return -bnd if p % 2 else bnd
         return self.cached(("dv", p, q), build)
 
@@ -191,7 +148,7 @@ def coalgebra_boundary(c, legs):
 
 def extension_double_complex(setup, p_max, q_max):
     """The double complex of the extension with M = ad H."""
-    return ExtensionDoubleComplex(setup.quotient, ad_left_module(setup.hopf), p_max, q_max)
+    return ExtensionDoubleComplex(setup.quotient, ad_module(setup.hopf), p_max, q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +276,7 @@ class SpectralReport:
 
 def theorem_check(dc, hh_dims, tor):
     """dim E^2_{n,0} vs relative Hochschild homology, and total homology vs
-    Tor^H(k, M) (``tor``, the dims of Tor_q(k, dc.mmod) from degree 0), for
+    Tor^H(k, M) (``tor``, the dims of Tor_q(k, dc.m) from degree 0), for
     n up to the trusted window min(p_max, q_max) - 1 of the double complex
     ``dc``.
 

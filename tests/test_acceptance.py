@@ -47,11 +47,9 @@ from hopfcyclic.linalg import QQ, SparseMatrix, span_contains
 from hopfcyclic.presets import builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
 from hopfcyclic.specseq import (
-    ad_left_module,
     extension_double_complex,
     five_term_check,
     hochschild_tor_check,
-    module_k,
     theorem_check,
     tor_dims,
 )
@@ -190,8 +188,7 @@ def test_criterion_7_hochschild_equals_tor():
         cm = relative_cyclic(s.hopf, s.subalgebra, 4)
         hh = hochschild_homology(cm)
         assert hh == want, (name, hh)
-        tor_vals = tor_dims(s.hopf, module_k(s.hopf),
-                            ad_left_module(s.hopf), 3)
+        tor_vals = tor_dims(ad_module(s.hopf), 3)
         assert tor_vals == want, (name, tor_vals)
         rep = hochschild_tor_check(s.hopf, hh, tor_vals)
         assert rep.ok, (name, [c for c in rep.checks if not c.ok])
@@ -207,7 +204,7 @@ def test_criterion_8_spectral_sequence():
         s = builtin_setup(name)
         hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
         dc = extension_double_complex(s, 3, 3)
-        rep = theorem_check(dc, hh, tor_dims(s.hopf, module_k(s.hopf), dc.mmod, 2))
+        rep = theorem_check(dc, hh, tor_dims(dc.m, 2))
         assert rep.ok, (name, [c for c in rep.checks if not c.ok])
         frep = five_term_check(dc)
         assert frep.ok, (name, [c for c in frep.checks if not c.ok])

@@ -1,7 +1,8 @@
 """Static hygiene of the package, read with ``ast`` only: no module imports
-a name it does not use, and every module-level function or class is
-referenced from the package, the tests or the benchmark, so a deletion
-cannot leave an orphaned helper or import behind."""
+a name it does not use, every module-level function or class is referenced
+from the package, the tests or the benchmark, and every public method is
+accessed as an attribute there, so a deletion cannot leave an orphaned
+helper, method or import behind."""
 
 import ast
 import re
@@ -30,10 +31,12 @@ def _imported_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
-def _references(tree):
+def _references(tree, names=True):
+    """Names read in ``tree`` (only if ``names``), attributes accessed, and
+    the parts of every layer-trace target."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and names:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -42,6 +45,10 @@ def _references(tree):
             if match:
                 out.update(match.group(1).split("."))
     return out
+
+
+def _all_files():
+    return [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -53,8 +60,7 @@ def test_every_import_is_used(path):
 
 
 def test_every_module_level_definition_is_referenced():
-    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    referenced = set().union(*(_references(_tree(p)) for p in files))
+    referenced = set().union(*(_references(_tree(p)) for p in _all_files()))
     orphans = [
         f"{path.name}:{node.name}"
         for path in MODULES
@@ -63,6 +69,20 @@ def test_every_module_level_definition_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def test_every_public_method_is_accessed():
+    accessed = set().union(*(_references(_tree(p), names=False) for p in _all_files()))
+    orphans = [
+        f"{path.name}:{cls.name}.{fn.name}"
+        for path in MODULES
+        for cls in _tree(path).body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_") and fn.name not in accessed
+    ]
+    assert not orphans, f"public methods never accessed: {orphans}"
 
 
 # dict methods that change a dict in place

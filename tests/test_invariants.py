@@ -12,9 +12,7 @@ from hopfcyclic.linalg import QQ, SparseMatrix, SubquotientSpace, homology_space
 from hopfcyclic.presets import builtin_setup
 from hopfcyclic.sayd import ad_module
 from hopfcyclic.specseq import (
-    ad_left_module,
     extension_double_complex,
-    module_k,
     tor_dims,
     total_homology_dims,
 )
@@ -108,8 +106,8 @@ def test_tor_dimensions_stable_under_field_choice():
     for name in ("kC2", "kS3"):
         hq = builtin_hopf(name)
         hp = builtin_hopf(name, f5)
-        dq = tor_dims(hq, module_k(hq), ad_left_module(hq), 2)
-        dp = tor_dims(hp, module_k(hp), ad_left_module(hp), 2)
+        dq = tor_dims(ad_module(hq), 2)
+        dp = tor_dims(ad_module(hp), 2)
         assert dq == dp
 
 
@@ -164,7 +162,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     from hopfcyclic.loaders import load_hopf_json, load_ideal_file
     from hopfcyclic.presets import SETUP_NAMES
     from hopfcyclic.sayd import coad_module
-    from hopfcyclic.specseq import tor_complex
+    from hopfcyclic.specseq import bar_boundary
 
     f = PrimeField(7)
     built = []
@@ -180,7 +178,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
                       hopf_cyclic_coalgebra(s.quotient, ad, 2),
                       hopf_cyclic_comodule_algebra(h, s.subalgebra, coad, 2),
                       module_coalgebra_transform(s, 2), comodule_algebra_transform(s, 1),
-                      tor_complex(h, module_k(h), ad_left_module(h), 2)]
+                      [bar_boundary(h, h.eps, 1, ad.operator_action, ad.dim, q) for q in (1, 2)]]
             dc = extension_double_complex(s, 2, 2)
             built += [[dc.dh(p, q), dc.dv(p, q + 1)] for p in range(1, 3) for q in range(2)]
     # file input: every coefficient here is 1 mod 7, written as 8, -6, 15/15
