@@ -5,8 +5,9 @@ classical.  Exit code 0 means every check passed, 1 means a mathematical
 check failed (the report carries a witness), 2 means bad input: the input
 could not be parsed, or a Hopf algebra file given to any command but
 ``validate`` breaks an axiom.  Built-in algebras (kC2, kC3, kC4, kS3, OS3,
-OC2, H4) and pairs (kS3/kC2, kS3/kC3, H4/B, OS3/OC2, .../k) can be named in
-place of files, so the whole acceptance surface runs without external data.
+OC2, H4) and pairs (``presets.PAIR_NAMES``: kS3/kC2, kS3/kC3, H4/B,
+OS3/OC2, and kC2, kC3, kS3, H4, OS3 over k) can be named in place of files,
+so the whole acceptance surface runs without external data.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def _resolve_hopf(arg, field, check_axioms=True):
 def _resolve_setup(args, field):
     name = args.hopf
     if "/" in name and not os.path.exists(name):
+        if name not in presets.PAIR_NAMES:
+            raise InputError(f"no built-in pair or file named {name!r}")
         return presets.builtin_setup(name, field)
     h = _resolve_hopf(name, field)
     sub = getattr(args, "subalgebra", None)
@@ -127,16 +130,10 @@ def _resolve_setup(args, field):
     return GaloisSetup(h, coinvariants(h, given), given, f"{name}/ideal")
 
 
-def _clamp_degree(n, cap=5):
-    if n is None:
-        return 3
-    if not 0 <= n <= cap:
-        raise InputError(f"max degree must be between 0 and {cap}")
+def _clamp_degree(n):
+    if not 0 <= n <= 5:
+        raise InputError("max degree must be between 0 and 5")
     return n
-
-
-# HC_n needs the cyclic module up to degree n + 2, which is built up to 6 at most
-HC_MAX_DEGREE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +192,13 @@ def cmd_galois(args, field):
 
 
 def cmd_homology(args, field):
-    n = _clamp_degree(args.max_degree, HC_MAX_DEGREE if args.theory == "hc" else 5)
+    n = _clamp_degree(args.max_degree)
     rep = Report("homology", {"hopf": args.hopf, "theory": args.theory,
                               "max_degree": n, "field": field.name})
     setup = _resolve_setup(args, field)
     rep.params["setup"] = setup.name
-    if args.theory == "hh":
-        cm = relative_cyclic(setup.hopf, setup.subalgebra, n + 1)
-        dims = hochschild_homology(cm, n)
-    else:
-        cm = relative_cyclic(setup.hopf, setup.subalgebra, n + 2)
-        dims = cyclic_homology(cm, n)
+    cm = relative_cyclic(setup.hopf, setup.subalgebra, n + 1)
+    dims = (hochschild_homology if args.theory == "hh" else cyclic_homology)(cm, n)
     rep.add_check("cyclic module identities", check_identities(cm).ok)
     rep.tables["dimensions"] = {f"degree {k}": dims[k] for k in range(len(dims))}
     return rep

@@ -61,9 +61,7 @@ class RationalField:
     p = None
     zero = 0
     one = 1
-
-    def __init__(self, use_gmpy=_mpq is not None):
-        self._frac = _mpq if use_gmpy else Fraction
+    _frac = Fraction if _mpq is None else _mpq
 
     def __repr__(self):
         return "QQ"

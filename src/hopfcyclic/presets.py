@@ -65,11 +65,15 @@ SETUP_NAMES = (
     "H4/B",
     "OS3/OC2",
 )
+# every name builtin_setup accepts
+PAIR_NAMES = SETUP_NAMES + ("OS3/k",)
 
 
 def builtin_setup(name, field=QQ):
-    """A named homogeneous Galois pair (H, B, C)."""
-    if name in ("kC2/k", "kC3/k", "kS3/k", "H4/k", "OS3/k"):
+    """A named homogeneous Galois pair (H, B, C), one of ``PAIR_NAMES``."""
+    if name not in PAIR_NAMES:
+        raise HopfError(f"unknown built-in setup {name!r}")
+    if name.endswith("/k"):
         h = builtin_hopf(name.split("/")[0], field)
         b = trivial_subalgebra(h)
         return GaloisSetup(h, b, takeuchi_subalgebra_to_quotient(h, b), name)
@@ -79,12 +83,10 @@ def builtin_setup(name, field=QQ):
     if name == "kS3/kC3":
         h = builtin_hopf("kS3", field)
         return setup_from_subalgebra(h, _basis_columns(h, S3_C3_INDICES), name)
-    if name in ("H4/B", "H4/Bx"):
+    if name == "H4/B":
         h = builtin_hopf("H4", field)
-        return setup_from_subalgebra(h, _basis_columns(h, (0, 2)), "H4/B")
-    if name == "OS3/OC2":
-        # ideal: functions vanishing on the subgroup <(12)> = {0, 2}
-        h = builtin_hopf("OS3", field)
-        gens = _basis_columns(h, tuple(i for i in range(6) if i not in S3_C2_INDICES))
-        return setup_from_ideal(h, gens, name)
-    raise HopfError(f"unknown built-in setup {name!r}")
+        return setup_from_subalgebra(h, _basis_columns(h, (0, 2)), name)
+    # OS3/OC2, with the ideal of functions vanishing on the subgroup <(12)> = {0, 2}
+    h = builtin_hopf("OS3", field)
+    gens = _basis_columns(h, tuple(i for i in range(6) if i not in S3_C2_INDICES))
+    return setup_from_ideal(h, gens, name)

@@ -132,14 +132,9 @@ def check_stable(m):
     """Stability: acting by the coaction leg returns the element itself."""
     h = m.hopf
     d, md, f = h.dim, m.dim, h.field
-    ident = SparseMatrix.identity(md, f)
-    if m.chirality == "left-right":
-        swap = permutation_matrix([md, d], [1, 0], f)
-        composite = m.action @ swap @ m.coaction
-    else:
-        swap = permutation_matrix([d, md], [1, 0], f)
-        composite = m.action @ swap @ m.coaction
-    checks = [_compare("stability", composite, ident, [md])]
+    legs = [md, d] if m.chirality == "left-right" else [d, md]
+    composite = m.action @ permutation_matrix(legs, [1, 0], f) @ m.coaction
+    checks = [_compare("stability", composite, SparseMatrix.identity(md, f), [md])]
     return ValidationReport(checks)
 
 

@@ -281,6 +281,6 @@ if __name__ == "__main__":
     print("Tor^{H4}(k, ad) 0..3:", tor_dims(h4, 3))
     print("HH(kC2) 0..3:", hochschild_dims(kc2, 3))
     print("Tor^{kC2}(k, ad) 0..3:", tor_dims(kc2, 3))
-    print("HC(kC2) 0..2:", cyclic_dims(kc2, 2))
-    print("HC(kC3) 0..2:", cyclic_dims(kc3, 2))
-    print("HC(H4) 0..2:", cyclic_dims(h4, 2))
+    print("HC(kC2) 0..3:", cyclic_dims(kc2, 3))
+    print("HC(kC3) 0..3:", cyclic_dims(kc3, 3))
+    print("HC(H4) 0..3:", cyclic_dims(h4, 3))

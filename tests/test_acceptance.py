@@ -58,7 +58,7 @@ from hopfcyclic.specseq import (
 # the sparse engine was built
 HH_H4 = [2, 1, 1, 1]
 TOR_H4 = [2, 1, 1, 1]
-HC_KC2 = [2, 0, 2]
+HC_KC2 = [2, 0, 2, 0]
 
 ALGEBRAS = ("kC2", "kC3", "kS3", "OS3", "H4")
 SETUPS = ("kS3/kC2", "kS3/kC3", "H4/B")

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from hopfcyclic.cli import run
+from hopfcyclic.presets import SETUP_NAMES
 
 
 def test_validate_builtin_exit_zero():
@@ -409,15 +410,30 @@ def test_field_large_prime_modulus():
 
 
 def test_hc_degree_cap_is_input_error():
-    code, text = run(["homology", "kC2", "--theory", "hc", "--max-degree", "5"])
-    assert code == 2
-    assert "between 0 and 4" in text
-    code, text = run(["--format", "json", "homology", "kC2", "--theory", "hc",
-                      "--max-degree", "4"])
-    assert code == 0
-    assert json.loads(text)["tables"]["dimensions"]["degree 4"] == 2
-    code, _ = run(["homology", "kC2", "--theory", "hh", "--max-degree", "5"])
-    assert code == 0
+    for theory in ("hh", "hc"):
+        code, text = run(["homology", "kC2", "--theory", theory, "--max-degree", "6"])
+        assert code == 2, theory
+        assert "between 0 and 5" in text
+        code, text = run(["--format", "json", "homology", "kC2", "--theory", theory,
+                          "--max-degree", "5"])
+        assert code == 0, theory
+    assert json.loads(text)["tables"]["dimensions"]["degree 4"] == 2  # HC_4(kC2)
+
+
+@pytest.mark.parametrize("argv", [["galois", "nosuch/x"], ["homology", "kS3/kC5"],
+                                  ["isocheck", "H4/Bx", "--theorem", "3.4"],
+                                  ["spectral", "kC4/k"]])
+def test_unknown_builtin_pair_exit_two_naming_it(argv):
+    # was exit 1: "construction [FAIL] unknown built-in setup ..."
+    code, text = run(argv)
+    assert code == 2, text
+    assert f"no built-in pair or file named {argv[1]!r}" in text, text
+
+
+def test_every_builtin_pair_name_resolves():
+    for name in ("OS3/k",) + SETUP_NAMES:
+        code, text = run(["galois", name])
+        assert code == 0, (name, text)
 
 
 def test_isocheck_os3_oc2_higher_degree_within_budget():

@@ -49,8 +49,8 @@ from support import trivial_sayd, uncached
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 HH_H4 = [2, 1, 1, 1]
-HC_KC2 = [2, 0, 2]
-HC_H4 = [2, 1, 2]
+HC_KC2 = [2, 0, 2, 0]
+HC_H4 = [2, 1, 2, 1]
 
 
 def cyclic_modules_equal(a, b):
@@ -318,9 +318,34 @@ def test_truncation_guards():
     with pytest.raises(TruncationError):
         hochschild_homology(cm, 2)
     with pytest.raises(TruncationError):
-        cyclic_homology(cm, 1)
+        cyclic_homology(cm, 2)
     with pytest.raises(TruncationError):
         boundary(cm, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_cyclic_homology_needs_only_degree_n_plus_1(name, field):
+    # HC_n reads b up to degree n + 1 and B only into degree n, so one more
+    # degree of the cyclic module changes nothing
+    s = builtin_setup(name, field)
+    wide = cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, 4), 2)
+    for n in range(3):
+        assert cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, n + 1), n) == wide[:n + 1]
+
+
+def test_cyclic_homology_rejects_faces_with_nonzero_b_squared():
+    # full spaces, zero degeneracies and faces with b_1 = b_2 = 1: the
+    # normalized complex is the whole module, and b_1 b_2 != 0
+    f = QQ
+    spaces = [SubquotientSpace.full(1, f) for _ in range(3)]
+    d = {(n, i): SparseMatrix.zeros(1, 1, f) for n in (1, 2) for i in range(n + 1)}
+    d[(1, 0)] = d[(2, 0)] = SparseMatrix.identity(1, f)
+    s = {(n, j): SparseMatrix.zeros(1, 1, f) for n in (0, 1) for j in range(n + 1)}
+    t = {n: SparseMatrix.identity(1, f) for n in range(3)}
+    cm = CyclicModule(2, spaces, d, s, t)
+    with pytest.raises(NotWellDefined, match=r"not a complex: d\^2 != 0 at degree 2"):
+        cyclic_homology(cm)
 
 
 def _cyclic_identity_names(N):
