@@ -634,16 +634,11 @@ def frobenius_reciprocity_check(g, sub, chi_sub, induced):
     return ValidationReport(checks)
 
 
-def class_function_dim_check(g, hh0_dim=None):
-    """dim O(G \\ ad G) = conjugacy class count (= HH_0(kG) when supplied)."""
+def class_function_dim_check(g):
+    """dim O(G \\ ad G) = conjugacy class count."""
     point = GSet(g, 1, [[0]] * g.order)
     ext = extended_quotient(g, point, 0)
     classes = len(g.conjugacy_classes())
-    checks = [AxiomCheck("extended quotient of a point counts classes",
-                         len(ext) == classes,
-                         None if len(ext) == classes else f"{len(ext)} != {classes}")]
-    if hh0_dim is not None:
-        checks.append(AxiomCheck("matches HH_0 of the group algebra",
-                                 hh0_dim == classes,
-                                 None if hh0_dim == classes else f"{hh0_dim} != {classes}"))
-    return ValidationReport(checks)
+    ok = len(ext) == classes
+    return ValidationReport([AxiomCheck("extended quotient of a point counts classes", ok,
+                                        None if ok else f"{len(ext)} != {classes}")])

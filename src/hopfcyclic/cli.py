@@ -4,10 +4,10 @@ Subcommands: validate, galois, homology, isocheck, tor, spectral,
 classical.  Exit code 0 means every check passed, 1 means a mathematical
 check failed (the report carries a witness), 2 means bad input: the input
 could not be parsed, or a Hopf algebra file given to any command but
-``validate`` breaks an axiom.  Built-in algebras (kC2, kC3, kC4, kS3, OS3,
-OC2, H4) and pairs (``presets.PAIR_NAMES``: kS3/kC2, kS3/kC3, H4/B,
-OS3/OC2, and kC2, kC3, kS3, H4, OS3 over k) can be named in place of files,
-so the whole acceptance surface runs without external data.
+``validate`` breaks an axiom.  Built-in algebras (``presets.HOPF_NAMES``)
+and pairs (``presets.PAIR_NAMES``: kS3/kC2, kS3/kC3, H4/B, OS3/OC2, and
+<name>/k for every algebra) can be named in place of files, so the whole
+acceptance surface runs without external data.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _parse_field(text):
 def _resolve_hopf(arg, field, check_axioms=True):
     """A built-in algebra, or a loaded file that (unless ``validate`` reads
     it) must pass every Hopf axiom: a file that breaks one is bad input."""
-    if arg in presets.HOPF_NAMES or arg == "sweedler":
+    if arg in presets.HOPF_NAMES:
         return presets.builtin_hopf(arg, field)
     if not os.path.exists(arg):
         raise InputError(f"no built-in Hopf algebra or file named {arg!r}")

@@ -2,13 +2,17 @@
 
 A CyclicModule holds degrees 0..n_max of a cyclic object: per-degree space
 presentations plus face, degeneracy and cyclic operators on reduced
-coordinates.  Each construction is its spaces plus its faces, degeneracies
-and rotation written as ``LegChain`` composites of structure maps (mu,
-Delta, eps, the action of C, the coaction of B or M); ``build_cyclic`` and
-``build_cocyclic`` descend them through ``induced_map``, which applies a
-chain only to the sections and relation columns of the spaces, never
-assembling it over the ambient.  The descent/restriction check is the
-machine substitute for the by-hand well-definedness proofs.
+coordinates.  Four constructions are their spaces plus their faces,
+degeneracies and rotation written as ``LegChain`` composites of structure
+maps (mu, Delta, eps, the action of C, the coaction of B or M);
+``build_cyclic`` and ``build_cocyclic`` descend them through
+``induced_map``, which applies a chain only to the sections and relation
+columns of the spaces, never assembling it over the ambient, and compose
+the wrap-around operators d_n = d_0 t and delta_{n+1} = tau delta_0.  The
+descent/restriction check is the machine substitute for the by-hand
+well-definedness proofs.  The other two, the coextension and Hopf-cyclic
+coalgebra cyclic objects, are the Connes duals (``cyclic_dual``) of their
+cocyclic objects.
 
 ``cyclic_identities`` and ``cocyclic_identities`` are the one table of
 simplicial and cyclic identities and the one of cosimplicial and cocyclic
@@ -259,18 +263,24 @@ def cocyclic_identities(n_max, delta, sigma, tau, compose, ident):
 
 def build_cyclic(n_max, spaces, face, degeneracy, rotation, name=""):
     """The cyclic module on ``spaces`` whose operators descend the ambient
-    chains face(n, i), degeneracy(n, j) and rotation(n)."""
+    chains face(n, i) for i < n, degeneracy(n, j) and rotation(n); the last
+    face is d_n = d_0 t."""
     t = {n: induced_map(rotation(n), spaces[n], spaces[n]) for n in range(n_max + 1)}
-    d = _descended(face, spaces, n_max, -1, 1)
+    d = _descended(face, spaces, n_max, -1, 0)
+    for n in range(1, n_max + 1):
+        d[(n, n)] = _sharing(d[(n, 0)]) @ _sharing(t[n])
     s = _descended(degeneracy, spaces, n_max, 1, 1)
     return CyclicModule(n_max, spaces, d, s, t, name=name)
 
 
 def build_cocyclic(n_max, spaces, coface, codegeneracy, rotation, name=""):
     """The cocyclic module on ``spaces`` whose operators descend the ambient
-    chains coface(n, i), codegeneracy(n, j) and rotation(n)."""
+    chains coface(n, i) for i <= n, codegeneracy(n, j) and rotation(n); the
+    last coface is delta_{n+1} = tau delta_0."""
     tau = {n: induced_map(rotation(n), spaces[n], spaces[n]) for n in range(n_max + 1)}
-    delta = _descended(coface, spaces, n_max, 1, 2)
+    delta = _descended(coface, spaces, n_max, 1, 1)
+    for n in range(n_max):
+        delta[(n, n + 1)] = _sharing(tau[n + 1]) @ _sharing(delta[(n, 0)])
     sigma = _descended(codegeneracy, spaces, n_max, -1, 0)
     return CocyclicModule(n_max, spaces, delta, sigma, tau, name=name)
 
@@ -294,15 +304,15 @@ def relative_cyclic(h, b, n_max):
     spaces = [commutator_quotient(h, b, tensor_power_over_b(h, b, n + 1), n + 1)
               for n in range(n_max + 1)]
 
-    def rotation(n):
-        return LegChain([d] * (n + 1), f).perm([n] + list(range(n)))
+    def legs(n):
+        return LegChain([d] * (n + 1), f)
 
     return build_cyclic(
         n_max, spaces,
-        face=lambda n, i: (rotation(n).leg(h.mu, 0, 2) if i == n
-                           else LegChain([d] * (n + 1), f).leg(h.mu, i, 2)),
-        degeneracy=lambda n, j: LegChain([d] * (n + 1), f).leg(h.eta, j + 1, 0),
-        rotation=rotation, name=f"C(H|B) {h.name}")
+        face=lambda n, i: legs(n).leg(h.mu, i, 2),
+        degeneracy=lambda n, j: legs(n).leg(h.eta, j + 1, 0),
+        rotation=lambda n: legs(n).perm([n] + list(range(n))),
+        name=f"C(H|B) {h.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +343,27 @@ def coextension_space(h, c, legs):
 
 
 def coext_cyclic(h, c, n_max, spaces=None):
-    """Cyclic module on (D^{box_C n+1})^C: counit faces, comultiplication
+    """Cyclic module on (D^{box_C n+1})^C, the Connes dual of
+    ``relative_cocyclic_coext``: counit faces, comultiplication
     degeneracies, rotation moving the last tensorand to the front."""
-    d, f = h.dim, h.field
-    if spaces is None:
-        spaces = [coextension_space(h, c, n + 1) for n in range(n_max + 1)]
-    return build_cyclic(
-        n_max, spaces,
-        face=lambda n, i: LegChain([d] * (n + 1), f).leg(h.eps, i, 1, []),
-        degeneracy=lambda n, j: LegChain([d] * (n + 1), f).leg(h.delta, j, 1, [d, d]),
-        rotation=lambda n: LegChain([d] * (n + 1), f).perm([n] + list(range(n))),
-        name=f"C({h.name}|C)")
+    return cyclic_dual(relative_cocyclic_coext(h, c, n_max, spaces))
 
 
 def relative_cocyclic_coext(h, c, n_max, spaces=None):
-    """Cocyclic module on the same spaces: comultiplication cofaces (with
-    the wrap-around coface), counit codegeneracies, left rotation."""
+    """Cocyclic module on (D^{box_C n+1})^C: comultiplication cofaces,
+    counit codegeneracies, left rotation."""
     d, f = h.dim, h.field
     if spaces is None:
         spaces = [coextension_space(h, c, n + 1) for n in range(n_max + 1)]
 
-    def coface(n, i):
-        chain = LegChain([d] * (n + 1), f).leg(h.delta, 0 if i > n else i, 1, [d, d])
-        return chain.perm(list(range(1, n + 2)) + [0]) if i > n else chain
+    def legs(n):
+        return LegChain([d] * (n + 1), f)
 
     return build_cocyclic(
-        n_max, spaces, coface,
-        codegeneracy=lambda n, j: LegChain([d] * (n + 1), f).leg(h.eps, j + 1, 1, []),
-        rotation=lambda n: LegChain([d] * (n + 1), f).perm(list(range(1, n + 1)) + [0]),
+        n_max, spaces,
+        coface=lambda n, i: legs(n).leg(h.delta, i, 1, [d, d]),
+        codegeneracy=lambda n, j: legs(n).leg(h.eps, j + 1, 1, []),
+        rotation=lambda n: legs(n).perm(list(range(1, n + 1)) + [0]),
         name=f"C^({h.name}|C)")
 
 
@@ -431,32 +434,17 @@ def hopf_cyclic_spaces(c, m, n_max):
 
 
 def hopf_cyclic_coalgebra(c, m, n_max, spaces=None):
-    """Cyclic module C_n(C, M)_H: counit faces, coproduct degeneracies, and
+    """Cyclic module C_n(C, M)_H, the Connes dual of
+    ``hopf_cocyclic_coalgebra``: counit faces, coproduct degeneracies, and
     the coefficient-twisted rotation
     (c^0 ... c^n) (x) m -> (c^n . m_(1) (x) c^0 ... c^{n-1}) (x) m_(0)."""
-    h = c.parent
-    d, cd, md, f = h.dim, c.dim, m.dim, h.field
-    if spaces is None:
-        spaces = hopf_cyclic_spaces(c, m, n_max)
-
-    def legs(n):
-        return LegChain([cd] * (n + 1) + [md], f)
-
-    def rotation(n):
-        return legs(n).leg(m.coaction, n + 1, 1, [md, d]) \
-            .perm([n, n + 2] + list(range(n)) + [n + 1]) \
-            .leg(c.action, 0, 2)                # (c^n . m1, c^0..c^{n-1}, m0)
-
-    return build_cyclic(
-        n_max, spaces,
-        face=lambda n, i: legs(n).leg(c.eps_c, i, 1, []),
-        degeneracy=lambda n, j: legs(n).leg(c.delta_c, j, 1, [cd, cd]),
-        rotation=rotation, name=f"C(C,{m.name})_H")
+    return cyclic_dual(hopf_cocyclic_coalgebra(c, m, n_max, spaces))
 
 
 def hopf_cocyclic_coalgebra(c, m, n_max, spaces=None):
-    """Cocyclic module on the same spaces; the wrap-around coface and the
-    cocyclic operator twist by the inverse antipode on the coefficients."""
+    """Cocyclic module C^n(C, M)_H: coproduct cofaces, counit
+    codegeneracies, and the cocyclic operator, which twists by the inverse
+    antipode on the coefficients."""
     h = c.parent
     d, cd, md, f = h.dim, c.dim, m.dim, h.field
     if h.antipode_inv is None:
@@ -467,26 +455,14 @@ def hopf_cocyclic_coalgebra(c, m, n_max, spaces=None):
     def legs(n):
         return LegChain([cd] * (n + 1) + [md], f)
 
-    def twisted(n):
-        # (c^0 ... c^n, m) -> (c^0 ... c^n, m_(0), S^{-1}(m_(1)))
-        return legs(n).leg(m.coaction, n + 1, 1, [md, d]).leg(h.antipode_inv, n + 2)
-
     def rotation(n):
-        # (c^1 ... c^n (x) c^0 . S^{-1}(m_(1))) (x) m_(0)
-        return twisted(n).perm(list(range(1, n + 1)) + [0, n + 2, n + 1]) \
-            .leg(c.action, n, 2)
-
-    def coface(n, i):
-        if i <= n:
-            return legs(n).leg(c.delta_c, i, 1, [cd, cd])
-        # delta_{n+1} = tau_{n+1} after inserting at the front:
-        # (c^0_(2) (x) c^1 ... c^n (x) c^0_(1) S^{-1}(m_(1))) (x) m_(0)
-        return twisted(n).leg(c.delta_c, 0, 1, [cd, cd]) \
-            .perm([1] + list(range(2, n + 2)) + [0, n + 3, n + 2]) \
-            .leg(c.action, n + 1, 2)
+        # (c^0 ... c^n, m) -> (c^1 ... c^n (x) c^0 . S^{-1}(m_(1))) (x) m_(0)
+        return legs(n).leg(m.coaction, n + 1, 1, [md, d]).leg(h.antipode_inv, n + 2) \
+            .perm(list(range(1, n + 1)) + [0, n + 2, n + 1]).leg(c.action, n, 2)
 
     return build_cocyclic(
-        n_max, spaces, coface,
+        n_max, spaces,
+        coface=lambda n, i: legs(n).leg(c.delta_c, i, 1, [cd, cd]),
         codegeneracy=lambda n, j: legs(n).leg(c.eps_c, j + 1, 1, []),
         rotation=rotation, name=f"C^(C,{m.name})_H")
 
@@ -529,9 +505,9 @@ def comodule_algebra_space(h, b, m, n):
 def hopf_cyclic_comodule_algebra(h, b, m, n_max):
     """Cyclic module C_n(B, M)^H = M box_H B^{(x) n+1}.
 
-    Faces multiply adjacent algebra legs; the last face and the cyclic
-    operator rotate the last leg through the coefficients using its
-    coaction and the module's operator action.
+    Faces multiply adjacent algebra legs; the cyclic operator rotates the
+    last leg through the coefficients using its coaction and the module's
+    operator action.
     """
     f = h.field
     d, bd, md = h.dim, b.dim, m.dim
@@ -551,8 +527,7 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max):
 
     return build_cyclic(
         n_max, spaces,
-        face=lambda n, i: (rotation(n).leg(b.mult_b, 1, 2) if i == n
-                           else legs(n).leg(b.mult_b, i + 1, 2)),
+        face=lambda n, i: legs(n).leg(b.mult_b, i + 1, 2),
         degeneracy=lambda n, j: legs(n).leg(unit_b, j + 2, 0),
         rotation=rotation, name=f"C(B,{m.name})^H")
 
@@ -562,13 +537,13 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max):
 
 
 def cyclic_dual(ccm):
-    """Connes' duality dictionary: d_i = sigma_{i-1}, d_0 = sigma_{m-1} tau,
+    """Connes' duality dictionary: d_i = sigma_{i-1}, d_0 = sigma_{n-1} tau,
     s_j = delta_j, t = tau^{-1}, on the same spaces."""
     dops, sops, tops = {}, {}, {}
     for n in range(ccm.n_max + 1):
-        tops[n] = inverse(ccm.tau[n])
+        tops[n] = inverse(_sharing(ccm.tau[n]))
         if n >= 1:
-            dops[(n, 0)] = ccm.sigma[(n, n - 1)] @ ccm.tau[n]
+            dops[(n, 0)] = _sharing(ccm.sigma[(n, n - 1)]) @ _sharing(ccm.tau[n])
             for i in range(1, n + 1):
                 dops[(n, i)] = ccm.sigma[(n, i - 1)]
         if n < ccm.n_max:

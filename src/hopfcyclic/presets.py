@@ -24,7 +24,7 @@ from .hopf import (
 from .linalg import QQ
 
 
-HOPF_NAMES = ("kC2", "kC3", "kC4", "kS3", "OS3", "OC2", "H4")
+HOPF_NAMES = ("kC2", "kC3", "kC4", "kS3", "OS3", "OC2", "H4", "sweedler")
 
 
 def builtin_hopf(name, field=QQ):
@@ -65,8 +65,8 @@ SETUP_NAMES = (
     "H4/B",
     "OS3/OC2",
 )
-# every name builtin_setup accepts
-PAIR_NAMES = SETUP_NAMES + ("OS3/k",)
+# every name builtin_setup accepts: the setups, and <name>/k for every algebra
+PAIR_NAMES = SETUP_NAMES + tuple(f"{n}/k" for n in HOPF_NAMES if f"{n}/k" not in SETUP_NAMES)
 
 
 def builtin_setup(name, field=QQ):

@@ -2,6 +2,8 @@
 sparse matrices, and predicates on Hopf algebras, cyclic maps and SAYD
 coefficients."""
 
+from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
+from hopfcyclic.hopf import group_algebra, trivial_subalgebra
 from hopfcyclic.linalg import LegChain, SparseMatrix, permutation_matrix
 from hopfcyclic.sayd import SaydModule, ad_module
 
@@ -63,3 +65,9 @@ def adjoint_action_identity_ok(h, ad=None):
     step = LegChain([d, d], f).leg(h.delta, 0, 1, [d, d]).perm([1, 2, 0]).leg(h.mu, 1, 2)
     lhs = ad.action @ step.matrix()
     return lhs == h.mu
+
+
+def group_algebra_hh0(g):
+    """dim HH_0(kG) over Q, from the relative cyclic object of kG over k."""
+    h = group_algebra(g)
+    return hochschild_homology(relative_cyclic(h, trivial_subalgebra(h), 1), 0)[0]

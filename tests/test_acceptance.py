@@ -53,6 +53,7 @@ from hopfcyclic.specseq import (
     theorem_check,
     tor_dims,
 )
+from support import group_algebra_hh0
 
 # frozen by the dense brute-force oracle (tests/oracle.py), computed before
 # the sparse engine was built
@@ -228,7 +229,8 @@ def test_criterion_9_classical_suite():
     assert up_s.values == [QQ.from_int(3), QQ.from_int(-1), QQ.zero]
     assert frobenius_reciprocity_check(g, sub, trivial, up_t).ok
     assert frobenius_reciprocity_check(g, sub, sign, up_s).ok
-    assert class_function_dim_check(g, hh0_dim=3).ok
+    assert class_function_dim_check(g).ok
+    assert group_algebra_hh0(g) == len(g.conjugacy_classes())
     _finish("9 (classical suite)", start, 60)
 
 

@@ -24,6 +24,7 @@ from hopfcyclic.classical import (
     stabilizer_coincidence_check,
 )
 from hopfcyclic.linalg import QQ
+from support import group_algebra_hh0
 
 S3 = builtin_group("S3")
 C2_IN_S3 = [0, 2]  # e, (12)
@@ -171,9 +172,9 @@ def test_non_class_function_rejected():
 
 def test_class_function_dims():
     assert class_function_dim_check(builtin_group("trivial")).ok
-    rep = class_function_dim_check(S3, hh0_dim=3)
-    assert rep.ok
-    assert class_function_dim_check(builtin_group("Q8"), hh0_dim=5).ok
+    for g in (S3, builtin_group("Q8")):
+        assert class_function_dim_check(g).ok
+        assert group_algebra_hh0(g) == len(g.conjugacy_classes())
 
 
 def test_classical_matches_algebraic_dims():

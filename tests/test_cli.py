@@ -4,7 +4,7 @@ import time
 import pytest
 
 from hopfcyclic.cli import run
-from hopfcyclic.presets import SETUP_NAMES
+from hopfcyclic.presets import HOPF_NAMES, PAIR_NAMES
 
 
 def test_validate_builtin_exit_zero():
@@ -422,7 +422,7 @@ def test_hc_degree_cap_is_input_error():
 
 @pytest.mark.parametrize("argv", [["galois", "nosuch/x"], ["homology", "kS3/kC5"],
                                   ["isocheck", "H4/Bx", "--theorem", "3.4"],
-                                  ["spectral", "kC4/k"]])
+                                  ["spectral", "kC5/k"]])
 def test_unknown_builtin_pair_exit_two_naming_it(argv):
     # was exit 1: "construction [FAIL] unknown built-in setup ..."
     code, text = run(argv)
@@ -431,9 +431,21 @@ def test_unknown_builtin_pair_exit_two_naming_it(argv):
 
 
 def test_every_builtin_pair_name_resolves():
-    for name in ("OS3/k",) + SETUP_NAMES:
+    for name in PAIR_NAMES:
         code, text = run(["galois", name])
         assert code == 0, (name, text)
+
+
+@pytest.mark.parametrize("name", HOPF_NAMES)
+def test_the_setup_name_a_report_prints_is_accepted_back(name):
+    # kC4/k, OC2/k and sweedler/k used to exit 2
+    code, text = run(["--format", "json", "homology", name, "--max-degree", "1"])
+    assert code == 0, text
+    setup = json.loads(text)["params"]["setup"]
+    assert setup == f"{name}/k"
+    again, text_again = run(["--format", "json", "homology", setup, "--max-degree", "1"])
+    assert again == 0, text_again
+    assert json.loads(text_again)["tables"] == json.loads(text)["tables"]
 
 
 def test_isocheck_os3_oc2_higher_degree_within_budget():

@@ -200,6 +200,99 @@ def test_coextension_duality():
     assert cyclic_modules_equal(cyclic_dual(ccm), cm)
 
 
+# ---------------------------------------------------------------------------
+# the derived operators against the chains the constructions once descended
+
+
+def _faces(x, face):
+    return {(n, i): induced_map(face(n, i), x.spaces[n], x.spaces[n - 1])
+            for n in range(1, x.n_max + 1) for i in range(n + 1)}
+
+
+def _degeneracies(x, degeneracy):
+    return {(n, j): induced_map(degeneracy(n, j), x.spaces[n], x.spaces[n + 1])
+            for n in range(x.n_max) for j in range(n + 1)}
+
+
+def _rotations(x, rotation):
+    return {n: induced_map(rotation(n), x.spaces[n], x.spaces[n]) for n in range(x.n_max + 1)}
+
+
+def _last_faces(x, face):
+    return {(n, n): induced_map(face(n), x.spaces[n], x.spaces[n - 1])
+            for n in range(1, x.n_max + 1)}
+
+
+def _wrap_cofaces(x, coface):
+    return {(n, n + 1): induced_map(coface(n), x.spaces[n], x.spaces[n + 1])
+            for n in range(x.n_max)}
+
+
+def _restricted(ops, reference):
+    return {k: ops[k] for k in reference}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_derived_operators_match_the_chains_they_replace(name, field):
+    """The two Connes duals, every composed last face and every composed
+    wrap-around coface equal the descents of explicit reference chains."""
+    n_max = 2 if name == "kS3/k" else 3
+    s = builtin_setup(name, field)
+    h, b, c, f = s.hopf, s.subalgebra, s.quotient, field
+    ad, coad = ad_module(h), coad_module(h)
+    d, bd, cd, md = h.dim, b.dim, c.dim, ad.dim
+
+    def legs(n):
+        return LegChain([d] * (n + 1), f)
+
+    def coalgebra_legs(n):
+        return LegChain([cd] * (n + 1) + [md], f)
+
+    def algebra_legs(n):
+        return LegChain([coad.dim] + [bd] * (n + 1), f)
+
+    # the coextension: counit faces, coproduct degeneracies, last leg to the front
+    cm = coext_cyclic(h, c, n_max)
+    assert cm.d == _faces(cm, lambda n, i: legs(n).leg(h.eps, i, 1, []))
+    assert cm.s == _degeneracies(cm, lambda n, j: legs(n).leg(h.delta, j, 1, [d, d]))
+    assert cm.t == _rotations(cm, lambda n: legs(n).perm([n] + list(range(n))))
+    # its wrap coface: the coproduct of the front leg, whose first half goes last
+    ccm = relative_cocyclic_coext(h, c, n_max, cm.spaces)
+    wrap = _wrap_cofaces(ccm, lambda n: legs(n).leg(h.delta, 0, 1, [d, d])
+                         .perm(list(range(1, n + 2)) + [0]))
+    assert _restricted(ccm.delta, wrap) == wrap
+
+    # the Hopf-cyclic coalgebra: counit faces, coproduct degeneracies and
+    # (c^0 ... c^n) (x) m -> (c^n . m_(1) (x) c^0 ... c^{n-1}) (x) m_(0)
+    hsp = hopf_cyclic_spaces(c, ad, n_max)
+    hm = hopf_cyclic_coalgebra(c, ad, n_max, spaces=hsp)
+    assert hm.d == _faces(hm, lambda n, i: coalgebra_legs(n).leg(c.eps_c, i, 1, []))
+    assert hm.s == _degeneracies(hm, lambda n, j: coalgebra_legs(n).leg(c.delta_c, j, 1, [cd, cd]))
+    assert hm.t == _rotations(hm, lambda n: coalgebra_legs(n).leg(ad.coaction, n + 1, 1, [md, d])
+                              .perm([n, n + 2] + list(range(n)) + [n + 1]).leg(c.action, 0, 2))
+    # its S^{-1}-twisted wrap coface:
+    # (c^0_(2) (x) c^1 ... c^n (x) c^0_(1) . S^{-1}(m_(1))) (x) m_(0)
+    hcm = hopf_cocyclic_coalgebra(c, ad, n_max, spaces=hsp)
+    wrap = _wrap_cofaces(hcm, lambda n: coalgebra_legs(n).leg(ad.coaction, n + 1, 1, [md, d])
+                         .leg(h.antipode_inv, n + 2).leg(c.delta_c, 0, 1, [cd, cd])
+                         .perm([1] + list(range(2, n + 2)) + [0, n + 3, n + 2])
+                         .leg(c.action, n + 1, 2))
+    assert _restricted(hcm.delta, wrap) == wrap
+
+    # the last face of C(H|B): rotate, then multiply the first two legs
+    rel = relative_cyclic(h, b, n_max)
+    last = _last_faces(rel, lambda n: legs(n).perm([n] + list(range(n))).leg(h.mu, 0, 2))
+    assert _restricted(rel.d, last) == last
+    # the last face of C(B, M)^H:
+    # (m, b^0 ... b^n) -> (b^n_(-1) m, b^n_(0) b^0, b^1 ... b^{n-1})
+    com = hopf_cyclic_comodule_algebra(h, b, coad, n_max)
+    last = _last_faces(com, lambda n: algebra_legs(n).leg(b.coaction_b, n + 1, 1, [d, bd])
+                       .perm([n + 1, 0, n + 2] + list(range(1, n + 1)))
+                       .leg(coad.operator_action, 0, 2).leg(b.mult_b, 1, 2))
+    assert _restricted(com.d, last) == last
+
+
 def test_mutant_cyclic_operator_fails():
     s = builtin_setup("kC2/k")
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)

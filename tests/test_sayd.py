@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from hopfcyclic.hopf import group_algebra
 from hopfcyclic.groups import builtin_group
-from hopfcyclic.linalg import QQ, SparseMatrix
+from hopfcyclic.linalg import QQ, SparseMatrix, permutation_matrix
 from hopfcyclic.presets import builtin_hopf
 from hopfcyclic.sayd import (
     SaydModule,
@@ -98,6 +100,34 @@ def test_scaled_coaction_breaks_stability():
                         name="scaled")
     rep = check_stable(scaled)
     assert not rep.ok and rep.failures()[0].witness == "basis pair (0,)"
+
+
+AYD, STABLE = "anti-Yetter-Drinfeld compatibility", "stability"
+COASSOC, COUNIT, ASSOC = "comodule coassociativity", "comodule counit", "module associativity"
+
+
+@pytest.mark.parametrize("name, mutant, broken", [
+    ("kS3", "coaction Delta", {AYD, STABLE}),
+    ("H4", "coaction Delta", {AYD, STABLE}),
+    ("kS3", "coaction scaled by 2", {COASSOC, COUNIT, STABLE}),
+    ("H4", "coaction scaled by 2", {COASSOC, COUNIT, STABLE}),
+    ("kS3", "action mu swap", {ASSOC}),
+    ("H4", "action mu swap", {ASSOC, AYD, STABLE}),
+])
+def test_right_left_mutants_of_coad_break_their_axioms(name, mutant, broken):
+    # the right-left branches of every checker, on coefficients that fail
+    h = builtin_hopf(name)
+    coad = coad_module(h)
+    if mutant == "coaction Delta":
+        m = replace(coad, coaction=h.delta)
+    elif mutant == "coaction scaled by 2":
+        m = replace(coad, coaction=coad.coaction.scale(QQ.from_int(2)))
+    else:
+        m = replace(coad, action=h.mu @ permutation_matrix([h.dim, h.dim], [1, 0], QQ))
+    assert m.chirality == "right-left"
+    assert {c.name for c in validate_sayd(m).failures()} == broken
+    assert check_ayd(m).ok == (AYD not in broken)
+    assert check_stable(m).ok == (STABLE not in broken)
 
 
 def test_chirality_shape_guard():
