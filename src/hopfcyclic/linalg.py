@@ -530,8 +530,9 @@ class IndexTable:
     and it carries the sentinel through.  A product of nonzero field
     elements is never zero, so an empty column stays ``-1``/``0``, the
     table of a product is the product of the tables, and two tables are
-    equal exactly when their matrices are.  ``p`` is the field's modulus,
-    None over Q.
+    equal exactly when their matrices are.  ``val`` is None when every
+    entry is 1, as on a group algebra: a product of two such tables
+    composes its indices alone.  ``p`` is the field's modulus, None over Q.
     """
 
     __slots__ = ("rows", "cols", "p", "idx", "val")
@@ -557,28 +558,37 @@ class IndexTable:
                 return None
             idx[j] = i
             val[j] = v
-        return cls(rows, cols, m.field.p, idx, val)
+        return cls(rows, cols, m.field.p, idx, None if set(val) <= {0, 1} else val)
 
     @classmethod
     def identity(cls, n, p):
-        return cls(n, n, p, [*range(n), -1], [1] * n + [0])
+        return cls(n, n, p, [*range(n), -1], None)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ia, va, p = self.idx, self.val, self.p
-        pairs = zip(other.idx, other.val)
-        if p is None:
-            val = [va[r] * v for r, v in pairs]
+        ib, vb = other.idx, other.val
+        idx = [ia[r] for r in ib]
+        if vb is None:
+            val = None if va is None else [va[r] for r in ib]
+        elif va is None:
+            val = [v if i >= 0 else 0 for i, v in zip(idx, vb)]
+        elif p is None:
+            val = [va[r] * v for r, v in zip(ib, vb)]
         else:
-            val = [va[r] * v % p for r, v in pairs]
-        return IndexTable(self.rows, other.cols, p, [ia[r] for r in other.idx], val)
+            val = [va[r] * v % p for r, v in zip(ib, vb)]
+        return IndexTable(self.rows, other.cols, p, idx, val)
+
+    def _values(self):
+        return [int(i >= 0) for i in self.idx] if self.val is None else self.val
 
     def __eq__(self, other):
         if not isinstance(other, IndexTable):
             return NotImplemented
-        return ((self.rows, self.cols, self.idx, self.val)
-                == (other.rows, other.cols, other.idx, other.val))
+        if (self.rows, self.cols, self.idx) != (other.rows, other.cols, other.idx):
+            return False
+        return self.val is other.val is None or self._values() == other._values()
 
 
 # ---------------------------------------------------------------------------
@@ -986,41 +996,6 @@ def apply_on_leg(op, dims, pos, arity=1):
     return SparseMatrix(left * mid_out * right, left * mid_in * right, f, data)
 
 
-def leg_map(op, x, dims, pos, arity=1, out_dims=None):
-    """(id (x) op (x) id) @ x for a column set x on the tensor product ``dims``.
-
-    Same leg conventions as ``apply_on_leg``, but works from the nonzeros
-    of x instead of assembling id (x) op (x) id over the whole ambient, so
-    a chain of leg maps costs what the columns it carries cost.  Returns
-    (matrix, new leg dims); ``out_dims`` (default: one leg of dimension
-    op.rows) replaces dims[pos:pos+arity].
-    """
-    if out_dims is None:
-        out_dims = [op.rows]
-    mid_in = tensor_dim(dims[pos : pos + arity])
-    right = tensor_dim(dims[pos + arity :])
-    if op.cols != mid_in or op.rows != tensor_dim(out_dims) or x.rows != tensor_dim(dims):
-        raise ShapeMismatch("operator arity does not match leg dims")
-    block_in, block_out = mid_in * right, op.rows * right
-    op_cols = op.cols_map()
-    out = {}
-    get = out.get
-    for i, row in x.rows_map().items():
-        lft, rest = divmod(i, block_in)
-        mid, rgt = divmod(rest, right)
-        col = op_cols.get(mid)
-        if not col:
-            continue
-        base = lft * block_out + rgt
-        for r, v in col.items():
-            r = base + r * right
-            for j, a in row.items():
-                key = (r, j)
-                out[key] = get(key, 0) + v * a
-    new_dims = list(dims[:pos]) + list(out_dims) + list(dims[pos + arity :])
-    return SparseMatrix(tensor_dim(new_dims), x.cols, x.field, _reduced(out, x.field.p)), new_dims
-
-
 def _reduced(acc, p):
     """Accumulated sums in canonical form, zeros dropped (one ``% p`` each over F_p)."""
     if p is None:
@@ -1033,45 +1008,37 @@ def _reduced(acc, p):
     return data
 
 
-def permute_legs(x, dims, perm):
-    """Permute the tensor legs of a column set x: target leg k is source leg perm[k].
-
-    Every flat index is remapped in one pass over the digits, leg by leg.
-    Returns (matrix, permuted dims).
-    """
-    if sorted(perm) != list(range(len(dims))):
-        raise ShapeMismatch("not a permutation of legs")
-    if x.rows != tensor_dim(dims):
-        raise ShapeMismatch("column set does not live on the leg dims")
-    out_dims = [dims[p] for p in perm]
-    stride = [0] * len(dims)  # stride in the target of each source leg
-    s = 1
-    for k in reversed(range(len(dims))):
-        stride[perm[k]] = s
-        s *= out_dims[k]
-    target = [0]
-    for d, st in zip(dims, stride):
-        target = [base + t * st for base in target for t in range(d)]
-    data = {(target[i], j): v for (i, j), v in x.data.items()}
-    return SparseMatrix(x.rows, x.cols, x.field, data), out_dims
-
-
 def permutation_matrix(dims, perm, field):
     """Permutation of tensor legs; target tuple j is source tuple (t[perm[k]])_k."""
-    return permute_legs(SparseMatrix.identity(tensor_dim(dims), field), dims, perm)[0]
+    return LegChain(dims, field).perm(perm).matrix()
 
 
 class LegChain:
     """A composite of leg maps and leg permutations, kept as its steps.
 
     Starts from the input leg dims; ``leg(op, pos, arity, out_dims)`` adds
-    id (x) op (x) id on legs [pos, pos+arity) (conventions of ``leg_map``)
-    and ``perm(perm)`` a permutation of the legs (``permute_legs``), each
-    returning a new chain.  ``chain @ x`` runs the steps on the nonzeros of
-    the column set x, so the operator is never assembled over the whole
-    ambient; ``rows`` and ``cols`` let ``induced_map`` take a chain where it
-    takes a matrix.  ``matrix()`` is ``chain @ identity``, for a chain that
-    is itself used as a structure map.
+    id (x) op (x) id on legs [pos, pos+arity) (conventions of
+    ``apply_on_leg``; ``out_dims``, by default one leg of dimension op.rows,
+    replaces those legs) and ``perm(perm)`` the permutation of the legs that
+    makes target leg k source leg perm[k], each returning a new chain.
+    ``rows`` and ``cols`` let ``induced_map`` take a chain where it takes a
+    matrix.  ``matrix()`` is ``chain @ identity``, for a chain that is
+    itself used as a structure map.
+
+    ``chain @ x`` applies every step in one pass over the column set x, so
+    the operator is never assembled over the whole ambient.  It reads
+    x.rows_map() once and carries {row: {col: value}} from step to step: a
+    permutation relabels the rows and leaves their entries alone, and a
+    leg step sends each row through the column of op that the row's leg
+    digits select.  A row met with the value 1 is handed on as it is, and
+    a row dict is copied before the first sum written into it, so x's row
+    map is never changed.  Over F_p a product with any other value is
+    reduced once.  The last step writes the (row, col) entries of the
+    result itself, and a lone permutation moves x's own entries, so a
+    one-step chain makes a single pass over x.  Zeros are dropped and
+    values reduced once, at the end, and only when a sum or, in the last
+    step over F_p, a product with a value other than 1 may have left a
+    zero or a value outside [0, p).
     """
 
     __slots__ = ("in_dims", "dims", "field", "steps", "rows", "cols")
@@ -1086,23 +1053,141 @@ class LegChain:
 
     def leg(self, op, pos, arity=1, out_dims=None):
         out_dims = [op.rows] if out_dims is None else list(out_dims)
+        if op.cols != tensor_dim(self.dims[pos:pos + arity]) or op.rows != tensor_dim(out_dims):
+            raise ShapeMismatch("operator arity does not match leg dims")
         dims = self.dims[:pos] + out_dims + self.dims[pos + arity:]
         return LegChain(self.in_dims, self.field, self.steps + ((op, pos, arity, out_dims),), dims)
 
     def perm(self, perm):
+        if sorted(perm) != list(range(len(self.dims))):
+            raise ShapeMismatch("not a permutation of legs")
         dims = [self.dims[p] for p in perm]
         return LegChain(self.in_dims, self.field, self.steps + ((list(perm),),), dims)
 
     def __matmul__(self, x):
         if x.rows != self.cols:
             raise ShapeMismatch(f"chain on {self.cols} coordinates @ {x.rows}x{x.cols}")
-        dims = self.in_dims
-        for step in self.steps:
+        if not self.steps:
+            return x
+        p = self.field.p
+        rows, dims, summed = x.rows_map(), self.in_dims, False
+        *carried, last = self.steps
+        for step in carried:
             if len(step) == 1:
-                x, dims = permute_legs(x, dims, step[0])
+                target, dims = _relabelling(rows, dims, step[0])
+                rows = {target[i]: row for i, row in rows.items()}
             else:
-                x, dims = leg_map(step[0], x, dims, *step[1:])
-        return x
+                rows, dims, step_summed = _leg_rows(rows, dims, p, *step)
+                summed = summed or step_summed
+        if len(last) == 1:
+            target, _ = _relabelling(rows, dims, last[0])
+            if carried:
+                data = {(target[i], j): v for i, row in rows.items() for j, v in row.items()}
+            else:  # a lone permutation moves x's entries
+                data = {(target[i], j): v for (i, j), v in x.data.items()}
+        else:
+            data, step_summed = _leg_entries(rows, dims, p, *last[:3])
+            summed = summed or step_summed
+        return SparseMatrix(self.rows, x.cols, self.field, _reduced(data, p) if summed else data)
 
     def matrix(self):
         return self @ SparseMatrix.identity(self.cols, self.field)
+
+
+def _relabelling(rows, dims, perm):
+    """A permutation step of ``LegChain``: where each row index goes.
+
+    Source legs that stay adjacent move as one block, read off an index
+    with one division.  Returns (target, permuted dims): ``target[i]`` is
+    the new index of row i, from a dict of the rows alone when that takes
+    fewer steps to build than a list of every index."""
+    blocks = []  # [first, end) source legs, in target order
+    for src in perm:
+        if blocks and blocks[-1][1] == src:
+            blocks[-1][1] += 1
+        else:
+            blocks.append([src, src + 1])
+    moves = []  # (stride in the source, size, stride in the target)
+    stride = 1
+    for first, end in reversed(blocks):
+        size = tensor_dim(dims[first:end])
+        moves.append((tensor_dim(dims[end:]), size, stride))
+        stride *= size
+    out_dims = [dims[q] for q in perm]
+    if len(rows) * len(moves) < stride:
+        keys = list(rows)
+        targets = [0] * len(keys)
+        for src, size, tgt in moves:
+            targets = [t + i // src % size * tgt for t, i in zip(targets, keys)]
+        return dict(zip(keys, targets)), out_dims
+    target = [0]
+    for src, size, tgt in sorted(moves, reverse=True):  # source order
+        target = [base + t for base in target for t in range(0, size * tgt, tgt)]
+    return target, out_dims
+
+
+def _leg_rows(rows, dims, p, op, pos, arity, out_dims):
+    """A leg step of ``LegChain``: the rows of (id (x) op (x) id) @ x from
+    the rows of x.  Returns (rows, new leg dims, whether two rows were
+    summed)."""
+    right = tensor_dim(dims[pos + arity:])
+    block_in, block_out = op.cols * right, op.rows * right
+    op_cols = op.cols_map()
+    out, owned, summed = {}, set(), False
+    for i, row in rows.items():
+        lft, rest = divmod(i, block_in)
+        mid, rgt = divmod(rest, right)
+        col = op_cols.get(mid)
+        if not col:
+            continue
+        base = lft * block_out + rgt
+        for r, v in col.items():
+            r = base + r * right
+            if v == 1:
+                scaled = row
+            elif p is None:
+                scaled = {j: v * a for j, a in row.items()}
+            else:
+                scaled = {j: v * a % p for j, a in row.items()}
+            acc = out.get(r)
+            if acc is None:
+                out[r] = scaled
+                if scaled is not row:
+                    owned.add(r)
+                continue
+            if r not in owned:
+                acc = out[r] = dict(acc)
+                owned.add(r)
+            summed = True
+            get = acc.get
+            for j, a in scaled.items():
+                acc[j] = get(j, 0) + a
+    return out, dims[:pos] + out_dims + dims[pos + arity:], summed
+
+
+def _leg_entries(rows, dims, p, op, pos, arity):
+    """The last leg step of ``LegChain``: the entries of (id (x) op (x) id) @ x,
+    keyed (row, col), from the rows of x.  Returns (entries, whether they
+    need ``_reduced``: two products summed, or over F_p a product with a
+    value other than 1)."""
+    right = tensor_dim(dims[pos + arity:])
+    block_in, block_out = op.cols * right, op.rows * right
+    op_cols = op.cols_map()
+    out = {}
+    get = out.get
+    products = 0
+    for i, row in rows.items():
+        lft, rest = divmod(i, block_in)
+        mid, rgt = divmod(rest, right)
+        col = op_cols.get(mid)
+        if not col:
+            continue
+        base = lft * block_out + rgt
+        products += len(row) * len(col)
+        for r, v in col.items():
+            r = base + r * right
+            for j, a in row.items():
+                key = (r, j)
+                out[key] = get(key, 0) + v * a
+    unreduced = p is not None and any(v != 1 for v in op.data.values())
+    return out, len(out) < products or unreduced

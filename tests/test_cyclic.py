@@ -181,6 +181,9 @@ def test_comodule_algebra_ks3_dims_match_coext():
 
 
 def test_cocyclic_coalgebra_identities_and_duality():
+    """The Connes dual of the cocyclic coalgebra object is a cyclic module
+    and equals the one descended from explicit chains, which share no code
+    with ``cyclic_dual``."""
     for name in ("kC2/k", "kS3/kC2"):
         s = builtin_setup(name)
         c = s.quotient if s.quotient.dim < s.hopf.dim else full_quotient(s.hopf)
@@ -188,20 +191,56 @@ def test_cocyclic_coalgebra_identities_and_duality():
         spaces = hopf_cyclic_spaces(c, m, 2)
         ccm = hopf_cocyclic_coalgebra(c, m, 2, spaces=spaces)
         assert check_identities(ccm).ok
-        cm = hopf_cyclic_coalgebra(c, m, 2, spaces=spaces)
-        assert cyclic_modules_equal(cyclic_dual(ccm), cm)
+        dual = cyclic_dual(ccm)
+        assert check_identities(dual).ok
+        assert cyclic_modules_equal(dual, _coalgebra_chains(c, m, ccm))
 
 
 def test_coextension_duality():
-    s = builtin_setup("kS3/kC2")
-    spaces = [coextension_space(s.hopf, s.quotient, n + 1) for n in range(3)]
-    ccm = relative_cocyclic_coext(s.hopf, s.quotient, 2, spaces=spaces)
-    cm = coext_cyclic(s.hopf, s.quotient, 2, spaces=spaces)
-    assert cyclic_modules_equal(cyclic_dual(ccm), cm)
+    """The same for the coextension object, on the pair whose
+    comultiplication is not grouplike as well as on a group algebra."""
+    for name in ("kS3/kC2", "OS3/OC2"):
+        s = builtin_setup(name)
+        spaces = [coextension_space(s.hopf, s.quotient, n + 1) for n in range(3)]
+        ccm = relative_cocyclic_coext(s.hopf, s.quotient, 2, spaces=spaces)
+        dual = cyclic_dual(ccm)
+        assert check_identities(dual).ok
+        assert cyclic_modules_equal(dual, _coext_chains(s.hopf, ccm))
 
 
 # ---------------------------------------------------------------------------
 # the derived operators against the chains the constructions once descended
+
+
+def _coext_chains(h, x):
+    """The coextension cyclic module on x's spaces, descended from explicit
+    chains: counit faces, coproduct degeneracies, last leg to the front."""
+    d, f = h.dim, h.field
+
+    def legs(n):
+        return LegChain([d] * (n + 1), f)
+
+    return CyclicModule(x.n_max, x.spaces,
+                        _faces(x, lambda n, i: legs(n).leg(h.eps, i, 1, [])),
+                        _degeneracies(x, lambda n, j: legs(n).leg(h.delta, j, 1, [d, d])),
+                        _rotations(x, lambda n: legs(n).perm([n] + list(range(n)))))
+
+
+def _coalgebra_chains(c, m, x):
+    """The Hopf-cyclic coalgebra cyclic module on x's spaces, descended from
+    explicit chains: counit faces, coproduct degeneracies and the rotation
+    (c^0 ... c^n) (x) m -> (c^n . m_(1) (x) c^0 ... c^{n-1}) (x) m_(0)."""
+    d, cd, md, f = c.parent.dim, c.dim, m.dim, c.parent.field
+
+    def legs(n):
+        return LegChain([cd] * (n + 1) + [md], f)
+
+    return CyclicModule(x.n_max, x.spaces,
+                        _faces(x, lambda n, i: legs(n).leg(c.eps_c, i, 1, [])),
+                        _degeneracies(x, lambda n, j: legs(n).leg(c.delta_c, j, 1, [cd, cd])),
+                        _rotations(x, lambda n: legs(n).leg(m.coaction, n + 1, 1, [md, d])
+                                   .perm([n, n + 2] + list(range(n)) + [n + 1])
+                                   .leg(c.action, 0, 2)))
 
 
 def _faces(x, face):
@@ -254,9 +293,7 @@ def test_derived_operators_match_the_chains_they_replace(name, field):
 
     # the coextension: counit faces, coproduct degeneracies, last leg to the front
     cm = coext_cyclic(h, c, n_max)
-    assert cm.d == _faces(cm, lambda n, i: legs(n).leg(h.eps, i, 1, []))
-    assert cm.s == _degeneracies(cm, lambda n, j: legs(n).leg(h.delta, j, 1, [d, d]))
-    assert cm.t == _rotations(cm, lambda n: legs(n).perm([n] + list(range(n))))
+    assert cyclic_modules_equal(cm, _coext_chains(h, cm))
     # its wrap coface: the coproduct of the front leg, whose first half goes last
     ccm = relative_cocyclic_coext(h, c, n_max, cm.spaces)
     wrap = _wrap_cofaces(ccm, lambda n: legs(n).leg(h.delta, 0, 1, [d, d])
@@ -264,13 +301,10 @@ def test_derived_operators_match_the_chains_they_replace(name, field):
     assert _restricted(ccm.delta, wrap) == wrap
 
     # the Hopf-cyclic coalgebra: counit faces, coproduct degeneracies and
-    # (c^0 ... c^n) (x) m -> (c^n . m_(1) (x) c^0 ... c^{n-1}) (x) m_(0)
+    # the coefficient-twisted rotation
     hsp = hopf_cyclic_spaces(c, ad, n_max)
     hm = hopf_cyclic_coalgebra(c, ad, n_max, spaces=hsp)
-    assert hm.d == _faces(hm, lambda n, i: coalgebra_legs(n).leg(c.eps_c, i, 1, []))
-    assert hm.s == _degeneracies(hm, lambda n, j: coalgebra_legs(n).leg(c.delta_c, j, 1, [cd, cd]))
-    assert hm.t == _rotations(hm, lambda n: coalgebra_legs(n).leg(ad.coaction, n + 1, 1, [md, d])
-                              .perm([n, n + 2] + list(range(n)) + [n + 1]).leg(c.action, 0, 2))
+    assert cyclic_modules_equal(hm, _coalgebra_chains(c, ad, hm))
     # its S^{-1}-twisted wrap coface:
     # (c^0_(2) (x) c^1 ... c^n (x) c^0_(1) . S^{-1}(m_(1))) (x) m_(0)
     hcm = hopf_cocyclic_coalgebra(c, ad, n_max, spaces=hsp)

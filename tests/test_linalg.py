@@ -29,9 +29,7 @@ from hopfcyclic.linalg import (
     inverse,
     is_prime,
     kernel,
-    leg_map,
     permutation_matrix,
-    permute_legs,
     quotient_by_columns,
     solve,
     span_columns,
@@ -291,6 +289,8 @@ def _reference_permutation(dims, perm, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
 def test_leg_map_and_permute_legs_match_full_ambient(field):
+    """One-step chains, a leg map or a permutation of legs, against the
+    assembled operator; then random chains against the product of theirs."""
     rng = random.Random(23)
     cancelled = 0
     for k in range(150):
@@ -320,10 +320,11 @@ def test_leg_map_and_permute_legs_match_full_ambient(field):
                     data[(i, j)] = v
                     data[((lft * 2 * half + mid + half) * right + rgt, j)] = v
             x = SparseMatrix(x.rows, ncols, field, data)
-        got, got_dims = leg_map(op, x, dims, pos, arity, out_dims)
+        step = LegChain(dims, field).leg(op, pos, arity, out_dims)
+        got = step @ x
         want = apply_on_leg(op, dims, pos, arity) @ x
         assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
-        assert got_dims == dims[:pos] + out_dims + dims[pos + arity:]
+        assert step.dims == dims[:pos] + out_dims + dims[pos + arity:]
         _assert_clean(got, field)
         if cancels:
             assert got.data == {}
@@ -333,14 +334,16 @@ def test_leg_map_and_permute_legs_match_full_ambient(field):
         rng.shuffle(perm)
         ref = _reference_permutation(dims, perm, field)
         assert permutation_matrix(dims, perm, field) == ref
-        got, got_dims = permute_legs(x, dims, perm)
-        assert got == ref @ x and got_dims == [dims[p] for p in perm]
+        step = LegChain(dims, field).perm(perm)
+        got = step @ x
+        assert got == ref @ x and step.dims == [dims[p] for p in perm]
         _assert_clean(got, field)
     assert cancelled >= 10
     with pytest.raises(ShapeMismatch):
-        leg_map(SparseMatrix.identity(2, field), SparseMatrix.identity(6, field), [2, 3], 1)
+        LegChain([2, 3], field).leg(SparseMatrix.identity(2, field), 1) \
+            @ SparseMatrix.identity(6, field)
     with pytest.raises(ShapeMismatch):
-        permute_legs(SparseMatrix.identity(6, field), [2, 3], [0, 0])
+        LegChain([2, 3], field).perm([0, 0]) @ SparseMatrix.identity(6, field)
 
     # random chains against the product of their assembled factors
     seen = {"arity 0": 0, "arity 1": 0, "arity 2": 0, "out_dims []": 0,
@@ -377,6 +380,98 @@ def test_leg_map_and_permute_legs_match_full_ambient(field):
     assert min(seen.values()) >= 10, seen
     with pytest.raises(ShapeMismatch):
         LegChain([2, 3], field) @ SparseMatrix.identity(5, field)
+
+
+def _frozen(m):
+    """m's entries in insertion order and its row map, as plain copies."""
+    return list(m.data.items()), {i: list(row.items()) for i, row in m.rows_map().items()}
+
+
+def _chain_and_product(dims, field, steps):
+    """The chain of ``steps`` on ``dims`` and the product of its assembled
+    factors; a step is a permutation list or (op, pos, arity, out_dims)."""
+    chain, want, cur = LegChain(dims, field), SparseMatrix.identity(tensor_dim(dims), field), dims
+    for st in steps:
+        if isinstance(st, list):
+            chain, want = chain.perm(st), permutation_matrix(cur, st, field) @ want
+        else:
+            op, pos, arity, out_dims = st
+            chain, want = chain.leg(op, pos, arity, out_dims), apply_on_leg(op, cur, pos, arity) @ want
+        cur = chain.dims
+    return chain, want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_chain_shares_a_row_then_merges_it_without_touching_its_input(field):
+    """A value-1 step hands one row of x to two outputs and a later step
+    sums them: the sums go into copies, so x keeps its entries and its row
+    map, and the result is the product of the assembled factors."""
+    f = field.from_str
+    x = SparseMatrix(2, 3, field, {(0, 0): f("2/3"), (0, 2): f("-5"), (1, 1): f("7")})
+    x.rows_map()
+    before = _frozen(x)
+    # (a) leg 0: e0 -> e0 + e1 and e1 -> e2, all with value 1
+    split = M([[1, 0], [1, 0], [0, 1]], field)
+    # (b) then e0, e1, e2 -> 1, 3, -1 times e0: rows 0 and 1 are x's row 0
+    merge = M([[1, 3, -1]], field)
+    for steps in ([(split, 0, 1, [3]), (merge, 0, 1, [1])],
+                  [(split, 0, 1, [3]), [0], (merge, 0, 1, [1])],
+                  [(split, 0, 1, [3]), (split.t(), 0, 1, [2]), (split, 0, 1, [3])]):
+        chain, want = _chain_and_product([2], field, steps)
+        got = chain @ x
+        assert got == want @ x and (got.rows, got.cols) == (want.rows, x.cols)
+        _assert_clean(got, field)
+        assert _frozen(x) == before
+    assert got.data == (want @ x).data != {}
+    assert (chain @ x).data == got.data  # a second application reads the same rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_chain_entries_cancel_to_zero_across_two_steps(field):
+    """Entries that two steps send to the same place with opposite signs
+    leave no entry, not even after a further step reads them."""
+    f = field.from_str
+    x = SparseMatrix(4, 2, field, {(0, 0): f("1/2"), (1, 0): f("3"), (2, 1): f("-4"),
+                                   (3, 0): f("5"), (3, 1): f("5")})
+    before = _frozen(x)
+    # on dims [2, 2]: leg 1 doubles (e0 -> e0 + 2 e1, e1 -> 0), then leg 1
+    # sends (e0, e1) -> 2 e0 - e1, so every entry that survives the first
+    # step cancels in the second; doubling leg 0 instead leaves entries
+    double = M([[1, 0], [2, 0]], field)
+    cancel = M([[2, -1]], field)
+    for steps, survives in (([(double, 1, 1, [2]), (cancel, 1, 1, [1])], False),
+                            ([(double, 1, 1, [2]), (cancel, 1, 1, [1]), [1, 0]], False),
+                            ([(double, 1, 1, [2]), (cancel, 1, 1, [1]),
+                              (M([[1], [3]], field), 1, 1, [2])], False),
+                            ([(double, 0, 1, [2]), (cancel, 1, 1, [1])], True)):
+        chain, want = _chain_and_product([2, 2], field, steps)
+        got = chain @ x
+        assert got == want @ x
+        _assert_clean(got, field)
+        assert (got.nnz > 0) == survives
+        assert _frozen(x) == before
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)], ids=str)
+def test_chain_of_permutations_only(field):
+    """A chain of permutations moves entries, values untouched, exactly as
+    the product of the index-by-index permutations."""
+    rng = random.Random(5)
+    for _ in range(40):
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        x = _random_mixed(rng, tensor_dim(dims), rng.randint(0, 4), field, 0.5)
+        before = _frozen(x)
+        chain, want, cur = LegChain(dims, field), SparseMatrix.identity(tensor_dim(dims), field), dims
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(len(cur)))
+            rng.shuffle(perm)
+            chain, want = chain.perm(perm), _reference_permutation(cur, perm, field) @ want
+            cur = chain.dims
+        got = chain @ x
+        assert got == want @ x and sorted(got.data.values()) == sorted(x.data.values())
+        _assert_clean(got, field)
+        assert _frozen(x) == before
+        assert LegChain(dims, field) @ x is x  # no steps: the identity
 
 
 def test_q_integral_fraction_equals_int_and_cancels():
@@ -783,6 +878,48 @@ def test_index_tables_compose_as_the_matrix_products(field, by_rows):
         assert compose(table(a), IndexTable.identity(k, field.p)) == table(a)
         assert (table(a) == table(a.scale(field.from_int(2)))) == a.is_zero_matrix()
     assert IndexTable.identity(4, field.p) == table(SparseMatrix.identity(4, field))
+
+
+@identity_fields
+@pytest.mark.parametrize("by_rows", [False, True], ids=["columns", "rows"])
+def test_all_ones_index_tables_compose_indices_only(field, by_rows):
+    """Tables whose entries are all 1 keep no value list and compose their
+    indices alone; they equal a table that keeps one exactly when the
+    matrices are equal, whichever way that table was reached."""
+    rng = random.Random(3)
+
+    def table(m):
+        return IndexTable.of(m, by_rows)
+
+    def compose(outer, inner):
+        return inner @ outer if by_rows else outer @ inner
+
+    def ones(m):
+        return SparseMatrix(m.rows, m.cols, field, {k: field.one for k in m.data})
+
+    def signs(m):  # entries -1, so that a product of two is all ones again
+        return SparseMatrix(m.rows, m.cols, field, {k: field.from_int(-1) for k in m.data})
+
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a, b = (_monomial(field, r, s, rng.randrange(10**6), by_rows) for r, s in ((n, k), (k, m)))
+        a1, b1 = ones(a), ones(b)
+        assert table(a1).val is None and compose(table(a1), table(b1)).val is None
+        assert compose(table(a1), table(b1)) == table(a1 @ b1)
+        for x, y in ((a1, b), (a, b1)):
+            assert compose(table(x), table(y)) == table(x @ y)
+            assert compose(table(x), table(y)) == table(_product_via_dense(x, y))
+        # signs square to a value list of all ones, kept: it equals the table without one
+        sq = _monomial(field, n, n, rng.randrange(10**6), by_rows)
+        kept = compose(table(signs(sq)), table(signs(sq)))
+        assert (kept.val is None) == sq.is_zero_matrix()
+        assert sq.is_zero_matrix() or set(kept.val) <= {0, 1}
+        assert kept == table(ones(sq) @ ones(sq)) == table(signs(sq) @ signs(sq))
+        assert table(ones(sq) @ ones(sq)).val is None
+        assert (kept == table(sq @ sq)) == (sq @ sq == ones(sq) @ ones(sq))
+        assert (table(a1) == table(a1.scale(field.from_int(2)))) == a1.is_zero_matrix()
+        assert (table(a1.scale(field.from_int(2))) == table(a1)) == a1.is_zero_matrix()
+    assert IndexTable.identity(3, field.p).val is None
 
 
 @identity_fields
