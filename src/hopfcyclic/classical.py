@@ -36,7 +36,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .cyclic import cocyclic_identities
-from .hopf import AxiomCheck, ValidationReport
+from .hopf import AxiomCheck, ValidationReport, equality_check
 
 TUPLE_BUDGET = 10 ** 7
 
@@ -629,8 +629,7 @@ def frobenius_reciprocity_check(g, sub, chi_sub, induced):
     for k, theta in enumerate(irreducible_characters(g)):
         lhs = induced.inner(theta)
         rhs = chi_sub.inner(theta.restrict(subset, subgrp))
-        checks.append(AxiomCheck(f"reciprocity vs irreducible {k}", lhs == rhs,
-                                 None if lhs == rhs else f"{lhs} != {rhs}"))
+        checks.append(equality_check(f"reciprocity vs irreducible {k}", lhs, rhs))
     return ValidationReport(checks)
 
 
@@ -639,6 +638,5 @@ def class_function_dim_check(g):
     point = GSet(g, 1, [[0]] * g.order)
     ext = extended_quotient(g, point, 0)
     classes = len(g.conjugacy_classes())
-    ok = len(ext) == classes
-    return ValidationReport([AxiomCheck("extended quotient of a point counts classes", ok,
-                                        None if ok else f"{len(ext)} != {classes}")])
+    return ValidationReport([equality_check("extended quotient of a point counts classes",
+                                            len(ext), classes)])

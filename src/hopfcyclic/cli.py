@@ -448,7 +448,7 @@ def run(argv):
     try:
         field = _parse_field(args.field)
         report = COMMANDS[args.command](args, field)
-    except (InputError, FileNotFoundError, GroupError) as exc:
+    except (InputError, OSError, GroupError) as exc:
         report = Report(args.command, error=str(exc))
     except (HopfError, LinAlgError) as exc:
         report = Report(args.command)

@@ -15,11 +15,13 @@ map, and the cocanonical map of the associated homogeneous extension.
 
 Every operator is a ``LegChain`` of the structure matrices ``mu``,
 ``delta``, ``eps``, ``eta`` and ``antipode`` (and the lifts and
-projections of the subquotients).  A chain handed to ``induced_map`` is
-applied there to the columns of the spaces only; a chain is assembled
-(``matrix()``) only where it is itself a structure map, such as ``_link``
-and ``_carry``.  The chain helpers below (``_link``, ``_carry``,
-``_linked``, ``_absorb``) are shared with the transforms of ``iso``.
+projections of the subquotients), applied to the thin matrix on its
+right: the columns of a space in ``induced_map``, or ``delta``,
+``delta_c`` or a coaction in an axiom check.  Only an operator needed
+whole is assembled: by ``matrix()`` where a chain is itself a structure
+map (``_link``, ``_carry``), and by ``apply_on_leg`` where id (x) op (x) id
+is a term of a sum of faces, a side of an equalizer or the right factor
+of a product.  The chain helpers below are shared with ``iso``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .linalg import (
     induced_map,
     inverse,
     kernel,
-    permutation_matrix,
     quotient_by_columns,
     span_columns,
     span_contains,
@@ -67,6 +68,11 @@ class AxiomCheck:
     name: str
     ok: bool
     witness: str | None = None
+
+
+def equality_check(name, a, b):
+    """The check that a == b, witnessed by "a != b" when it fails."""
+    return AxiomCheck(name, a == b, None if a == b else f"{a} != {b}")
 
 
 @dataclass
@@ -146,7 +152,7 @@ class HopfAlgebra:
         """Check every Hopf axiom; report failures with a witness basis tuple."""
         d, f = self.dim, self.field
         ident = self.ident()
-        swap_mid = permutation_matrix([d, d, d, d], [0, 2, 1, 3], f)
+        legs = LegChain([d, d], f)
         checks = []
 
         def check(name, lhs, rhs, dims):
@@ -164,14 +170,13 @@ class HopfAlgebra:
         check("left unit", self.mu @ self.eta.kron(ident), ident, [d])
         check("right unit", self.mu @ ident.kron(self.eta), ident, [d])
         check("coassociativity",
-              apply_on_leg(self.delta, [d, d], 0) @ self.delta,
-              apply_on_leg(self.delta, [d, d], 1) @ self.delta,
-              [d])
+              legs.leg(self.delta, 0) @ self.delta, legs.leg(self.delta, 1) @ self.delta, [d])
         check("left counit", self.eps.kron(ident) @ self.delta, ident, [d])
         check("right counit", ident.kron(self.eps) @ self.delta, ident, [d])
         check("comultiplication is an algebra map",
               self.delta @ self.mu,
-              self.mu.kron(self.mu) @ swap_mid @ self.delta.kron(self.delta),
+              LegChain([d] * 4, f).perm([0, 2, 1, 3]).leg(self.mu, 0, 2).leg(self.mu, 1, 2)
+              @ self.delta.kron(self.delta),
               [d, d])
         check("counit is an algebra map", self.eps @ self.mu, self.eps.kron(self.eps), [d, d])
         check("unit is grouplike", self.delta @ self.eta, self.eta.kron(self.eta), [1])
@@ -179,9 +184,9 @@ class HopfAlgebra:
               SparseMatrix.identity(1, f), [1])
         eta_eps = self.eta @ self.eps
         check("left antipode identity",
-              self.mu @ apply_on_leg(self.antipode, [d, d], 0) @ self.delta, eta_eps, [d])
+              legs.leg(self.antipode, 0).leg(self.mu, 0, 2) @ self.delta, eta_eps, [d])
         check("right antipode identity",
-              self.mu @ apply_on_leg(self.antipode, [d, d], 1) @ self.delta, eta_eps, [d])
+              legs.leg(self.antipode, 1).leg(self.mu, 0, 2) @ self.delta, eta_eps, [d])
         checks.append(
             AxiomCheck("antipode invertible", self.antipode_inv is not None,
                        None if self.antipode_inv is not None else "antipode matrix is singular")
@@ -298,15 +303,16 @@ class QuotientModuleCoalgebra:
         h, c, f = self.parent, self.dim, self.parent.field
         d = h.dim
         ident = SparseMatrix.identity(c, f)
-        if not (apply_on_leg(self.delta_c, [c, c], 0) @ self.delta_c
-                == apply_on_leg(self.delta_c, [c, c], 1) @ self.delta_c):
+        legs = LegChain([c, c], f)
+        if not (legs.leg(self.delta_c, 0) @ self.delta_c
+                == legs.leg(self.delta_c, 1) @ self.delta_c):
             raise HopfError("induced comultiplication is not coassociative")
         if not (self.eps_c.kron(ident) @ self.delta_c == ident
                 and ident.kron(self.eps_c) @ self.delta_c == ident):
             raise HopfError("induced counit laws fail")
         # module coalgebra compatibility: Delta_C(c.h) = c_(1) h_(1) (x) c_(2) h_(2)
-        swap_mid = permutation_matrix([c, c, d, d], [0, 2, 1, 3], f)
-        rhs = self.action.kron(self.action) @ swap_mid @ self.delta_c.kron(h.delta)
+        rhs = LegChain([c, c, d, d], f).perm([0, 2, 1, 3]).leg(self.action, 0, 2) \
+            .leg(self.action, 1, 2) @ self.delta_c.kron(h.delta)
         if not (self.delta_c @ self.action == rhs):
             raise HopfError("right action is not a module coalgebra structure")
         if not (self.eps_c @ self.action == self.eps_c.kron(h.eps)):

@@ -15,14 +15,14 @@ descent check replaces the by-hand well-definedness computations):
   over H, together with the explicit identification showing it agrees
   with the second family's counterpart.
 
-The ambient maps are ``LegChain`` composites of structure matrices
-(``delta``, ``mu``, the antipode, the coaction of B, the lifts and
-projections of the subquotients).  Each coproduct factor is multiplied
-into its target leg as soon as it is split off, so building a column costs
-the sum of the coproduct sizes, not their product.  Unlike the operators
-of ``cyclic``, each transform is assembled once (``matrix()``) and then
-descended: it is checked against several spaces, and applying a chain to
-the dense relation columns of each would cost more than the assembly.
+Every transform is a ``LegChain`` of structure matrices (``delta``,
+``mu``, the antipode, the coaction of B, the lifts and projections of the
+subquotients), applied by ``induced_map`` to the columns of the spaces it
+descends between and never assembled over the whole ambient.  Each
+coproduct factor is multiplied into its target leg as soon as it is split
+off, so a column costs the sum of the coproduct sizes, not their product.
+The one operator assembled (``matrix()``) is phi in
+``normal_quotient_comparison``, which descends it twice.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _psi_ambient(h, c, n):
         chain = chain.leg(c.space.section, i)
     chain = _linked(h, chain, n)              # (S g^0_(1), legs 1..n, g^n_(2), h)
     chain = chain.perm([n + 1, n + 2, 0] + list(range(1, n + 1)))
-    return chain.leg(h.mu, 0, 2).leg(h.mu, 0, 2).matrix()
+    return chain.leg(h.mu, 0, 2).leg(h.mu, 0, 2)
 
 
 def _phi_ambient(h, c, n):
@@ -132,7 +132,7 @@ def _phi_ambient(h, c, n):
     chain = _absorbed_legs(h, n).perm(list(range(1, n + 1)) + [0])
     for j in range(n):
         chain = chain.leg(c.space.projection, j)
-    return chain.leg(c.onebar, n, 0).matrix()
+    return chain.leg(c.onebar, n, 0)
 
 
 def module_coalgebra_transform(setup, n_max):
@@ -169,25 +169,19 @@ def _gamma_ambient(h, b, n):
         chain = chain.leg(b.space.section, i)
         chain = _absorb(h, chain, i - 1, carry, split_last=True)
     chain = _absorb(h, chain, n, carry, split_last=False)
-    return chain.perm(list(range(1, n + 1)) + [0]).matrix()
+    return chain.perm(list(range(1, n + 1)) + [0])
 
 
-def _gamma_inv_ambient(h, b, n):
+def _gamma_inv_ambient(h, n):
     """h^0 ... h^n -> h^n_(2) (x) h^n_(3) S(h^0_(1)) (x) h^0_(2) S(h^1_(1)) (x) ...
 
-    Built with algebra legs in H first, then converted to B-coordinates.
-    The legs only land in B on the coextension subspace, so the escape
-    check is done against that subspace by the caller; this returns the
-    projected matrix, the raw one and the chain lifting the B-legs back.
+    A chain into H^{(x) n+2}: its last n + 1 legs land in B only on the
+    coextension subspace, which ``induced_map`` checks against the codomain.
     """
     d = h.dim
     chain = _linked(h, LegChain([d] * (n + 1), h.field), n)  # (S h^0_(1), legs 2..n+1, h^n_(2))
     chain = chain.leg(h.delta, n + 1, 1, [d, d]).perm([n + 1, n + 2, 0] + list(range(1, n + 1)))
-    unprojected = chain.leg(h.mu, 1, 2).matrix()
-    project, lift = LegChain([d] * (n + 2), h.field), LegChain([d] + [b.dim] * (n + 1), h.field)
-    for j in range(1, n + 2):
-        project, lift = project.leg(b.space.projection, j), lift.leg(b.space.section, j)
-    return project @ unprojected, unprojected, lift
+    return chain.leg(h.mu, 1, 2)
 
 
 def comodule_algebra_transform(setup, n_max):
@@ -195,14 +189,14 @@ def comodule_algebra_transform(setup, n_max):
     h, b, c = setup.hopf, setup.subalgebra, setup.quotient
     source = hopf_cyclic_comodule_algebra(h, b, coad_module(h), n_max)
     target = coext_cyclic(h, c, n_max)
+    legs = SubquotientSpace.full(h.dim, h.field)  # H (x) B^{(x) n+1} inside H^{(x) n+2}
     fwd, bwd = {}, {}
     for n in range(n_max + 1):
+        legs = legs.tensor(b.space)
         fwd[n] = induced_map(_gamma_ambient(h, b, n), source.spaces[n], target.spaces[n])
-        mat, unproj, lift = _gamma_inv_ambient(h, b, n)
-        sect = target.spaces[n].section
-        if not (lift @ (mat @ sect) == unproj @ sect):
-            raise NotWellDefined("inverse transform leg escaped the subalgebra")
-        bwd[n] = induced_map(mat, target.spaces[n], source.spaces[n])
+        # one restriction check: into the B-legs and into the equalizer
+        bwd[n] = induced_map(_gamma_inv_ambient(h, n), target.spaces[n],
+                             legs.then(source.spaces[n]))
     gamma = CyclicMap(source, target, fwd, name="to_coextension")
     gamma_inv = CyclicMap(target, source, bwd, name="from_coextension")
     if not _mutually_inverse(gamma, gamma_inv):
@@ -255,7 +249,7 @@ def normal_quotient_comparison(setup, n_max):
     comparison = {}
     ident_maps = {}
     for n in range(n_max + 1):
-        amb = _phi_ambient(h, c, n)
+        amb = _phi_ambient(h, c, n).matrix()  # descended twice
         comparison[n] = induced_map(amb, source.spaces[n], rel_spaces[n])
         ident_amb = SparseMatrix.identity(cd ** (n + 1) * d, f)
         j_fwd = induced_map(ident_amb, rel_spaces[n], coeff_spaces[n])

@@ -89,8 +89,12 @@ def load_hopf_json(data, field=None):
 
 
 def load_hopf_file(path, field=None):
-    with open(path) as fh:
-        return load_hopf_json(json.load(fh), field)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise InputError(f"bad Hopf algebra file: {exc}") from exc
+    return load_hopf_json(data, field)
 
 
 def load_ideal_file(path, h):

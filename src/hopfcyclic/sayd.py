@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import AxiomCheck, HopfError, ValidationReport
-from .linalg import LegChain, SparseMatrix, apply_on_leg, permutation_matrix, tensor_unindex
+from .linalg import LegChain, SparseMatrix, apply_on_leg, tensor_unindex
 
 
 class SaydError(HopfError):
@@ -82,8 +82,9 @@ def _module_axioms(m):
         checks.append(AxiomCheck("module associativity", lhs == rhs))
         checks.append(AxiomCheck("module unit", m.action @ h.eta.kron(ident_m) == ident_m))
         # (id (x) Delta) rho = (rho (x) id) rho, (id (x) eps) rho = id
-        lhs = apply_on_leg(h.delta, [md, d], 1) @ m.coaction
-        rhs = apply_on_leg(m.coaction, [md, d], 0) @ m.coaction
+        legs = LegChain([md, d], f)
+        lhs = legs.leg(h.delta, 1) @ m.coaction
+        rhs = legs.leg(m.coaction, 0) @ m.coaction
         checks.append(AxiomCheck("comodule coassociativity", lhs == rhs))
         checks.append(AxiomCheck("comodule counit", ident_m.kron(h.eps) @ m.coaction == ident_m))
     else:
@@ -91,8 +92,9 @@ def _module_axioms(m):
         rhs = m.action @ apply_on_leg(m.action, [md, d, d], 0, 2)
         checks.append(AxiomCheck("module associativity", lhs == rhs))
         checks.append(AxiomCheck("module unit", m.action @ ident_m.kron(h.eta) == ident_m))
-        lhs = apply_on_leg(h.delta, [d, md], 0) @ m.coaction
-        rhs = apply_on_leg(m.coaction, [d, md], 1) @ m.coaction
+        legs = LegChain([d, md], f)
+        lhs = legs.leg(h.delta, 0) @ m.coaction
+        rhs = legs.leg(m.coaction, 1) @ m.coaction
         checks.append(AxiomCheck("comodule coassociativity", lhs == rhs))
         checks.append(AxiomCheck("comodule counit", h.eps.kron(ident_m) @ m.coaction == ident_m))
     return checks
@@ -133,7 +135,7 @@ def check_stable(m):
     h = m.hopf
     d, md, f = h.dim, m.dim, h.field
     legs = [md, d] if m.chirality == "left-right" else [d, md]
-    composite = m.action @ permutation_matrix(legs, [1, 0], f) @ m.coaction
+    composite = LegChain(legs, f).perm([1, 0]).leg(m.action, 0, 2) @ m.coaction
     checks = [_compare("stability", composite, SparseMatrix.identity(md, f), [md])]
     return ValidationReport(checks)
 

@@ -196,6 +196,28 @@ def test_generator_file_zero_denominator_exit_two(tmp_path):
         assert "bad ideal file: zero denominator in '1/0'" in text, text
 
 
+_LOADER_ARGV = {
+    "hopf": lambda path: ["validate", path],
+    "ideal": lambda path: ["homology", "kS3", "--ideal", path],
+    "group": lambda path: ["classical", "--group", path],
+}
+
+
+@pytest.mark.parametrize("content", ["directory", "not JSON", "not UTF-8"])
+@pytest.mark.parametrize("loader", sorted(_LOADER_ARGV))
+def test_unreadable_input_file_exit_two(tmp_path, loader, content):
+    # was a traceback and exit 1 for a directory, and for the Hopf loader
+    # also for a file that is not JSON or not UTF-8
+    path = tmp_path / "input.json"
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"not json" if content == "not JSON" else b"\xff\xfe{}")
+    code, text = run(_LOADER_ARGV[loader](str(path)))
+    assert code == 2, text
+    assert "ERROR" in text and "Traceback" not in text, text
+
+
 def _assert_precondition_exit_two(tmp_path, option, generators, detail):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps({"generators": generators}))

@@ -4,8 +4,13 @@ import random
 import pytest
 import sweedler as sw
 
-from hopfcyclic.cyclic import _diagonal_coaction_columns, relative_cyclic
-from hopfcyclic.hopf import NotHopfIdeal, commutator_quotient
+from hopfcyclic.cyclic import (
+    _diagonal_coaction_columns,
+    coext_cyclic,
+    comodule_algebra_space,
+    relative_cyclic,
+)
+from hopfcyclic.hopf import NotHopfIdeal, commutator_quotient, trivial_subalgebra
 from hopfcyclic.iso import (
     CyclicMap,
     _gamma_ambient,
@@ -18,8 +23,16 @@ from hopfcyclic.iso import (
     module_coalgebra_transform,
     normal_quotient_comparison,
 )
-from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, SubquotientSpace
+from hopfcyclic.linalg import (
+    QQ,
+    NotWellDefined,
+    PrimeField,
+    SparseMatrix,
+    SubquotientSpace,
+    induced_map,
+)
 from hopfcyclic.presets import SETUP_NAMES, builtin_setup
+from hopfcyclic.sayd import coad_module
 from support import is_bijective
 
 
@@ -104,12 +117,28 @@ def test_dual_transform_gamma0_collapse():
     h, b = s.hopf, s.subalgebra
     src_space = gamma.source.spaces[0]
     tgt_space = gamma.target.spaces[0]
-    amb = _gamma_ambient(h, b, 0)
+    amb = _gamma_ambient(h, b, 0).matrix()
     for jb in range(b.dim):
         bvec = sw.column(b.space.section, jb)
         for i in range(h.dim):
             col = amb.column(jb + i * b.dim)
             assert col.data == {(k, 0): v for k, v in sw.mul(h, bvec, sw.basis(h, i)).items()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_inverse_dual_transform_leg_leaving_b_is_caught(n):
+    # gamma^{-1} of kS3/kC2 lands its algebra legs in kC2; restricted into
+    # legs in k instead, the codomain check must see them leave
+    s = builtin_setup("kS3/kC2")
+    h, c = s.hopf, s.quotient
+    k = trivial_subalgebra(h)
+    legs = SubquotientSpace.full(h.dim, h.field)
+    for _ in range(n + 1):
+        legs = legs.tensor(k.space)
+    codomain = legs.then(comodule_algebra_space(h, k, coad_module(h), n))
+    domain = coext_cyclic(h, c, n).spaces[n]
+    with pytest.raises(NotWellDefined, match="image leaves the subspace"):
+        induced_map(_gamma_inv_ambient(h, n), domain, codomain)
 
 
 def test_dual_transform_ks3_and_sweedler():
@@ -284,10 +313,10 @@ def _ref_diagonal_coaction(h, b, n, keep):
 
 
 _BUILDERS = [
-    ("psi", _psi_ambient, _ref_psi, "quotient"),
-    ("phi", _phi_ambient, _ref_phi, "quotient"),
-    ("gamma", _gamma_ambient, _ref_gamma, "subalgebra"),
-    ("gamma_inv", lambda h, b, n: _gamma_inv_ambient(h, b, n)[1], _ref_gamma_inv_unprojected,
+    ("psi", lambda h, c, n: _psi_ambient(h, c, n).matrix(), _ref_psi, "quotient"),
+    ("phi", lambda h, c, n: _phi_ambient(h, c, n).matrix(), _ref_phi, "quotient"),
+    ("gamma", lambda h, b, n: _gamma_ambient(h, b, n).matrix(), _ref_gamma, "subalgebra"),
+    ("gamma_inv", lambda h, b, n: _gamma_inv_ambient(h, n).matrix(), _ref_gamma_inv_unprojected,
      "subalgebra"),
     ("diagonal_coaction", lambda h, b, n: _diagonal_coaction_columns(h, b, n + 1),
      _ref_diagonal_coaction, "subalgebra"),
