@@ -199,8 +199,10 @@ def direct_picture_check(g, sub, n_max):
     maps = {}
     for n in range(n_max + 1):
         fib, pro = fiber.elements[n], prod.elements[n]
-        fwd = [fib.index(to_fiber(e)) for e in pro]
-        bwd = [pro.index(to_product(e)) for e in fib]
+        fib_at = {e: k for k, e in enumerate(fib)}
+        pro_at = {e: k for k, e in enumerate(pro)}
+        fwd = [fib_at[to_fiber(e)] for e in pro]
+        bwd = [pro_at[to_product(e)] for e in fib]
         checks.append(AxiomCheck(
             f"mutually inverse @ {n}",
             all(bwd[fwd[k]] == k for k in range(len(pro)))
@@ -436,7 +438,8 @@ def lhs_stabilizer_tuples(g, sub, tup):
 
 def lhs_stabilizer_closed_form(g, sub, tup):
     """h_0 in H cap C_G(g_0...g_n) cap all prefix conjugates of H, with the
-    later h_i forced by conjugation; returns (h_0 list, all-tuples-valid)."""
+    later h_i = p^{-1} h_0 p forced for the prefix p = g_0...g_{i-1};
+    returns (h_0 list, all-tuples-valid)."""
     subset = set(sub)
     total = g.prod(tup)
     cent = set(g.centralizer(total))
@@ -456,7 +459,7 @@ def lhs_stabilizer_closed_form(g, sub, tup):
         prefix = g.identity
         for i in range(1, len(tup)):
             prefix = g.mul(prefix, tup[i - 1])
-            hs.append(g.conj(prefix, h0))
+            hs.append(g.conj(g.inv(prefix), h0))
         if tuple(hs) not in brute:
             ok = False
     if sorted({hs[0] for hs in brute}) != h0s:

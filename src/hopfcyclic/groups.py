@@ -3,10 +3,17 @@
 Groups are kept deliberately small (built-ins up to order 12): every check
 in the dual-picture machinery is an exhaustive enumeration over tuples, so
 the multiplication table representation is the right level of generality.
+
+The built-in groups are data: cyclic groups under addition mod n, S3 and A4
+as permutation groups, and Q8 as the unit quaternions under the Hamilton
+product.  So are the rational character tables of the trivial group, C2, S3
+and Q8.  A group gets one of those tables only when its multiplication table
+equals that built-in group's, whatever the group or its elements are named.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .linalg import QQ
@@ -32,7 +39,11 @@ class FiniteGroup:
 
     def _validate(self):
         n = self.order
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+        if len(self.table) != n:
+            raise GroupError(f"names list has length {n}, table has {len(self.table)} rows")
+        if len(set(self.names)) != n:
+            raise GroupError("element names are not distinct")
+        if any(len(r) != n for r in self.table):
             raise GroupError("multiplication table is not square")
         for r in self.table:
             if sorted(r) != list(range(n)):
@@ -75,21 +86,15 @@ class FiniteGroup:
         return acc
 
     def subgroup_closure(self, gens):
-        """Sorted element list of the subgroup generated by ``gens``."""
-        seen = {self.identity}
-        frontier = list(gens)
+        """Sorted element list of the subgroup generated by ``gens``: the
+        identity multiplied by the generators until nothing new appears."""
+        seen, frontier = {self.identity}, [self.identity]
         while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seen):
-                    for c in (self.mul(a, b), self.mul(b, a), self.inv(a)):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-                if a not in seen:
-                    seen.add(a)
-                    nxt.append(a)
-            frontier = nxt
+            a = frontier.pop()
+            for c in (self.mul(a, x) for x in gens):
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
         return sorted(seen)
 
     def conjugacy_classes(self):
@@ -175,101 +180,54 @@ def coset_action(group, sub):
 
 def cyclic_group(n):
     names = ["e"] + [f"g{'^' + str(k) if k > 1 else ''}" for k in range(1, n)]
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(f"C{n}", names, table)
+    return _product_group(f"C{n}", range(n), names, lambda a, b: (a + b) % n)
 
 
-def _perm_mul(p, q):
-    # apply q first, then p
-    return tuple(p[q[i]] for i in range(len(p)))
+def _product_group(name, elems, names, product):
+    """The group of ``elems``, in this order, under ``product``."""
+    at = {x: i for i, x in enumerate(elems)}
+    return FiniteGroup(name, names, [[at[product(x, y)] for y in elems] for x in elems])
 
 
 def _cycle_name(p):
-    n = len(p)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
+    """Cycle notation on the points 1..n; e for the identity."""
+    parts, seen = [], set()
+    for i in range(len(p)):
         cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        parts.append("(" + "".join(str(k + 1) for k in cyc) + ")")
-    return "".join(parts) if parts else "e"
+        while p[cyc[-1]] != i:
+            cyc.append(p[cyc[-1]])
+        if i not in seen and len(cyc) > 1:
+            parts.append("(" + "".join(str(k + 1) for k in cyc) + ")")
+        seen.update(cyc)
+    return "".join(parts) or "e"
 
 
-def symmetric_group(n):
-    import itertools
+def permutation_group(name, perms):
+    """Permutations of 0..n-1 (tuples of images) in lexicographic order,
+    composed right to left: (p q)(i) = p(q(i))."""
+    perms = sorted(perms)
+    return _product_group(name, perms, [_cycle_name(p) for p in perms],
+                          lambda p, q: tuple(p[i] for i in q))
 
-    perms = sorted(itertools.permutations(range(n)))
-    lookup = {p: i for i, p in enumerate(perms)}
-    table = [[lookup[_perm_mul(p, q)] for q in perms] for p in perms]
-    return FiniteGroup(f"S{n}", [_cycle_name(p) for p in perms], table)
+
+def _hamilton(p, q):
+    """The product of quaternions a + bi + cj + dk written as (a, b, c, d)."""
+    a, b, c, d = p
+    w, x, y, z = q
+    return (a * w - b * x - c * y - d * z, a * x + b * w + c * z - d * y,
+            a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
 
 
 def quaternion_group():
-    # order: 1, -1, i, -i, j, -j, k, -k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def unit_mul(a, b):
-        tbl = {
-            ("1", x): (1, x) for x in "1ijk"
-        }
-        tbl.update({(x, "1"): (1, x) for x in "1ijk"})
-        tbl.update(
-            {
-                ("i", "i"): (-1, "1"),
-                ("j", "j"): (-1, "1"),
-                ("k", "k"): (-1, "1"),
-                ("i", "j"): (1, "k"),
-                ("j", "i"): (-1, "k"),
-                ("j", "k"): (1, "i"),
-                ("k", "j"): (-1, "i"),
-                ("k", "i"): (1, "j"),
-                ("i", "k"): (-1, "j"),
-            }
-        )
-        return tbl[(a, b)]
-
-    def decode(name):
-        sign = -1 if name.startswith("-") else 1
-        return sign, name.lstrip("-")
-
-    def encode(sign, unit):
-        if unit == "1":
-            return "1" if sign == 1 else "-1"
-        return unit if sign == 1 else "-" + unit
-
-    idx = {nm: i for i, nm in enumerate(names)}
-    table = []
-    for a in names:
-        sa, ua = decode(a)
-        row = []
-        for b in names:
-            sb, ub = decode(b)
-            s, u = unit_mul(ua, ub)
-            row.append(idx[encode(sa * sb * s, u)])
-        table.append(row)
-    return FiniteGroup("Q8", names, table)
+    """Q8: the units 1, -1, i, -i, j, -j, k, -k under the Hamilton product."""
+    axes = [(axis, sign) for axis in range(4) for sign in (1, -1)]
+    units = [tuple(sign if a == axis else 0 for a in range(4)) for axis, sign in axes]
+    names = [("-" if sign < 0 else "") + "1ijk"[axis] for axis, sign in axes]
+    return _product_group("Q8", units, names, _hamilton)
 
 
-def alternating_group_4():
-    import itertools
-
-    perms = sorted(p for p in itertools.permutations(range(4)) if _perm_parity(p) == 0)
-    lookup = {p: i for i, p in enumerate(perms)}
-    table = [[lookup[_perm_mul(p, q)] for q in perms] for p in perms]
-    return FiniteGroup("A4", [_cycle_name(p) for p in perms], table)
-
-
-def _perm_parity(p):
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
+def _is_even(p):
+    return sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0
 
 
 BUILTIN_GROUPS = {
@@ -278,9 +236,9 @@ BUILTIN_GROUPS = {
     "C3": lambda: cyclic_group(3),
     "C4": lambda: cyclic_group(4),
     "C6": lambda: cyclic_group(6),
-    "S3": lambda: symmetric_group(3),
+    "S3": lambda: permutation_group("S3", itertools.permutations(range(3))),
     "Q8": quaternion_group,
-    "A4": alternating_group_4,
+    "A4": lambda: permutation_group("A4", filter(_is_even, itertools.permutations(range(4)))),
 }
 
 
@@ -341,66 +299,25 @@ def subgroup_as_group(group, elems):
     )
 
 
-# rational character tables for the groups whose characters are rational
+# The rational character tables of the built-in groups that have one: one
+# row per irreducible character, columns in canonical class order.  Every
+# group of order 1 has the trivial group's table [[0]], so it gets [[1]].
+CHARACTER_TABLES = {
+    "trivial": [[1]],
+    "C2": [[1, 1], [1, -1]],
+    # classes e, transpositions, 3-cycles
+    "S3": [[1, 1, 1], [1, -1, 1], [2, 0, -1]],
+    # classes 1, -1, {i, -i}, {j, -j}, {k, -k}
+    "Q8": [[1, 1, 1, 1, 1], [1, 1, 1, -1, -1], [1, 1, -1, 1, -1], [1, 1, -1, -1, 1],
+           [2, -2, 0, 0, 0]],
+}
+
+
 def irreducible_characters(group):
-    """Known rational character tables, as ClassFunctions (classes in canonical order)."""
-    name = group.name
-    classes = group.conjugacy_classes()
-    q = QQ.from_int
-    if name == "C1" or group.order == 1:
-        return [ClassFunction(group, [q(1)])]
-    if name == "C2":
-        # classes: {e}, {g}
-        return [ClassFunction(group, [q(1), q(1)]), ClassFunction(group, [q(1), q(-1)])]
-    if name == "S3":
-        # canonical class order: e, transpositions, 3-cycles? verify by sizes
-        sizes = [len(c) for c in classes]
-        assert sizes == [1, 2, 3] or sizes == [1, 3, 2]
-        # order classes as (e, transpositions, 3-cycles) independent of listing
-        def vals(on_e, on_transp, on_3cyc):
-            out = []
-            for cls in classes:
-                rep = cls[0]
-                if rep == group.identity:
-                    out.append(on_e)
-                elif len(cls) == 3:
-                    out.append(on_transp)
-                else:
-                    out.append(on_3cyc)
-            return out
-
-        return [
-            ClassFunction(group, vals(q(1), q(1), q(1))),
-            ClassFunction(group, vals(q(1), q(-1), q(1))),
-            ClassFunction(group, vals(q(2), q(0), q(-1))),
-        ]
-    if name == "Q8":
-        # classes: {1}, {-1}, {±i}, {±j}, {±k}
-        def vals(f):
-            return [f(cls) for cls in classes]
-
-        def sign_char(axis):
-            def f(cls):
-                nm = group.names[cls[0]]
-                core = nm.lstrip("-")
-                if core == "1":
-                    return q(1)
-                return q(1) if core == axis else q(-1)
-
-            return f
-
-        one = ClassFunction(group, vals(lambda cls: q(1)))
-        chi_i = ClassFunction(group, vals(sign_char("i")))
-        chi_j = ClassFunction(group, vals(sign_char("j")))
-        chi_k = ClassFunction(group, vals(sign_char("k")))
-
-        def two_dim(cls):
-            nm = group.names[cls[0]]
-            if nm == "1":
-                return q(2)
-            if nm == "-1":
-                return q(-2)
-            return q(0)
-
-        return [one, chi_i, chi_j, chi_k, ClassFunction(group, vals(two_dim))]
-    raise GroupError(f"no built-in rational character table for {name}")
+    """The irreducible characters of ``group`` as ClassFunctions, from the
+    built-in group in ``CHARACTER_TABLES`` with the same multiplication table.
+    Names play no part: a table is never applied to a group it does not describe."""
+    for name, rows in CHARACTER_TABLES.items():
+        if builtin_group(name).table == group.table:
+            return [ClassFunction(group, [QQ.from_int(v) for v in row]) for row in rows]
+    raise GroupError(f"no built-in rational character table for {group.name}")

@@ -17,7 +17,7 @@ Hopf algebra file:
 Coefficients are exact fraction strings (plain integers allowed); indices
 are 0-based.  Ideal file: {"generators": [[coeff, ...], ...]}.
 Group file: {"name": ..., "order": n, "table": [[...]]} with an optional
-"names" list.
+"names" list; order, table rows and names must agree, and names be distinct.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ def load_group_file(path):
             data = json.load(fh)
         order = int(data["order"])
         table = data["table"]
+        if order != len(table):
+            raise InputError(f"order {order} does not match a table of {len(table)} rows")
         names = data.get("names", [str(i) for i in range(order)])
         return FiniteGroup(data.get("name", "group"), names, table)
     except (KeyError, TypeError, ValueError) as exc:

@@ -24,25 +24,26 @@ from .hopf import (
 from .linalg import QQ
 
 
-HOPF_NAMES = ("kC2", "kC3", "kC4", "kS3", "OS3", "OC2", "H4", "sweedler")
+# the one list of built-in algebras: HOPF_NAMES and builtin_hopf both read it
+BUILTIN_HOPF = {
+    "kC2": lambda f: group_algebra(builtin_group("C2"), f),
+    "kC3": lambda f: group_algebra(builtin_group("C3"), f),
+    "kC4": lambda f: group_algebra(builtin_group("C4"), f),
+    "kS3": lambda f: group_algebra(builtin_group("S3"), f),
+    "OS3": lambda f: function_algebra(builtin_group("S3"), f),
+    "OC2": lambda f: function_algebra(builtin_group("C2"), f),
+    "H4": sweedler_algebra,
+    "sweedler": sweedler_algebra,
+}
+HOPF_NAMES = tuple(BUILTIN_HOPF)
 
 
 def builtin_hopf(name, field=QQ):
-    if name == "kC2":
-        return group_algebra(builtin_group("C2"), field)
-    if name == "kC3":
-        return group_algebra(builtin_group("C3"), field)
-    if name == "kC4":
-        return group_algebra(builtin_group("C4"), field)
-    if name == "kS3":
-        return group_algebra(builtin_group("S3"), field)
-    if name == "OS3":
-        return function_algebra(builtin_group("S3"), field)
-    if name == "OC2":
-        return function_algebra(builtin_group("C2"), field)
-    if name in ("H4", "sweedler"):
-        return sweedler_algebra(field)
-    raise HopfError(f"unknown built-in Hopf algebra {name!r}")
+    try:
+        build = BUILTIN_HOPF[name]
+    except KeyError:
+        raise HopfError(f"unknown built-in Hopf algebra {name!r}") from None
+    return build(field)
 
 
 def _basis_columns(h, indices):

@@ -3,7 +3,10 @@ from dataclasses import replace
 import pytest
 
 from hopfcyclic.groups import (
+    CHARACTER_TABLES,
     ClassFunction,
+    FiniteGroup,
+    GroupError,
     GSet,
     builtin_group,
     coset_action,
@@ -40,6 +43,39 @@ def test_conjugacy_classes_s3_and_q8():
     assert [len(c) for c in S3.conjugacy_classes()] == [1, 3, 2]
     q8 = builtin_group("Q8")
     assert sorted(len(c) for c in q8.conjugacy_classes()) == [1, 1, 2, 2, 2]
+
+
+def test_q8_is_the_quaternion_group_under_its_names():
+    q8 = builtin_group("Q8")
+
+    def mul(*names):
+        return q8.names[q8.prod(q8.index(nm) for nm in names)]
+
+    assert mul("i", "i") == mul("j", "j") == mul("k", "k") == mul("i", "j", "k") == "-1"
+    assert (mul("i", "j"), mul("j", "k"), mul("k", "i")) == ("k", "i", "j")
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTER_TABLES))
+def test_character_tables_are_orthonormal_with_one_row_per_class(name):
+    g = builtin_group(name)
+    chis = irreducible_characters(g)
+    assert len(chis) == len(g.conjugacy_classes())
+    for a, chi in enumerate(chis):
+        for b, psi in enumerate(chis):
+            assert chi.inner(psi) == (QQ.one if a == b else QQ.zero), (a, b)
+
+
+def test_character_table_is_chosen_by_multiplication_table_not_name():
+    s3 = builtin_group("S3")
+    renamed = FiniteGroup("not S3", [f"x{k}" for k in range(6)], s3.table)
+    assert [c.values for c in irreducible_characters(renamed)] == \
+        [c.values for c in irreducible_characters(s3)]
+    q8_of_order_two = FiniteGroup("Q8", ["1", "-1"], [[0, 1], [1, 0]])
+    assert [c.values for c in irreducible_characters(q8_of_order_two)] == [
+        [QQ.one, QQ.one], [QQ.one, QQ.from_int(-1)]]
+    c6 = builtin_group("C6")
+    with pytest.raises(GroupError, match="no built-in rational character table for S3"):
+        irreducible_characters(FiniteGroup("S3", c6.names, c6.table))
 
 
 def test_direct_picture_subgroup_equals_group():
@@ -83,6 +119,17 @@ def test_stabilizers_trivial_case():
 
 def test_stabilizers_s3_exhaustive():
     rep = stabilizer_coincidence_check(S3, C2_IN_S3, 1)
+    assert rep.ok, [c.witness for c in rep.failures()]
+
+
+@pytest.mark.parametrize("name", ["S3", "A4"])
+def test_stabilizers_with_the_whole_group_as_subgroup(name):
+    # the closed form conjugated h_0 by the prefix on the wrong side
+    g = builtin_group(name)
+    whole = list(g.elements())
+    rep = stabilizer_coincidence_check(g, whole, 1)
+    assert rep.ok, [c.witness for c in rep.failures()]
+    rep = stabilizer_coincidence_check(g, whole, 2, sample=40, seed=0)
     assert rep.ok, [c.witness for c in rep.failures()]
 
 

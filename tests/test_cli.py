@@ -379,6 +379,64 @@ def test_classical_reciprocity_skipped_without_character_table():
         "detail": "no built-in rational character table for C3"}
 
 
+def _classical_on_group_file(tmp_path, spec, *options):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    return run(["--format", "json", "classical", "--group", str(path), *options])
+
+
+def _reciprocity_checks(text):
+    return [c for c in json.loads(text)["checks"] if c["name"].startswith("reciprocity")]
+
+
+def test_group_file_named_s3_with_the_table_of_c6_skips_reciprocity(tmp_path):
+    # was an AssertionError traceback, exit 1
+    c6 = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    code, text = _classical_on_group_file(tmp_path, {"name": "S3", "order": 6, "table": c6})
+    assert code == 0, text
+    assert _reciprocity_checks(text) == [{
+        "name": "reciprocity", "status": "skip",
+        "detail": "no built-in rational character table for S3"}]
+
+
+def test_group_file_named_q8_of_order_two_gets_the_table_of_c2(tmp_path):
+    # was five "irreducible" characters for a group with two classes
+    code, text = _classical_on_group_file(
+        tmp_path, {"name": "Q8", "order": 2, "table": [[0, 1], [1, 0]]}, "--op", "frobenius")
+    assert code == 0, text
+    assert [c["status"] for c in _reciprocity_checks(text)] == ["pass", "pass"]
+
+
+def test_group_file_with_the_table_of_s3_under_another_name_runs_reciprocity(tmp_path):
+    # was skipped: the table was chosen by the name S3
+    from hopfcyclic.groups import builtin_group
+
+    s3 = builtin_group("S3")
+    spec = {"name": "mine", "order": 6, "table": s3.table, "names": s3.names}
+    code, text = _classical_on_group_file(tmp_path, spec, "--subgroup", "(12)",
+                                          "--op", "frobenius")
+    assert code == 0, text
+    assert [c["name"] for c in _reciprocity_checks(text)] == [
+        f"reciprocity reciprocity vs irreducible {k}" for k in range(3)]
+    assert all(c["status"] == "pass" for c in _reciprocity_checks(text))
+
+
+@pytest.mark.parametrize("spec, detail", [
+    # duplicate names used to drop a class from the report
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["a", "a"]},
+     "element names are not distinct"),
+    # a short names list used to be reported as "table is not square"
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["a"]},
+     "names list has length 1, table has 2 rows"),
+    ({"order": 3, "table": [[0, 1], [1, 0]], "names": ["a", "b"]},
+     "order 3 does not match a table of 2 rows"),
+], ids=["duplicate names", "names length", "order"])
+def test_group_file_whose_order_names_and_table_disagree_exit_two(tmp_path, spec, detail):
+    code, text = _classical_on_group_file(tmp_path, spec)
+    assert code == 2, text
+    assert json.loads(text)["error"] == f"bad group file: {detail}"
+
+
 def test_bad_file_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2}))
