@@ -177,6 +177,10 @@ def product_one_set(g, sub, n_max):
 def direct_picture_check(g, sub, n_max):
     """Both direct-picture cocyclic sets, their identities, size counts,
     and the mutually inverse operator-intertwining bijections."""
+    tuples = g.order * len(set(sub)) ** n_max
+    if tuples * (n_max + 2) > TUPLE_BUDGET:
+        raise GroupError(f"tuple budget exceeded: {tuples} tuples at degree {n_max} times "
+                         f"{n_max + 2} cofaces is over the budget of {TUPLE_BUDGET}")
     fiber = fiber_power_set(g, sub, n_max)
     prod = product_one_set(g, sub, n_max)
     checks = []

@@ -66,7 +66,7 @@ from .iso import (
 from .linalg import LinAlgError, PrimeField, QQ, span_contains
 from .loaders import InputError, load_group_file, load_hopf_file, load_ideal_file
 from .report import Report
-from .sayd import ad_module, coad_module, validate_sayd
+from .sayd import ad_module, coad_module
 from .specseq import (
     extension_double_complex,
     five_term_check,
@@ -145,15 +145,14 @@ def cmd_validate(args, field):
     h = _resolve_hopf(args.hopf, field, check_axioms=False)
     rep.params["dim"] = h.dim
     rep.add_validation("axiom: ", h.validate())
-    ad = None
-    try:
-        ad = ad_module(h)
-        rep.add_check("adjoint coefficients SAYD", True)
-    except HopfError as exc:
-        rep.add_check("adjoint coefficients SAYD", False, str(exc))
-    if ad is not None:
-        coad = coad_module(h)
-        rep.add_check("coadjoint coefficients SAYD", validate_sayd(coad).ok)
+    # each builder validates its coefficients; coad is tried only once ad passes
+    for kind, build in (("adjoint", ad_module), ("coadjoint", coad_module)):
+        try:
+            build(h)
+        except HopfError as exc:
+            rep.add_check(f"{kind} coefficients SAYD", False, str(exc))
+            break
+        rep.add_check(f"{kind} coefficients SAYD", True)
     return rep
 
 

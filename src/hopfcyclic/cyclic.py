@@ -514,7 +514,6 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max):
     if m.operator_action is None:
         raise HopfError("coefficients need an operator action for this construction")
     spaces = [comodule_algebra_space(h, b, m, n) for n in range(n_max + 1)]
-    unit_b = b.space.projection @ h.eta
 
     def legs(n):
         return LegChain([md] + [bd] * (n + 1), f)
@@ -528,7 +527,7 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max):
     return build_cyclic(
         n_max, spaces,
         face=lambda n, i: legs(n).leg(b.mult_b, i + 1, 2),
-        degeneracy=lambda n, j: legs(n).leg(unit_b, j + 2, 0),
+        degeneracy=lambda n, j: legs(n).leg(b.unit_b, j + 2, 0),
         rotation=rotation, name=f"C(B,{m.name})^H")
 
 

@@ -12,6 +12,12 @@ The module also builds the two sides of the Takeuchi correspondence for a
 Hopf algebra H: quotient right module coalgebras C = H/I and left coideal
 subalgebras B = H^{co C}, together with the canonical map, the translation
 map, and the cocanonical map of the associated homogeneous extension.
+The Takeuchi hypotheses and lift independence are not checked by hand
+but by ``induced_map``: I lies in ker(eps) and is a coideal when eps and
+Delta descend to H/I; B contains 1, is closed under multiplication and
+is a left coideal when eta, mu and Delta restrict to B (and H (x) B);
+and the translation map is independent of the lift when it descends
+from H to H/I.
 
 Every operator is a ``LegChain`` of the structure matrices ``mu``,
 ``delta``, ``eps``, ``eta`` and ``antipode`` (and the lifts and
@@ -32,6 +38,7 @@ from .linalg import (
     QQ,
     Inconsistent,
     LegChain,
+    NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
@@ -288,9 +295,11 @@ class QuotientModuleCoalgebra:
         h = parent
         d, c, f = h.dim, self.dim, h.field
         p = space.projection
-        # induced coalgebra structure: descent checks are the coideal property
-        self.delta_c = induced_map(p.kron(p) @ h.delta, space, SubquotientSpace.full(c * c, f))
-        self.eps_c = induced_map(h.eps, space, SubquotientSpace.full(1, f))
+        # induced coalgebra structure: the descents are the hypotheses on I
+        self.eps_c = _hypothesis(h.eps, space, SubquotientSpace.full(1, f),
+                                 "ideal is not contained in the kernel of the counit")
+        self.delta_c = _hypothesis(p.kron(p) @ h.delta, space,
+                                   SubquotientSpace.full(c * c, f), "ideal is not a coideal")
         # right H-action on C induced by multiplication
         self.action = induced_map(
             p @ h.mu, space.tensor(SubquotientSpace.full(d, f)),
@@ -339,20 +348,21 @@ def right_ideal_closure(h, generator_cols):
 
 
 def quotient_module_coalgebra(h, generator_cols):
-    """Build H/I from ideal generators: saturate to a right ideal, then
-    check the coideal conditions (saturating the coalgebra side would
-    silently change I, so it is checked, not forced)."""
+    """Build H/I from ideal generators: saturate to a right ideal; the
+    coideal conditions are checked, not forced, when the counit and the
+    comultiplication descend (saturating the coalgebra side would silently
+    change I)."""
     ideal = right_ideal_closure(h, generator_cols)
-    d = h.dim
-    if ideal.dim:
-        if not (h.eps @ ideal.section).is_zero_matrix():
-            raise HypothesisError("ideal is not contained in the kernel of the counit")
-        ident = h.ident()
-        side = SparseMatrix.hstack([ideal.section.kron(ident), ident.kron(ideal.section)])
-        if not span_contains(side, h.delta @ ideal.section):
-            raise HypothesisError("ideal is not a coideal")
-    space = quotient_by_columns(d, ideal.section)
-    return QuotientModuleCoalgebra(h, ideal, space)
+    return QuotientModuleCoalgebra(h, ideal, quotient_by_columns(h.dim, ideal.section))
+
+
+def _hypothesis(f, dom, cod, failure):
+    """``induced_map(f, dom, cod)``, whose NotWellDefined is the hypothesis
+    ``failure`` on the given ideal or subalgebra."""
+    try:
+        return induced_map(f, dom, cod)
+    except NotWellDefined:
+        raise HypothesisError(failure) from None
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +378,13 @@ class ComoduleSubalgebra:
         self.dim = space.dim
         h = parent
         d, f = h.dim, h.field
-        if not span_contains(space.section, h.eta):
-            raise HypothesisError("subalgebra does not contain 1")
-        prods = h.mu @ space.section.kron(space.section)
-        if not span_contains(space.section, prods):
-            raise HypothesisError("subspace is not closed under multiplication")
-        # left coideal: Delta(B) inside H (x) B
-        imgs = h.delta @ space.section
-        if not span_contains(h.ident().kron(space.section), imgs):
-            raise HypothesisError("subspace is not a left coideal")
-        # witnesses on reduced coordinates
-        self.mult_b = induced_map(prods, SubquotientSpace.full(self.dim * self.dim, f), space)
-        self.coaction_b = induced_map(
-            h.delta, space, SubquotientSpace.full(d, f).tensor(space)
-        )
+        # the hypotheses are restrictions: eta, mu and Delta (into H (x) B) stay in B
+        self.unit_b = _hypothesis(h.eta, SubquotientSpace.full(1, f), space,
+                                  "subalgebra does not contain 1")
+        self.mult_b = _hypothesis(h.mu, space.tensor(space), space,
+                                  "subspace is not closed under multiplication")
+        self.coaction_b = _hypothesis(h.delta, space, SubquotientSpace.full(d, f).tensor(space),
+                                      "subspace is not a left coideal")
 
     def __repr__(self):
         return f"ComoduleSubalgebra(dim={self.dim} in {self.parent.name})"
@@ -419,32 +422,20 @@ def iterated_coinvariance_ok(h, c, b, n):
     return lhs == (split @ b.space.section).kron(c.onebar)
 
 
+def _bplus_cols(h, b):
+    """B^+ = B intersect ker(eps), as columns of H."""
+    return b.space.section @ kernel(h.eps @ b.space.section).section
+
+
 def takeuchi_subalgebra_to_quotient(h, b):
     """B -> H / B^+ H where B^+ = B intersect ker(eps)."""
-    eps_b = h.eps @ b.space.section
-    bplus = kernel(eps_b)
-    bplus_cols = b.space.section @ bplus.section
-    return quotient_module_coalgebra(h, bplus_cols)
+    return quotient_module_coalgebra(h, _bplus_cols(h, b))
 
 
 def galois_criterion(h, b, c):
-    """True iff the ideal of C equals B^+ H; cross-checked against can_1."""
-    eps_b = h.eps @ b.space.section
-    bplus_cols = b.space.section @ kernel(eps_b).section
-    bh = right_ideal_closure(h, bplus_cols)
-    ideal = c.ideal
-    same = (
-        bh.dim == ideal.dim
-        and span_contains(ideal.section, bh.section)
-        and span_contains(bh.section, ideal.section)
-    )
-    if not same:
-        return False
-    try:
-        canonical_map_n(h, b, c, 1)
-    except NotGalois:
-        return False
-    return True
+    """True iff the ideal of C equals B^+ H."""
+    bh = right_ideal_closure(h, _bplus_cols(h, b))
+    return bh.dim == c.ideal.dim and span_contains(c.ideal.section, bh.section)
 
 
 # ---------------------------------------------------------------------------
@@ -601,25 +592,14 @@ def canonical_map_n(h, b, c, n):
 
 
 def translation_map(h, b, c):
-    """tau(bar h) = S(h_(1)) (x)_B h_(2), checked independent of the lift."""
-    d, f = h.dim, h.field
-    dom2 = tensor_power_over_b(h, b, 2)
-    chain = LegChain([d], f).leg(h.delta, 0, 1, [d, d]).leg(h.antipode, 0)
-
-    def tau_from_lift(section):
-        return dom2.projection @ (chain @ section)
-
-    tau = tau_from_lift(c.space.section)
-    # second, deliberately different lift: add something in the ideal
-    if c.ideal.dim:
-        bump = SparseMatrix(
-            c.ideal.dim, c.dim, f,
-            {(j % c.ideal.dim, j): f.one for j in range(c.dim)},
-        )
-        other = c.space.section + c.ideal.section @ bump
-        if not (tau == tau_from_lift(other)):
-            raise HopfError("translation map depends on the choice of representatives")
-    return tau
+    """tau(bar h) = S(h_(1)) (x)_B h_(2); independence of the lift is its
+    descent from H to C = H/I: tau kills the whole ideal."""
+    d = h.dim
+    chain = LegChain([d], h.field).leg(h.delta, 0, 1, [d, d]).leg(h.antipode, 0)
+    try:
+        return induced_map(chain, c.space, tensor_power_over_b(h, b, 2))
+    except NotWellDefined:
+        raise HopfError("translation map depends on the choice of representatives") from None
 
 
 def cocanonical_map(h, b, c):

@@ -600,26 +600,27 @@ class SubquotientSpace:
 
     Presented constructively by a projection (ambient -> reduced) and a
     section (reduced -> ambient) with projection @ section = identity.
+    The space is defined on its carrier im(section) + span(rel_cols),
+    and the columns of ``rel_cols`` are its relations: they are linearly
+    independent and the projection kills them, so
 
-    ``rel_kind`` records what the relations are:
+        carrier intersect ker(projection) = span(rel_cols).
 
-    * "kernel": a pure quotient, with span(rel_cols) = ker(projection);
-      full spaces are "kernel" with no relations (ker of the identity is 0).
-    * "explicit": relations are spanned by the columns of ``rel_cols``
-      (possibly none, the pure subspace case); the carrier subspace on
-      which the space is defined is im(section) + span(rel_cols).
+    A pure quotient is one whose carrier is the whole ambient, which is
+    exactly when dim + rel_cols.cols == ambient_dim (``is_quotient``);
+    then span(rel_cols) = ker(projection).  A pure subspace has no
+    relations.
     """
 
-    __slots__ = ("ambient_dim", "dim", "projection", "section", "rel_kind", "rel_cols")
+    __slots__ = ("ambient_dim", "dim", "projection", "section", "rel_cols")
 
-    def __init__(self, projection, section, rel_kind="explicit", rel_cols=None):
+    def __init__(self, projection, section, rel_cols=None):
         if projection.cols != section.rows or projection.rows != section.cols:
             raise ShapeMismatch("projection/section shapes incompatible")
         self.ambient_dim = projection.cols
         self.dim = projection.rows
         self.projection = projection
         self.section = section
-        self.rel_kind = rel_kind
         if rel_cols is None:
             rel_cols = SparseMatrix.zeros(self.ambient_dim, 0, projection.field)
         self.rel_cols = rel_cols
@@ -629,14 +630,19 @@ class SubquotientSpace:
     @classmethod
     def full(cls, n, field):
         ident = SparseMatrix.identity(n, field)
-        return cls(ident, ident, "kernel")
+        return cls(ident, ident)
 
     @property
     def field(self):
         return self.projection.field
 
+    @property
+    def is_quotient(self):
+        return self.dim + self.rel_cols.cols == self.ambient_dim
+
     def __repr__(self):
-        return f"SubquotientSpace(dim={self.dim}, ambient={self.ambient_dim}, rel={self.rel_kind})"
+        return (f"SubquotientSpace(dim={self.dim}, ambient={self.ambient_dim}, "
+                f"rel={self.rel_cols.cols})")
 
     def then(self, inner):
         """Compose with a subquotient of this space's reduced coordinates."""
@@ -644,23 +650,21 @@ class SubquotientSpace:
             raise ShapeMismatch("inner subquotient does not live on reduced space")
         proj = inner.projection @ self.projection
         sect = self.section @ inner.section
-        # ker(q p) = ker p + s(ker q); any mixed composition has explicit relations
-        kind = "kernel" if self.rel_kind == inner.rel_kind == "kernel" else "explicit"
+        # ker(q p) on the carrier = ker p + s(ker q)
         rel = SparseMatrix.hstack([self.rel_cols, self.section @ inner.rel_cols])
-        return SubquotientSpace(proj, sect, kind, rel)
+        return SubquotientSpace(proj, sect, rel)
 
     def tensor(self, other):
         """Tensor product of subquotients, on the kron-indexed ambient."""
         proj = self.projection.kron(other.projection)
         sect = self.section.kron(other.section)
-        if other.rel_kind == "kernel":
+        if other.is_quotient:
             carrier = SparseMatrix.identity(other.ambient_dim, self.field)
         else:
             carrier = SparseMatrix.hstack([other.section, other.rel_cols])
-        # relations: rel (x) carrier + im(section) (x) rel; kernel-kind carriers are everything
+        # relations: rel (x) carrier + im(section) (x) rel
         rel = SparseMatrix.hstack([self.rel_cols.kron(carrier), self.section.kron(other.rel_cols)])
-        kind = "kernel" if self.rel_kind == other.rel_kind == "kernel" else "explicit"
-        return SubquotientSpace(proj, sect, kind, rel)
+        return SubquotientSpace(proj, sect, rel)
 
 
 def span_contains(basis, candidates):
@@ -678,13 +682,17 @@ def induced_map(f, dom, cod):
 
     ``f`` is a matrix or a ``LegChain``: it is only applied on the right,
     to the columns of ``dom.section`` and ``dom.rel_cols``.  Returns
-    cod.projection @ (f @ dom.section) after two checks: relations to
-    relations (cod.projection kills f @ dom.rel_cols, or for an explicit cod
-    these lie in span(cod.rel_cols)) and carrier into carrier (explicit cod).
-    The carrier of either kind of domain is im(section) + span(rel_cols)
-    (ker(projection) complements im(section)), and the first check already
-    sends span(rel_cols) into span(cod.rel_cols), so the carrier check runs
-    on f @ dom.section alone.
+    cod.projection @ (f @ dom.section) after two checks, which together
+    send the carrier of ``dom`` into the carrier of ``cod`` and its
+    relations into the relations of ``cod``:
+
+    * descent: cod.projection kills f @ dom.rel_cols;
+    * restriction, unless ``cod.is_quotient`` (its carrier is everything):
+      every image x, of the section or of a relation, has
+      x - cod.section @ cod.projection @ x in span(cod.rel_cols).  That
+      difference lies in ker(cod.projection), and x is in the carrier
+      exactly when it lies in the carrier's part of that kernel.
+
     A failure raises NotWellDefined: the map is not defined on the subquotient.
     """
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
@@ -699,22 +707,20 @@ def induced_map(f, dom, cod):
                                {(index[i], j): v for (i, j), v in image.data.items()})
     else:
         reduced = cod.projection @ image
+    images = [image]
     if dom.rel_cols.cols:
         img = f @ dom.rel_cols
-        if cod.rel_kind == "kernel":
-            descends = (cod.projection @ img).is_zero_matrix()
-        else:
-            descends = span_contains(cod.rel_cols, img)
-        if not descends:
+        if not (cod.projection @ img).is_zero_matrix():
             raise NotWellDefined("map does not descend: relations not preserved")
-    if cod.rel_kind == "explicit" and not cod.projection.is_identity():
-        if cod.rel_cols.cols == 0:
-            if not (cod.section @ (cod.projection @ image) == image):
-                raise NotWellDefined("map does not restrict: image leaves the subspace")
-        else:
-            carrier = SparseMatrix.hstack([cod.section, cod.rel_cols])
-            if not span_contains(carrier, image):
-                raise NotWellDefined("map does not restrict: image leaves the carrier")
+        images.append(img)
+    if not cod.is_quotient:
+        # the relation images are killed by the projection: each is its own difference.
+        # ``reduced`` is read through a view, so the operator handed back caches no row map
+        view = SparseMatrix(reduced.rows, reduced.cols, reduced.field, reduced.data)
+        images[0] = image - cod.section @ view
+        if not span_contains(cod.rel_cols, SparseMatrix.hstack(images)):
+            where = "carrier" if cod.rel_cols.cols else "subspace"
+            raise NotWellDefined(f"map does not restrict: image leaves the {where}")
     return reduced
 
 
@@ -787,7 +793,7 @@ def quotient_by_columns(ambient_dim, cols):
         f,
         {(c, k): v for k, row in enumerate(rrows) for c, v in row.items()},
     )
-    return SubquotientSpace(projection, section, "kernel", relbasis)
+    return SubquotientSpace(projection, section, relbasis)
 
 
 def equalizer(f, g):
@@ -813,10 +819,7 @@ def homology_space(out_map, in_map):
     if not (out_map @ in_map).is_zero_matrix():
         raise NotWellDefined("not a complex: composite of differentials is nonzero")
     z = kernel(out_map)
-    rep = z.projection @ in_map
-    if not (z.section @ rep == in_map):
-        raise NotWellDefined("boundaries do not lie in the cycle space")
-    q = quotient_by_columns(z.dim, rep)
+    q = quotient_by_columns(z.dim, z.projection @ in_map)
     return z.then(q)
 
 

@@ -315,7 +315,6 @@ def theorem_check(dc, hh_dims, tor):
 def five_term_check(dc):
     """Exactness of H_2 -> E2[2,0] -> E2[0,1] -> H_1 -> E2[1,0] -> 0 by rank
     arithmetic on the explicitly constructed maps of the double complex."""
-    f = dc.h.field
     e2_20 = second_page_spot(dc, 2, 0)
     e2_01 = second_page_spot(dc, 0, 1)
     e2_10 = second_page_spot(dc, 1, 0)
@@ -330,16 +329,10 @@ def five_term_check(dc):
     y = solve(dc.dv(1, 1), w)
     out = dc.dh(1, 1) @ y
     d2 = e2_01.projection @ out
-    # a second vertical lift must give the same matrix
+    # lifts differ by ker dv(1, 1), whose horizontal images must all vanish in E2[0,1]
     kv = kernel(dc.dv(1, 1))
-    if kv.dim:
-        bump = SparseMatrix(
-            kv.dim, reps.cols, f,
-            {(j % kv.dim, j): f.one for j in range(reps.cols)},
-        )
-        out2 = dc.dh(1, 1) @ (y + kv.section @ bump)
-        if not (e2_01.projection @ out2 == d2):
-            raise NotWellDefined("d2 depends on the choice of vertical lift")
+    if not (e2_01.projection @ (dc.dh(1, 1) @ kv.section)).is_zero_matrix():
+        raise NotWellDefined("d2 depends on the choice of vertical lift")
     bmap = induced_map(_inclusion_into_total(dc, 1, (0, 1)), e2_01, h1)
     cmap = induced_map(_inclusion_into_total(dc, 1, (1, 0)).t(), h1, e2_10)
 

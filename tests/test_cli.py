@@ -313,6 +313,36 @@ def test_galois_translation_map_failure_is_reported(monkeypatch):
     assert checks["cocanonical map bijective"]["status"] == "pass"
 
 
+def test_validate_reports_a_failing_coadjoint_module_as_its_own_line(monkeypatch):
+    # a failing coad(H) used to replace the whole report with "construction [FAIL]"
+    import hopfcyclic.cli as cli
+    from hopfcyclic.sayd import SaydError
+
+    def fail(h):
+        raise SaydError("coad fails: ['coaction is coassociative']")
+
+    _, passing = run(["--format", "json", "validate", "kS3"])
+    monkeypatch.setattr(cli, "coad_module", fail)
+    code, text = run(["--format", "json", "validate", "kS3"])
+    assert code == 1, text
+    checks = json.loads(text)["checks"]
+    want = json.loads(passing)["checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in want]
+    assert checks[:-1] == want[:-1]
+    assert checks[-1] == {"name": "coadjoint coefficients SAYD", "status": "fail",
+                          "detail": "coad fails: ['coaction is coassociative']"}
+
+
+def test_classical_direct_picture_past_the_tuple_budget_exits_two(tmp_path):
+    # C60 at degree 3 has 60^4 tuples per set: refused before enumerating them
+    c60 = [[(a + b) % 60 for b in range(60)] for a in range(60)]
+    code, text = _classical_on_group_file(
+        tmp_path, {"name": "C60", "order": 60, "table": c60},
+        "--subgroup", "all", "--op", "direct", "--max-degree", "3")
+    assert code == 2, text
+    assert "tuple budget exceeded" in json.loads(text)["error"]
+
+
 def test_classical_bad_chi_exit_two():
     # "1/0" was a ZeroDivisionError traceback, "abc" a ValueError traceback
     for chi, detail in (("1/0", "zero denominator in '1/0'"), ("abc", "bad --chi 'abc'")):

@@ -4,6 +4,7 @@ from hopfcyclic.groups import builtin_group
 from hopfcyclic.hopf import (
     HopfAlgebra,
     HopfError,
+    HypothesisError,
     SparseMatrix,
     canonical_map_n,
     cocanonical_map,
@@ -199,6 +200,51 @@ def test_translation_map_grouplikes():
         assert tau @ cbar == dom2.projection @ exp
 
 
+def _augmentation_quotient(h):
+    """H / H^+ for a group algebra: the ideal is spanned by g - e."""
+    f = h.field
+    gens = {(g, g - 1): f.one for g in range(1, h.dim)}
+    gens.update({(0, g - 1): f.neg(f.one) for g in range(1, h.dim)})
+    return quotient_module_coalgebra(h, SparseMatrix(h.dim, h.dim - 1, f, gens))
+
+
+def test_translation_map_checks_the_whole_ideal():
+    # B = span{e, (13)} with C = kS3/kS3^+: tau(g - e) = g^-1 (x)_B g - e (x)_B e
+    # vanishes only for g in B, so tau depends on the lift; a single bumped lift
+    # that adds e - (13) cannot see it
+    h = builtin_hopf("kS3")
+    b = subalgebra_from_columns(h, _basis_columns(h, (0, 5)))
+    c = _augmentation_quotient(h)
+    assert c.dim == 1 and c.ideal.dim == 5
+    with pytest.raises(HopfError, match="depends on the choice of representatives"):
+        translation_map(h, b, c)
+
+
+def _ideal(name, *indices):
+    h = builtin_hopf(name)
+    return lambda: quotient_module_coalgebra(h, _basis_columns(h, indices))
+
+
+def _subalgebra(name, *columns):
+    h = builtin_hopf(name)
+    cols = SparseMatrix(h.dim, len(columns), h.field,
+                        {(i, j): h.field.one for j, col in enumerate(columns) for i in col})
+    return lambda: subalgebra_from_columns(h, cols)
+
+
+# S3 is numbered e, (23), (12), (123), (132), (13); OS3 has the delta functions d_g
+@pytest.mark.parametrize("build, message", [
+    (_ideal("OS3", 2), "ideal is not a coideal"),
+    (_ideal("OS3", 0), "ideal is not contained in the kernel of the counit"),
+    (_subalgebra("kS3", (0,), (2,), (5,)), "subspace is not closed under multiplication"),
+    (_subalgebra("kS3", (0,), (1, 2, 5), (3, 4)), "subspace is not a left coideal"),
+    (_subalgebra("kS3", (1,)), "subalgebra does not contain 1"),
+], ids=["not a coideal", "outside ker eps", "not closed", "not a left coideal", "no 1"])
+def test_each_hypothesis_failure_is_named(build, message):
+    with pytest.raises(HypothesisError, match=f"^{message}$"):
+        build()
+
+
 def test_translation_map_representative_independence_sweedler():
     s = builtin_setup("H4/B")
     translation_map(s.hopf, s.subalgebra, s.quotient)  # raises on dependence
@@ -296,7 +342,7 @@ def _commutator_quotient_keeping_unit(h, b, space, legs):
 
 def _same_space(a, b):
     return (a.projection == b.projection and a.section == b.section
-            and a.rel_cols == b.rel_cols and a.rel_kind == b.rel_kind)
+            and a.rel_cols == b.rel_cols and a.is_quotient == b.is_quotient)
 
 
 def _os3_coinvariants_from_columns(field):

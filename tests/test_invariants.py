@@ -211,11 +211,24 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     assert values and all(type(v) is int and 0 < v < f.p for v in values)
 
 
+def _assert_relation_invariant(sp, tag):
+    """The relations are independent columns that the projection kills, and
+    the space is a pure quotient exactly when section and relations span
+    the ambient."""
+    assert (sp.projection @ sp.rel_cols).is_zero_matrix(), tag
+    assert sp.rel_cols.rank() == sp.rel_cols.cols, tag
+    spans = SparseMatrix.hstack([sp.section, sp.rel_cols]).rank() == sp.ambient_dim
+    assert sp.is_quotient == spans, tag
+
+
 def test_kernel_kind_relations_span_the_kernel_of_the_projection():
     # the descent check of induced_map relies on span(rel_cols) = ker(projection)
-    from hopfcyclic.cyclic import hopf_cyclic_spaces
+    # on pure quotients, and on carrier & ker(projection) = span(rel_cols) elsewhere
+    from hopfcyclic.cyclic import coextension_space, comodule_algebra_space, hopf_cyclic_spaces
     from hopfcyclic.hopf import commutator_quotient, tensor_power_over_b
     from hopfcyclic.presets import SETUP_NAMES
+    from hopfcyclic.sayd import coad_module
+    from hopfcyclic.specseq import first_page_spot, second_page_spot
 
     for name in SETUP_NAMES:
         s = builtin_setup(name)
@@ -226,6 +239,24 @@ def test_kernel_kind_relations_span_the_kernel_of_the_projection():
             spaces += [x, commutator_quotient(h, b, x, legs)]
         spaces += hopf_cyclic_spaces(s.quotient, ad_module(h), 2)
         for sp in spaces:
-            assert sp.rel_kind == "kernel", (name, sp)
-            assert (sp.projection @ sp.rel_cols).is_zero_matrix(), (name, sp)
+            assert sp.is_quotient, (name, sp)
             assert sp.rel_cols.rank() == sp.ambient_dim - sp.dim, (name, sp)
+            _assert_relation_invariant(sp, (name, sp))
+
+        # subspaces, their tensors with quotients, and the spectral spots
+        coad = coad_module(h)
+        others = [coextension_space(h, s.quotient, legs) for legs in (1, 2, 3)]
+        others += [comodule_algebra_space(h, b, coad, n) for n in (0, 1, 2)]
+        x2, c2 = tensor_power_over_b(h, b, 2), others[1]
+        others += [c2.tensor(x2), x2.tensor(c2), b.space.tensor(x2), x2.tensor(b.space)]
+        dc = extension_double_complex(s, 3, 3)
+        for transposed in (False, True):
+            for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+                others += [first_page_spot(dc, p, q, transposed),
+                           second_page_spot(dc, p, q, transposed)]
+        for sp in others:
+            _assert_relation_invariant(sp, (name, sp))
+        if name == "kS3/kC2":
+            # the list reaches both kinds of space outside the pure quotients
+            assert any(not sp.is_quotient and sp.rel_cols.cols for sp in others)
+            assert any(not sp.is_quotient and not sp.rel_cols.cols for sp in others)

@@ -609,12 +609,25 @@ def test_induced_map_quotient_into_explicit_subquotient():
     # so only the relation check tells them apart
     dom = quotient_by_columns(3, M([[0], [0], [1]]))
     cod = span_columns(M([[1, 0], [0, 1], [0, 0]])).then(quotient_by_columns(2, M([[1], [0]])))
-    assert dom.rel_kind == "kernel" and cod.rel_kind == "explicit"
+    assert dom.is_quotient and not cod.is_quotient
     good = M([[1, 0, 1], [0, 1, 0], [0, 0, 0]])  # e2 -> e0, a relation
     assert induced_map(good, dom, cod) == M([[0, 1]])
     bad = M([[1, 0, 0], [0, 1, 1], [0, 0, 0]])  # e2 -> e1, not a relation
     with pytest.raises(NotWellDefined, match="relations not preserved"):
         induced_map(bad, dom, cod)
+
+
+def test_induced_map_restricts_the_images_of_relations_too():
+    # the identity of k^2 / <e1> into the line <e0>, and of k^3 / <e2> into
+    # <e0, e1> / <e0>: the codomain's projection kills the relation's image,
+    # but the image leaves the carrier, so neither map is defined
+    line = span_columns(M([[1], [0]]))
+    with pytest.raises(NotWellDefined, match="image leaves the subspace"):
+        induced_map(SparseMatrix.identity(2, QQ), quotient_by_columns(2, M([[0], [1]])), line)
+    dom = quotient_by_columns(3, M([[0], [0], [1]]))
+    cod = span_columns(M([[1, 0], [0, 1], [0, 0]])).then(quotient_by_columns(2, M([[1], [0]])))
+    with pytest.raises(NotWellDefined, match="image leaves the carrier"):
+        induced_map(SparseMatrix.identity(3, QQ), dom, cod)
 
 
 def test_induced_map_rejects_escaping_subspace():
@@ -630,13 +643,13 @@ def test_subquotient_tensor_and_then():
     assert two.dim == 1 and two.ambient_dim == 4
     q = quotient_by_columns(2, M([[1], [1]]))
     qq = q.tensor(SubquotientSpace.full(2, QQ))
-    assert qq.dim == 2 and qq.rel_kind == "kernel"
+    assert qq.dim == 2 and qq.is_quotient
     # two non-full factors, of either kind: relations rel (x) carrier + carrier (x) rel
     both = q.tensor(q)
-    assert both.dim == 1 and both.rel_kind == "kernel"
+    assert both.dim == 1 and both.is_quotient
     assert (both.projection @ both.rel_cols).is_zero_matrix() and both.rel_cols.rank() == 3
     line_q, q_line = sub.tensor(q), q.tensor(sub)
-    assert line_q.rel_kind == q_line.rel_kind == "explicit" and line_q.dim == 1
+    assert not line_q.is_quotient and not q_line.is_quotient and line_q.dim == 1
     assert (line_q.projection @ line_q.rel_cols).is_zero_matrix()
     assert SparseMatrix.hstack([line_q.section, line_q.rel_cols]).rank() == 2
     swap = permutation_matrix([2, 2], [1, 0], QQ)
