@@ -32,7 +32,7 @@ of a product.  The chain helpers below are shared with ``iso``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 from .linalg import (
     QQ,
@@ -85,6 +85,7 @@ def equality_check(name, a, b):
 @dataclass
 class ValidationReport:
     checks: list
+    tables: dict = _field(default_factory=dict)
 
     @property
     def ok(self):

@@ -343,6 +343,39 @@ def test_classical_direct_picture_past_the_tuple_budget_exits_two(tmp_path):
     assert "tuple budget exceeded" in json.loads(text)["error"]
 
 
+def _c12_spec():
+    """The group algebra of C12 as a Hopf algebra file."""
+    n = 12
+    return {
+        "name": "kC12-file",
+        "dim": n,
+        "basis": [f"g{i}" for i in range(n)],
+        "mult": [[i, j, (i + j) % n, "1"] for i in range(n) for j in range(n)],
+        "unit": ["1"] + ["0"] * (n - 1),
+        "comult": [[k, k, k, "1"] for k in range(n)],
+        "counit": ["1"] * n,
+        "antipode": [[(n - j) % n, j, "1"] for j in range(n)],
+    }
+
+
+@pytest.mark.parametrize("argv", [["homology", "--max-degree", "4"], ["tor", "--max-degree", "4"],
+                                  ["isocheck", "--theorem", "3.4", "--max-degree", "4"],
+                                  ["spectral"]],
+                         ids=lambda argv: argv[0])
+def test_past_the_coordinate_budget_exits_two(tmp_path, argv):
+    # 12^6 = 2,985,984 coordinates, refused before any space is built: at
+    # degree 4, and by spectral, whose double complex has cells C^(x)4 (x) H (x)
+    # ad H of 12^6 coordinates although its absolute HH reaches only 12^5
+    import hopfcyclic.cli as cli
+
+    path = tmp_path / "kc12.json"
+    path.write_text(json.dumps(_c12_spec()))
+    code, text = run(["--format", "json", argv[0], str(path), *argv[1:]])
+    assert code == 2, text
+    error = json.loads(text)["error"]
+    assert "12^6 = 2985984 coordinates" in error and str(cli.COORDINATE_BUDGET) in error
+
+
 def test_classical_bad_chi_exit_two():
     # "1/0" was a ZeroDivisionError traceback, "abc" a ValueError traceback
     for chi, detail in (("1/0", "zero denominator in '1/0'"), ("abc", "bad --chi 'abc'")):

@@ -10,6 +10,7 @@ from hopfcyclic.cyclic import (
     check_identities,
     coext_cyclic,
     coextension_space,
+    connes_boundary,
     cyclic_dual,
     cyclic_homology,
     hochschild_homology,
@@ -39,6 +40,8 @@ from hopfcyclic.linalg import (
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
+    block_matrix,
+    homology_dims,
     induced_map,
     kernel,
     permutation_matrix,
@@ -459,6 +462,68 @@ def test_cyclic_homology_needs_only_degree_n_plus_1(name, field):
     wide = cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, 4), 2)
     for n in range(3):
         assert cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, n + 1), n) == wide[:n + 1]
+
+
+def _unnormalized_cyclic_homology(cm, upto):
+    """HC_n for n <= upto from the mixed complex (C, b, B) on the cyclic module
+    itself, degenerate chains included (Loday, *Cyclic Homology*, 2.1.7):
+    Tot_n = C_n + C_(n-2) + ..., with b and B = (1 - t) s N as built."""
+    f = cm.t[0].field
+    b = {n: boundary(cm, n) for n in range(1, upto + 2)}
+    big_b = {n: connes_boundary(cm, n) for n in range(upto)}
+
+    def blocks(n):
+        return {q: cm.spaces[q].dim for q in range(n, -1, -2)}
+
+    def total_map(n):
+        src, tgt = blocks(n), blocks(n - 1)
+        parts = {(q - 1, q): b[q] for q in src if q - 1 in tgt}
+        parts.update({(q + 1, q): big_b[q] for q in src if q + 1 in tgt})
+        return block_matrix(tgt, src, parts, f)
+
+    dims = [sum(blocks(n).values()) for n in range(upto + 1)]
+    return homology_dims(dims, {n: total_map(n) for n in range(1, upto + 2)}, upto)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2 ** 31 - 1)],
+                         ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_cyclic_homology_matches_the_unnormalized_mixed_complex(name, field):
+    # the normalized complex is quasi-isomorphic to the unnormalized one, so
+    # quotienting by degeneracies and descending b and B changes no dimension
+    s = builtin_setup(name, field)
+    cm = relative_cyclic(s.hopf, s.subalgebra, 4)
+    assert cyclic_homology(cm, 3) == _unnormalized_cyclic_homology(cm, 3)
+
+
+@pytest.mark.parametrize("name, p, want", [("kS3/k", 3, [3, 0, 3, 1]),
+                                           ("H4/k", 2, [4, 5, 10, 12])])
+def test_unnormalized_cyclic_homology_in_positive_characteristic(name, p, want):
+    s = builtin_setup(name, PrimeField(p))
+    assert _unnormalized_cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, 4), 3) == want
+
+
+def _relative_hh(name, field, upto):
+    s = builtin_setup(name, field)
+    return s, hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, upto + 1), upto)
+
+
+@pytest.mark.parametrize("name, p", [("kS3/kC2", 2), ("kS3/kC3", 3)])
+def test_relative_hochschild_vanishes_when_p_does_not_divide_the_index(name, p):
+    # Higman: kG is separable over kK when p does not divide [G:K], so
+    # HH_n(kG|kK) = 0 for n > 0, although p divides |G| and kG is not semisimple
+    s, hh = _relative_hh(name, PrimeField(p), 3)
+    assert (s.hopf.dim // s.subalgebra.dim) % p != 0 and s.hopf.dim % p == 0
+    assert hh == [3, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name, p, want", [("kS3/kC3", 2, [3, 2, 2, 2]),
+                                           ("kS3/kC2", 3, [3, 1, 1, 2])])
+def test_relative_hochschild_is_absolute_when_p_does_not_divide_the_subgroup(name, p, want):
+    # kK is separable when p does not divide |K|, so HH(kG|kK) = HH(kG)
+    s, hh = _relative_hh(name, PrimeField(p), 3)
+    assert s.subalgebra.dim % p != 0
+    assert hh == _relative_hh("kS3/k", PrimeField(p), 3)[1] == want
 
 
 def test_cyclic_homology_rejects_faces_with_nonzero_b_squared():

@@ -3,7 +3,8 @@
 The golden reports under ``tests/golden/`` pin the exact ``--format json``
 output of the README commands, the criterion-10 determinism battery and
 the transform and spectral checks on O(S3)/O(C2) and kS3, over Q and
-F_(2^31-1).  A refactor of an operator builder must leave every byte
+F_(2^31-1), and two spectral reports over a small prime field, where the
+five-term sequence has nonzero terms.  A refactor of an operator builder must leave every byte
 unchanged.
 
 Regenerate (only when a report is meant to change) with
@@ -60,6 +61,14 @@ COMMANDS = [
      ["isocheck", "kS3/kC3", "--theorem", "jara-stefan", "--max-degree", "3"]),
     ("tr_spectral_OS3_OC2", ["spectral", "OS3/OC2"]),
 ]
+# each over its own fields: over F_2, H4/B is the one built-in pair whose d2
+# has a nonzero domain and codomain (E2[2,0] = E2[0,1] = 4); over F_3,
+# kS3/kC3 has E2[0,1] = 1 and total homology 3, 1, 1
+FP_COMMANDS = [
+    ("fp_spectral_H4_B", ["spectral", "H4/B"], {"fp2": "fp:2"}),
+    ("fp_spectral_kS3_kC3", ["spectral", "kS3/kC3"], {"fp3": "fp:3"}),
+]
+CASES = [(name, args, FIELDS) for name, args in COMMANDS] + FP_COMMANDS
 
 
 def _report(args, field):
@@ -71,9 +80,9 @@ def _path(name, tag):
     return GOLDEN_DIR / f"{name}.{tag}.json"
 
 
-@pytest.mark.parametrize("name,args", COMMANDS, ids=[c[0] for c in COMMANDS])
-def test_report_matches_golden(name, args):
-    for tag, field in FIELDS.items():
+@pytest.mark.parametrize("name,args,fields", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, args, fields):
+    for tag, field in fields.items():
         code, got = _report(args, field)
         assert code == 0, (name, field)
         assert got == _path(name, tag).read_bytes(), (name, field)
@@ -81,8 +90,8 @@ def test_report_matches_golden(name, args):
 
 def _write():
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, args in COMMANDS:
-        for tag, field in FIELDS.items():
+    for name, args, fields in CASES:
+        for tag, field in fields.items():
             code, text = _report(args, field)
             if code != 0:
                 raise SystemExit(f"{name} [{field}] exited {code}")

@@ -150,11 +150,11 @@ def test_dual_transform_ks3_and_sweedler():
 
 
 def test_hopf_ideal_detection():
-    assert is_hopf_ideal(builtin_setup("kS3/kC3").hopf, builtin_setup("kS3/kC3").quotient.ideal)
+    assert is_hopf_ideal(builtin_setup("kS3/kC3").hopf, builtin_setup("kS3/kC3").quotient)
     s2 = builtin_setup("kS3/kC2")
-    assert not is_hopf_ideal(s2.hopf, s2.quotient.ideal)
+    assert not is_hopf_ideal(s2.hopf, s2.quotient)
     sk = builtin_setup("kS3/k")
-    assert is_hopf_ideal(sk.hopf, sk.quotient.ideal)
+    assert is_hopf_ideal(sk.hopf, sk.quotient)
 
 
 def test_normal_quotient_comparison_kc3():

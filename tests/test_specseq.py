@@ -1,7 +1,7 @@
 import pytest
 
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
-from hopfcyclic.linalg import NotWellDefined, QQ, PrimeField, homology_dims, kernel
+from hopfcyclic.linalg import NotWellDefined, QQ, PrimeField, SparseMatrix, homology_dims, kernel
 from hopfcyclic.presets import builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
 from hopfcyclic import specseq
@@ -14,11 +14,10 @@ from hopfcyclic.specseq import (
     hochschild_tor_check,
     row_contraction_ok,
     second_page_spot,
-    spectral_pages,
     theorem_check,
     tor_dims,
     total_complex_map,
-    total_homology_dims,
+    total_homology,
 )
 from support import from_dense, trivial_sayd
 
@@ -130,7 +129,7 @@ def test_double_complex_squares_and_total_homology_base_case():
     # B = k: the double complex total homology is Tor(k, ad H)
     s = builtin_setup("kC2/k")
     dc = extension_double_complex(s, 3, 3)
-    tot = total_homology_dims(dc, 2)
+    tot = [total_homology(dc, n).dim for n in range(3)]
     tor_vals = tor_dims(ad_module(s.hopf), 2)
     dc.validate_instantiated_squares()
     assert tot == tor_vals == [2, 0, 0]
@@ -139,8 +138,7 @@ def test_double_complex_squares_and_total_homology_base_case():
 def test_first_page_vanishes_for_semisimple():
     s = builtin_setup("kS3/kC2")
     dc = extension_double_complex(s, 2, 2)
-    pages = spectral_pages(dc, 1, window=[(0, 1), (1, 1), (0, 0), (1, 0)])
-    e1 = pages[0].dims
+    e1 = {pq: first_page_spot(dc, *pq).dim for pq in [(0, 1), (1, 1), (0, 0), (1, 0)]}
     assert e1[(0, 1)] == 0 and e1[(1, 1)] == 0  # flatness: Tor_q vanishes, q > 0
 
 
@@ -186,11 +184,28 @@ def test_five_term_sweedler_base_field():
     assert rep.tables["dims"]["E2[1,0]"] == hh[1] == TOR_H4[1]
 
 
+def test_five_term_rejects_d2_lifts_that_miss_the_horizontal_image(monkeypatch):
+    # every lift y through dv(1, 1) is off by a unit vector outside ker dv(1, 1),
+    # so dv(1, 1) y != dh(2, 0) x: the zig-zags are not cycles of the (1, 0) cell.
+    # Over F_2, H4/B has E2[2,0] = E2[0,1] = 4, so d2 has something to map
+    dc = extension_double_complex(builtin_setup("H4/B", PrimeField(2)), 3, 3)
+    solve = specseq.solve
+
+    def off_lift(a, b):
+        j = min(c for _, c in a.data)  # a column where a is nonzero
+        bump = SparseMatrix(a.cols, b.cols, a.field, {(j, k): a.field.one for k in range(b.cols)})
+        return solve(a, b) + bump
+
+    monkeypatch.setattr(specseq, "solve", off_lift)
+    with pytest.raises(NotWellDefined):
+        five_term_check(dc)
+
+
 def test_double_complex_builds_each_object_once():
     dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
     for build, args in ((first_page_spot, (1, 0)), (first_page_spot, (1, 1, True)),
                         (second_page_spot, (1, 0)), (second_page_spot, (1, 1, True)),
-                        (total_complex_map, (2,))):
+                        (total_complex_map, (2,)), (total_homology, (1,))):
         assert build(dc, *args) is build(dc, *args), (build.__name__, args)
 
 
