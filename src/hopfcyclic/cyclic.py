@@ -10,18 +10,24 @@ maps (mu, Delta, eps, the action of C, the coaction of B or M);
 columns of the spaces, never assembling it over the ambient, and compose
 the wrap-around operators d_n = d_0 t and delta_{n+1} = tau delta_0.  The
 descent/restriction check is the machine substitute for the by-hand
-well-definedness proofs.  The other two, the coextension and Hopf-cyclic
-coalgebra cyclic objects, are the Connes duals (``cyclic_dual``) of their
-cocyclic objects.
+well-definedness proofs.  When every space is full, as for C(H|k), there
+is nothing to descend: each operator is then its chain's ``IndexTable``,
+assembled whole, whenever every chain is monomial in one orientation
+(the rule is stated on ``CyclicModule``).  The other two, the
+coextension and Hopf-cyclic coalgebra cyclic objects, are the Connes
+duals (``cyclic_dual``) of their cocyclic objects.
 
 ``cyclic_identities`` and ``cocyclic_identities`` are the one table of
 simplicial and cyclic identities and the one of cosimplicial and cocyclic
 identities, written against a ``compose`` of two operators.
 ``check_identities`` runs them on signed index tables (``IndexTable``)
-when every operator of a module has at most one entry in each column, or
-every one in each row, and on exact matrix products otherwise; the finite
-cocyclic sets of ``classical`` run the cocyclic table on unsigned index
-tables.
+when every operator of a module is a table, or has at most one entry in
+each column, or every one in each row, and on exact matrix products
+otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
+table on unsigned index tables.  ``boundary`` writes b_n from the face
+tables straight into the row map that elimination and the d^2 check
+read; the HC path, ``cyclic_dual`` and ``iso.check_cyclic_map`` take the
+matrix of each table they read, and only of those.
 
 Truncation semantics: Hochschild and cyclic homology are both trusted up
 to n_max - 1.  HH_n reads b up to degree n + 1; HC_n reads the normalized
@@ -31,6 +37,7 @@ n + 1 and B only into degree n.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -47,7 +54,6 @@ from .linalg import (
     LegChain,
     SparseMatrix,
     SubquotientSpace,
-    alternating_sum,
     apply_on_leg,
     block_matrix,
     equalizer,
@@ -65,13 +71,22 @@ class TruncationError(HopfError):
 
 @dataclass
 class CyclicModule:
-    """Degrees 0..n_max with faces d[n][i], degeneracies s[n][j], cyclic t[n]."""
+    """Degrees 0..n_max with faces d[n][i], degeneracies s[n][j], cyclic t[n].
+
+    A built operator is an ``IndexTable`` exactly when every space of its
+    module is full and every chain of the builder is monomial in one
+    orientation, columns or else rows (a group algebra over k by columns,
+    a function algebra over k by rows, since its unit fills one column);
+    then all of them are tables of that orientation.  Otherwise, and in a
+    ``cyclic_dual``, every operator is a ``SparseMatrix``.  The same holds
+    for ``CocyclicModule``.
+    """
 
     n_max: int
     spaces: list
-    d: dict      # (n, i) -> matrix C_n -> C_{n-1}, 1 <= n, 0 <= i <= n
-    s: dict      # (n, j) -> matrix C_n -> C_{n+1}, n < n_max, 0 <= j <= n
-    t: dict      # n -> matrix C_n -> C_n
+    d: dict      # (n, i) -> operator C_n -> C_{n-1}, 1 <= n, 0 <= i <= n
+    s: dict      # (n, j) -> operator C_n -> C_{n+1}, n < n_max, 0 <= j <= n
+    t: dict      # n -> operator C_n -> C_n
     name: str = ""
 
     def dims(self):
@@ -85,9 +100,9 @@ class CocyclicModule:
 
     n_max: int
     spaces: list
-    delta: dict  # (n, i) -> matrix C^n -> C^{n+1}, n < n_max, 0 <= i <= n+1
-    sigma: dict  # (n, j) -> matrix C^n -> C^{n-1}, 1 <= n, 0 <= j <= n-1
-    tau: dict    # n -> matrix C^n -> C^n
+    delta: dict  # (n, i) -> operator C^n -> C^{n+1}, n < n_max, 0 <= i <= n+1
+    sigma: dict  # (n, j) -> operator C^n -> C^{n-1}, 1 <= n, 0 <= j <= n-1
+    tau: dict    # n -> operator C^n -> C^n
     name: str = ""
 
     def dims(self):
@@ -101,20 +116,20 @@ class CocyclicModule:
 def check_identities(x):
     """Every identity of a cyclic or cocyclic module within its truncation.
 
-    Compared on signed index tables when every operator of x has at most
-    one entry in each column, or every one has at most one in each row;
+    Compared on signed index tables when x's operators are tables of one
+    orientation, or are matrices that all have tables of one orientation;
     otherwise by exact matrix products.
     """
     return identity_report(x, index_tables(x) or matrix_operators(x))
 
 
 def identity_report(x, ops):
-    """The report of x's identity table on ``ops``, a triple (operators,
-    compose, ident) from ``index_tables`` or ``matrix_operators``."""
+    """The report of x's identity table on ``ops``, a pair (operators,
+    ident) from ``index_tables`` or ``matrix_operators``, composed by ``@``."""
     table = cyclic_identities if isinstance(x, CyclicModule) else cocyclic_identities
-    (faces, degens, rotations), compose, ident = ops
+    (faces, degens, rotations), ident = ops
     return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in
-                             table(x.n_max, faces, degens, rotations, compose, ident)])
+                             table(x.n_max, faces, degens, rotations, operator.matmul, ident)])
 
 
 def _operators(x):
@@ -122,35 +137,52 @@ def _operators(x):
 
 
 def index_tables(x):
-    """x's operators as ``IndexTable``s of their columns, or else of their
-    rows, which compose in the reverse order; None when neither holds for
-    every operator."""
+    """x's operators as ``IndexTable``s of one orientation: as they are
+    when they are all tables, or else, when they are all matrices, the
+    tables of their columns or else of their rows.  None when neither
+    holds, as when a matrix is mixed among tables."""
     ops = _operators(x)
-    p = ops[2][0].field.p
-    for by_rows in (False, True):
-        tables = [{k: IndexTable.of(m, by_rows) for k, m in op.items()} for op in ops]
-        if all(tb is not None for op in tables for tb in op.values()):
-            compose = (lambda a, b: b @ a) if by_rows else operator.matmul
-            return tables, compose, lambda n: IndexTable.identity(x.spaces[n].dim, p)
+    p = x.spaces[0].field.p
+    kinds = {type(m) for op in ops for m in op.values()}
+    if kinds == {IndexTable}:
+        candidates = [ops]
+    elif kinds == {SparseMatrix}:
+        candidates = ([{k: IndexTable.of(m, by_rows) for k, m in op.items()} for op in ops]
+                      for by_rows in (False, True))
+    else:
+        return None
+    for tables in candidates:
+        found = [tb for op in tables for tb in op.values()]
+        if all(tb is not None for tb in found) and len({tb.by_rows for tb in found}) == 1:
+            by_rows = found[0].by_rows
+            return tables, lambda n: IndexTable.identity(x.spaces[n].dim, p, by_rows)
     return None
 
 
 def matrix_operators(x):
-    """x's operators as matrices, composed by exact products.
+    """x's operators as matrices, which compose by exact products.
 
-    The operators are copies that share their entries but no cache, so the
-    row maps that the products cache on them go with the check and none
-    stays on x.
+    A table becomes its matrix, and a matrix a copy that shares its entries
+    but no cache, so the row maps that the products cache go with the check
+    and none stays on x.
     """
-    ops = _operators(x)
-    f = ops[2][0].field
-    copies = [{k: _sharing(m) for k, m in op.items()} for op in ops]
-    return copies, operator.matmul, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
+    f = x.spaces[0].field
+    copies = [{k: operator_matrix(m, f) for k, m in op.items()} for op in _operators(x)]
+    return copies, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
 
 
 def _sharing(m):
-    """A copy of m that shares its entries, which never change, but no cache."""
+    """A copy of m that shares its entries, which never change, but no
+    cache; a table as it is, since it caches nothing."""
+    if isinstance(m, IndexTable):
+        return m
     return SparseMatrix(m.rows, m.cols, m.field, m.data)
+
+
+def operator_matrix(m, field):
+    """Operator m as a matrix that no module keeps: a table's ``matrix``,
+    or a copy of a matrix that shares its entries but no cache."""
+    return m.matrix(field) if isinstance(m, IndexTable) else _sharing(m)
 
 
 def cyclic_identities(n_max, d, s, t, compose, ident):
@@ -265,11 +297,12 @@ def build_cyclic(n_max, spaces, face, degeneracy, rotation, name=""):
     """The cyclic module on ``spaces`` whose operators descend the ambient
     chains face(n, i) for i < n, degeneracy(n, j) and rotation(n); the last
     face is d_n = d_0 t."""
-    t = {n: induced_map(rotation(n), spaces[n], spaces[n]) for n in range(n_max + 1)}
-    d = _descended(face, spaces, n_max, -1, 0)
+    t, d, s = _descended(spaces, (
+        {n: (rotation(n), n, n) for n in range(n_max + 1)},
+        {(n, i): (face(n, i), n, n - 1) for n in range(1, n_max + 1) for i in range(n)},
+        {(n, j): (degeneracy(n, j), n, n + 1) for n in range(n_max) for j in range(n + 1)}))
     for n in range(1, n_max + 1):
         d[(n, n)] = _sharing(d[(n, 0)]) @ _sharing(t[n])
-    s = _descended(degeneracy, spaces, n_max, 1, 1)
     return CyclicModule(n_max, spaces, d, s, t, name=name)
 
 
@@ -277,20 +310,30 @@ def build_cocyclic(n_max, spaces, coface, codegeneracy, rotation, name=""):
     """The cocyclic module on ``spaces`` whose operators descend the ambient
     chains coface(n, i) for i <= n, codegeneracy(n, j) and rotation(n); the
     last coface is delta_{n+1} = tau delta_0."""
-    tau = {n: induced_map(rotation(n), spaces[n], spaces[n]) for n in range(n_max + 1)}
-    delta = _descended(coface, spaces, n_max, 1, 1)
+    tau, delta, sigma = _descended(spaces, (
+        {n: (rotation(n), n, n) for n in range(n_max + 1)},
+        {(n, i): (coface(n, i), n, n + 1) for n in range(n_max) for i in range(n + 1)},
+        {(n, j): (codegeneracy(n, j), n, n - 1) for n in range(1, n_max + 1) for j in range(n)}))
     for n in range(n_max):
         delta[(n, n + 1)] = _sharing(tau[n + 1]) @ _sharing(delta[(n, 0)])
-    sigma = _descended(codegeneracy, spaces, n_max, -1, 0)
     return CocyclicModule(n_max, spaces, delta, sigma, tau, name=name)
 
 
-def _descended(chain, spaces, n_max, shift, extra):
-    """{(n, i): chain(n, i) descended from degree n to n + shift} for
-    0 <= i < n + extra and every n whose target lies in the truncation."""
-    return {(n, i): induced_map(chain(n, i), spaces[n], spaces[n + shift])
-            for n in range(n_max + 1) if 0 <= n + shift <= n_max
-            for i in range(n + extra)}
+def _descended(spaces, families):
+    """Each family {key: (chain, source degree, target degree)} as operators.
+
+    When every space is full, they are the chains' ``IndexTable``s in the
+    first orientation, columns or rows, in which every leg map of every
+    chain is monomial; otherwise the chains descended by ``induced_map``."""
+    if all(sp.projection.is_identity() and sp.section.is_identity() for sp in spaces):
+        legs = {id(step[0]): step[0] for fam in families for chain, _, _ in fam.values()
+                for step in chain.steps if len(step) > 1}
+        for by_rows in (False, True):
+            if all(IndexTable.of(op, by_rows) is not None for op in legs.values()):
+                return [{k: chain.table(by_rows) for k, (chain, _, _) in fam.items()}
+                        for fam in families]
+    return [{k: induced_map(chain, spaces[a], spaces[b]) for k, (chain, a, b) in fam.items()}
+            for fam in families]
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +580,18 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max):
 
 def cyclic_dual(ccm):
     """Connes' duality dictionary: d_i = sigma_{i-1}, d_0 = sigma_{n-1} tau,
-    s_j = delta_j, t = tau^{-1}, on the same spaces."""
+    s_j = delta_j, t = tau^{-1}, on the same spaces, as matrices."""
+    op = functools.partial(operator_matrix, field=ccm.spaces[0].field)
     dops, sops, tops = {}, {}, {}
     for n in range(ccm.n_max + 1):
-        tops[n] = inverse(_sharing(ccm.tau[n]))
+        tops[n] = inverse(op(ccm.tau[n]))
         if n >= 1:
-            dops[(n, 0)] = _sharing(ccm.sigma[(n, n - 1)]) @ _sharing(ccm.tau[n])
+            dops[(n, 0)] = op(ccm.sigma[(n, n - 1)]) @ op(ccm.tau[n])
             for i in range(1, n + 1):
-                dops[(n, i)] = ccm.sigma[(n, i - 1)]
+                dops[(n, i)] = op(ccm.sigma[(n, i - 1)])
         if n < ccm.n_max:
             for j in range(n + 1):
-                sops[(n, j)] = ccm.delta[(n, j)]
+                sops[(n, j)] = op(ccm.delta[(n, j)])
     return CyclicModule(ccm.n_max, ccm.spaces, dops, sops, tops, name=f"dual({ccm.name})")
 
 
@@ -556,10 +600,39 @@ def cyclic_dual(ccm):
 
 
 def boundary(cm, n):
-    """Hochschild boundary b = sum (-1)^i d_i in degree n."""
+    """Hochschild boundary b = sum (-1)^i d_i in degree n.
+
+    Written face by face straight into the row map that elimination and
+    the d^2 check read, and returned ``from_rows``: no (row, col)-keyed
+    copy is made unless something asks for ``data``.
+    """
     if n < 1 or n > cm.n_max:
         raise TruncationError(f"boundary degree {n} outside 1..{cm.n_max}")
-    return alternating_sum(cm.d[(n, i)] for i in range(n + 1))
+    f = cm.spaces[n].field
+    p = f.p
+    rows = {}
+    for i in range(n + 1):
+        face = cm.d[(n, i)]
+        entries = face.entries() if isinstance(face, IndexTable) else \
+            ((r, c, v) for (r, c), v in face.data.items())
+        for r, c, v in entries:
+            if i % 2:
+                v = -v if p is None else p - v
+            row = rows.get(r)
+            if row is None:
+                rows[r] = {c: v}
+                continue
+            old = row.get(c)
+            if old is None:
+                row[c] = v
+                continue
+            v = old + v if p is None else (old + v) % p
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    return SparseMatrix.from_rows(cm.spaces[n - 1].dim, cm.spaces[n].dim, f,
+                                  {r: row for r, row in rows.items() if row})
 
 
 def hochschild_homology(cm, upto=None):
@@ -578,16 +651,17 @@ def connes_boundary(cm, n):
     extra degeneracy t s_n; raises if the truncation cannot hold degree n+1."""
     if n + 1 > cm.n_max:
         raise TruncationError("Connes boundary leaves the truncation")
-    f = cm.t[n].field
+    f = cm.spaces[n].field
     dim_n = cm.spaces[n].dim
-    lam = cm.t[n].scale(f.one if n % 2 == 0 else f.neg(f.one))
+    t, t1 = operator_matrix(cm.t[n], f), operator_matrix(cm.t[n + 1], f)
+    lam = t.scale(f.one if n % 2 == 0 else f.neg(f.one))
     norm = SparseMatrix.identity(dim_n, f)
     power = SparseMatrix.identity(dim_n, f)
     for _ in range(n):
         power = lam @ power
         norm = norm + power
-    s_extra = cm.t[n + 1] @ cm.s[(n, n)]
-    lam1 = cm.t[n + 1].scale(f.one if (n + 1) % 2 == 0 else f.neg(f.one))
+    s_extra = t1 @ operator_matrix(cm.s[(n, n)], f)
+    lam1 = t1.scale(f.one if (n + 1) % 2 == 0 else f.neg(f.one))
     one_minus = SparseMatrix.identity(cm.spaces[n + 1].dim, f) - lam1
     return one_minus @ s_extra @ norm
 
@@ -600,10 +674,10 @@ def normalized_complex(cm):
     0..n_max - 2.  ``homology_dims`` checks d^2 = 0 on the total maps, and
     with it b^2 = B^2 = bB + Bb = 0 on every block the result reads.
     """
-    f = cm.t[0].field
+    f = cm.spaces[0].field
     nspaces = [SubquotientSpace.full(cm.spaces[0].dim, f)]
     for n in range(1, cm.n_max + 1):
-        degen = SparseMatrix.hstack([cm.s[(n - 1, j)] for j in range(n)])
+        degen = SparseMatrix.hstack([operator_matrix(cm.s[(n - 1, j)], f) for j in range(n)])
         nspaces.append(quotient_by_columns(cm.spaces[n].dim, degen))
     nb = {n: induced_map(boundary(cm, n), nspaces[n], nspaces[n - 1])
           for n in range(1, cm.n_max + 1)}
@@ -619,6 +693,7 @@ def cyclic_homology(cm, upto=None):
         upto = cm.n_max - 1
     if upto > cm.n_max - 1:
         raise TruncationError(f"HC trusted only up to degree {cm.n_max - 1}")
+    f = cm.spaces[0].field
     nspaces, nb, nB = normalized_complex(cm)
 
     def blocks(n):
@@ -633,7 +708,7 @@ def cyclic_homology(cm, upto=None):
                 parts[(q - 1, q)] = nb[q]
             if q + 1 in tgt:
                 parts[(q + 1, q)] = nB[q]
-        return block_matrix(tgt, src, parts, cm.t[0].field)
+        return block_matrix(tgt, src, parts, f)
 
     tot = {n: total_map(n) for n in range(1, upto + 2)}
     return homology_dims([sum(blocks(n).values()) for n in range(upto + 1)], tot, upto)

@@ -511,8 +511,10 @@ def tensor_power_over_b(h, b, legs):
     Returns the SubquotientSpace over the full tensor-power ambient.
     """
     d, f = h.dim, h.field
-    space = SubquotientSpace.full(d, f)
     mults = _b_multiplications(h, b)
+    if not mults:
+        return SubquotientSpace.full(d ** legs, f)
+    space = SubquotientSpace.full(d, f)
     for k in range(1, legs):
         amb = space.tensor(SubquotientSpace.full(d, f))
         rels = []
@@ -521,7 +523,7 @@ def tensor_power_over_b(h, b, legs):
             ident_r = SparseMatrix.identity(space.dim, f)
             ident_d = SparseMatrix.identity(d, f)
             rels.append(rb.kron(ident_d) - ident_r.kron(left))
-        space = amb.then(_quotient_by(space.dim * d, rels, f))
+        space = amb.then(quotient_by_columns(space.dim * d, SparseMatrix.hstack(rels)))
     return space
 
 
@@ -534,7 +536,9 @@ def commutator_quotient(h, b, space, legs):
         right_last = induced_map(chain.leg(right, legs - 1), space, space)
         left_first = induced_map(chain.leg(left, 0), space, space)
         rels.append(right_last - left_first)
-    return space.then(_quotient_by(space.dim, rels, f))
+    if not rels:
+        return space
+    return space.then(quotient_by_columns(space.dim, SparseMatrix.hstack(rels)))
 
 
 def _b_multiplications(h, b):
@@ -551,13 +555,6 @@ def _b_multiplications(h, b):
         if not (right.is_identity() and left.is_identity()):
             mults.append((right, left))
     return mults
-
-
-def _quotient_by(n, rels, f):
-    """k^n modulo the columns of the matrices ``rels``; with none, all of k^n."""
-    if not rels:
-        return SubquotientSpace.full(n, f)
-    return quotient_by_columns(n, SparseMatrix.hstack(rels))
 
 
 def canonical_map_n(h, b, c, n):

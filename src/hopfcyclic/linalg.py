@@ -14,6 +14,7 @@ indexing with the left factor slowest: (i, j) <-> i*dim_right + j.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 
 try:
     from gmpy2 import mpq as _mpq
@@ -203,17 +204,19 @@ class SparseMatrix:
     row/column adjacency, the reduced row echelon form, the pivot columns
     behind the rank and whether the matrix is an identity are cached on
     first use.  Nothing writes to ``data`` after construction, so a cached
-    value stays true and a product may hand back a factor unchanged.
+    value stays true and a product may hand back a factor unchanged.  A
+    matrix made ``from_rows`` holds its row map alone and derives ``data``
+    only when something reads it.
     """
 
-    __slots__ = ("rows", "cols", "field", "data", "_rows_map", "_cols_map", "_rref", "_pivots",
+    __slots__ = ("rows", "cols", "field", "_data", "_rows_map", "_cols_map", "_rref", "_pivots",
                  "_identity")
 
     def __init__(self, rows, cols, field, data=None):
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.data = {} if data is None else data
+        self._data = {} if data is None else data
         self._rows_map = None
         self._cols_map = None
         self._rref = None
@@ -232,6 +235,20 @@ class SparseMatrix:
         m = cls(n, n, field, {(i, i): one for i in range(n)})
         m._identity = True
         return m
+
+    @classmethod
+    def from_rows(cls, rows, cols, field, rows_map):
+        """The matrix whose row map is ``rows_map``: {row: {col: value}}, with
+        no empty row, no zero and every value canonical."""
+        m = cls(rows, cols, field)
+        m._data, m._rows_map = None, rows_map
+        return m
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = {(i, j): v for i, row in self._rows_map.items() for j, v in row.items()}
+        return self._data
 
     @classmethod
     def from_entries(cls, rows, cols, field, entries):
@@ -254,7 +271,9 @@ class SparseMatrix:
 
     @property
     def nnz(self):
-        return len(self.data)
+        if self._data is None:
+            return sum(map(len, self._rows_map.values()))
+        return len(self._data)
 
     def is_zero_matrix(self):
         return not self.data
@@ -521,54 +540,59 @@ def _rref_rows(rows_in, ncols, field):
 
 
 class IndexTable:
-    """A matrix with at most one entry in each column, as a signed index table.
+    """A matrix with at most one entry in each column, or with ``by_rows`` in
+    each row, as a signed index table.
 
-    ``idx[j]`` is the row of column j's entry and ``val[j]`` its value; an
-    empty column is ``-1``/``0``, and both lists end with that sentinel, so
-    indexing by ``-1`` reads an empty column.  Composing is one list pass,
-    ``(a @ b).idx = [a.idx[r] for r in b.idx]`` with the values multiplied,
-    and it carries the sentinel through.  A product of nonzero field
-    elements is never zero, so an empty column stays ``-1``/``0``, the
-    table of a product is the product of the tables, and two tables are
-    equal exactly when their matrices are.  ``val`` is None when every
-    entry is 1, as on a group algebra: a product of two such tables
-    composes its indices alone.  ``p`` is the field's modulus, None over Q.
+    ``idx[j]`` is the row of column j's entry and ``val[j]`` its value; with
+    ``by_rows``, ``idx[i]`` is the column of row i's entry.  An empty column
+    (row) is ``-1``/``0``, and both lists end with that sentinel, so
+    indexing by ``-1`` reads an empty one.  ``a @ b`` is the matrix product
+    in either orientation, one list pass that reads the outer table at the
+    inner one's indices: a at b's rows over columns, b at a's columns over
+    rows.  The values are multiplied, and the sentinel is carried through.
+    A product of nonzero field elements is never zero, so an empty column
+    (row) stays ``-1``/``0``, the table of a product is the product of the
+    tables, and two tables of one orientation are equal exactly when their
+    matrices are.  ``val`` is None when every entry is 1, as on a group
+    algebra: a product of two such tables composes its indices alone.
+    ``p`` is the field's modulus, None over Q, and ``matrix(field)`` gives
+    the ``SparseMatrix`` back.
     """
 
-    __slots__ = ("rows", "cols", "p", "idx", "val")
+    __slots__ = ("rows", "cols", "p", "idx", "val", "by_rows")
 
-    def __init__(self, rows, cols, p, idx, val):
+    def __init__(self, rows, cols, p, idx, val, by_rows=False):
         self.rows = rows
         self.cols = cols
         self.p = p
         self.idx = idx
         self.val = val
+        self.by_rows = by_rows
 
     @classmethod
     def of(cls, m, by_rows=False):
-        """The table of m, or with ``by_rows`` of its transpose, whose
-        products compose in the reverse order; None when a column (a row)
-        of m holds two entries."""
-        rows, cols = (m.cols, m.rows) if by_rows else (m.rows, m.cols)
-        idx = [-1] * (cols + 1)
-        val = [0] * (cols + 1)
+        """The table of m over its columns, or with ``by_rows`` over its
+        rows; None when a column (a row) of m holds two entries."""
+        idx = [-1] * ((m.rows if by_rows else m.cols) + 1)
+        val = [0] * len(idx)
         for key, v in m.data.items():
             i, j = key[::-1] if by_rows else key
             if idx[j] >= 0:
                 return None
             idx[j] = i
             val[j] = v
-        return cls(rows, cols, m.field.p, idx, None if set(val) <= {0, 1} else val)
+        return cls(m.rows, m.cols, m.field.p, idx, None if set(val) <= {0, 1} else val, by_rows)
 
     @classmethod
-    def identity(cls, n, p):
-        return cls(n, n, p, [*range(n), -1], None)
+    def identity(cls, n, p, by_rows=False):
+        return cls(n, n, p, [*range(n), -1], None, by_rows)
 
     def __matmul__(self, other):
-        if self.cols != other.rows:
+        if self.cols != other.rows or self.by_rows != other.by_rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ia, va, p = self.idx, self.val, self.p
-        ib, vb = other.idx, other.val
+        outer, inner = (other, self) if self.by_rows else (self, other)
+        ia, va, p = outer.idx, outer.val, self.p
+        ib, vb = inner.idx, inner.val
         idx = [ia[r] for r in ib]
         if vb is None:
             val = None if va is None else [va[r] for r in ib]
@@ -578,17 +602,60 @@ class IndexTable:
             val = [va[r] * v for r, v in zip(ib, vb)]
         else:
             val = [va[r] * v % p for r, v in zip(ib, vb)]
-        return IndexTable(self.rows, other.cols, p, idx, val)
+        return IndexTable(self.rows, other.cols, p, idx, val, self.by_rows)
 
     def _values(self):
         return [int(i >= 0) for i in self.idx] if self.val is None else self.val
 
+    def entries(self):
+        """(row, col, value) for every entry, in the order of ``idx``."""
+        index = range(len(self.idx) - 1)
+        values = repeat(1) if self.val is None else self.val
+        triples = zip(index, self.idx, values) if self.by_rows else zip(self.idx, index, values)
+        return compress(triples, map((-1).__lt__, self.idx))
+
+    def matrix(self, field):
+        return SparseMatrix(self.rows, self.cols, field,
+                            {(i, j): v for i, j, v in self.entries()})
+
     def __eq__(self, other):
         if not isinstance(other, IndexTable):
             return NotImplemented
-        if (self.rows, self.cols, self.idx) != (other.rows, other.cols, other.idx):
+        if (self.rows, self.cols, self.by_rows, self.idx) != \
+                (other.rows, other.cols, other.by_rows, other.idx):
             return False
         return self.val is other.val is None or self._values() == other._values()
+
+
+def _kron_table(tb, left, right):
+    """The table of id_left (x) tb (x) id_right: position (lft, mid, rgt)
+    holds index (lft * n + tb.idx[mid]) * right + rgt, where n is the
+    range of tb's indices, and -1 where tb's is empty."""
+    n = tb.cols if tb.by_rows else tb.rows
+    block = []
+    for r in tb.idx[:-1]:
+        block += range(r * right, (r + 1) * right) if r >= 0 else [-1] * right
+    offsets = range(0, left * n * right, n * right)
+    if -1 in block:
+        idx = [x + off if x >= 0 else -1 for off in offsets for x in block]
+    else:
+        idx = [x + off for off in offsets for x in block]
+    idx.append(-1)
+    val = None
+    if tb.val is not None:
+        val = [v for v in tb.val[:-1] for _ in range(right)] * left + [0]
+    return IndexTable(left * tb.rows * right, left * tb.cols * right, tb.p, idx, val, tb.by_rows)
+
+
+def _permutation_table(target, p, by_rows):
+    """The table of the permutation matrix that sends index i to target[i]."""
+    if by_rows:
+        inverse = [0] * len(target)
+        for i, t in enumerate(target):
+            inverse[t] = i
+        target = inverse
+    n = len(target)
+    return IndexTable(n, n, p, [*target, -1], None, by_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +765,7 @@ def induced_map(f, dom, cod):
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
         raise ShapeMismatch("map shape does not match ambient spaces")
     image = f @ dom.section
-    if cod.projection.is_identity():
-        # ``image`` itself, its row indices swapped for the codomain's own int
-        # objects as the product did: the operators a module keeps then share
-        # them, instead of each holding one int object per entry
-        index = {i: i for i, _ in cod.projection.data}
-        reduced = SparseMatrix(image.rows, image.cols, image.field,
-                               {(index[i], j): v for (i, j), v in image.data.items()})
-    else:
-        reduced = cod.projection @ image
+    reduced = cod.projection @ image
     images = [image]
     if dom.rel_cols.cols:
         img = f @ dom.rel_cols
@@ -1096,6 +1155,26 @@ class LegChain:
     def matrix(self):
         return self @ SparseMatrix.identity(self.cols, self.field)
 
+    def table(self, by_rows=False):
+        """The chain's ``IndexTable`` over every column, or with ``by_rows``
+        over every row, assembled step by step from the tables of the leg
+        maps and permutations; None when a leg map has two entries in one
+        column (row)."""
+        p, dims, out = self.field.p, self.in_dims, None
+        for step in self.steps:
+            if len(step) == 1:
+                target, dims = _relabelling(None, dims, step[0])
+                tb = _permutation_table(target, p, by_rows)
+            else:
+                op, pos, arity, out_dims = step
+                tb = IndexTable.of(op, by_rows)
+                if tb is None:
+                    return None
+                tb = _kron_table(tb, tensor_dim(dims[:pos]), tensor_dim(dims[pos + arity:]))
+                dims = dims[:pos] + out_dims + dims[pos + arity:]
+            out = tb if out is None else tb @ out
+        return IndexTable.identity(self.cols, p, by_rows) if out is None else out
+
 
 def _relabelling(rows, dims, perm):
     """A permutation step of ``LegChain``: where each row index goes.
@@ -1103,7 +1182,8 @@ def _relabelling(rows, dims, perm):
     Source legs that stay adjacent move as one block, read off an index
     with one division.  Returns (target, permuted dims): ``target[i]`` is
     the new index of row i, from a dict of the rows alone when that takes
-    fewer steps to build than a list of every index."""
+    fewer steps to build than a list of every index.  ``rows`` None asks
+    for the list."""
     blocks = []  # [first, end) source legs, in target order
     for src in perm:
         if blocks and blocks[-1][1] == src:
@@ -1117,7 +1197,7 @@ def _relabelling(rows, dims, perm):
         moves.append((tensor_dim(dims[end:]), size, stride))
         stride *= size
     out_dims = [dims[q] for q in perm]
-    if len(rows) * len(moves) < stride:
+    if rows is not None and len(rows) * len(moves) < stride:
         keys = list(rows)
         targets = [0] * len(keys)
         for src, size, tgt in moves:

@@ -21,6 +21,7 @@ from hopfcyclic.cyclic import (
     identity_report,
     index_tables,
     matrix_operators,
+    operator_matrix,
     relative_cyclic,
     relative_cocyclic_coext,
 )
@@ -33,6 +34,7 @@ from hopfcyclic.hopf import (
 )
 from hopfcyclic.linalg import (
     QQ,
+    IndexTable,
     LegChain,
     NotWellDefined,
     PrimeField,
@@ -46,7 +48,8 @@ from hopfcyclic.linalg import (
     kernel,
     permutation_matrix,
 )
-from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
+from hopfcyclic.loaders import load_hopf_json
+from hopfcyclic.presets import PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
 from support import trivial_sayd, uncached
 
@@ -274,6 +277,10 @@ def _restricted(ops, reference):
     return {k: ops[k] for k in reference}
 
 
+def _as_matrices(ops, field):
+    return {k: operator_matrix(m, field) for k, m in ops.items()}
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
 @pytest.mark.parametrize("name", SETUP_NAMES)
 def test_derived_operators_match_the_chains_they_replace(name, field):
@@ -320,14 +327,14 @@ def test_derived_operators_match_the_chains_they_replace(name, field):
     # the last face of C(H|B): rotate, then multiply the first two legs
     rel = relative_cyclic(h, b, n_max)
     last = _last_faces(rel, lambda n: legs(n).perm([n] + list(range(n))).leg(h.mu, 0, 2))
-    assert _restricted(rel.d, last) == last
+    assert _as_matrices(_restricted(rel.d, last), f) == last
     # the last face of C(B, M)^H:
     # (m, b^0 ... b^n) -> (b^n_(-1) m, b^n_(0) b^0, b^1 ... b^{n-1})
     com = hopf_cyclic_comodule_algebra(h, b, coad, n_max)
     last = _last_faces(com, lambda n: algebra_legs(n).leg(b.coaction_b, n + 1, 1, [d, bd])
                        .perm([n + 1, 0, n + 2] + list(range(1, n + 1)))
                        .leg(coad.operator_action, 0, 2).leg(b.mult_b, 1, 2))
-    assert _restricted(com.d, last) == last
+    assert _as_matrices(_restricted(com.d, last), f) == last
 
 
 def test_mutant_cyclic_operator_fails():
@@ -337,10 +344,13 @@ def test_mutant_cyclic_operator_fails():
     mutant = replace(cm, t={**cm.t, 1: cm.t[1] @ cm.t[1]})
     rep = check_identities(mutant)
     assert not rep.ok
-    # a rescaled rotation fails the torsion identity itself
-    scaled = replace(cm, t={**cm.t, 1: cm.t[1].scale(QQ.from_int(2))})
-    rep2 = check_identities(scaled)
-    assert any("t^2 = id @ 1" in c.name for c in rep2.failures())
+    # a rescaled rotation fails the torsion identity itself, as a matrix
+    # among tables and as a table
+    t1 = cm.t[1]
+    doubled = IndexTable(t1.rows, t1.cols, t1.p, t1.idx, [2 * (i >= 0) for i in t1.idx])
+    for m in (operator_matrix(t1, QQ).scale(QQ.from_int(2)), doubled):
+        rep2 = check_identities(replace(cm, t={**cm.t, 1: m}))
+        assert any("t^2 = id @ 1" in c.name for c in rep2.failures())
 
 
 def test_mutant_face_fails():
@@ -468,7 +478,7 @@ def _unnormalized_cyclic_homology(cm, upto):
     """HC_n for n <= upto from the mixed complex (C, b, B) on the cyclic module
     itself, degenerate chains included (Loday, *Cyclic Homology*, 2.1.7):
     Tot_n = C_n + C_(n-2) + ..., with b and B = (1 - t) s N as built."""
-    f = cm.t[0].field
+    f = cm.spaces[0].field
     b = {n: boundary(cm, n) for n in range(1, upto + 2)}
     big_b = {n: connes_boundary(cm, n) for n in range(upto)}
 
@@ -558,13 +568,17 @@ def _cyclic_identity_names(N):
 
 @pytest.mark.parametrize("n_max", range(5))
 def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
-    s = builtin_setup("kC2/k")
-    cm = relative_cyclic(s.hopf, s.subalgebra, n_max)
-    rep = check_identities(cm)
-    assert rep.ok
-    assert sorted(c.name for c in rep.checks) == sorted(_cyclic_identity_names(n_max))
-    ops = [*cm.d.values(), *cm.s.values(), *cm.t.values()]
-    assert all(m._rows_map is None for m in ops)
+    """Over k the operators are tables, which hold no row map; over kC2 they
+    are matrices, and the check caches none on them."""
+    for name, kind in (("kC2/k", IndexTable), ("kS3/kC2", SparseMatrix)):
+        s = builtin_setup(name)
+        cm = relative_cyclic(s.hopf, s.subalgebra, n_max)
+        rep = check_identities(cm)
+        assert rep.ok
+        assert sorted(c.name for c in rep.checks) == sorted(_cyclic_identity_names(n_max))
+        ops = [*cm.d.values(), *cm.s.values(), *cm.t.values()]
+        assert all(type(m) is kind for m in ops)
+        assert all(m._rows_map is None for m in ops if kind is SparseMatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -607,21 +621,32 @@ def _first_face(x):
     return min(faces), faces[min(faces)]
 
 
+def _like(op, m):
+    """m in the form of the operator op it replaces: a table of op's
+    orientation when op is a table and m has one, else the matrix m."""
+    if isinstance(op, IndexTable):
+        return IndexTable.of(m, op.by_rows) or m
+    return m
+
+
 def _face_entry_moved(x):
     """One entry of a face moved to another row of its column, an empty row
     where there is one: the face keeps at most one entry per column, and
     per row where it had that."""
-    key, m = _first_face(x)
+    key, op = _first_face(x)
+    m = operator_matrix(op, x.spaces[0].field)
     (i, j), v = min(m.data.items())
     used = {r for r, _ in m.data}
     r = next((r for r in range(m.rows) if r not in used), (i + 1) % m.rows)
     data = {k: w for k, w in m.data.items() if k != (i, j)}
-    return _with_operator(x, 0, key, SparseMatrix(m.rows, m.cols, m.field, {**data, (r, j): v}))
+    moved = SparseMatrix(m.rows, m.cols, m.field, {**data, (r, j): v})
+    return _with_operator(x, 0, key, _like(op, moved))
 
 
 def _face_entry_added(x):
     """One more entry in a face column, in a row that already holds one."""
-    key, m = _first_face(x)
+    key, op = _first_face(x)
+    m = operator_matrix(op, x.spaces[0].field)
     (i, j), _ = min(m.data.items())
     r = next(r for r, _ in sorted(m.data) if r != i)
     return _with_operator(x, 0, key, SparseMatrix(m.rows, m.cols, m.field,
@@ -635,17 +660,21 @@ def _degeneracies_swapped(x):
 
 
 def _face_zeroed(x):
-    key, m = _first_face(x)
-    return _with_operator(x, 0, key, SparseMatrix.zeros(m.rows, m.cols, m.field))
+    key, op = _first_face(x)
+    f = x.spaces[0].field
+    return _with_operator(x, 0, key, _like(op, SparseMatrix.zeros(op.rows, op.cols, f)))
 
 
 def _rotation_scaled(x):
     t = getattr(x, _operator_fields(x)[2])
-    return _with_operator(x, 2, 2, t[2].scale(t[2].field.from_int(2)))
+    f = x.spaces[0].field
+    return _with_operator(x, 2, 2, _like(t[2], operator_matrix(t[2], f).scale(f.from_int(2))))
 
 
 def _rotation_squared(x):
     t = getattr(x, _operator_fields(x)[2])
+    if isinstance(t[1], IndexTable):
+        return _with_operator(x, 2, 1, t[1] @ t[1])
     return _with_operator(x, 2, 1, t[1] @ uncached(t[1]))  # no row map cached on x
 
 
@@ -664,10 +693,11 @@ def _outcome(rep):
 
 
 def _matrix_outcome(x):
-    """The check by exact products, which leaves no row map on x."""
+    """The check by exact products, which leaves no row map on x's matrices
+    (its tables hold none)."""
     rep = identity_report(x, matrix_operators(x))
     ops = [m for name in _operator_fields(x) for m in getattr(x, name).values()]
-    assert all(m._rows_map is None for m in ops)
+    assert all(m._rows_map is None for m in ops if isinstance(m, SparseMatrix))
     return _outcome(rep)
 
 
@@ -676,8 +706,10 @@ def _matrix_outcome(x):
 def test_index_tables_and_matrix_products_check_alike(name, field):
     """Same check names in the same order, with the same flags, on the six
     constructions and on six mutants of each; the tables are used whenever
-    every operator has one kind of table, and only then.  Each mutant
-    breaks an identity of at least one construction."""
+    every operator has one kind of table, and only then.  A module's own
+    tables are used as they are, and one matrix among them sends the check
+    to the exact products.  Each mutant breaks an identity of at least one
+    construction."""
     broken = set()
     for kind, x in _six_constructions(name, field).items():
         for mutant, make in [("none", lambda y: y), *MUTANTS.items()]:
@@ -687,6 +719,12 @@ def test_index_tables_and_matrix_products_check_alike(name, field):
             if tables is not None:
                 assert _outcome(identity_report(y, tables)) == want, (kind, mutant)
             assert _outcome(check_identities(y)) == want, (kind, mutant)
+            own = [getattr(y, op) for op in _operator_fields(y)]
+            ops = [m for op in own for m in op.values()]
+            if all(isinstance(m, IndexTable) for m in ops):
+                assert all(a is b for a, b in zip(tables[0], own)), kind
+            elif any(isinstance(m, IndexTable) for m in ops):
+                assert tables is None, (kind, mutant)
             if mutant == "none":
                 assert all(ok for _, ok in want), kind
             if mutant == "extra face entry":
@@ -700,8 +738,9 @@ def test_index_tables_and_matrix_products_check_alike(name, field):
 @pytest.mark.parametrize("kind", ["relative_cyclic", "relative_cocyclic_coext"])
 def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
     x = _six_constructions(name, QQ)[kind]
-    key, m = _first_face(x)
-    padded = _with_operator(x, 0, key, SparseMatrix(m.rows + 1, m.cols, m.field, m.data))
+    key, op = _first_face(x)
+    m = operator_matrix(op, QQ)
+    padded = _with_operator(x, 0, key, _like(op, SparseMatrix(m.rows + 1, m.cols, QQ, m.data)))
     tables = index_tables(padded)
     assert tables is not None
     for ops in (tables, matrix_operators(padded)):
@@ -709,3 +748,98 @@ def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
             identity_report(padded, ops)
     with pytest.raises(ShapeMismatch):
         check_identities(padded)
+
+
+# ---------------------------------------------------------------------------
+# C(H|k): full spaces, so the operators are the tables of their chains
+
+K_PAIRS = [name for name in PAIR_NAMES if name.endswith("/k")]
+
+
+def _relative_chains(h, n_max, f):
+    """{(operator family, key): chain} of every operator of C(H|k): faces,
+    the last face as rotation then product, degeneracies and rotations."""
+    def legs(n):
+        return LegChain([h.dim] * (n + 1), f)
+
+    def rotation(n):
+        return legs(n).perm([n] + list(range(n)))
+
+    chains = {("d", (n, i)): legs(n).leg(h.mu, i, 2) for n in range(1, n_max + 1) for i in range(n)}
+    chains.update({("d", (n, n)): rotation(n).leg(h.mu, 0, 2) for n in range(1, n_max + 1)})
+    chains.update({("s", (n, j)): legs(n).leg(h.eta, j + 1, 0)
+                   for n in range(n_max) for j in range(n + 1)})
+    chains.update({("t", n): rotation(n) for n in range(n_max + 1)})
+    return chains
+
+
+@pytest.mark.parametrize("field", EQUIVALENCE_FIELDS, ids=str)
+@pytest.mark.parametrize("name", K_PAIRS)
+def test_table_operators_are_their_chains_descended(name, field):
+    """Every operator of C(H|k) is a table, of rows exactly when mu or the
+    unit has two entries in a column (the unit of a function algebra
+    fills one), and its matrix is its chain descended between the full
+    spaces.  The identity report on the tables is the one on the matrices."""
+    s = builtin_setup(name, field)
+    h, n_max = s.hopf, 3
+    cm = relative_cyclic(h, s.subalgebra, n_max)
+    chains = _relative_chains(h, n_max, field)
+    assert len(chains) == len(cm.d) + len(cm.s) + len(cm.t)
+    by_rows = any(IndexTable.of(m) is None for m in (h.mu, h.eta))
+    for (family, key), chain in chains.items():
+        op = getattr(cm, family)[key]
+        assert isinstance(op, IndexTable) and op.by_rows == by_rows, (family, key)
+        full_in, full_out = (SubquotientSpace.full(k, field) for k in (chain.cols, chain.rows))
+        assert op.matrix(field) == induced_map(chain, full_in, full_out), (family, key)
+    assert index_tables(cm)[0] == (cm.d, cm.s, cm.t)
+    assert _outcome(check_identities(cm)) == _matrix_outcome(cm)
+
+
+@pytest.mark.parametrize("name", K_PAIRS)
+def test_a_table_face_with_one_index_moved_fails_both_checks(name):
+    """A face table with one entry moved to the next row (column, for a
+    table of rows) stays a table and fails the identity check on tables,
+    and b^2 != 0 stops the homology at the d^2 check."""
+    s = builtin_setup(name)
+    cm = relative_cyclic(s.hopf, s.subalgebra, 3)
+    face = cm.d[(2, 0)]
+    idx = list(face.idx)
+    k = next(k for k, i in enumerate(idx) if i >= 0)
+    idx[k] = (idx[k] + 1) % (face.cols if face.by_rows else face.rows)
+    moved = IndexTable(face.rows, face.cols, face.p, idx, face.val, face.by_rows)
+    mutant = replace(cm, d={**cm.d, (2, 0): moved})
+    assert index_tables(mutant)[0][0][(2, 0)] is moved
+    assert not check_identities(mutant).ok
+    # b_2 holds the moved face, and b_1 b_2 or b_2 b_3 is checked on it
+    with pytest.raises(NotWellDefined, match=r"d\^2 != 0 at degree [23]"):
+        hochschild_homology(mutant)
+
+
+def _kc2_in_basis_1_and_1_plus_2g():
+    """kC2 on the basis e0 = 1, e1 = 1 + 2g, where e1 e1 = 3 e0 + 2 e1 and
+    D(e1) = (3 e0e0 - e0e1 - e1e0 + e1e1) / 2: neither mu nor Delta has
+    at most one entry in each column, or in each row."""
+    return {
+        "name": "kC2-mixed-basis",
+        "field": {"type": "Q"},
+        "dim": 2,
+        "basis": ["1", "1+2g"],
+        "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "3"], [1, 1, 1, "2"]],
+        "unit": ["1", "0"],
+        "comult": [[0, 0, 0, "1"], [1, 0, 0, "3/2"], [1, 0, 1, "-1/2"], [1, 1, 0, "-1/2"],
+                   [1, 1, 1, "1/2"]],
+        "counit": ["1", "3"],
+        "antipode": [[0, 0, "1"], [1, 1, "1"]],
+    }
+
+
+def test_a_loaded_product_monomial_in_neither_orientation_takes_the_matrix_path():
+    h = load_hopf_json(_kc2_in_basis_1_and_1_plus_2g())
+    assert h.validate().ok
+    assert IndexTable.of(h.mu) is None and IndexTable.of(h.mu, by_rows=True) is None
+    cm = relative_cyclic(h, trivial_subalgebra(h), 4)
+    assert all(isinstance(m, SparseMatrix) for op in (cm.d, cm.s, cm.t) for m in op.values())
+    assert check_identities(cm).ok
+    ref = builtin_setup("kC2/k")
+    assert hochschild_homology(cm) == hochschild_homology(relative_cyclic(ref.hopf,
+                                                                          ref.subalgebra, 4))

@@ -877,8 +877,8 @@ def test_index_tables_compose_as_the_matrix_products(field, by_rows):
     def table(m):
         return IndexTable.of(m, by_rows)
 
-    def compose(outer, inner):  # row tables compose in the reverse order
-        return inner @ outer if by_rows else outer @ inner
+    def compose(outer, inner):  # a table of either orientation composes as its matrix
+        return outer @ inner
 
     for _ in range(60):
         n, k, m, q = (rng.randint(1, 5) for _ in range(4))
@@ -888,9 +888,11 @@ def test_index_tables_compose_as_the_matrix_products(field, by_rows):
         # the composite's empty columns are read again by a further product
         assert compose(compose(table(a), table(b)), table(c)) == table(a @ b @ c)
         assert compose(table(a), compose(table(b), table(c))) == table(a @ b @ c)
-        assert compose(table(a), IndexTable.identity(k, field.p)) == table(a)
+        assert compose(table(a), IndexTable.identity(k, field.p, by_rows)) == table(a)
+        assert compose(IndexTable.identity(n, field.p, by_rows), table(a)) == table(a)
         assert (table(a) == table(a.scale(field.from_int(2)))) == a.is_zero_matrix()
-    assert IndexTable.identity(4, field.p) == table(SparseMatrix.identity(4, field))
+        assert table(a).matrix(field) == a and table(a @ b).matrix(field) == a @ b
+    assert IndexTable.identity(4, field.p, by_rows) == table(SparseMatrix.identity(4, field))
 
 
 @identity_fields
@@ -905,7 +907,7 @@ def test_all_ones_index_tables_compose_indices_only(field, by_rows):
         return IndexTable.of(m, by_rows)
 
     def compose(outer, inner):
-        return inner @ outer if by_rows else outer @ inner
+        return outer @ inner
 
     def ones(m):
         return SparseMatrix(m.rows, m.cols, field, {k: field.one for k in m.data})
@@ -945,7 +947,14 @@ def test_index_tables_hold_the_shape(field):
         IndexTable.of(a) @ IndexTable.of(b)
     a_rows, b_rows = _monomial(field, 3, 4, 1, True), _monomial(field, 5, 2, 2, True)
     with pytest.raises(ShapeMismatch):
+        IndexTable.of(a_rows, True) @ IndexTable.of(b_rows, True)
+    with pytest.raises(ShapeMismatch):
         IndexTable.of(b_rows, True) @ IndexTable.of(a_rows, True)
+    # a table of rows and one of columns do not compose, nor compare equal
+    square = _monomial(field, 4, 4, 3)
+    with pytest.raises(ShapeMismatch):
+        IndexTable.of(square) @ IndexTable.identity(4, field.p, True)
+    assert IndexTable.identity(4, field.p) != IndexTable.identity(4, field.p, True)
     with pytest.raises(ShapeMismatch):
         IndexTable.of(a) @ IndexTable.identity(3, field.p)
 
@@ -958,3 +967,37 @@ def test_index_tables_only_of_monomial_matrices(field):
     assert IndexTable.of(two_in_a_column, by_rows=True) is not None
     assert IndexTable.of(two_in_a_column.t(), by_rows=True) is None
     assert IndexTable.of(_scrambled(field, 4, 4, 8)) is None
+
+
+@identity_fields
+@pytest.mark.parametrize("by_rows", [False, True], ids=["columns", "rows"])
+def test_chain_table_is_the_table_of_its_matrix(field, by_rows):
+    """A chain of permutations and leg maps with at most one entry in each
+    column (row), some empty, some with values and some all ones, inserted
+    legs and consumed ones among them, assembles the table of its matrix;
+    a leg map with two entries in a column (row) gives none."""
+    rng = random.Random(11)
+    for _ in range(80):
+        dims = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        chain = LegChain(dims, field)
+        for _ in range(rng.randint(0, 4)):
+            cur = chain.dims
+            if cur and rng.random() < 0.4:
+                perm = list(range(len(cur)))
+                rng.shuffle(perm)
+                chain = chain.perm(perm)
+                continue
+            pos = rng.randint(0, len(cur))
+            arity = rng.randint(0, min(2, len(cur) - pos))
+            out_dims = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+            op = _monomial(field, tensor_dim(out_dims), tensor_dim(cur[pos:pos + arity]),
+                           rng.randrange(10**6), by_rows)
+            if rng.random() < 0.3:
+                op = SparseMatrix(op.rows, op.cols, field, {k: field.one for k in op.data})
+            chain = chain.leg(op, pos, arity, out_dims)
+        assert chain.table(by_rows) == IndexTable.of(chain.matrix(), by_rows)
+        assert chain.table(by_rows).matrix(field) == chain.matrix()
+    two = SparseMatrix(2, 1, field, {(0, 0): field.one, (1, 0): field.one})
+    split, merge = LegChain([1], field).leg(two, 0), LegChain([2], field).leg(two.t(), 0)
+    assert split.table() is None and split.table(True) == IndexTable.of(two, True)
+    assert merge.table(True) is None and merge.table() == IndexTable.of(two.t())

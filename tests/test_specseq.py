@@ -2,7 +2,7 @@ import pytest
 
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
 from hopfcyclic.linalg import NotWellDefined, QQ, PrimeField, SparseMatrix, homology_dims, kernel
-from hopfcyclic.presets import builtin_hopf, builtin_setup
+from hopfcyclic.presets import PAIR_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
 from hopfcyclic import specseq
 from hopfcyclic.cli import run
@@ -240,3 +240,16 @@ def test_shared_double_complex_checks_what_two_fresh_ones_check():
         assert got.tables == want.tables
         assert [(c.name, c.witness) for c in got.checks] == \
             [(c.name, c.witness) for c in want.checks]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)],
+                         ids=str)
+@pytest.mark.parametrize("name", [n for n in PAIR_NAMES if n.endswith("/k")])
+def test_hochschild_homology_is_tor_of_the_adjoint_module(name, field):
+    """HH_n(H) = Tor_n^H(k, ad H) on every built-in H over k, to degree 3
+    (2 when dim H > 4): the bar complex of the adjoint module checks the
+    relative cyclic module and its boundaries, with no number written in."""
+    s = builtin_setup(name, field)
+    upto = 3 if s.hopf.dim <= 4 else 2
+    hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, upto + 1), upto)
+    assert hh == tor_dims(ad_module(s.hopf), upto)
