@@ -138,7 +138,7 @@ def _clamp_degree(n):
 
 # a degree-n command builds spaces of up to dim(H)^(n+2) coordinates (the
 # cyclic module to degree n + 1, the bar complex to degree n + 1 on ad H);
-# kS3 at degree 5 has 6^7 = 279,936 and takes about 1 GB
+# kS3 at degree 5 has 6^7 = 279,936 and peaks near 0.6 GB in HH, HC and Tor
 COORDINATE_BUDGET = 500_000
 
 

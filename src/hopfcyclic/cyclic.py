@@ -24,15 +24,16 @@ identities, written against a ``compose`` of two operators.
 when every operator of a module is a table, or has at most one entry in
 each column, or every one in each row, and on exact matrix products
 otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
-table on unsigned index tables.  ``boundary`` writes b_n from the face
-tables straight into the row map that elimination and the d^2 check
-read; the HC path, ``cyclic_dual`` and ``iso.check_cyclic_map`` take the
-matrix of each table they read, and only of those.
+table on unsigned index tables.  One writer puts b_n (the faces) and B_n
+(the composites t^a s_n t^k, tables on a module of tables) at their block
+offsets straight into the row map that elimination and the d^2 check
+read; ``cyclic_dual`` and ``iso.check_cyclic_map`` take the matrix of
+each table they read, and only of those.
 
 Truncation semantics: Hochschild and cyclic homology are both trusted up
-to n_max - 1.  HH_n reads b up to degree n + 1; HC_n reads the normalized
-(b, B) total complex, Tot_n = C_n + C_{n-2} + ..., so b up to degree
-n + 1 and B only into degree n.
+to n_max - 1.  HH_n reads b up to degree n + 1; HC_n reads the
+unnormalized (b, B) total complex, Tot_n = C_n + C_{n-2} + ..., so b up
+to degree n + 1 and B only into degree n.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .linalg import (
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
-    block_matrix,
     equalizer,
     homology_dims,
     induced_map,
@@ -599,51 +599,74 @@ def cyclic_dual(ccm):
 # homology
 
 
-def boundary(cm, n):
-    """Hochschild boundary b = sum (-1)^i d_i in degree n.
+def _written(f, rows, cols, terms):
+    """The rows x cols matrix that is the sum of ``terms``, (sign, operator,
+    row offset, column offset), with tables or matrices as operators: every
+    differential of a cyclic module is written here, straight into the row
+    map that elimination and the d^2 check read, and returned ``from_rows``."""
+    p = f.p
+    out = {}
+    for sign, op, ro, co in terms:
+        entries = op.entries()
+        if ro or co:
+            entries = ((i + ro, j + co, v) for i, j, v in entries)
+        for i, j, v in entries:
+            if sign < 0:
+                v = -v if p is None else p - v
+            row = out.get(i)
+            if row is None:
+                out[i] = {j: v}
+            elif j not in row:
+                row[j] = v
+            elif v := row[j] + v if p is None else (row[j] + v) % p:
+                row[j] = v
+            else:
+                del row[j]
+    return SparseMatrix.from_rows(rows, cols, f, {i: row for i, row in out.items() if row})
 
-    Written face by face straight into the row map that elimination and
-    the d^2 check read, and returned ``from_rows``: no (row, col)-keyed
-    copy is made unless something asks for ``data``.
-    """
+
+def _connes_composites(cm, n):
+    """B_n = (1 - lambda) t s_n N, where lambda = (-1)^n t and N = 1 + lambda
+    + ... + lambda^n, as its 2(n + 1) signed composites (-1)^{nk}
+    t_{n+1} s_n t_n^k and (-1)^{n(k+1)} t_{n+1}^2 s_n t_n^k, 0 <= k <= n,
+    composed as tables when all three operators are tables."""
+    ops = (cm.t[n], cm.t[n + 1], cm.s[(n, n)])
+    if not all(isinstance(m, IndexTable) for m in ops):
+        ops = [operator_matrix(m, cm.spaces[0].field) for m in ops]
+    t, t1, u = ops
+    for k in range(n + 1):
+        if k:
+            u = u @ t
+        once = t1 @ u
+        yield (-1) ** (n * k), once
+        yield (-1) ** (n * (k + 1)), t1 @ once
+
+
+def boundary(cm, n, columns=None):
+    """The boundary Tot_n -> Tot_{n-1} of the (b, B) mixed complex.  Tot_n
+    is the sum of the C_q over ``columns``, n, n - 2, ..., and Tot_{n-1} of
+    the C_{q-1}; b_q = sum (-1)^i d_i goes into C_{q-1}, and B_q into
+    C_{q+1} when Tot_{n-1} holds it.  By default C_n alone, so b_n."""
     if n < 1 or n > cm.n_max:
         raise TruncationError(f"boundary degree {n} outside 1..{cm.n_max}")
-    f = cm.spaces[n].field
-    p = f.p
-    rows = {}
-    for i in range(n + 1):
-        face = cm.d[(n, i)]
-        entries = face.entries() if isinstance(face, IndexTable) else \
-            ((r, c, v) for (r, c), v in face.data.items())
-        for r, c, v in entries:
-            if i % 2:
-                v = -v if p is None else p - v
-            row = rows.get(r)
-            if row is None:
-                rows[r] = {c: v}
-                continue
-            old = row.get(c)
-            if old is None:
-                row[c] = v
-                continue
-            v = old + v if p is None else (old + v) % p
-            if v:
-                row[c] = v
-            else:
-                del row[c]
-    return SparseMatrix.from_rows(cm.spaces[n - 1].dim, cm.spaces[n].dim, f,
-                                  {r: row for r, row in rows.items() if row})
+    dims, terms = cm.dims(), []
+    ro = co = 0  # where C_{q-1} and C_q start
+    for q in columns or [n]:
+        if q:
+            terms += [((-1) ** i, cm.d[(q, i)], ro, co) for i in range(q + 1)]
+        if q + 2 <= n:
+            terms += [(sign, op, ro - dims[q + 1], co) for sign, op in _connes_composites(cm, q)]
+        ro, co = ro + (dims[q - 1] if q else 0), co + dims[q]
+    return _written(cm.spaces[0].field, ro, co, terms)
 
 
 def hochschild_homology(cm, upto=None):
     """dim HH_n for n <= upto (default n_max - 1); ``homology_dims`` asserts
     b . b = 0."""
-    if upto is None:
-        upto = cm.n_max - 1
+    upto = cm.n_max - 1 if upto is None else upto
     if upto > cm.n_max - 1:
         raise TruncationError(f"HH trusted only up to degree {cm.n_max - 1}")
-    bs = {n: boundary(cm, n) for n in range(1, upto + 2)}
-    return homology_dims(cm.dims(), bs, upto)
+    return homology_dims(cm.dims(), {n: boundary(cm, n) for n in range(1, upto + 2)}, upto)
 
 
 def connes_boundary(cm, n):
@@ -651,29 +674,14 @@ def connes_boundary(cm, n):
     extra degeneracy t s_n; raises if the truncation cannot hold degree n+1."""
     if n + 1 > cm.n_max:
         raise TruncationError("Connes boundary leaves the truncation")
-    f = cm.spaces[n].field
-    dim_n = cm.spaces[n].dim
-    t, t1 = operator_matrix(cm.t[n], f), operator_matrix(cm.t[n + 1], f)
-    lam = t.scale(f.one if n % 2 == 0 else f.neg(f.one))
-    norm = SparseMatrix.identity(dim_n, f)
-    power = SparseMatrix.identity(dim_n, f)
-    for _ in range(n):
-        power = lam @ power
-        norm = norm + power
-    s_extra = t1 @ operator_matrix(cm.s[(n, n)], f)
-    lam1 = t1.scale(f.one if (n + 1) % 2 == 0 else f.neg(f.one))
-    one_minus = SparseMatrix.identity(cm.spaces[n + 1].dim, f) - lam1
-    return one_minus @ s_extra @ norm
+    return _written(cm.spaces[0].field, cm.spaces[n + 1].dim, cm.spaces[n].dim,
+                    [(sign, op, 0, 0) for sign, op in _connes_composites(cm, n)])
 
 
 def normalized_complex(cm):
-    """Quotient by the degenerate subcomplex; returns (spaces, b ops, B ops).
-
-    b and B are descended through the quotient in the degrees that
-    Tot_1 .. Tot_{n_max} read: b from degrees 1..n_max and B from degrees
-    0..n_max - 2.  ``homology_dims`` checks d^2 = 0 on the total maps, and
-    with it b^2 = B^2 = bB + Bb = 0 on every block the result reads.
-    """
+    """The tests' reference for ``cyclic_homology``: the quotient by the
+    degenerate subcomplex, with b from degrees 1..n_max and B from degrees
+    0..n_max - 2 descended into it; returns (spaces, b ops, B ops)."""
     f = cm.spaces[0].field
     nspaces = [SubquotientSpace.full(cm.spaces[0].dim, f)]
     for n in range(1, cm.n_max + 1):
@@ -687,28 +695,12 @@ def normalized_complex(cm):
 
 
 def cyclic_homology(cm, upto=None):
-    """dim HC_n for n <= upto (default n_max - 1), from the total complex
-    of the normalized (b, B) mixed bicomplex."""
-    if upto is None:
-        upto = cm.n_max - 1
+    """dim HC_n for n <= upto (default n_max - 1) from the (b, B) mixed
+    complex of C itself, degenerate chains included (Loday, *Cyclic
+    Homology*, 2.1.7): d^2 = 0, which ``homology_dims`` checks on each
+    total map, is b^2 = B^2 = bB + Bb = 0 on every block that HC reads."""
+    upto = cm.n_max - 1 if upto is None else upto
     if upto > cm.n_max - 1:
         raise TruncationError(f"HC trusted only up to degree {cm.n_max - 1}")
-    f = cm.spaces[0].field
-    nspaces, nb, nB = normalized_complex(cm)
-
-    def blocks(n):
-        """{q: dim} over the columns q = n, n - 2, ... of Tot_n."""
-        return {q: nspaces[q].dim for q in range(n, -1, -2)}
-
-    def total_map(n):
-        src, tgt = blocks(n), blocks(n - 1)
-        parts = {}
-        for q in src:
-            if q - 1 in tgt:
-                parts[(q - 1, q)] = nb[q]
-            if q + 1 in tgt:
-                parts[(q + 1, q)] = nB[q]
-        return block_matrix(tgt, src, parts, f)
-
-    tot = {n: total_map(n) for n in range(1, upto + 2)}
-    return homology_dims([sum(blocks(n).values()) for n in range(upto + 1)], tot, upto)
+    tot = {n: boundary(cm, n, range(n, -1, -2)) for n in range(1, upto + 2)}
+    return homology_dims([sum(cm.dims()[n::-2]) for n in range(upto + 1)], tot, upto)

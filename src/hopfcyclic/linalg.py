@@ -269,6 +269,10 @@ class SparseMatrix:
     def get(self, i, j):
         return self.data.get((i, j), self.field.zero)
 
+    def entries(self):
+        """(row, col, value) for every entry, as ``IndexTable.entries``."""
+        return ((i, j, v) for (i, j), v in self.data.items())
+
     @property
     def nnz(self):
         if self._data is None:

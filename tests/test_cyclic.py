@@ -21,10 +21,12 @@ from hopfcyclic.cyclic import (
     identity_report,
     index_tables,
     matrix_operators,
+    normalized_complex,
     operator_matrix,
     relative_cyclic,
     relative_cocyclic_coext,
 )
+from hopfcyclic.cli import run
 from hopfcyclic.hopf import (
     commutator_quotient,
     quotient_module_coalgebra,
@@ -474,21 +476,21 @@ def test_cyclic_homology_needs_only_degree_n_plus_1(name, field):
         assert cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, n + 1), n) == wide[:n + 1]
 
 
-def _unnormalized_cyclic_homology(cm, upto):
-    """HC_n for n <= upto from the mixed complex (C, b, B) on the cyclic module
-    itself, degenerate chains included (Loday, *Cyclic Homology*, 2.1.7):
-    Tot_n = C_n + C_(n-2) + ..., with b and B = (1 - t) s N as built."""
+def _normalized_cyclic_homology(cm, upto):
+    """HC_n for n <= upto from the normalized mixed complex: the quotient of
+    the cyclic module by its degeneracies, with b and B descended into it
+    (``normalized_complex``), and Tot_n = C_n + C_(n-2) + ... of the
+    quotients (Loday, *Cyclic Homology*, 2.1)."""
     f = cm.spaces[0].field
-    b = {n: boundary(cm, n) for n in range(1, upto + 2)}
-    big_b = {n: connes_boundary(cm, n) for n in range(upto)}
+    nspaces, nb, nB = normalized_complex(cm)
 
     def blocks(n):
-        return {q: cm.spaces[q].dim for q in range(n, -1, -2)}
+        return {q: nspaces[q].dim for q in range(n, -1, -2)}
 
     def total_map(n):
         src, tgt = blocks(n), blocks(n - 1)
-        parts = {(q - 1, q): b[q] for q in src if q - 1 in tgt}
-        parts.update({(q + 1, q): big_b[q] for q in src if q + 1 in tgt})
+        parts = {(q - 1, q): nb[q] for q in src if q - 1 in tgt}
+        parts.update({(q + 1, q): nB[q] for q in src if q + 1 in tgt})
         return block_matrix(tgt, src, parts, f)
 
     dims = [sum(blocks(n).values()) for n in range(upto + 1)]
@@ -499,18 +501,63 @@ def _unnormalized_cyclic_homology(cm, upto):
                          ids=str)
 @pytest.mark.parametrize("name", SETUP_NAMES)
 def test_cyclic_homology_matches_the_unnormalized_mixed_complex(name, field):
-    # the normalized complex is quasi-isomorphic to the unnormalized one, so
-    # quotienting by degeneracies and descending b and B changes no dimension
+    # cyclic_homology reads the unnormalized mixed complex, degenerate chains
+    # included; the normalized one is quasi-isomorphic to it, so quotienting
+    # by degeneracies and descending b and B changes no dimension
     s = builtin_setup(name, field)
     cm = relative_cyclic(s.hopf, s.subalgebra, 4)
-    assert cyclic_homology(cm, 3) == _unnormalized_cyclic_homology(cm, 3)
+    assert cyclic_homology(cm, 3) == _normalized_cyclic_homology(cm, 3)
 
 
 @pytest.mark.parametrize("name, p, want", [("kS3/k", 3, [3, 0, 3, 1]),
                                            ("H4/k", 2, [4, 5, 10, 12])])
 def test_unnormalized_cyclic_homology_in_positive_characteristic(name, p, want):
     s = builtin_setup(name, PrimeField(p))
-    assert _unnormalized_cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, 4), 3) == want
+    assert cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, 4), 3) == want
+
+
+def _connes_reference(cm, n):
+    """B = (1 - lambda_(n+1)) t_(n+1) s_n N as a product of matrices, where
+    lambda_m = (-1)^m t_m and N = 1 + lambda_n + ... + lambda_n^n."""
+    f = cm.spaces[0].field
+
+    def lam(m):
+        return operator_matrix(cm.t[m], f).scale(f.one if m % 2 == 0 else f.neg(f.one))
+
+    norm = power = SparseMatrix.identity(cm.spaces[n].dim, f)
+    for _ in range(n):
+        power = lam(n) @ power
+        norm = norm + power
+    extra = operator_matrix(cm.t[n + 1], f) @ operator_matrix(cm.s[(n, n)], f)
+    one_minus = SparseMatrix.identity(cm.spaces[n + 1].dim, f) - lam(n + 1)
+    return one_minus @ extra @ norm
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=str)
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_connes_boundary_is_the_matrix_formula(name, field):
+    """B, written from its signed composites, equals the product of matrices
+    in every degree of every pair: on table modules and on descended ones."""
+    s = builtin_setup(name, field)
+    cm = relative_cyclic(s.hopf, s.subalgebra, 3)
+    for n in range(3):
+        assert connes_boundary(cm, n) == _connes_reference(cm, n), n
+
+
+@pytest.mark.parametrize("name, want", [("kS3/k", [3, 0, 3, 0]), ("OS3/k", [6, 0, 6, 0])])
+def test_cyclic_homology_of_a_table_module_takes_no_matrix(name, want, monkeypatch):
+    """HC of a module of tables composes and writes the tables themselves,
+    in the library and through the CLI, which also checks the identities."""
+    s = builtin_setup(name)
+    cm = relative_cyclic(s.hopf, s.subalgebra, 4)
+
+    def refuse(table, field):
+        raise AssertionError("a table was turned into a matrix")
+
+    monkeypatch.setattr(IndexTable, "matrix", refuse)
+    assert cyclic_homology(cm) == want
+    code, text = run(["homology", name.split("/")[0], "--theory", "hc", "--max-degree", "3"])
+    assert code == 0, text
 
 
 def _relative_hh(name, field, upto):
@@ -537,8 +584,8 @@ def test_relative_hochschild_is_absolute_when_p_does_not_divide_the_subgroup(nam
 
 
 def test_cyclic_homology_rejects_faces_with_nonzero_b_squared():
-    # full spaces, zero degeneracies and faces with b_1 = b_2 = 1: the
-    # normalized complex is the whole module, and b_1 b_2 != 0
+    # full spaces, zero degeneracies and faces with b_1 = b_2 = 1: B = 0,
+    # so the total maps compose to b_1 b_2 != 0
     f = QQ
     spaces = [SubquotientSpace.full(1, f) for _ in range(3)]
     d = {(n, i): SparseMatrix.zeros(1, 1, f) for n in (1, 2) for i in range(n + 1)}
@@ -748,6 +795,24 @@ def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
             identity_report(padded, ops)
     with pytest.raises(ShapeMismatch):
         check_identities(padded)
+
+
+@pytest.mark.parametrize("name", ["kC2/k", "OS3/k"])
+def test_cyclic_homology_of_tables_mixed_with_matrices(name):
+    """An operator given as its own matrix among tables changes no HC; each
+    mutant of the identity check gets its HC or fails the d^2 check."""
+    s = builtin_setup(name)
+    cm = relative_cyclic(s.hopf, s.subalgebra, 3)
+    want = cyclic_homology(cm)
+    for kind, key in ((0, (2, 1)), (1, (1, 1)), (2, 1), (2, 2)):
+        op = getattr(cm, _operator_fields(cm)[kind])[key]
+        assert cyclic_homology(_with_operator(cm, kind, key, operator_matrix(op, QQ))) == want
+    for mutant, make in MUTANTS.items():
+        try:
+            dims = cyclic_homology(make(cm))
+        except NotWellDefined:
+            continue
+        assert len(dims) == 3, mutant
 
 
 # ---------------------------------------------------------------------------

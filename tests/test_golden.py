@@ -1,11 +1,11 @@
 """Byte-for-byte comparison of CLI reports against committed golden files.
 
 The golden reports under ``tests/golden/`` pin the exact ``--format json``
-output of the README commands, the criterion-10 determinism battery and
-the transform and spectral checks on O(S3)/O(C2) and kS3, over Q and
-F_(2^31-1), and two spectral reports over a small prime field, where the
-five-term sequence has nonzero terms.  A refactor of an operator builder must leave every byte
-unchanged.
+output of the README commands, the criterion-10 determinism battery, the
+transform and spectral checks on O(S3)/O(C2) and kS3 and cyclic homology
+of O(S3) and of kS3/kC2, over Q and F_(2^31-1), and two spectral reports
+over a small prime field, where the five-term sequence has nonzero terms.
+A refactor of an operator builder must leave every byte unchanged.
 
 Regenerate (only when a report is meant to change) with
 
@@ -60,6 +60,10 @@ COMMANDS = [
     ("tr_isocheck_kS3_kC3_js_n3",
      ["isocheck", "kS3/kC3", "--theorem", "jara-stefan", "--max-degree", "3"]),
     ("tr_spectral_OS3_OC2", ["spectral", "OS3/OC2"]),
+    # cyclic homology on a module of row tables and on a descended module
+    ("hc_homology_OS3_n4", ["homology", "OS3", "--theory", "hc", "--max-degree", "4"]),
+    ("hc_homology_kS3_kC2_n3",
+     ["homology", "kS3/kC2", "--theory", "hc", "--max-degree", "3"]),
 ]
 # each over its own fields: over F_2, H4/B is the one built-in pair whose d2
 # has a nonzero domain and codomain (E2[2,0] = E2[0,1] = 4); over F_3,
