@@ -467,6 +467,10 @@ def run(argv):
     except (HopfError, LinAlgError) as exc:
         report = Report(args.command)
         report.add_check("construction", False, str(exc))
+    except MemoryError:
+        # a size problem, not a failed check: bad input, like COORDINATE_BUDGET
+        report = Report(args.command, error="out of memory: the spaces of this run do not fit "
+                                            "in this machine's memory; lower --max-degree")
     elapsed = time.monotonic() - start
     timing = round(elapsed, 3) if args.timing else None
     text = report.to_json(timing) if args.format == "json" else report.to_table(timing)

@@ -5,17 +5,20 @@ presentations plus face, degeneracy and cyclic operators on reduced
 coordinates.  Four constructions are their spaces plus their faces,
 degeneracies and rotation written as ``LegChain`` composites of structure
 maps (mu, Delta, eps, the action of C, the coaction of B or M);
-``build_cyclic`` and ``build_cocyclic`` descend them through
-``induced_map``, which applies a chain only to the sections and relation
-columns of the spaces, never assembling it over the ambient, and compose
-the wrap-around operators d_n = d_0 t and delta_{n+1} = tau delta_0.  The
-descent/restriction check is the machine substitute for the by-hand
-well-definedness proofs.  When every space is full, as for C(H|k), there
-is nothing to descend: each operator is then its chain's ``IndexTable``,
-assembled whole, whenever every chain is monomial in one orientation
-(the rule is stated on ``CyclicModule``).  The other two, the
-coextension and Hopf-cyclic coalgebra cyclic objects, are the Connes
-duals (``cyclic_dual``) of their cocyclic objects.
+``build_cyclic`` and ``build_cocyclic`` descend them and compose the
+wrap-around operators d_n = d_0 t and delta_{n+1} = tau delta_0.  There
+are two descent routes, and the descent/restriction check of each is the
+machine substitute for the by-hand well-definedness proofs.  When every
+chain and every space's projection and section are monomial in one
+orientation, as on the orbit quotients and orbit-sum subspaces of a
+group algebra or a function algebra, each operator is composed from
+index tables by ``induced_table``: P_cod @ chain table @ S_dom, with its
+checks read off the tables, and between full spaces, as for C(H|k), the
+chain's table itself (the rule is stated on ``CyclicModule``).
+Otherwise ``induced_map`` applies each chain only to the sections and
+relation columns of the spaces, never assembling it over the ambient.
+The other two, the coextension and Hopf-cyclic coalgebra cyclic objects,
+are the Connes duals (``cyclic_dual``) of their cocyclic objects.
 
 ``cyclic_identities`` and ``cocyclic_identities`` are the one table of
 simplicial and cyclic identities and the one of cosimplicial and cocyclic
@@ -48,7 +51,7 @@ from .hopf import (
     ValidationReport,
     coactions,
     commutator_quotient,
-    tensor_power_over_b,
+    tensor_powers_over_b,
 )
 from .linalg import (
     IndexTable,
@@ -59,6 +62,7 @@ from .linalg import (
     equalizer,
     homology_dims,
     induced_map,
+    induced_table,
     inverse,
     kernel,
     quotient_by_columns,
@@ -73,13 +77,15 @@ class TruncationError(HopfError):
 class CyclicModule:
     """Degrees 0..n_max with faces d[n][i], degeneracies s[n][j], cyclic t[n].
 
-    A built operator is an ``IndexTable`` exactly when every space of its
-    module is full and every chain of the builder is monomial in one
-    orientation, columns or else rows (a group algebra over k by columns,
-    a function algebra over k by rows, since its unit fills one column);
-    then all of them are tables of that orientation.  Otherwise, and in a
-    ``cyclic_dual``, every operator is a ``SparseMatrix``.  The same holds
-    for ``CocyclicModule``.
+    A built operator is an ``IndexTable`` exactly when, in one orientation,
+    columns or else rows, every chain of the builder is monomial and every
+    space has tables (``SubquotientSpace.tables``: a monomial projection
+    and section, and relations only on a pure quotient).  A group algebra
+    goes by columns, a function algebra by rows, since its unit fills one
+    column; then all of them are tables of that orientation.  Otherwise,
+    as for the comodule-algebra object of H4/B, whose sections are not
+    monomial, and in a ``cyclic_dual``, every operator is a
+    ``SparseMatrix``.  The same holds for ``CocyclicModule``.
     """
 
     n_max: int
@@ -322,16 +328,17 @@ def build_cocyclic(n_max, spaces, coface, codegeneracy, rotation, name=""):
 def _descended(spaces, families):
     """Each family {key: (chain, source degree, target degree)} as operators.
 
-    When every space is full, they are the chains' ``IndexTable``s in the
-    first orientation, columns or rows, in which every leg map of every
-    chain is monomial; otherwise the chains descended by ``induced_map``."""
-    if all(sp.projection.is_identity() and sp.section.is_identity() for sp in spaces):
-        legs = {id(step[0]): step[0] for fam in families for chain, _, _ in fam.values()
-                for step in chain.steps if len(step) > 1}
-        for by_rows in (False, True):
-            if all(IndexTable.of(op, by_rows) is not None for op in legs.values()):
-                return [{k: chain.table(by_rows) for k, (chain, _, _) in fam.items()}
-                        for fam in families]
+    They are ``IndexTable``s composed by ``induced_table`` in the first
+    orientation, columns or rows, in which every leg map of every chain
+    and every space has tables (between full spaces, the chains' own
+    tables); otherwise the chains descended by ``induced_map``."""
+    legs = {id(step[0]): step[0] for fam in families for chain, _, _ in fam.values()
+            for step in chain.steps if len(step) > 1}
+    for by_rows in (False, True):
+        if all(sp.tables(by_rows) is not None for sp in spaces) and \
+                all(IndexTable.of(op, by_rows) is not None for op in legs.values()):
+            return [{k: induced_table(chain, spaces[a], spaces[b], by_rows)
+                     for k, (chain, a, b) in fam.items()} for fam in families]
     return [{k: induced_map(chain, spaces[a], spaces[b]) for k, (chain, a, b) in fam.items()}
             for fam in families]
 
@@ -344,8 +351,8 @@ def relative_cyclic(h, b, n_max):
     """C_n(H|B) = [H^{(x)_B n+1}]_B with multiplication faces, unit
     degeneracies, and rotation."""
     d, f = h.dim, h.field
-    spaces = [commutator_quotient(h, b, tensor_power_over_b(h, b, n + 1), n + 1)
-              for n in range(n_max + 1)]
+    spaces = [commutator_quotient(h, b, power, n + 1)
+              for n, power in enumerate(tensor_powers_over_b(h, b, n_max + 1))]
 
     def legs(n):
         return LegChain([d] * (n + 1), f)

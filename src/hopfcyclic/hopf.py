@@ -27,7 +27,10 @@ right: the columns of a space in ``induced_map``, or ``delta``,
 whole is assembled: by ``matrix()`` where a chain is itself a structure
 map (``_link``, ``_carry``), and by ``apply_on_leg`` where id (x) op (x) id
 is a term of a sum of faces, a side of an equalizer or the right factor
-of a product.  The chain helpers below are shared with ``iso``.
+of a product.  The B-multiplications that present H^{(x)_B n} and
+[H^{(x)_B n}]_B are descended by ``induced_table``, composed from index
+tables, when they and the spaces are monomial, as on a group algebra.
+The chain helpers below are shared with ``iso``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .linalg import (
     apply_on_leg,
     equalizer,
     induced_map,
+    induced_table,
     inverse,
     kernel,
     quotient_by_columns,
@@ -505,26 +509,31 @@ def _absorbed_legs(h, n):
 # tensor powers over B and the canonical map
 
 
-def tensor_power_over_b(h, b, legs):
-    """H^{(x)_B legs} as a chain of coequalizers; a quotient of H^{(x) legs}.
-
-    Returns the SubquotientSpace over the full tensor-power ambient.
-    """
+def tensor_powers_over_b(h, b, legs):
+    """[H^{(x)_B k} for k = 1..legs], built in one pass: each stage is a
+    coequalizer on the one before, a quotient of H^{(x) k} over the full
+    tensor-power ambient."""
     d, f = h.dim, h.field
     mults = _b_multiplications(h, b)
     if not mults:
-        return SubquotientSpace.full(d ** legs, f)
-    space = SubquotientSpace.full(d, f)
+        return [SubquotientSpace.full(d ** k, f) for k in range(1, legs + 1)]
+    stages = [SubquotientSpace.full(d, f)]
     for k in range(1, legs):
+        space = stages[-1]
         amb = space.tensor(SubquotientSpace.full(d, f))
         rels = []
         for right, left in mults:
-            rb = induced_map(LegChain([d] * k, f).leg(right, k - 1), space, space)
+            rb = _b_descended(LegChain([d] * k, f).leg(right, k - 1), space)
             ident_r = SparseMatrix.identity(space.dim, f)
             ident_d = SparseMatrix.identity(d, f)
             rels.append(rb.kron(ident_d) - ident_r.kron(left))
-        space = amb.then(quotient_by_columns(space.dim * d, SparseMatrix.hstack(rels)))
-    return space
+        stages.append(amb.then(quotient_by_columns(space.dim * d, SparseMatrix.hstack(rels))))
+    return stages
+
+
+def tensor_power_over_b(h, b, legs):
+    """H^{(x)_B legs}, the last stage of ``tensor_powers_over_b``."""
+    return tensor_powers_over_b(h, b, legs)[-1]
 
 
 def commutator_quotient(h, b, space, legs):
@@ -533,12 +542,22 @@ def commutator_quotient(h, b, space, legs):
     rels = []
     chain = LegChain([d] * legs, f)
     for right, left in _b_multiplications(h, b):
-        right_last = induced_map(chain.leg(right, legs - 1), space, space)
-        left_first = induced_map(chain.leg(left, 0), space, space)
-        rels.append(right_last - left_first)
+        rels.append(_b_descended(chain.leg(right, legs - 1), space)
+                    - _b_descended(chain.leg(left, 0), space))
     if not rels:
         return space
     return space.then(quotient_by_columns(space.dim, SparseMatrix.hstack(rels)))
+
+
+def _b_descended(chain, space):
+    """A B-multiplication ``chain`` descended to ``space`` as a matrix: by
+    ``induced_table`` in the first orientation that has tables, otherwise
+    by ``induced_map``."""
+    for by_rows in (False, True):
+        tb = induced_table(chain, space, space, by_rows)
+        if tb is not None:
+            return tb.matrix(space.field)
+    return induced_map(chain, space, space)
 
 
 def _b_multiplications(h, b):

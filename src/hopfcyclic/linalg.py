@@ -683,7 +683,7 @@ class SubquotientSpace:
     relations.
     """
 
-    __slots__ = ("ambient_dim", "dim", "projection", "section", "rel_cols")
+    __slots__ = ("ambient_dim", "dim", "projection", "section", "rel_cols", "_tables")
 
     def __init__(self, projection, section, rel_cols=None):
         if projection.cols != section.rows or projection.rows != section.cols:
@@ -695,6 +695,7 @@ class SubquotientSpace:
         if rel_cols is None:
             rel_cols = SparseMatrix.zeros(self.ambient_dim, 0, projection.field)
         self.rel_cols = rel_cols
+        self._tables = {}
         if not (projection @ section).is_identity():
             raise NotWellDefined("projection @ section is not the identity")
 
@@ -714,6 +715,21 @@ class SubquotientSpace:
     def __repr__(self):
         return (f"SubquotientSpace(dim={self.dim}, ambient={self.ambient_dim}, "
                 f"rel={self.rel_cols.cols})")
+
+    def tables(self, by_rows=False):
+        """(projection, section) as ``IndexTable``s of one orientation, for
+        ``induced_table``, with an identity left as None: composing with it
+        changes nothing, so a full space costs no pass.  None instead of the
+        pair when either has two entries in one column (row), or when the
+        space has relations and is not a pure quotient.  Cached."""
+        if by_rows not in self._tables:
+            ends, pair = (self.projection, self.section), None
+            if self.is_quotient or not self.rel_cols.cols:
+                pair = [None if m.is_identity() else IndexTable.of(m, by_rows) for m in ends]
+                if any(tb is None and not m.is_identity() for tb, m in zip(pair, ends)):
+                    pair = None
+            self._tables[by_rows] = pair
+        return self._tables[by_rows]
 
     def then(self, inner):
         """Compose with a subquotient of this space's reduced coordinates."""
@@ -785,6 +801,43 @@ def induced_map(f, dom, cod):
             where = "carrier" if cod.rel_cols.cols else "subspace"
             raise NotWellDefined(f"map does not restrict: image leaves the {where}")
     return reduced
+
+
+def induced_table(chain, dom, cod, by_rows=False):
+    """``induced_map(chain, dom, cod)`` composed from index tables, for a
+    monomial chain between spaces whose projection and section are
+    monomial: op = cod.projection @ chain.table(by_rows) @ dom.section, as
+    an ``IndexTable`` of that orientation.  An identity projection or
+    section is left out, so between full spaces this is the chain's table
+    itself.  None when a leg map of the chain, dom or cod has no table in
+    that orientation (``SubquotientSpace.tables``).
+
+    The checks are those of ``induced_map``, with its messages, as
+    comparisons of tables.  A dom with relations is a pure quotient here,
+    so span(dom.rel_cols) = ker(dom.projection), and a map kills it
+    exactly when it factors through dom.projection:
+
+    * descent: cod.projection @ table == op @ dom.projection;
+    * restriction, unless ``cod.is_quotient`` (then cod has no relations):
+      cod.section @ op == table @ dom.section, and the table kills
+      dom's relations, whose images must lie in cod's zero relation span:
+      table == table @ dom.section @ dom.projection.
+    """
+    if chain.cols != dom.ambient_dim or chain.rows != cod.ambient_dim:
+        raise ShapeMismatch("map shape does not match ambient spaces")
+    ends = dom.tables(by_rows), cod.tables(by_rows)
+    tb = None if None in ends else chain.table(by_rows)
+    if tb is None:
+        return None
+    (dom_proj, sect), (proj, cod_sect) = ends
+    image = tb if sect is None else tb @ sect
+    op = image if proj is None else proj @ image
+    rels = dom.rel_cols.cols
+    if rels and (tb if proj is None else proj @ tb) != op @ dom_proj:
+        raise NotWellDefined("map does not descend: relations not preserved")
+    if not cod.is_quotient and (cod_sect @ op != image or rels and tb != image @ dom_proj):
+        raise NotWellDefined("map does not restrict: image leaves the subspace")
+    return op
 
 
 # ---------------------------------------------------------------------------

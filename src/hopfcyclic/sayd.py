@@ -101,23 +101,27 @@ def _module_axioms(m):
 
 
 def check_ayd(m):
-    """Compare both sides of the anti-Yetter-Drinfeld compatibility as matrices."""
+    """Compare both sides of the anti-Yetter-Drinfeld compatibility as
+    matrices; each coproduct factor of h is multiplied into its leg as soon
+    as it is split off, so no column carries more than four legs."""
     h = m.hopf
     d, md, f = h.dim, m.dim, h.field
     lhs = m.coaction @ m.action
     if m.chirality == "left-right":
         # (h.m)_(0) (x) (h.m)_(1) = h_(2).m_(0) (x) h_(3) m_(1) S(h_(1)):
-        # (h1, h2, h3, m0, m1) -> (h2, m0, h3, m1, h1) -> (m', h3, m1, S h1) -> (m', h3 m1 S h1)
-        rhs = LegChain([d, md], f).leg(h.delta, 0, 1, [d, d]).leg(h.delta, 0, 1, [d, d]) \
-            .leg(m.coaction, 3, 1, [md, d]).perm([1, 3, 2, 4, 0]).leg(m.action, 0, 2) \
-            .leg(h.antipode, 3).leg(h.mu, 1, 2).leg(h.mu, 1, 2).matrix()
+        # (h, m) -> (h1, h', m0, m1) -> (h', m0, m1 S h1) -> (h2, m0, h3, x) -> (h2.m0, h3 x)
+        rhs = LegChain([d, md], f).leg(m.coaction, 1, 1, [md, d]).leg(h.delta, 0, 1, [d, d]) \
+            .leg(h.antipode, 0).perm([1, 2, 3, 0]).leg(h.mu, 2, 2) \
+            .leg(h.delta, 0, 1, [d, d]).perm([0, 2, 1, 3]).leg(m.action, 0, 2) \
+            .leg(h.mu, 1, 2).matrix()
         dims = [d, md]
     else:
         # (m.h)_(-1) (x) (m.h)_(0) = S(h_(3)) m_(-1) h_(1) (x) m_(0) h_(2):
-        # (m-1, m0, h1, h2, h3) -> (h3, m-1, h1, m0, h2) -> (S(h3) m-1 h1, m0 h2)
-        rhs = LegChain([md, d], f).leg(h.delta, 1, 1, [d, d]).leg(h.delta, 1, 1, [d, d]) \
-            .leg(m.coaction, 0, 1, [d, md]).perm([4, 0, 2, 1, 3]).leg(h.antipode, 0) \
-            .leg(h.mu, 0, 2).leg(h.mu, 0, 2).leg(m.action, 1, 2).matrix()
+        # (m, h) -> (m-1, m0, h', h3) -> (S(h3) m-1, m0, h') -> (y, h1, m0, h2) -> (y h1, m0 h2)
+        rhs = LegChain([md, d], f).leg(m.coaction, 0, 1, [d, md]).leg(h.delta, 2, 1, [d, d]) \
+            .leg(h.antipode, 3).perm([3, 0, 1, 2]).leg(h.mu, 0, 2) \
+            .leg(h.delta, 2, 1, [d, d]).perm([0, 2, 1, 3]).leg(h.mu, 0, 2) \
+            .leg(m.action, 1, 2).matrix()
         dims = [md, d]
     checks = [_compare("anti-Yetter-Drinfeld compatibility", lhs, rhs, dims)]
     return ValidationReport(checks)

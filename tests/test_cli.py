@@ -295,6 +295,21 @@ def test_linear_algebra_error_is_a_construction_failure(monkeypatch, error):
     assert "Traceback" not in text
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_running_out_of_memory_is_bad_input(monkeypatch, fmt):
+    # was a MemoryError traceback with exit 1, the code of a failed check
+    import hopfcyclic.cli as cli
+
+    def exhaust(args, field):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "homology", exhaust)
+    code, text = run(["--format", fmt, "homology", "kS3", "--max-degree", "5"])
+    assert code == 2, text
+    assert "out of memory" in text and "lower --max-degree" in text, text
+    assert "Traceback" not in text and "[FAIL]" not in text, text
+
+
 def test_galois_translation_map_failure_is_reported(monkeypatch):
     # a failing lift check used to escape as a construction failure and lose the report
     import hopfcyclic.cli as cli

@@ -5,6 +5,7 @@ import pytest
 
 from hopfcyclic.cyclic import (
     CyclicModule,
+    _operators,
     TruncationError,
     boundary,
     check_identities,
@@ -47,6 +48,7 @@ from hopfcyclic.linalg import (
     block_matrix,
     homology_dims,
     induced_map,
+    induced_table,
     kernel,
     permutation_matrix,
 )
@@ -310,7 +312,7 @@ def test_derived_operators_match_the_chains_they_replace(name, field):
     ccm = relative_cocyclic_coext(h, c, n_max, cm.spaces)
     wrap = _wrap_cofaces(ccm, lambda n: legs(n).leg(h.delta, 0, 1, [d, d])
                          .perm(list(range(1, n + 2)) + [0]))
-    assert _restricted(ccm.delta, wrap) == wrap
+    assert _as_matrices(_restricted(ccm.delta, wrap), f) == wrap
 
     # the Hopf-cyclic coalgebra: counit faces, coproduct degeneracies and
     # the coefficient-twisted rotation
@@ -324,7 +326,7 @@ def test_derived_operators_match_the_chains_they_replace(name, field):
                          .leg(h.antipode_inv, n + 2).leg(c.delta_c, 0, 1, [cd, cd])
                          .perm([1] + list(range(2, n + 2)) + [0, n + 3, n + 2])
                          .leg(c.action, n + 1, 2))
-    assert _restricted(hcm.delta, wrap) == wrap
+    assert _as_matrices(_restricted(hcm.delta, wrap), f) == wrap
 
     # the last face of C(H|B): rotate, then multiply the first two legs
     rel = relative_cyclic(h, b, n_max)
@@ -367,11 +369,52 @@ def test_mutant_cocyclic_operator_fails():
     s = builtin_setup("kC2/k")
     ccm = relative_cocyclic_coext(s.hopf, s.quotient, 2)
     assert check_identities(ccm).ok
-    scaled = replace(ccm, tau={**ccm.tau, 1: ccm.tau[1].scale(QQ.from_int(2))})
-    assert "tau^2 = id @ 1" in [c.name for c in check_identities(scaled).failures()]
+    # a rescaled rotation fails the torsion identity, as a matrix among
+    # tables and as a table
+    tau1 = ccm.tau[1]
+    assert isinstance(tau1, IndexTable)
+    doubled = IndexTable(tau1.rows, tau1.cols, tau1.p, tau1.idx, [2 * (i >= 0) for i in tau1.idx])
+    for m in (operator_matrix(tau1, QQ).scale(QQ.from_int(2)), doubled):
+        scaled = replace(ccm, tau={**ccm.tau, 1: m})
+        assert "tau^2 = id @ 1" in [c.name for c in check_identities(scaled).failures()]
     zero = SparseMatrix.zeros(ccm.spaces[1].dim, ccm.spaces[0].dim, QQ)
     mutant = replace(ccm, delta={**ccm.delta, (0, 0): zero})
     assert not check_identities(mutant).ok
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2**31 - 1)], ids=str)
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_table_descents_are_the_induced_maps_of_their_chains(name, field, monkeypatch):
+    """Every operator of the four descended constructions, and every
+    B-multiplication of their spaces, that is composed from tables has the
+    matrix that ``induced_map`` gives its chain."""
+    import hopfcyclic.cyclic as cyclic_module
+    import hopfcyclic.hopf as hopf_module
+
+    compared = []
+
+    def checked(chain, dom, cod, by_rows=False):
+        tb = induced_table(chain, dom, cod, by_rows)
+        if tb is not None:
+            assert tb.matrix(field) == induced_map(chain, dom, cod)
+            compared.append(tb.by_rows)
+        return tb
+
+    monkeypatch.setattr(cyclic_module, "induced_table", checked)
+    monkeypatch.setattr(hopf_module, "induced_table", checked)
+    n_max = 3
+    s = builtin_setup(name, field)
+    h, b, c = s.hopf, s.subalgebra, s.quotient
+    built = [relative_cyclic(h, b, n_max), relative_cocyclic_coext(h, c, n_max),
+             hopf_cocyclic_coalgebra(c, ad_module(h), n_max),
+             hopf_cyclic_comodule_algebra(h, b, coad_module(h), n_max)]
+    assert compared
+    for x in built:
+        ops = [m for op in _operators(x) for m in op.values()]
+        assert all(isinstance(m, IndexTable) for m in ops) or \
+            all(isinstance(m, SparseMatrix) for m in ops)
+    # C(H|B) is composed from tables on every pair
+    assert all(isinstance(m, IndexTable) for op in _operators(built[0]) for m in op.values())
 
 
 def test_maps_breaking_the_b_relations_do_not_descend():
@@ -398,6 +441,15 @@ def test_maps_breaking_the_b_relations_do_not_descend():
         for space in (tp3, cq3):
             with pytest.raises(NotWellDefined, match="relations not preserved"):
                 induced_map(past, space, space)
+    # the same on the table route, whose relation check is one pass of a table
+    face, swapped_face, past = chains
+    for dom, cod in ((tp3, tp2), (cq3, cq2)):
+        assert induced_table(face, dom, cod).matrix(f) == induced_map(face, dom, cod)
+        with pytest.raises(NotWellDefined, match="relations not preserved"):
+            induced_table(swapped_face, dom, cod)
+    for space in (tp3, cq3):
+        with pytest.raises(NotWellDefined, match="relations not preserved"):
+            induced_table(past, space, space)
 
 
 def test_chain_leaving_a_coextension_space_does_not_restrict():
@@ -413,6 +465,11 @@ def test_chain_leaving_a_coextension_space_does_not_restrict():
     for bad in (legs.leg(h.antipode, 0), apply_on_leg(h.antipode, [d, d], 0)):
         with pytest.raises(NotWellDefined, match="image leaves the subspace"):
             induced_map(bad, space, space)
+    # the same on the table route, whose restriction check compares tables
+    rotation = induced_table(legs.perm([1, 0]), space, space)
+    assert rotation.matrix(f) == induced_map(legs.perm([1, 0]), space, space)
+    with pytest.raises(NotWellDefined, match="image leaves the subspace"):
+        induced_table(legs.leg(h.antipode, 0), space, space)
 
 
 def test_hochschild_kc2_and_ks3():
@@ -615,11 +672,13 @@ def _cyclic_identity_names(N):
 
 @pytest.mark.parametrize("n_max", range(5))
 def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
-    """Over k the operators are tables, which hold no row map; over kC2 they
-    are matrices, and the check caches none on them."""
-    for name, kind in (("kC2/k", IndexTable), ("kS3/kC2", SparseMatrix)):
-        s = builtin_setup(name)
-        cm = relative_cyclic(s.hopf, s.subalgebra, n_max)
+    """Over k and over kC2 the operators of C(H|B) are tables, which hold no
+    row map; a Connes dual's are matrices, and the check caches none on them."""
+    ks3 = builtin_setup("kS3/kC2")
+    cases = [(relative_cyclic(s.hopf, s.subalgebra, n_max), IndexTable)
+             for s in (builtin_setup("kC2/k"), ks3)]
+    cases.append((coext_cyclic(ks3.hopf, ks3.quotient, n_max), SparseMatrix))
+    for cm, kind in cases:
         rep = check_identities(cm)
         assert rep.ok
         assert sorted(c.name for c in rep.checks) == sorted(_cyclic_identity_names(n_max))

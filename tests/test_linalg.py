@@ -26,6 +26,7 @@ from hopfcyclic.linalg import (
     homology_dims,
     homology_space,
     induced_map,
+    induced_table,
     inverse,
     is_prime,
     kernel,
@@ -635,6 +636,36 @@ def test_induced_map_rejects_escaping_subspace():
     rot = M([[0, -1], [1, 0]])
     with pytest.raises(NotWellDefined):
         induced_map(rot, sub, sub)
+
+
+def test_induced_table_checks_as_induced_map_does():
+    # the cases above whose spaces have tables: the same result or message
+    def chain(m):
+        return LegChain([m.cols], QQ).leg(m, 0)
+
+    q = quotient_by_columns(2, M([[1], [1]]))
+    assert induced_table(chain(SparseMatrix.identity(2, QQ)), q, q).matrix(QQ).is_identity()
+    with pytest.raises(NotWellDefined, match="relations not preserved"):
+        induced_table(chain(M([[0, 0], [1, 0]])), quotient_by_columns(2, M([[1], [0]])),
+                      quotient_by_columns(2, M([[1], [0]])))
+    # the relation's image is killed by the line's projection, but not zero
+    line = span_columns(M([[1], [0]]))
+    with pytest.raises(NotWellDefined, match="image leaves the subspace"):
+        induced_table(chain(SparseMatrix.identity(2, QQ)), quotient_by_columns(2, M([[0], [1]])),
+                      line)
+    with pytest.raises(NotWellDefined, match="image leaves the subspace"):
+        induced_table(chain(M([[0, -1], [1, 0]])), line, line)
+    swap = chain(M([[0, 1], [1, 0]]))
+    diagonal = span_columns(M([[1], [1]]))
+    assert induced_table(swap, diagonal, diagonal, by_rows=True).matrix(QQ).is_identity()
+    # no table: a section with two entries in a column, a relation outside a
+    # pure quotient, or a leg map with two entries in a column
+    assert diagonal.tables() is None and induced_table(swap, diagonal, diagonal) is None
+    explicit = span_columns(M([[1, 0], [0, 1], [0, 0]])).then(quotient_by_columns(2, M([[1], [0]])))
+    assert explicit.tables() is None and explicit.tables(True) is None
+    assert induced_table(chain(M([[1, 0], [1, 0]])), q, SubquotientSpace.full(2, QQ)) is None
+    with pytest.raises(ShapeMismatch):
+        induced_table(swap, SubquotientSpace.full(3, QQ), SubquotientSpace.full(2, QQ))
 
 
 def test_subquotient_tensor_and_then():
