@@ -27,9 +27,10 @@ identities, written against a ``compose`` of two operators.
 when every operator of a module is a table, or has at most one entry in
 each column, or every one in each row, and on exact matrix products
 otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
-table on unsigned index tables.  One writer puts b_n (the faces) and B_n
-(the composites t^a s_n t^k, tables on a module of tables) at their block
-offsets straight into the row map that elimination and the d^2 check
+table on unsigned index tables.  ``linalg.block_matrix``, the package's
+one writer of differentials, puts b_q (the faces) at block (q - 1, q) and
+B_q (the composites t^a s_q t^k, tables on a module of tables) at block
+(q + 1, q) straight into the row map that elimination and the d^2 check
 read; ``cyclic_dual`` and ``iso.check_cyclic_map`` take the matrix of
 each table they read, and only of those.
 
@@ -59,6 +60,7 @@ from .linalg import (
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
+    block_matrix,
     equalizer,
     homology_dims,
     induced_map,
@@ -606,32 +608,6 @@ def cyclic_dual(ccm):
 # homology
 
 
-def _written(f, rows, cols, terms):
-    """The rows x cols matrix that is the sum of ``terms``, (sign, operator,
-    row offset, column offset), with tables or matrices as operators: every
-    differential of a cyclic module is written here, straight into the row
-    map that elimination and the d^2 check read, and returned ``from_rows``."""
-    p = f.p
-    out = {}
-    for sign, op, ro, co in terms:
-        entries = op.entries()
-        if ro or co:
-            entries = ((i + ro, j + co, v) for i, j, v in entries)
-        for i, j, v in entries:
-            if sign < 0:
-                v = -v if p is None else p - v
-            row = out.get(i)
-            if row is None:
-                out[i] = {j: v}
-            elif j not in row:
-                row[j] = v
-            elif v := row[j] + v if p is None else (row[j] + v) % p:
-                row[j] = v
-            else:
-                del row[j]
-    return SparseMatrix.from_rows(rows, cols, f, {i: row for i, row in out.items() if row})
-
-
 def _connes_composites(cm, n):
     """B_n = (1 - lambda) t s_n N, where lambda = (-1)^n t and N = 1 + lambda
     + ... + lambda^n, as its 2(n + 1) signed composites (-1)^{nk}
@@ -652,19 +628,21 @@ def _connes_composites(cm, n):
 def boundary(cm, n, columns=None):
     """The boundary Tot_n -> Tot_{n-1} of the (b, B) mixed complex.  Tot_n
     is the sum of the C_q over ``columns``, n, n - 2, ..., and Tot_{n-1} of
-    the C_{q-1}; b_q = sum (-1)^i d_i goes into C_{q-1}, and B_q into
-    C_{q+1} when Tot_{n-1} holds it.  By default C_n alone, so b_n."""
+    the C_{q-1}; b_q = sum (-1)^i d_i is block (q - 1, q), and B_q block
+    (q + 1, q) when Tot_{n-1} holds C_{q+1}.  By default C_n alone, so b_n."""
     if n < 1 or n > cm.n_max:
         raise TruncationError(f"boundary degree {n} outside 1..{cm.n_max}")
-    dims, terms = cm.dims(), []
-    ro = co = 0  # where C_{q-1} and C_q start
-    for q in columns or [n]:
-        if q:
-            terms += [((-1) ** i, cm.d[(q, i)], ro, co) for i in range(q + 1)]
-        if q + 2 <= n:
-            terms += [(sign, op, ro - dims[q + 1], co) for sign, op in _connes_composites(cm, q)]
-        ro, co = ro + (dims[q - 1] if q else 0), co + dims[q]
-    return _written(cm.spaces[0].field, ro, co, terms)
+    dims, columns = cm.dims(), columns or [n]
+
+    def terms():
+        for q in columns:
+            if q:
+                yield from (((-1) ** i, cm.d[(q, i)], q - 1, q) for i in range(q + 1))
+            if q + 2 <= n:
+                yield from ((sign, op, q + 1, q) for sign, op in _connes_composites(cm, q))
+
+    return block_matrix({q - 1: dims[q - 1] for q in columns if q},
+                        {q: dims[q] for q in columns}, terms(), cm.spaces[0].field)
 
 
 def hochschild_homology(cm, upto=None):
@@ -681,8 +659,9 @@ def connes_boundary(cm, n):
     extra degeneracy t s_n; raises if the truncation cannot hold degree n+1."""
     if n + 1 > cm.n_max:
         raise TruncationError("Connes boundary leaves the truncation")
-    return _written(cm.spaces[0].field, cm.spaces[n + 1].dim, cm.spaces[n].dim,
-                    [(sign, op, 0, 0) for sign, op in _connes_composites(cm, n)])
+    return block_matrix({n + 1: cm.spaces[n + 1].dim}, {n: cm.spaces[n].dim},
+                        ((sign, op, n + 1, n) for sign, op in _connes_composites(cm, n)),
+                        cm.spaces[0].field)
 
 
 def normalized_complex(cm):

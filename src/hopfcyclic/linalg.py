@@ -850,16 +850,16 @@ def kernel(m):
     f = m.field
     pivset = set(pivcols)
     free = [c for c in range(m.cols) if c not in pivset]
-    free_pos = {c: k for k, c in enumerate(free)}
+    by_col = {}  # column -> (pivot column, -RREF entry) pairs, in pivot order
+    for pc, row in zip(pivcols, rrows):
+        for c, v in row.items():
+            by_col.setdefault(c, []).append((pc, f.neg(v)))
     sect = {}
     for k, fc in enumerate(free):
         sect[(fc, k)] = f.one
-        for (pc, row) in zip(pivcols, rrows):
-            v = row.get(fc)
-            if v is not None:
-                sect[(pc, k)] = f.neg(v)
+        sect.update(((pc, k), v) for pc, v in by_col.get(fc, ()))
     section = SparseMatrix(m.cols, len(free), f, sect)
-    proj = SparseMatrix(len(free), m.cols, f, {(k, c): f.one for c, k in free_pos.items()})
+    proj = SparseMatrix(len(free), m.cols, f, {(k, c): f.one for k, c in enumerate(free)})
     return SubquotientSpace(proj, section)
 
 
@@ -932,7 +932,7 @@ def homology_space(out_map, in_map):
     Raises NotWellDefined unless im(in_map) really sits inside ker(out_map),
     i.e. unless out_map @ in_map = 0.
     """
-    if not (out_map @ in_map).is_zero_matrix():
+    if not composite_is_zero(out_map, in_map):
         raise NotWellDefined("not a complex: composite of differentials is nonzero")
     z = kernel(out_map)
     q = quotient_by_columns(z.dim, z.projection @ in_map)
@@ -961,24 +961,15 @@ def composite_is_zero(a, b):
     return True
 
 
-def alternating_sum(terms):
-    """terms[0] - terms[1] + terms[2] - ...: every boundary is the signed sum
-    of its faces.  ``terms`` may be a generator, so that only the running
-    sum and one face are held at a time."""
-    acc = None
-    for i, term in enumerate(terms):
-        if i % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def block_matrix(row_dims, col_dims, blocks, field):
-    """The matrix whose block (r, c) is ``blocks[(r, c)]``, zero elsewhere.
-
-    ``row_dims`` and ``col_dims`` map block labels, in order, to sizes, which
-    fix the offsets.  Entries are placed in the order of ``blocks``: the
-    cost of an elimination depends on that order, not only on the entries.
+def block_matrix(row_dims, col_dims, terms, field):
+    """The sum of ``terms``, each (sign, operator, row block, column block)
+    with an ``IndexTable`` or ``SparseMatrix`` operator: every differential
+    the package ranks is written here.  ``row_dims`` and ``col_dims`` map
+    block labels, in order, to sizes, which fix the offsets.  The entries
+    are summed in term order straight into the row map that elimination
+    and the d^2 check read, zeros and empty rows dropped; ``terms`` may be
+    a generator, so only the sum and one operator are held.  Elimination
+    cost depends on the order rows are first written, not only on entries.
     """
     def offsets(dims):
         out, off = {}, 0
@@ -989,15 +980,29 @@ def block_matrix(row_dims, col_dims, blocks, field):
 
     row_off, rows = offsets(row_dims)
     col_off, cols = offsets(col_dims)
-    data = {}
-    for (r, c), block in blocks.items():
-        if (block.rows, block.cols) != (row_dims[r], col_dims[c]):
-            raise ShapeMismatch(f"block ({r}, {c}) is {block.rows}x{block.cols}, "
+    p = field.p
+    out = {}
+    for sign, op, r, c in terms:
+        if (op.rows, op.cols) != (row_dims[r], col_dims[c]):
+            raise ShapeMismatch(f"block ({r}, {c}) is {op.rows}x{op.cols}, "
                                 f"not {row_dims[r]}x{col_dims[c]}")
         ro, co = row_off[r], col_off[c]
-        for (i, j), v in block.data.items():
-            data[(ro + i, co + j)] = v
-    return SparseMatrix(rows, cols, field, data)
+        entries = op.entries()
+        if ro or co:
+            entries = ((i + ro, j + co, v) for i, j, v in entries)
+        for i, j, v in entries:
+            if sign < 0:
+                v = -v if p is None else p - v
+            row = out.get(i)
+            if row is None:
+                out[i] = {j: v}
+            elif j not in row:
+                row[j] = v
+            elif v := row[j] + v if p is None else (row[j] + v) % p:
+                row[j] = v
+            else:
+                del row[j]
+    return SparseMatrix.from_rows(rows, cols, field, {i: row for i, row in out.items() if row})
 
 
 def homology_dims(dims, d, upto):

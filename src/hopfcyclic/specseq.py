@@ -15,6 +15,10 @@ as subquotient spaces of Tot_n, and every map of the five-term exact
 sequence, d2 included, is induced by a map of the total complex (McCleary,
 *A User's Guide to Spectral Sequences*, Thm 2.6): d2 is the total
 differential on the zig-zags that present E^2_{2,0} inside Tot_2.
+
+Every differential here is written by ``linalg.block_matrix`` from signed
+faces on the cells' own legs, dv's (-1)^p in the term signs, and placed
+by cell label: no sum of whole matrices, negated copy or Kronecker product.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .linalg import (
     NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
-    alternating_sum,
     apply_on_leg,
     block_matrix,
     homology_dims,
@@ -42,6 +45,22 @@ from .sayd import ad_module
 # the bar complex and Tor
 
 
+def _face_sum(legdims, ops, arity, field, sign=1):
+    """sign * sum (-1)^i (ops[i] on legs [i, i + arity)), each face built
+    when the writer reaches it: its index table when ops[i] has at most one
+    entry per column (a counit, a group or function algebra's product),
+    else its ``apply_on_leg`` matrix."""
+    chains = [LegChain(legdims, field).leg(op, i, arity) for i, op in enumerate(ops)]
+    terms = ((sign * (-1) ** i, ch.table() or apply_on_leg(ops[i], legdims, i, arity), 0, 0)
+             for i, ch in enumerate(chains))
+    return block_matrix({0: chains[0].rows}, {0: chains[0].cols}, terms, field)
+
+
+def _bar_faces(h, consume, ndim, mact, mdim, q):
+    """The leg dims and the faces of ``bar_boundary``."""
+    return [ndim] + [h.dim] * q + [mdim], [consume] + [h.mu] * (q - 1) + [mact]
+
+
 def bar_boundary(h, consume, ndim, mact, mdim, q):
     """The bar boundary N (x) H^{(x) q} (x) M -> N (x) H^{(x) q-1} (x) M
     (Mac Lane, *Homology*, X.2): the first face acts on N by ``consume``
@@ -49,9 +68,7 @@ def bar_boundary(h, consume, ndim, mact, mdim, q):
     face acts on M by ``mact`` (H (x) M -> M).  With N = k through the
     counit it is the boundary of the Tor complex, with N = C^{(x) p+1} the
     vertical boundary of the double complex."""
-    legdims = [ndim] + [h.dim] * q + [mdim]
-    faces = [consume] + [h.mu] * (q - 1) + [mact]
-    return alternating_sum(apply_on_leg(op, legdims, i, 2) for i, op in enumerate(faces))
+    return _face_sum(*_bar_faces(h, consume, ndim, mact, mdim, q), 2, h.field)
 
 
 def tor_dims(m, upto):
@@ -109,11 +126,11 @@ class ExtensionDoubleComplex:
                 raise NotWellDefined("coalgebra boundary is not H-linear")
 
     def dh(self, p, q):
-        """Horizontal differential X_{p,q} -> X_{p-1,q}."""
-        def build():
-            ident = SparseMatrix.identity(self.h.dim ** q * self.m.dim, self.h.field)
-            return coalgebra_boundary(self.c, p + 1).kron(ident)
-        return self.cached(("dh", p, q), build)
+        """Horizontal differential X_{p,q} -> X_{p-1,q}: the counit faces on
+        the p + 1 coalgebra legs of the cell, H^{(x) q} (x) M as one leg."""
+        legdims = [self.c.dim] * (p + 1) + [self.h.dim ** q * self.m.dim]
+        return self.cached(("dh", p, q), lambda: _face_sum(
+            legdims, [self.c.eps_c] * (p + 1), 1, self.h.field))
 
     def _diagonal_consume(self, p):
         """C^{(x) p+1} (x) H -> C^{(x) p+1}, the diagonal right action."""
@@ -121,11 +138,9 @@ class ExtensionDoubleComplex:
 
     def dv(self, p, q):
         """Vertical differential X_{p,q} -> X_{p,q-1}, sign-twisted by (-1)^p."""
-        def build():
-            bnd = bar_boundary(self.h, self._diagonal_consume(p), self.c.dim ** (p + 1),
-                               self.m.operator_action, self.m.dim, q)
-            return -bnd if p % 2 else bnd
-        return self.cached(("dv", p, q), build)
+        return self.cached(("dv", p, q), lambda: _face_sum(
+            *_bar_faces(self.h, self._diagonal_consume(p), self.c.dim ** (p + 1),
+                        self.m.operator_action, self.m.dim, q), 2, self.h.field, (-1) ** p))
 
     def validate_square(self, p, q):
         """d_h d_v + d_v d_h = 0 into cell (p-1, q-1)."""
@@ -145,8 +160,7 @@ class ExtensionDoubleComplex:
 
 def coalgebra_boundary(c, legs):
     """sum (-1)^i (counit at leg i): C^{(x) legs} -> C^{(x) legs-1}."""
-    dims = [c.dim] * legs
-    return alternating_sum(apply_on_leg(c.eps_c, dims, i) for i in range(legs))
+    return _face_sum([c.dim] * legs, [c.eps_c] * legs, 1, c.parent.field)
 
 
 def extension_double_complex(setup, p_max, q_max):
@@ -205,13 +219,13 @@ def total_complex_map(dc, n):
     """d: Tot_n -> Tot_{n-1}, d_h + d_v on each cell."""
     def build():
         src, tgt = _total_cells(dc, n), _total_cells(dc, n - 1)
-        blocks = {}
+        terms = []
         for (p, q) in src:
             if (p - 1, q) in tgt:
-                blocks[((p - 1, q), (p, q))] = dc.dh(p, q)
+                terms.append((1, dc.dh(p, q), (p - 1, q), (p, q)))
             if (p, q - 1) in tgt:
-                blocks[((p, q - 1), (p, q))] = dc.dv(p, q)
-        return block_matrix(tgt, src, blocks, dc.h.field)
+                terms.append((1, dc.dv(p, q), (p, q - 1), (p, q)))
+        return block_matrix(tgt, src, terms, dc.h.field)
     return dc.cached(("Tot", n), build)
 
 
@@ -219,7 +233,7 @@ def _inclusion_into_total(dc, n, cell):
     """The cell X_cell as a block of Tot_n; its transpose is the projection."""
     dim = dc.dim(*cell)
     return block_matrix(_total_cells(dc, n), {cell: dim},
-                        {(cell, cell): SparseMatrix.identity(dim, dc.h.field)}, dc.h.field)
+                        [(1, SparseMatrix.identity(dim, dc.h.field), cell, cell)], dc.h.field)
 
 
 def total_homology(dc, n):

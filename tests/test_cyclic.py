@@ -546,9 +546,9 @@ def _normalized_cyclic_homology(cm, upto):
 
     def total_map(n):
         src, tgt = blocks(n), blocks(n - 1)
-        parts = {(q - 1, q): nb[q] for q in src if q - 1 in tgt}
-        parts.update({(q + 1, q): nB[q] for q in src if q + 1 in tgt})
-        return block_matrix(tgt, src, parts, f)
+        terms = [(1, nb[q], q - 1, q) for q in src if q - 1 in tgt]
+        terms += [(1, nB[q], q + 1, q) for q in src if q + 1 in tgt]
+        return block_matrix(tgt, src, terms, f)
 
     dims = [sum(blocks(n).values()) for n in range(upto + 1)]
     return homology_dims(dims, {n: total_map(n) for n in range(1, upto + 2)}, upto)

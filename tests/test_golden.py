@@ -3,8 +3,10 @@
 The golden reports under ``tests/golden/`` pin the exact ``--format json``
 output of the README commands, the criterion-10 determinism battery, the
 transform and spectral checks on O(S3)/O(C2) and kS3 and cyclic homology
-of O(S3) and of kS3/kC2, over Q and F_(2^31-1), and two spectral reports
-over a small prime field, where the five-term sequence has nonzero terms.
+of O(S3) and of kS3/kC2, over Q and F_(2^31-1), two spectral reports
+over a small prime field, where the five-term sequence has nonzero terms,
+Tor of kS3 over F_2 and F_3, where it is nonzero in every degree, and the
+spectral report of H4/k over Q and F_3.
 A refactor of an operator builder must leave every byte unchanged.
 
 Regenerate (only when a report is meant to change) with
@@ -67,10 +69,15 @@ COMMANDS = [
 ]
 # each over its own fields: over F_2, H4/B is the one built-in pair whose d2
 # has a nonzero domain and codomain (E2[2,0] = E2[0,1] = 4); over F_3,
-# kS3/kC3 has E2[0,1] = 1 and total homology 3, 1, 1
+# kS3/kC3 has E2[0,1] = 1 and total homology 3, 1, 1.  Over F_2 and F_3,
+# Tor of kS3 is nonzero in every degree; H4/k's double complex has all of
+# H4 as its coalgebra, whose diagonal action, the first face of each
+# vertical map, is a matrix, not an index table
 FP_COMMANDS = [
     ("fp_spectral_H4_B", ["spectral", "H4/B"], {"fp2": "fp:2"}),
     ("fp_spectral_kS3_kC3", ["spectral", "kS3/kC3"], {"fp3": "fp:3"}),
+    ("fp_tor_kS3_n3", ["tor", "kS3", "--max-degree", "3"], {"fp2": "fp:2", "fp3": "fp:3"}),
+    ("spectral_H4_k", ["spectral", "H4/k"], {"q": "q", "fp3": "fp:3"}),
 ]
 CASES = [(name, args, FIELDS) for name, args in COMMANDS] + FP_COMMANDS
 

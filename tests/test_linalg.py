@@ -17,7 +17,6 @@ from hopfcyclic.linalg import (
     ShapeMismatch,
     SparseMatrix,
     SubquotientSpace,
-    alternating_sum,
     apply_on_leg,
     block_matrix,
     coequalizer,
@@ -704,8 +703,6 @@ def test_homology_space_with_gap():
 
 
 def test_alternating_sum_and_homology_dims():
-    a, b, c = M([[1, 2]]), M([[0, 5]]), M([[3, 0]])
-    assert alternating_sum(iter([a, b, c])) == M([[4, -3]])
     # k --0--> k^2 --onto--> k; a missing d[n] counts as zero
     d = {1: M([[1, 1]]), 2: SparseMatrix.zeros(2, 1, QQ)}
     assert homology_dims([1, 2, 1], d, 2) == [0, 1, 1]
@@ -750,11 +747,32 @@ def test_cleared_tor_ranks_are_exact(name, field):
 
 def test_block_matrix_places_blocks_and_rejects_a_wrong_shape():
     rows, cols = {"x": 1, "y": 2}, {"u": 2, "v": 1}
-    got = block_matrix(rows, cols, {("y", "u"): M([[1, 2], [3, 4]]), ("x", "v"): M([[5]])}, QQ)
+    got = block_matrix(rows, cols, [(1, M([[1, 2], [3, 4]]), "y", "u"), (1, M([[5]]), "x", "v")],
+                       QQ)
     assert got == M([[0, 0, 5], [1, 2, 0], [3, 4, 0]])
-    assert list(got.data) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 2)]  # in block order
+    assert list(got.data) == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 2)]  # in term order
     with pytest.raises(ShapeMismatch):
-        block_matrix(rows, cols, {("x", "u"): M([[1, 2], [3, 4]])}, QQ)
+        block_matrix(rows, cols, [(1, M([[1, 2], [3, 4]]), "x", "u")], QQ)
+    with pytest.raises(ShapeMismatch):  # a table is checked as a matrix is
+        block_matrix(rows, cols, [(1, IndexTable.identity(2, None), "x", "u")], QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2**31 - 1)], ids=str)
+def test_block_matrix_sums_signed_terms_and_drops_what_cancels(field):
+    a = M([[1, 2, 0], [0, 0, 2]], field)
+    t = IndexTable.of(M([[1, 0, 0], [0, 0, 2]], field))
+    rows, cols = {0: 2}, {0: 1, 1: 3}
+    # a - t cancels all of row 1 and one entry of row 0
+    got = block_matrix(rows, cols, [(1, a, 0, 1), (-1, t, 0, 1)], field)
+    assert got.rows_map() == {0: {2: field.from_int(2)}}
+    # a - t - a + t cancels every entry
+    terms = [(1, a, 0, 1), (-1, t, 0, 1), (-1, a, 0, 1), (1, t, 0, 1)]
+    assert block_matrix(rows, cols, terms, field).rows_map() == {}
+    # rows emptied on the way and written again hold their new entries alone
+    terms += [(1, t, 0, 1), (1, M([[1], [0]], field), 0, 0)]
+    got = block_matrix(rows, cols, terms, field)
+    assert got == M([[1, 1, 0, 0], [0, 0, 0, 2]], field)
+    assert all(row and all(row.values()) for row in got.rows_map().values())
 
 
 def test_solve_and_inverse():

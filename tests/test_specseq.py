@@ -1,13 +1,23 @@
 import pytest
 
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
-from hopfcyclic.linalg import NotWellDefined, QQ, PrimeField, SparseMatrix, homology_dims, kernel
+from hopfcyclic.linalg import (
+    QQ,
+    NotWellDefined,
+    PrimeField,
+    SparseMatrix,
+    apply_on_leg,
+    homology_dims,
+    kernel,
+)
 from hopfcyclic.presets import PAIR_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
 from hopfcyclic import specseq
 from hopfcyclic.cli import run
 from hopfcyclic.specseq import (
+    _total_cells,
     bar_boundary,
+    coalgebra_boundary,
     extension_double_complex,
     first_page_spot,
     five_term_check,
@@ -253,3 +263,79 @@ def test_hochschild_homology_is_tor_of_the_adjoint_module(name, field):
     upto = 3 if s.hopf.dim <= 4 else 2
     hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, upto + 1), upto)
     assert hh == tor_dims(ad_module(s.hopf), upto)
+
+
+# the differentials as they were written before ``block_matrix`` summed
+# signed terms: the faces summed with ``+``, dh as the coalgebra boundary
+# tensored with an identity, and the total map placing whole blocks at
+# their offsets
+
+
+def _faces_summed(legdims, ops, arity):
+    acc = None
+    for i, op in enumerate(ops):
+        face = apply_on_leg(op, legdims, i, arity)
+        face = -face if i % 2 else face
+        acc = face if acc is None else acc + face
+    return acc
+
+
+def _bar_reference(h, consume, ndim, mact, mdim, q):
+    return _faces_summed([ndim] + [h.dim] * q + [mdim], [consume] + [h.mu] * (q - 1) + [mact], 2)
+
+
+def _coalgebra_reference(c, legs):
+    return _faces_summed([c.dim] * legs, [c.eps_c] * legs, 1)
+
+
+def _blocks_placed(row_dims, col_dims, blocks, field):
+    def offsets(dims):
+        out, off = {}, 0
+        for label, size in dims.items():
+            out[label], off = off, off + size
+        return out, off
+
+    (row_off, rows), (col_off, cols) = offsets(row_dims), offsets(col_dims)
+    data = {}
+    for (r, c), block in blocks.items():
+        data.update({(row_off[r] + i, col_off[c] + j): v for (i, j), v in block.data.items()})
+    return SparseMatrix(rows, cols, field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)],
+                         ids=str)
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_written_differentials_equal_their_summed_formulas(name, field):
+    """The bar and coalgebra boundaries at q <= 3, and dh, dv and the total
+    map on the cells p + q <= 3 that a spectral run reads, equal the
+    formulas they replace."""
+    s = builtin_setup(name, field)
+    h, c, f = s.hopf, s.quotient, field
+    ad = ad_module(h)
+    for q in range(1, 4):
+        assert bar_boundary(h, h.eps, 1, ad.operator_action, ad.dim, q) == \
+            _bar_reference(h, h.eps, 1, ad.operator_action, ad.dim, q), q
+    for legs in range(1, 5):
+        assert coalgebra_boundary(c, legs) == _coalgebra_reference(c, legs), legs
+    dc = extension_double_complex(s, 3, 3)
+    dh, dv = {}, {}
+    for p in range(4):
+        for q in range(4 - p):
+            if p:
+                ident = SparseMatrix.identity(h.dim ** q * dc.m.dim, f)
+                dh[(p, q)] = _coalgebra_reference(c, p + 1).kron(ident)
+                assert dc.dh(p, q) == dh[(p, q)], ("dh", p, q)
+            if q:
+                bnd = _bar_reference(h, dc._diagonal_consume(p), c.dim ** (p + 1),
+                                     dc.m.operator_action, dc.m.dim, q)
+                dv[(p, q)] = -bnd if p % 2 else bnd
+                assert dc.dv(p, q) == dv[(p, q)], ("dv", p, q)
+    for n in range(1, 4):
+        src, tgt = _total_cells(dc, n), _total_cells(dc, n - 1)
+        blocks = {}
+        for (p, q) in src:
+            if (p - 1, q) in tgt:
+                blocks[((p - 1, q), (p, q))] = dh[(p, q)]
+            if (p, q - 1) in tgt:
+                blocks[((p, q - 1), (p, q))] = dv[(p, q)]
+        assert total_complex_map(dc, n) == _blocks_placed(tgt, src, blocks, f), n
