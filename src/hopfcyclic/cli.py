@@ -64,7 +64,7 @@ from .iso import (
     normal_quotient_comparison,
 )
 from .linalg import LinAlgError, PrimeField, QQ, span_contains
-from .loaders import InputError, load_group_file, load_hopf_file, load_ideal_file
+from .loaders import InputError, declared_field, load_group_file, load_hopf_file, load_ideal_file
 from .report import Report
 from .sayd import ad_module, coad_module
 from .specseq import (
@@ -76,8 +76,13 @@ from .specseq import (
 )
 
 
-def _parse_field(text):
-    if text is None or text.lower() == "q":
+def _parse_field(text, hopf):
+    """``--field``, or when it is omitted the field that the Hopf algebra
+    file ``hopf`` declares; Q for a built-in algebra or pair."""
+    if text is None:
+        is_file = hopf not in presets.HOPF_NAMES and os.path.isfile(hopf or "")
+        return declared_field(hopf) if is_file else QQ
+    if text.lower() == "q":
         return QQ
     if text.lower().startswith("fp:"):
         try:
@@ -391,7 +396,8 @@ def build_parser():
         description="exact cyclic-homology computations for Hopf algebra quotients",
     )
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--field", default="q", help="q or fp:<prime>")
+    parser.add_argument("--field", help="q or fp:<prime>; by default the field a Hopf "
+                        "algebra file declares, and q for a built-in")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock time in the report")
@@ -460,7 +466,7 @@ def run(argv):
         return (2 if exc.code not in (0, None) else 0), ""
     start = time.monotonic()
     try:
-        field = _parse_field(args.field)
+        field = _parse_field(args.field, getattr(args, "hopf", None))
         report = COMMANDS[args.command](args, field)
     except (InputError, OSError, GroupError) as exc:
         report = Report(args.command, error=str(exc))

@@ -27,17 +27,17 @@ identities, written against a ``compose`` of two operators.
 when every operator of a module is a table, or has at most one entry in
 each column, or every one in each row, and on exact matrix products
 otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
-table on unsigned index tables.  ``linalg.block_matrix``, the package's
-one writer of differentials, puts b_q (the faces) at block (q - 1, q) and
-B_q (the composites t^a s_q t^k, tables on a module of tables) at block
-(q + 1, q) straight into the row map that elimination and the d^2 check
-read; ``cyclic_dual`` and ``iso.check_cyclic_map`` take the matrix of
-each table they read, and only of those.
+table on unsigned index tables.  ``chain_complex`` is one
+``linalg.ChainComplex`` constructor for HH and HC: the Hochschild complex
+with b_q (the faces) at block (q - 1, q), and the unnormalized (b, B)
+total complex, Tot_n = C_n + C_{n-2} + ..., with B_q (the composites
+t^a s_q t^k, tables on a module of tables) also at block (q + 1, q);
+``cyclic_dual`` and ``iso.check_cyclic_map`` take the matrix of each table
+they read, and only of those.
 
-Truncation semantics: Hochschild and cyclic homology are both trusted up
-to n_max - 1.  HH_n reads b up to degree n + 1; HC_n reads the
-unnormalized (b, B) total complex, Tot_n = C_n + C_{n-2} + ..., so b up
-to degree n + 1 and B only into degree n.
+Truncation semantics: both complexes stop at n_max, so HH_n and HC_n are
+trusted up to n_max - 1: they read b up to degree n + 1, and HC reads B
+only into degree n.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ from .hopf import (
     tensor_powers_over_b,
 )
 from .linalg import (
+    ChainComplex,
     IndexTable,
     LegChain,
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
-    block_matrix,
     equalizer,
-    homology_dims,
     induced_map,
     induced_table,
     inverse,
@@ -625,58 +624,50 @@ def _connes_composites(cm, n):
         yield (-1) ** (n * (k + 1)), t1 @ once
 
 
-def boundary(cm, n, columns=None):
-    """The boundary Tot_n -> Tot_{n-1} of the (b, B) mixed complex.  Tot_n
-    is the sum of the C_q over ``columns``, n, n - 2, ..., and Tot_{n-1} of
-    the C_{q-1}; b_q = sum (-1)^i d_i is block (q - 1, q), and B_q block
-    (q + 1, q) when Tot_{n-1} holds C_{q+1}.  By default C_n alone, so b_n."""
-    if n < 1 or n > cm.n_max:
-        raise TruncationError(f"boundary degree {n} outside 1..{cm.n_max}")
-    dims, columns = cm.dims(), columns or [n]
+def chain_complex(cm, connes=False):
+    """The Hochschild complex (C, b) of cm, or with ``connes`` the total
+    complex of its (b, B) mixed complex, Tot_n = C_n + C_{n-2} + ...
+    (Loday, *Cyclic Homology*, 2.1.7), each C_q a block labelled q:
+    b_q = sum (-1)^i d_i is block (q - 1, q), and B_q block (q + 1, q).
+    Degrees past n_max raise TruncationError."""
+    dims = cm.dims()
 
-    def terms():
-        for q in columns:
+    def blocks(n):
+        if n > cm.n_max:
+            raise TruncationError(f"degree {n} outside 0..{cm.n_max}")
+        degrees = range(n, -1, -2)
+        return {q: dims[q] for q in (degrees if connes else degrees[:1])}
+
+    def terms(n):
+        for q in blocks(n):
             if q:
                 yield from (((-1) ** i, cm.d[(q, i)], q - 1, q) for i in range(q + 1))
             if q + 2 <= n:
                 yield from ((sign, op, q + 1, q) for sign, op in _connes_composites(cm, q))
 
-    return block_matrix({q - 1: dims[q - 1] for q in columns if q},
-                        {q: dims[q] for q in columns}, terms(), cm.spaces[0].field)
+    return ChainComplex(cm.spaces[0].field, blocks, terms)
 
 
 def hochschild_homology(cm, upto=None):
     """dim HH_n for n <= upto (default n_max - 1); ``homology_dims`` asserts
     b . b = 0."""
-    upto = cm.n_max - 1 if upto is None else upto
-    if upto > cm.n_max - 1:
-        raise TruncationError(f"HH trusted only up to degree {cm.n_max - 1}")
-    return homology_dims(cm.dims(), {n: boundary(cm, n) for n in range(1, upto + 2)}, upto)
-
-
-def connes_boundary(cm, n):
-    """B = (1 - lambda) s_e N with lambda the signed rotation and s_e the
-    extra degeneracy t s_n; raises if the truncation cannot hold degree n+1."""
-    if n + 1 > cm.n_max:
-        raise TruncationError("Connes boundary leaves the truncation")
-    return block_matrix({n + 1: cm.spaces[n + 1].dim}, {n: cm.spaces[n].dim},
-                        ((sign, op, n + 1, n) for sign, op in _connes_composites(cm, n)),
-                        cm.spaces[0].field)
+    return chain_complex(cm).homology_dims(cm.n_max - 1 if upto is None else upto)
 
 
 def normalized_complex(cm):
     """The tests' reference for ``cyclic_homology``: the quotient by the
     degenerate subcomplex, with b from degrees 1..n_max and B from degrees
-    0..n_max - 2 descended into it; returns (spaces, b ops, B ops)."""
+    0..n_max - 2 descended into it; returns (spaces, b ops, B ops).  B_n is
+    read as the block (n + 1, n) of the (b, B) total complex's d_{n+2}."""
     f = cm.spaces[0].field
     nspaces = [SubquotientSpace.full(cm.spaces[0].dim, f)]
     for n in range(1, cm.n_max + 1):
         degen = SparseMatrix.hstack([operator_matrix(cm.s[(n - 1, j)], f) for j in range(n)])
         nspaces.append(quotient_by_columns(cm.spaces[n].dim, degen))
-    nb = {n: induced_map(boundary(cm, n), nspaces[n], nspaces[n - 1])
-          for n in range(1, cm.n_max + 1)}
-    nB = {n: induced_map(connes_boundary(cm, n), nspaces[n], nspaces[n + 1])
-          for n in range(cm.n_max - 1)}
+    b, tot = chain_complex(cm), chain_complex(cm, connes=True)
+    nb = {n: induced_map(b.d(n), nspaces[n], nspaces[n - 1]) for n in range(1, cm.n_max + 1)}
+    nB = {n: induced_map(tot.inclusion(n + 1, n + 1).t() @ tot.d(n + 2) @ tot.inclusion(n + 2, n),
+                         nspaces[n], nspaces[n + 1]) for n in range(cm.n_max - 1)}
     return nspaces, nb, nB
 
 
@@ -685,8 +676,4 @@ def cyclic_homology(cm, upto=None):
     complex of C itself, degenerate chains included (Loday, *Cyclic
     Homology*, 2.1.7): d^2 = 0, which ``homology_dims`` checks on each
     total map, is b^2 = B^2 = bB + Bb = 0 on every block that HC reads."""
-    upto = cm.n_max - 1 if upto is None else upto
-    if upto > cm.n_max - 1:
-        raise TruncationError(f"HC trusted only up to degree {cm.n_max - 1}")
-    tot = {n: boundary(cm, n, range(n, -1, -2)) for n in range(1, upto + 2)}
-    return homology_dims([sum(cm.dims()[n::-2]) for n in range(upto + 1)], tot, upto)
+    return chain_complex(cm, connes=True).homology_dims(cm.n_max - 1 if upto is None else upto)

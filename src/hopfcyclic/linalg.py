@@ -9,6 +9,12 @@ exact and every projection/section pair is an actual one-sided inverse.
 Matrices act on column vectors: a matrix of shape (rows, cols) sends basis
 vector e_j of k^cols to sum_i M[i,j] e_i.  Tensor products use row-major
 indexing with the left factor slowest: (i, j) <-> i*dim_right + j.
+
+Every complex the package ranks is one ``ChainComplex`` (Weibel, *An
+Introduction to Homological Algebra*, 1.2): Hochschild and cyclic
+homology, Tor, and the rows, columns and total complex of the spectral
+double complex.  Each C_n is a sum of labelled blocks, and
+``block_matrix`` writes each d_n from signed terms addressed by label.
 """
 
 from __future__ import annotations
@@ -429,9 +435,9 @@ class SparseMatrix:
         Over a field the rank does not depend on pivot order, so the
         short-row pivots of ``_echelon_rows`` change the cost, not the result.
         The rows in ``cleared`` are left out of the elimination, and the
-        count is cached as the rank: only ``homology_dims`` passes rows
-        that it has shown to change no kernel.  The echelon pivot columns
-        are cached in ``_pivots``.
+        count is cached as the rank: only ``ChainComplex.homology_dims``
+        passes rows that it has shown to change no kernel.  The echelon
+        pivot columns are cached in ``_pivots``.
         """
         if self._pivots is None:
             if self._rref is not None:
@@ -939,23 +945,26 @@ def homology_space(out_map, in_map):
     return z.then(q)
 
 
-def composite_is_zero(a, b):
-    """True when a @ b = 0.  The product is summed one row at a time and
-    each row is dropped once it is seen to vanish, so the whole product,
-    which can be far larger than either factor before its terms cancel,
-    is never held."""
-    if a.cols != b.rows:
-        raise ShapeMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+def composite_is_zero(a, b, *more):
+    """True when a @ b, plus c @ e for each further pair (c, e), is zero, as
+    for a square of a double complex, composite_is_zero(dv, dh, (dh', dv')).
+    The sum is taken one row at a time and each row is dropped once it is
+    seen to vanish, so no product, which can be far larger than its factors
+    before its terms cancel, is ever held."""
+    pairs = [(a, b), *more]
+    if any(x.cols != y.rows or (x.rows, y.cols) != (a.rows, b.cols) for x, y in pairs):
+        raise ShapeMismatch(" + ".join(f"{x.rows}x{x.cols} @ {y.rows}x{y.cols}" for x, y in pairs))
     p = a.field.p
-    brows = b.rows_map()
-    for arow in a.rows_map().values():
+    maps = [(x.rows_map(), y.rows_map()) for x, y in pairs]
+    for i in {i for xrows, _ in maps for i in xrows}:
         acc = {}
         get = acc.get
-        for k, x in arow.items():
-            brow = brows.get(k)
-            if brow:
-                for j, y in brow.items():
-                    acc[j] = get(j, 0) + x * y
+        for xrows, yrows in maps:
+            for k, x in xrows.get(i, {}).items():
+                yrow = yrows.get(k)
+                if yrow:
+                    for j, y in yrow.items():
+                        acc[j] = get(j, 0) + x * y
         if any(acc.values()) if p is None else any(v % p for v in acc.values()):
             return False
     return True
@@ -1005,32 +1014,73 @@ def block_matrix(row_dims, col_dims, terms, field):
     return SparseMatrix.from_rows(rows, cols, field, {i: row for i, row in out.items() if row})
 
 
-def homology_dims(dims, d, upto):
-    """dims[n] - rank d[n] - rank d[n + 1] for n <= upto: the homology of a
-    complex with boundaries d[n]: C_n -> C_{n-1}, where a missing d[n]
-    counts as zero.  Raises NotWellDefined unless d[n - 1] @ d[n] = 0.
-
-    Ranks are taken in increasing degree, each with clearing (the dual of
-    the twist of Chen and Kerber, 2011): rank d[n + 1] is computed on its
-    rows outside the pivot columns P_n of the echelon form of d[n].  This
-    is exact.  A vector of ker d[n] is determined by its coordinates off
-    P_n, so dropping the rows P_n is injective on ker d[n], which holds
-    im d[n + 1] once d[n] @ d[n + 1] = 0 is checked; the cleared matrix
-    then has the kernel of d[n + 1], and so its rank and, for the next
-    degree, a valid P_{n + 1}.  A missing d[n] leaves P_n empty.  Each
-    matrix caches its rank and pivots, so each is eliminated once.
+class ChainComplex:
+    """A chain complex whose C_n is the sum of the labelled blocks
+    ``blocks(n)``, an ordered {label: dim}, empty below the bottom degree,
+    where d is zero.  ``terms(n)`` yields the ``block_matrix`` terms of
+    d_n: C_n -> C_{n-1}.  Each d_n and homology space is built once and kept.
     """
-    ranks, pivots = [], ()
-    for n in range(upto + 2):
-        if n not in d:
-            ranks.append(0)
-            pivots = ()
-            continue
-        if n - 1 in d and not composite_is_zero(d[n - 1], d[n]):
-            raise NotWellDefined(f"not a complex: d^2 != 0 at degree {n}")
-        ranks.append(d[n].rank(cleared=frozenset(pivots)))
-        pivots = d[n]._pivots
-    return [dims[n] - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
+
+    def __init__(self, field, blocks, terms):
+        self.field = field
+        self.blocks = blocks
+        self.terms = terms
+        self._d = {}
+        self._homology = {}
+
+    @classmethod
+    def total(cls, field, cells, dh, dv):
+        """Tot of a double complex on a window: Tot_n is the sum of the cells
+        ``cells(n)``, {(p, q): dim}, and d is dh + dv where it stays in the
+        window.  With dv signed, d^2 = 0 holds each square of the window."""
+        def terms(n):
+            tgt = cells(n - 1)
+            for p, q in cells(n):
+                if (p - 1, q) in tgt:
+                    yield 1, dh(p, q), (p - 1, q), (p, q)
+                if (p, q - 1) in tgt:
+                    yield 1, dv(p, q), (p, q - 1), (p, q)
+        return cls(field, cells, terms)
+
+    def dim(self, n):
+        return sum(self.blocks(n).values())
+
+    def d(self, n):
+        if n not in self._d:
+            rows, cols = self.blocks(n - 1), self.blocks(n)
+            self._d[n] = block_matrix(rows, cols, self.terms(n) if rows and cols else (),
+                                      self.field)
+        return self._d[n]
+
+    def inclusion(self, n, label):
+        """Block ``label`` into C_n; its transpose is the projection onto it."""
+        dim = self.blocks(n)[label]
+        return block_matrix(self.blocks(n), {label: dim},
+                            [(1, SparseMatrix.identity(dim, self.field), label, label)], self.field)
+
+    def homology(self, n):
+        """H_n as a subquotient of C_n; ``homology_space`` checks d_n d_{n+1} = 0."""
+        if n not in self._homology:
+            self._homology[n] = homology_space(self.d(n), self.d(n + 1))
+        return self._homology[n]
+
+    def homology_dims(self, upto):
+        """dim C_n - rank d_n - rank d_{n+1} for n <= upto; raises
+        NotWellDefined unless d_{n-1} d_n = 0.  Ranks are taken in increasing
+        degree, each with clearing (the dual of the twist of Chen and Kerber,
+        2011): rank d_{n+1} is taken on its rows off the pivot columns P_n of
+        d_n.  A vector of ker d_n is determined by its coordinates off P_n,
+        so once d_n d_{n+1} = 0 is checked, dropping the rows P_n keeps the
+        kernel of d_{n+1}, hence its rank and a valid P_{n+1}.  An empty d_n
+        is not eliminated and leaves P_n empty."""
+        dims, ranks, pivots = [self.dim(n) for n in range(upto + 2)], [], ()
+        for n in range(upto + 2):
+            d = self.d(n)
+            if n and not composite_is_zero(self.d(n - 1), d):
+                raise NotWellDefined(f"not a complex: d^2 != 0 at degree {n}")
+            ranks.append(d.rank(cleared=frozenset(pivots)) if d.rows and d.cols else 0)
+            pivots = d._pivots or ()
+        return [dims[n] - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
 
 
 def solve(a, b):

@@ -14,8 +14,10 @@ Hopf algebra file:
       "antipode": [[i, j, "num/den"], ...]       # coeff of e_i in S(e_j)
     }
 
-Coefficients are exact fraction strings (plain integers allowed); indices
-are 0-based.  Ideal file: {"generators": [[coeff, ...], ...]}.
+Coefficients are exact fraction strings or JSON integers; indices (0-based,
+never repeated as a tuple under one key) and dim are JSON integers.  The
+declared field must be Q or F_p with p prime.  Ideal file:
+{"generators": [[coeff, ...], ...]}.
 Group file: {"name": ..., "order": n, "table": [[...]]} with an optional
 "names" list; order, table rows and names must agree, and names be distinct.
 """
@@ -36,27 +38,37 @@ class InputError(ValueError):
 def _field_from_spec(spec):
     if spec is None or spec.get("type", "Q").upper() == "Q":
         return QQ
-    if spec["type"] == "Fp":
-        return PrimeField(int(spec["p"]))
+    if spec["type"] == "Fp" and type(spec.get("p")) is int:
+        return PrimeField(spec["p"])
     raise InputError(f"unknown field {spec!r}")
 
 
 def _coeff(field, value):
-    if isinstance(value, int):
+    if type(value) is int:
         return field.from_int(value)
-    return field.from_str(str(value))
+    if not isinstance(value, str):
+        raise InputError(f"coefficient {value!r} is neither an integer nor a string")
+    return field.from_str(value)
 
 
-def _row(row, arity, dim, key, f):
-    """(indices, coefficient) of one structure-constant row, indices checked against dim."""
-    row = list(row)
-    if len(row) != arity + 1:
-        raise InputError(f"{key} row {row} needs {arity} indices and a coefficient")
-    idx = tuple(int(i) for i in row[:arity])
-    for i in idx:
-        if not 0 <= i < dim:
-            raise InputError(f"{key} index {i} outside 0..{dim - 1} in row {row}")
-    return idx, _coeff(f, row[arity])
+def _table(data, key, arity, dim, f):
+    """{indices: coefficient} of the structure-constant rows under ``key``,
+    each index checked against dim and no index tuple repeated."""
+    table = {}
+    for row in data[key]:
+        row = list(row)
+        if len(row) != arity + 1:
+            raise InputError(f"{key} row {row} needs {arity} indices and a coefficient")
+        idx = tuple(row[:arity])
+        if any(type(i) is not int for i in idx):  # a bool, float or string is no index
+            raise InputError(f"{key} row {row} has an index that is not an integer")
+        for i in idx:
+            if not 0 <= i < dim:
+                raise InputError(f"{key} index {i} outside 0..{dim - 1} in row {row}")
+        if idx in table:
+            raise InputError(f"{key} repeats the indices of row {row}")
+        table[idx] = _coeff(f, row[arity])
+    return table
 
 
 def _vector(data, key, dim, f):
@@ -68,33 +80,46 @@ def _vector(data, key, dim, f):
 
 def load_hopf_json(data, field=None):
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int:
+            raise InputError(f"dim {dim!r} is not an integer")
         if dim < 1:
             raise InputError(f"dim must be at least 1, got {dim}")
         basis = list(data["basis"])
         if len(basis) != dim:
             raise InputError("basis length does not match dim")
         f = field if field is not None else _field_from_spec(data.get("field"))
-        mult = dict(_row(row, 3, dim, "mult", f) for row in data["mult"])
+        mult = _table(data, "mult", 3, dim, f)
         unit = _vector(data, "unit", dim, f)
-        comult = dict(_row(row, 3, dim, "comult", f) for row in data["comult"])
+        comult = _table(data, "comult", 3, dim, f)
         counit = _vector(data, "counit", dim, f)
-        entries = [(i, j, v) for (i, j), v in
-                   (_row(row, 2, dim, "antipode", f) for row in data["antipode"])]
-        antipode = SparseMatrix.from_entries(dim, dim, f, entries)
+        antipode = SparseMatrix.from_entries(
+            dim, dim, f, [(i, j, v) for (i, j), v in _table(data, "antipode", 2, dim, f).items()])
         return HopfAlgebra(data.get("name", "hopf"), f, basis, mult, unit,
                            comult, counit, antipode)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"bad Hopf algebra file: {exc}") from exc
+
+
+def _read_hopf_file(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:
         raise InputError(f"bad Hopf algebra file: {exc}") from exc
 
 
 def load_hopf_file(path, field=None):
+    return load_hopf_json(_read_hopf_file(path), field)
+
+
+def declared_field(path):
+    """The field a Hopf algebra file declares: Q when it declares none."""
+    data = _read_hopf_file(path)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except ValueError as exc:
-        raise InputError(f"bad Hopf algebra file: {exc}") from exc
-    return load_hopf_json(data, field)
+        return _field_from_spec(data.get("field"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad Hopf algebra file: field: {exc}") from exc
 
 
 def load_ideal_file(path, h):

@@ -4,7 +4,7 @@ coefficients."""
 
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
 from hopfcyclic.hopf import group_algebra, trivial_subalgebra
-from hopfcyclic.linalg import LegChain, SparseMatrix, permutation_matrix
+from hopfcyclic.linalg import ChainComplex, LegChain, SparseMatrix, permutation_matrix
 from hopfcyclic.sayd import SaydModule, ad_module
 
 
@@ -17,6 +17,13 @@ def from_dense(rows_list, field):
             if not field.is_zero(v):
                 data[(i, j)] = v
     return SparseMatrix(len(rows_list), len(rows_list[0]) if rows_list else 0, field, data)
+
+
+def complex_of(dims, d, field):
+    """The ChainComplex with C_n = k^dims[n] for 0 <= n < len(dims), one
+    block each, and d_n = d[n], zero where d has no n."""
+    return ChainComplex(field, lambda n: {0: dims[n]} if 0 <= n < len(dims) else {},
+                        lambda n: [(1, d[n], 0, 0)] if n in d else [])
 
 
 def to_dense(m):

@@ -187,6 +187,82 @@ def test_hopf_file_dim_zero_exit_two(tmp_path):
     _assert_bad_hopf_file(tmp_path, spec, "dim must be at least 1, got 0")
 
 
+def test_hopf_file_float_index_exit_two(tmp_path):
+    # [1.5, 1, 0, "1"] was read as [1, 1, 0, "1"], and validate exited 0
+    spec = _kc2_spec()
+    spec["mult"][3] = [1.5, 1, 0, "1"]
+    _assert_bad_hopf_file(tmp_path, spec, "mult row [1.5, 1, 0, '1'] has an index that is "
+                                          "not an integer")
+
+
+def test_hopf_file_bool_index_exit_two(tmp_path):
+    # true was read as index 1
+    spec = _kc2_spec()
+    spec["comult"][1] = [True, 1, 1, "1"]
+    _assert_bad_hopf_file(tmp_path, spec, "comult row [True, 1, 1, '1'] has an index that is "
+                                          "not an integer")
+
+
+def test_hopf_file_string_dim_exit_two(tmp_path):
+    # "dim": "2" was read as 2
+    spec = _kc2_spec()
+    spec["dim"] = "2"
+    _assert_bad_hopf_file(tmp_path, spec, "dim '2' is not an integer")
+    spec["dim"] = True
+    _assert_bad_hopf_file(tmp_path, spec, "dim True is not an integer")
+
+
+def test_hopf_file_float_coefficient_exit_two(tmp_path):
+    # 1.0 was read through str() as the fraction 1
+    spec = _kc2_spec()
+    spec["mult"][0] = [0, 0, 0, 1.0]
+    _assert_bad_hopf_file(tmp_path, spec, "coefficient 1.0 is neither an integer nor a string")
+    spec = _kc2_spec()
+    spec["counit"] = [1, True]
+    _assert_bad_hopf_file(tmp_path, spec, "coefficient True is neither an integer nor a string")
+
+
+@pytest.mark.parametrize("key, row", [("mult", [1, 0, 1, "1"]), ("comult", [1, 1, 1, "1"]),
+                                      ("antipode", [1, 1, "1"])])
+def test_hopf_file_repeated_row_exit_two(tmp_path, key, row):
+    # a repeated row was dropped (the last one kept) in mult and comult, and
+    # summed in antipode
+    spec = _kc2_spec()
+    spec[key].append(row)
+    _assert_bad_hopf_file(tmp_path, spec, f"{key} repeats the indices of row {row}")
+
+
+def test_hopf_file_is_read_over_its_declared_field(tmp_path):
+    # a kC2 file declaring F_2 read HH 2, 0, 0 over Q; now it reads the HH
+    # of kC2 over F_2 unless --field overrides the declaration
+    spec = _kc2_spec()
+    spec["field"] = {"type": "Fp", "p": 2}
+    path = tmp_path / "kc2_f2.json"
+    path.write_text(json.dumps(spec))
+    argv = ["homology", str(path), "--max-degree", "2"]
+    declared, fp2, q = (json.loads(run(["--format", "json"] + field + argv)[1])
+                        for field in ([], ["--field", "fp:2"], ["--field", "q"]))
+    assert declared["params"]["field"] == "F2" and declared["tables"] == fp2["tables"]
+    assert list(declared["tables"]["dimensions"].values()) == [2, 2, 2]
+    assert q["params"]["field"] == "Q"
+    assert list(q["tables"]["dimensions"].values()) == [2, 0, 0]
+    # a built-in stays over Q
+    assert json.loads(run(["--format", "json", "validate", "kC2"])[1])["params"]["field"] == "Q"
+
+
+@pytest.mark.parametrize("field, detail", [
+    ({"type": "Fp", "p": 4}, "modulus 4 is not prime"),
+    ({"type": "Fp"}, "unknown field"),
+    ({"type": "Fp", "p": "5"}, "unknown field"),
+    ({"type": "R"}, "unknown field"),
+    ("Q", "has no attribute"),
+])
+def test_hopf_file_bad_declared_field_exit_two(tmp_path, field, detail):
+    spec = _kc2_spec()
+    spec["field"] = field
+    _assert_bad_hopf_file(tmp_path, spec, detail)
+
+
 def test_generator_file_zero_denominator_exit_two(tmp_path):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps({"generators": [["-1", "1/0"]]}))

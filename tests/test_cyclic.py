@@ -7,11 +7,10 @@ from hopfcyclic.cyclic import (
     CyclicModule,
     _operators,
     TruncationError,
-    boundary,
+    chain_complex,
     check_identities,
     coext_cyclic,
     coextension_space,
-    connes_boundary,
     cyclic_dual,
     cyclic_homology,
     hochschild_homology,
@@ -37,6 +36,7 @@ from hopfcyclic.hopf import (
 )
 from hopfcyclic.linalg import (
     QQ,
+    ChainComplex,
     IndexTable,
     LegChain,
     NotWellDefined,
@@ -45,8 +45,6 @@ from hopfcyclic.linalg import (
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
-    block_matrix,
-    homology_dims,
     induced_map,
     induced_table,
     kernel,
@@ -519,7 +517,9 @@ def test_truncation_guards():
     with pytest.raises(TruncationError):
         cyclic_homology(cm, 2)
     with pytest.raises(TruncationError):
-        boundary(cm, 3)
+        chain_complex(cm).d(3)
+    with pytest.raises(TruncationError):
+        chain_complex(cm, connes=True).d(3)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
@@ -544,14 +544,12 @@ def _normalized_cyclic_homology(cm, upto):
     def blocks(n):
         return {q: nspaces[q].dim for q in range(n, -1, -2)}
 
-    def total_map(n):
+    def terms(n):
         src, tgt = blocks(n), blocks(n - 1)
-        terms = [(1, nb[q], q - 1, q) for q in src if q - 1 in tgt]
-        terms += [(1, nB[q], q + 1, q) for q in src if q + 1 in tgt]
-        return block_matrix(tgt, src, terms, f)
+        yield from ((1, nb[q], q - 1, q) for q in src if q - 1 in tgt)
+        yield from ((1, nB[q], q + 1, q) for q in src if q + 1 in tgt)
 
-    dims = [sum(blocks(n).values()) for n in range(upto + 1)]
-    return homology_dims(dims, {n: total_map(n) for n in range(1, upto + 2)}, upto)
+    return ChainComplex(f, blocks, terms).homology_dims(upto)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2 ** 31 - 1)],
@@ -593,12 +591,15 @@ def _connes_reference(cm, n):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=str)
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_connes_boundary_is_the_matrix_formula(name, field):
-    """B, written from its signed composites, equals the product of matrices
-    in every degree of every pair: on table modules and on descended ones."""
+    """B, written from its signed composites as the block (n + 1, n) of the
+    (b, B) total complex's d_{n+2}, equals the product of matrices in every
+    degree of every pair: on table modules and on descended ones."""
     s = builtin_setup(name, field)
-    cm = relative_cyclic(s.hopf, s.subalgebra, 3)
+    cm = relative_cyclic(s.hopf, s.subalgebra, 4)
+    tot = chain_complex(cm, connes=True)
     for n in range(3):
-        assert connes_boundary(cm, n) == _connes_reference(cm, n), n
+        block = tot.inclusion(n + 1, n + 1).t() @ tot.d(n + 2) @ tot.inclusion(n + 2, n)
+        assert block == _connes_reference(cm, n), n
 
 
 @pytest.mark.parametrize("name, want", [("kS3/k", [3, 0, 3, 0]), ("OS3/k", [6, 0, 6, 0])])

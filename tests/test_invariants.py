@@ -15,7 +15,6 @@ from hopfcyclic.specseq import (
     extension_double_complex,
     second_page_spot,
     tor_dims,
-    total_homology,
 )
 from support import from_dense
 
@@ -34,11 +33,11 @@ def test_isomorphic_cyclic_modules_share_homology():
 def test_transform_respects_boundaries():
     s = builtin_setup("kS3/kC2")
     psi, phi = module_coalgebra_transform(s, 2)
-    from hopfcyclic.cyclic import boundary
+    from hopfcyclic.cyclic import chain_complex
 
+    source, target = chain_complex(psi.source), chain_complex(psi.target)
     for n in (1, 2):
-        assert psi.components[n - 1] @ boundary(psi.source, n) \
-            == boundary(psi.target, n) @ psi.components[n]
+        assert psi.components[n - 1] @ source.d(n) == target.d(n) @ psi.components[n]
 
 
 def test_euler_characteristic_consistency():
@@ -47,15 +46,15 @@ def test_euler_characteristic_consistency():
     s = builtin_setup("H4/B")
     P, Q = 2, 2
     dc = extension_double_complex(s, P, Q)
-    cells = {(p, q): dc.dim(p, q) for p in range(P + 1) for q in range(Q + 1)}
+    cells = {(p, q): dc.row(q).dim(p) for p in range(P + 1) for q in range(Q + 1)}
     chi_cells = sum((-1) ** (p + q) * d for (p, q), d in cells.items())
 
     e1 = {}
     for p in range(P + 1):
         for q in range(Q + 1):
-            out = dc.dv(p, q) if q >= 1 else SparseMatrix.zeros(0, dc.dim(p, q), QQ)
+            out = dc.dv(p, q) if q >= 1 else SparseMatrix.zeros(0, cells[(p, q)], QQ)
             into = dc.dv(p, q + 1) if q + 1 <= Q else SparseMatrix.zeros(
-                dc.dim(p, q), 0, QQ)
+                cells[(p, q)], 0, QQ)
             e1[(p, q)] = homology_space(out, into)
     chi_e1 = sum((-1) ** (p + q) * sp.dim for (p, q), sp in e1.items())
 
@@ -112,7 +111,7 @@ def test_total_homology_base_field_various():
     for name, want in (("kC3/k", [3, 0]), ("kC2/k", [2, 0])):
         s = builtin_setup(name)
         dc = extension_double_complex(s, 2, 2)
-        assert [total_homology(dc, n).dim for n in range(2)] == want
+        assert [dc.tot.homology(n).dim for n in range(2)] == want
 
 
 def _matrices(obj, seen):
@@ -159,7 +158,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     from hopfcyclic.loaders import load_hopf_json, load_ideal_file
     from hopfcyclic.presets import SETUP_NAMES
     from hopfcyclic.sayd import coad_module
-    from hopfcyclic.specseq import bar_boundary
+    from hopfcyclic.specseq import bar_complex
 
     f = PrimeField(7)
     built = []
@@ -175,7 +174,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
                       hopf_cyclic_coalgebra(s.quotient, ad, 2),
                       hopf_cyclic_comodule_algebra(h, s.subalgebra, coad, 2),
                       module_coalgebra_transform(s, 2), comodule_algebra_transform(s, 1),
-                      [bar_boundary(h, h.eps, 1, ad.operator_action, ad.dim, q) for q in (1, 2)]]
+                      [bar_complex(h, h.eps, 1, ad.operator_action, ad.dim).d(q) for q in (1, 2)]]
             dc = extension_double_complex(s, 2, 2)
             built += [[dc.dh(p, q), dc.dv(p, q + 1)] for p in range(1, 3) for q in range(2)]
     # file input: every coefficient here is 1 mod 7, written as 8, -6, 15/15

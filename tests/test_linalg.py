@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 from oracle import dense_rank
-from support import from_dense, to_dense, uncached
+from support import complex_of, from_dense, to_dense, uncached
 
-from hopfcyclic.cyclic import boundary, relative_cyclic
+from hopfcyclic.cyclic import chain_complex, relative_cyclic
 from hopfcyclic.linalg import (
     QQ,
     Inconsistent,
@@ -22,7 +22,6 @@ from hopfcyclic.linalg import (
     coequalizer,
     composite_is_zero,
     equalizer,
-    homology_dims,
     homology_space,
     induced_map,
     induced_table,
@@ -39,7 +38,7 @@ from hopfcyclic.linalg import (
 )
 from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
-from hopfcyclic.specseq import bar_boundary
+from hopfcyclic.specseq import bar_complex
 
 
 def M(rows, field=QQ):
@@ -705,23 +704,24 @@ def test_homology_space_with_gap():
 def test_alternating_sum_and_homology_dims():
     # k --0--> k^2 --onto--> k; a missing d[n] counts as zero
     d = {1: M([[1, 1]]), 2: SparseMatrix.zeros(2, 1, QQ)}
-    assert homology_dims([1, 2, 1], d, 2) == [0, 1, 1]
-    assert homology_dims([1, 2], {}, 1) == [1, 2]
+    assert complex_of([1, 2, 1], d, QQ).homology_dims(2) == [0, 1, 1]
+    assert complex_of([1, 2], {}, QQ).homology_dims(1) == [1, 2]
 
 
 def test_homology_dims_rejects_a_non_complex():
     # k --1--> k --1--> k: d[1] @ d[2] != 0 is caught before d[2] is ranked
     d = {1: M([[1]]), 2: M([[1]])}
     with pytest.raises(NotWellDefined):
-        homology_dims([1, 1, 1], d, 1)
+        complex_of([1, 1, 1], d, QQ).homology_dims(1)
 
 
-def _assert_cleared_ranks_exact(dims, d, upto):
-    """Each rank that ``homology_dims`` caches on d[n], cleared by the
-    pivots of d[n - 1], equals the rank of a fresh copy on all its rows."""
-    homology_dims(dims, d, upto)
-    for n, m in d.items():
-        assert m.rank() == uncached(m).rank(), n
+def _assert_cleared_ranks_exact(cx, upto):
+    """Each rank that ``homology_dims`` caches on d_n of the complex cx,
+    cleared by the pivots of d_{n-1}, equals the rank of a fresh copy on all
+    its rows."""
+    cx.homology_dims(upto)
+    for n in range(1, upto + 2):
+        assert cx.d(n).rank() == uncached(cx.d(n)).rank(), n
 
 
 CLEARING_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=str)
@@ -732,7 +732,7 @@ CLEARING_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], 
 def test_cleared_hochschild_ranks_are_exact(name, field):
     setup = builtin_setup(name, field)
     cm = relative_cyclic(setup.hopf, setup.subalgebra, 4)
-    _assert_cleared_ranks_exact(cm.dims(), {n: boundary(cm, n) for n in range(1, 5)}, 3)
+    _assert_cleared_ranks_exact(chain_complex(cm), 3)
 
 
 @CLEARING_FIELDS
@@ -740,9 +740,7 @@ def test_cleared_hochschild_ranks_are_exact(name, field):
 def test_cleared_tor_ranks_are_exact(name, field):
     h = builtin_hopf(name, field)
     ad = ad_module(h)
-    dims = [h.dim ** q * ad.dim for q in range(5)]
-    d = {q: bar_boundary(h, h.eps, 1, ad.operator_action, ad.dim, q) for q in range(1, 5)}
-    _assert_cleared_ranks_exact(dims, d, 3)
+    _assert_cleared_ranks_exact(bar_complex(h, h.eps, 1, ad.operator_action, ad.dim), 3)
 
 
 def test_block_matrix_places_blocks_and_rejects_a_wrong_shape():
@@ -902,6 +900,22 @@ def test_composite_is_zero_matches_the_product(field):
         assert composite_is_zero(a, c) == (a @ c).is_zero_matrix()
     with pytest.raises(ShapeMismatch):
         composite_is_zero(SparseMatrix.identity(2, field), SparseMatrix.identity(3, field))
+
+
+@identity_fields
+def test_composite_is_zero_sums_composites(field):
+    """composite_is_zero(a, b, (c, e)) is a @ b + c @ e = 0, as a square of a
+    double complex is checked, with no product formed."""
+    rng = random.Random(7)
+    for _ in range(40):
+        n, k, j, m = (rng.randint(1, 5) for _ in range(4))
+        a, c = (_scrambled(field, n, w, rng.randrange(10**6)) for w in (k, j))
+        b, e = (_scrambled(field, w, m, rng.randrange(10**6)) for w in (k, j))
+        assert composite_is_zero(a, b, (c, e)) == (a @ b + c @ e).is_zero_matrix()
+        assert composite_is_zero(a, b, (-a, b), (c, e), (c, -e))
+    ident = SparseMatrix.identity(2, field)
+    with pytest.raises(ShapeMismatch):  # every composite must have the first one's shape
+        composite_is_zero(ident, ident, (SparseMatrix.identity(3, field), ident))
 
 
 def _monomial(field, rows, cols, seed, by_rows=False):

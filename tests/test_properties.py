@@ -6,7 +6,7 @@ Random sparse matrices over Q and over F_(2^31-1) are checked against
 and the matrices at most 7 x 7, so every minor is below Hadamard's bound
 (3 sqrt 7)^7 < 2.1e6 < p; a minor vanishes mod p exactly when it
 vanishes over Q, and the dense rank over Q is the rank over F_p.
-``homology_dims``, which clears rows, is checked on random complexes over
+``ChainComplex.homology_dims``, which clears rows, is checked on random complexes over
 Q and F_7 against ranks taken on all rows.
 """
 
@@ -18,14 +18,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracle import dense_rank  # noqa: E402
-from support import uncached  # noqa: E402
+from support import complex_of, uncached  # noqa: E402
 
 from hopfcyclic.linalg import (  # noqa: E402
     QQ,
     Inconsistent,
     PrimeField,
     SparseMatrix,
-    homology_dims,
     kernel,
     quotient_by_columns,
     solve,
@@ -147,7 +146,7 @@ def test_cleared_homology_dims_match_uncleared_ranks(field, data):
     dims, d = data.draw(_complexes(field))
     upto = len(dims) - 2
     ranks = [uncached(d[n]).rank() if n in d else 0 for n in range(upto + 2)]
-    assert homology_dims(dims, d, upto) == [dims[n] - ranks[n] - ranks[n + 1]
-                                            for n in range(upto + 1)]
-    # the rank each d[n] caches, cleared or not, is its exact rank
-    assert all(d[n].rank() == ranks[n] for n in d)
+    cx = complex_of(dims, d, field)
+    assert cx.homology_dims(upto) == [dims[n] - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
+    # the rank each d_n caches, cleared or not, is its exact rank
+    assert all(cx.d(n).rank() == ranks[n] for n in range(1, upto + 2))

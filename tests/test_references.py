@@ -19,7 +19,7 @@ from oracle import (
     tor_boundary,
 )
 
-from hopfcyclic.cyclic import boundary, diagonal_action, relative_cyclic
+from hopfcyclic.cyclic import chain_complex, diagonal_action, relative_cyclic
 from hopfcyclic.hopf import (
     canonical_map_n,
     cocanonical_map,
@@ -30,7 +30,7 @@ from hopfcyclic.hopf import (
 from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, SubquotientSpace, induced_map
 from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
-from hopfcyclic.specseq import bar_boundary
+from hopfcyclic.specseq import bar_complex
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -196,11 +196,12 @@ def test_boundaries_match_oracle(name, field):
     h = builtin_hopf(name, field)
     alg = _ORACLE_ALGEBRAS[name]()
     ad = ad_module(h)
-    cm = relative_cyclic(h, trivial_subalgebra(h), 3)
+    tor = bar_complex(h, h.eps, 1, ad.operator_action, ad.dim)
+    hochschild = chain_complex(relative_cyclic(h, trivial_subalgebra(h), 3))
     for q in (1, 2, 3):
-        tor_d = bar_boundary(h, h.eps, 1, ad.operator_action, ad.dim, q)
-        assert tor_d == _oracle_matrix(tor_boundary(alg, q), h.dim ** q, field), q
-        assert boundary(cm, q) == _oracle_matrix(hochschild_boundary(alg, q), h.dim ** q, field), q
+        assert tor.d(q) == _oracle_matrix(tor_boundary(alg, q), h.dim ** q, field), q
+        assert hochschild.d(q) == _oracle_matrix(hochschild_boundary(alg, q), h.dim ** q,
+                                                  field), q
 
 
 @fields

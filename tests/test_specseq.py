@@ -1,23 +1,25 @@
+import gc
+import weakref
+
 import pytest
 
-from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
+from hopfcyclic.cyclic import diagonal_action, hochschild_homology, relative_cyclic
 from hopfcyclic.linalg import (
     QQ,
     NotWellDefined,
     PrimeField,
     SparseMatrix,
     apply_on_leg,
-    homology_dims,
     kernel,
 )
 from hopfcyclic.presets import PAIR_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
-from hopfcyclic import specseq
+from hopfcyclic import linalg, specseq
 from hopfcyclic.cli import run
 from hopfcyclic.specseq import (
-    _total_cells,
-    bar_boundary,
-    coalgebra_boundary,
+    ExtensionDoubleComplex,
+    bar_complex,
+    coalgebra_complex,
     extension_double_complex,
     first_page_spot,
     five_term_check,
@@ -26,10 +28,8 @@ from hopfcyclic.specseq import (
     second_page_spot,
     theorem_check,
     tor_dims,
-    total_complex_map,
-    total_homology,
 )
-from support import from_dense, trivial_sayd
+from support import complex_of, from_dense, trivial_sayd
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 TOR_H4 = [2, 1, 1, 1]
@@ -41,20 +41,21 @@ def test_chain_complex_rejects_nonzero_d_squared():
     d2 = from_dense([[QQ.one], [QQ.zero]], QQ)
     # the check runs where the ranks are taken, before any row is cleared
     with pytest.raises(NotWellDefined):
-        homology_dims([1, 2, 1], {1: d1, 2: d2}, 1)
+        complex_of([1, 2, 1], {1: d1, 2: d2}, QQ).homology_dims(1)
 
 
 def _bar_resolution_of_k(h, length):
     """The bar resolution H (x) H^{(x) q} (x) k of k by free left H-modules,
     with the exactness of the complex augmented by the counit checked degree
-    by degree; returns its dims and its boundaries."""
-    dims = [h.dim ** (q + 1) for q in range(length + 1)]
-    d = {q: bar_boundary(h, h.mu, h.dim, h.eps, 1, q) for q in range(1, length + 1)}
-    assert (h.eps @ d[1]).is_zero_matrix()  # the augmentation kills boundaries
+    by degree; returns its dims and the complex."""
+    bar = bar_complex(h, h.mu, h.dim, h.eps, 1)
+    dims = [bar.dim(q) for q in range(length + 1)]
+    assert dims == [h.dim ** (q + 1) for q in range(length + 1)]
+    assert (h.eps @ bar.d(1)).is_zero_matrix()  # the augmentation kills boundaries
     assert h.eps.rank() == 1  # and is surjective
-    assert kernel(h.eps).dim == d[1].rank()  # exact in degree 0
-    assert all(dim == 0 for dim in homology_dims(dims, d, length - 1)[1:])
-    return dims, d
+    assert kernel(h.eps).dim == bar.d(1).rank()  # exact in degree 0
+    assert all(dim == 0 for dim in bar.homology_dims(length - 1)[1:])
+    return dims, bar
 
 
 def test_bar_resolution_trivial_algebra():
@@ -63,23 +64,23 @@ def test_bar_resolution_trivial_algebra():
     from hopfcyclic.hopf import group_algebra
 
     triv = group_algebra(builtin_group("trivial"))
-    dims, d = _bar_resolution_of_k(triv, 3)
+    dims, bar = _bar_resolution_of_k(triv, 3)
     assert dims == [1, 1, 1, 1]
-    assert homology_dims(dims, d, 2) == [1, 0, 0]
+    assert bar.homology_dims(2) == [1, 0, 0]
 
 
 def test_bar_resolution_kc2_exact():
     h = builtin_hopf("kC2")
-    dims, d = _bar_resolution_of_k(h, 4)
+    dims, bar = _bar_resolution_of_k(h, 4)
     assert dims == [2, 4, 8, 16, 32]
     # homology of the unaugmented complex is k in degree 0 only
-    assert homology_dims(dims, d, 3) == [1, 0, 0, 0]
+    assert bar.homology_dims(3) == [1, 0, 0, 0]
 
 
 def test_bar_resolution_sweedler_exact():
     h = builtin_hopf("H4")
-    dims, d = _bar_resolution_of_k(h, 4)
-    assert homology_dims(dims, d, 3) == [1, 0, 0, 0]
+    _, bar = _bar_resolution_of_k(h, 4)
+    assert bar.homology_dims(3) == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("name, field, want", [
@@ -139,10 +140,15 @@ def test_double_complex_squares_and_total_homology_base_case():
     # B = k: the double complex total homology is Tor(k, ad H)
     s = builtin_setup("kC2/k")
     dc = extension_double_complex(s, 3, 3)
-    tot = [total_homology(dc, n).dim for n in range(3)]
+    tot = [dc.tot.homology(n).dim for n in range(3)]
     tor_vals = tor_dims(ad_module(s.hopf), 2)
-    dc.validate_instantiated_squares()
     assert tot == tor_vals == [2, 0, 0]
+    # every square built anticommutes, and lies where d^2 = 0 on Tot_0..Tot_3 holds it
+    assert dc.squares()
+    for p, q in dc.squares():
+        assert p + q <= 3
+        assert linalg.composite_is_zero(dc.dv(p - 1, q), dc.dh(p, q),
+                                        (dc.dh(p, q - 1), dc.dv(p, q))), (p, q)
 
 
 def test_first_page_vanishes_for_semisimple():
@@ -215,8 +221,9 @@ def test_double_complex_builds_each_object_once():
     dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
     for build, args in ((first_page_spot, (1, 0)), (first_page_spot, (1, 1, True)),
                         (second_page_spot, (1, 0)), (second_page_spot, (1, 1, True)),
-                        (total_complex_map, (2,)), (total_homology, (1,))):
+                        (ExtensionDoubleComplex.dh, (2, 0)), (ExtensionDoubleComplex.dv, (1, 1))):
         assert build(dc, *args) is build(dc, *args), (build.__name__, args)
+    assert dc.tot.d(2) is dc.tot.d(2) and dc.tot.homology(1) is dc.tot.homology(1)
 
 
 def test_spectral_run_builds_one_double_complex(monkeypatch):
@@ -233,23 +240,93 @@ def test_spectral_run_builds_one_double_complex(monkeypatch):
     assert len(built) == 1
 
 
-def test_shared_double_complex_checks_what_two_fresh_ones_check():
-    # theorem_check and five_term_check on one double complex validate the
-    # squares, and report the values, that each validates on its own instance
+def _certified_squares(monkeypatch, dc, *checks):
+    """Run ``checks`` on dc; the squares (p, q) they certify: those that a
+    d^2 check of Tot from Tot_{p+q} holds, with both cells in the window,
+    and those checked row by row on their own."""
+    seen = []
+    real = linalg.composite_is_zero
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "composite_is_zero", spy)
+        patch.setattr(specseq, "composite_is_zero", spy)
+        reports = [check(dc) for check in checks]
+    certified = set()
+    for p, q in dc.squares():
+        n, tot = p + q, dc.tot._d
+        for args in seen:
+            if len(args) == 2 and n in tot and args[0] is tot.get(n - 1) and args[1] is tot[n] \
+                    and (p, q) in dc.tot.blocks(n) and (p - 1, q - 1) in dc.tot.blocks(n - 2):
+                certified.add((p, q))
+            if len(args) == 3 and args[1] is dc.dh(p, q) and args[2][1] is dc.dv(p, q):
+                certified.add((p, q))
+    return certified, reports
+
+
+def test_shared_double_complex_checks_what_two_fresh_ones_check(monkeypatch):
+    # theorem_check and five_term_check on one double complex certify the
+    # squares, and report the values, that each certifies on its own instance
     s = builtin_setup("H4/B")
     hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
     shared = extension_double_complex(s, 3, 3)
     tor = tor_dims(shared.m, 2)
-    reports = [theorem_check(shared, hh, tor), five_term_check(shared)]
+
+    def theorem(dc):
+        return theorem_check(dc, hh, tor)
+
+    both, reports = _certified_squares(monkeypatch, shared, theorem, five_term_check)
     alone_t, alone_f = extension_double_complex(s, 3, 3), extension_double_complex(s, 3, 3)
-    alone = [theorem_check(alone_t, hh, tor), five_term_check(alone_f)]
-    assert shared._checked_squares == alone_t._checked_squares | alone_f._checked_squares
-    assert shared._checked_squares
+    by_t, alone = _certified_squares(monkeypatch, alone_t, theorem)
+    by_f, report_f = _certified_squares(monkeypatch, alone_f, five_term_check)
+    alone += report_f
+    assert both >= by_t | by_f
+    assert by_t and by_f
+    # and every square that an instance builds is certified
+    for dc, certified in ((shared, both), (alone_t, by_t), (alone_f, by_f)):
+        assert set(dc.squares()) == certified
     for got, want in zip(reports, alone):
         assert got.ok and want.ok
         assert got.tables == want.tables
         assert [(c.name, c.witness) for c in got.checks] == \
             [(c.name, c.witness) for c in want.checks]
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (1, 1, "not a complex"),  # d^2 = 0 on Tot_2 -> Tot_0
+    (2, 1, "not a complex"),  # d^2 = 0 on Tot_3 -> Tot_1
+    (3, 1, r"squares fail at \(3,1\)"),  # past Tot's window: checked row by row
+])
+def test_a_square_that_does_not_anticommute_is_rejected(p, q, message):
+    """dh negated at one cell leaves every row a complex but breaks the
+    square there, which a spectral run rejects."""
+    s = builtin_setup("H4/B")
+    hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
+    dc = extension_double_complex(s, 3, 3)
+    dc.row(q)._d[p] = -dc.dh(p, q)
+    with pytest.raises(NotWellDefined, match=message):
+        theorem_check(dc, hh, tor_dims(dc.m, 2))
+        five_term_check(dc)
+
+
+def test_a_checked_double_complex_is_freed_by_reference_count():
+    """Nothing a double complex keeps (its rows, columns, E^2 spots and
+    total complex) refers back to it, so it is freed when dropped, with the
+    cycle collector off, as ``cmd_spectral``'s ``del dc`` relies on."""
+    s = builtin_setup("OS3/OC2")
+    hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
+    gc.disable()
+    try:
+        dc = extension_double_complex(s, 3, 3)
+        assert theorem_check(dc, hh, tor_dims(dc.m, 2)).ok and five_term_check(dc).ok
+        freed = weakref.ref(dc)
+        del dc
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)],
@@ -312,11 +389,12 @@ def test_written_differentials_equal_their_summed_formulas(name, field):
     s = builtin_setup(name, field)
     h, c, f = s.hopf, s.quotient, field
     ad = ad_module(h)
+    tor = bar_complex(h, h.eps, 1, ad.operator_action, ad.dim)
     for q in range(1, 4):
-        assert bar_boundary(h, h.eps, 1, ad.operator_action, ad.dim, q) == \
-            _bar_reference(h, h.eps, 1, ad.operator_action, ad.dim, q), q
+        assert tor.d(q) == _bar_reference(h, h.eps, 1, ad.operator_action, ad.dim, q), q
+    augmented = coalgebra_complex(c, augmented=True)
     for legs in range(1, 5):
-        assert coalgebra_boundary(c, legs) == _coalgebra_reference(c, legs), legs
+        assert augmented.d(legs - 1) == _coalgebra_reference(c, legs), legs
     dc = extension_double_complex(s, 3, 3)
     dh, dv = {}, {}
     for p in range(4):
@@ -326,16 +404,18 @@ def test_written_differentials_equal_their_summed_formulas(name, field):
                 dh[(p, q)] = _coalgebra_reference(c, p + 1).kron(ident)
                 assert dc.dh(p, q) == dh[(p, q)], ("dh", p, q)
             if q:
-                bnd = _bar_reference(h, dc._diagonal_consume(p), c.dim ** (p + 1),
+                bnd = _bar_reference(h, diagonal_action(c, p + 1), c.dim ** (p + 1),
                                      dc.m.operator_action, dc.m.dim, q)
                 dv[(p, q)] = -bnd if p % 2 else bnd
                 assert dc.dv(p, q) == dv[(p, q)], ("dv", p, q)
     for n in range(1, 4):
-        src, tgt = _total_cells(dc, n), _total_cells(dc, n - 1)
+        src, tgt = ({(p, k - p): c.dim ** (p + 1) * h.dim ** (k - p) * dc.m.dim
+                     for p in range(k + 1)} for k in (n, n - 1))
+        assert list(dc.tot.blocks(n).items()) == list(src.items()), n
         blocks = {}
         for (p, q) in src:
             if (p - 1, q) in tgt:
                 blocks[((p - 1, q), (p, q))] = dh[(p, q)]
             if (p, q - 1) in tgt:
                 blocks[((p, q - 1), (p, q))] = dv[(p, q)]
-        assert total_complex_map(dc, n) == _blocks_placed(tgt, src, blocks, f), n
+        assert dc.tot.d(n) == _blocks_placed(tgt, src, blocks, f), n
