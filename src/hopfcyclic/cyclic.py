@@ -167,29 +167,15 @@ def index_tables(x):
 
 
 def matrix_operators(x):
-    """x's operators as matrices, which compose by exact products.
-
-    A table becomes its matrix, and a matrix a copy that shares its entries
-    but no cache, so the row maps that the products cache go with the check
-    and none stays on x.
-    """
+    """x's operators as matrices, which compose by exact products."""
     f = x.spaces[0].field
-    copies = [{k: operator_matrix(m, f) for k, m in op.items()} for op in _operators(x)]
-    return copies, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
-
-
-def _sharing(m):
-    """A copy of m that shares its entries, which never change, but no
-    cache; a table as it is, since it caches nothing."""
-    if isinstance(m, IndexTable):
-        return m
-    return SparseMatrix(m.rows, m.cols, m.field, m.data)
+    ops = [{k: operator_matrix(m, f) for k, m in op.items()} for op in _operators(x)]
+    return ops, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
 
 
 def operator_matrix(m, field):
-    """Operator m as a matrix that no module keeps: a table's ``matrix``,
-    or a copy of a matrix that shares its entries but no cache."""
-    return m.matrix(field) if isinstance(m, IndexTable) else _sharing(m)
+    """Operator m as a matrix: a table's ``matrix``, a matrix as it is."""
+    return m.matrix(field) if isinstance(m, IndexTable) else m
 
 
 def cyclic_identities(n_max, d, s, t, compose, ident):
@@ -309,7 +295,7 @@ def build_cyclic(n_max, spaces, face, degeneracy, rotation, name=""):
         {(n, i): (face(n, i), n, n - 1) for n in range(1, n_max + 1) for i in range(n)},
         {(n, j): (degeneracy(n, j), n, n + 1) for n in range(n_max) for j in range(n + 1)}))
     for n in range(1, n_max + 1):
-        d[(n, n)] = _sharing(d[(n, 0)]) @ _sharing(t[n])
+        d[(n, n)] = d[(n, 0)] @ t[n]
     return CyclicModule(n_max, spaces, d, s, t, name=name)
 
 
@@ -322,7 +308,7 @@ def build_cocyclic(n_max, spaces, coface, codegeneracy, rotation, name=""):
         {(n, i): (coface(n, i), n, n + 1) for n in range(n_max) for i in range(n + 1)},
         {(n, j): (codegeneracy(n, j), n, n - 1) for n in range(1, n_max + 1) for j in range(n)}))
     for n in range(n_max):
-        delta[(n, n + 1)] = _sharing(tau[n + 1]) @ _sharing(delta[(n, 0)])
+        delta[(n, n + 1)] = tau[n + 1] @ delta[(n, 0)]
     return CocyclicModule(n_max, spaces, delta, sigma, tau, name=name)
 
 
@@ -450,10 +436,11 @@ def generator_relations(c, legs, acts):
     C^{(x) legs} (x)_H M, one block for each algebra generator g of H;
     ``acts[j]`` is the action on M of the j-th column of ``generator_matrix()``.
 
-    The coefficient term comes first: ``quotient_by_columns`` meets the
-    relations in the order their entries first appear, and this order needs
-    far fewer pivot rescalings than the reverse (none on kC2/k, kC3/k and
-    kS3/k up to degree 4).
+    ``quotient_by_columns`` meets the relations in column order, generator
+    by generator and x-major in each, which needs far fewer pivot
+    rescalings than the order their entries are first written in: none on
+    kC2/k, kC3/k and kS3/k up to degree 4, against 363 on kC3/k and 9,330
+    on kS3/k.
     """
     h, f = c.parent, c.parent.field
     ident_legs = SparseMatrix.identity(c.dim ** legs, f)

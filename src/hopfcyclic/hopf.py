@@ -116,16 +116,14 @@ class HopfAlgebra:
         self.antipode = antipode
         self.generator_indices = generator_indices
         # derived structure matrices
-        self.mu = SparseMatrix(
+        self.mu = SparseMatrix.from_entries(
             d, d * d, field,
-            {(k, tensor_index((d, d), (i, j))): v for (i, j, k), v in self.mult.items()},
-        )
-        self.delta = SparseMatrix(
+            ((k, tensor_index((d, d), (i, j)), v) for (i, j, k), v in self.mult.items()))
+        self.delta = SparseMatrix.from_entries(
             d * d, d, field,
-            {(tensor_index((d, d), (i, j)), k): v for (k, i, j), v in self.comult.items()},
-        )
-        self.eta = SparseMatrix(d, 1, field, {(i, 0): v for i, v in self.unit.items()})
-        self.eps = SparseMatrix(1, d, field, {(0, i): v for i, v in self.counit.items()})
+            ((tensor_index((d, d), (i, j)), k, v) for (k, i, j), v in self.comult.items()))
+        self.eta = SparseMatrix(d, 1, field, {i: {0: v} for i, v in self.unit.items()})
+        self.eps = SparseMatrix(1, d, field, {0: dict(self.counit)} if self.counit else {})
         try:
             self.antipode_inv = inverse(antipode)
         except Inconsistent:
@@ -147,8 +145,8 @@ class HopfAlgebra:
         """The generators() as the columns of a d x k matrix."""
         one = self.field.one
         gens = self.generators()
-        return SparseMatrix(self.dim, len(gens), self.field,
-                            {(g, j): one for j, g in enumerate(gens)})
+        return SparseMatrix.from_entries(self.dim, len(gens), self.field,
+                                         ((g, j, one) for j, g in enumerate(gens)))
 
     def left_mult_matrix(self, a):
         """Matrix of x -> a . x for an element a given as a d x 1 column."""
@@ -171,7 +169,7 @@ class HopfAlgebra:
             if lhs == rhs:
                 checks.append(AxiomCheck(name, True))
             else:
-                col = min((lhs - rhs).data)[1]
+                col = min((lhs - rhs).entries())[1]
                 witness = ", ".join(self.basis[t] for t in tensor_unindex(dims, col))
                 checks.append(AxiomCheck(name, False, f"({witness})"))
 
@@ -218,7 +216,7 @@ def group_algebra(group, field=QQ):
     comult = {(k, k, k): one for k in range(n)}
     counit = {k: one for k in range(n)}
     unit = {group.identity: one}
-    antipode = SparseMatrix(n, n, field, {(group.inv(j), j): one for j in range(n)})
+    antipode = SparseMatrix(n, n, field, {group.inv(j): {j: one} for j in range(n)})
     gens = _group_generators(group)
     return HopfAlgebra(f"k[{group.name}]", field, list(group.names), mult, unit,
                        comult, counit, antipode, generator_indices=gens)
@@ -235,7 +233,7 @@ def function_algebra(group, field=QQ):
         for b in range(n):
             comult[(group.mul(a, b), a, b)] = one
     counit = {group.identity: one}
-    antipode = SparseMatrix(n, n, field, {(group.inv(j), j): one for j in range(n)})
+    antipode = SparseMatrix(n, n, field, {group.inv(j): {j: one} for j in range(n)})
     names = [f"d_{nm}" for nm in group.names]
     return HopfAlgebra(f"O({group.name})", field, names, mult, unit, comult, counit, antipode)
 
@@ -275,7 +273,7 @@ def sweedler_algebra(field=QQ):
         (GX, I, GX): one,
     }
     counit = {I: one, G: one}
-    antipode = SparseMatrix(4, 4, field, {(I, I): one, (G, G): one, (GX, X): neg, (X, GX): one})
+    antipode = SparseMatrix(4, 4, field, {I: {I: one}, G: {G: one}, GX: {X: neg}, X: {GX: one}})
     return HopfAlgebra("H4", field, ["1", "g", "x", "gx"], mult, unit, comult, counit,
                        antipode, generator_indices=[G, X])
 

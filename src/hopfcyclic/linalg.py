@@ -10,6 +10,11 @@ Matrices act on column vectors: a matrix of shape (rows, cols) sends basis
 vector e_j of k^cols to sum_i M[i,j] e_i.  Tensor products use row-major
 indexing with the left factor slowest: (i, j) <-> i*dim_right + j.
 
+A ``SparseMatrix`` is its row map, {row: {col: value}}, the one form that
+products, elimination and the differential writer ``block_matrix`` read.
+Other modules write a matrix by rows or by entries and read it through
+``entries``, ``get`` and the operations here.
+
 Every complex the package ranks is one ``ChainComplex`` (Weibel, *An
 Introduction to Homological Algebra*, 1.2): Hochschild and cyclic
 homology, Tor, and the rows, columns and total complex of the spectral
@@ -19,6 +24,7 @@ double complex.  Each C_n is a sum of labelled blocks, and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress, repeat
 
@@ -56,12 +62,14 @@ class RationalField:
 
     Values: an integral value is a plain ``int``; only a non-integral value
     is a ``Fraction`` (``gmpy2.mpq`` when gmpy2 is installed).  ``zero``,
-    ``one``, ``from_int``, ``from_str`` and ``inv`` keep to this, and the
+    ``one``, ``from_int``, ``from_str`` and ``inv`` keep to this.  The
     sparse kernels combine values with ``+``, ``-`` and ``*`` only, which
-    may leave an integral ``Fraction`` such as ``Fraction(2)``.  ``int``,
-    ``Fraction`` and ``mpq`` compare, hash and ``str()`` identically, so
-    either form of a value gives the same equality and the same report.
-    Division happens only in ``inv``: ``int / int`` would give a float.
+    may leave an integral ``Fraction`` such as ``Fraction(2)`` inside an
+    elimination; every ``SparseMatrix`` they build turns it back into an
+    ``int``.  ``int``, ``Fraction`` and ``mpq`` compare, hash and ``str()``
+    identically, so either form of a value gives the same equality and the
+    same report.  Division happens only in ``inv``: ``int / int`` would
+    give a float.
     """
 
     name = "Q"
@@ -144,7 +152,7 @@ class PrimeField:
     """F_p for a prime p.
 
     Values are ints in [0, p), one residue per class, so ``==`` on values
-    (and on ``SparseMatrix.data``) is equality in F_p.  The sparse kernels
+    (and on a ``SparseMatrix``'s row map) is equality in F_p.  The sparse kernels
     use native ``+``, ``-``, ``*`` and reduce with ``% p``.
     """
 
@@ -202,28 +210,29 @@ QQ = RationalField()
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over an exact field.
-
-    Entries live in ``data: {(row, col): value}`` with no explicit zeros
-    and every value in its field's canonical form (see ``RationalField``
-    and ``PrimeField``), so equality is ``==`` on ``data``.  Derived
-    row/column adjacency, the reduced row echelon form, the pivot columns
-    behind the rank and whether the matrix is an identity are cached on
-    first use.  Nothing writes to ``data`` after construction, so a cached
-    value stays true and a product may hand back a factor unchanged.  A
-    matrix made ``from_rows`` holds its row map alone and derives ``data``
-    only when something reads it.
+    """Immutable-by-convention sparse matrix over an exact field, stored as
+    its row map ``{row: {col: value}}`` (Gustavson's row-wise form, *Two
+    fast algorithms for sparse matrices*, 1978), with no empty row, no
+    zero and every value in its field's canonical form (see
+    ``RationalField`` and ``PrimeField``), so equality is ``==`` on row
+    maps.  Rows and their entries keep the order they were written in,
+    which is the order elimination reads them in.  The column map, the
+    reduced row echelon form, the pivot columns behind the rank and
+    whether the matrix is an identity are derived and cached on first use.
+    Nothing writes to a row map after construction, so a cached value
+    stays true, a product may hand back a factor or its rows unchanged, and
+    two matrices may share a row dict.  An identity's row map is a
+    read-only ``Mapping`` that makes each row when it is read.
     """
 
-    __slots__ = ("rows", "cols", "field", "_data", "_rows_map", "_cols_map", "_rref", "_pivots",
+    __slots__ = ("rows", "cols", "field", "_rows_map", "_cols_map", "_rref", "_pivots",
                  "_identity")
 
-    def __init__(self, rows, cols, field, data=None):
+    def __init__(self, rows, cols, field, rows_map=None):
         self.rows = rows
         self.cols = cols
         self.field = field
-        self._data = {} if data is None else data
-        self._rows_map = None
+        self._rows_map = {} if rows_map is None else rows_map
         self._cols_map = None
         self._rref = None
         self._pivots = None
@@ -237,91 +246,67 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n, field):
-        one = field.one
-        m = cls(n, n, field, {(i, i): one for i in range(n)})
+        m = cls(n, n, field, _Diagonal(n, field.one))
         m._identity = True
         return m
 
     @classmethod
-    def from_rows(cls, rows, cols, field, rows_map):
-        """The matrix whose row map is ``rows_map``: {row: {col: value}}, with
-        no empty row, no zero and every value canonical."""
-        m = cls(rows, cols, field)
-        m._data, m._rows_map = None, rows_map
-        return m
-
-    @property
-    def data(self):
-        if self._data is None:
-            self._data = {(i, j): v for i, row in self._rows_map.items() for j, v in row.items()}
-        return self._data
-
-    @classmethod
     def from_entries(cls, rows, cols, field, entries):
-        data = {}
+        """The sum of the (row, col, value) ``entries``."""
+        out = {}
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-            if (i, j) in data:
-                v = field.add(data[(i, j)], v)
-            if field.is_zero(v):
-                data.pop((i, j), None)
-            else:
-                data[(i, j)] = v
-        return cls(rows, cols, field, data)
+            row = out.setdefault(i, {})
+            row[j] = row.get(j, 0) + v
+        return cls(rows, cols, field,
+                   {i: r for i, row in out.items() if (r := _canonical_row(row, field.p))})
 
     # basic access ----------------------------------------------------------
 
     def get(self, i, j):
-        return self.data.get((i, j), self.field.zero)
+        row = self._rows_map.get(i)
+        return self.field.zero if row is None else row.get(j, self.field.zero)
 
     def entries(self):
-        """(row, col, value) for every entry, as ``IndexTable.entries``."""
-        return ((i, j, v) for (i, j), v in self.data.items())
+        """(row, col, value) for every entry, row by row, as ``IndexTable.entries``."""
+        return ((i, j, v) for i, row in self._rows_map.items() for j, v in row.items())
 
     @property
     def nnz(self):
-        if self._data is None:
-            return sum(map(len, self._rows_map.values()))
-        return len(self._data)
+        return sum(map(len, self._rows_map.values()))
 
     def is_zero_matrix(self):
-        return not self.data
+        return not self._rows_map
 
     def is_identity(self):
         if self._identity is None:
+            rows = self._rows_map
             self._identity = (
                 self.rows == self.cols
-                and len(self.data) == self.rows
-                and all(i == j and v == 1 for (i, j), v in self.data.items())
+                and len(rows) == self.rows
+                and all(len(row) == 1 and row.get(i) == 1 for i, row in rows.items())
             )
         return self._identity
 
     def rows_map(self):
-        if self._rows_map is None:
-            m = {}
-            for (i, j), v in self.data.items():
-                m.setdefault(i, {})[j] = v
-            self._rows_map = m
         return self._rows_map
 
     def cols_map(self):
         if self._cols_map is None:
-            m = {}
-            for (i, j), v in self.data.items():
-                m.setdefault(j, {})[i] = v
-            self._cols_map = m
+            self._cols_map = _columns_of(self._rows_map.items())
         return self._cols_map
 
     def column(self, j):
         """Column j as a rows x 1 matrix."""
-        col = self.cols_map().get(j, {})
-        return SparseMatrix(self.rows, 1, self.field, {(i, 0): v for i, v in col.items()})
+        return SparseMatrix(self.rows, 1, self.field,
+                            {i: {0: row[j]} for i, row in self._rows_map.items() if j in row})
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return (self.rows, self.cols) == (other.rows, other.cols) and \
+            self._rows_map == other._rows_map
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -332,87 +317,126 @@ class SparseMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        # self's rows in order, then rows only other has; in a row, self's
+        # entries, then those only other has
         self._same_shape(other)
         p = self.field.p
-        data = dict(self.data)
-        for k, v in other.data.items():
-            s = data.get(k, 0) + v
-            if p is not None:
-                s %= p
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
-        return SparseMatrix(self.rows, self.cols, self.field, data)
+        out = dict(self._rows_map)
+        for i, brow in other._rows_map.items():
+            row = out.get(i)
+            if row is None and sign == 1:
+                out[i] = brow
+                continue
+            row = out[i] = {} if row is None else dict(row)
+            for j, w in brow.items():
+                v = row.get(j, 0) + sign * w
+                if p is not None:
+                    v %= p
+                elif v.__class__ is not int:
+                    v = _normal(v)
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if not row:
+                del out[i]
+        return SparseMatrix(self.rows, self.cols, self.field, out)
 
     def __neg__(self):
-        p = self.field.p
-        if p is None:
-            data = {k: -v for k, v in self.data.items()}
-        else:
-            data = {k: p - v for k, v in self.data.items()}
-        return SparseMatrix(self.rows, self.cols, self.field, data)
+        return self.scale(self.field.from_int(-1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def scale(self, c):
         f = self.field
         if f.is_zero(c):
             return SparseMatrix.zeros(self.rows, self.cols, f)
-        return SparseMatrix(self.rows, self.cols, f, {k: f.mul(c, v) for k, v in self.data.items()})
+        return SparseMatrix(self.rows, self.cols, f, {
+            i: _canonical_row({j: c * v for j, v in row.items()}, f.p)
+            for i, row in self._rows_map.items()})
 
     def __matmul__(self, other):
+        """The row-by-row product: row i is the sum, over the entries (k, a)
+        of row i of self, of a times row k of other."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # a product with an identity factor is the other factor, key order and all
+        # a product with an identity factor is the other factor, row order and all
         if self.is_identity():
             return other
         if other.is_identity():
             return self
         p = self.field.p
+        orows = other._rows_map
         out = {}
-        get = out.get
-        orows = other.rows_map()
-        for (i, k), a in self.data.items():
-            row = orows.get(k)
-            if not row:
-                continue
-            for j, b in row.items():
-                key = (i, j)
-                out[key] = get(key, 0) + a * b
-        # each entry is reduced once and zeros are dropped only here
-        return SparseMatrix(self.rows, other.cols, self.field, _reduced(out, p))
+        for i, row in self._rows_map.items():
+            if len(row) == 1:
+                (k, a), = row.items()
+                if a == 1:  # row i of the product is row k of other
+                    if k in orows:
+                        out[i] = orows[k]
+                    continue
+            acc = {}
+            get = acc.get
+            for k, a in row.items():
+                orow = orows.get(k)
+                if orow is not None:
+                    for j, b in orow.items():
+                        acc[j] = get(j, 0) + a * b
+            # each entry is reduced once and zeros are dropped only here
+            if p is None:
+                acc = {j: v if v.__class__ is int else _normal(v) for j, v in acc.items() if v}
+            else:
+                acc = {j: w for j, v in acc.items() if (w := v % p)}
+            if acc:
+                out[i] = acc
+        return SparseMatrix(self.rows, other.cols, self.field, out)
 
     def t(self):
-        return SparseMatrix(
-            self.cols, self.rows, self.field, {(j, i): v for (i, j), v in self.data.items()}
-        )
+        """The transpose: its row map is self's column map, and its column
+        map self's row map."""
+        m = SparseMatrix(self.cols, self.rows, self.field, self.cols_map())
+        m._cols_map = self._rows_map
+        return m
 
     def kron(self, other):
         f = self.field
         if self.is_identity() and other.is_identity():
             return SparseMatrix.identity(self.rows * other.rows, f)
-        data = {}
-        for (i1, j1), a in self.data.items():
-            for (i2, j2), b in other.data.items():
-                data[(i1 * other.rows + i2, j1 * other.cols + j2)] = f.mul(a, b)
-        return SparseMatrix(self.rows * other.rows, self.cols * other.cols, f, data)
+        nr, nc, p = other.rows, other.cols, f.p
+        if other.is_identity():  # row i1 * nr + i2 is row i1 with each column j1 at j1 * nc + i2
+            return SparseMatrix(self.rows * nr, self.cols * nc, f, {
+                i1 * nr + i2: {j1 * nc + i2: a for j1, a in row1.items()}
+                for i1, row1 in self._rows_map.items() for i2 in range(nr)})
+        if self.is_identity():  # row i1 * nr + i2 is row i2 of other shifted by i1 * nc
+            orows = other._rows_map.items()
+            return SparseMatrix(self.rows * nr, self.cols * nc, f, {
+                i1 * nr + i2: {i1 * nc + j2: b for j2, b in row2.items()}
+                for i1 in range(self.rows) for i2, row2 in orows})
+        orows = list(other._rows_map.items())
+        return SparseMatrix(self.rows * nr, self.cols * nc, f, {
+            i1 * nr + i2: _canonical_row(
+                {j1 * nc + j2: a * b for j1, a in row1.items() for j2, b in row2.items()}, p)
+            for i1, row1 in self._rows_map.items() for i2, row2 in orows})
 
     @staticmethod
     def hstack(mats):
         mats = [m for m in mats if m.cols > 0] or mats[:1]
         rows, f = mats[0].rows, mats[0].field
-        data = {}
+        out = {}
         off = 0
         for m in mats:
             if m.rows != rows:
                 raise ShapeMismatch("hstack row mismatch")
-            for (i, j), v in m.data.items():
-                data[(i, j + off)] = v
+            for i, row in m._rows_map.items():
+                shifted = {j + off: v for j, v in row.items()} if off else dict(row)
+                if i in out:
+                    out[i].update(shifted)
+                else:
+                    out[i] = shifted
             off += m.cols
-        return SparseMatrix(rows, off, f, data)
+        return SparseMatrix(rows, off, f, out)
 
     # elimination ------------------------------------------------------------
 
@@ -446,6 +470,26 @@ class SparseMatrix:
                 rows = [r for i, r in self.rows_map().items() if i not in cleared]
                 self._pivots = [c for c, _ in _echelon_rows(rows, self.cols, self.field)]
         return len(self._pivots)
+
+
+class _Diagonal(Mapping):
+    """The row map {i: {i: one} for i < n} of an n x n identity."""
+
+    __slots__ = ("n", "one")
+
+    def __init__(self, n, one):
+        self.n, self.one = n, one
+
+    def __getitem__(self, i):
+        if 0 <= i < self.n:
+            return {i: self.one}
+        raise KeyError(i)
+
+    def __iter__(self):
+        return iter(range(self.n))
+
+    def __len__(self):
+        return self.n
 
 
 def _echelon_rows(rows_in, ncols, field):
@@ -522,7 +566,8 @@ def _rref_rows(rows_in, ncols, field):
     the last pivot up, so the result is canonical: this is the form that
     gives bases (``kernel``, ``span_columns``, ``quotient_by_columns``,
     ``solve``).  Returns (pivot_cols, rows) with rows ordered by pivot
-    column.
+    column and every value canonical, so the bases are written from them
+    as they are.
     """
     p = field.p
     echelon = _echelon_rows(rows_in, ncols, field)
@@ -542,7 +587,7 @@ def _rref_rows(rows_in, ncols, field):
                     row[c2] = nv
                 else:
                     row.pop(c2, None)
-    return [c for c, _ in echelon], [r for _, r in echelon]
+    return [c for c, _ in echelon], [_canonical_row(r, p) if p is None else r for _, r in echelon]
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +630,13 @@ class IndexTable:
         rows; None when a column (a row) of m holds two entries."""
         idx = [-1] * ((m.rows if by_rows else m.cols) + 1)
         val = [0] * len(idx)
-        for key, v in m.data.items():
-            i, j = key[::-1] if by_rows else key
-            if idx[j] >= 0:
-                return None
-            idx[j] = i
-            val[j] = v
+        for r, row in m.rows_map().items():
+            for c, v in row.items():
+                i, j = (c, r) if by_rows else (r, c)
+                if idx[j] >= 0:
+                    return None
+                idx[j] = i
+                val[j] = v
         return cls(m.rows, m.cols, m.field.p, idx, None if set(val) <= {0, 1} else val, by_rows)
 
     @classmethod
@@ -626,7 +672,7 @@ class IndexTable:
 
     def matrix(self, field):
         return SparseMatrix(self.rows, self.cols, field,
-                            {(i, j): v for i, j, v in self.entries()})
+                            _columns_of((j, {i: v}) for i, j, v in self.entries()))
 
     def __eq__(self, other):
         if not isinstance(other, IndexTable):
@@ -787,6 +833,8 @@ def induced_map(f, dom, cod):
       exactly when it lies in the carrier's part of that kernel.
 
     A failure raises NotWellDefined: the map is not defined on the subquotient.
+    The restriction check reads the operator it hands back as it is, since
+    a product leaves no cache on its factors.
     """
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
         raise ShapeMismatch("map shape does not match ambient spaces")
@@ -799,10 +847,8 @@ def induced_map(f, dom, cod):
             raise NotWellDefined("map does not descend: relations not preserved")
         images.append(img)
     if not cod.is_quotient:
-        # the relation images are killed by the projection: each is its own difference.
-        # ``reduced`` is read through a view, so the operator handed back caches no row map
-        view = SparseMatrix(reduced.rows, reduced.cols, reduced.field, reduced.data)
-        images[0] = image - cod.section @ view
+        # the relation images are killed by the projection: each is its own difference
+        images[0] = image - cod.section @ reduced
         if not span_contains(cod.rel_cols, SparseMatrix.hstack(images)):
             where = "carrier" if cod.rel_cols.cols else "subspace"
             raise NotWellDefined(f"map does not restrict: image leaves the {where}")
@@ -860,26 +906,24 @@ def kernel(m):
     for pc, row in zip(pivcols, rrows):
         for c, v in row.items():
             by_col.setdefault(c, []).append((pc, f.neg(v)))
-    sect = {}
-    for k, fc in enumerate(free):
-        sect[(fc, k)] = f.one
-        sect.update(((pc, k), v) for pc, v in by_col.get(fc, ()))
+    sect = _columns_of((k, dict(((fc, f.one), *by_col.get(fc, ())))) for k, fc in enumerate(free))
     section = SparseMatrix(m.cols, len(free), f, sect)
-    proj = SparseMatrix(len(free), m.cols, f, {(k, c): f.one for k, c in enumerate(free)})
+    proj = SparseMatrix(len(free), m.cols, f, {k: {c: f.one} for k, c in enumerate(free)})
     return SubquotientSpace(proj, section)
+
+
+def _columns(m):
+    """m's nonzero columns in increasing index: rows to eliminate, in an
+    order that does not depend on the order m's rows were written in."""
+    return [col for _, col in sorted(m.cols_map().items())]
 
 
 def span_columns(m):
     """Column span of m as a subspace of k^rows, with canonical echelon basis."""
     f = m.field
-    cols = list(m.cols_map().values())
-    pivcols, rrows = _rref_rows(cols, m.rows, f)
-    sect = {}
-    for k, row in enumerate(rrows):
-        for c, v in row.items():
-            sect[(c, k)] = v
-    section = SparseMatrix(m.rows, len(rrows), f, sect)
-    proj = SparseMatrix(len(rrows), m.rows, f, {(k, c): f.one for k, c in enumerate(pivcols)})
+    pivcols, rrows = _rref_rows(_columns(m), m.rows, f)
+    section = SparseMatrix(m.rows, len(rrows), f, _columns_of(enumerate(rrows)))
+    proj = SparseMatrix(len(rrows), m.rows, f, {k: {c: f.one} for k, c in enumerate(pivcols)})
     return SubquotientSpace(proj, section)
 
 
@@ -892,29 +936,18 @@ def quotient_by_columns(ambient_dim, cols):
     f = cols.field
     if cols.rows != ambient_dim:
         raise ShapeMismatch("relation columns do not live in the ambient space")
-    colvecs = list(cols.cols_map().values())
-    pivcols, rrows = _rref_rows(colvecs, ambient_dim, f)
+    pivcols, rrows = _rref_rows(_columns(cols), ambient_dim, f)
     pivset = set(pivcols)
     nonpiv = [c for c in range(ambient_dim) if c not in pivset]
     red = {c: k for k, c in enumerate(nonpiv)}
-    proj = {}
-    for c in nonpiv:
-        proj[(red[c], c)] = f.one
+    proj = {red[c]: {c: f.one} for c in nonpiv}
     for pc, row in zip(pivcols, rrows):
         for c, v in row.items():
-            if c == pc:
-                continue
-            proj[(red[c], pc)] = f.neg(v)
+            if c != pc:
+                proj[red[c]][pc] = f.neg(v)
     projection = SparseMatrix(len(nonpiv), ambient_dim, f, proj)
-    section = SparseMatrix(
-        ambient_dim, len(nonpiv), f, {(c, red[c]): f.one for c in nonpiv}
-    )
-    relbasis = SparseMatrix(
-        ambient_dim,
-        len(rrows),
-        f,
-        {(c, k): v for k, row in enumerate(rrows) for c, v in row.items()},
-    )
+    section = SparseMatrix(ambient_dim, len(nonpiv), f, {c: {red[c]: f.one} for c in nonpiv})
+    relbasis = SparseMatrix(ambient_dim, len(rrows), f, _columns_of(enumerate(rrows)))
     return SubquotientSpace(projection, section, relbasis)
 
 
@@ -1008,10 +1041,10 @@ def block_matrix(row_dims, col_dims, terms, field):
             elif j not in row:
                 row[j] = v
             elif v := row[j] + v if p is None else (row[j] + v) % p:
-                row[j] = v
+                row[j] = v if v.__class__ is int else _normal(v)
             else:
                 del row[j]
-    return SparseMatrix.from_rows(rows, cols, field, {i: row for i, row in out.items() if row})
+    return SparseMatrix(rows, cols, field, {i: row for i, row in out.items() if row})
 
 
 class ChainComplex:
@@ -1088,24 +1121,15 @@ def solve(a, b):
     if a.rows != b.rows:
         raise ShapeMismatch("solve: row mismatch")
     f = a.field
-    aug_rows = []
-    arows = a.rows_map()
-    brows = b.rows_map()
-    for i in range(a.rows):
-        r = dict(arows.get(i, {}))
-        for j, v in brows.get(i, {}).items():
-            r[a.cols + j] = v
-        if r:
-            aug_rows.append(r)
-    pivcols, rrows = _rref_rows(aug_rows, a.cols + b.cols, f)
-    data = {}
+    aug = SparseMatrix.hstack([a, b]).rows_map()
+    pivcols, rrows = _rref_rows([aug[i] for i in sorted(aug)], a.cols + b.cols, f)
+    out = {}
     for pc, row in zip(pivcols, rrows):
         if pc >= a.cols:
             raise Inconsistent("solve: system has no solution")
-        for c, v in row.items():
-            if c >= a.cols:
-                data[(pc, c - a.cols)] = v
-    return SparseMatrix(a.cols, b.cols, f, data)
+        if row := {c - a.cols: v for c, v in row.items() if c >= a.cols}:
+            out[pc] = row
+    return SparseMatrix(a.cols, b.cols, f, out)
 
 
 def inverse(a):
@@ -1160,26 +1184,38 @@ def apply_on_leg(op, dims, pos, arity=1):
     if op.cols != mid_in:
         raise ShapeMismatch("operator arity does not match leg dims")
     mid_out = op.rows
-    data = {}
-    for (r, c), v in op.data.items():
+    out = {}
+    for r, row in op.rows_map().items():
         for lft in range(left):
-            base_r = (lft * mid_out + r) * right
-            base_c = (lft * mid_in + c) * right
+            base_r, base_c = (lft * mid_out + r) * right, lft * mid_in * right
             for rgt in range(right):
-                data[(base_r + rgt, base_c + rgt)] = v
-    return SparseMatrix(left * mid_out * right, left * mid_in * right, f, data)
+                out[base_r + rgt] = {base_c + c * right + rgt: v for c, v in row.items()}
+    return SparseMatrix(left * mid_out * right, left * mid_in * right, f, out)
 
 
-def _reduced(acc, p):
-    """Accumulated sums in canonical form, zeros dropped (one ``% p`` each over F_p)."""
+_normal = RationalField._normal
+
+
+def _canonical_row(row, p):
+    """``row`` with zeros dropped and every value canonical: reduced once
+    over F_p, and over Q an int where it is integral."""
     if p is None:
-        return {key: v for key, v in acc.items() if v}
-    data = {}
-    for key, v in acc.items():
-        v %= p
-        if v:
-            data[key] = v
-    return data
+        return {j: v if v.__class__ is int else _normal(v) for j, v in row.items() if v}
+    return {j: w for j, v in row.items() if (w := v % p)}
+
+
+def _columns_of(rows):
+    """The transpose of (index, {col: value}) pairs as a row map: each
+    column and its entries in the order first met."""
+    out = {}
+    for k, row in rows:
+        for c, v in row.items():
+            col = out.get(c)
+            if col is None:
+                out[c] = {k: v}
+            else:
+                col[k] = v
+    return out
 
 
 def permutation_matrix(dims, perm, field):
@@ -1200,19 +1236,17 @@ class LegChain:
     itself used as a structure map.
 
     ``chain @ x`` applies every step in one pass over the column set x, so
-    the operator is never assembled over the whole ambient.  It reads
-    x.rows_map() once and carries {row: {col: value}} from step to step: a
-    permutation relabels the rows and leaves their entries alone, and a
-    leg step sends each row through the column of op that the row's leg
-    digits select.  A row met with the value 1 is handed on as it is, and
-    a row dict is copied before the first sum written into it, so x's row
-    map is never changed.  Over F_p a product with any other value is
-    reduced once.  The last step writes the (row, col) entries of the
-    result itself, and a lone permutation moves x's own entries, so a
-    one-step chain makes a single pass over x.  Zeros are dropped and
-    values reduced once, at the end, and only when a sum or, in the last
-    step over F_p, a product with a value other than 1 may have left a
-    zero or a value outside [0, p).
+    the operator is never assembled over the whole ambient.  It carries
+    x's row map {row: {col: value}} from step to step, and the last step's
+    rows are the result's: a permutation relabels the rows and leaves
+    their entries alone, and a leg step sends each row through the column
+    of op that the row's leg digits select.  A row met with the value 1 is
+    handed on as it is, so the result may share row dicts with x, and a
+    row dict is copied before the first sum written into it, so x's rows
+    are never changed.  Over F_p a product with any other value is
+    reduced at once.  Each row is reduced once, at the end, and only when
+    a sum, or over Q a product with a value other than 1 or -1, may have
+    left a zero or a value out of canonical form.
     """
 
     __slots__ = ("in_dims", "dims", "field", "steps", "rows", "cols")
@@ -1244,25 +1278,17 @@ class LegChain:
         if not self.steps:
             return x
         p = self.field.p
-        rows, dims, summed = x.rows_map(), self.in_dims, False
-        *carried, last = self.steps
-        for step in carried:
+        rows, dims, loose = x.rows_map(), self.in_dims, False
+        for step in self.steps:
             if len(step) == 1:
                 target, dims = _relabelling(rows, dims, step[0])
                 rows = {target[i]: row for i, row in rows.items()}
             else:
-                rows, dims, step_summed = _leg_rows(rows, dims, p, *step)
-                summed = summed or step_summed
-        if len(last) == 1:
-            target, _ = _relabelling(rows, dims, last[0])
-            if carried:
-                data = {(target[i], j): v for i, row in rows.items() for j, v in row.items()}
-            else:  # a lone permutation moves x's entries
-                data = {(target[i], j): v for (i, j), v in x.data.items()}
-        else:
-            data, step_summed = _leg_entries(rows, dims, p, *last[:3])
-            summed = summed or step_summed
-        return SparseMatrix(self.rows, x.cols, self.field, _reduced(data, p) if summed else data)
+                rows, dims, step_loose = _leg_rows(rows, dims, p, *step)
+                loose = loose or step_loose
+        if loose:
+            rows = {i: r for i, row in rows.items() if (r := _canonical_row(row, p))}
+        return SparseMatrix(self.rows, x.cols, self.field, rows)
 
     def matrix(self):
         return self @ SparseMatrix.identity(self.cols, self.field)
@@ -1323,12 +1349,13 @@ def _relabelling(rows, dims, perm):
 
 def _leg_rows(rows, dims, p, op, pos, arity, out_dims):
     """A leg step of ``LegChain``: the rows of (id (x) op (x) id) @ x from
-    the rows of x.  Returns (rows, new leg dims, whether two rows were
-    summed)."""
+    the rows of x.  Returns (rows, new leg dims, whether a value may be
+    zero or out of canonical form: two rows were summed, or over Q a row
+    was scaled by a value other than 1 or -1)."""
     right = tensor_dim(dims[pos + arity:])
     block_in, block_out = op.cols * right, op.rows * right
     op_cols = op.cols_map()
-    out, owned, summed = {}, set(), False
+    out, owned, loose = {}, set(), False
     for i, row in rows.items():
         lft, rest = divmod(i, block_in)
         mid, rgt = divmod(rest, right)
@@ -1342,6 +1369,7 @@ def _leg_rows(rows, dims, p, op, pos, arity, out_dims):
                 scaled = row
             elif p is None:
                 scaled = {j: v * a for j, a in row.items()}
+                loose = loose or v != -1
             else:
                 scaled = {j: v * a % p for j, a in row.items()}
             acc = out.get(r)
@@ -1353,36 +1381,8 @@ def _leg_rows(rows, dims, p, op, pos, arity, out_dims):
             if r not in owned:
                 acc = out[r] = dict(acc)
                 owned.add(r)
-            summed = True
+            loose = True
             get = acc.get
             for j, a in scaled.items():
                 acc[j] = get(j, 0) + a
-    return out, dims[:pos] + out_dims + dims[pos + arity:], summed
-
-
-def _leg_entries(rows, dims, p, op, pos, arity):
-    """The last leg step of ``LegChain``: the entries of (id (x) op (x) id) @ x,
-    keyed (row, col), from the rows of x.  Returns (entries, whether they
-    need ``_reduced``: two products summed, or over F_p a product with a
-    value other than 1)."""
-    right = tensor_dim(dims[pos + arity:])
-    block_in, block_out = op.cols * right, op.rows * right
-    op_cols = op.cols_map()
-    out = {}
-    get = out.get
-    products = 0
-    for i, row in rows.items():
-        lft, rest = divmod(i, block_in)
-        mid, rgt = divmod(rest, right)
-        col = op_cols.get(mid)
-        if not col:
-            continue
-        base = lft * block_out + rgt
-        products += len(row) * len(col)
-        for r, v in col.items():
-            r = base + r * right
-            for j, a in row.items():
-                key = (r, j)
-                out[key] = get(key, 0) + v * a
-    unreduced = p is not None and any(v != 1 for v in op.data.values())
-    return out, len(out) < products or unreduced
+    return out, dims[:pos] + out_dims + dims[pos + arity:], loose

@@ -48,7 +48,8 @@ def builtin_hopf(name, field=QQ):
 
 def _basis_columns(h, indices):
     f = h.field
-    return SparseMatrix(h.dim, len(indices), f, {(i, j): f.one for j, i in enumerate(indices)})
+    return SparseMatrix.from_entries(h.dim, len(indices), f,
+                                     ((i, j, f.one) for j, i in enumerate(indices)))
 
 
 # basis order of kS3 follows lexicographic one-line notation:

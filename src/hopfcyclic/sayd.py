@@ -130,7 +130,7 @@ def check_ayd(m):
 def _compare(name, lhs, rhs, dims):
     if lhs == rhs:
         return AxiomCheck(name, True)
-    col = min((lhs - rhs).data)[1]
+    col = min((lhs - rhs).entries())[1]
     return AxiomCheck(name, False, f"basis pair {tensor_unindex(dims, col)}")
 
 

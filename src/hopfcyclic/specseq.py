@@ -6,12 +6,13 @@ on its cells' own legs.  ``bar_complex`` with N = k is Tor's complex, and
 with N = C^{(x) p+1} and sign (-1)^p column p of the double complex, so
 the squares anticommute; ``coalgebra_complex`` is row q.  The double
 complex builds its rows and columns on demand, so a requested window never
-instantiates the largest corners of the grid, and keeps them and its E^2
-spots: dh and dv are their d, E^1 their homology, and ``tot`` the total
-complex on the window.  So ``theorem_check`` and ``five_term_check`` on one
-instance eliminate each object once.  The squares of the window are
-certified by d^2 = 0 on Tot, which ``ChainComplex.homology`` checks; the
-one square past it that the transposed page reads is checked row by row.
+instantiates the largest corners of the grid, and keeps them, its first
+page's d^1 and its E^2 spots: dh and dv are their d, E^1 their homology,
+and ``tot`` the total complex on the window.  So ``theorem_check`` and
+``five_term_check`` on one instance build each object once.  The squares
+of the window are certified by d^2 = 0 on Tot, which
+``ChainComplex.homology`` checks; the one square past it that the
+transposed page reads is checked row by row.
 Every map of the five-term exact sequence, d2 included, is induced by a
 map of the total complex (McCleary, *A User's Guide to Spectral
 Sequences*, Thm 2.6): d2 is the total differential on the zig-zags that
@@ -117,7 +118,7 @@ class ExtensionDoubleComplex:
         h = c.parent
         self.c, self.h, self.m, self.p_max, self.q_max = c, h, m, p_max, q_max
         rows, columns = self.rows, self.columns = {}, {}
-        self.second_page = {}
+        self.first_page_d, self.second_page = {}, {}
 
         def row(q):
             if q not in rows:
@@ -179,17 +180,28 @@ def first_page_spot(dc, p, q, transposed=False):
     return dc.row(q).homology(p) if transposed else dc.column(p).homology(q)
 
 
+def first_page_d(dc, line, n, transposed=False):
+    """d^1 out of the spot n of row ``line`` of the first page, induced by
+    dh (of column ``line``, by dv, when ``transposed``) on E^1; built once
+    and kept on ``dc``, since it leaves one E^2 spot and enters the next."""
+    key = (transposed, line, n)
+    if key not in dc.first_page_d:
+        along, across = (dc.column(line), dc.row) if transposed else (dc.row(line), dc.column)
+        dc.first_page_d[key] = induced_map(along.d(n), across(n).homology(line),
+                                           across(n - 1).homology(line))
+    return dc.first_page_d[key]
+
+
 def second_page_spot(dc, p, q, transposed=False):
     """E^2_{p,q} as a nested subquotient of the cell (p, q): E^1_{p,q}, then
     the homology there of d^1, induced by dh (by dv when ``transposed``)."""
     key = (p, q, transposed)
     if key not in dc.second_page:
-        along, across, n, k = (dc.column(p), dc.row, q, p) if transposed else \
-            (dc.row(q), dc.column, p, q)
+        line, n = (p, q) if transposed else (q, p)
         here = first_page_spot(dc, p, q, transposed)
-        out_red = induced_map(along.d(n), here, across(n - 1).homology(k)) if n else \
+        out_red = first_page_d(dc, line, n, transposed) if n else \
             SparseMatrix.zeros(0, here.dim, dc.h.field)
-        in_red = induced_map(along.d(n + 1), across(n + 1).homology(k), here)
+        in_red = first_page_d(dc, line, n + 1, transposed)
         dc.second_page[key] = here.then(homology_space(out_red, in_red))
     return dc.second_page[key]
 

@@ -1,6 +1,6 @@
-"""Helpers that only the tests use: dense conversion and uncached copies of
-sparse matrices, and predicates on Hopf algebras, cyclic maps and SAYD
-coefficients."""
+"""Helpers that only the tests use: dense and (row, col)-keyed conversion
+and uncached copies of sparse matrices, and predicates on Hopf algebras,
+cyclic maps and SAYD coefficients."""
 
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
 from hopfcyclic.hopf import group_algebra, trivial_subalgebra
@@ -10,13 +10,27 @@ from hopfcyclic.sayd import SaydModule, ad_module
 
 def from_dense(rows_list, field):
     """The sparse matrix with the given rows; int entries are mapped into ``field``."""
-    data = {}
+    entries = {}
     for i, row in enumerate(rows_list):
         for j, v in enumerate(row):
             v = field.from_int(v) if isinstance(v, int) else v
             if not field.is_zero(v):
-                data[(i, j)] = v
-    return SparseMatrix(len(rows_list), len(rows_list[0]) if rows_list else 0, field, data)
+                entries[(i, j)] = v
+    return from_keyed(len(rows_list), len(rows_list[0]) if rows_list else 0, field, entries)
+
+
+def from_keyed(rows, cols, field, entries):
+    """The matrix with the nonzero ``entries`` {(row, col): value}, values
+    as given, its rows written in the order the dict first meets them."""
+    out = {}
+    for (i, j), v in entries.items():
+        out.setdefault(i, {})[j] = v
+    return SparseMatrix(rows, cols, field, out)
+
+
+def to_keyed(m):
+    """m's entries as {(row, col): value}, row by row."""
+    return {(i, j): v for i, j, v in m.entries()}
 
 
 def complex_of(dims, d, field):
@@ -32,7 +46,7 @@ def to_dense(m):
 
 def uncached(m):
     """An uncached copy of m: its rank is eliminated on all of its rows."""
-    return SparseMatrix(m.rows, m.cols, m.field, dict(m.data))
+    return SparseMatrix(m.rows, m.cols, m.field, {i: dict(row) for i, row in m.rows_map().items()})
 
 
 def is_bijective(cmap):

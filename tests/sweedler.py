@@ -65,7 +65,7 @@ def apply(mat, a):
     """mat @ a for a matrix given by its entries and a dict vector a."""
     f = mat.field
     out = {}
-    for (r, c), w in mat.data.items():
+    for r, c, w in mat.entries():
         if c in a:
             _add_into(out, r, f.mul(w, a[c]), f)
     return out
@@ -76,7 +76,7 @@ def antipode(h, a):
 
 
 def column(mat, j):
-    return {r: v for (r, c), v in mat.data.items() if c == j}
+    return {r: v for r, c, v in mat.entries() if c == j}
 
 
 def coefficient(f, combo):

@@ -54,7 +54,7 @@ from hopfcyclic.specseq import (
     theorem_check,
     tor_dims,
 )
-from support import group_algebra_hh0
+from support import from_keyed, group_algebra_hh0
 
 # frozen by the dense brute-force oracle (tests/oracle.py), computed before
 # the sparse engine was built
@@ -85,8 +85,7 @@ def _mutants(h):
     comult[key] = h.field.add(comult[key], h.field.one)
     out.append(HopfAlgebra("comult-mutant", h.field, h.basis, h.mult, h.unit,
                            comult, h.counit, h.antipode))
-    anti = h.antipode + SparseMatrix(h.dim, h.dim, h.field,
-                                     {(h.dim - 1, 0): h.field.one})
+    anti = h.antipode + from_keyed(h.dim, h.dim, h.field, {(h.dim - 1, 0): h.field.one})
     out.append(HopfAlgebra("antipode-mutant", h.field, h.basis, h.mult, h.unit,
                            h.comult, h.counit, anti))
     return out

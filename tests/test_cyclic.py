@@ -53,7 +53,7 @@ from hopfcyclic.linalg import (
 from hopfcyclic.loaders import load_hopf_json
 from hopfcyclic.presets import PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
-from support import trivial_sayd, uncached
+from support import from_keyed, to_keyed, trivial_sayd, uncached
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 HH_H4 = [2, 1, 1, 1]
@@ -674,7 +674,8 @@ def _cyclic_identity_names(N):
 @pytest.mark.parametrize("n_max", range(5))
 def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
     """Over k and over kC2 the operators of C(H|B) are tables, which hold no
-    row map; a Connes dual's are matrices, and the check caches none on them."""
+    row map; a Connes dual's are matrices, each its row map, and the check
+    caches no derived column map on them."""
     ks3 = builtin_setup("kS3/kC2")
     cases = [(relative_cyclic(s.hopf, s.subalgebra, n_max), IndexTable)
              for s in (builtin_setup("kC2/k"), ks3)]
@@ -685,7 +686,7 @@ def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
         assert sorted(c.name for c in rep.checks) == sorted(_cyclic_identity_names(n_max))
         ops = [*cm.d.values(), *cm.s.values(), *cm.t.values()]
         assert all(type(m) is kind for m in ops)
-        assert all(m._rows_map is None for m in ops if kind is SparseMatrix)
+        assert all(m._cols_map is None for m in ops if kind is SparseMatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +743,12 @@ def _face_entry_moved(x):
     per row where it had that."""
     key, op = _first_face(x)
     m = operator_matrix(op, x.spaces[0].field)
-    (i, j), v = min(m.data.items())
-    used = {r for r, _ in m.data}
+    entries = to_keyed(m)
+    (i, j), v = min(entries.items())
+    used = {r for r, _ in entries}
     r = next((r for r in range(m.rows) if r not in used), (i + 1) % m.rows)
-    data = {k: w for k, w in m.data.items() if k != (i, j)}
-    moved = SparseMatrix(m.rows, m.cols, m.field, {**data, (r, j): v})
+    data = {k: w for k, w in entries.items() if k != (i, j)}
+    moved = from_keyed(m.rows, m.cols, m.field, {**data, (r, j): v})
     return _with_operator(x, 0, key, _like(op, moved))
 
 
@@ -754,10 +756,11 @@ def _face_entry_added(x):
     """One more entry in a face column, in a row that already holds one."""
     key, op = _first_face(x)
     m = operator_matrix(op, x.spaces[0].field)
-    (i, j), _ = min(m.data.items())
-    r = next(r for r, _ in sorted(m.data) if r != i)
-    return _with_operator(x, 0, key, SparseMatrix(m.rows, m.cols, m.field,
-                                                  {**m.data, (r, j): m.field.one}))
+    entries = to_keyed(m)
+    (i, j), _ = min(entries.items())
+    r = next(r for r, _ in sorted(entries) if r != i)
+    return _with_operator(x, 0, key, from_keyed(m.rows, m.cols, m.field,
+                                                {**entries, (r, j): m.field.one}))
 
 
 def _degeneracies_swapped(x):
@@ -800,11 +803,11 @@ def _outcome(rep):
 
 
 def _matrix_outcome(x):
-    """The check by exact products, which leaves no row map on x's matrices
-    (its tables hold none)."""
+    """The check by exact products, which leaves no derived column map on
+    x's matrices (its tables hold none)."""
     rep = identity_report(x, matrix_operators(x))
     ops = [m for name in _operator_fields(x) for m in getattr(x, name).values()]
-    assert all(m._rows_map is None for m in ops if isinstance(m, SparseMatrix))
+    assert all(m._cols_map is None for m in ops if isinstance(m, SparseMatrix))
     return _outcome(rep)
 
 
@@ -847,7 +850,8 @@ def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
     x = _six_constructions(name, QQ)[kind]
     key, op = _first_face(x)
     m = operator_matrix(op, QQ)
-    padded = _with_operator(x, 0, key, _like(op, SparseMatrix(m.rows + 1, m.cols, QQ, m.data)))
+    padded = SparseMatrix(m.rows + 1, m.cols, QQ, m.rows_map())
+    padded = _with_operator(x, 0, key, _like(op, padded))
     tables = index_tables(padded)
     assert tables is not None
     for ops in (tables, matrix_operators(padded)):

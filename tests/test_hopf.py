@@ -38,7 +38,7 @@ from hopfcyclic.presets import (
     builtin_hopf,
     builtin_setup,
 )
-from support import from_dense, is_cocommutative, is_commutative
+from support import from_dense, from_keyed, is_cocommutative, is_commutative
 
 
 def test_validate_group_algebras():
@@ -196,7 +196,7 @@ def test_translation_map_grouplikes():
     grp = builtin_group("S3")
     for g in range(6):
         cbar = s.quotient.space.projection @ h.ident().column(g)
-        exp = SparseMatrix(36, 1, QQ, {(grp.inv(g) * 6 + g, 0): QQ.one})
+        exp = from_keyed(36, 1, QQ, {(grp.inv(g) * 6 + g, 0): QQ.one})
         assert tau @ cbar == dom2.projection @ exp
 
 
@@ -205,7 +205,7 @@ def _augmentation_quotient(h):
     f = h.field
     gens = {(g, g - 1): f.one for g in range(1, h.dim)}
     gens.update({(0, g - 1): f.neg(f.one) for g in range(1, h.dim)})
-    return quotient_module_coalgebra(h, SparseMatrix(h.dim, h.dim - 1, f, gens))
+    return quotient_module_coalgebra(h, from_keyed(h.dim, h.dim - 1, f, gens))
 
 
 def test_translation_map_checks_the_whole_ideal():
@@ -227,8 +227,8 @@ def _ideal(name, *indices):
 
 def _subalgebra(name, *columns):
     h = builtin_hopf(name)
-    cols = SparseMatrix(h.dim, len(columns), h.field,
-                        {(i, j): h.field.one for j, col in enumerate(columns) for i in col})
+    cols = from_keyed(h.dim, len(columns), h.field,
+                      {(i, j): h.field.one for j, col in enumerate(columns) for i in col})
     return lambda: subalgebra_from_columns(h, cols)
 
 
@@ -257,7 +257,7 @@ def test_translation_vs_canonical_map():
         h, cdim = s.hopf, s.quotient.dim
         tau = translation_map(h, s.subalgebra, s.quotient)
         can, _, _ = canonical_map_n(h, s.subalgebra, s.quotient, 1)
-        expected = SparseMatrix(
+        expected = from_keyed(
             h.dim * cdim, cdim, QQ,
             {(i * cdim + j, j): v for j in range(cdim)
              for i, v in h.unit.items()},
@@ -297,7 +297,7 @@ def test_ideal_not_coideal_rejected():
     # span{e - g} in kC2 is a right ideal but eps(e - g) = 0 fails... it is 0;
     # use span{e} instead: not in ker(eps)
     h = builtin_hopf("kC2")
-    gens = SparseMatrix(2, 1, QQ, {(0, 0): QQ.one})
+    gens = from_keyed(2, 1, QQ, {(0, 0): QQ.one})
     with pytest.raises(HopfError):
         quotient_module_coalgebra(h, gens)
 

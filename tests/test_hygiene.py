@@ -89,8 +89,19 @@ def test_every_public_method_is_accessed():
 MUTATORS = {"pop", "popitem", "update", "setdefault", "clear", "__setitem__", "__delitem__"}
 
 
-def _is_data(node):
-    return isinstance(node, ast.Attribute) and node.attr == "data"
+# the entry store of a SparseMatrix: its row map, and ``data``, the name of the
+# (row, col)-keyed store it once had
+STORES = {"_rows_map", "data"}
+
+
+def _is_store(node):
+    """The store itself or any item in it, at any depth: ``x._rows_map``,
+    ``x.data``, ``x.rows_map()``, ``x._rows_map[i]``, ``x.rows_map()[i][j]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "rows_map"
+    return isinstance(node, ast.Attribute) and node.attr in STORES
 
 
 def _flat_targets(target):
@@ -104,9 +115,10 @@ def _flat_targets(target):
 
 
 def _data_writes(tree):
-    """Line numbers of every write to an attribute ``data`` outside
-    ``SparseMatrix.__init__``: ``x.data = ...``, ``x.data[k] = ...`` (also
-    augmented or deleted) and calls of a mutating method on ``x.data``."""
+    """Line numbers of every write to a matrix's entry store outside
+    ``SparseMatrix.__init__``: an assignment (also augmented or deleted) to
+    the store attribute or to an item of it, or of ``x.rows_map()``, at any
+    depth, and a call of a mutating method on any of these."""
     allowed = {
         id(node)
         for cls in ast.walk(tree)
@@ -124,21 +136,22 @@ def _data_writes(tree):
             targets = [node.target]
         else:
             targets = []
-        for target in (t for tgt in targets for t in _flat_targets(tgt)):
-            if _is_data(target) or (isinstance(target, ast.Subscript) and _is_data(target.value)):
-                yield node.lineno
+        if any(_is_store(t) for tgt in targets for t in _flat_targets(tgt)):
+            yield node.lineno
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATORS and _is_data(node.func.value)):
+                and node.func.attr in MUTATORS and _is_store(node.func.value)):
             yield node.lineno
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_matrix_data_is_written_after_construction(path):
-    """A matrix caches whether it is an identity, and a product with an
-    identity factor hands back the other factor itself: both are sound only
-    while no code changes a matrix's entries once it is built."""
+    """A matrix caches whether it is an identity, a product with an identity
+    factor hands back the other factor itself, and a matrix may share row
+    dicts with another (a ``LegChain`` result with its input, a sum with
+    its first term): all are sound only while no code changes a matrix's
+    entries once it is built."""
     lines = sorted(set(_data_writes(_tree(path))))
-    assert not lines, f"{path.name} writes to .data on lines {lines}"
+    assert not lines, f"{path.name} writes to a matrix's entries on lines {lines}"
 
 
 def test_data_write_detector_catches_each_form():
@@ -146,12 +159,27 @@ def test_data_write_detector_catches_each_form():
         "x.data[0, 1] = 2", "x.data[k] += 1", "del x.data[k]", "x.data = {}",
         "a, x.data = 1, {}", "x.data.pop(k)", "x.data.update(y)", "x.data.setdefault(k, 1)",
         "x.data.clear()", "x.data.popitem()",
+        # the row map, as the store attribute
+        "x._rows_map = {}", "a, x._rows_map = 1, {}", "x._rows_map[i] = {}",
+        "x._rows_map[i][j] = 1", "x._rows_map[i][j] += 1", "del x._rows_map[i]",
+        "del x._rows_map[i][j]", "x._rows_map.pop(i)", "x._rows_map.setdefault(i, {})",
+        "x._rows_map[i].update(y)", "x._rows_map[i].popitem()",
+        # the row map, through rows_map()
+        "x.rows_map()[i] = {}", "x.rows_map()[i][j] = 1", "x.rows_map()[i][j] -= 1",
+        "a, x.rows_map()[i] = 1, {}", "del x.rows_map()[i]", "del x.rows_map()[i][j]",
+        "x.rows_map().clear()", "x.rows_map().update(y)", "x.rows_map()[i].pop(j)",
+        "x.rows_map()[i].setdefault(j, 1)", "x.rows_map()[i].__setitem__(j, 1)",
     ]
     for src in forms:
         assert list(_data_writes(ast.parse(src))), src
-    init = "class SparseMatrix:\n    def __init__(self, data):\n        self.data = data\n"
+    init = ("class SparseMatrix:\n    def __init__(self, rows_map):\n"
+            "        self._rows_map = rows_map\n")
     assert not list(_data_writes(ast.parse(init)))
-    reads = "y = x.data.get(k)\nd[x.data] = 1\nfor k, v in x.data.items():\n    pass\n"
+    reads = ("y = x.data.get(k)\nd[x.data] = 1\nfor k, v in x.data.items():\n    pass\n"
+             "y = x.rows_map()[i]\nz = x._rows_map.get(i, {}).get(j)\nd[x.rows_map()[i][j]] = 1\n"
+             "for i, row in x.rows_map().items():\n    pass\nrows = x.rows_map()\n")
     assert not list(_data_writes(ast.parse(reads)))
-    other = "class Other:\n    def __init__(self, data):\n        self.data = data\n"
+    other = "class Other:\n    def __init__(self, rows_map):\n        self._rows_map = rows_map\n"
     assert list(_data_writes(ast.parse(other)))
+    method = "class SparseMatrix:\n    def t(self):\n        self._rows_map[0] = {}\n"
+    assert list(_data_writes(ast.parse(method)))

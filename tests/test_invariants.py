@@ -200,7 +200,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     seen = set()
     mats = list(_matrices(built, seen))
     assert len(mats) > 500
-    values = [v for mat in mats for v in mat.data.values()]
+    values = [v for mat in mats for _, _, v in mat.entries()]
     for d in (h.mult, h.unit, h.comult, h.counit):
         values += d.values()
     values += [v for row in m.rref()[1] for v in row.values()]

@@ -34,7 +34,7 @@ from hopfcyclic.linalg import (
 )
 from hopfcyclic.presets import SETUP_NAMES, builtin_setup
 from hopfcyclic.sayd import coad_module
-from support import is_bijective
+from support import from_keyed, is_bijective, to_keyed
 
 
 def test_identity_map_passes_checker():
@@ -66,12 +66,12 @@ def test_phi_degree_zero_sends_class_to_one_tensor():
             for r, w in one_col.items():
                 for i, v in hvec.items():
                     expected_ambient[(r * h.dim + i, 0)] = QQ.mul(w, v)
-            exp = src.spaces[0].projection @ SparseMatrix(
+            exp = src.spaces[0].projection @ from_keyed(
                 cd * h.dim, 1, QQ, expected_ambient
             )
-            got_col = SparseMatrix(
+            got_col = from_keyed(
                 src.spaces[0].dim, 1, QQ,
-                {(r, 0): v for (r, jj), v in phi.components[0].data.items() if jj == j},
+                {(r, 0): v for r, jj, v in phi.components[0].entries() if jj == j},
             )
             assert got_col == exp
 
@@ -124,7 +124,7 @@ def test_dual_transform_gamma0_collapse():
         bvec = sw.column(b.space.section, jb)
         for i in range(h.dim):
             col = amb.column(jb + i * b.dim)
-            assert col.data == {(k, 0): v for k, v in sw.mul(h, bvec, sw.basis(h, i)).items()}
+            assert to_keyed(col) == {(k, 0): v for k, v in sw.mul(h, bvec, sw.basis(h, i)).items()}
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -346,6 +346,6 @@ def test_leg_map_builders_match_element_references(name, field):
             for j, col in enumerate(want):
                 if col is not None:
                     assert got_cols.get(j, {}) == col, (label, n, j)
-            assert all(v != 0 for v in got.data.values())
+            assert all(v != 0 for _, _, v in got.entries())
             if field is not QQ:
-                assert all(0 < v < field.p for v in got.data.values())
+                assert all(0 < v < field.p for _, _, v in got.entries())

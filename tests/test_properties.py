@@ -7,7 +7,10 @@ and the matrices at most 7 x 7, so every minor is below Hadamard's bound
 (3 sqrt 7)^7 < 2.1e6 < p; a minor vanishes mod p exactly when it
 vanishes over Q, and the dense rank over Q is the rank over F_p.
 ``ChainComplex.homology_dims``, which clears rows, is checked on random complexes over
-Q and F_7 against ranks taken on all rows.
+Q and F_7 against ranks taken on all rows.  The operations on the row-map
+store of ``SparseMatrix`` are checked over Q, F_2, F_3 and F_(2^31-1)
+against dense list-of-lists arithmetic written here, and every result
+against the store's invariant.
 """
 
 from fractions import Fraction
@@ -18,11 +21,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracle import dense_rank  # noqa: E402
-from support import complex_of, uncached  # noqa: E402
+from support import complex_of, from_keyed, to_keyed, uncached  # noqa: E402
 
 from hopfcyclic.linalg import (  # noqa: E402
     QQ,
+    IndexTable,
     Inconsistent,
+    LegChain,
     PrimeField,
     SparseMatrix,
     kernel,
@@ -51,7 +56,7 @@ def _matrices(draw, field, rows=None, cols=None):
              for _ in range(rows)]
     data = {(i, j): field.from_str(str(v)) for i, row in enumerate(dense)
             for j, v in enumerate(row) if v}
-    return SparseMatrix(rows, cols, field, data), dense
+    return from_keyed(rows, cols, field, data), dense
 
 
 def _oracle_rank(dense, ncols):
@@ -96,8 +101,8 @@ def test_solve_matches_oracle(field, data):
     assert m @ solve(m, b) == b
     # a right-hand side outside the column span has no solution
     target = data.draw(st.lists(_fp_entries, min_size=m.rows, max_size=m.rows))
-    rhs = SparseMatrix(m.rows, 1, field,
-                       {(i, 0): field.from_int(v) for i, v in enumerate(target) if v})
+    rhs = from_keyed(m.rows, 1, field,
+                     {(i, 0): field.from_int(v) for i, v in enumerate(target) if v})
     augmented = [row + [v] for row, v in zip(dense, target)]
     if _oracle_rank(augmented, m.cols + 1) > _oracle_rank(dense, m.cols):
         with pytest.raises(Inconsistent):
@@ -116,8 +121,8 @@ def test_quotient_by_columns_matches_oracle(field, data):
     assert (q.projection @ m).is_zero_matrix()
     assert (q.projection @ q.section).is_identity()
     # the quotient is canonical: the span, not the chosen columns, decides it
-    reordered = SparseMatrix(m.rows, m.cols, field,
-                             {(i, m.cols - 1 - j): v for (i, j), v in m.data.items()})
+    reordered = from_keyed(m.rows, m.cols, field,
+                           {(i, m.cols - 1 - j): v for i, j, v in m.entries()})
     again = quotient_by_columns(m.rows, reordered)
     assert again.projection == q.projection and again.section == q.section
 
@@ -150,3 +155,144 @@ def test_cleared_homology_dims_match_uncleared_ranks(field, data):
     assert cx.homology_dims(upto) == [dims[n] - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
     # the rank each d_n caches, cleared or not, is its exact rank
     assert all(cx.d(n).rank() == ranks[n] for n in range(1, upto + 2))
+
+
+# ---------------------------------------------------------------------------
+# the row-map store against dense lists
+
+STORE_FIELDS = [QQ, PrimeField(2), PrimeField(3), FP]
+STORE_SIDE = 5
+
+
+def _canonical(field, v):
+    """v in the field's canonical form: a residue in [0, p), or over Q an
+    int when integral."""
+    if field is QQ:
+        v = Fraction(v)
+        return int(v) if v.denominator == 1 else v
+    return v % field.p
+
+
+@st.composite
+def _dense_lists(draw, field, rows, cols):
+    """A rows x cols list of lists of canonical values, mostly zeros."""
+    entries = _q_entries if field is QQ else st.integers(-3, 3)
+    return [[_canonical(field, draw(entries)) if draw(st.integers(0, 2)) == 0 else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _stored(dense, cols, field, order):
+    """The SparseMatrix of ``dense``, its rows written in ``order``."""
+    rows = {i: {j: v for j, v in enumerate(dense[i]) if v} for i in order}
+    return SparseMatrix(len(dense), cols, field, {i: row for i, row in rows.items() if row})
+
+
+def _as_lists(m):
+    rows = m.rows_map()
+    return [[rows.get(i, {}).get(j, 0) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _assert_store(m, field):
+    """No empty row, no zero, every value canonical."""
+    for i, row in m.rows_map().items():
+        assert 0 <= i < m.rows and row, (i, row)
+        for j, v in row.items():
+            assert 0 <= j < m.cols and v != 0 and not isinstance(v, float), (i, j, v)
+            if field is QQ:
+                assert v.denominator != 1 or type(v) is int, (i, j, v)
+            else:
+                assert type(v) is int and 0 < v < field.p, (i, j, v)
+
+
+def _reduce(field, v):
+    return v if field is QQ else v % field.p
+
+
+def _lists_product(a, b, inner, cols, field):
+    return [[_reduce(field, sum(row[k] * b[k][j] for k in range(inner))) for j in range(cols)]
+            for row in a]
+
+
+def _lists_sum(a, b, sign, field):
+    return [[_reduce(field, x + sign * y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _lists_transpose(a, cols):
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def _lists_kron(a, b, bcols, field):
+    return [[_reduce(field, x * y) for x in ra for y in rb] if bcols else []
+            for ra in a for rb in b]
+
+
+def _lists_leg_then_swap(op, left, right, field):
+    """(id swap) (op (x) id_right) as lists: leg 0 of dims [left, right]
+    through op, then the two legs exchanged."""
+    out = len(op)
+    full = [[0] * (left * right) for _ in range(out * right)]
+    for o in range(out):
+        for i in range(left):
+            for r in range(right):
+                full[o * right + r][i * right + r] = op[o][i]
+    swap = [[int(c == (t % out) * right + t // out) for c in range(out * right)]
+            for t in range(out * right)]
+    return _lists_product(swap, full, out * right, left * right, field)
+
+
+@pytest.mark.parametrize("field", STORE_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_store_operations_match_dense_lists(field, data):
+    r, k, c = (data.draw(st.integers(0, STORE_SIDE)) for _ in range(3))
+    a, a2 = (data.draw(_dense_lists(field, r, k)) for _ in range(2))
+    b = data.draw(_dense_lists(field, k, c))
+    order = data.draw(st.permutations(range(r)))
+    x, x2 = _stored(a, k, field, order), _stored(a2, k, field, range(r))
+    y = _stored(b, c, field, range(k))
+    results = [
+        (x @ y, _lists_product(a, b, k, c, field)),
+        (x + x2, _lists_sum(a, a2, 1, field)),
+        (x - x2, _lists_sum(a, a2, -1, field)),
+        (x.t(), _lists_transpose(a, k)),
+        (x.kron(y), _lists_kron(a, b, c, field)),
+        (SparseMatrix.hstack([x, x2]), [ra + rb for ra, rb in zip(a, a2)]),
+        *((x.column(j), [[row[j]] for row in a]) for j in range(k)),
+    ]
+    # an identity factor: its rows are made when read, and kron shifts rows
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    ident = SparseMatrix.identity(k, field)
+    results += [(ident.kron(y), _lists_kron(eye, b, c, field)),
+                (y.kron(ident), _lists_kron(b, eye, k, field)), (x @ ident, a)]
+    for got, want in results:
+        _assert_store(got, field)
+        assert _as_lists(got) == want
+    assert x == _stored(a, k, field, range(r))  # the order rows are written in is not compared
+    assert (x == x2) == (a == a2)
+    ident = [[int(i == j) for j in range(r)] for i in range(r)]
+    assert _stored(ident, r, field, order).is_identity()
+    assert x.is_identity() == (a == ident and r == k)
+    for by_rows in (False, True):
+        lines = a if by_rows else _lists_transpose(a, k)
+        table = IndexTable.of(x, by_rows)
+        assert (table is None) == any(sum(map(bool, line)) > 1 for line in lines)
+        if table is not None:
+            _assert_store(table.matrix(field), field)
+            assert _as_lists(table.matrix(field)) == a
+
+
+@pytest.mark.parametrize("field", STORE_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_leg_chain_matches_dense_lists(field, data):
+    left = data.draw(st.integers(1, STORE_SIDE))
+    right = data.draw(st.integers(1, STORE_SIDE // left))
+    out, cols = data.draw(st.integers(1, STORE_SIDE)), data.draw(st.integers(0, STORE_SIDE))
+    op = data.draw(_dense_lists(field, out, left))
+    xs = data.draw(_dense_lists(field, left * right, cols))
+    chain = LegChain([left, right], field).leg(_stored(op, left, field, range(out)), 0).perm([1, 0])
+    x = _stored(xs, cols, field, range(left * right))
+    got = chain @ x
+    _assert_store(got, field)
+    assert _as_lists(got) == _lists_product(_lists_leg_then_swap(op, left, right, field), xs,
+                                            left * right, cols, field)

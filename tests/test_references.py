@@ -27,10 +27,11 @@ from hopfcyclic.hopf import (
     translation_map,
     trivial_subalgebra,
 )
-from hopfcyclic.linalg import QQ, PrimeField, SparseMatrix, SubquotientSpace, induced_map
+from hopfcyclic.linalg import QQ, PrimeField, SubquotientSpace, induced_map
 from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
 from hopfcyclic.specseq import bar_complex
+from support import from_keyed
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -39,8 +40,8 @@ fields = pytest.mark.parametrize("field", FIELDS, ids=str)
 
 
 def _matrix(nrows, cols, f):
-    return SparseMatrix(nrows, len(cols), f,
-                        {(i, j): v for j, col in enumerate(cols) for i, v in col.items()})
+    return from_keyed(nrows, len(cols), f,
+                      {(i, j): v for j, col in enumerate(cols) for i, v in col.items()})
 
 
 def _ref_canonical(h, c, n):
@@ -173,7 +174,7 @@ def test_ad_action_matches_oracle(name, field):
             k: v for (a, b, k), v in h.mult.items() if (a, b) == (i, j)}
     action = ad_module(h).action
     for i, j in itertools.product(range(h.dim), repeat=2):
-        got = {r: v for (r, col), v in action.data.items() if col == i * h.dim + j}
+        got = {r: v for r, col, v in action.entries() if col == i * h.dim + j}
         assert got == values(adjoint_action(alg, i, j)), (i, j)
 
 
@@ -185,7 +186,7 @@ def _oracle_matrix(cols, rows, field):
             x = field.from_str(str(v))
             if not field.is_zero(x):
                 data[(i, j)] = x
-    return SparseMatrix(rows, len(cols), field, data)
+    return from_keyed(rows, len(cols), field, data)
 
 
 @fields

@@ -21,6 +21,7 @@ from hopfcyclic.specseq import (
     bar_complex,
     coalgebra_complex,
     extension_double_complex,
+    first_page_d,
     first_page_spot,
     five_term_check,
     hochschild_tor_check,
@@ -29,7 +30,7 @@ from hopfcyclic.specseq import (
     theorem_check,
     tor_dims,
 )
-from support import complex_of, from_dense, trivial_sayd
+from support import complex_of, from_dense, from_keyed, trivial_sayd
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 TOR_H4 = [2, 1, 1, 1]
@@ -208,8 +209,8 @@ def test_five_term_rejects_d2_lifts_that_miss_the_horizontal_image(monkeypatch):
     solve = specseq.solve
 
     def off_lift(a, b):
-        j = min(c for _, c in a.data)  # a column where a is nonzero
-        bump = SparseMatrix(a.cols, b.cols, a.field, {(j, k): a.field.one for k in range(b.cols)})
+        j = min(c for _, c, _ in a.entries())  # a column where a is nonzero
+        bump = from_keyed(a.cols, b.cols, a.field, {(j, k): a.field.one for k in range(b.cols)})
         return solve(a, b) + bump
 
     monkeypatch.setattr(specseq, "solve", off_lift)
@@ -221,9 +222,31 @@ def test_double_complex_builds_each_object_once():
     dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
     for build, args in ((first_page_spot, (1, 0)), (first_page_spot, (1, 1, True)),
                         (second_page_spot, (1, 0)), (second_page_spot, (1, 1, True)),
+                        (first_page_d, (0, 1)), (first_page_d, (1, 1, True)),
                         (ExtensionDoubleComplex.dh, (2, 0)), (ExtensionDoubleComplex.dv, (1, 1))):
         assert build(dc, *args) is build(dc, *args), (build.__name__, args)
     assert dc.tot.d(2) is dc.tot.d(2) and dc.tot.homology(1) is dc.tot.homology(1)
+
+
+def test_each_first_page_d_is_induced_once(monkeypatch):
+    """A d^1 leaves one E^2 spot and enters the next: the spots that both
+    checks read induce each d^1 once, the transposed page's dv(1, 1) on
+    row homology included."""
+    dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
+    calls = []
+    real = specseq.induced_map
+
+    def spy(f, dom, cod):
+        calls.append((id(f), id(dom), id(cod)))
+        return real(f, dom, cod)
+
+    monkeypatch.setattr(specseq, "induced_map", spy)
+    spots = [(n, 0, False) for n in range(3)] + [(0, 1, False)]
+    spots += [(p, q, True) for p in range(1, 4) for q in range(3) if p + q <= 2]
+    for p, q, transposed in spots:
+        second_page_spot(dc, p, q, transposed)
+    assert len(calls) == len(set(calls)) == len(dc.first_page_d) > 0
+    assert (True, 1, 1) in dc.first_page_d
 
 
 def test_spectral_run_builds_one_double_complex(monkeypatch):
@@ -375,8 +398,8 @@ def _blocks_placed(row_dims, col_dims, blocks, field):
     (row_off, rows), (col_off, cols) = offsets(row_dims), offsets(col_dims)
     data = {}
     for (r, c), block in blocks.items():
-        data.update({(row_off[r] + i, col_off[c] + j): v for (i, j), v in block.data.items()})
-    return SparseMatrix(rows, cols, field, data)
+        data.update({(row_off[r] + i, col_off[c] + j): v for i, j, v in block.entries()})
+    return from_keyed(rows, cols, field, data)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)],
