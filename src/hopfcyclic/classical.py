@@ -55,9 +55,6 @@ class CocyclicFiniteSet:
     codegen: dict   # (n, j): degree n -> degree n-1, 0 <= j <= n-1
     cocyclic: dict  # n: degree n -> degree n
 
-    def sizes(self):
-        return [len(e) for e in self.elements]
-
 
 def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn):
     """Assemble a truncated cocyclic set from element enumerators and

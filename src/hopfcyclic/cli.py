@@ -264,7 +264,8 @@ def cmd_isocheck(args, field):
 def cmd_spectral(args, field):
     rep = Report("spectral", {"hopf": args.hopf, "field": field.name})
     setup = _resolve_setup(args, field)
-    # the double complex builds cells (3, 1) and (2, 2): dim(H)^6 coordinates when B = k
+    # the largest cell the double complex builds is (3, 1), for E^1_{3,0}, the homology
+    # of column 3: dim(H)^6 coordinates when B = k
     _check_budget(setup.hopf, 4)
     rep.params["setup"] = setup.name
     hh = hochschild_homology(relative_cyclic(setup.hopf, setup.subalgebra, 3))
@@ -474,6 +475,8 @@ def run(argv):
         report = Report(args.command)
         report.add_check("construction", False, str(exc))
     except MemoryError:
+        report = None  # made below, once the failed run's frames are freed
+    if report is None:
         # a size problem, not a failed check: bad input, like COORDINATE_BUDGET
         report = Report(args.command, error="out of memory: the spaces of this run do not fit "
                                             "in this machine's memory; lower --max-degree")
@@ -483,9 +486,25 @@ def run(argv):
     return report.exit_code, text
 
 
+def _unraisable(hook_args):
+    """Drop the MemoryError of a generator closed as the frames of a run
+    that ran out of memory are freed: the run's report, or ``main``'s
+    message, already says so."""
+    if not isinstance(hook_args.exc_value, MemoryError):
+        sys.__unraisablehook__(hook_args)
+
+
 def main(argv=None):
-    code, text = run(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(text)
+    sys.unraisablehook = _unraisable
+    try:
+        code, text = run(sys.argv[1:] if argv is None else argv)
+    except MemoryError:
+        # raised again while ``run`` made the report of one: said below, once freed
+        code, text = 2, None
+    if text is None:
+        sys.stderr.write("error: out of memory, even for the report\n")
+    else:
+        sys.stdout.write(text)
     return code
 
 

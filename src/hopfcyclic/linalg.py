@@ -978,26 +978,22 @@ def homology_space(out_map, in_map):
     return z.then(q)
 
 
-def composite_is_zero(a, b, *more):
-    """True when a @ b, plus c @ e for each further pair (c, e), is zero, as
-    for a square of a double complex, composite_is_zero(dv, dh, (dh', dv')).
-    The sum is taken one row at a time and each row is dropped once it is
-    seen to vanish, so no product, which can be far larger than its factors
-    before its terms cancel, is ever held."""
-    pairs = [(a, b), *more]
-    if any(x.cols != y.rows or (x.rows, y.cols) != (a.rows, b.cols) for x, y in pairs):
-        raise ShapeMismatch(" + ".join(f"{x.rows}x{x.cols} @ {y.rows}x{y.cols}" for x, y in pairs))
+def composite_is_zero(a, b):
+    """True when a @ b is zero.  The product is taken one row at a time and
+    each row is dropped once it is seen to vanish, so the product, which can
+    be far larger than its factors before its terms cancel, is never held."""
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     p = a.field.p
-    maps = [(x.rows_map(), y.rows_map()) for x, y in pairs]
-    for i in {i for xrows, _ in maps for i in xrows}:
+    brows = b.rows_map()
+    for arow in a.rows_map().values():
         acc = {}
         get = acc.get
-        for xrows, yrows in maps:
-            for k, x in xrows.get(i, {}).items():
-                yrow = yrows.get(k)
-                if yrow:
-                    for j, y in yrow.items():
-                        acc[j] = get(j, 0) + x * y
+        for k, x in arow.items():
+            brow = brows.get(k)
+            if brow:
+                for j, y in brow.items():
+                    acc[j] = get(j, 0) + x * y
         if any(acc.values()) if p is None else any(v % p for v in acc.values()):
             return False
     return True

@@ -1,10 +1,18 @@
 """Helpers that only the tests use: dense and (row, col)-keyed conversion
-and uncached copies of sparse matrices, and predicates on Hopf algebras,
-cyclic maps and SAYD coefficients."""
+and uncached copies of sparse matrices, predicates on Hopf algebras,
+cyclic maps and SAYD coefficients, and the page of a double complex that
+the package only certifies."""
 
 from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
 from hopfcyclic.hopf import group_algebra, trivial_subalgebra
-from hopfcyclic.linalg import ChainComplex, LegChain, SparseMatrix, permutation_matrix
+from hopfcyclic.linalg import (
+    ChainComplex,
+    LegChain,
+    SparseMatrix,
+    homology_space,
+    induced_map,
+    permutation_matrix,
+)
 from hopfcyclic.sayd import SaydModule, ad_module
 
 
@@ -38,6 +46,17 @@ def complex_of(dims, d, field):
     block each, and d_n = d[n], zero where d has no n."""
     return ChainComplex(field, lambda n: {0: dims[n]} if 0 <= n < len(dims) else {},
                         lambda n: [(1, d[n], 0, 0)] if n in d else [])
+
+
+def transposed_spots(dc, p, q):
+    """E^1 and E^2 at (p, q) of the row filtration of the double complex
+    ``dc``, computed, not certified: E^1_{p,q} = H_p(row q), and E^2 the
+    homology there of the d^1 that dv induces."""
+    here = dc.row(q).homology(p)
+    out = induced_map(dc.dv(p, q), here, dc.row(q - 1).homology(p)) if q \
+        else SparseMatrix.zeros(0, here.dim, dc.h.field)
+    into = induced_map(dc.dv(p, q + 1), dc.row(q + 1).homology(p), here)
+    return here, here.then(homology_space(out, into))
 
 
 def to_dense(m):

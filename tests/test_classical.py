@@ -233,7 +233,7 @@ def test_classical_matches_algebraic_dims():
     s = builtin_setup("OS3/OC2")
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)
     fps = fiber_power_set(S3, C2_IN_S3, 2)
-    assert cm.dims() == fps.sizes()
+    assert cm.dims() == [len(e) for e in fps.elements]
 
 
 def test_dual_orbit_count_matches_coextension_dims():

@@ -386,6 +386,50 @@ def test_running_out_of_memory_is_bad_input(monkeypatch, fmt):
     assert "Traceback" not in text and "[FAIL]" not in text, text
 
 
+def _child(argv, cap_kb=None, script=None):
+    """Run the CLI on ``argv`` (or ``script`` with ``argv``) in a child
+    process, its address space capped at ``cap_kb`` by RLIMIT_AS, set in
+    the child alone."""
+    import os
+    import subprocess
+    import sys
+
+    import hopfcyclic
+
+    resource = pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(hopfcyclic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_kb * 1024, cap_kb * 1024))
+
+    cmd = ["-c", script] if script else ["-m", "hopfcyclic.cli"]
+    return subprocess.run([sys.executable, *cmd, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap if cap_kb else None)
+
+
+def test_running_out_of_address_space_exits_two_without_a_traceback():
+    """Under a cap between the import footprint and the run's peak, a run
+    exits 2, naming the cause, with no traceback: it was exit 1 with a bare
+    MemoryError when memory ran out again while the report was made, or a
+    generator freed with the run's frames could not be closed."""
+    import os
+
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmPeak from /proc")
+    argv = ["spectral", "kS3/k"]
+    peak_of = ("import sys, hopfcyclic.cli as cli\n"
+               "if sys.argv[1:]: cli.run(sys.argv[1:])\n"
+               "print(open('/proc/self/status').read().split('VmPeak:')[1].split()[0])")
+    footprint, peak = (int(_child(args, script=peak_of).stdout) for args in ([], argv))
+    assert peak > footprint
+    for k in range(1, 5):
+        child = _child(argv, cap_kb=footprint + (peak - footprint) * k // 5)
+        assert child.returncode == 2, (k, child.stdout, child.stderr)
+        assert "out of memory" in child.stdout + child.stderr, (k, child.stdout, child.stderr)
+        assert "Traceback" not in child.stdout + child.stderr, (k, child.stderr)
+
+
 def test_galois_translation_map_failure_is_reported(monkeypatch):
     # a failing lift check used to escape as a construction failure and lose the report
     import hopfcyclic.cli as cli

@@ -16,7 +16,7 @@ from hopfcyclic.specseq import (
     second_page_spot,
     tor_dims,
 )
-from support import from_dense
+from support import from_dense, transposed_spots
 
 
 def test_isomorphic_cyclic_modules_share_homology():
@@ -77,7 +77,7 @@ def test_transposed_page_for_kc2():
     # the transposed second page concentrates Tor(k, ad) in the p = 0 column
     s = builtin_setup("kC2/k")
     dc = extension_double_complex(s, 2, 2)
-    e2 = {pq: second_page_spot(dc, *pq, True).dim for pq in [(0, 0), (1, 0), (0, 1), (1, 1)]}
+    e2 = {pq: transposed_spots(dc, *pq)[1].dim for pq in [(0, 0), (1, 0), (0, 1), (1, 1)]}
     assert e2[(0, 0)] == 2
     assert e2[(1, 0)] == 0 and e2[(1, 1)] == 0 and e2[(0, 1)] == 0
 
@@ -246,10 +246,9 @@ def test_kernel_kind_relations_span_the_kernel_of_the_projection():
         x2, c2 = tensor_power_over_b(h, b, 2), others[1]
         others += [c2.tensor(x2), x2.tensor(c2), b.space.tensor(x2), x2.tensor(b.space)]
         dc = extension_double_complex(s, 3, 3)
-        for transposed in (False, True):
-            for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-                others += [first_page_spot(dc, p, q, transposed),
-                           second_page_spot(dc, p, q, transposed)]
+        for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            others += [first_page_spot(dc, p, q), second_page_spot(dc, p, q),
+                       *transposed_spots(dc, p, q)]
         for sp in others:
             _assert_relation_invariant(sp, (name, sp))
         if name == "kS3/kC2":

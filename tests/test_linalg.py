@@ -904,22 +904,6 @@ def test_composite_is_zero_matches_the_product(field):
         composite_is_zero(SparseMatrix.identity(2, field), SparseMatrix.identity(3, field))
 
 
-@identity_fields
-def test_composite_is_zero_sums_composites(field):
-    """composite_is_zero(a, b, (c, e)) is a @ b + c @ e = 0, as a square of a
-    double complex is checked, with no product formed."""
-    rng = random.Random(7)
-    for _ in range(40):
-        n, k, j, m = (rng.randint(1, 5) for _ in range(4))
-        a, c = (_scrambled(field, n, w, rng.randrange(10**6)) for w in (k, j))
-        b, e = (_scrambled(field, w, m, rng.randrange(10**6)) for w in (k, j))
-        assert composite_is_zero(a, b, (c, e)) == (a @ b + c @ e).is_zero_matrix()
-        assert composite_is_zero(a, b, (-a, b), (c, e), (c, -e))
-    ident = SparseMatrix.identity(2, field)
-    with pytest.raises(ShapeMismatch):  # every composite must have the first one's shape
-        composite_is_zero(ident, ident, (SparseMatrix.identity(3, field), ident))
-
-
 def _monomial(field, rows, cols, seed, by_rows=False):
     """A matrix with at most one entry in each column (each row with
     ``by_rows``), some columns (rows) empty, keys in scrambled order."""

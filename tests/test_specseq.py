@@ -12,7 +12,7 @@ from hopfcyclic.linalg import (
     apply_on_leg,
     kernel,
 )
-from hopfcyclic.presets import PAIR_NAMES, builtin_hopf, builtin_setup
+from hopfcyclic.presets import PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
 from hopfcyclic import linalg, specseq
 from hopfcyclic.cli import run
@@ -21,16 +21,15 @@ from hopfcyclic.specseq import (
     bar_complex,
     coalgebra_complex,
     extension_double_complex,
-    first_page_d,
     first_page_spot,
     five_term_check,
     hochschild_tor_check,
-    row_contraction_ok,
+    row_contraction_failure,
     second_page_spot,
     theorem_check,
     tor_dims,
 )
-from support import complex_of, from_dense, from_keyed, trivial_sayd
+from support import complex_of, from_dense, from_keyed, transposed_spots, trivial_sayd
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 TOR_H4 = [2, 1, 1, 1]
@@ -134,7 +133,7 @@ def test_corollary_check_sweedler():
 def test_row_contraction():
     for name in ("kS3/kC2", "H4/B"):
         s = builtin_setup(name)
-        assert row_contraction_ok(s.quotient, 3)
+        assert row_contraction_failure(s.quotient, 3) is None
 
 
 def test_double_complex_squares_and_total_homology_base_case():
@@ -145,11 +144,40 @@ def test_double_complex_squares_and_total_homology_base_case():
     tor_vals = tor_dims(ad_module(s.hopf), 2)
     assert tot == tor_vals == [2, 0, 0]
     # every square built anticommutes, and lies where d^2 = 0 on Tot_0..Tot_3 holds it
-    assert dc.squares()
-    for p, q in dc.squares():
+    assert _built_squares(dc)
+    for p, q in _built_squares(dc):
         assert p + q <= 3
-        assert linalg.composite_is_zero(dc.dv(p - 1, q), dc.dh(p, q),
-                                        (dc.dh(p, q - 1), dc.dv(p, q))), (p, q)
+        assert (dc.dv(p - 1, q) @ dc.dh(p, q) + dc.dh(p, q - 1) @ dc.dv(p, q)).is_zero_matrix()
+
+
+def _built_squares(dc):
+    """The squares (p, q), p, q >= 1, whose dh and dv are both built."""
+    return sorted((p, q) for p in range(1, 6) for q in range(1, 6)
+                  if p in dc.row(q)._d and q in dc.column(p)._d)
+
+
+def test_a_spectral_run_builds_only_squares_inside_tots_window(monkeypatch):
+    """Every dh, and every square, that a spectral run builds lies in Tot's
+    window p + q <= 3, where d^2 = 0 on Tot certifies the squares; past it
+    only dv(3, 1) is built, for E^1_{3,0}, which no square reads."""
+    built = []
+    init = specseq.ExtensionDoubleComplex.__init__
+
+    def keep(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(specseq.ExtensionDoubleComplex, "__init__", keep)
+    for name in ("H4/B", "kS3/kC2", "kC2/k"):
+        built.clear()
+        code, text = run(["spectral", name])
+        assert code == 0, text
+        dc, = built
+        dh = {(p, q) for p in range(6) for q in range(6) if p in dc.row(q)._d}
+        dv = {(p, q) for p in range(6) for q in range(6) if q in dc.column(p)._d}
+        assert dh and all(p + q <= 3 for p, q in dh), (name, sorted(dh))
+        assert {(p, q) for p, q in dv if p + q > 3} == {(3, 1)}, (name, sorted(dv))
+        assert _built_squares(dc) and all(p + q <= 3 for p, q in _built_squares(dc)), name
 
 
 def test_first_page_vanishes_for_semisimple():
@@ -175,6 +203,67 @@ def test_theorem_check_sweedler():
     dc = extension_double_complex(s, 3, 3)
     rep = theorem_check(dc, hh, tor_dims(dc.m, 2))
     assert rep.ok, [c for c in rep.checks if not c.ok]
+
+
+def _transposed_report(s):
+    """The double complex of ``s`` and the ``transposed_E2`` table of its
+    theorem check, {(p, q): value}, with the check's lines by name."""
+    hh = hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, 3))
+    dc = extension_double_complex(s, 3, 3)
+    rep = theorem_check(dc, hh, tor_dims(dc.m, 2))
+    table = {tuple(map(int, key.split(","))): v for key, v in rep.tables["transposed_E2"].items()}
+    return dc, table, {c.name: c for c in rep.checks}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_transposed_page_vanishes_as_the_report_says(name, field):
+    """The transposed page, computed from the rows' homology and the d^1
+    that dv induces, is zero where the report, which reads it off the
+    row contraction, says it is."""
+    dc, table, checks = _transposed_report(builtin_setup(name, field))
+    assert checks["row complex contracts to k"].ok
+    assert checks["transposed page 2 vanishes for p > 0"].ok
+    assert sorted(table) == [(1, 0), (1, 1), (2, 0)]
+    for (p, q), reported in table.items():
+        e1, e2 = transposed_spots(dc, p, q)
+        assert e1.dim == e2.dim == reported == 0, (p, q)
+
+
+def _dropped_augmented_d3(monkeypatch, s):
+    """The augmented row complex with d_3 set to zero: h is a contraction
+    below degree 2 only.  The double complex's own rows are untouched."""
+    real = specseq.coalgebra_complex
+
+    def broken(c, rest=1, augmented=False):
+        row = real(c, rest, augmented)
+        if augmented:
+            row._d[3] = SparseMatrix.zeros(row.dim(2), row.dim(3), c.parent.field)
+        return row
+
+    monkeypatch.setattr(specseq, "coalgebra_complex", broken)
+
+
+def _doubled_onebar(monkeypatch, s):
+    s.quotient.onebar = s.quotient.onebar.scale(2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+@pytest.mark.parametrize("mutate, degree", [(_doubled_onebar, 0), (_dropped_augmented_d3, 2)])
+def test_rows_that_do_not_contract_leave_the_transposed_page_unshown(monkeypatch, mutate,
+                                                                    degree, field):
+    """When insert-the-class-of-1 fails to contract the rows at some
+    degree, both lines fail naming it, and the report shows 0 only for
+    the p below it, where the homotopy was checked."""
+    s = builtin_setup("H4/B", field)
+    mutate(monkeypatch, s)
+    dc, table, checks = _transposed_report(s)
+    contraction, vanishing = (checks["row complex contracts to k"],
+                              checks["transposed page 2 vanishes for p > 0"])
+    assert not contraction.ok and f"degree {degree}" in contraction.witness
+    assert not vanishing.ok and f"degree {degree}" in vanishing.witness
+    assert table == {(p, q): 0 if p < degree else None for p, q in table}
+    assert any(v is None for v in table.values())
 
 
 def test_five_term_semisimple_trivial():
@@ -220,18 +309,18 @@ def test_five_term_rejects_d2_lifts_that_miss_the_horizontal_image(monkeypatch):
 
 def test_double_complex_builds_each_object_once():
     dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
-    for build, args in ((first_page_spot, (1, 0)), (first_page_spot, (1, 1, True)),
-                        (second_page_spot, (1, 0)), (second_page_spot, (1, 1, True)),
-                        (first_page_d, (0, 1)), (first_page_d, (1, 1, True)),
+    for build, args in ((first_page_spot, (1, 0)), (first_page_spot, (1, 1)),
                         (ExtensionDoubleComplex.dh, (2, 0)), (ExtensionDoubleComplex.dv, (1, 1))):
         assert build(dc, *args) is build(dc, *args), (build.__name__, args)
+    assert dc.line(0) is dc.line(0) and dc.line(0).d(1) is dc.line(0).d(1)
+    assert dc.line(1).homology(0) is dc.line(1).homology(0)
     assert dc.tot.d(2) is dc.tot.d(2) and dc.tot.homology(1) is dc.tot.homology(1)
 
 
 def test_each_first_page_d_is_induced_once(monkeypatch):
     """A d^1 leaves one E^2 spot and enters the next: the spots that both
-    checks read induce each d^1 once, the transposed page's dv(1, 1) on
-    row homology included."""
+    checks read, each read twice, induce each d^1 once, as the d of its
+    line of the first page."""
     dc = extension_double_complex(builtin_setup("H4/B"), 3, 3)
     calls = []
     real = specseq.induced_map
@@ -241,12 +330,11 @@ def test_each_first_page_d_is_induced_once(monkeypatch):
         return real(f, dom, cod)
 
     monkeypatch.setattr(specseq, "induced_map", spy)
-    spots = [(n, 0, False) for n in range(3)] + [(0, 1, False)]
-    spots += [(p, q, True) for p in range(1, 4) for q in range(3) if p + q <= 2]
-    for p, q, transposed in spots:
-        second_page_spot(dc, p, q, transposed)
-    assert len(calls) == len(set(calls)) == len(dc.first_page_d) > 0
-    assert (True, 1, 1) in dc.first_page_d
+    for p, q in [(n, 0) for n in range(3)] + [(0, 1)] * 2 + [(2, 0), (1, 0)]:
+        second_page_spot(dc, p, q)
+    # d^1 out of E^1_{p,q} for p = 1, 2, 3 on line 0 and p = 1 on line 1
+    assert len(calls) == len(set(calls)) == 4
+    assert sorted(p for q in (0, 1) for p in dc.line(q)._d if p) == [1, 1, 2, 3]
 
 
 def test_spectral_run_builds_one_double_complex(monkeypatch):
@@ -265,8 +353,7 @@ def test_spectral_run_builds_one_double_complex(monkeypatch):
 
 def _certified_squares(monkeypatch, dc, *checks):
     """Run ``checks`` on dc; the squares (p, q) they certify: those that a
-    d^2 check of Tot from Tot_{p+q} holds, with both cells in the window,
-    and those checked row by row on their own."""
+    d^2 check of Tot from Tot_{p+q} holds, with both cells in the window."""
     seen = []
     real = linalg.composite_is_zero
 
@@ -276,16 +363,13 @@ def _certified_squares(monkeypatch, dc, *checks):
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "composite_is_zero", spy)
-        patch.setattr(specseq, "composite_is_zero", spy)
         reports = [check(dc) for check in checks]
     certified = set()
-    for p, q in dc.squares():
+    for p, q in _built_squares(dc):
         n, tot = p + q, dc.tot._d
         for args in seen:
-            if len(args) == 2 and n in tot and args[0] is tot.get(n - 1) and args[1] is tot[n] \
+            if n in tot and args[0] is tot.get(n - 1) and args[1] is tot[n] \
                     and (p, q) in dc.tot.blocks(n) and (p - 1, q - 1) in dc.tot.blocks(n - 2):
-                certified.add((p, q))
-            if len(args) == 3 and args[1] is dc.dh(p, q) and args[2][1] is dc.dv(p, q):
                 certified.add((p, q))
     return certified, reports
 
@@ -310,7 +394,7 @@ def test_shared_double_complex_checks_what_two_fresh_ones_check(monkeypatch):
     assert by_t and by_f
     # and every square that an instance builds is certified
     for dc, certified in ((shared, both), (alone_t, by_t), (alone_f, by_f)):
-        assert set(dc.squares()) == certified
+        assert set(_built_squares(dc)) == certified
     for got, want in zip(reports, alone):
         assert got.ok and want.ok
         assert got.tables == want.tables
@@ -321,7 +405,6 @@ def test_shared_double_complex_checks_what_two_fresh_ones_check(monkeypatch):
 @pytest.mark.parametrize("p, q, message", [
     (1, 1, "not a complex"),  # d^2 = 0 on Tot_2 -> Tot_0
     (2, 1, "not a complex"),  # d^2 = 0 on Tot_3 -> Tot_1
-    (3, 1, r"squares fail at \(3,1\)"),  # past Tot's window: checked row by row
 ])
 def test_a_square_that_does_not_anticommute_is_rejected(p, q, message):
     """dh negated at one cell leaves every row a complex but breaks the
