@@ -29,11 +29,15 @@ each column, or every one in each row, and on exact matrix products
 otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
 table on unsigned index tables.  ``chain_complex`` is one
 ``linalg.ChainComplex`` constructor for HH and HC: the Hochschild complex
-with b_q (the faces) at block (q - 1, q), and the unnormalized (b, B)
-total complex, Tot_n = C_n + C_{n-2} + ..., with B_q (the composites
-t^a s_q t^k, tables on a module of tables) also at block (q + 1, q);
-``cyclic_dual`` and ``iso.check_cyclic_map`` take the matrix of each table
-they read, and only of those.
+with b_q (the faces) at block (q - 1, q), and the (b, B) total complex,
+Tot_n = C_n + C_{n-2} + ..., with B_q (the composites t^a s_q t^k, tables
+on a module of tables) also at block (q + 1, q).  Where every degeneracy
+is an index table of columns, as on a group algebra or H4, whose unit is
+a basis vector, the images of the degeneracies span coordinates, and both
+complexes are written on the normalized chains, the coordinates off
+those images (``ChainComplex.quotient``); otherwise, as on a function
+algebra, on all of C.  ``cyclic_dual`` and ``iso.check_cyclic_map`` take
+the matrix of each table they read, and only of those.
 
 Truncation semantics: both complexes stop at n_max, so HH_n and HC_n are
 trusted up to n_max - 1: they read b up to degree n + 1, and HC reads B
@@ -61,6 +65,7 @@ from .linalg import (
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
+    block_matrix,
     equalizer,
     induced_map,
     induced_table,
@@ -594,6 +599,11 @@ def cyclic_dual(ccm):
 # homology
 
 
+def _faces(cm, n):
+    """b_n = sum (-1)^i d_i as its n + 1 signed faces."""
+    return (((-1) ** i, cm.d[(n, i)]) for i in range(n + 1))
+
+
 def _connes_composites(cm, n):
     """B_n = (1 - lambda) t s_n N, where lambda = (-1)^n t and N = 1 + lambda
     + ... + lambda^n, as its 2(n + 1) signed composites (-1)^{nk}
@@ -611,13 +621,32 @@ def _connes_composites(cm, n):
         yield (-1) ** (n * (k + 1)), t1 @ once
 
 
+def degenerate_coordinates(cm):
+    """The coordinates of C_q spanned by the images of the degeneracies
+    s_j: C_(q-1) -> C_q, as a function of q, when every degeneracy is an
+    ``IndexTable`` of columns (a matrix counts through ``IndexTable.of``):
+    then each image is a coordinate subspace.  None otherwise."""
+    tables = {}
+    for key, op in cm.s.items():
+        tb = op if isinstance(op, IndexTable) else IndexTable.of(op)
+        if tb is None or tb.by_rows:
+            return None
+        tables[key] = tb
+    return lambda q: (i for j in range(q) for i in tables[(q - 1, j)].idx if i >= 0)
+
+
 def chain_complex(cm, connes=False):
     """The Hochschild complex (C, b) of cm, or with ``connes`` the total
     complex of its (b, B) mixed complex, Tot_n = C_n + C_{n-2} + ...
     (Loday, *Cyclic Homology*, 2.1.7), each C_q a block labelled q:
     b_q = sum (-1)^i d_i is block (q - 1, q), and B_q block (q + 1, q).
-    Degrees past n_max raise TruncationError."""
+    Where ``degenerate_coordinates`` finds the degenerate chains D to be
+    spanned by coordinates, the complex is the quotient by D, written on
+    the other coordinates: D is acyclic, so the homology is the same
+    (Loday 1.6 and 2.1.9), and b(D) and B(D) lie in D, which the writer
+    checks.  Degrees past n_max raise TruncationError."""
     dims = cm.dims()
+    degenerate = degenerate_coordinates(cm)
 
     def blocks(n):
         if n > cm.n_max:
@@ -628,39 +657,47 @@ def chain_complex(cm, connes=False):
     def terms(n):
         for q in blocks(n):
             if q:
-                yield from (((-1) ** i, cm.d[(q, i)], q - 1, q) for i in range(q + 1))
+                yield from ((sign, op, q - 1, q) for sign, op in _faces(cm, q))
             if q + 2 <= n:
                 yield from ((sign, op, q + 1, q) for sign, op in _connes_composites(cm, q))
 
-    return ChainComplex(cm.spaces[0].field, blocks, terms)
+    cx = ChainComplex(cm.spaces[0].field, blocks, terms)
+    return cx if degenerate is None else cx.quotient(degenerate)
 
 
 def hochschild_homology(cm, upto=None):
-    """dim HH_n for n <= upto (default n_max - 1); ``homology_dims`` asserts
-    b . b = 0."""
+    """dim HH_n for n <= upto (default n_max - 1) from ``chain_complex``;
+    ``homology_dims`` asserts b . b = 0 on every map it ranks."""
     return chain_complex(cm).homology_dims(cm.n_max - 1 if upto is None else upto)
 
 
 def normalized_complex(cm):
-    """The tests' reference for ``cyclic_homology``: the quotient by the
-    degenerate subcomplex, with b from degrees 1..n_max and B from degrees
-    0..n_max - 2 descended into it; returns (spaces, b ops, B ops).  B_n is
-    read as the block (n + 1, n) of the (b, B) total complex's d_{n+2}."""
+    """The tests' elimination-based reference for the normalized complex
+    that ``chain_complex`` writes on coordinates: the quotient of each C_n
+    by the images of the degeneracies, by ``quotient_by_columns``, with b
+    from degrees 1..n_max and the unnormalized B from degrees 0..n_max - 2
+    descended into it by ``induced_map``; returns (spaces, b ops, B ops)."""
     f = cm.spaces[0].field
-    nspaces = [SubquotientSpace.full(cm.spaces[0].dim, f)]
+    dims = cm.dims()
+    nspaces = [SubquotientSpace.full(dims[0], f)]
     for n in range(1, cm.n_max + 1):
         degen = SparseMatrix.hstack([operator_matrix(cm.s[(n - 1, j)], f) for j in range(n)])
-        nspaces.append(quotient_by_columns(cm.spaces[n].dim, degen))
-    b, tot = chain_complex(cm), chain_complex(cm, connes=True)
-    nb = {n: induced_map(b.d(n), nspaces[n], nspaces[n - 1]) for n in range(1, cm.n_max + 1)}
-    nB = {n: induced_map(tot.inclusion(n + 1, n + 1).t() @ tot.d(n + 2) @ tot.inclusion(n + 2, n),
+        nspaces.append(quotient_by_columns(dims[n], degen))
+
+    def written(terms, rows, cols):
+        return block_matrix({0: rows}, {0: cols}, ((sign, op, 0, 0) for sign, op in terms), f)
+
+    nb = {n: induced_map(written(_faces(cm, n), dims[n - 1], dims[n]), nspaces[n], nspaces[n - 1])
+          for n in range(1, cm.n_max + 1)}
+    nB = {n: induced_map(written(_connes_composites(cm, n), dims[n + 1], dims[n]),
                          nspaces[n], nspaces[n + 1]) for n in range(cm.n_max - 1)}
     return nspaces, nb, nB
 
 
 def cyclic_homology(cm, upto=None):
-    """dim HC_n for n <= upto (default n_max - 1) from the (b, B) mixed
-    complex of C itself, degenerate chains included (Loday, *Cyclic
-    Homology*, 2.1.7): d^2 = 0, which ``homology_dims`` checks on each
-    total map, is b^2 = B^2 = bB + Bb = 0 on every block that HC reads."""
+    """dim HC_n for n <= upto (default n_max - 1) from the total complex of
+    the (b, B) mixed complex (Loday, *Cyclic Homology*, 2.1.7), normalized
+    where ``chain_complex`` finds the degenerate chains spanned by
+    coordinates: d^2 = 0, which ``homology_dims`` checks on each total map,
+    is b^2 = B^2 = bB + Bb = 0 on every block that HC reads."""
     return chain_complex(cm, connes=True).homology_dims(cm.n_max - 1 if upto is None else upto)

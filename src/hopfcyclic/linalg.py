@@ -999,7 +999,7 @@ def composite_is_zero(a, b):
     return True
 
 
-def block_matrix(row_dims, col_dims, terms, field):
+def block_matrix(row_dims, col_dims, terms, field, keep=None):
     """The sum of ``terms``, each (sign, operator, row block, column block)
     with an ``IndexTable`` or ``SparseMatrix`` operator: every differential
     the package ranks is written here.  ``row_dims`` and ``col_dims`` map
@@ -1008,6 +1008,14 @@ def block_matrix(row_dims, col_dims, terms, field):
     and the d^2 check read, zeros and empty rows dropped; ``terms`` may be
     a generator, so only the sum and one operator are held.  Elimination
     cost depends on the order rows are first written, not only on entries.
+
+    With ``keep``, {label: relabelling}, the sum is written on a coordinate
+    quotient (``ChainComplex.quotient``): an operator of block (r, c) is
+    len(keep[r]) x len(keep[c]), and its entry (i, j) is written at
+    (keep[r][i], keep[c][j]) unless either is -1.  A column relabelled -1
+    is never written, and its entries on kept rows must sum to zero over
+    all terms: that certifies that the dropped coordinates span a
+    subcomplex, and NotWellDefined is raised otherwise.
     """
     def offsets(dims):
         out, off = {}, 0
@@ -1020,13 +1028,17 @@ def block_matrix(row_dims, col_dims, terms, field):
     col_off, cols = offsets(col_dims)
     p = field.p
     out = {}
+    lost = {}
     for sign, op, r, c in terms:
-        if (op.rows, op.cols) != (row_dims[r], col_dims[c]):
+        shape = (row_dims[r], col_dims[c]) if keep is None else (len(keep[r]), len(keep[c]))
+        if (op.rows, op.cols) != shape:
             raise ShapeMismatch(f"block ({r}, {c}) is {op.rows}x{op.cols}, "
-                                f"not {row_dims[r]}x{col_dims[c]}")
+                                f"not {shape[0]}x{shape[1]}")
         ro, co = row_off[r], col_off[c]
         entries = op.entries()
-        if ro or co:
+        if keep is not None:
+            entries = _kept_entries(entries, keep[r], keep[c], ro, co, sign, p, lost, c)
+        elif ro or co:
             entries = ((i + ro, j + co, v) for i, j, v in entries)
         for i, j, v in entries:
             if sign < 0:
@@ -1040,7 +1052,34 @@ def block_matrix(row_dims, col_dims, terms, field):
                 row[j] = v if v.__class__ is int else _normal(v)
             else:
                 del row[j]
+    if lost:
+        c, j, i = next(iter(lost))
+        raise NotWellDefined(f"not a quotient complex: d sends the dropped column {j} of "
+                             f"block {c} to the kept row {i}")
     return SparseMatrix(rows, cols, field, {i: row for i, row in out.items() if row})
+
+
+def _kept_entries(entries, rows, cols, ro, co, sign, p, lost, block):
+    """``entries`` relabelled by ``rows`` and ``cols`` and shifted by the
+    offsets ro and co, those on a row or column relabelled -1 left out.
+    The signed entries of dropped columns on kept rows are summed into
+    ``lost``, keyed (block, column, kept row), where a zero sum is deleted."""
+    for i, j, v in entries:
+        i = rows[i]
+        if i < 0:
+            continue
+        k = cols[j]
+        if k >= 0:
+            yield i + ro, k + co, v
+            continue
+        key = (block, j, i)
+        w = lost.get(key, 0) + (v if sign > 0 else -v)
+        if p is not None:
+            w %= p
+        if w:
+            lost[key] = w
+        else:
+            del lost[key]
 
 
 class ChainComplex:
@@ -1048,14 +1087,47 @@ class ChainComplex:
     ``blocks(n)``, an ordered {label: dim}, empty below the bottom degree,
     where d is zero.  ``terms(n)`` yields the ``block_matrix`` terms of
     d_n: C_n -> C_{n-1}.  Each d_n and homology space is built once and kept.
+    ``quotient`` gives the complex on fewer coordinates of each block.
     """
 
-    def __init__(self, field, blocks, terms):
+    def __init__(self, field, blocks, terms, degenerate=None):
         self.field = field
-        self.blocks = blocks
         self.terms = terms
+        self._blocks = blocks
+        self._degenerate = degenerate
+        self._keep = {}
         self._d = {}
         self._homology = {}
+
+    def quotient(self, degenerate):
+        """C/D, where D is spanned by the coordinates that ``degenerate(label)``
+        yields for block ``label`` (repeats allowed; a label names one space
+        in every degree it appears in): a coordinate quotient, which needs
+        no elimination.  Its blocks are the kept coordinates in order, and
+        each d_n is written from the same terms by ``block_matrix``, which
+        never writes a dropped column, drops the dropped rows and raises
+        NotWellDefined unless d(D) lies in D."""
+        return ChainComplex(self.field, self._blocks, self.terms, degenerate)
+
+    def blocks(self, n):
+        full = self._blocks(n)
+        if self._degenerate is None:
+            return full
+        return {label: self._relabelling(label, size)[1] for label, size in full.items()}
+
+    def _relabelling(self, label, size):
+        """Block ``label``'s ``size`` coordinates numbered in order on C/D,
+        -1 where dropped, and the number kept; built once and kept."""
+        if label not in self._keep:
+            dropped = bytearray(size)
+            for i in self._degenerate(label):
+                dropped[i] = 1
+            kept = [i for i in range(size) if not dropped[i]]
+            relabel = [-1] * size
+            for k, i in enumerate(kept):
+                relabel[i] = k
+            self._keep[label] = relabel, len(kept)
+        return self._keep[label]
 
     @classmethod
     def total(cls, field, cells, dh, dv):
@@ -1077,8 +1149,11 @@ class ChainComplex:
     def d(self, n):
         if n not in self._d:
             rows, cols = self.blocks(n - 1), self.blocks(n)
+            keep = None if self._degenerate is None else {
+                label: self._relabelling(label, size)[0]
+                for full in (self._blocks(n - 1), self._blocks(n)) for label, size in full.items()}
             self._d[n] = block_matrix(rows, cols, self.terms(n) if rows and cols else (),
-                                      self.field)
+                                      self.field, keep)
         return self._d[n]
 
     def inclusion(self, n, label):

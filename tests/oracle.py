@@ -273,6 +273,96 @@ def cyclic_dims(alg, upto):
     return dims
 
 
+def dense_rank_mod(rows, p):
+    """Rank over F_p of integer rows, by dense elimination mod p."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def compose(a, b):
+    """The permutation a after b, as tuples of images."""
+    return tuple(a[i] for i in b)
+
+
+def closure(generators):
+    """The permutation group generated by ``generators``, in the order found."""
+    ident = tuple(range(len(generators[0])))
+    group, frontier = [ident], [ident]
+    while frontier:
+        found = []
+        for x in frontier:
+            for g in generators:
+                y = compose(g, x)
+                if y not in group:
+                    group.append(y)
+                    found.append(y)
+        frontier = found
+    return group
+
+
+def group_homology_dims(group, p, upto):
+    """dim H_n(G; k) for n <= upto, k = Q when p is 0 and F_p otherwise, from
+    the bar complex k[G^n] with d(g_1..g_n) = (g_2..g_n) + sum_{0<i<n}
+    (-1)^i (.. g_i g_(i+1) ..) + (-1)^n (g_1..g_(n-1))."""
+    index = {g: i for i, g in enumerate(group)}
+
+    def tuple_index(tup):
+        k = 0
+        for g in tup:
+            k = k * len(group) + index[g]
+        return k
+
+    def boundary_rows(n):
+        # d_n: k[G^n] -> k[G^(n-1)] as rows (one per target tuple)
+        rows = [[0] * len(group) ** n for _ in range(len(group) ** (n - 1))]
+        for j, tup in enumerate(product(group, repeat=n)):
+            terms = [(1, tup[1:])]
+            terms += [((-1) ** i, tup[:i - 1] + (compose(tup[i - 1], tup[i]),) + tup[i + 1:])
+                      for i in range(1, n)]
+            terms.append(((-1) ** n, tup[:-1]))
+            for sign, t2 in terms:
+                rows[tuple_index(t2)][j] += sign
+        return rows
+
+    def rank(rows):
+        return dense_rank(rows) if p == 0 else dense_rank_mod(rows, p)
+
+    ranks = [0] + [rank(boundary_rows(n)) for n in range(1, upto + 2)]
+    return [len(group) ** n - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
+
+
+def burghelea_hh(group, p, upto):
+    """dim HH_n(kG) for n <= upto by Burghelea's decomposition (Loday,
+    *Cyclic Homology*, 7.4): HH_n(kG) = sum over the conjugacy classes [g]
+    of H_n(C_G(g); k), each centralizer's homology from its own bar complex;
+    ``group`` is a list of permutations and k is Q when p is 0, else F_p."""
+    inverse = {g: tuple(sorted(range(len(g)), key=g.__getitem__)) for g in group}
+    seen, total, cache = set(), [0] * (upto + 1), {}
+    for g in group:
+        if g in seen:
+            continue
+        seen.update(compose(compose(x, g), inverse[x]) for x in group)
+        centralizer = [x for x in group if compose(x, g) == compose(g, x)]
+        key = frozenset(centralizer)
+        if key not in cache:
+            cache[key] = group_homology_dims(centralizer, p, upto)
+        total = [a + b for a, b in zip(total, cache[key])]
+    return total
+
+
 if __name__ == "__main__":
     h4 = sweedler_dense()
     kc2 = cyclic_group_algebra_dense(2)

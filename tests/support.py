@@ -1,9 +1,10 @@
 """Helpers that only the tests use: dense and (row, col)-keyed conversion
 and uncached copies of sparse matrices, predicates on Hopf algebras,
-cyclic maps and SAYD coefficients, and the page of a double complex that
-the package only certifies."""
+cyclic maps and SAYD coefficients, the page of a double complex that the
+package only certifies, and the unnormalized complexes whose coordinate
+quotients the package ranks."""
 
-from hopfcyclic.cyclic import hochschild_homology, relative_cyclic
+from hopfcyclic.cyclic import hochschild_homology, operator_matrix, relative_cyclic
 from hopfcyclic.hopf import group_algebra, trivial_subalgebra
 from hopfcyclic.linalg import (
     ChainComplex,
@@ -111,3 +112,71 @@ def group_algebra_hh0(g):
     """dim HH_0(kG) over Q, from the relative cyclic object of kG over k."""
     h = group_algebra(g)
     return hochschild_homology(relative_cyclic(h, trivial_subalgebra(h), 1), 0)[0]
+
+
+# ---------------------------------------------------------------------------
+# unnormalized references
+
+
+def connes_reference(cm, n):
+    """B = (1 - lambda_(n+1)) t_(n+1) s_n N as a product of matrices, where
+    lambda_m = (-1)^m t_m and N = 1 + lambda_n + ... + lambda_n^n."""
+    f = cm.spaces[0].field
+
+    def lam(m):
+        return operator_matrix(cm.t[m], f).scale(f.one if m % 2 == 0 else f.neg(f.one))
+
+    norm = power = SparseMatrix.identity(cm.spaces[n].dim, f)
+    for _ in range(n):
+        power = lam(n) @ power
+        norm = norm + power
+    extra = operator_matrix(cm.t[n + 1], f) @ operator_matrix(cm.s[(n, n)], f)
+    one_minus = SparseMatrix.identity(cm.spaces[n + 1].dim, f) - lam(n + 1)
+    return one_minus @ extra @ norm
+
+
+def unnormalized_complex(cm, connes=False):
+    """The Hochschild complex of cm, or with ``connes`` the total complex of
+    its (b, B) mixed complex, degenerate chains included: b_q = sum (-1)^i
+    d_i and B_q = ``connes_reference``, from cm's operators as matrices."""
+    f = cm.spaces[0].field
+    dims = cm.dims()
+
+    def blocks(n):
+        degrees = range(n, -1, -2)
+        return {q: dims[q] for q in (degrees if connes else degrees[:1])}
+
+    def terms(n):
+        for q in blocks(n):
+            if q:
+                yield from (((-1) ** i, operator_matrix(cm.d[(q, i)], f), q - 1, q)
+                            for i in range(q + 1))
+            if q + 2 <= n:
+                yield 1, connes_reference(cm, q), q + 1, q
+
+    return ChainComplex(f, blocks, terms)
+
+
+def kept_coordinates(cm, q):
+    """The coordinates of C_q off every image of a degeneracy into it when
+    each degeneracy matrix has at most one entry in each column, so that
+    the images are spanned by the coordinates they hit; else all of C_q."""
+    f = cm.spaces[0].field
+    hit = set()
+    for j in range(q):
+        entries = list(operator_matrix(cm.s[(q - 1, j)], f).entries())
+        if len({j for _, j, _ in entries}) < len(entries):
+            return list(range(cm.spaces[q].dim))
+        hit.update(i for i, _, _ in entries)
+    return [i for i in range(cm.spaces[q].dim) if i not in hit]
+
+
+def restricted(m, rows, cols):
+    """The submatrix of m on the coordinates ``rows`` and ``cols``, in order."""
+    at = {j: k for k, j in enumerate(cols)}
+    out = {}
+    for k, i in enumerate(rows):
+        row = {at[j]: v for j, v in m.rows_map().get(i, {}).items() if j in at}
+        if row:
+            out[k] = row
+    return SparseMatrix(len(rows), len(cols), m.field, out)

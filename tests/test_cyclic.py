@@ -13,6 +13,7 @@ from hopfcyclic.cyclic import (
     coextension_space,
     cyclic_dual,
     cyclic_homology,
+    degenerate_coordinates,
     hochschild_homology,
     hopf_cocyclic_coalgebra,
     hopf_cyclic_coalgebra,
@@ -53,12 +54,23 @@ from hopfcyclic.linalg import (
 from hopfcyclic.loaders import load_hopf_json
 from hopfcyclic.presets import PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
-from support import from_keyed, to_keyed, trivial_sayd, uncached
+from oracle import burghelea_hh, closure
+from support import (
+    connes_reference,
+    from_keyed,
+    kept_coordinates,
+    restricted,
+    to_keyed,
+    trivial_sayd,
+    uncached,
+    unnormalized_complex,
+)
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 HH_H4 = [2, 1, 1, 1]
 HC_KC2 = [2, 0, 2, 0]
 HC_H4 = [2, 1, 2, 1]
+REFERENCE_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(2 ** 31 - 1)]
 
 
 def cyclic_modules_equal(a, b):
@@ -485,6 +497,25 @@ def test_hochschild_sweedler_matches_oracle():
     assert hochschild_homology(cm) == HH_H4
 
 
+GENERATORS = {"kC2": [(1, 0)], "kC3": [(1, 2, 0)], "kC4": [(1, 2, 3, 0)],
+              "kS3": [(1, 0, 2), (1, 2, 0)]}
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("name, upto", [("kC2", 3), ("kC3", 3), ("kC4", 3), ("kS3", 2)])
+def test_hochschild_homology_of_a_group_algebra_is_burghelea(name, upto, p):
+    """HH_n(kG) is the sum of H_n(C_G(g); k) over the conjugacy classes,
+    which the oracle reads off the permutations that generate G, with its
+    own bar complex: over Q, F_2 and F_3, where HH is not zero above degree
+    0 once p divides |G|."""
+    field = QQ if p == 0 else PrimeField(p)
+    h = builtin_hopf(name, field)
+    group = closure(GENERATORS[name])
+    assert len(group) == h.dim
+    hh = hochschild_homology(relative_cyclic(h, trivial_subalgebra(h), upto + 1), upto)
+    assert hh == burghelea_hh(group, p, upto)
+
+
 def test_hochschild_zero_ops_mutant():
     f = QQ
     spaces = [SubquotientSpace.full(3, f) for _ in range(3)]
@@ -552,54 +583,53 @@ def _normalized_cyclic_homology(cm, upto):
     return ChainComplex(f, blocks, terms).homology_dims(upto)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(2 ** 31 - 1)],
-                         ids=str)
-@pytest.mark.parametrize("name", SETUP_NAMES)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+@pytest.mark.parametrize("name", PAIR_NAMES)
 def test_cyclic_homology_matches_the_unnormalized_mixed_complex(name, field):
-    # cyclic_homology reads the unnormalized mixed complex, degenerate chains
-    # included; the normalized one is quasi-isomorphic to it, so quotienting
-    # by degeneracies and descending b and B changes no dimension
+    """HH and HC rank the quotient by the degenerate chains, written on the
+    coordinates off the degeneracies' images where those images are
+    coordinate subspaces.  The quotient is quasi-isomorphic to the
+    unnormalized complex, so no dimension changes, and it is the one that
+    ``normalized_complex`` descends b and B into by elimination."""
     s = builtin_setup(name, field)
     cm = relative_cyclic(s.hopf, s.subalgebra, 4)
-    assert cyclic_homology(cm, 3) == _normalized_cyclic_homology(cm, 3)
+    hc = cyclic_homology(cm, 3)
+    assert hc == unnormalized_complex(cm, connes=True).homology_dims(3)
+    assert hc == _normalized_cyclic_homology(cm, 3)
+    assert hochschild_homology(cm, 3) == unnormalized_complex(cm).homology_dims(3)
+    nspaces, nb, _ = normalized_complex(cm)
+    hochschild = chain_complex(cm)
+    dropped = degenerate_coordinates(cm) is not None
+    assert dropped == (name.split("/")[0] not in ("OS3", "OC2"))
+    for q in range(1, 5):
+        assert hochschild.dim(q) == (nspaces[q].dim if dropped else cm.spaces[q].dim), q
+        if dropped:
+            assert hochschild.d(q) == nb[q], q
 
 
 @pytest.mark.parametrize("name, p, want", [("kS3/k", 3, [3, 0, 3, 1]),
                                            ("H4/k", 2, [4, 5, 10, 12])])
 def test_unnormalized_cyclic_homology_in_positive_characteristic(name, p, want):
     s = builtin_setup(name, PrimeField(p))
-    assert cyclic_homology(relative_cyclic(s.hopf, s.subalgebra, 4), 3) == want
-
-
-def _connes_reference(cm, n):
-    """B = (1 - lambda_(n+1)) t_(n+1) s_n N as a product of matrices, where
-    lambda_m = (-1)^m t_m and N = 1 + lambda_n + ... + lambda_n^n."""
-    f = cm.spaces[0].field
-
-    def lam(m):
-        return operator_matrix(cm.t[m], f).scale(f.one if m % 2 == 0 else f.neg(f.one))
-
-    norm = power = SparseMatrix.identity(cm.spaces[n].dim, f)
-    for _ in range(n):
-        power = lam(n) @ power
-        norm = norm + power
-    extra = operator_matrix(cm.t[n + 1], f) @ operator_matrix(cm.s[(n, n)], f)
-    one_minus = SparseMatrix.identity(cm.spaces[n + 1].dim, f) - lam(n + 1)
-    return one_minus @ extra @ norm
+    cm = relative_cyclic(s.hopf, s.subalgebra, 4)
+    assert cyclic_homology(cm, 3) == unnormalized_complex(cm, connes=True).homology_dims(3) == want
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2 ** 31 - 1)], ids=str)
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_connes_boundary_is_the_matrix_formula(name, field):
     """B, written from its signed composites as the block (n + 1, n) of the
-    (b, B) total complex's d_{n+2}, equals the product of matrices in every
-    degree of every pair: on table modules and on descended ones."""
+    (b, B) total complex's d_{n+2}, equals the product of matrices on the
+    coordinates off the degeneracies' images in every degree of every pair:
+    on table modules and on descended ones."""
     s = builtin_setup(name, field)
     cm = relative_cyclic(s.hopf, s.subalgebra, 4)
     tot = chain_complex(cm, connes=True)
     for n in range(3):
         block = tot.inclusion(n + 1, n + 1).t() @ tot.d(n + 2) @ tot.inclusion(n + 2, n)
-        assert block == _connes_reference(cm, n), n
+        want = restricted(connes_reference(cm, n), kept_coordinates(cm, n + 1),
+                          kept_coordinates(cm, n))
+        assert block == want, n
 
 
 @pytest.mark.parametrize("name, want", [("kS3/k", [3, 0, 3, 0]), ("OS3/k", [6, 0, 6, 0])])
@@ -653,6 +683,23 @@ def test_cyclic_homology_rejects_faces_with_nonzero_b_squared():
     cm = CyclicModule(2, spaces, d, s, t)
     with pytest.raises(NotWellDefined, match=r"not a complex: d\^2 != 0 at degree 2"):
         cyclic_homology(cm)
+
+
+def test_cyclic_homology_rejects_a_rotation_that_moves_degenerate_chains_off_them():
+    """t_1 sending the degenerate (a, e) to the chain (g, g) leaves b alone,
+    since the last face was composed when the module was built, but B_1 then
+    sends (a, e) to -(e, g, g) + ..., off the degenerate chains, so the
+    total complex of HC is refused as d_3 is written."""
+    s = builtin_setup("kS3/k")
+    cm = relative_cyclic(s.hopf, s.subalgebra, 3)
+    a, g, e = 1, 3, 0
+    idx = list(cm.t[1].idx)
+    idx[a * 6 + e] = g * 6 + g
+    mutant = replace(cm, t={**cm.t, 1: IndexTable(36, 36, None, idx, None)})
+    assert hochschild_homology(mutant) == hochschild_homology(cm) == [3, 0, 0]
+    with pytest.raises(NotWellDefined, match="not a quotient complex: d sends the dropped "
+                                             "column 6 of block 1"):
+        cyclic_homology(mutant)
 
 
 def _cyclic_identity_names(N):
@@ -928,7 +975,9 @@ def test_table_operators_are_their_chains_descended(name, field):
 def test_a_table_face_with_one_index_moved_fails_both_checks(name):
     """A face table with one entry moved to the next row (column, for a
     table of rows) stays a table and fails the identity check on tables,
-    and b^2 != 0 stops the homology at the d^2 check."""
+    and b^2 != 0 stops the unnormalized homology at the d^2 check.  The
+    first entry sits on a degenerate column where the unit is a basis
+    vector, so there the normalized homology stops as b_2 is written."""
     s = builtin_setup(name)
     cm = relative_cyclic(s.hopf, s.subalgebra, 3)
     face = cm.d[(2, 0)]
@@ -939,9 +988,21 @@ def test_a_table_face_with_one_index_moved_fails_both_checks(name):
     mutant = replace(cm, d={**cm.d, (2, 0): moved})
     assert index_tables(mutant)[0][0][(2, 0)] is moved
     assert not check_identities(mutant).ok
-    # b_2 holds the moved face, and b_1 b_2 or b_2 b_3 is checked on it
-    with pytest.raises(NotWellDefined, match=r"d\^2 != 0 at degree [23]"):
-        hochschild_homology(mutant)
+    # b_2 holds the moved face, and b_1 b_2 or b_2 b_3 is checked on it in
+    # the unnormalized complex
+    d_squared = r"d\^2 != 0 at degree [23]"
+    with pytest.raises(NotWellDefined, match=d_squared):
+        unnormalized_complex(mutant).homology_dims(2)
+    # HH and HC rank the quotient by the degenerate chains, which never
+    # writes a degenerate column: one moved there is caught as b_2 is
+    # written, since b_2 then sends a degenerate chain off the degenerate ones
+    degenerate = degenerate_coordinates(cm)
+    on_degenerate = degenerate is not None and k in set(degenerate(2))
+    assert on_degenerate == (name.split("/")[0] not in ("OS3", "OC2"))
+    for homology in (hochschild_homology, cyclic_homology):
+        with pytest.raises(NotWellDefined,
+                           match="not a quotient complex" if on_degenerate else d_squared):
+            homology(mutant)
 
 
 def _kc2_in_basis_1_and_1_plus_2g():

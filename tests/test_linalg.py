@@ -9,6 +9,7 @@ from support import complex_of, from_dense, from_keyed, to_dense, to_keyed, unca
 from hopfcyclic.cyclic import chain_complex, relative_cyclic
 from hopfcyclic.linalg import (
     QQ,
+    ChainComplex,
     Inconsistent,
     IndexTable,
     LegChain,
@@ -772,6 +773,36 @@ def test_block_matrix_sums_signed_terms_and_drops_what_cancels(field):
     got = block_matrix(rows, cols, terms, field)
     assert got == M([[1, 1, 0, 0], [0, 0, 0, 2]], field)
     assert all(row and all(row.values()) for row in got.rows_map().values())
+
+
+def test_block_matrix_on_a_coordinate_quotient_writes_kept_entries_and_certifies_the_rest():
+    # column 0 is dropped: its entries on the kept row 1 cancel between the
+    # two terms, and its entry on the dropped row 0 is never read
+    keep = {"r": [-1, 0, 1], "c": [-1, 0]}
+    a, b = M([[1, 0], [1, 2], [0, 3]]), M([[0, 0], [1, 0], [0, 0]])
+    got = block_matrix({"r": 2}, {"c": 1}, [(1, a, "r", "c"), (-1, b, "r", "c")], QQ, keep)
+    assert got == M([[2], [3]])
+    with pytest.raises(NotWellDefined, match="not a quotient complex: d sends the dropped "
+                                             "column 0 of block c to the kept row 0"):
+        block_matrix({"r": 2}, {"c": 1}, [(1, a, "r", "c")], QQ, keep)
+    with pytest.raises(ShapeMismatch):  # shapes are those of the unquotiented blocks
+        block_matrix({"r": 2}, {"c": 1}, [(1, got, "r", "c")], QQ, keep)
+
+
+def test_coordinate_quotient_by_a_subcomplex_keeps_the_homology():
+    # e0 -> f0 spans an acyclic subcomplex D; e1 -> 0 and f1 -> g stay
+    d, dims = {1: M([[0, 1]]), 2: M([[1, 0], [0, 0]])}, [1, 2, 2]
+    full = ChainComplex(QQ, lambda n: {n: dims[n]} if 0 <= n < 3 else {},
+                        lambda n: [(1, d[n], n - 1, n)] if n in d else [])
+    quotient = full.quotient(lambda label: {0: [], 1: [0], 2: [0]}[label])
+    assert [quotient.dim(n) for n in range(3)] == [1, 1, 1]
+    assert quotient.d(1) == M([[1]]) and quotient.d(2).is_zero_matrix()
+    assert quotient.homology_dims(2) == full.homology_dims(2) == [0, 0, 1]
+    # e1 and f1 span no subcomplex, since f1 -> g is kept
+    bad = full.quotient(lambda label: {0: [], 1: [1], 2: [1]}[label])
+    assert bad.d(2) == M([[1]])
+    with pytest.raises(NotWellDefined, match="not a quotient complex"):
+        bad.homology_dims(1)
 
 
 def test_solve_and_inverse():

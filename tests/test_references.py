@@ -31,7 +31,7 @@ from hopfcyclic.linalg import QQ, PrimeField, SubquotientSpace, induced_map
 from hopfcyclic.presets import SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
 from hopfcyclic.specseq import bar_complex
-from support import from_keyed
+from support import from_keyed, restricted, unnormalized_complex
 
 FIELDS = [QQ, PrimeField(7)]
 
@@ -193,16 +193,24 @@ def _oracle_matrix(cols, rows, field):
 @pytest.mark.parametrize("name", sorted(_ORACLE_ALGEBRAS))
 def test_boundaries_match_oracle(name, field):
     # matrix for matrix, not only in rank: the Tor bar boundary with k through
-    # the counit and ad H, and the Hochschild boundary of C(H|k)
+    # the counit and ad H, and the Hochschild boundary of C(H|k), unnormalized
+    # and on the tuples with no unit in legs 1..q, which the package ranks
     h = builtin_hopf(name, field)
     alg = _ORACLE_ALGEBRAS[name]()
     ad = ad_module(h)
     tor = bar_complex(h, h.eps, 1, ad.operator_action, ad.dim)
-    hochschild = chain_complex(relative_cyclic(h, trivial_subalgebra(h), 3))
+    cm = relative_cyclic(h, trivial_subalgebra(h), 3)
+    hochschild, unnormalized = chain_complex(cm), unnormalized_complex(cm)
+
+    def normalized(q):
+        return [k for k, tup in enumerate(itertools.product(range(h.dim), repeat=q + 1))
+                if alg.unit_index not in tup[1:]]
+
     for q in (1, 2, 3):
         assert tor.d(q) == _oracle_matrix(tor_boundary(alg, q), h.dim ** q, field), q
-        assert hochschild.d(q) == _oracle_matrix(hochschild_boundary(alg, q), h.dim ** q,
-                                                  field), q
+        b = _oracle_matrix(hochschild_boundary(alg, q), h.dim ** q, field)
+        assert unnormalized.d(q) == b, q
+        assert hochschild.d(q) == restricted(b, normalized(q - 1), normalized(q)), q
 
 
 @fields

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +14,7 @@ from hopfcyclic.linalg import (
     apply_on_leg,
     kernel,
 )
-from hopfcyclic.presets import PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
+from hopfcyclic.presets import HOPF_NAMES, PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module
 from hopfcyclic import linalg, specseq
 from hopfcyclic.cli import run
@@ -27,9 +29,17 @@ from hopfcyclic.specseq import (
     row_contraction_failure,
     second_page_spot,
     theorem_check,
+    tor_complex,
     tor_dims,
 )
-from support import complex_of, from_dense, from_keyed, transposed_spots, trivial_sayd
+from support import (
+    complex_of,
+    from_dense,
+    from_keyed,
+    restricted,
+    transposed_spots,
+    trivial_sayd,
+)
 
 # frozen by the dense brute-force oracle (tests/oracle.py)
 TOR_H4 = [2, 1, 1, 1]
@@ -107,6 +117,50 @@ def test_tor_semisimple_group_algebras():
 def test_tor_sweedler_matches_oracle():
     h = builtin_hopf("H4")
     assert tor_dims(ad_module(h), 3) == TOR_H4
+
+
+REFERENCE_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+@pytest.mark.parametrize("name", HOPF_NAMES)
+def test_tor_matches_the_unnormalized_bar_complex(name, field):
+    """Where the unit is a basis vector u, Tor ranks the normalized bar
+    complex: its boundaries are those of the unnormalized one on the tuples
+    with no u in an H-leg, and its homology is the same."""
+    h = builtin_hopf(name, field)
+    units = list(h.eta.rows_map())
+    assert (len(units) == 1) == (name not in ("OS3", "OC2"))
+    for m in (ad_module(h), trivial_sayd(h)):
+        bar = bar_complex(h, h.eps, 1, m.operator_action, m.dim)
+        normalized = tor_complex(m)
+        assert tor_dims(m, 3) == bar.homology_dims(3)
+
+        def kept(q):
+            legs = [range(h.dim)] * q + [range(m.dim)]
+            return [k for k, tup in enumerate(itertools.product(*legs))
+                    if len(units) > 1 or units[0] not in tup[:q]]
+
+        for q in range(1, 5):
+            assert normalized.d(q) == restricted(bar.d(q), kept(q - 1), kept(q)), q
+
+
+@pytest.mark.parametrize("name", ["kS3", "H4"])
+def test_tor_rejects_an_action_that_moves_the_degenerate_tuples(name):
+    """With u . m0 != m0 the action is not unital, so the tuples with u in
+    an H-leg span no subcomplex: the normalized complex is refused as its
+    first boundary is written, d_1 sending u (x) m0 to m0 - u . m0."""
+    h = builtin_hopf(name)
+    ad = ad_module(h)
+    (u,) = h.eta.rows_map()
+    rows = {i: dict(row) for i, row in ad.operator_action.rows_map().items()}
+    col = u * ad.dim  # the column of u (x) m0, m0 the first basis vector
+    for row in rows.values():
+        row.pop(col, None)
+    rows.setdefault(1, {})[col] = h.field.one
+    act = SparseMatrix(ad.dim, h.dim * ad.dim, h.field, {i: r for i, r in rows.items() if r})
+    with pytest.raises(NotWellDefined, match="not a quotient complex"):
+        tor_dims(replace(ad, operator_action=act), 2)
 
 
 def test_corollary_check_group_algebras():
