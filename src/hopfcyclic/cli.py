@@ -278,16 +278,12 @@ def cmd_spectral(args, field):
     # neither the relative cyclic module nor the double complex (with every
     # map and spot it keeps) is held while it is built
     del dc
-    for c in srep.checks:
-        rep.add_check(c.name, c.ok, c.witness)
+    rep.add_validation("", srep)
     rep.tables.update(srep.tables)
-    for c in frep.checks:
-        rep.add_check("five-term: " + c.name, c.ok, c.witness)
+    rep.add_validation("five-term: ", frep)
     rep.tables["five_term"] = frep.tables["dims"]
-    crep = hochschild_tor_check(setup.hopf, hochschild_homology(relative_cyclic(
-        setup.hopf, trivial_subalgebra(setup.hopf), 4)), tor)
-    for c in crep.checks:
-        rep.add_check("absolute: " + c.name, c.ok, c.witness)
+    rep.add_validation("absolute: ", hochschild_tor_check(setup.hopf, hochschild_homology(
+        relative_cyclic(setup.hopf, trivial_subalgebra(setup.hopf), 4)), tor))
     return rep
 
 

@@ -31,11 +31,10 @@ table on unsigned index tables.  ``chain_complex`` is one
 ``linalg.ChainComplex`` constructor for HH and HC: the Hochschild complex
 with b_q (the faces) at block (q - 1, q), and the (b, B) total complex,
 Tot_n = C_n + C_{n-2} + ..., with B_q (the composites t^a s_q t^k, tables
-on a module of tables) also at block (q + 1, q).  Where every degeneracy
-is an index table of columns, as on a group algebra or H4, whose unit is
-a basis vector, the images of the degeneracies span coordinates, and both
-complexes are written on the normalized chains, the coordinates off
-those images (``ChainComplex.quotient``); otherwise, as on a function
+on a module of tables) also at block (q + 1, q).  Both are written on
+the normalized chains by ``ChainComplex.quotient``, Tor's rule too: the
+degeneracies s_j give D where each is a column table, as on a group
+algebra or H4, whose unit is a basis vector; otherwise, as on a function
 algebra, on all of C.  ``cyclic_dual`` and ``iso.check_cyclic_map`` take
 the matrix of each table they read, and only of those.
 
@@ -621,32 +620,17 @@ def _connes_composites(cm, n):
         yield (-1) ** (n * (k + 1)), t1 @ once
 
 
-def degenerate_coordinates(cm):
-    """The coordinates of C_q spanned by the images of the degeneracies
-    s_j: C_(q-1) -> C_q, as a function of q, when every degeneracy is an
-    ``IndexTable`` of columns (a matrix counts through ``IndexTable.of``):
-    then each image is a coordinate subspace.  None otherwise."""
-    tables = {}
-    for key, op in cm.s.items():
-        tb = op if isinstance(op, IndexTable) else IndexTable.of(op)
-        if tb is None or tb.by_rows:
-            return None
-        tables[key] = tb
-    return lambda q: (i for j in range(q) for i in tables[(q - 1, j)].idx if i >= 0)
-
-
 def chain_complex(cm, connes=False):
     """The Hochschild complex (C, b) of cm, or with ``connes`` the total
     complex of its (b, B) mixed complex, Tot_n = C_n + C_{n-2} + ...
     (Loday, *Cyclic Homology*, 2.1.7), each C_q a block labelled q:
     b_q = sum (-1)^i d_i is block (q - 1, q), and B_q block (q + 1, q).
-    Where ``degenerate_coordinates`` finds the degenerate chains D to be
-    spanned by coordinates, the complex is the quotient by D, written on
-    the other coordinates: D is acyclic, so the homology is the same
-    (Loday 1.6 and 2.1.9), and b(D) and B(D) lie in D, which the writer
-    checks.  Degrees past n_max raise TruncationError."""
+    Where every degeneracy s_j is a column table (a matrix through
+    ``IndexTable.of``), it is the quotient by the degenerate chains D
+    (``ChainComplex.quotient``): D is acyclic, so the homology is the
+    same (Loday 1.6 and 2.1.9), and b(D) and B(D) lie in D, which the
+    writer checks.  Degrees past n_max raise TruncationError."""
     dims = cm.dims()
-    degenerate = degenerate_coordinates(cm)
 
     def blocks(n):
         if n > cm.n_max:
@@ -662,7 +646,10 @@ def chain_complex(cm, connes=False):
                 yield from ((sign, op, q + 1, q) for sign, op in _connes_composites(cm, q))
 
     cx = ChainComplex(cm.spaces[0].field, blocks, terms)
-    return cx if degenerate is None else cx.quotient(degenerate)
+    s = {key: op if isinstance(op, IndexTable) else IndexTable.of(op) for key, op in cm.s.items()}
+    if any(tb is None or tb.by_rows for tb in s.values()):
+        return cx
+    return cx.quotient(lambda q: [s[(q - 1, j)] for j in range(q)])
 
 
 def hochschild_homology(cm, upto=None):

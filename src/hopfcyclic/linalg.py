@@ -999,23 +999,16 @@ def composite_is_zero(a, b):
     return True
 
 
-def block_matrix(row_dims, col_dims, terms, field, keep=None):
+def block_matrix(row_dims, col_dims, terms, field):
     """The sum of ``terms``, each (sign, operator, row block, column block)
     with an ``IndexTable`` or ``SparseMatrix`` operator: every differential
-    the package ranks is written here.  ``row_dims`` and ``col_dims`` map
-    block labels, in order, to sizes, which fix the offsets.  The entries
-    are summed in term order straight into the row map that elimination
-    and the d^2 check read, zeros and empty rows dropped; ``terms`` may be
-    a generator, so only the sum and one operator are held.  Elimination
-    cost depends on the order rows are first written, not only on entries.
-
-    With ``keep``, {label: relabelling}, the sum is written on a coordinate
-    quotient (``ChainComplex.quotient``): an operator of block (r, c) is
-    len(keep[r]) x len(keep[c]), and its entry (i, j) is written at
-    (keep[r][i], keep[c][j]) unless either is -1.  A column relabelled -1
-    is never written, and its entries on kept rows must sum to zero over
-    all terms: that certifies that the dropped coordinates span a
-    subcomplex, and NotWellDefined is raised otherwise.
+    the package ranks is written here, a normalized one from the terms
+    restricted by ``ChainComplex.quotient``.  ``row_dims`` and ``col_dims``
+    map block labels, in order, to sizes, which fix the offsets.  The
+    entries are summed in term order straight into the row map that
+    elimination and the d^2 check read, zeros and empty rows dropped;
+    ``terms`` may be a generator, so only the sum and one operator are
+    held.  Elimination cost depends on the order rows are first written.
     """
     def offsets(dims):
         out, off = {}, 0
@@ -1026,60 +1019,52 @@ def block_matrix(row_dims, col_dims, terms, field, keep=None):
 
     row_off, rows = offsets(row_dims)
     col_off, cols = offsets(col_dims)
-    p = field.p
     out = {}
-    lost = {}
     for sign, op, r, c in terms:
-        shape = (row_dims[r], col_dims[c]) if keep is None else (len(keep[r]), len(keep[c]))
-        if (op.rows, op.cols) != shape:
+        if (op.rows, op.cols) != (row_dims[r], col_dims[c]):
             raise ShapeMismatch(f"block ({r}, {c}) is {op.rows}x{op.cols}, "
-                                f"not {shape[0]}x{shape[1]}")
+                                f"not {row_dims[r]}x{col_dims[c]}")
         ro, co = row_off[r], col_off[c]
         entries = op.entries()
-        if keep is not None:
-            entries = _kept_entries(entries, keep[r], keep[c], ro, co, sign, p, lost, c)
-        elif ro or co:
+        if ro or co:
             entries = ((i + ro, j + co, v) for i, j, v in entries)
-        for i, j, v in entries:
-            if sign < 0:
-                v = -v if p is None else p - v
-            row = out.get(i)
-            if row is None:
-                out[i] = {j: v}
-            elif j not in row:
-                row[j] = v
-            elif v := row[j] + v if p is None else (row[j] + v) % p:
-                row[j] = v if v.__class__ is int else _normal(v)
-            else:
-                del row[j]
-    if lost:
-        c, j, i = next(iter(lost))
-        raise NotWellDefined(f"not a quotient complex: d sends the dropped column {j} of "
-                             f"block {c} to the kept row {i}")
+        _add_entries(out, entries, sign, field.p)
     return SparseMatrix(rows, cols, field, {i: row for i, row in out.items() if row})
 
 
-def _kept_entries(entries, rows, cols, ro, co, sign, p, lost, block):
-    """``entries`` relabelled by ``rows`` and ``cols`` and shifted by the
-    offsets ro and co, those on a row or column relabelled -1 left out.
-    The signed entries of dropped columns on kept rows are summed into
-    ``lost``, keyed (block, column, kept row), where a zero sum is deleted."""
+def _add_entries(out, entries, sign, p):
+    """Add sign times the (row, col, value) ``entries`` into the row map
+    ``out``, deleting zero sums; an emptied row keeps its place."""
     for i, j, v in entries:
-        i = rows[i]
-        if i < 0:
-            continue
-        k = cols[j]
-        if k >= 0:
-            yield i + ro, k + co, v
-            continue
-        key = (block, j, i)
-        w = lost.get(key, 0) + (v if sign > 0 else -v)
-        if p is not None:
-            w %= p
-        if w:
-            lost[key] = w
+        if sign < 0:
+            v = -v if p is None else p - v
+        row = out.get(i)
+        if row is None:
+            out[i] = {j: v}
+        elif j not in row:
+            row[j] = v
+        elif v := row[j] + v if p is None else (row[j] + v) % p:
+            row[j] = v if v.__class__ is int else _normal(v)
         else:
-            del lost[key]
+            del row[j]
+
+
+def _restricted(op, proj_r, proj_c):
+    """(P_r op S_c, P_r op E_c) of ``ChainComplex.quotient`` for a matrix
+    op: its row map in its own row order, each kept row relabelled by
+    P_r's table and split between the kept columns, relabelled by P_c's,
+    and the dropped ones."""
+    rows, cols = proj_r.idx, proj_c.idx
+    kept, lost = {}, {}
+    for i, row in op.rows_map().items():
+        if (k := rows[i]) < 0:
+            continue
+        if on := {cols[j]: v for j, v in row.items() if cols[j] >= 0}:
+            kept[k] = on
+        if off := {j: v for j, v in row.items() if cols[j] < 0}:
+            lost[k] = off
+    return (SparseMatrix(proj_r.rows, proj_c.rows, op.field, kept),
+            SparseMatrix(proj_r.rows, proj_c.cols, op.field, lost))
 
 
 class ChainComplex:
@@ -1087,47 +1072,85 @@ class ChainComplex:
     ``blocks(n)``, an ordered {label: dim}, empty below the bottom degree,
     where d is zero.  ``terms(n)`` yields the ``block_matrix`` terms of
     d_n: C_n -> C_{n-1}.  Each d_n and homology space is built once and kept.
-    ``quotient`` gives the complex on fewer coordinates of each block.
+    ``quotient`` gives the normalized complex C/D by one rule.
     """
 
-    def __init__(self, field, blocks, terms, degenerate=None):
+    def __init__(self, field, blocks, terms, degeneracies=None):
         self.field = field
         self.terms = terms
         self._blocks = blocks
-        self._degenerate = degenerate
-        self._keep = {}
+        self._degeneracies = degeneracies
+        self._relabel = {}
         self._d = {}
         self._homology = {}
 
-    def quotient(self, degenerate):
-        """C/D, where D is spanned by the coordinates that ``degenerate(label)``
-        yields for block ``label`` (repeats allowed; a label names one space
-        in every degree it appears in): a coordinate quotient, which needs
-        no elimination.  Its blocks are the kept coordinates in order, and
-        each d_n is written from the same terms by ``block_matrix``, which
-        never writes a dropped column, drops the dropped rows and raises
-        NotWellDefined unless d(D) lies in D."""
-        return ChainComplex(self.field, self._blocks, self.terms, degenerate)
+    def quotient(self, degeneracies):
+        """C/D, D spanned by the images of the degeneracies whose column
+        ``IndexTable``s into block ``label`` are ``degeneracies(label)`` (a
+        label names one space in every degree it appears in).  Each image
+        is spanned by the coordinates its table hits, so C/D is a
+        coordinate quotient, which needs no elimination: its block is the
+        coordinates that no table hits, in order.  A term op of block
+        (r, c) is written on C/D as P_r op S_c, P_r the projection onto
+        block r's kept coordinates and S_c the inclusion of block c's, both
+        column tables: a table by ``@``, a matrix by its row map in its own
+        row order.  The signed P_r op E_c, E_c the identity on block c's
+        dropped coordinates, must sum to zero over the terms, which
+        certifies d(D) in D; NotWellDefined is raised otherwise.  Only the
+        relabellings are kept; the tables are built for each d_n."""
+        return ChainComplex(self.field, self._blocks, self.terms, degeneracies)
 
     def blocks(self, n):
         full = self._blocks(n)
-        if self._degenerate is None:
+        if self._degeneracies is None:
             return full
         return {label: self._relabelling(label, size)[1] for label, size in full.items()}
 
     def _relabelling(self, label, size):
-        """Block ``label``'s ``size`` coordinates numbered in order on C/D,
-        -1 where dropped, and the number kept; built once and kept."""
-        if label not in self._keep:
-            dropped = bytearray(size)
-            for i in self._degenerate(label):
-                dropped[i] = 1
-            kept = [i for i in range(size) if not dropped[i]]
-            relabel = [-1] * size
+        """Block ``label``'s coordinates numbered in order on C/D, -1 where
+        dropped, then a table's sentinel -1, and the number kept; built
+        once and kept."""
+        if label not in self._relabel:
+            relabel = [0] * size + [-1]
+            for tb in self._degeneracies(label):
+                if tb.by_rows or tb.rows != size:
+                    raise ShapeMismatch(f"no column table into block {label} of size {size}")
+                for i in tb.idx:
+                    relabel[i] = -1
+            kept = list(compress(range(size), map((0).__eq__, relabel)))
             for k, i in enumerate(kept):
                 relabel[i] = k
-            self._keep[label] = relabel, len(kept)
-        return self._keep[label]
+            self._relabel[label] = relabel, len(kept)
+        return self._relabel[label]
+
+    def _on_quotient(self, n, terms):
+        """The terms of d_n written on C/D by ``quotient``'s rule."""
+        p, tables, lost = self.field.p, {}, {}
+        for label, size in {**self._blocks(n - 1), **self._blocks(n)}.items():
+            relabel, dim = self._relabelling(label, size)
+            coords = range(size)
+            tables[label] = (
+                IndexTable(dim, size, p, relabel, None),
+                IndexTable(size, dim, p, [*compress(coords, map((-1).__lt__, relabel)), -1], None),
+                IndexTable(size, size, p, [j if k < 0 else -1 for j, k in zip(coords, relabel)]
+                           + [-1], None))
+        for sign, op, r, c in terms:
+            (proj_r, _, _), (proj_c, incl, dropped) = tables[r], tables[c]
+            if (op.rows, op.cols) != (proj_r.cols, incl.rows):
+                raise ShapeMismatch(f"block ({r}, {c}) is {op.rows}x{op.cols}, "
+                                    f"not {proj_r.cols}x{incl.rows}")
+            if isinstance(op, IndexTable):
+                projected = proj_r @ op
+                kept, off = projected @ incl, projected @ dropped
+            else:
+                kept, off = _restricted(op, proj_r, proj_c)
+            yield sign, kept, r, c
+            _add_entries(lost.setdefault((r, c), {}), off.entries(), sign, p)
+        for (r, c), rows in lost.items():
+            for i, row in rows.items():
+                for j in row:
+                    raise NotWellDefined(f"not a quotient complex: d sends the dropped column "
+                                         f"{j} of block {c} to the kept row {i} of block {r}")
 
     @classmethod
     def total(cls, field, cells, dh, dv):
@@ -1149,11 +1172,10 @@ class ChainComplex:
     def d(self, n):
         if n not in self._d:
             rows, cols = self.blocks(n - 1), self.blocks(n)
-            keep = None if self._degenerate is None else {
-                label: self._relabelling(label, size)[0]
-                for full in (self._blocks(n - 1), self._blocks(n)) for label, size in full.items()}
-            self._d[n] = block_matrix(rows, cols, self.terms(n) if rows and cols else (),
-                                      self.field, keep)
+            terms = self.terms(n) if rows and cols else ()
+            if self._degeneracies is not None:
+                terms = self._on_quotient(n, terms)
+            self._d[n] = block_matrix(rows, cols, terms, self.field)
         return self._d[n]
 
     def inclusion(self, n, label):

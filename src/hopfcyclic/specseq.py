@@ -3,7 +3,8 @@ relative Hochschild homology of a homogeneous extension to Tor over H.
 
 Every complex here is a ``linalg.ChainComplex`` written from signed faces
 on its cells' own legs.  ``bar_complex`` with N = k is Tor's complex,
-which ``tor_complex`` normalizes where the unit is a basis vector, and
+which ``tor_complex`` normalizes where the unit is a basis vector by
+HH's rule (``ChainComplex.quotient``, D from the unit insertions), and
 with N = C^{(x) p+1} and sign (-1)^p column p of the double complex, so
 the squares anticommute; ``coalgebra_complex`` is row q.  The double
 complex builds its rows and columns on demand, so a requested window never
@@ -86,31 +87,21 @@ def tor_complex(m):
     k (x) H^{(x) q} (x) M, which is k (x)_H of the bar resolution of M
     collapsed along the freeness of its terms.  When the unit is a multiple
     of a basis vector u, it is normalized, k (x) Hbar^{(x) q} (x) M (Mac
-    Lane, *Homology*, X.2): the tuples with u in some H-leg span the
-    degenerate subcomplex, which ``ChainComplex.quotient`` drops as each
-    boundary is written."""
+    Lane, *Homology*, X.2): the degenerate subcomplex is spanned by the
+    images of the unit insertions into H-legs 1..q, whose column tables
+    ``ChainComplex.quotient`` drops as each boundary is written."""
     h = m.hopf
     bar = bar_complex(h, h.eps, 1, m.operator_action, m.dim)
-    unit = IndexTable.of(h.eta)
-    if unit is None:
+    if IndexTable.of(h.eta) is None:
         return bar
-    return bar.quotient(lambda q: _with_unit(h.dim, q, m.dim, unit.idx[0]))
+    return bar.quotient(lambda q: [
+        LegChain([1] + [h.dim] * (q - 1) + [m.dim], h.field).leg(h.eta, j + 1, 0).table()
+        for j in range(q)])
 
 
 def tor_dims(m, upto):
     """dim Tor_q^H(k, M) for q <= upto, from ``tor_complex``."""
     return tor_complex(m).homology_dims(upto)
-
-
-def _with_unit(d, q, mdim, u):
-    """The coordinates of k (x) H^{(x) q} (x) M, H of dim d and M of dim
-    mdim, whose tuple has u in some H-leg."""
-    hit, size = [], mdim
-    for _ in range(q):
-        # the legs to the right have ``size`` coordinates, of which ``hit`` have u
-        hit = [v * size + x for v in range(d) for x in (range(size) if v == u else hit)]
-        size *= d
-    return hit
 
 
 def row_contraction_failure(c, p_max):

@@ -775,18 +775,33 @@ def test_block_matrix_sums_signed_terms_and_drops_what_cancels(field):
     assert all(row and all(row.values()) for row in got.rows_map().values())
 
 
+def _columns_table(n, coords):
+    """The column table of the inclusion of the coordinates ``coords`` of k^n."""
+    return IndexTable(n, len(coords), None, [*coords, -1], None)
+
+
+def _one_degree_complex(terms, dims, dropped):
+    """The quotient of the complex with d_1 = the sum of ``terms`` (sign,
+    operator), C_0 and C_1 of ``dims`` in blocks "r" and "c", by the
+    coordinates ``dropped`` of each block."""
+    full = ChainComplex(QQ, lambda n: {("r", "c")[n]: dims[n]} if n in (0, 1) else {},
+                        lambda n: [(sign, op, "r", "c") for sign, op in terms] if n == 1 else [])
+    return full.quotient(lambda label: [_columns_table(dims[label == "c"], dropped[label])])
+
+
 def test_block_matrix_on_a_coordinate_quotient_writes_kept_entries_and_certifies_the_rest():
     # column 0 is dropped: its entries on the kept row 1 cancel between the
     # two terms, and its entry on the dropped row 0 is never read
-    keep = {"r": [-1, 0, 1], "c": [-1, 0]}
+    dropped = {"r": [0], "c": [0]}
     a, b = M([[1, 0], [1, 2], [0, 3]]), M([[0, 0], [1, 0], [0, 0]])
-    got = block_matrix({"r": 2}, {"c": 1}, [(1, a, "r", "c"), (-1, b, "r", "c")], QQ, keep)
-    assert got == M([[2], [3]])
+    for second in (b, IndexTable.of(b)):  # a matrix and a table are restricted alike
+        got = _one_degree_complex([(1, a), (-1, second)], [3, 2], dropped).d(1)
+        assert got == M([[2], [3]])
     with pytest.raises(NotWellDefined, match="not a quotient complex: d sends the dropped "
-                                             "column 0 of block c to the kept row 0"):
-        block_matrix({"r": 2}, {"c": 1}, [(1, a, "r", "c")], QQ, keep)
+                                             "column 0 of block c to the kept row 0 of block r"):
+        _one_degree_complex([(1, a)], [3, 2], dropped).d(1)
     with pytest.raises(ShapeMismatch):  # shapes are those of the unquotiented blocks
-        block_matrix({"r": 2}, {"c": 1}, [(1, got, "r", "c")], QQ, keep)
+        _one_degree_complex([(1, got)], [3, 2], dropped).d(1)
 
 
 def test_coordinate_quotient_by_a_subcomplex_keeps_the_homology():
@@ -794,12 +809,12 @@ def test_coordinate_quotient_by_a_subcomplex_keeps_the_homology():
     d, dims = {1: M([[0, 1]]), 2: M([[1, 0], [0, 0]])}, [1, 2, 2]
     full = ChainComplex(QQ, lambda n: {n: dims[n]} if 0 <= n < 3 else {},
                         lambda n: [(1, d[n], n - 1, n)] if n in d else [])
-    quotient = full.quotient(lambda label: {0: [], 1: [0], 2: [0]}[label])
+    quotient = full.quotient(lambda label: [_columns_table(dims[label], [0])] if label else [])
     assert [quotient.dim(n) for n in range(3)] == [1, 1, 1]
     assert quotient.d(1) == M([[1]]) and quotient.d(2).is_zero_matrix()
     assert quotient.homology_dims(2) == full.homology_dims(2) == [0, 0, 1]
     # e1 and f1 span no subcomplex, since f1 -> g is kept
-    bad = full.quotient(lambda label: {0: [], 1: [1], 2: [1]}[label])
+    bad = full.quotient(lambda label: [_columns_table(dims[label], [1])] if label else [])
     assert bad.d(2) == M([[1]])
     with pytest.raises(NotWellDefined, match="not a quotient complex"):
         bad.homology_dims(1)

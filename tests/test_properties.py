@@ -7,7 +7,9 @@ and the matrices at most 7 x 7, so every minor is below Hadamard's bound
 (3 sqrt 7)^7 < 2.1e6 < p; a minor vanishes mod p exactly when it
 vanishes over Q, and the dense rank over Q is the rank over F_p.
 ``ChainComplex.homology_dims``, which clears rows, is checked on random complexes over
-Q and F_7 against ranks taken on all rows.  The operations on the row-map
+Q and F_7 against ranks taken on all rows, and ``ChainComplex.quotient`` on
+random terms and dropped coordinates over Q and F_3 against the full sum
+restricted to the kept coordinates.  The operations on the row-map
 store of ``SparseMatrix`` are checked over Q, F_2, F_3 and F_(2^31-1)
 against dense list-of-lists arithmetic written here, and every result
 against the store's invariant.
@@ -21,13 +23,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracle import dense_rank  # noqa: E402
-from support import complex_of, from_keyed, to_keyed, uncached  # noqa: E402
+from support import complex_of, from_keyed, restricted, to_keyed, uncached  # noqa: E402
 
 from hopfcyclic.linalg import (  # noqa: E402
     QQ,
+    ChainComplex,
     IndexTable,
     Inconsistent,
     LegChain,
+    NotWellDefined,
     PrimeField,
     SparseMatrix,
     kernel,
@@ -155,6 +159,52 @@ def test_cleared_homology_dims_match_uncleared_ranks(field, data):
     assert cx.homology_dims(upto) == [dims[n] - ranks[n] - ranks[n + 1] for n in range(upto + 1)]
     # the rank each d_n caches, cleared or not, is its exact rank
     assert all(cx.d(n).rank() == ranks[n] for n in range(1, upto + 2))
+
+
+@st.composite
+def _column_tables(draw, field, rows, cols):
+    """A random rows x cols table with at most one entry in each column."""
+    idx = [draw(st.integers(-1, rows - 1)) if rows else -1 for _ in range(cols)]
+    nonzero = _q_entries.filter(bool) if field is QQ else st.integers(1, field.p - 1)
+    val = [field.from_str(str(draw(nonzero))) if i >= 0 else 0 for i in idx]
+    return IndexTable(rows, cols, field.p, idx + [-1], val + [0])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data())
+def test_quotient_writes_the_restricted_sum_and_certifies_exactly_a_subcomplex(field, data):
+    """d: C_1 -> C_0, a sum of two or three signed terms, each given as a
+    table and as its matrix, on C/D for random dropped coordinates D_0 and
+    D_1: d-bar is the full sum restricted to the kept coordinates, the same
+    from either form, and it is refused exactly when d(D_1) leaves D_0."""
+    dims = [data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))]
+    tables = data.draw(st.lists(_column_tables(field, *dims), min_size=2, max_size=3))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+    if data.draw(st.booleans()):  # the last term cancels the first
+        tables[-1], signs[len(tables) - 1] = tables[0], -signs[0]
+    dropped = [data.draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+               for n in dims]
+    kept = [[i for i in range(n) if i not in out] for n, out in zip(dims, dropped)]
+    full = SparseMatrix.zeros(*dims, field)
+    for sign, tb in zip(signs, tables):
+        full = full + tb.matrix(field) if sign > 0 else full - tb.matrix(field)
+    lost = restricted(full, kept[0], sorted(dropped[1]))
+    written = []
+    for ops in (tables, [tb.matrix(field) for tb in tables]):
+        terms = [(sign, op, 0, 1) for sign, op in zip(signs, ops)]
+        cx = ChainComplex(field, lambda n: {n: dims[n]} if n in (0, 1) else {},
+                          lambda n: terms if n == 1 else [])
+        quotient = cx.quotient(lambda n: [IndexTable(dims[n], len(dropped[n]), field.p,
+                                                     [*sorted(dropped[n]), -1], None)])
+        if lost.is_zero_matrix():
+            written.append(quotient.d(1))
+            assert written[-1] == restricted(full, kept[0], kept[1])
+        else:
+            with pytest.raises(NotWellDefined, match="not a quotient complex: d sends the "
+                                                     "dropped column"):
+                quotient.d(1)
+    assert len(written) in (0, 2) and written[:1] == written[1:]
 
 
 # ---------------------------------------------------------------------------
