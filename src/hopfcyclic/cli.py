@@ -109,13 +109,17 @@ def _resolve_hopf(arg, field, check_axioms=True):
 
 def _resolve_setup(args, field):
     name = args.hopf
+    sub = getattr(args, "subalgebra", None)
+    ideal = getattr(args, "ideal", None)
     if "/" in name and not os.path.exists(name):
         if name not in presets.PAIR_NAMES:
             raise InputError(f"no built-in pair or file named {name!r}")
+        if sub or ideal:
+            option = "--subalgebra" if sub else "--ideal"
+            raise InputError(f"the built-in pair {name!r} fixes B and C; give {option} with a "
+                             "Hopf algebra, not a pair")
         return presets.builtin_setup(name, field)
     h = _resolve_hopf(name, field)
-    sub = getattr(args, "subalgebra", None)
-    ideal = getattr(args, "ideal", None)
     if sub and ideal:
         raise InputError("give either --subalgebra or --ideal, not both")
     if sub and not os.path.exists(sub):
@@ -143,7 +147,8 @@ def _clamp_degree(n):
 
 # a degree-n command builds spaces of up to dim(H)^(n+2) coordinates (the
 # cyclic module to degree n + 1, the bar complex to degree n + 1 on ad H);
-# kS3 at degree 5 has 6^7 = 279,936 and peaks near 0.6 GB in HH, HC and Tor
+# kS3 at degree 5 has 6^7 = 279,936 and peaks near 0.3 GB in HH and HC and
+# 0.16 GB in Tor
 COORDINATE_BUDGET = 500_000
 
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 from itertools import compress, repeat
+from types import SimpleNamespace
 
 try:
     from gmpy2 import mpq as _mpq
@@ -1001,14 +1003,16 @@ def composite_is_zero(a, b):
 
 def block_matrix(row_dims, col_dims, terms, field):
     """The sum of ``terms``, each (sign, operator, row block, column block)
-    with an ``IndexTable`` or ``SparseMatrix`` operator: every differential
-    the package ranks is written here, a normalized one from the terms
-    restricted by ``ChainComplex.quotient``.  ``row_dims`` and ``col_dims``
-    map block labels, in order, to sizes, which fix the offsets.  The
-    entries are summed in term order straight into the row map that
-    elimination and the d^2 check read, zeros and empty rows dropped;
-    ``terms`` may be a generator, so only the sum and one operator are
-    held.  Elimination cost depends on the order rows are first written.
+    with an ``IndexTable``, a ``SparseMatrix`` or any operator with rows,
+    cols and ``entries()``: every differential the package ranks is
+    written here, a normalized one from the entries that
+    ``ChainComplex.quotient`` keeps as it reads each term.  ``row_dims``
+    and ``col_dims`` map block labels, in order, to sizes, which fix the
+    offsets.  The entries are summed in term order straight into the row
+    map that elimination and the d^2 check read, zeros and empty rows
+    dropped; ``terms`` may be a generator, asked for a term once the last
+    one's entries are read, so only the sum and one operator are held.
+    Elimination cost depends on the order rows are first written.
     """
     def offsets(dims):
         out, off = {}, 0
@@ -1049,22 +1053,17 @@ def _add_entries(out, entries, sign, p):
             del row[j]
 
 
-def _restricted(op, proj_r, proj_c):
-    """(P_r op S_c, P_r op E_c) of ``ChainComplex.quotient`` for a matrix
-    op: its row map in its own row order, each kept row relabelled by
-    P_r's table and split between the kept columns, relabelled by P_c's,
-    and the dropped ones."""
-    rows, cols = proj_r.idx, proj_c.idx
-    kept, lost = {}, {}
-    for i, row in op.rows_map().items():
-        if (k := rows[i]) < 0:
-            continue
-        if on := {cols[j]: v for j, v in row.items() if cols[j] >= 0}:
-            kept[k] = on
-        if off := {j: v for j, v in row.items() if cols[j] < 0}:
-            lost[k] = off
-    return (SparseMatrix(proj_r.rows, proj_c.rows, op.field, kept),
-            SparseMatrix(proj_r.rows, proj_c.cols, op.field, lost))
+def _split(op, row_of, col_of, lost):
+    """Read the (row, col, value) ``entries()`` of a term op once, in order,
+    for ``ChainComplex.quotient``: yield those on a kept row and column
+    relabelled by ``row_of`` and ``col_of``, append those on a kept row and
+    a dropped column to ``lost`` with the row relabelled, skip the rest."""
+    for i, j, v in op.entries():
+        if (k := row_of[i]) >= 0:
+            if (c := col_of[j]) >= 0:
+                yield k, c, v
+            else:
+                lost.append((k, j, v))
 
 
 class ChainComplex:
@@ -1090,14 +1089,14 @@ class ChainComplex:
         label names one space in every degree it appears in).  Each image
         is spanned by the coordinates its table hits, so C/D is a
         coordinate quotient, which needs no elimination: its block is the
-        coordinates that no table hits, in order.  A term op of block
-        (r, c) is written on C/D as P_r op S_c, P_r the projection onto
-        block r's kept coordinates and S_c the inclusion of block c's, both
-        column tables: a table by ``@``, a matrix by its row map in its own
-        row order.  The signed P_r op E_c, E_c the identity on block c's
-        dropped coordinates, must sum to zero over the terms, which
-        certifies d(D) in D; NotWellDefined is raised otherwise.  Only the
-        relabellings are kept; the tables are built for each d_n."""
+        coordinates that no table hits, in order.  A term of block (r, c),
+        table or matrix, is written on C/D by reading its ``entries()``
+        once, in their order, through the relabellings of blocks r and c:
+        an entry on a dropped row is skipped, one on a kept row and column
+        is written relabelled, and one on a kept row and a dropped column
+        is summed with the term's sign.  Those sums must vanish over the
+        terms, which certifies d(D) in D; NotWellDefined is raised
+        otherwise.  Each block's relabelling is built once and kept."""
         return ChainComplex(self.field, self._blocks, self.terms, degeneracies)
 
     def blocks(self, n):
@@ -1124,28 +1123,20 @@ class ChainComplex:
         return self._relabel[label]
 
     def _on_quotient(self, n, terms):
-        """The terms of d_n written on C/D by ``quotient``'s rule."""
-        p, tables, lost = self.field.p, {}, {}
-        for label, size in {**self._blocks(n - 1), **self._blocks(n)}.items():
-            relabel, dim = self._relabelling(label, size)
-            coords = range(size)
-            tables[label] = (
-                IndexTable(dim, size, p, relabel, None),
-                IndexTable(size, dim, p, [*compress(coords, map((-1).__lt__, relabel)), -1], None),
-                IndexTable(size, size, p, [j if k < 0 else -1 for j, k in zip(coords, relabel)]
-                           + [-1], None))
+        """The terms of d_n written on C/D by ``quotient``'s rule; a term's
+        certificate entries are summed once ``block_matrix`` has read it."""
+        relabel = {label: self._relabelling(label, size)
+                   for label, size in {**self._blocks(n - 1), **self._blocks(n)}.items()}
+        lost = {}
         for sign, op, r, c in terms:
-            (proj_r, _, _), (proj_c, incl, dropped) = tables[r], tables[c]
-            if (op.rows, op.cols) != (proj_r.cols, incl.rows):
+            (row_of, dim_r), (col_of, dim_c) = relabel[r], relabel[c]
+            if (op.rows, op.cols) != (len(row_of) - 1, len(col_of) - 1):
                 raise ShapeMismatch(f"block ({r}, {c}) is {op.rows}x{op.cols}, "
-                                    f"not {proj_r.cols}x{incl.rows}")
-            if isinstance(op, IndexTable):
-                projected = proj_r @ op
-                kept, off = projected @ incl, projected @ dropped
-            else:
-                kept, off = _restricted(op, proj_r, proj_c)
-            yield sign, kept, r, c
-            _add_entries(lost.setdefault((r, c), {}), off.entries(), sign, p)
+                                    f"not {len(row_of) - 1}x{len(col_of) - 1}")
+            off = []
+            kept = partial(_split, op, row_of, col_of, off)
+            yield sign, SimpleNamespace(rows=dim_r, cols=dim_c, entries=kept), r, c
+            _add_entries(lost.setdefault((r, c), {}), off, sign, self.field.p)
         for (r, c), rows in lost.items():
             for i, row in rows.items():
                 for j in row:

@@ -272,6 +272,19 @@ def test_generator_file_zero_denominator_exit_two(tmp_path):
         assert "bad ideal file: zero denominator in '1/0'" in text, text
 
 
+@pytest.mark.parametrize("command", [["galois"], ["homology"], ["isocheck", "--theorem", "3.4"],
+                                     ["spectral"]], ids=lambda argv: argv[0])
+def test_a_builtin_pair_refuses_an_ideal_or_subalgebra_file(tmp_path, command):
+    # was exit 0 on the preset pair, the file unread even when it did not exist
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": [["0", "1"]]}))
+    missing = tmp_path / "missing.json"
+    for option, given in [("--ideal", str(missing)), ("--subalgebra", str(path))]:
+        code, text = run([*command, "H4/B", option, given])
+        assert code == 2, (option, text)
+        assert f"the built-in pair 'H4/B' fixes B and C; give {option}" in text, text
+
+
 _LOADER_ARGV = {
     "hopf": lambda path: ["validate", path],
     "ideal": lambda path: ["homology", "kS3", "--ideal", path],

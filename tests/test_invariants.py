@@ -138,6 +138,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     import json
 
     from hopfcyclic.cyclic import (
+        chain_complex,
         coextension_space,
         hopf_cyclic_comodule_algebra,
         normalized_complex,
@@ -156,7 +157,7 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
     from hopfcyclic.loaders import load_hopf_json, load_ideal_file
     from hopfcyclic.presets import SETUP_NAMES
     from hopfcyclic.sayd import coad_module
-    from hopfcyclic.specseq import bar_complex
+    from hopfcyclic.specseq import bar_complex, tor_complex
 
     f = PrimeField(7)
     built = []
@@ -173,6 +174,9 @@ def test_fp_constructions_keep_canonical_residues(tmp_path):
                       hopf_cyclic_comodule_algebra(h, s.subalgebra, coad, 2),
                       module_coalgebra_transform(s, 2), comodule_algebra_transform(s, 1),
                       [bar_complex(h, h.eps, 1, ad.operator_action, ad.dim).d(q) for q in (1, 2)]]
+            if name != "OS3/OC2":  # the normalized writer's signed sums
+                built += [[chain_complex(cm).d(q), chain_complex(cm, connes=True).d(q),
+                           tor_complex(ad).d(q)] for q in (1, 2)]
             dc = extension_double_complex(s, 2, 2)
             built += [[dc.dh(p, q), dc.dv(p, q + 1)] for p in range(1, 3) for q in range(2)]
     # file input: every coefficient here is 1 mod 7, written as 8, -6, 15/15
