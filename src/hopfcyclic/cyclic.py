@@ -24,8 +24,8 @@ are the Connes duals (``cyclic_dual``) of their cocyclic objects.
 simplicial and cyclic identities and the one of cosimplicial and cocyclic
 identities, written against a ``compose`` of two operators.
 ``check_identities`` runs them on signed index tables (``IndexTable``)
-when every operator of a module is a table, or has at most one entry in
-each column, or every one in each row, and on exact matrix products
+when every operator of a module has a table of one orientation, at most
+one entry in each column or in each row, and on exact matrix products
 otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
 table on unsigned index tables.  ``chain_complex`` is one
 ``linalg.ChainComplex`` constructor for HH and HC: the Hochschild complex
@@ -35,8 +35,8 @@ on a module of tables) also at block (q + 1, q).  Both are written on
 the normalized chains by ``ChainComplex.quotient``, Tor's rule too: the
 degeneracies s_j give D where each is a column table, as on a group
 algebra or H4, whose unit is a basis vector; otherwise, as on a function
-algebra, on all of C.  ``cyclic_dual`` and ``iso.check_cyclic_map`` take
-the matrix of each table they read, and only of those.
+algebra, on all of C.  No function here asks an operator's kind: the
+``cyclic_dual`` of a module of tables is one of tables.
 
 Truncation semantics: both complexes stop at n_max, so HH_n and HC_n are
 trusted up to n_max - 1: they read b up to degree n + 1, and HC reads B
@@ -45,7 +45,6 @@ only into degree n.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -61,6 +60,7 @@ from .linalg import (
     ChainComplex,
     IndexTable,
     LegChain,
+    NotWellDefined,
     SparseMatrix,
     SubquotientSpace,
     apply_on_leg,
@@ -68,7 +68,6 @@ from .linalg import (
     equalizer,
     induced_map,
     induced_table,
-    inverse,
     kernel,
     quotient_by_columns,
 )
@@ -89,8 +88,8 @@ class CyclicModule:
     goes by columns, a function algebra by rows, since its unit fills one
     column; then all of them are tables of that orientation.  Otherwise,
     as for the comodule-algebra object of H4/B, whose sections are not
-    monomial, and in a ``cyclic_dual``, every operator is a
-    ``SparseMatrix``.  The same holds for ``CocyclicModule``.
+    monomial, every operator is a ``SparseMatrix``.  The same holds for
+    ``CocyclicModule``, whose ``cyclic_dual`` keeps its kind.
     """
 
     n_max: int
@@ -127,9 +126,9 @@ class CocyclicModule:
 def check_identities(x):
     """Every identity of a cyclic or cocyclic module within its truncation.
 
-    Compared on signed index tables when x's operators are tables of one
-    orientation, or are matrices that all have tables of one orientation;
-    otherwise by exact matrix products.
+    Compared on signed index tables when every operator of x has a table
+    of one orientation (``index_tables``); otherwise by exact matrix
+    products.
     """
     return identity_report(x, index_tables(x) or matrix_operators(x))
 
@@ -148,38 +147,27 @@ def _operators(x):
 
 
 def index_tables(x):
-    """x's operators as ``IndexTable``s of one orientation: as they are
-    when they are all tables, or else, when they are all matrices, the
-    tables of their columns or else of their rows.  None when neither
-    holds, as when a matrix is mixed among tables."""
-    ops = _operators(x)
-    p = x.spaces[0].field.p
-    kinds = {type(m) for op in ops for m in op.values()}
-    if kinds == {IndexTable}:
-        candidates = [ops]
-    elif kinds == {SparseMatrix}:
-        candidates = ([{k: IndexTable.of(m, by_rows) for k, m in op.items()} for op in ops]
-                      for by_rows in (False, True))
-    else:
-        return None
-    for tables in candidates:
-        found = [tb for op in tables for tb in op.values()]
-        if all(tb is not None for tb in found) and len({tb.by_rows for tb in found}) == 1:
-            by_rows = found[0].by_rows
-            return tables, lambda n: IndexTable.identity(x.spaces[n].dim, p, by_rows)
+    """x's operators as ``IndexTable``s of one orientation, each its own
+    ``table`` over columns, or else over rows; None when some operator has
+    none in either.  Degeneracies are asked first: a function algebra's
+    unit fills a column, so they fail at once where its faces would not."""
+    ops, f = _operators(x), x.spaces[0].field
+    for by_rows in (False, True):
+        tables = [None] * 3
+        for i in (1, 0, 2):
+            tables[i] = {k: m.table(by_rows) for k, m in ops[i].items()}
+            if any(tb is None for tb in tables[i].values()):
+                break
+        else:
+            return tables, lambda n: IndexTable.identity(x.spaces[n].dim, f, by_rows)
     return None
 
 
 def matrix_operators(x):
     """x's operators as matrices, which compose by exact products."""
     f = x.spaces[0].field
-    ops = [{k: operator_matrix(m, f) for k, m in op.items()} for op in _operators(x)]
+    ops = [{k: m.matrix() for k, m in op.items()} for op in _operators(x)]
     return ops, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
-
-
-def operator_matrix(m, field):
-    """Operator m as a matrix: a table's ``matrix``, a matrix as it is."""
-    return m.matrix(field) if isinstance(m, IndexTable) else m
 
 
 def cyclic_identities(n_max, d, s, t, compose, ident):
@@ -327,7 +315,7 @@ def _descended(spaces, families):
             for step in chain.steps if len(step) > 1}
     for by_rows in (False, True):
         if all(sp.tables(by_rows) is not None for sp in spaces) and \
-                all(IndexTable.of(op, by_rows) is not None for op in legs.values()):
+                all(op.table(by_rows) is not None for op in legs.values()):
             return [{k: induced_table(chain, spaces[a], spaces[b], by_rows)
                      for k, (chain, a, b) in fam.items()} for fam in families]
     return [{k: induced_map(chain, spaces[a], spaces[b]) for k, (chain, a, b) in fam.items()}
@@ -578,19 +566,25 @@ def hopf_cyclic_comodule_algebra(h, b, m, n_max):
 
 
 def cyclic_dual(ccm):
-    """Connes' duality dictionary: d_i = sigma_{i-1}, d_0 = sigma_{n-1} tau,
-    s_j = delta_j, t = tau^{-1}, on the same spaces, as matrices."""
-    op = functools.partial(operator_matrix, field=ccm.spaces[0].field)
+    """Connes' duality dictionary (Loday, *Cyclic Homology*, 6.1):
+    d_i = sigma_{i-1}, d_0 = sigma_{n-1} tau, s_j = delta_j and t = tau^n,
+    which is tau^{-1} once tau^{n+1} = 1 is checked (NotWellDefined names
+    the degree otherwise), on the same spaces and in ccm's operator kind."""
     dops, sops, tops = {}, {}, {}
     for n in range(ccm.n_max + 1):
-        tops[n] = inverse(op(ccm.tau[n]))
+        tau = t = ccm.tau[n]
+        for _ in range(n - 1):
+            t = tau @ t
+        if not (tau @ t if n else tau).matrix().is_identity():
+            raise NotWellDefined(f"not a cocyclic module: tau^{n + 1} != id at degree {n}")
+        tops[n] = t
         if n >= 1:
-            dops[(n, 0)] = op(ccm.sigma[(n, n - 1)]) @ op(ccm.tau[n])
+            dops[(n, 0)] = ccm.sigma[(n, n - 1)] @ tau
             for i in range(1, n + 1):
-                dops[(n, i)] = op(ccm.sigma[(n, i - 1)])
+                dops[(n, i)] = ccm.sigma[(n, i - 1)]
         if n < ccm.n_max:
             for j in range(n + 1):
-                sops[(n, j)] = op(ccm.delta[(n, j)])
+                sops[(n, j)] = ccm.delta[(n, j)]
     return CyclicModule(ccm.n_max, ccm.spaces, dops, sops, tops, name=f"dual({ccm.name})")
 
 
@@ -607,11 +601,8 @@ def _connes_composites(cm, n):
     """B_n = (1 - lambda) t s_n N, where lambda = (-1)^n t and N = 1 + lambda
     + ... + lambda^n, as its 2(n + 1) signed composites (-1)^{nk}
     t_{n+1} s_n t_n^k and (-1)^{n(k+1)} t_{n+1}^2 s_n t_n^k, 0 <= k <= n,
-    composed as tables when all three operators are tables."""
-    ops = (cm.t[n], cm.t[n + 1], cm.s[(n, n)])
-    if not all(isinstance(m, IndexTable) for m in ops):
-        ops = [operator_matrix(m, cm.spaces[0].field) for m in ops]
-    t, t1, u = ops
+    composed by ``@``: a table while every factor is one."""
+    t, t1, u = cm.t[n], cm.t[n + 1], cm.s[(n, n)]
     for k in range(n + 1):
         if k:
             u = u @ t
@@ -625,11 +616,10 @@ def chain_complex(cm, connes=False):
     complex of its (b, B) mixed complex, Tot_n = C_n + C_{n-2} + ...
     (Loday, *Cyclic Homology*, 2.1.7), each C_q a block labelled q:
     b_q = sum (-1)^i d_i is block (q - 1, q), and B_q block (q + 1, q).
-    Where every degeneracy s_j is a column table (a matrix through
-    ``IndexTable.of``), it is the quotient by the degenerate chains D
-    (``ChainComplex.quotient``): D is acyclic, so the homology is the
-    same (Loday 1.6 and 2.1.9), and b(D) and B(D) lie in D, which the
-    writer checks.  Degrees past n_max raise TruncationError."""
+    Where every degeneracy s_j has a column table, it is the quotient by
+    the degenerate chains D (``ChainComplex.quotient``): D is acyclic, so
+    the homology is the same (Loday 1.6 and 2.1.9), and b(D) and B(D) lie
+    in D, which the writer checks.  Degrees past n_max raise TruncationError."""
     dims = cm.dims()
 
     def blocks(n):
@@ -646,8 +636,8 @@ def chain_complex(cm, connes=False):
                 yield from ((sign, op, q + 1, q) for sign, op in _connes_composites(cm, q))
 
     cx = ChainComplex(cm.spaces[0].field, blocks, terms)
-    s = {key: op if isinstance(op, IndexTable) else IndexTable.of(op) for key, op in cm.s.items()}
-    if any(tb is None or tb.by_rows for tb in s.values()):
+    s = {key: op.table() for key, op in cm.s.items()}
+    if any(tb is None for tb in s.values()):
         return cx
     return cx.quotient(lambda q: [s[(q - 1, j)] for j in range(q)])
 
@@ -668,7 +658,7 @@ def normalized_complex(cm):
     dims = cm.dims()
     nspaces = [SubquotientSpace.full(dims[0], f)]
     for n in range(1, cm.n_max + 1):
-        degen = SparseMatrix.hstack([operator_matrix(cm.s[(n - 1, j)], f) for j in range(n)])
+        degen = SparseMatrix.hstack([cm.s[(n - 1, j)].matrix() for j in range(n)])
         nspaces.append(quotient_by_columns(dims[n], degen))
 
     def written(terms, rows, cols):

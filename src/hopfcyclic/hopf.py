@@ -554,7 +554,7 @@ def _b_descended(chain, space):
     for by_rows in (False, True):
         tb = induced_table(chain, space, space, by_rows)
         if tb is not None:
-            return tb.matrix(space.field)
+            return tb.matrix()
     return induced_map(chain, space, space)
 
 

@@ -13,7 +13,8 @@ indexing with the left factor slowest: (i, j) <-> i*dim_right + j.
 A ``SparseMatrix`` is its row map, {row: {col: value}}, the one form that
 products, elimination and the differential writer ``block_matrix`` read.
 Other modules write a matrix by rows or by entries and read it through
-``entries``, ``get`` and the operations here.
+``entries``, ``get`` and the operations here.  An ``IndexTable`` answers
+the same calls (listed there), so only this module tells the two apart.
 
 Every complex the package ranks is one ``ChainComplex`` (Weibel, *An
 Introduction to Homological Algebra*, 1.2): Hochschild and cyclic
@@ -299,14 +300,33 @@ class SparseMatrix:
             self._cols_map = _columns_of(self._rows_map.items())
         return self._cols_map
 
+    def matrix(self):
+        return self
+
+    def table(self, by_rows=False):
+        """This operator's ``IndexTable`` over its columns, or with ``by_rows``
+        its rows, read off ``entries()``; None when a column (row) holds two."""
+        idx = [-1] * ((self.rows if by_rows else self.cols) + 1)
+        val = [0] * len(idx)
+        for i, j, v in self.entries():
+            if by_rows:
+                i, j = j, i
+            if idx[j] >= 0:
+                return None
+            idx[j] = i
+            val[j] = v
+        return IndexTable(self.rows, self.cols, self.field, idx,
+                          None if set(val) <= {0, 1} else val, by_rows)
+
     def column(self, j):
         """Column j as a rows x 1 matrix."""
         return SparseMatrix(self.rows, 1, self.field,
                             {i: {0: row[j]} for i, row in self._rows_map.items() if j in row})
 
     def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
+        if not isinstance(other, (SparseMatrix, IndexTable)):
             return NotImplemented
+        other = other.matrix()
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             self._rows_map == other._rows_map
 
@@ -361,7 +381,8 @@ class SparseMatrix:
 
     def __matmul__(self, other):
         """The row-by-row product: row i is the sum, over the entries (k, a)
-        of row i of self, of a times row k of other."""
+        of row i of self, of a times row k of other, taken as its matrix."""
+        other = other.matrix()
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         # a product with an identity factor is the other factor, row order and all
@@ -597,59 +618,49 @@ def _rref_rows(rows_in, ncols, field):
 
 
 class IndexTable:
-    """A matrix with at most one entry in each column, or with ``by_rows`` in
-    each row, as a signed index table.
+    """A matrix over ``field`` with at most one entry in each column, or
+    with ``by_rows`` in each row, as a signed index table.
 
     ``idx[j]`` is the row of column j's entry and ``val[j]`` its value; with
     ``by_rows``, ``idx[i]`` is the column of row i's entry.  An empty column
     (row) is ``-1``/``0``, and both lists end with that sentinel, so
-    indexing by ``-1`` reads an empty one.  ``a @ b`` is the matrix product
-    in either orientation, one list pass that reads the outer table at the
-    inner one's indices: a at b's rows over columns, b at a's columns over
-    rows.  The values are multiplied, and the sentinel is carried through.
-    A product of nonzero field elements is never zero, so an empty column
+    indexing by ``-1`` reads an empty one.  ``a @ b`` of two tables of one
+    orientation is one list pass that reads the outer table at the inner
+    one's indices: a at b's rows over columns, b at a's columns over rows.
+    The values are multiplied, and the sentinel is carried through.  A
+    product of nonzero field elements is never zero, so an empty column
     (row) stays ``-1``/``0``, the table of a product is the product of the
     tables, and two tables of one orientation are equal exactly when their
     matrices are.  ``val`` is None when every entry is 1, as on a group
     algebra: a product of two such tables composes its indices alone.
-    ``p`` is the field's modulus, None over Q, and ``matrix(field)`` gives
-    the ``SparseMatrix`` back.
+
+    A table and a ``SparseMatrix`` answer one vocabulary: ``rows``,
+    ``cols``, ``entries()``, ``matrix()``, ``table(by_rows)`` (None when a
+    column, a row, holds two entries), ``@``, a matrix when either factor
+    is one, and ``==``, which compares them as matrices.
     """
 
-    __slots__ = ("rows", "cols", "p", "idx", "val", "by_rows")
+    __slots__ = ("rows", "cols", "field", "idx", "val", "by_rows")
 
-    def __init__(self, rows, cols, p, idx, val, by_rows=False):
+    def __init__(self, rows, cols, field, idx, val, by_rows=False):
         self.rows = rows
         self.cols = cols
-        self.p = p
+        self.field = field
         self.idx = idx
         self.val = val
         self.by_rows = by_rows
 
     @classmethod
-    def of(cls, m, by_rows=False):
-        """The table of m over its columns, or with ``by_rows`` over its
-        rows; None when a column (a row) of m holds two entries."""
-        idx = [-1] * ((m.rows if by_rows else m.cols) + 1)
-        val = [0] * len(idx)
-        for r, row in m.rows_map().items():
-            for c, v in row.items():
-                i, j = (c, r) if by_rows else (r, c)
-                if idx[j] >= 0:
-                    return None
-                idx[j] = i
-                val[j] = v
-        return cls(m.rows, m.cols, m.field.p, idx, None if set(val) <= {0, 1} else val, by_rows)
-
-    @classmethod
-    def identity(cls, n, p, by_rows=False):
-        return cls(n, n, p, [*range(n), -1], None, by_rows)
+    def identity(cls, n, field, by_rows=False):
+        return cls(n, n, field, [*range(n), -1], None, by_rows)
 
     def __matmul__(self, other):
+        if not isinstance(other, IndexTable):
+            return self.matrix() @ other
         if self.cols != other.rows or self.by_rows != other.by_rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         outer, inner = (other, self) if self.by_rows else (self, other)
-        ia, va, p = outer.idx, outer.val, self.p
+        ia, va, p = outer.idx, outer.val, self.field.p
         ib, vb = inner.idx, inner.val
         idx = [ia[r] for r in ib]
         if vb is None:
@@ -660,7 +671,7 @@ class IndexTable:
             val = [va[r] * v for r, v in zip(ib, vb)]
         else:
             val = [va[r] * v % p for r, v in zip(ib, vb)]
-        return IndexTable(self.rows, other.cols, p, idx, val, self.by_rows)
+        return IndexTable(self.rows, other.cols, self.field, idx, val, self.by_rows)
 
     def _values(self):
         return [int(i >= 0) for i in self.idx] if self.val is None else self.val
@@ -672,13 +683,17 @@ class IndexTable:
         triples = zip(index, self.idx, values) if self.by_rows else zip(self.idx, index, values)
         return compress(triples, map((-1).__lt__, self.idx))
 
-    def matrix(self, field):
-        return SparseMatrix(self.rows, self.cols, field,
+    def matrix(self):
+        return SparseMatrix(self.rows, self.cols, self.field,
                             _columns_of((j, {i: v}) for i, j, v in self.entries()))
+
+    def table(self, by_rows=False):
+        # the other orientation is read off the entries, as a matrix's is
+        return self if by_rows == self.by_rows else SparseMatrix.table(self, by_rows)
 
     def __eq__(self, other):
         if not isinstance(other, IndexTable):
-            return NotImplemented
+            return NotImplemented  # a matrix compares the two as matrices
         if (self.rows, self.cols, self.by_rows, self.idx) != \
                 (other.rows, other.cols, other.by_rows, other.idx):
             return False
@@ -702,10 +717,11 @@ def _kron_table(tb, left, right):
     val = None
     if tb.val is not None:
         val = [v for v in tb.val[:-1] for _ in range(right)] * left + [0]
-    return IndexTable(left * tb.rows * right, left * tb.cols * right, tb.p, idx, val, tb.by_rows)
+    return IndexTable(left * tb.rows * right, left * tb.cols * right, tb.field, idx, val,
+                      tb.by_rows)
 
 
-def _permutation_table(target, p, by_rows):
+def _permutation_table(target, field, by_rows):
     """The table of the permutation matrix that sends index i to target[i]."""
     if by_rows:
         inverse = [0] * len(target)
@@ -713,7 +729,7 @@ def _permutation_table(target, p, by_rows):
             inverse[t] = i
         target = inverse
     n = len(target)
-    return IndexTable(n, n, p, [*target, -1], None, by_rows)
+    return IndexTable(n, n, field, [*target, -1], None, by_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +795,7 @@ class SubquotientSpace:
         if by_rows not in self._tables:
             ends, pair = (self.projection, self.section), None
             if self.is_quotient or not self.rel_cols.cols:
-                pair = [None if m.is_identity() else IndexTable.of(m, by_rows) for m in ends]
+                pair = [None if m.is_identity() else m.table(by_rows) for m in ends]
                 if any(tb is None and not m.is_identity() for tb, m in zip(pair, ends)):
                     pair = None
             self._tables[by_rows] = pair
@@ -1382,20 +1398,20 @@ class LegChain:
         over every row, assembled step by step from the tables of the leg
         maps and permutations; None when a leg map has two entries in one
         column (row)."""
-        p, dims, out = self.field.p, self.in_dims, None
+        f, dims, out = self.field, self.in_dims, None
         for step in self.steps:
             if len(step) == 1:
                 target, dims = _relabelling(None, dims, step[0])
-                tb = _permutation_table(target, p, by_rows)
+                tb = _permutation_table(target, f, by_rows)
             else:
                 op, pos, arity, out_dims = step
-                tb = IndexTable.of(op, by_rows)
+                tb = op.table(by_rows)
                 if tb is None:
                     return None
                 tb = _kron_table(tb, tensor_dim(dims[:pos]), tensor_dim(dims[pos + arity:]))
                 dims = dims[:pos] + out_dims + dims[pos + arity:]
             out = tb if out is None else tb @ out
-        return IndexTable.identity(self.cols, p, by_rows) if out is None else out
+        return IndexTable.identity(self.cols, f, by_rows) if out is None else out
 
 
 def _relabelling(rows, dims, perm):

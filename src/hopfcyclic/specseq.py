@@ -31,7 +31,6 @@ from .cyclic import _diagonal_chain, diagonal_action
 from .hopf import AxiomCheck, ValidationReport, _link, equality_check
 from .linalg import (
     ChainComplex,
-    IndexTable,
     LegChain,
     NotWellDefined,
     SparseMatrix,
@@ -92,7 +91,7 @@ def tor_complex(m):
     ``ChainComplex.quotient`` drops as each boundary is written."""
     h = m.hopf
     bar = bar_complex(h, h.eps, 1, m.operator_action, m.dim)
-    if IndexTable.of(h.eta) is None:
+    if h.eta.table() is None:
         return bar
     return bar.quotient(lambda q: [
         LegChain([1] + [h.dim] * (q - 1) + [m.dim], h.field).leg(h.eta, j + 1, 0).table()

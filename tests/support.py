@@ -1,10 +1,11 @@
 """Helpers that only the tests use: dense and (row, col)-keyed conversion
 and uncached copies of sparse matrices, predicates on Hopf algebras,
 cyclic maps and SAYD coefficients, the page of a double complex that the
-package only certifies, and the unnormalized complexes whose coordinate
-quotients the package ranks."""
+package only certifies, the unnormalized complexes whose coordinate
+quotients the package ranks, and Connes' dual with t inverted by
+elimination."""
 
-from hopfcyclic.cyclic import hochschild_homology, operator_matrix, relative_cyclic
+from hopfcyclic.cyclic import CyclicModule, hochschild_homology, relative_cyclic
 from hopfcyclic.hopf import group_algebra, trivial_subalgebra
 from hopfcyclic.linalg import (
     ChainComplex,
@@ -12,6 +13,7 @@ from hopfcyclic.linalg import (
     SparseMatrix,
     homology_space,
     induced_map,
+    inverse,
     permutation_matrix,
 )
 from hopfcyclic.sayd import SaydModule, ad_module
@@ -124,13 +126,13 @@ def connes_reference(cm, n):
     f = cm.spaces[0].field
 
     def lam(m):
-        return operator_matrix(cm.t[m], f).scale(f.one if m % 2 == 0 else f.neg(f.one))
+        return cm.t[m].matrix().scale(f.one if m % 2 == 0 else f.neg(f.one))
 
     norm = power = SparseMatrix.identity(cm.spaces[n].dim, f)
     for _ in range(n):
         power = lam(n) @ power
         norm = norm + power
-    extra = operator_matrix(cm.t[n + 1], f) @ operator_matrix(cm.s[(n, n)], f)
+    extra = cm.t[n + 1].matrix() @ cm.s[(n, n)].matrix()
     one_minus = SparseMatrix.identity(cm.spaces[n + 1].dim, f) - lam(n + 1)
     return one_minus @ extra @ norm
 
@@ -149,7 +151,7 @@ def unnormalized_complex(cm, connes=False):
     def terms(n):
         for q in blocks(n):
             if q:
-                yield from (((-1) ** i, operator_matrix(cm.d[(q, i)], f), q - 1, q)
+                yield from (((-1) ** i, cm.d[(q, i)].matrix(), q - 1, q)
                             for i in range(q + 1))
             if q + 2 <= n:
                 yield 1, connes_reference(cm, q), q + 1, q
@@ -164,7 +166,7 @@ def kept_coordinates(cm, q):
     f = cm.spaces[0].field
     hit = set()
     for j in range(q):
-        entries = list(operator_matrix(cm.s[(q - 1, j)], f).entries())
+        entries = list(cm.s[(q - 1, j)].matrix().entries())
         if len({j for _, j, _ in entries}) < len(entries):
             return list(range(cm.spaces[q].dim))
         hit.update(i for i, _, _ in entries)
@@ -180,3 +182,20 @@ def restricted(m, rows, cols):
         if row:
             out[k] = row
     return SparseMatrix(len(rows), len(cols), m.field, out)
+
+
+def reference_dual(ccm):
+    """Connes' dual of the cocyclic module ccm as the package first wrote
+    it: every operator as its matrix, d_i = sigma_{i-1}, d_0 = sigma_{n-1}
+    tau, s_j = delta_j and t = tau^{-1} by elimination."""
+    dops, sops, tops = {}, {}, {}
+    for n in range(ccm.n_max + 1):
+        tops[n] = inverse(ccm.tau[n].matrix())
+        if n >= 1:
+            dops[(n, 0)] = ccm.sigma[(n, n - 1)].matrix() @ ccm.tau[n].matrix()
+            for i in range(1, n + 1):
+                dops[(n, i)] = ccm.sigma[(n, i - 1)].matrix()
+        if n < ccm.n_max:
+            for j in range(n + 1):
+                sops[(n, j)] = ccm.delta[(n, j)].matrix()
+    return CyclicModule(ccm.n_max, ccm.spaces, dops, sops, tops, name=f"dual({ccm.name})")

@@ -17,7 +17,6 @@ from hopfcyclic.cyclic import (
     hopf_cyclic_coalgebra,
     hopf_cyclic_comodule_algebra,
     hopf_cyclic_spaces,
-    operator_matrix,
     relative_cyclic,
     relative_cocyclic_coext,
 )
@@ -139,7 +138,7 @@ def test_criterion_3_cyclic_identity_suite():
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)
     from dataclasses import replace
 
-    doubled = operator_matrix(cm.t[1], QQ).scale(QQ.from_int(2))
+    doubled = cm.t[1].matrix().scale(QQ.from_int(2))
     assert not check_identities(replace(cm, t={**cm.t, 1: doubled})).ok
     assert not check_identities(replace(cm, t={**cm.t, 1: cm.t[1] @ cm.t[1]})).ok
     zero = SparseMatrix.zeros(cm.spaces[0].dim, cm.spaces[1].dim, QQ)

@@ -22,7 +22,6 @@ from hopfcyclic.cyclic import (
     index_tables,
     matrix_operators,
     normalized_complex,
-    operator_matrix,
     relative_cyclic,
     relative_cocyclic_coext,
 )
@@ -58,6 +57,7 @@ from support import (
     connes_reference,
     from_keyed,
     kept_coordinates,
+    reference_dual,
     restricted,
     to_keyed,
     trivial_sayd,
@@ -117,7 +117,7 @@ def test_hopf_cyclic_trivial_coalgebra_and_coefficients():
     cm = hopf_cyclic_coalgebra(c, m, 3)
     assert cm.dims() == [1, 1, 1, 1]
     for n in range(4):
-        assert cm.t[n].is_identity()
+        assert cm.t[n].matrix().is_identity()
     assert check_identities(cm).ok
 
 
@@ -227,6 +227,40 @@ def test_coextension_duality():
         assert cyclic_modules_equal(dual, _coext_chains(s.hopf, ccm))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_connes_duals_keep_their_kind_and_match_the_inverted_reference(name, field):
+    """On both cocyclic modules of every pair, each operator of the Connes
+    dual has the matrix of the reference that inverts tau by elimination,
+    t = tau^n among them, and the dual is all tables exactly when its
+    cocyclic module is."""
+    built = _six_constructions(name, field)
+    for kind in ("relative_cocyclic_coext", "hopf_cocyclic_coalgebra"):
+        ccm = built[kind]
+        dual, ref = cyclic_dual(ccm), reference_dual(ccm)
+        for mine, theirs in zip(_operators(dual), _operators(ref)):
+            assert mine.keys() == theirs.keys(), kind
+            for key, op in mine.items():
+                assert op.matrix() == theirs[key], (kind, key)
+        tables = [isinstance(m, IndexTable) for op in _operators(ccm) for m in op.values()]
+        assert all(isinstance(m, IndexTable) for op in _operators(dual)
+                   for m in op.values()) == all(tables), kind
+
+
+@pytest.mark.parametrize("as_table", [False, True], ids=["matrix", "table"])
+def test_connes_dual_refuses_a_rotation_whose_cube_is_not_the_identity(as_table):
+    """tau_2 replaced by the transposition of two coordinates, as a matrix
+    or as its table, has tau^3 != id: the dual names degree 2, and below
+    it the mutant dualizes to a cyclic module."""
+    ccm = _six_constructions("kS3/kC2", QQ)["relative_cocyclic_coext"]
+    dim = ccm.spaces[2].dim
+    swap = SparseMatrix(dim, dim, QQ, {0: {1: 1}, 1: {0: 1}, **{i: {i: 1} for i in range(2, dim)}})
+    mutant = replace(ccm, tau={**ccm.tau, 2: swap.table() if as_table else swap})
+    assert check_identities(cyclic_dual(replace(mutant, n_max=1))).ok
+    with pytest.raises(NotWellDefined, match="at degree 2$"):
+        cyclic_dual(mutant)
+
+
 # ---------------------------------------------------------------------------
 # the derived operators against the chains the constructions once descended
 
@@ -291,7 +325,7 @@ def _restricted(ops, reference):
 
 
 def _as_matrices(ops, field):
-    return {k: operator_matrix(m, field) for k, m in ops.items()}
+    return {k: m.matrix() for k, m in ops.items()}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
@@ -360,8 +394,8 @@ def test_mutant_cyclic_operator_fails():
     # a rescaled rotation fails the torsion identity itself, as a matrix
     # among tables and as a table
     t1 = cm.t[1]
-    doubled = IndexTable(t1.rows, t1.cols, t1.p, t1.idx, [2 * (i >= 0) for i in t1.idx])
-    for m in (operator_matrix(t1, QQ).scale(QQ.from_int(2)), doubled):
+    doubled = IndexTable(t1.rows, t1.cols, t1.field, t1.idx, [2 * (i >= 0) for i in t1.idx])
+    for m in (t1.matrix().scale(QQ.from_int(2)), doubled):
         rep2 = check_identities(replace(cm, t={**cm.t, 1: m}))
         assert any("t^2 = id @ 1" in c.name for c in rep2.failures())
 
@@ -382,8 +416,9 @@ def test_mutant_cocyclic_operator_fails():
     # tables and as a table
     tau1 = ccm.tau[1]
     assert isinstance(tau1, IndexTable)
-    doubled = IndexTable(tau1.rows, tau1.cols, tau1.p, tau1.idx, [2 * (i >= 0) for i in tau1.idx])
-    for m in (operator_matrix(tau1, QQ).scale(QQ.from_int(2)), doubled):
+    doubled = IndexTable(tau1.rows, tau1.cols, tau1.field, tau1.idx,
+                         [2 * (i >= 0) for i in tau1.idx])
+    for m in (tau1.matrix().scale(QQ.from_int(2)), doubled):
         scaled = replace(ccm, tau={**ccm.tau, 1: m})
         assert "tau^2 = id @ 1" in [c.name for c in check_identities(scaled).failures()]
     zero = SparseMatrix.zeros(ccm.spaces[1].dim, ccm.spaces[0].dim, QQ)
@@ -405,7 +440,7 @@ def test_table_descents_are_the_induced_maps_of_their_chains(name, field, monkey
     def checked(chain, dom, cod, by_rows=False):
         tb = induced_table(chain, dom, cod, by_rows)
         if tb is not None:
-            assert tb.matrix(field) == induced_map(chain, dom, cod)
+            assert tb.matrix() == induced_map(chain, dom, cod)
             compared.append(tb.by_rows)
         return tb
 
@@ -453,7 +488,7 @@ def test_maps_breaking_the_b_relations_do_not_descend():
     # the same on the table route, whose relation check is one pass of a table
     face, swapped_face, past = chains
     for dom, cod in ((tp3, tp2), (cq3, cq2)):
-        assert induced_table(face, dom, cod).matrix(f) == induced_map(face, dom, cod)
+        assert induced_table(face, dom, cod).matrix() == induced_map(face, dom, cod)
         with pytest.raises(NotWellDefined, match="relations not preserved"):
             induced_table(swapped_face, dom, cod)
     for space in (tp3, cq3):
@@ -476,7 +511,7 @@ def test_chain_leaving_a_coextension_space_does_not_restrict():
             induced_map(bad, space, space)
     # the same on the table route, whose restriction check compares tables
     rotation = induced_table(legs.perm([1, 0]), space, space)
-    assert rotation.matrix(f) == induced_map(legs.perm([1, 0]), space, space)
+    assert rotation.matrix() == induced_map(legs.perm([1, 0]), space, space)
     with pytest.raises(NotWellDefined, match="image leaves the subspace"):
         induced_table(legs.leg(h.antipode, 0), space, space)
 
@@ -638,7 +673,7 @@ def test_cyclic_homology_of_a_table_module_takes_no_matrix(name, want, monkeypat
     s = builtin_setup(name)
     cm = relative_cyclic(s.hopf, s.subalgebra, 4)
 
-    def refuse(table, field):
+    def refuse(table):
         raise AssertionError("a table was turned into a matrix")
 
     monkeypatch.setattr(IndexTable, "matrix", refuse)
@@ -694,7 +729,7 @@ def test_cyclic_homology_rejects_a_rotation_that_moves_degenerate_chains_off_the
     a, g, e = 1, 3, 0
     idx = list(cm.t[1].idx)
     idx[a * 6 + e] = g * 6 + g
-    mutant = replace(cm, t={**cm.t, 1: IndexTable(36, 36, None, idx, None)})
+    mutant = replace(cm, t={**cm.t, 1: IndexTable(36, 36, QQ, idx, None)})
     assert hochschild_homology(mutant) == hochschild_homology(cm) == [3, 0, 0]
     with pytest.raises(NotWellDefined, match="not a quotient complex: d sends the dropped "
                                              "column 6 of block 1"):
@@ -720,12 +755,15 @@ def _cyclic_identity_names(N):
 @pytest.mark.parametrize("n_max", range(5))
 def test_cyclic_check_runs_every_identity_once_and_keeps_no_row_map(n_max):
     """Over k and over kC2 the operators of C(H|B) are tables, which hold no
-    row map; a Connes dual's are matrices, each its row map, and the check
-    caches no derived column map on them."""
-    ks3 = builtin_setup("kS3/kC2")
+    row map; a Connes dual's are of its cocyclic module's kind: tables on
+    kS3/kC2, and on H4/B, whose coproduct has no table, matrices once there
+    is a coface, each its row map, on which the check caches no derived
+    column map."""
+    ks3, h4 = builtin_setup("kS3/kC2"), builtin_setup("H4/B")
     cases = [(relative_cyclic(s.hopf, s.subalgebra, n_max), IndexTable)
              for s in (builtin_setup("kC2/k"), ks3)]
-    cases.append((coext_cyclic(ks3.hopf, ks3.quotient, n_max), SparseMatrix))
+    cases += [(coext_cyclic(s.hopf, s.quotient, n_max), kind)
+              for s, kind in ((ks3, IndexTable), (h4, SparseMatrix if n_max else IndexTable))]
     for cm, kind in cases:
         rep = check_identities(cm)
         assert rep.ok
@@ -779,7 +817,7 @@ def _like(op, m):
     """m in the form of the operator op it replaces: a table of op's
     orientation when op is a table and m has one, else the matrix m."""
     if isinstance(op, IndexTable):
-        return IndexTable.of(m, op.by_rows) or m
+        return m.table(op.by_rows) or m
     return m
 
 
@@ -788,7 +826,7 @@ def _face_entry_moved(x):
     where there is one: the face keeps at most one entry per column, and
     per row where it had that."""
     key, op = _first_face(x)
-    m = operator_matrix(op, x.spaces[0].field)
+    m = op.matrix()
     entries = to_keyed(m)
     (i, j), v = min(entries.items())
     used = {r for r, _ in entries}
@@ -801,7 +839,7 @@ def _face_entry_moved(x):
 def _face_entry_added(x):
     """One more entry in a face column, in a row that already holds one."""
     key, op = _first_face(x)
-    m = operator_matrix(op, x.spaces[0].field)
+    m = op.matrix()
     entries = to_keyed(m)
     (i, j), _ = min(entries.items())
     r = next(r for r, _ in sorted(entries) if r != i)
@@ -824,7 +862,7 @@ def _face_zeroed(x):
 def _rotation_scaled(x):
     t = getattr(x, _operator_fields(x)[2])
     f = x.spaces[0].field
-    return _with_operator(x, 2, 2, _like(t[2], operator_matrix(t[2], f).scale(f.from_int(2))))
+    return _with_operator(x, 2, 2, _like(t[2], t[2].matrix().scale(f.from_int(2))))
 
 
 def _rotation_squared(x):
@@ -862,9 +900,10 @@ def _matrix_outcome(x):
 def test_index_tables_and_matrix_products_check_alike(name, field):
     """Same check names in the same order, with the same flags, on the six
     constructions and on six mutants of each; the tables are used whenever
-    every operator has one kind of table, and only then.  A module's own
-    tables are used as they are, and one matrix among them sends the check
-    to the exact products.  Each mutant breaks an identity of at least one
+    every operator has a table of one orientation, columns first, and only
+    then.  Each operator gives its own table: a table of that orientation
+    is used as it is, and a matrix, also one among tables, by the table
+    equal to it.  Each mutant breaks an identity of at least one
     construction."""
     broken = set()
     for kind, x in _six_constructions(name, field).items():
@@ -875,12 +914,17 @@ def test_index_tables_and_matrix_products_check_alike(name, field):
             if tables is not None:
                 assert _outcome(identity_report(y, tables)) == want, (kind, mutant)
             assert _outcome(check_identities(y)) == want, (kind, mutant)
-            own = [getattr(y, op) for op in _operator_fields(y)]
+            own = _operators(y)
             ops = [m for op in own for m in op.values()]
-            if all(isinstance(m, IndexTable) for m in ops):
-                assert all(a is b for a, b in zip(tables[0], own)), kind
-            elif any(isinstance(m, IndexTable) for m in ops):
-                assert tables is None, (kind, mutant)
+            found = [by_rows for by_rows in (False, True)
+                     if all(m.table(by_rows) is not None for m in ops)]
+            assert (tables is None) == (not found), (kind, mutant)
+            for op, tbs in zip(own, tables[0] if found else ()):
+                for key, m in op.items():
+                    tb = tbs[key]
+                    assert tb.by_rows == found[0] and tb == m, (kind, mutant, key)
+                    if isinstance(m, IndexTable) and m.by_rows == found[0]:
+                        assert tb is m, (kind, mutant, key)
             if mutant == "none":
                 assert all(ok for _, ok in want), kind
             if mutant == "extra face entry":
@@ -895,7 +939,7 @@ def test_index_tables_and_matrix_products_check_alike(name, field):
 def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
     x = _six_constructions(name, QQ)[kind]
     key, op = _first_face(x)
-    m = operator_matrix(op, QQ)
+    m = op.matrix()
     padded = SparseMatrix(m.rows + 1, m.cols, QQ, m.rows_map())
     padded = _with_operator(x, 0, key, _like(op, padded))
     tables = index_tables(padded)
@@ -916,7 +960,7 @@ def test_cyclic_homology_of_tables_mixed_with_matrices(name):
     want = cyclic_homology(cm)
     for kind, key in ((0, (2, 1)), (1, (1, 1)), (2, 1), (2, 2)):
         op = getattr(cm, _operator_fields(cm)[kind])[key]
-        assert cyclic_homology(_with_operator(cm, kind, key, operator_matrix(op, QQ))) == want
+        assert cyclic_homology(_with_operator(cm, kind, key, op.matrix())) == want
     for mutant, make in MUTANTS.items():
         try:
             dims = cyclic_homology(make(cm))
@@ -960,13 +1004,16 @@ def test_table_operators_are_their_chains_descended(name, field):
     cm = relative_cyclic(h, s.subalgebra, n_max)
     chains = _relative_chains(h, n_max, field)
     assert len(chains) == len(cm.d) + len(cm.s) + len(cm.t)
-    by_rows = any(IndexTable.of(m) is None for m in (h.mu, h.eta))
+    by_rows = any(m.table() is None for m in (h.mu, h.eta))
     for (family, key), chain in chains.items():
         op = getattr(cm, family)[key]
         assert isinstance(op, IndexTable) and op.by_rows == by_rows, (family, key)
         full_in, full_out = (SubquotientSpace.full(k, field) for k in (chain.cols, chain.rows))
-        assert op.matrix(field) == induced_map(chain, full_in, full_out), (family, key)
-    assert index_tables(cm)[0] == (cm.d, cm.s, cm.t)
+        assert op.matrix() == induced_map(chain, full_in, full_out), (family, key)
+    tables = index_tables(cm)[0]
+    assert all(tb is op for family, tbs in zip((cm.d, cm.s, cm.t), tables)
+               for op, tb in zip(family.values(), tbs.values()))
+    assert [list(tbs) for tbs in tables] == [list(family) for family in (cm.d, cm.s, cm.t)]
     assert _outcome(check_identities(cm)) == _matrix_outcome(cm)
 
 
@@ -983,7 +1030,7 @@ def test_a_table_face_with_one_index_moved_fails_both_checks(name):
     idx = list(face.idx)
     k = next(k for k, i in enumerate(idx) if i >= 0)
     idx[k] = (idx[k] + 1) % (face.cols if face.by_rows else face.rows)
-    moved = IndexTable(face.rows, face.cols, face.p, idx, face.val, face.by_rows)
+    moved = IndexTable(face.rows, face.cols, face.field, idx, face.val, face.by_rows)
     mutant = replace(cm, d={**cm.d, (2, 0): moved})
     assert index_tables(mutant)[0][0][(2, 0)] is moved
     assert not check_identities(mutant).ok
@@ -1024,7 +1071,7 @@ def _kc2_in_basis_1_and_1_plus_2g():
 def test_a_loaded_product_monomial_in_neither_orientation_takes_the_matrix_path():
     h = load_hopf_json(_kc2_in_basis_1_and_1_plus_2g())
     assert h.validate().ok
-    assert IndexTable.of(h.mu) is None and IndexTable.of(h.mu, by_rows=True) is None
+    assert h.mu.table() is None and h.mu.table(True) is None
     cm = relative_cyclic(h, trivial_subalgebra(h), 4)
     assert all(isinstance(m, SparseMatrix) for op in (cm.d, cm.s, cm.t) for m in op.values())
     assert check_identities(cm).ok

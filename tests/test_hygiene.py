@@ -2,7 +2,8 @@
 a name it does not use, every module-level function or class is referenced
 from the package, the tests or the benchmark, and every public method is
 accessed as an attribute there, so a deletion cannot leave an orphaned
-helper, method or import behind."""
+helper, method or import behind.  No module but ``linalg`` asks whether
+an operator is an ``IndexTable`` or a ``SparseMatrix``."""
 
 import ast
 import re
@@ -183,3 +184,58 @@ def test_data_write_detector_catches_each_form():
     assert list(_data_writes(ast.parse(other)))
     method = "class SparseMatrix:\n    def t(self):\n        self._rows_map[0] = {}\n"
     assert list(_data_writes(ast.parse(method)))
+
+
+# the two kinds of operator: outside linalg no module asks which it holds
+KINDS = {"IndexTable", "SparseMatrix"}
+
+
+def _kind_branches(tree):
+    """Line numbers of every test of an operator's kind: an ``isinstance``
+    or ``issubclass`` against a kind, a comparison with a kind or a set of
+    kinds (as ``type(m) is IndexTable``), and every use of ``IndexTable.of`` or of
+    ``operator_matrix``, the converters that such tests once served."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "issubclass"):
+            named = {n.id for arg in node.args[1:] for n in ast.walk(arg)
+                     if isinstance(n, ast.Name)}
+            if named & KINDS:
+                yield node.lineno
+        elif isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                kinds = side.elts if isinstance(side, (ast.Set, ast.Tuple, ast.List)) else [side]
+                if any(isinstance(k, ast.Name) and k.id in KINDS for k in kinds):
+                    yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "of" \
+                and isinstance(node.value, ast.Name) and node.value.id == "IndexTable":
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "operator_matrix" \
+                or isinstance(node, ast.Attribute) and node.attr == "operator_matrix" \
+                or isinstance(node, ast.FunctionDef) and node.name == "operator_matrix":
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_no_module_outside_linalg_branches_on_operator_kind(path):
+    """A table and a matrix answer the same calls (``matrix``, ``table``,
+    ``@``, ``==``), so the choice between them is made in linalg alone."""
+    lines = sorted(set(_kind_branches(_tree(path))))
+    assert not lines, f"{path.name} branches on operator kind on lines {lines}"
+
+
+def test_kind_branch_detector_catches_each_form():
+    forms = [
+        "isinstance(m, IndexTable)", "isinstance(m, (int, SparseMatrix))",
+        "not isinstance(m, linalg.SparseMatrix) or isinstance(m, SparseMatrix)",
+        "issubclass(type(m), IndexTable)", "type(m) is IndexTable", "kinds == {SparseMatrix}",
+        "IndexTable.of(m)", "IndexTable.of(m, by_rows=True)", "operator_matrix(m, f)",
+        "cyclic.operator_matrix(m, f)", "def operator_matrix(m, field):\n    return m\n",
+    ]
+    for src in forms:
+        assert list(_kind_branches(ast.parse(src))), src
+    allowed = ("m.table(by_rows)\nm.matrix()\nIndexTable.identity(n, f)\n"
+               "SparseMatrix.identity(n, f)\nisinstance(x, CyclicModule)\nm @ t == t @ m\n"
+               "m == SparseMatrix.identity(n, f)\n")
+    assert not list(_kind_branches(ast.parse(allowed)))

@@ -8,7 +8,6 @@ from hopfcyclic.cyclic import (
     _diagonal_coaction_columns,
     coext_cyclic,
     comodule_algebra_space,
-    operator_matrix,
     relative_cyclic,
 )
 from hopfcyclic.hopf import NotHopfIdeal, commutator_quotient, trivial_subalgebra
@@ -96,7 +95,7 @@ def test_mutant_transform_fails_cyclic_case():
 
     s = builtin_setup("kS3/kC2")
     psi, phi = module_coalgebra_transform(s, 2)
-    negated = operator_matrix(phi.source.t[1], QQ).scale(QQ.from_int(-1))
+    negated = phi.source.t[1].matrix().scale(QQ.from_int(-1))
     bad_src = replace(phi.source, t={**phi.source.t, 1: negated})
     mutant = CyclicMap(bad_src, phi.target, phi.components)
     rep = check_cyclic_map(mutant)

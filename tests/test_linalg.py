@@ -644,7 +644,7 @@ def test_induced_table_checks_as_induced_map_does():
         return LegChain([m.cols], QQ).leg(m, 0)
 
     q = quotient_by_columns(2, M([[1], [1]]))
-    assert induced_table(chain(SparseMatrix.identity(2, QQ)), q, q).matrix(QQ).is_identity()
+    assert induced_table(chain(SparseMatrix.identity(2, QQ)), q, q).matrix().is_identity()
     with pytest.raises(NotWellDefined, match="relations not preserved"):
         induced_table(chain(M([[0, 0], [1, 0]])), quotient_by_columns(2, M([[1], [0]])),
                       quotient_by_columns(2, M([[1], [0]])))
@@ -657,7 +657,7 @@ def test_induced_table_checks_as_induced_map_does():
         induced_table(chain(M([[0, -1], [1, 0]])), line, line)
     swap = chain(M([[0, 1], [1, 0]]))
     diagonal = span_columns(M([[1], [1]]))
-    assert induced_table(swap, diagonal, diagonal, by_rows=True).matrix(QQ).is_identity()
+    assert induced_table(swap, diagonal, diagonal, by_rows=True).matrix().is_identity()
     # no table: a section with two entries in a column, a relation outside a
     # pure quotient, or a leg map with two entries in a column
     assert diagonal.tables() is None and induced_table(swap, diagonal, diagonal) is None
@@ -754,13 +754,13 @@ def test_block_matrix_places_blocks_and_rejects_a_wrong_shape():
     with pytest.raises(ShapeMismatch):
         block_matrix(rows, cols, [(1, M([[1, 2], [3, 4]]), "x", "u")], QQ)
     with pytest.raises(ShapeMismatch):  # a table is checked as a matrix is
-        block_matrix(rows, cols, [(1, IndexTable.identity(2, None), "x", "u")], QQ)
+        block_matrix(rows, cols, [(1, IndexTable.identity(2, QQ), "x", "u")], QQ)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(2**31 - 1)], ids=str)
 def test_block_matrix_sums_signed_terms_and_drops_what_cancels(field):
     a = M([[1, 2, 0], [0, 0, 2]], field)
-    t = IndexTable.of(M([[1, 0, 0], [0, 0, 2]], field))
+    t = M([[1, 0, 0], [0, 0, 2]], field).table()
     rows, cols = {0: 2}, {0: 1, 1: 3}
     # a - t cancels all of row 1 and one entry of row 0
     got = block_matrix(rows, cols, [(1, a, 0, 1), (-1, t, 0, 1)], field)
@@ -777,7 +777,7 @@ def test_block_matrix_sums_signed_terms_and_drops_what_cancels(field):
 
 def _columns_table(n, coords):
     """The column table of the inclusion of the coordinates ``coords`` of k^n."""
-    return IndexTable(n, len(coords), None, [*coords, -1], None)
+    return IndexTable(n, len(coords), QQ, [*coords, -1], None)
 
 
 def _one_degree_complex(terms, dims, dropped):
@@ -794,7 +794,7 @@ def test_block_matrix_on_a_coordinate_quotient_writes_kept_entries_and_certifies
     # two terms, and its entry on the dropped row 0 is never read
     dropped = {"r": [0], "c": [0]}
     a, b = M([[1, 0], [1, 2], [0, 3]]), M([[0, 0], [1, 0], [0, 0]])
-    for second in (b, IndexTable.of(b)):  # a matrix and a table are restricted alike
+    for second in (b, b.table()):  # a matrix and a table are restricted alike
         got = _one_degree_complex([(1, a), (-1, second)], [3, 2], dropped).d(1)
         assert got == M([[2], [3]])
     with pytest.raises(NotWellDefined, match="not a quotient complex: d sends the dropped "
@@ -970,7 +970,7 @@ def test_index_tables_compose_as_the_matrix_products(field, by_rows):
     rng = random.Random(7)
 
     def table(m):
-        return IndexTable.of(m, by_rows)
+        return m.table(by_rows)
 
     def compose(outer, inner):  # a table of either orientation composes as its matrix
         return outer @ inner
@@ -983,11 +983,11 @@ def test_index_tables_compose_as_the_matrix_products(field, by_rows):
         # the composite's empty columns are read again by a further product
         assert compose(compose(table(a), table(b)), table(c)) == table(a @ b @ c)
         assert compose(table(a), compose(table(b), table(c))) == table(a @ b @ c)
-        assert compose(table(a), IndexTable.identity(k, field.p, by_rows)) == table(a)
-        assert compose(IndexTable.identity(n, field.p, by_rows), table(a)) == table(a)
+        assert compose(table(a), IndexTable.identity(k, field, by_rows)) == table(a)
+        assert compose(IndexTable.identity(n, field, by_rows), table(a)) == table(a)
         assert (table(a) == table(a.scale(field.from_int(2)))) == a.is_zero_matrix()
-        assert table(a).matrix(field) == a and table(a @ b).matrix(field) == a @ b
-    assert IndexTable.identity(4, field.p, by_rows) == table(SparseMatrix.identity(4, field))
+        assert table(a).matrix() == a and table(a @ b).matrix() == a @ b
+    assert IndexTable.identity(4, field, by_rows) == table(SparseMatrix.identity(4, field))
 
 
 @identity_fields
@@ -999,7 +999,7 @@ def test_all_ones_index_tables_compose_indices_only(field, by_rows):
     rng = random.Random(3)
 
     def table(m):
-        return IndexTable.of(m, by_rows)
+        return m.table(by_rows)
 
     def compose(outer, inner):
         return outer @ inner
@@ -1029,39 +1029,39 @@ def test_all_ones_index_tables_compose_indices_only(field, by_rows):
         assert (kept == table(sq @ sq)) == (sq @ sq == ones(sq) @ ones(sq))
         assert (table(a1) == table(a1.scale(field.from_int(2)))) == a1.is_zero_matrix()
         assert (table(a1.scale(field.from_int(2))) == table(a1)) == a1.is_zero_matrix()
-    assert IndexTable.identity(3, field.p).val is None
+    assert IndexTable.identity(3, field).val is None
 
 
 @identity_fields
 def test_index_tables_hold_the_shape(field):
     zero23, zero33 = SparseMatrix.zeros(2, 3, field), SparseMatrix.zeros(3, 3, field)
     for by_rows in (False, True):
-        assert IndexTable.of(zero23, by_rows) != IndexTable.of(zero33, by_rows)
+        assert zero23.table(by_rows) != zero33.table(by_rows)
     a, b = _monomial(field, 3, 4, 1), _monomial(field, 5, 2, 2)
     with pytest.raises(ShapeMismatch):
-        IndexTable.of(a) @ IndexTable.of(b)
+        a.table() @ b.table()
     a_rows, b_rows = _monomial(field, 3, 4, 1, True), _monomial(field, 5, 2, 2, True)
     with pytest.raises(ShapeMismatch):
-        IndexTable.of(a_rows, True) @ IndexTable.of(b_rows, True)
+        a_rows.table(True) @ b_rows.table(True)
     with pytest.raises(ShapeMismatch):
-        IndexTable.of(b_rows, True) @ IndexTable.of(a_rows, True)
+        b_rows.table(True) @ a_rows.table(True)
     # a table of rows and one of columns do not compose, nor compare equal
     square = _monomial(field, 4, 4, 3)
     with pytest.raises(ShapeMismatch):
-        IndexTable.of(square) @ IndexTable.identity(4, field.p, True)
-    assert IndexTable.identity(4, field.p) != IndexTable.identity(4, field.p, True)
+        square.table() @ IndexTable.identity(4, field, True)
+    assert IndexTable.identity(4, field) != IndexTable.identity(4, field, True)
     with pytest.raises(ShapeMismatch):
-        IndexTable.of(a) @ IndexTable.identity(3, field.p)
+        a.table() @ IndexTable.identity(3, field)
 
 
 @identity_fields
 def test_index_tables_only_of_monomial_matrices(field):
     one = field.one
     two_in_a_column = from_keyed(3, 2, field, {(0, 1): one, (2, 1): one})
-    assert IndexTable.of(two_in_a_column) is None
-    assert IndexTable.of(two_in_a_column, by_rows=True) is not None
-    assert IndexTable.of(two_in_a_column.t(), by_rows=True) is None
-    assert IndexTable.of(_scrambled(field, 4, 4, 8)) is None
+    assert two_in_a_column.table() is None
+    assert two_in_a_column.table(True) is not None
+    assert two_in_a_column.t().table(True) is None
+    assert _scrambled(field, 4, 4, 8).table() is None
 
 
 @identity_fields
@@ -1090,9 +1090,9 @@ def test_chain_table_is_the_table_of_its_matrix(field, by_rows):
             if rng.random() < 0.3:
                 op = from_keyed(op.rows, op.cols, field, {k: field.one for k in to_keyed(op)})
             chain = chain.leg(op, pos, arity, out_dims)
-        assert chain.table(by_rows) == IndexTable.of(chain.matrix(), by_rows)
-        assert chain.table(by_rows).matrix(field) == chain.matrix()
+        assert chain.table(by_rows) == chain.matrix().table(by_rows)
+        assert chain.table(by_rows).matrix() == chain.matrix()
     two = from_keyed(2, 1, field, {(0, 0): field.one, (1, 0): field.one})
     split, merge = LegChain([1], field).leg(two, 0), LegChain([2], field).leg(two.t(), 0)
-    assert split.table() is None and split.table(True) == IndexTable.of(two, True)
-    assert merge.table(True) is None and merge.table() == IndexTable.of(two.t())
+    assert split.table() is None and split.table(True) == two.table(True)
+    assert merge.table(True) is None and merge.table() == two.t().table()

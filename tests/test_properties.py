@@ -12,7 +12,8 @@ random terms and dropped coordinates over Q and F_3 against the full sum
 restricted to the kept coordinates.  The operations on the row-map
 store of ``SparseMatrix`` are checked over Q, F_2, F_3 and F_(2^31-1)
 against dense list-of-lists arithmetic written here, and every result
-against the store's invariant.
+against the store's invariant; so are the tables of matrices, and the
+products and comparisons of tables with matrices, over Q and F_3.
 """
 
 from fractions import Fraction
@@ -167,7 +168,7 @@ def _column_tables(draw, field, rows, cols):
     idx = [draw(st.integers(-1, rows - 1)) if rows else -1 for _ in range(cols)]
     nonzero = _q_entries.filter(bool) if field is QQ else st.integers(1, field.p - 1)
     val = [field.from_str(str(draw(nonzero))) if i >= 0 else 0 for i in idx]
-    return IndexTable(rows, cols, field.p, idx + [-1], val + [0])
+    return IndexTable(rows, cols, field, idx + [-1], val + [0])
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
@@ -188,14 +189,14 @@ def test_quotient_writes_the_restricted_sum_and_certifies_exactly_a_subcomplex(f
     kept = [[i for i in range(n) if i not in out] for n, out in zip(dims, dropped)]
     full = SparseMatrix.zeros(*dims, field)
     for sign, tb in zip(signs, tables):
-        full = full + tb.matrix(field) if sign > 0 else full - tb.matrix(field)
+        full = full + tb.matrix() if sign > 0 else full - tb.matrix()
     lost = restricted(full, kept[0], sorted(dropped[1]))
     written = []
-    for ops in (tables, [tb.matrix(field) for tb in tables]):
+    for ops in (tables, [tb.matrix() for tb in tables]):
         terms = [(sign, op, 0, 1) for sign, op in zip(signs, ops)]
         cx = ChainComplex(field, lambda n: {n: dims[n]} if n in (0, 1) else {},
                           lambda n: terms if n == 1 else [])
-        quotient = cx.quotient(lambda n: [IndexTable(dims[n], len(dropped[n]), field.p,
+        quotient = cx.quotient(lambda n: [IndexTable(dims[n], len(dropped[n]), field,
                                                      [*sorted(dropped[n]), -1], None)])
         if lost.is_zero_matrix():
             written.append(quotient.d(1))
@@ -324,11 +325,11 @@ def test_store_operations_match_dense_lists(field, data):
     assert x.is_identity() == (a == ident and r == k)
     for by_rows in (False, True):
         lines = a if by_rows else _lists_transpose(a, k)
-        table = IndexTable.of(x, by_rows)
+        table = x.table(by_rows)
         assert (table is None) == any(sum(map(bool, line)) > 1 for line in lines)
         if table is not None:
-            _assert_store(table.matrix(field), field)
-            assert _as_lists(table.matrix(field)) == a
+            _assert_store(table.matrix(), field)
+            assert _as_lists(table.matrix()) == a
 
 
 @pytest.mark.parametrize("field", STORE_FIELDS, ids=str)
@@ -346,3 +347,81 @@ def test_leg_chain_matches_dense_lists(field, data):
     _assert_store(got, field)
     assert _as_lists(got) == _lists_product(_lists_leg_then_swap(op, left, right, field), xs,
                                             left * right, cols, field)
+
+
+# ---------------------------------------------------------------------------
+# one operator vocabulary: tables and matrices against dense lists
+
+VOCABULARY_SIDE = 6
+
+
+@st.composite
+def _operator_lists(draw, field, rows, cols):
+    """A rows x cols list of lists of canonical values, signed (mostly 1
+    and -1): monomial by columns, monomial by rows, or of no such shape."""
+    nonzero = _q_entries.filter(bool) if field is QQ else st.integers(1, field.p - 1)
+    values = st.one_of(st.sampled_from([1, -1]), nonzero)
+    shape = draw(st.sampled_from(["columns", "rows", "any"]))
+    if shape == "any":
+        return [[_canonical(field, draw(values)) if draw(st.integers(0, 2)) == 0 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+    dense = [[0] * cols for _ in range(rows)]
+    outer, inner = (rows, cols) if shape == "rows" else (cols, rows)
+    for k in range(outer):
+        if inner and draw(st.booleans()):
+            other = draw(st.integers(0, inner - 1))
+            i, j = (k, other) if shape == "rows" else (other, k)
+            dense[i][j] = _canonical(field, draw(values))
+    return dense
+
+
+def _two_in_a_line(dense, cols, by_rows):
+    lines = dense if by_rows else _lists_transpose(dense, cols)
+    return any(sum(map(bool, line)) > 1 for line in lines)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data())
+def test_tables_and_matrices_answer_one_vocabulary(field, data):
+    """m.table(by_rows) is None exactly when a column (row) of m holds two
+    entries, and otherwise has m's shape, entries and matrix.  A table and
+    a matrix compose and compare as matrices: t @ m and m @ t are the
+    matrix products, as matrices, t @ t' of one orientation is the table
+    of the product, and t == m, either way round, exactly when the lists
+    are equal."""
+    j, n, k, c = (data.draw(st.integers(0, VOCABULARY_SIDE)) for _ in range(4))
+    by_rows = data.draw(st.booleans())
+    left, a, other = (data.draw(_operator_lists(field, r, s)) for r, s in ((j, n), (n, k), (n, k)))
+    b = data.draw(_operator_lists(field, k, c))
+    x, y, w = (_stored(dense, s, field, range(len(dense))) for dense, s in
+               ((left, n), (a, k), (other, k)))
+    z = _stored(b, c, field, range(k))
+    for dense, cols, m in ((a, k, y), (b, c, z), (other, k, w)):
+        for orient in (False, True):
+            tb = m.table(orient)
+            assert (tb is None) == _two_in_a_line(dense, cols, orient)
+            if tb is None:
+                continue
+            assert (tb.rows, tb.cols, tb.by_rows) == (m.rows, m.cols, orient)
+            assert sorted(tb.entries()) == sorted(m.entries())
+            _assert_store(tb.matrix(), field)
+            assert _as_lists(tb.matrix()) == dense
+            assert tb.table(orient) is tb
+            assert (tb.table(not orient) is None) == (m.table(not orient) is None)
+    ta, tz = y.table(by_rows), z.table(by_rows)
+    if ta is None:
+        return
+    ab = _lists_product(a, b, k, c, field)
+    for got, want in ((ta @ z, ab), (x @ ta, _lists_product(left, a, n, k, field))):
+        assert isinstance(got, SparseMatrix)
+        _assert_store(got, field)
+        assert _as_lists(got) == want
+    if tz is not None:
+        both = ta @ tz
+        assert isinstance(both, IndexTable) and both.by_rows == by_rows
+        assert _as_lists(both.matrix()) == ab and both == y @ z == both.matrix()
+    for m, dense in ((y, a), (w, other)):
+        assert (ta == m) == (m == ta) == (dense == a)
+        assert (ta != m) == (m != ta) == (dense != a)
+    assert ta != SparseMatrix.zeros(n, k + 1, field) and SparseMatrix.zeros(n + 1, k, field) != ta
