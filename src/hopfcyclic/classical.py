@@ -16,9 +16,11 @@ codegeneracy sigma_j removes what delta_j and delta_{j+1} insert.  The
 dual-picture bijection carries the class of (g_0, ..., g_n) to the class
 of (g_0...g_n; H, g_0 H, ..., g_0...g_{n-1} H): the empty prefix comes
 first, which is what makes the operator indices align on both sides (and
-makes the stabilizer descriptions literally equal).  Every cocyclic set is
-checked against ``cyclic.cocyclic_identities``, the same table of identities
-as the cocyclic modules, with operators composed as index tables.
+makes the stabilizer descriptions literally equal).  A cocyclic set holds
+each operator as the all-ones column index table of its map on
+representatives and is checked by ``cyclic.check_identities``, as the
+cocyclic modules are; the bijections between two sets are such tables
+too, composed by ``@`` and compared by ``==``.
 """
 
 from __future__ import annotations
@@ -35,25 +37,35 @@ from .groups import (
     irreducible_characters,
     subgroup_as_group,
 )
-from .cyclic import cocyclic_identities
+from .cyclic import check_identities
 from .hopf import AxiomCheck, ValidationReport, equality_check
+from .linalg import QQ, IndexTable
 
 TUPLE_BUDGET = 10 ** 7
 
 
 @dataclass
 class CocyclicFiniteSet:
-    """Per-degree finite sets with coface/codegeneracy/cocyclic index maps.
+    """Per-degree finite sets with cofaces delta[n][i], codegeneracies
+    sigma[n][j] and cocyclic tau[n], named and keyed as in
+    ``cyclic.CocyclicModule``, so ``cyclic.check_identities`` checks them.
 
-    ``elements[n]`` lists canonical representatives; operators are tables
-    of indices into the appropriate degree's list.
+    ``elements[n]`` lists canonical representatives; each operator is the
+    all-ones column ``IndexTable`` of its map on indices into the target
+    degree's list (``_map_table``).
     """
 
     n_max: int
     elements: list
-    coface: dict    # (n, i): degree n -> degree n+1, 0 <= i <= n+1
-    codegen: dict   # (n, j): degree n -> degree n-1, 0 <= j <= n-1
-    cocyclic: dict  # n: degree n -> degree n
+    delta: dict   # (n, i): degree n -> degree n+1, 0 <= i <= n+1
+    sigma: dict   # (n, j): degree n -> degree n-1, 0 <= j <= n-1
+    tau: dict     # n: degree n -> degree n
+
+
+def _map_table(targets, size):
+    """The all-ones column table of the map sending index k to
+    ``targets[k]`` in a set of ``size`` elements."""
+    return IndexTable(size, len(targets), QQ, [*targets, -1], None)
 
 
 def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn):
@@ -61,29 +73,21 @@ def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn):
     operator functions on representatives."""
     elements = [sorted(set(elems_fn(n))) for n in range(n_max + 1)]
     index = [{e: k for k, e in enumerate(lst)} for lst in elements]
-    coface, codegen, cocyclic = {}, {}, {}
-    for n in range(n_max):
-        for i in range(n + 2):
-            coface[(n, i)] = [index[n + 1][coface_fn(n, i, e)] for e in elements[n]]
-    for n in range(1, n_max + 1):
-        for j in range(n):
-            codegen[(n, j)] = [index[n - 1][codegen_fn(n, j, e)] for e in elements[n]]
-    for n in range(n_max + 1):
-        cocyclic[n] = [index[n][cocyclic_fn(n, e)] for e in elements[n]]
-    return CocyclicFiniteSet(n_max, elements, coface, codegen, cocyclic)
 
+    def table(n, m, fn):
+        return _map_table([index[m][fn(e)] for e in elements[n]], len(elements[m]))
 
-def check_cocyclic_set(cs):
-    """Cosimplicial and cocyclic identities on representatives."""
-    table = cocyclic_identities(cs.n_max, cs.coface, cs.codegen, cs.cocyclic,
-                                lambda outer, inner: [outer[k] for k in inner],
-                                lambda n: list(range(len(cs.elements[n]))))
-    return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in table])
+    delta = {(n, i): table(n, n + 1, lambda e: coface_fn(n, i, e))
+             for n in range(n_max) for i in range(n + 2)}
+    sigma = {(n, j): table(n, n - 1, lambda e: codegen_fn(n, j, e))
+             for n in range(1, n_max + 1) for j in range(n)}
+    tau = {n: table(n, n, lambda e: cocyclic_fn(n, e)) for n in range(n_max + 1)}
+    return CocyclicFiniteSet(n_max, elements, delta, sigma, tau)
 
 
 def intertwining_checks(src, tgt, maps):
-    """maps[n] carries src degree-n indices to tgt degree-n indices;
-    verifies bijectivity and commutation with every operator."""
+    """maps[n], a table from src degree n to tgt degree n, is bijective and
+    commutes with every operator."""
     checks = []
 
     def eq(name, left, right):
@@ -94,23 +98,18 @@ def intertwining_checks(src, tgt, maps):
         fwd = maps[n]
         checks.append(AxiomCheck(
             f"bijective @ {n}",
-            sorted(fwd) == list(range(len(tgt.elements[n])))
-            and len(fwd) == len(src.elements[n]),
-        ))
+            (fwd.rows, fwd.cols) == (len(tgt.elements[n]), len(src.elements[n]))
+            and fwd.rows == fwd.cols and fwd.table(True) is not None))
     for n in range(N):
         for i in range(n + 2):
             eq(f"intertwines delta{i} @ {n}",
-               [maps[n + 1][k] for k in src.coface[(n, i)]],
-               [tgt.coface[(n, i)][k] for k in maps[n]])
+               maps[n + 1] @ src.delta[(n, i)], tgt.delta[(n, i)] @ maps[n])
     for n in range(1, N + 1):
         for j in range(n):
             eq(f"intertwines sigma{j} @ {n}",
-               [maps[n - 1][k] for k in src.codegen[(n, j)]],
-               [tgt.codegen[(n, j)][k] for k in maps[n]])
+               maps[n - 1] @ src.sigma[(n, j)], tgt.sigma[(n, j)] @ maps[n])
     for n in range(N + 1):
-        eq(f"intertwines tau @ {n}",
-           [maps[n][k] for k in src.cocyclic[n]],
-           [tgt.cocyclic[n][k] for k in maps[n]])
+        eq(f"intertwines tau @ {n}", maps[n] @ src.tau[n], tgt.tau[n] @ maps[n])
     return checks
 
 
@@ -181,8 +180,8 @@ def direct_picture_check(g, sub, n_max):
     fiber = fiber_power_set(g, sub, n_max)
     prod = product_one_set(g, sub, n_max)
     checks = []
-    checks += check_cocyclic_set(fiber).checks
-    checks += check_cocyclic_set(prod).checks
+    checks += check_identities(fiber).checks
+    checks += check_identities(prod).checks
     order_h = len(set(sub))
 
     def to_fiber(e):
@@ -202,12 +201,10 @@ def direct_picture_check(g, sub, n_max):
         fib, pro = fiber.elements[n], prod.elements[n]
         fib_at = {e: k for k, e in enumerate(fib)}
         pro_at = {e: k for k, e in enumerate(pro)}
-        fwd = [fib_at[to_fiber(e)] for e in pro]
-        bwd = [pro_at[to_product(e)] for e in fib]
-        checks.append(AxiomCheck(
-            f"mutually inverse @ {n}",
-            all(bwd[fwd[k]] == k for k in range(len(pro)))
-            and all(fwd[bwd[k]] == k for k in range(len(fib)))))
+        fwd = _map_table([fib_at[to_fiber(e)] for e in pro], len(fib))
+        bwd = _map_table([pro_at[to_product(e)] for e in fib], len(pro))
+        checks.append(AxiomCheck(f"mutually inverse @ {n}",
+                                 (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()))
         checks.append(AxiomCheck(
             f"sizes |G||H|^n @ {n}",
             len(fib) == len(pro) == g.order * order_h ** n))
@@ -402,20 +399,18 @@ def dual_picture_check(g, sub, n_max):
     left, lq = left_picture_set(g, sub, n_max)
     right, rq = right_picture_set(g, gset, n_max)
     checks = []
-    checks += check_cocyclic_set(left).checks
-    checks += check_cocyclic_set(right).checks
+    checks += check_identities(left).checks
+    checks += check_identities(right).checks
     maps = {}
     for n in range(n_max + 1):
         checks.append(AxiomCheck(
             f"orbit counts agree @ {n}", len(left.elements[n]) == len(right.elements[n])))
-        fwd = [rq[n].class_index(dual_forward_point(g, gset, base, rep))
-               for rep in left.elements[n]]
-        bwd = [lq[n].class_index(dual_backward_point(g, cosets, rep))
-               for rep in right.elements[n]]
-        checks.append(AxiomCheck(
-            f"mutually inverse @ {n}",
-            all(bwd[fwd[k]] == k for k in range(len(fwd)))
-            and all(fwd[bwd[k]] == k for k in range(len(bwd)))))
+        fwd = _map_table([rq[n].class_index(dual_forward_point(g, gset, base, rep))
+                         for rep in left.elements[n]], len(right.elements[n]))
+        bwd = _map_table([lq[n].class_index(dual_backward_point(g, cosets, rep))
+                         for rep in right.elements[n]], len(left.elements[n]))
+        checks.append(AxiomCheck(f"mutually inverse @ {n}",
+                                 (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()))
         maps[n] = fwd
     checks += intertwining_checks(left, right, maps)
     return ValidationReport(checks)

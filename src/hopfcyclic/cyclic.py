@@ -22,12 +22,11 @@ are the Connes duals (``cyclic_dual``) of their cocyclic objects.
 
 ``cyclic_identities`` and ``cocyclic_identities`` are the one table of
 simplicial and cyclic identities and the one of cosimplicial and cocyclic
-identities, written against a ``compose`` of two operators.
-``check_identities`` runs them on signed index tables (``IndexTable``)
-when every operator of a module has a table of one orientation, at most
-one entry in each column or in each row, and on exact matrix products
-otherwise; the finite cocyclic sets of ``classical`` run the cocyclic
-table on unsigned index tables.  ``chain_complex`` is one
+identities, written with ``@``, ``==`` and ``is_identity()``.
+``check_identities`` runs them on a module's operators as built, and on
+the all-ones index tables of the finite cocyclic sets of ``classical``;
+no operator is converted, since a table and a matrix answer the same
+calls (``linalg.IndexTable``).  ``chain_complex`` is one
 ``linalg.ChainComplex`` constructor for HH and HC: the Hochschild complex
 with b_q (the faces) at block (q - 1, q), and the (b, B) total complex,
 Tot_n = C_n + C_{n-2} + ..., with B_q (the composites t^a s_q t^k, tables
@@ -45,7 +44,6 @@ only into degree n.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .hopf import (
@@ -58,7 +56,6 @@ from .hopf import (
 )
 from .linalg import (
     ChainComplex,
-    IndexTable,
     LegChain,
     NotWellDefined,
     SparseMatrix,
@@ -89,7 +86,8 @@ class CyclicModule:
     column; then all of them are tables of that orientation.  Otherwise,
     as for the comodule-algebra object of H4/B, whose sections are not
     monomial, every operator is a ``SparseMatrix``.  The same holds for
-    ``CocyclicModule``, whose ``cyclic_dual`` keeps its kind.
+    ``CocyclicModule``, whose ``cyclic_dual`` keeps its kind.  Either way
+    ``check_identities`` checks the operators as they are.
     """
 
     n_max: int
@@ -124,154 +122,109 @@ class CocyclicModule:
 
 
 def check_identities(x):
-    """Every identity of a cyclic or cocyclic module within its truncation.
-
-    Compared on signed index tables when every operator of x has a table
-    of one orientation (``index_tables``); otherwise by exact matrix
-    products.
-    """
-    return identity_report(x, index_tables(x) or matrix_operators(x))
-
-
-def identity_report(x, ops):
-    """The report of x's identity table on ``ops``, a pair (operators,
-    ident) from ``index_tables`` or ``matrix_operators``, composed by ``@``."""
-    table = cyclic_identities if isinstance(x, CyclicModule) else cocyclic_identities
-    (faces, degens, rotations), ident = ops
-    return ValidationReport([AxiomCheck(name, lhs == rhs) for name, lhs, rhs in
-                             table(x.n_max, faces, degens, rotations, operator.matmul, ident)])
+    """Every identity of a cyclic or cocyclic module, or of a finite
+    cocyclic set of ``classical``, within its truncation, on its operators
+    as built: tables compose as tables, matrices by exact products, and a
+    table with a matrix or with a table of the other orientation as
+    matrices."""
+    if isinstance(x, CyclicModule):
+        table = cyclic_identities(x.n_max, x.d, x.s, x.t)
+    else:
+        table = cocyclic_identities(x.n_max, x.delta, x.sigma, x.tau)
+    return ValidationReport([AxiomCheck(name, holds) for name, holds in table])
 
 
-def _operators(x):
-    return (x.d, x.s, x.t) if isinstance(x, CyclicModule) else (x.delta, x.sigma, x.tau)
-
-
-def index_tables(x):
-    """x's operators as ``IndexTable``s of one orientation, each its own
-    ``table`` over columns, or else over rows; None when some operator has
-    none in either.  Degeneracies are asked first: a function algebra's
-    unit fills a column, so they fail at once where its faces would not."""
-    ops, f = _operators(x), x.spaces[0].field
-    for by_rows in (False, True):
-        tables = [None] * 3
-        for i in (1, 0, 2):
-            tables[i] = {k: m.table(by_rows) for k, m in ops[i].items()}
-            if any(tb is None for tb in tables[i].values()):
-                break
-        else:
-            return tables, lambda n: IndexTable.identity(x.spaces[n].dim, f, by_rows)
-    return None
-
-
-def matrix_operators(x):
-    """x's operators as matrices, which compose by exact products."""
-    f = x.spaces[0].field
-    ops = [{k: m.matrix() for k, m in op.items()} for op in _operators(x)]
-    return ops, lambda n: SparseMatrix.identity(x.spaces[n].dim, f)
-
-
-def cyclic_identities(n_max, d, s, t, compose, ident):
-    """(name, lhs, rhs) for every simplicial and cyclic identity in degrees
+def cyclic_identities(n_max, d, s, t):
+    """(name, holds) for every simplicial and cyclic identity in degrees
     0..n_max (Loday, *Cyclic Homology*, 6.1), degree by degree.
 
     ``d[(n, i)]``, ``s[(n, j)]`` and ``t[n]`` are the operators keyed as in
-    ``CyclicModule``, ``compose(outer, inner)`` composes two of them and
-    ``ident(n)`` is the identity in degree n.
+    ``CyclicModule``, composed by ``@`` and compared by ``==``; an identity
+    whose right-hand side is id holds when the left is ``is_identity()``.
     """
     N = n_max
     for n in range(N + 1):
-        one = ident(n)
         if n >= 2:
             for j in range(n + 1):
                 for i in range(j):
                     yield (f"d{i} d{j} = d{j-1} d{i} @ {n}",
-                           compose(d[(n - 1, i)], d[(n, j)]),
-                           compose(d[(n - 1, j - 1)], d[(n, i)]))
+                           d[(n - 1, i)] @ d[(n, j)] == d[(n - 1, j - 1)] @ d[(n, i)])
         if n < N - 1:
             for i in range(n + 1):
                 for j in range(i, n + 1):
                     yield (f"s{i} s{j} = s{j+1} s{i} @ {n}",
-                           compose(s[(n + 1, i)], s[(n, j)]),
-                           compose(s[(n + 1, j + 1)], s[(n, i)]))
+                           s[(n + 1, i)] @ s[(n, j)] == s[(n + 1, j + 1)] @ s[(n, i)])
         if n < N:
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = compose(d[(n + 1, i)], s[(n, j)])
+                    lhs = d[(n + 1, i)] @ s[(n, j)]
                     if i < j:
-                        rhs = compose(s[(n - 1, j - 1)], d[(n, i)])
+                        holds = lhs == s[(n - 1, j - 1)] @ d[(n, i)]
                     elif i in (j, j + 1):
-                        rhs = one
+                        holds = lhs.is_identity()
                     else:
-                        rhs = compose(s[(n - 1, j)], d[(n, i - 1)])
-                    yield f"d{i} s{j} @ {n}", lhs, rhs
-        power = one
-        for _ in range(n + 1):
-            power = compose(t[n], power)
-        yield f"t^{n+1} = id @ {n}", power, one
+                        holds = lhs == s[(n - 1, j)] @ d[(n, i - 1)]
+                    yield f"d{i} s{j} @ {n}", holds
+        power = t[n]
+        for _ in range(n):
+            power = t[n] @ power
+        yield f"t^{n+1} = id @ {n}", power.is_identity()
         if n >= 1:
-            yield f"d0 t = d{n} @ {n}", compose(d[(n, 0)], t[n]), d[(n, n)]
+            yield f"d0 t = d{n} @ {n}", d[(n, 0)] @ t[n] == d[(n, n)]
             for i in range(1, n + 1):
-                yield (f"d{i} t = t d{i-1} @ {n}",
-                       compose(d[(n, i)], t[n]), compose(t[n - 1], d[(n, i - 1)]))
+                yield f"d{i} t = t d{i-1} @ {n}", d[(n, i)] @ t[n] == t[n - 1] @ d[(n, i - 1)]
         if n < N:
-            yield (f"s0 t = t^2 s{n} @ {n}",
-                   compose(s[(n, 0)], t[n]), compose(t[n + 1], compose(t[n + 1], s[(n, n)])))
+            yield f"s0 t = t^2 s{n} @ {n}", s[(n, 0)] @ t[n] == t[n + 1] @ (t[n + 1] @ s[(n, n)])
             for i in range(1, n + 1):
-                yield (f"s{i} t = t s{i-1} @ {n}",
-                       compose(s[(n, i)], t[n]), compose(t[n + 1], s[(n, i - 1)]))
+                yield f"s{i} t = t s{i-1} @ {n}", s[(n, i)] @ t[n] == t[n + 1] @ s[(n, i - 1)]
 
 
-def cocyclic_identities(n_max, delta, sigma, tau, compose, ident):
-    """(name, lhs, rhs) for every cosimplicial and cocyclic identity in
+def cocyclic_identities(n_max, delta, sigma, tau):
+    """(name, holds) for every cosimplicial and cocyclic identity in
     degrees 0..n_max (Loday, *Cyclic Homology*, 6.1).
 
     ``delta[(n, i)]``, ``sigma[(n, j)]`` and ``tau[n]`` are the operators
-    keyed as in ``CocyclicModule``, ``compose(outer, inner)`` composes two of
-    them and ``ident(n)`` is the identity in degree n: matrices for cocyclic
-    modules, index tables for the finite cocyclic sets of ``classical``.
+    keyed as in ``CocyclicModule``, composed by ``@`` and compared by
+    ``==``: tables or matrices for cocyclic modules, all-ones index tables
+    for the finite cocyclic sets of ``classical``; an identity whose
+    right-hand side is id holds when the left is ``is_identity()``.
     """
     N = n_max
     for n in range(N - 1):
         for j in range(n + 3):
             for i in range(min(j, n + 2)):
                 yield (f"delta{j} delta{i} @ {n}",
-                       compose(delta[(n + 1, j)], delta[(n, i)]),
-                       compose(delta[(n + 1, i)], delta[(n, j - 1)]))
+                       delta[(n + 1, j)] @ delta[(n, i)] == delta[(n + 1, i)] @ delta[(n, j - 1)])
     for n in range(2, N + 1):
         for j in range(n - 1):
             for i in range(j + 1):
                 yield (f"sigma{j} sigma{i} @ {n}",
-                       compose(sigma[(n - 1, j)], sigma[(n, i)]),
-                       compose(sigma[(n - 1, i)], sigma[(n, j + 1)]))
+                       sigma[(n - 1, j)] @ sigma[(n, i)] == sigma[(n - 1, i)] @ sigma[(n, j + 1)])
     for n in range(N):
         for i in range(n + 2):
             for j in range(n + 1):
-                lhs = compose(sigma[(n + 1, j)], delta[(n, i)])
+                lhs = sigma[(n + 1, j)] @ delta[(n, i)]
                 if i < j:
-                    rhs = compose(delta[(n - 1, i)], sigma[(n, j - 1)])
+                    holds = lhs == delta[(n - 1, i)] @ sigma[(n, j - 1)]
                 elif i in (j, j + 1):
-                    rhs = ident(n)
+                    holds = lhs.is_identity()
                 else:
-                    rhs = compose(delta[(n - 1, i - 1)], sigma[(n, j)])
-                yield f"sigma{j} delta{i} @ {n}", lhs, rhs
+                    holds = lhs == delta[(n - 1, i - 1)] @ sigma[(n, j)]
+                yield f"sigma{j} delta{i} @ {n}", holds
     for n in range(N + 1):
-        power = ident(n)
-        for _ in range(n + 1):
-            power = compose(tau[n], power)
-        yield f"tau^{n+1} = id @ {n}", power, ident(n)
+        power = tau[n]
+        for _ in range(n):
+            power = tau[n] @ power
+        yield f"tau^{n+1} = id @ {n}", power.is_identity()
     for n in range(N):
-        yield (f"tau delta0 = delta{n+1} @ {n}",
-               compose(tau[n + 1], delta[(n, 0)]), delta[(n, n + 1)])
+        yield f"tau delta0 = delta{n+1} @ {n}", tau[n + 1] @ delta[(n, 0)] == delta[(n, n + 1)]
         for i in range(1, n + 2):
-            yield (f"tau delta{i} @ {n}",
-                   compose(tau[n + 1], delta[(n, i)]), compose(delta[(n, i - 1)], tau[n]))
+            yield f"tau delta{i} @ {n}", tau[n + 1] @ delta[(n, i)] == delta[(n, i - 1)] @ tau[n]
     for n in range(1, N + 1):
         yield (f"tau sigma0 @ {n}",
-               compose(tau[n - 1], sigma[(n, 0)]),
-               compose(compose(sigma[(n, n - 1)], tau[n]), tau[n]))
+               tau[n - 1] @ sigma[(n, 0)] == sigma[(n, n - 1)] @ tau[n] @ tau[n])
         for j in range(1, n):
-            yield (f"tau sigma{j} @ {n}",
-                   compose(tau[n - 1], sigma[(n, j)]), compose(sigma[(n, j - 1)], tau[n]))
+            yield f"tau sigma{j} @ {n}", tau[n - 1] @ sigma[(n, j)] == sigma[(n, j - 1)] @ tau[n]
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +528,7 @@ def cyclic_dual(ccm):
         tau = t = ccm.tau[n]
         for _ in range(n - 1):
             t = tau @ t
-        if not (tau @ t if n else tau).matrix().is_identity():
+        if not (tau @ t if n else tau).is_identity():
             raise NotWellDefined(f"not a cocyclic module: tau^{n + 1} != id at degree {n}")
         tops[n] = t
         if n >= 1:

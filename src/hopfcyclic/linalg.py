@@ -305,16 +305,16 @@ class SparseMatrix:
 
     def table(self, by_rows=False):
         """This operator's ``IndexTable`` over its columns, or with ``by_rows``
-        its rows, read off ``entries()``; None when a column (row) holds two."""
+        its rows, read off the row map; None when a column (row) holds two."""
         idx = [-1] * ((self.rows if by_rows else self.cols) + 1)
         val = [0] * len(idx)
-        for i, j, v in self.entries():
-            if by_rows:
-                i, j = j, i
-            if idx[j] >= 0:
-                return None
-            idx[j] = i
-            val[j] = v
+        for i, row in self._rows_map.items():
+            for j, v in row.items():
+                k, r = (i, j) if by_rows else (j, i)
+                if idx[k] >= 0:
+                    return None
+                idx[k] = r
+                val[k] = v
         return IndexTable(self.rows, self.cols, self.field, idx,
                           None if set(val) <= {0, 1} else val, by_rows)
 
@@ -636,8 +636,9 @@ class IndexTable:
 
     A table and a ``SparseMatrix`` answer one vocabulary: ``rows``,
     ``cols``, ``entries()``, ``matrix()``, ``table(by_rows)`` (None when a
-    column, a row, holds two entries), ``@``, a matrix when either factor
-    is one, and ``==``, which compares them as matrices.
+    column, a row, holds two entries), ``is_identity()``, ``@``, a matrix
+    when either factor is one or the two tables differ in orientation, and
+    ``==``, which compares them as matrices.
     """
 
     __slots__ = ("rows", "cols", "field", "idx", "val", "by_rows")
@@ -655,9 +656,9 @@ class IndexTable:
         return cls(n, n, field, [*range(n), -1], None, by_rows)
 
     def __matmul__(self, other):
-        if not isinstance(other, IndexTable):
+        if not isinstance(other, IndexTable) or self.by_rows != other.by_rows:
             return self.matrix() @ other
-        if self.cols != other.rows or self.by_rows != other.by_rows:
+        if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         outer, inner = (other, self) if self.by_rows else (self, other)
         ia, va, p = outer.idx, outer.val, self.field.p
@@ -688,14 +689,32 @@ class IndexTable:
                             _columns_of((j, {i: v}) for i, j, v in self.entries()))
 
     def table(self, by_rows=False):
-        # the other orientation is read off the entries, as a matrix's is
-        return self if by_rows == self.by_rows else SparseMatrix.table(self, by_rows)
+        """Itself in its own orientation; in the other, each entry's position
+        and index trade places, and None when an index repeats."""
+        if by_rows == self.by_rows:
+            return self
+        idx = [-1] * ((self.rows if by_rows else self.cols) + 1)
+        val = [0] * len(idx)
+        for k, (r, v) in enumerate(zip(self.idx, repeat(1) if self.val is None else self.val)):
+            if r >= 0:  # skips empty positions and the closing sentinel
+                if idx[r] >= 0:
+                    return None
+                idx[r] = k
+                val[r] = v
+        return IndexTable(self.rows, self.cols, self.field, idx,
+                          None if self.val is None else val, by_rows)
+
+    def is_identity(self):
+        n = self.rows
+        return self.cols == n and self.idx == [*range(n), -1] and \
+            (self.val is None or self.val[:n] == [1] * n)
 
     def __eq__(self, other):
         if not isinstance(other, IndexTable):
             return NotImplemented  # a matrix compares the two as matrices
-        if (self.rows, self.cols, self.by_rows, self.idx) != \
-                (other.rows, other.cols, other.by_rows, other.idx):
+        if self.by_rows != other.by_rows:
+            return self.matrix() == other
+        if (self.rows, self.cols, self.idx) != (other.rows, other.cols, other.idx):
             return False
         return self.val is other.val is None or self._values() == other._values()
 

@@ -14,7 +14,6 @@ from hopfcyclic.groups import (
     subgroup_as_group,
 )
 from hopfcyclic.classical import (
-    check_cocyclic_set,
     class_function_dim_check,
     direct_picture_check,
     dual_picture_check,
@@ -26,7 +25,8 @@ from hopfcyclic.classical import (
     induce_class_function,
     stabilizer_coincidence_check,
 )
-from hopfcyclic.linalg import QQ
+from hopfcyclic.cyclic import check_identities
+from hopfcyclic.linalg import QQ, IndexTable
 from support import group_algebra_hh0
 
 S3 = builtin_group("S3")
@@ -159,22 +159,24 @@ def test_extended_quotient_check_every_s3_subgroup(gens):
 
 
 def test_cocyclic_sets_and_modules_check_the_same_identities():
-    from hopfcyclic.cyclic import check_identities, relative_cocyclic_coext
+    from hopfcyclic.cyclic import relative_cocyclic_coext
     from hopfcyclic.presets import builtin_setup
 
     s = builtin_setup("kC2/k")
     module = check_identities(relative_cocyclic_coext(s.hopf, s.quotient, 3))
-    finite = check_cocyclic_set(fiber_power_set(S3, C2_IN_S3, 3))
+    finite = check_identities(fiber_power_set(S3, C2_IN_S3, 3))
     assert [c.name for c in module.checks] == [c.name for c in finite.checks]
 
 
 def test_mutant_cocyclic_set_fails():
+    """The rotation in degree 1, a column table, with two indices swapped."""
     cs = fiber_power_set(S3, C2_IN_S3, 2)
-    assert check_cocyclic_set(cs).ok
-    swapped = list(cs.cocyclic[1])
+    assert check_identities(cs).ok
+    tau = cs.tau[1]
+    swapped = list(tau.idx)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    mutant = replace(cs, cocyclic={**cs.cocyclic, 1: swapped})
-    assert not check_cocyclic_set(mutant).ok
+    mutant = replace(cs, tau={**cs.tau, 1: IndexTable(tau.rows, tau.cols, QQ, swapped, None)})
+    assert not check_identities(mutant).ok
 
 
 def test_extended_quotient_transport():

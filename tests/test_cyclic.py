@@ -5,7 +5,6 @@ import pytest
 
 from hopfcyclic.cyclic import (
     CyclicModule,
-    _operators,
     TruncationError,
     chain_complex,
     check_identities,
@@ -18,9 +17,6 @@ from hopfcyclic.cyclic import (
     hopf_cyclic_coalgebra,
     hopf_cyclic_comodule_algebra,
     hopf_cyclic_spaces,
-    identity_report,
-    index_tables,
-    matrix_operators,
     normalized_complex,
     relative_cyclic,
     relative_cocyclic_coext,
@@ -238,12 +234,12 @@ def test_connes_duals_keep_their_kind_and_match_the_inverted_reference(name, fie
     for kind in ("relative_cocyclic_coext", "hopf_cocyclic_coalgebra"):
         ccm = built[kind]
         dual, ref = cyclic_dual(ccm), reference_dual(ccm)
-        for mine, theirs in zip(_operators(dual), _operators(ref)):
+        for mine, theirs in zip(_operator_dicts(dual), _operator_dicts(ref)):
             assert mine.keys() == theirs.keys(), kind
             for key, op in mine.items():
                 assert op.matrix() == theirs[key], (kind, key)
-        tables = [isinstance(m, IndexTable) for op in _operators(ccm) for m in op.values()]
-        assert all(isinstance(m, IndexTable) for op in _operators(dual)
+        tables = [isinstance(m, IndexTable) for op in _operator_dicts(ccm) for m in op.values()]
+        assert all(isinstance(m, IndexTable) for op in _operator_dicts(dual)
                    for m in op.values()) == all(tables), kind
 
 
@@ -454,11 +450,11 @@ def test_table_descents_are_the_induced_maps_of_their_chains(name, field, monkey
              hopf_cyclic_comodule_algebra(h, b, coad_module(h), n_max)]
     assert compared
     for x in built:
-        ops = [m for op in _operators(x) for m in op.values()]
+        ops = [m for op in _operator_dicts(x) for m in op.values()]
         assert all(isinstance(m, IndexTable) for m in ops) or \
             all(isinstance(m, SparseMatrix) for m in ops)
     # C(H|B) is composed from tables on every pair
-    assert all(isinstance(m, IndexTable) for op in _operators(built[0]) for m in op.values())
+    assert all(isinstance(m, IndexTable) for op in _operator_dicts(built[0]) for m in op.values())
 
 
 def test_maps_breaking_the_b_relations_do_not_descend():
@@ -801,6 +797,16 @@ def _operator_fields(x):
     return ("d", "s", "t") if isinstance(x, CyclicModule) else ("delta", "sigma", "tau")
 
 
+def _operator_dicts(x):
+    return [getattr(x, name) for name in _operator_fields(x)]
+
+
+def _with_matrices(x):
+    """x with every operator replaced by its matrix."""
+    return replace(x, **{name: {k: m.matrix() for k, m in getattr(x, name).items()}
+                         for name in _operator_fields(x)})
+
+
 def _with_operator(x, kind, key, m):
     """x with operator ``key`` of ``kind`` (0 faces, 1 degeneracies, 2
     rotations) replaced by m."""
@@ -865,6 +871,15 @@ def _rotation_scaled(x):
     return _with_operator(x, 2, 2, _like(t[2], t[2].matrix().scale(f.from_int(2))))
 
 
+def _face_reoriented(x):
+    """The first face as its table of the other orientation, where it has
+    one, so a module of tables mixes orientations and one of matrices
+    holds a table."""
+    key, op = _first_face(x)
+    other = op.table(isinstance(op, IndexTable) and not op.by_rows)
+    return _with_operator(x, 0, key, other or op)
+
+
 def _rotation_squared(x):
     t = getattr(x, _operator_fields(x)[2])
     if isinstance(t[1], IndexTable):
@@ -887,10 +902,10 @@ def _outcome(rep):
 
 
 def _matrix_outcome(x):
-    """The check by exact products, which leaves no derived column map on
-    x's matrices (its tables hold none)."""
-    rep = identity_report(x, matrix_operators(x))
-    ops = [m for name in _operator_fields(x) for m in getattr(x, name).values()]
+    """The check on x with every operator replaced by its matrix, which
+    leaves no derived column map on x's matrices (its tables hold none)."""
+    rep = check_identities(_with_matrices(x))
+    ops = [m for op in _operator_dicts(x) for m in op.values()]
     assert all(m._cols_map is None for m in ops if isinstance(m, SparseMatrix))
     return _outcome(rep)
 
@@ -898,37 +913,25 @@ def _matrix_outcome(x):
 @pytest.mark.parametrize("field", EQUIVALENCE_FIELDS, ids=str)
 @pytest.mark.parametrize("name", SETUP_NAMES)
 def test_index_tables_and_matrix_products_check_alike(name, field):
-    """Same check names in the same order, with the same flags, on the six
-    constructions and on six mutants of each; the tables are used whenever
-    every operator has a table of one orientation, columns first, and only
-    then.  Each operator gives its own table: a table of that orientation
-    is used as it is, and a matrix, also one among tables, by the table
-    equal to it.  Each mutant breaks an identity of at least one
-    construction."""
+    """Same check names in the same order, with the same flags, on the
+    operators as built and on their matrices, for the six constructions,
+    for each with its first face in the other orientation, and for six
+    mutants of each.  Each mutant breaks an identity of at least one
+    construction; the extra face entry leaves a face with no table, which
+    composes with the tables as a matrix."""
     broken = set()
     for kind, x in _six_constructions(name, field).items():
-        for mutant, make in [("none", lambda y: y), *MUTANTS.items()]:
+        variants = [("none", lambda y: y), ("face reoriented", _face_reoriented),
+                    *MUTANTS.items()]
+        for mutant, make in variants:
             y = make(x)
             want = _matrix_outcome(y)
-            tables = index_tables(y)
-            if tables is not None:
-                assert _outcome(identity_report(y, tables)) == want, (kind, mutant)
             assert _outcome(check_identities(y)) == want, (kind, mutant)
-            own = _operators(y)
-            ops = [m for op in own for m in op.values()]
-            found = [by_rows for by_rows in (False, True)
-                     if all(m.table(by_rows) is not None for m in ops)]
-            assert (tables is None) == (not found), (kind, mutant)
-            for op, tbs in zip(own, tables[0] if found else ()):
-                for key, m in op.items():
-                    tb = tbs[key]
-                    assert tb.by_rows == found[0] and tb == m, (kind, mutant, key)
-                    if isinstance(m, IndexTable) and m.by_rows == found[0]:
-                        assert tb is m, (kind, mutant, key)
-            if mutant == "none":
-                assert all(ok for _, ok in want), kind
+            if mutant in ("none", "face reoriented"):
+                assert all(ok for _, ok in want), (kind, mutant)
             if mutant == "extra face entry":
-                assert tables is None, kind
+                face = _first_face(y)[1]
+                assert face.table() is None and face.table(True) is None, kind
             if not all(ok for _, ok in want):
                 broken.add(mutant)
     assert broken == set(MUTANTS)
@@ -942,13 +945,10 @@ def test_an_operator_of_the_wrong_shape_raises_on_both_paths(name, kind):
     m = op.matrix()
     padded = SparseMatrix(m.rows + 1, m.cols, QQ, m.rows_map())
     padded = _with_operator(x, 0, key, _like(op, padded))
-    tables = index_tables(padded)
-    assert tables is not None
-    for ops in (tables, matrix_operators(padded)):
+    assert all(isinstance(m, IndexTable) for op in _operator_dicts(padded) for m in op.values())
+    for y in (padded, _with_matrices(padded)):
         with pytest.raises(ShapeMismatch):
-            identity_report(padded, ops)
-    with pytest.raises(ShapeMismatch):
-        check_identities(padded)
+            check_identities(y)
 
 
 @pytest.mark.parametrize("name", ["kC2/k", "OS3/k"])
@@ -1010,10 +1010,6 @@ def test_table_operators_are_their_chains_descended(name, field):
         assert isinstance(op, IndexTable) and op.by_rows == by_rows, (family, key)
         full_in, full_out = (SubquotientSpace.full(k, field) for k in (chain.cols, chain.rows))
         assert op.matrix() == induced_map(chain, full_in, full_out), (family, key)
-    tables = index_tables(cm)[0]
-    assert all(tb is op for family, tbs in zip((cm.d, cm.s, cm.t), tables)
-               for op, tb in zip(family.values(), tbs.values()))
-    assert [list(tbs) for tbs in tables] == [list(family) for family in (cm.d, cm.s, cm.t)]
     assert _outcome(check_identities(cm)) == _matrix_outcome(cm)
 
 
@@ -1032,8 +1028,8 @@ def test_a_table_face_with_one_index_moved_fails_both_checks(name):
     idx[k] = (idx[k] + 1) % (face.cols if face.by_rows else face.rows)
     moved = IndexTable(face.rows, face.cols, face.field, idx, face.val, face.by_rows)
     mutant = replace(cm, d={**cm.d, (2, 0): moved})
-    assert index_tables(mutant)[0][0][(2, 0)] is moved
     assert not check_identities(mutant).ok
+    assert not check_identities(_with_matrices(mutant)).ok
     # b_2 holds the moved face, and b_1 b_2 or b_2 b_3 is checked on it in
     # the unnormalized complex
     d_squared = r"d\^2 != 0 at degree [23]"

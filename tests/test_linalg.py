@@ -1045,11 +1045,16 @@ def test_index_tables_hold_the_shape(field):
         a_rows.table(True) @ b_rows.table(True)
     with pytest.raises(ShapeMismatch):
         b_rows.table(True) @ a_rows.table(True)
-    # a table of rows and one of columns do not compose, nor compare equal
+    # a table of rows and one of columns compose and compare as matrices
     square = _monomial(field, 4, 4, 3)
+    mixed = square.table() @ IndexTable.identity(4, field, True)
+    assert isinstance(mixed, SparseMatrix) and mixed == square
+    assert IndexTable.identity(4, field) == IndexTable.identity(4, field, True)
+    perm = IndexTable(4, 4, field, [2, 0, 3, 1, -1], None)
+    assert perm.table(True) == perm != IndexTable.identity(4, field, True)
+    assert perm.table(True) @ perm.table(True) == perm @ perm == perm.table(True) @ perm
     with pytest.raises(ShapeMismatch):
-        square.table() @ IndexTable.identity(4, field, True)
-    assert IndexTable.identity(4, field) != IndexTable.identity(4, field, True)
+        square.table() @ a_rows.table(True)
     with pytest.raises(ShapeMismatch):
         a.table() @ IndexTable.identity(3, field)
 

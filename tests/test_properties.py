@@ -375,6 +375,10 @@ def _operator_lists(draw, field, rows, cols):
     return dense
 
 
+def _identity_lists(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _two_in_a_line(dense, cols, by_rows):
     lines = dense if by_rows else _lists_transpose(dense, cols)
     return any(sum(map(bool, line)) > 1 for line in lines)
@@ -385,11 +389,13 @@ def _two_in_a_line(dense, cols, by_rows):
 @given(data=st.data())
 def test_tables_and_matrices_answer_one_vocabulary(field, data):
     """m.table(by_rows) is None exactly when a column (row) of m holds two
-    entries, and otherwise has m's shape, entries and matrix.  A table and
-    a matrix compose and compare as matrices: t @ m and m @ t are the
-    matrix products, as matrices, t @ t' of one orientation is the table
-    of the product, and t == m, either way round, exactly when the lists
-    are equal."""
+    entries, and otherwise has m's shape, entries and matrix; t and m are
+    ``is_identity()`` exactly when the lists are the identity.  A table
+    and a matrix, or two tables of different orientations, compose and
+    compare as matrices: t @ m, m @ t and t @ t' are the matrix products,
+    as matrices, t @ t' of one orientation is the table of the product,
+    and t == m and t == t', either way round, exactly when the lists are
+    equal."""
     j, n, k, c = (data.draw(st.integers(0, VOCABULARY_SIDE)) for _ in range(4))
     by_rows = data.draw(st.booleans())
     left, a, other = (data.draw(_operator_lists(field, r, s)) for r, s in ((j, n), (n, k), (n, k)))
@@ -397,7 +403,9 @@ def test_tables_and_matrices_answer_one_vocabulary(field, data):
     x, y, w = (_stored(dense, s, field, range(len(dense))) for dense, s in
                ((left, n), (a, k), (other, k)))
     z = _stored(b, c, field, range(k))
-    for dense, cols, m in ((a, k, y), (b, c, z), (other, k, w)):
+    square = data.draw(st.one_of(st.just(_identity_lists(n)), _operator_lists(field, n, n)))
+    sq = _stored(square, n, field, range(n))
+    for dense, cols, m in ((a, k, y), (b, c, z), (other, k, w), (square, n, sq)):
         for orient in (False, True):
             tb = m.table(orient)
             assert (tb is None) == _two_in_a_line(dense, cols, orient)
@@ -408,7 +416,11 @@ def test_tables_and_matrices_answer_one_vocabulary(field, data):
             _assert_store(tb.matrix(), field)
             assert _as_lists(tb.matrix()) == dense
             assert tb.table(orient) is tb
-            assert (tb.table(not orient) is None) == (m.table(not orient) is None)
+            assert tb.is_identity() == m.is_identity() == (dense == _identity_lists(cols))
+            flipped = tb.table(not orient)
+            assert (flipped is None) == (m.table(not orient) is None)
+            assert flipped is None or (sorted(flipped.entries()) == sorted(m.entries())
+                                       and flipped.by_rows != orient)
     ta, tz = y.table(by_rows), z.table(by_rows)
     if ta is None:
         return
@@ -421,7 +433,14 @@ def test_tables_and_matrices_answer_one_vocabulary(field, data):
         both = ta @ tz
         assert isinstance(both, IndexTable) and both.by_rows == by_rows
         assert _as_lists(both.matrix()) == ab and both == y @ z == both.matrix()
+    crossed = z.table(not by_rows)
+    if crossed is not None:
+        got = ta @ crossed
+        assert isinstance(got, SparseMatrix) and _as_lists(got) == ab
     for m, dense in ((y, a), (w, other)):
         assert (ta == m) == (m == ta) == (dense == a)
         assert (ta != m) == (m != ta) == (dense != a)
+        tm = m.table(not by_rows)
+        if tm is not None:
+            assert (ta == tm) == (tm == ta) == (dense == a) != (ta != tm)
     assert ta != SparseMatrix.zeros(n, k + 1, field) and SparseMatrix.zeros(n + 1, k, field) != ta
