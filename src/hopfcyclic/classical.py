@@ -1,33 +1,31 @@
-"""The finite-group realization of both pictures, done combinatorially.
+"""The finite-group realization of both pictures.
 
-Everything here is exhaustive enumeration on tuples: the two cocyclic
-finite sets of the direct picture (fiber powers of G -> G/H versus
-product-one tuples times G), the two of the dual picture (G^{n+1}/H^{n+1}
-orbits versus orbits of conjugation-translation pairs), their mutually
-inverse operator-intertwining bijections, stabilizer matching, extended
-quotients, and Frobenius reciprocity via the trace decomposition.
+Their four finite cocyclic sets are read off the linear objects over the
+group algebra kG and its subalgebra kK, on which every operator is an
+all-ones column ``IndexTable``, the map of a finite set on its basis:
+each set is the cocyclic dual (``cyclic.cocyclic_dual``) of one object,
+and each bijection between two sets is a transform, whose components are
+permutation matrices.  The direct picture's fiber powers of G -> G/K and
+its pairs ((k_0, ..., k_n), g) with k_0 ... k_n = e are the coextension
+and comodule-algebra objects of ``iso.comodule_algebra_transform``,
+joined by gamma (Theorem 3.7).  The dual picture's orbits G^{n+1}/K^{n+1}
+and orbits of (g; x_0, ..., x_n) in ad(G) x (G/K)^{n+1} are C(kG|kK) and
+the Hopf-cyclic coalgebra object of ``iso.module_coalgebra_transform``,
+joined by phi (Theorem 3.4).  A picture is refused before anything is
+built when its largest space passes ``cyclic.COORDINATE_BUDGET``.
 
-Orbit sets are represented by lexicographically least representatives, so
-equality of quotient data is equality of canonical forms.
-
-Index conventions.  Cofaces insert (or duplicate) at slot i for
-0 <= i <= n+1, with the wrap coface delta_{n+1} = tau . delta_0;
-codegeneracy sigma_j removes what delta_j and delta_{j+1} insert.  The
-dual-picture bijection carries the class of (g_0, ..., g_n) to the class
-of (g_0...g_n; H, g_0 H, ..., g_0...g_{n-1} H): the empty prefix comes
-first, which is what makes the operator indices align on both sides (and
-makes the stabilizer descriptions literally equal).  A cocyclic set holds
-each operator as the all-ones column index table of its map on
-representatives and is checked by ``cyclic.check_identities``, as the
-cocyclic modules are; the bijections between two sets are such tables
-too, composed by ``@`` and compared by ``==``.
+Stabilizers, extended quotients, their transport and Frobenius
+reciprocity stay enumerations on tuples, each refused before it starts
+past ``TUPLE_BUDGET``.  Orbits are kept by lexicographically least
+representatives, and the dual-picture point map carries the class of
+(g_0, ..., g_n) to (g_0...g_n; K, g_0 K, ..., g_0...g_{n-1} K), so the
+stabilizer descriptions are literally equal.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .groups import (
     ClassFunction,
@@ -37,184 +35,113 @@ from .groups import (
     irreducible_characters,
     subgroup_as_group,
 )
-from .cyclic import check_identities
-from .hopf import AxiomCheck, ValidationReport, equality_check
-from .linalg import QQ, IndexTable
+from .cyclic import COORDINATE_BUDGET, check_identities, cocyclic_dual
+from .hopf import (
+    AxiomCheck,
+    ValidationReport,
+    equality_check,
+    group_algebra,
+    setup_from_subalgebra,
+)
+from .iso import comodule_algebra_transform, module_coalgebra_transform
+from .linalg import QQ
+from .presets import _basis_columns
 
 TUPLE_BUDGET = 10 ** 7
 
 
-@dataclass
-class CocyclicFiniteSet:
-    """Per-degree finite sets with cofaces delta[n][i], codegeneracies
-    sigma[n][j] and cocyclic tau[n], named and keyed as in
-    ``cyclic.CocyclicModule``, so ``cyclic.check_identities`` checks them.
-
-    ``elements[n]`` lists canonical representatives; each operator is the
-    all-ones column ``IndexTable`` of its map on indices into the target
-    degree's list (``_map_table``).
-    """
-
-    n_max: int
-    elements: list
-    delta: dict   # (n, i): degree n -> degree n+1, 0 <= i <= n+1
-    sigma: dict   # (n, j): degree n -> degree n-1, 0 <= j <= n-1
-    tau: dict     # n: degree n -> degree n
+def _check_budget(count, formula, unit, budget=TUPLE_BUDGET):
+    """Refuse, before it starts, a run of ``count`` ``unit`` over
+    ``budget``; ``formula`` spells the count out."""
+    if count > budget:
+        raise GroupError(f"tuple budget exceeded: {formula} = {count} {unit} is over the "
+                         f"budget of {budget}")
 
 
-def _map_table(targets, size):
-    """The all-ones column table of the map sending index k to
-    ``targets[k]`` in a set of ``size`` elements."""
-    return IndexTable(size, len(targets), QQ, [*targets, -1], None)
-
-
-def build_cocyclic_set(n_max, elems_fn, coface_fn, codegen_fn, cocyclic_fn):
-    """Assemble a truncated cocyclic set from element enumerators and
-    operator functions on representatives."""
-    elements = [sorted(set(elems_fn(n))) for n in range(n_max + 1)]
-    index = [{e: k for k, e in enumerate(lst)} for lst in elements]
-
-    def table(n, m, fn):
-        return _map_table([index[m][fn(e)] for e in elements[n]], len(elements[m]))
-
-    delta = {(n, i): table(n, n + 1, lambda e: coface_fn(n, i, e))
-             for n in range(n_max) for i in range(n + 2)}
-    sigma = {(n, j): table(n, n - 1, lambda e: codegen_fn(n, j, e))
-             for n in range(1, n_max + 1) for j in range(n)}
-    tau = {n: table(n, n, lambda e: cocyclic_fn(n, e)) for n in range(n_max + 1)}
-    return CocyclicFiniteSet(n_max, elements, delta, sigma, tau)
+def _group_pair(g, sub):
+    """The Galois pair (kG, kK) over Q, K spanned by its basis columns."""
+    h = group_algebra(g, QQ)
+    return setup_from_subalgebra(h, _basis_columns(h, sorted(set(sub))), f"k{g.name}/kK")
 
 
 def intertwining_checks(src, tgt, maps):
-    """maps[n], a table from src degree n to tgt degree n, is bijective and
-    commutes with every operator."""
+    """maps[n], from src degree n to tgt degree n, is a permutation matrix,
+    a bijection of the bases, and commutes with every operator."""
     checks = []
 
     def eq(name, left, right):
         checks.append(AxiomCheck(name, left == right))
 
     N = min(src.n_max, tgt.n_max)
+    ops = {}
     for n in range(N + 1):
-        fwd = maps[n]
-        checks.append(AxiomCheck(
-            f"bijective @ {n}",
-            (fwd.rows, fwd.cols) == (len(tgt.elements[n]), len(src.elements[n]))
-            and fwd.rows == fwd.cols and fwd.table(True) is not None))
+        tb = maps[n].table()  # a permutation matrix: all ones, every row hit once
+        checks.append(AxiomCheck(f"bijective @ {n}", tb is not None and tb.val is None
+                                 and (tb.rows, tb.cols) == (tgt.dims()[n], src.dims()[n])
+                                 and sorted(tb.idx[:-1]) == list(range(tb.rows))))
+        ops[n] = maps[n] if tb is None else tb
     for n in range(N):
         for i in range(n + 2):
             eq(f"intertwines delta{i} @ {n}",
-               maps[n + 1] @ src.delta[(n, i)], tgt.delta[(n, i)] @ maps[n])
+               ops[n + 1] @ src.delta[(n, i)], tgt.delta[(n, i)] @ ops[n])
     for n in range(1, N + 1):
         for j in range(n):
             eq(f"intertwines sigma{j} @ {n}",
-               maps[n - 1] @ src.sigma[(n, j)], tgt.sigma[(n, j)] @ maps[n])
+               ops[n - 1] @ src.sigma[(n, j)], tgt.sigma[(n, j)] @ ops[n])
     for n in range(N + 1):
-        eq(f"intertwines tau @ {n}", maps[n] @ src.tau[n], tgt.tau[n] @ maps[n])
+        eq(f"intertwines tau @ {n}", ops[n] @ src.tau[n], tgt.tau[n] @ ops[n])
     return checks
 
 
+def _mutually_inverse(fwd, bwd):
+    return (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()
+
+
 # ---------------------------------------------------------------------------
-# the direct picture
-
-
-def fiber_power_set(g, sub, n_max):
-    """Tuples (g_0, ..., g_n) lying in a single coset of H."""
-    subset = sorted(set(sub))
-
-    def elems(n):
-        for g0 in g.elements():
-            for hs in itertools.product(subset, repeat=n):
-                tup = [g0]
-                for hh in hs:
-                    tup.append(g.mul(tup[-1], hh))
-                yield tuple(tup)
-
-    def coface(n, i, e):
-        if i <= n:
-            return e[: i + 1] + e[i:]
-        return e + (e[0],)
-
-    def codegen(n, j, e):
-        return e[: j + 1] + e[j + 2:]
-
-    def cocyc(n, e):
-        return e[1:] + (e[0],)
-
-    return build_cocyclic_set(n_max, elems, coface, codegen, cocyc)
-
-
-def product_one_set(g, sub, n_max):
-    """Pairs ((h_0, ..., h_n), g) with h_0 ... h_n = e."""
-    subset = sorted(set(sub))
-    sub_set = set(subset)
-
-    def elems(n):
-        for hs in itertools.product(subset, repeat=n):
-            last = g.inv(g.prod(hs))
-            if last in sub_set:
-                for gg in g.elements():
-                    yield (tuple(hs) + (last,), gg)
-
-    def coface(n, i, e):
-        hs, gg = e
-        return (hs[:i] + (g.identity,) + hs[i:], gg)
-
-    def codegen(n, j, e):
-        hs, gg = e
-        return (hs[:j] + (g.mul(hs[j], hs[j + 1]),) + hs[j + 2:], gg)
-
-    def cocyc(n, e):
-        hs, gg = e
-        return (hs[1:] + (hs[0],), g.mul(gg, hs[0]))
-
-    return build_cocyclic_set(n_max, elems, coface, codegen, cocyc)
+# the two pictures
 
 
 def direct_picture_check(g, sub, n_max):
-    """Both direct-picture cocyclic sets, their identities, size counts,
-    and the mutually inverse operator-intertwining bijections."""
-    tuples = g.order * len(set(sub)) ** n_max
-    if tuples * (n_max + 2) > TUPLE_BUDGET:
-        raise GroupError(f"tuple budget exceeded: {tuples} tuples at degree {n_max} times "
-                         f"{n_max + 2} cofaces is over the budget of {TUPLE_BUDGET}")
-    fiber = fiber_power_set(g, sub, n_max)
-    prod = product_one_set(g, sub, n_max)
-    checks = []
-    checks += check_identities(fiber).checks
-    checks += check_identities(prod).checks
-    order_h = len(set(sub))
-
-    def to_fiber(e):
-        hs, gg = e
-        tup = [gg]
-        for hh in hs[:-1]:
-            tup.append(g.mul(tup[-1], hh))
-        return tuple(tup)
-
-    def to_product(tup):
-        k = len(tup)
-        hs = tuple(g.mul(g.inv(tup[i]), tup[(i + 1) % k]) for i in range(k))
-        return (hs, tup[0])
-
-    maps = {}
+    """The fiber-power and product-one cocyclic sets, their identities and
+    sizes, and gamma and its inverse, mutually inverse and intertwining."""
+    order_k = len(set(sub))
+    _check_budget(max(g.order * order_k ** (n_max + 1), g.order ** (n_max + 1)),
+                  f"max({g.order}*{order_k}^{n_max + 1}, {g.order}^{n_max + 1})",
+                  f"coordinates at degree {n_max}", COORDINATE_BUDGET)
+    gamma, gamma_inv = comodule_algebra_transform(_group_pair(g, sub), n_max)
+    fiber, prod = cocyclic_dual(gamma.target), cocyclic_dual(gamma.source)
+    checks = check_identities(fiber).checks + check_identities(prod).checks
     for n in range(n_max + 1):
-        fib, pro = fiber.elements[n], prod.elements[n]
-        fib_at = {e: k for k, e in enumerate(fib)}
-        pro_at = {e: k for k, e in enumerate(pro)}
-        fwd = _map_table([fib_at[to_fiber(e)] for e in pro], len(fib))
-        bwd = _map_table([pro_at[to_product(e)] for e in fib], len(pro))
-        checks.append(AxiomCheck(f"mutually inverse @ {n}",
-                                 (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()))
+        checks.append(AxiomCheck(f"mutually inverse @ {n}", _mutually_inverse(
+            gamma.components[n], gamma_inv.components[n])))
         checks.append(AxiomCheck(
             f"sizes |G||H|^n @ {n}",
-            len(fib) == len(pro) == g.order * order_h ** n))
-        maps[n] = fwd
-    checks += intertwining_checks(prod, fiber, maps)
+            fiber.dims()[n] == prod.dims()[n] == g.order * order_k ** n))
+    checks += intertwining_checks(prod, fiber, gamma.components)
+    return ValidationReport(checks)
+
+
+def dual_picture_check(g, sub, n_max):
+    """The orbit sets G^{n+1}/K^{n+1} and of conjugation-translation pairs,
+    their identities and counts, and phi and psi, mutually inverse and
+    intertwining."""
+    index = g.order // len(set(sub))
+    _check_budget(max(g.order ** (n_max + 1), index ** (n_max + 1) * g.order),
+                  f"max({g.order}^{n_max + 1}, {index}^{n_max + 1}*{g.order})",
+                  f"coordinates at degree {n_max}", COORDINATE_BUDGET)
+    psi, phi = module_coalgebra_transform(_group_pair(g, sub), n_max)
+    left, right = cocyclic_dual(phi.source), cocyclic_dual(psi.source)
+    checks = check_identities(left).checks + check_identities(right).checks
+    for n in range(n_max + 1):
+        checks.append(AxiomCheck(f"orbit counts agree @ {n}", left.dims()[n] == right.dims()[n]))
+        checks.append(AxiomCheck(f"mutually inverse @ {n}", _mutually_inverse(
+            phi.components[n], psi.components[n])))
+    checks += intertwining_checks(left, right, phi.components)
     return ValidationReport(checks)
 
 
 # ---------------------------------------------------------------------------
-# orbit machinery for the dual picture
+# orbit machinery
 
 
 class QuotientSet:
@@ -222,27 +149,17 @@ class QuotientSet:
 
     def __init__(self, points, neighbors_fn):
         self.canon = {}
-        reps = []
-        seen = set()
         for p in points:
-            if p in seen:
+            if p in self.canon:
                 continue
-            orbit = {p}
-            frontier = [p]
+            orbit, frontier = {p}, [p]
             while frontier:
-                nxt = []
-                for t in frontier:
-                    for t2 in neighbors_fn(t):
-                        if t2 not in orbit:
-                            orbit.add(t2)
-                            nxt.append(t2)
-                frontier = nxt
-            rep = min(orbit)
-            for q in orbit:
-                self.canon[q] = rep
-            seen |= orbit
-            reps.append(rep)
-        self.reps = sorted(reps)
+                for t in neighbors_fn(frontier.pop()):
+                    if t not in orbit:
+                        orbit.add(t)
+                        frontier.append(t)
+            self.canon.update(dict.fromkeys(orbit, min(orbit)))
+        self.reps = sorted(set(self.canon.values()))
         self.index = {r: k for k, r in enumerate(self.reps)}
 
     def __len__(self):
@@ -252,16 +169,13 @@ class QuotientSet:
         return self.index[self.canon[p]]
 
 
-def left_quotient_points(g, n):
-    return list(itertools.product(g.elements(), repeat=n + 1))
-
-
 def left_quotient(g, sub, n):
     """G^{n+1}/H^{n+1} under (g_i) . (h_i) = (h_i^{-1} g_i h_{i+1})."""
     subset = sorted(set(sub))
-    points = left_quotient_points(g, n)
-    if len(points) * (n + 1) * len(subset) > TUPLE_BUDGET:
-        raise GroupError("tuple budget exceeded; use sampling")
+    # (n + 1) |K| neighbors of each of |G|^{n+1} points
+    _check_budget(g.order ** (n + 1) * (n + 1) * len(subset),
+                  f"{g.order}^{n + 1}*{n + 1}*{len(subset)}", f"neighbors at degree {n}")
+    points = list(itertools.product(g.elements(), repeat=n + 1))
 
     def neighbors(t):
         k = len(t)
@@ -287,6 +201,8 @@ def right_quotient(g, gset, n):
 def _conjugation_orbits(g, gset, n, keep):
     """Orbits of gg . (gt, xs) = (gg gt gg^{-1}, gg xs) on the points
     (gt, x_0, ..., x_n) satisfying ``keep``, a condition the action preserves."""
+    _check_budget(g.order * gset.size ** (n + 1), f"{g.order}*{gset.size}^{n + 1}",
+                  f"points at degree {n}")
     points = [t for t in ((gt,) + xs for gt in g.elements()
                           for xs in itertools.product(range(gset.size), repeat=n + 1))
               if keep(t)]
@@ -309,32 +225,6 @@ def _coset_rep(cosets, x):
     return min(cosets[x])
 
 
-def left_picture_set(g, sub, n_max):
-    """G^{n+1}/H^{n+1} with insert-identity cofaces, merge codegeneracies,
-    and left rotation, on canonical representatives."""
-    quotients = {n: left_quotient(g, sub, n) for n in range(n_max + 1)}
-
-    def elems(n):
-        return quotients[n].reps
-
-    def coface(n, i, e):
-        if i <= n:
-            t = e[:i] + (g.identity,) + e[i:]
-        else:
-            t = e + (g.identity,)
-        return quotients[n + 1].canon[t]
-
-    def codegen(n, j, e):
-        t = e[:j] + (g.mul(e[j], e[j + 1]),) + e[j + 2:]
-        return quotients[n - 1].canon[t]
-
-    def cocyc(n, e):
-        return quotients[n].canon[e[1:] + (e[0],)]
-
-    cs = build_cocyclic_set(n_max, elems, coface, codegen, cocyc)
-    return cs, quotients
-
-
 def _right_coface(gset, n, i, t):
     """delta_i on (gt; x_0..x_n): duplicate x_i, or for i = n + 1 append
     gt . x_0, the wrap coface twisted by the conjugation coordinate."""
@@ -351,19 +241,6 @@ def _right_codegen(j, t):
 def _right_cocyclic(gset, t):
     """tau on (gt; x_0..x_n): (gt; x_1, ..., x_n, gt . x_0)."""
     return (t[0],) + t[2:] + (gset.apply(t[0], t[1]),)
-
-
-def right_picture_set(g, gset, n_max):
-    """G \\ (ad(G) x (G/H)^{n+1}) with duplication cofaces (wrap coface
-    twisted by the conjugation coordinate), deletion codegeneracies, and
-    the twisted rotation, on canonical representatives."""
-    quotients = {n: right_quotient(g, gset, n) for n in range(n_max + 1)}
-    cs = build_cocyclic_set(
-        n_max, lambda n: quotients[n].reps,
-        lambda n, i, e: quotients[n + 1].canon[_right_coface(gset, n, i, e)],
-        lambda n, j, e: quotients[n - 1].canon[_right_codegen(j, e)],
-        lambda n, e: quotients[n].canon[_right_cocyclic(gset, e)])
-    return cs, quotients
 
 
 def dual_forward_point(g, gset, base, tup):
@@ -387,33 +264,6 @@ def dual_backward_point(g, cosets, point):
         out.append(g.mul(g.inv(reps[i]), reps[i + 1]))
     out.append(g.mul(g.mul(g.inv(reps[-1]), gt), reps[0]))
     return tuple(out)
-
-
-def dual_picture_check(g, sub, n_max):
-    """Orbit counts, the canonical bijection in both directions, and full
-    operator intertwining for the dual picture."""
-    subset = sorted(set(sub))
-    gset = coset_action(g, subset)
-    base = _base_coset_index(g, gset, subset)
-    cosets = g.left_cosets(subset)
-    left, lq = left_picture_set(g, sub, n_max)
-    right, rq = right_picture_set(g, gset, n_max)
-    checks = []
-    checks += check_identities(left).checks
-    checks += check_identities(right).checks
-    maps = {}
-    for n in range(n_max + 1):
-        checks.append(AxiomCheck(
-            f"orbit counts agree @ {n}", len(left.elements[n]) == len(right.elements[n])))
-        fwd = _map_table([rq[n].class_index(dual_forward_point(g, gset, base, rep))
-                         for rep in left.elements[n]], len(right.elements[n]))
-        bwd = _map_table([lq[n].class_index(dual_backward_point(g, cosets, rep))
-                         for rep in right.elements[n]], len(left.elements[n]))
-        checks.append(AxiomCheck(f"mutually inverse @ {n}",
-                                 (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()))
-        maps[n] = fwd
-    checks += intertwining_checks(left, right, maps)
-    return ValidationReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +321,32 @@ def rhs_stabilizer(g, gset, point):
     )
 
 
+def _unrank(rank, order, length):
+    """The tuple at ``rank`` in the lexicographic list of range(order)^length."""
+    return tuple(rank // order ** k % order for k in reversed(range(length)))
+
+
 def stabilizer_coincidence_check(g, sub, n_max, sample=None, seed=0):
     """For every tuple (or a seeded sample) the brute-force stabilizer, the
-    closed form, and the stabilizer of the image point coincide."""
+    closed form, and the stabilizer of the image point coincide.
+
+    A sample draws ranks into the lexicographic list of G^{n+1} and
+    unranks them, so it picks what sampling the list itself would."""
     subset = sorted(set(sub))
+    drawn = g.order ** (n_max + 1) if sample is None else min(sample, g.order ** (n_max + 1))
+    _check_budget(drawn * len(subset) ** (n_max + 1), f"{drawn}*{len(subset)}^{n_max + 1}",
+                  f"stabilizer candidates at degree {n_max}")
     gset = coset_action(g, subset)
     base = _base_coset_index(g, gset, subset)
     checks = []
     for n in range(n_max + 1):
-        tuples = list(itertools.product(g.elements(), repeat=n + 1))
-        if sample is not None and len(tuples) > sample:
-            rng = random.Random(seed)
-            tuples = rng.sample(tuples, sample)
+        ranks = range(g.order ** (n + 1))
+        if sample is not None and len(ranks) > sample:
+            ranks = random.Random(seed).sample(ranks, sample)
         ok = True
         witness = None
-        for tup in tuples:
+        for rank in ranks:
+            tup = _unrank(rank, g.order, n + 1)
             closed, tuples_ok = lhs_stabilizer_closed_form(g, sub, tup)
             image = dual_forward_point(g, gset, base, tup)
             rhs = rhs_stabilizer(g, gset, image)
@@ -510,7 +371,8 @@ def extended_quotient(g, gset, n):
 def extended_quotient_check(g, gset, n_max):
     """The ambient cocyclic operators restrict to the extended quotients."""
     checks = []
-    fixed = {n: set(extended_quotient(g, gset, n).canon) for n in range(n_max + 2)}
+    # the largest first, so that a refusal comes before any is built
+    fixed = {n: set(extended_quotient(g, gset, n).canon) for n in reversed(range(n_max + 2))}
     for n in range(n_max + 1):
         pts = fixed[n]
         checks.append(AxiomCheck(f"cofaces restrict @ {n}", all(

@@ -29,6 +29,7 @@ from .classical import (
     stabilizer_coincidence_check,
 )
 from .cyclic import (
+    COORDINATE_BUDGET,
     check_identities,
     cyclic_homology,
     hochschild_homology,
@@ -149,9 +150,6 @@ def _clamp_degree(n):
 # cyclic module to degree n + 1, the bar complex to degree n + 1 on ad H);
 # kS3 at degree 5 has 6^7 = 279,936 and peaks near 0.3 GB in HH and HC and
 # 0.16 GB in Tor
-COORDINATE_BUDGET = 500_000
-
-
 def _check_budget(h, n):
     """Refuse, as bad input, a run whose spaces would pass COORDINATE_BUDGET."""
     if h.dim ** (n + 2) > COORDINATE_BUDGET:

@@ -18,15 +18,15 @@ chain's table itself (the rule is stated on ``CyclicModule``).
 Otherwise ``induced_map`` applies each chain only to the sections and
 relation columns of the spaces, never assembling it over the ambient.
 The other two, the coextension and Hopf-cyclic coalgebra cyclic objects,
-are the Connes duals (``cyclic_dual``) of their cocyclic objects.
+are the Connes duals (``cyclic_dual``) of their cocyclic objects, and
+``cocyclic_dual`` inverts that duality.
 
 ``cyclic_identities`` and ``cocyclic_identities`` are the one table of
 simplicial and cyclic identities and the one of cosimplicial and cocyclic
 identities, written with ``@``, ``==`` and ``is_identity()``.
-``check_identities`` runs them on a module's operators as built, and on
-the all-ones index tables of the finite cocyclic sets of ``classical``;
-no operator is converted, since a table and a matrix answer the same
-calls (``linalg.IndexTable``).  ``chain_complex`` is one
+``check_identities`` runs them on a module's operators as built; no
+operator is converted, since a table and a matrix answer the same calls
+(``linalg.IndexTable``).  ``chain_complex`` is one
 ``linalg.ChainComplex`` constructor for HH and HC: the Hochschild complex
 with b_q (the faces) at block (q - 1, q), and the (b, B) total complex,
 Tot_n = C_n + C_{n-2} + ..., with B_q (the composites t^a s_q t^k, tables
@@ -35,7 +35,7 @@ the normalized chains by ``ChainComplex.quotient``, Tor's rule too: the
 degeneracies s_j give D where each is a column table, as on a group
 algebra or H4, whose unit is a basis vector; otherwise, as on a function
 algebra, on all of C.  No function here asks an operator's kind: the
-``cyclic_dual`` of a module of tables is one of tables.
+dual of a module of tables is one of tables.
 
 Truncation semantics: both complexes stop at n_max, so HH_n and HC_n are
 trusted up to n_max - 1: they read b up to degree n + 1, and HC reads B
@@ -72,6 +72,11 @@ from .linalg import (
 
 class TruncationError(HopfError):
     pass
+
+
+# the most coordinates a space of one run may have: a run past it is
+# refused before anything is built (``cli``, and ``classical``'s pictures)
+COORDINATE_BUDGET = 500_000
 
 
 @dataclass
@@ -122,11 +127,10 @@ class CocyclicModule:
 
 
 def check_identities(x):
-    """Every identity of a cyclic or cocyclic module, or of a finite
-    cocyclic set of ``classical``, within its truncation, on its operators
-    as built: tables compose as tables, matrices by exact products, and a
-    table with a matrix or with a table of the other orientation as
-    matrices."""
+    """Every identity of a cyclic or cocyclic module within its
+    truncation, on its operators as built: tables compose as tables,
+    matrices by exact products, and a table with a matrix or with a table
+    of the other orientation as matrices."""
     if isinstance(x, CyclicModule):
         table = cyclic_identities(x.n_max, x.d, x.s, x.t)
     else:
@@ -185,9 +189,8 @@ def cocyclic_identities(n_max, delta, sigma, tau):
 
     ``delta[(n, i)]``, ``sigma[(n, j)]`` and ``tau[n]`` are the operators
     keyed as in ``CocyclicModule``, composed by ``@`` and compared by
-    ``==``: tables or matrices for cocyclic modules, all-ones index tables
-    for the finite cocyclic sets of ``classical``; an identity whose
-    right-hand side is id holds when the left is ``is_identity()``.
+    ``==``; an identity whose right-hand side is id holds when the left is
+    ``is_identity()``.
     """
     N = n_max
     for n in range(N - 1):
@@ -525,12 +528,8 @@ def cyclic_dual(ccm):
     the degree otherwise), on the same spaces and in ccm's operator kind."""
     dops, sops, tops = {}, {}, {}
     for n in range(ccm.n_max + 1):
-        tau = t = ccm.tau[n]
-        for _ in range(n - 1):
-            t = tau @ t
-        if not (tau @ t if n else tau).is_identity():
-            raise NotWellDefined(f"not a cocyclic module: tau^{n + 1} != id at degree {n}")
-        tops[n] = t
+        tau = ccm.tau[n]
+        tops[n] = _inverse_rotation(tau, n, "cocyclic module: tau")
         if n >= 1:
             dops[(n, 0)] = ccm.sigma[(n, n - 1)] @ tau
             for i in range(1, n + 1):
@@ -539,6 +538,34 @@ def cyclic_dual(ccm):
             for j in range(n + 1):
                 sops[(n, j)] = ccm.delta[(n, j)]
     return CyclicModule(ccm.n_max, ccm.spaces, dops, sops, tops, name=f"dual({ccm.name})")
+
+
+def cocyclic_dual(cm):
+    """The inverse of ``cyclic_dual``: delta_j = s_j for j <= n,
+    delta_{n+1} = tau delta_0, sigma_j = d_{j+1} and tau = t^n, which is
+    t^{-1} once t^{n+1} = 1 is checked (NotWellDefined names the degree
+    otherwise), on the same spaces and in cm's operator kind."""
+    delta, sigma, tau = {}, {}, {}
+    for n in range(cm.n_max + 1):
+        tau[n] = _inverse_rotation(cm.t[n], n, "cyclic module: t")
+        for j in range(n):
+            sigma[(n, j)] = cm.d[(n, j + 1)]
+    for n in range(cm.n_max):
+        for j in range(n + 1):
+            delta[(n, j)] = cm.s[(n, j)]
+        delta[(n, n + 1)] = tau[n + 1] @ delta[(n, 0)]
+    return CocyclicModule(cm.n_max, cm.spaces, delta, sigma, tau, name=f"dual({cm.name})")
+
+
+def _inverse_rotation(rot, n, what):
+    """rot^n, the inverse of the degree-n rotation rot once rot^{n+1} = id
+    is checked; ``what`` names the module and the operator if it is not."""
+    power = rot
+    for _ in range(n - 1):
+        power = rot @ power
+    if not (rot @ power if n else rot).is_identity():
+        raise NotWellDefined(f"not a {what}^{n + 1} != id at degree {n}")
+    return power
 
 
 # ---------------------------------------------------------------------------

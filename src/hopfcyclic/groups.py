@@ -1,8 +1,9 @@
 """Finite groups by multiplication table, group actions, and class functions.
 
-Groups are kept deliberately small (built-ins up to order 12): every check
-in the dual-picture machinery is an exhaustive enumeration over tuples, so
-the multiplication table representation is the right level of generality.
+Groups are kept small (built-ins up to order 12), so the multiplication
+table representation is the right level of generality: ``classical``
+reads its two pictures off the group algebra and bounds what it still
+enumerates on tuples by its ``TUPLE_BUDGET``.
 
 The built-in groups are data: cyclic groups under addition mod n, S3 and A4
 as permutation groups, and Q8 as the unit quaternions under the Hamilton

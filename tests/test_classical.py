@@ -1,8 +1,12 @@
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
+import classical_reference as reference
 from hopfcyclic.groups import (
+    BUILTIN_GROUPS,
     CHARACTER_TABLES,
     ClassFunction,
     FiniteGroup,
@@ -14,18 +18,23 @@ from hopfcyclic.groups import (
     subgroup_as_group,
 )
 from hopfcyclic.classical import (
+    TUPLE_BUDGET,
+    _group_pair,
+    _unrank,
     class_function_dim_check,
     direct_picture_check,
     dual_picture_check,
     extended_quotient,
     extended_quotient_check,
     extended_quotient_transport_check,
-    fiber_power_set,
     frobenius_reciprocity_check,
     induce_class_function,
+    intertwining_checks,
+    left_quotient,
     stabilizer_coincidence_check,
 )
-from hopfcyclic.cyclic import check_identities
+from hopfcyclic.cyclic import check_identities, cocyclic_dual
+from hopfcyclic.iso import comodule_algebra_transform, module_coalgebra_transform
 from hopfcyclic.linalg import QQ, IndexTable
 from support import group_algebra_hh0
 
@@ -158,21 +167,31 @@ def test_extended_quotient_check_every_s3_subgroup(gens):
     assert rep.ok, [c.name for c in rep.failures()]
 
 
+def _fiber_power_set(n_max):
+    """The fiber powers of S3 -> S3/<(12)>, read off the coextension object."""
+    gamma, _ = comodule_algebra_transform(_group_pair(S3, C2_IN_S3), n_max)
+    return cocyclic_dual(gamma.target)
+
+
 def test_cocyclic_sets_and_modules_check_the_same_identities():
     from hopfcyclic.cyclic import relative_cocyclic_coext
     from hopfcyclic.presets import builtin_setup
 
     s = builtin_setup("kC2/k")
     module = check_identities(relative_cocyclic_coext(s.hopf, s.quotient, 3))
-    finite = check_identities(fiber_power_set(S3, C2_IN_S3, 3))
-    assert [c.name for c in module.checks] == [c.name for c in finite.checks]
+    finite = check_identities(reference.fiber_power_set(S3, C2_IN_S3, 3))
+    read = check_identities(_fiber_power_set(3))
+    assert [c.name for c in module.checks] == [c.name for c in finite.checks] == \
+        [c.name for c in read.checks]
 
 
 def test_mutant_cocyclic_set_fails():
-    """The rotation in degree 1, a column table, with two indices swapped."""
-    cs = fiber_power_set(S3, C2_IN_S3, 2)
+    """The rotation in degree 1, an all-ones column table of the set read
+    off the coextension object, with two indices swapped."""
+    cs = _fiber_power_set(2)
     assert check_identities(cs).ok
     tau = cs.tau[1]
+    assert tau.val is None and not tau.by_rows
     swapped = list(tau.idx)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     mutant = replace(cs, tau={**cs.tau, 1: IndexTable(tau.rows, tau.cols, QQ, swapped, None)})
@@ -234,8 +253,8 @@ def test_classical_matches_algebraic_dims():
 
     s = builtin_setup("OS3/OC2")
     cm = relative_cyclic(s.hopf, s.subalgebra, 2)
-    fps = fiber_power_set(S3, C2_IN_S3, 2)
-    assert cm.dims() == [len(e) for e in fps.elements]
+    assert cm.dims() == _fiber_power_set(2).dims() == \
+        reference.fiber_power_set(S3, C2_IN_S3, 2).dims()
 
 
 def test_dual_orbit_count_matches_coextension_dims():
@@ -248,3 +267,76 @@ def test_dual_orbit_count_matches_coextension_dims():
     for n in range(2):
         cox = coextension_space(s.hopf, s.quotient, n + 1)
         assert cox.dim == len(left_quotient(S3, C2_IN_S3, n))
+
+
+def test_left_quotient_past_the_tuple_budget_names_its_count():
+    # said "use sampling", which no command offers
+    c60 = FiniteGroup("C60", [str(k) for k in range(60)],
+                      [[(a + b) % 60 for b in range(60)] for a in range(60)])
+    with pytest.raises(GroupError, match=f"60\\^4\\*4\\*1 = 51840000 neighbors at degree 3 "
+                                         f"is over the budget of {TUPLE_BUDGET}$"):
+        left_quotient(c60, [0], 3)
+
+
+@pytest.mark.parametrize("order, seed", [(2, 0), (3, 7), (6, 1), (12, 42)])
+def test_sampled_ranks_unrank_to_the_tuples_a_sampled_list_holds(order, seed):
+    for length in (2, 3):
+        tuples = list(itertools.product(range(order), repeat=length))
+        k = min(40, len(tuples) - 1)
+        drawn = [_unrank(r, order, length)
+                 for r in random.Random(seed).sample(range(len(tuples)), k)]
+        assert drawn == random.Random(seed).sample(tuples, k)
+
+
+def _subgroups(g):
+    """The trivial subgroup, each cyclic subgroup once, and the whole group."""
+    subs = {(g.identity,): [g.identity], tuple(g.elements()): list(g.elements())}
+    for x in g.elements():
+        closure = g.subgroup_closure([x])
+        subs.setdefault(tuple(closure), closure)
+    return list(subs.values())
+
+
+def _reference_cases():
+    for name in BUILTIN_GROUPS:
+        g = builtin_group(name)
+        for sub in _subgroups(g):
+            yield pytest.param(name, sub, id=f"{name}-{'.'.join(g.names[x] for x in sub)}")
+
+
+@pytest.mark.parametrize("name, sub", _reference_cases())
+def test_pictures_read_off_kg_match_the_hand_enumerated_sets(name, sub):
+    """Both pictures check the same (name, ok) lists on the linear objects
+    over kG as on the hand-enumerated sets, all passing, on sets of the
+    same sizes: degree 2, and the direct picture to 3 on S3, C4 and Q8."""
+    g = builtin_group(name)
+    n_direct = 3 if name in ("S3", "C4", "Q8") else 2
+    for check, n in ((direct_picture_check, n_direct), (dual_picture_check, 2)):
+        mine = [(c.name, c.ok) for c in check(g, sub, n).checks]
+        theirs = [(c.name, c.ok) for c in getattr(reference, check.__name__)(g, sub, n).checks]
+        assert mine == theirs, check.__name__
+        assert all(ok for _, ok in mine), check.__name__
+    pair = _group_pair(g, sub)
+    gamma, _ = comodule_algebra_transform(pair, n_direct)
+    psi, phi = module_coalgebra_transform(pair, 2)
+    read = [cocyclic_dual(x).dims() for x in (gamma.target, gamma.source, phi.source, psi.source)]
+    gset = coset_action(g, sub)
+    assert read == [reference.fiber_power_set(g, sub, n_direct).dims(),
+                    reference.product_one_set(g, sub, n_direct).dims(),
+                    reference.left_picture_set(g, sub, 2)[0].dims(),
+                    reference.right_picture_set(g, gset, 2)[0].dims()]
+
+
+def test_a_map_that_is_no_permutation_is_not_bijective():
+    """gamma's degree-1 component, scaled by 2 or with two columns sent to
+    one basis element, fails "bijective @ 1" and nothing in degree 0."""
+    gamma, _ = comodule_algebra_transform(_group_pair(S3, C2_IN_S3), 1)
+    src, tgt = cocyclic_dual(gamma.source), cocyclic_dual(gamma.target)
+    assert all(c.ok for c in intertwining_checks(src, tgt, gamma.components))
+    tb = gamma.components[1].table()
+    merged = list(tb.idx)
+    merged[1] = merged[0]
+    for bad in (gamma.components[1].scale(QQ.from_int(2)),
+                IndexTable(tb.rows, tb.cols, QQ, merged, None)):
+        checks = {c.name: c.ok for c in intertwining_checks(src, tgt, {**gamma.components, 1: bad})}
+        assert not checks["bijective @ 1"] and checks["bijective @ 0"]

@@ -491,6 +491,28 @@ def test_classical_direct_picture_past_the_tuple_budget_exits_two(tmp_path):
     assert "tuple budget exceeded" in json.loads(text)["error"]
 
 
+@pytest.mark.parametrize("options, detail", [
+    # each took 23 s, 32 s and over a minute before it was refused up front
+    (["--op", "stabilizers", "--max-degree", "2"],
+     "3600*60^2 = 12960000 stabilizer candidates at degree 1 is over the budget of 10000000"),
+    (["--op", "extended", "--subgroup", "0"],
+     "60*60^3 = 12960000 points at degree 2 is over the budget of 10000000"),
+    (["--op", "dual", "--subgroup", "0"],
+     "max(60^3, 60^3*60) = 12960000 coordinates at degree 2 is over the budget of 500000"),
+    # the coextension object's tables span 60^4 coordinates even where K is trivial
+    (["--op", "direct", "--subgroup", "0", "--max-degree", "3"],
+     "max(60*1^4, 60^4) = 12960000 coordinates at degree 3 is over the budget of 500000"),
+], ids=["stabilizers", "extended", "dual", "direct"])
+def test_classical_past_a_budget_exits_two_before_enumerating(tmp_path, options, detail):
+    c60 = [[(a + b) % 60 for b in range(60)] for a in range(60)]
+    start = time.monotonic()
+    code, text = _classical_on_group_file(tmp_path, {"name": "C60", "order": 60, "table": c60},
+                                          *options)
+    assert code == 2, text
+    assert json.loads(text)["error"] == f"tuple budget exceeded: {detail}"
+    assert time.monotonic() - start < 2
+
+
 def _c12_spec():
     """The group algebra of C12 as a Hopf algebra file."""
     n = 12

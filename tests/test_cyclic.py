@@ -10,6 +10,7 @@ from hopfcyclic.cyclic import (
     check_identities,
     coext_cyclic,
     coextension_space,
+    cocyclic_dual,
     cyclic_dual,
     cyclic_homology,
     hochschild_homology,
@@ -255,6 +256,35 @@ def test_connes_dual_refuses_a_rotation_whose_cube_is_not_the_identity(as_table)
     assert check_identities(cyclic_dual(replace(mutant, n_max=1))).ok
     with pytest.raises(NotWellDefined, match="at degree 2$"):
         cyclic_dual(mutant)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+@pytest.mark.parametrize("name", SETUP_NAMES)
+def test_cocyclic_dual_inverts_the_connes_dual(name, field):
+    """Both cocyclic modules of every pair come back from their Connes
+    duals, and C(H|B) from its cocyclic dual, operator by operator."""
+    built = _six_constructions(name, field)
+    for kind in ("relative_cocyclic_coext", "hopf_cocyclic_coalgebra", "relative_cyclic"):
+        x = built[kind]
+        back = cyclic_dual(cocyclic_dual(x)) if kind == "relative_cyclic" \
+            else cocyclic_dual(cyclic_dual(x))
+        assert back.spaces is x.spaces, kind
+        for mine, theirs in zip(_operator_dicts(back), _operator_dicts(x)):
+            assert mine.keys() == theirs.keys(), kind
+            for key, op in mine.items():
+                assert op == theirs[key], (kind, key)
+
+
+def test_cocyclic_dual_refuses_a_rotation_whose_cube_is_not_the_identity():
+    """t_2 of C(kS3|kC2) replaced by the transposition of two coordinates:
+    the cocyclic dual names degree 2, and below it the mutant dualizes."""
+    cm = _six_constructions("kS3/kC2", QQ)["relative_cyclic"]
+    dim = cm.spaces[2].dim
+    swap = SparseMatrix(dim, dim, QQ, {0: {1: 1}, 1: {0: 1}, **{i: {i: 1} for i in range(2, dim)}})
+    mutant = replace(cm, t={**cm.t, 2: swap.table()})
+    assert check_identities(cocyclic_dual(replace(mutant, n_max=1))).ok
+    with pytest.raises(NotWellDefined, match="t\\^3 != id at degree 2$"):
+        cocyclic_dual(mutant)
 
 
 # ---------------------------------------------------------------------------
