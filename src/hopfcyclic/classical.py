@@ -9,15 +9,20 @@ permutation matrices.  The direct picture's fiber powers of G -> G/K and
 its pairs ((k_0, ..., k_n), g) with k_0 ... k_n = e are the coextension
 and comodule-algebra objects of ``iso.comodule_algebra_transform``,
 joined by gamma (Theorem 3.7).  The dual picture's orbits G^{n+1}/K^{n+1}
-and orbits of (g; x_0, ..., x_n) in ad(G) x (G/K)^{n+1} are C(kG|kK) and
-the Hopf-cyclic coalgebra object of ``iso.module_coalgebra_transform``,
+and orbits of (K r_0, ..., K r_n; m) in (K\\G)^{n+1} x ad(G) are C(kG|kK)
+and the Hopf-cyclic coalgebra object of ``iso.module_coalgebra_transform``,
 joined by phi (Theorem 3.4).  A picture is refused before anything is
 built when its largest space passes ``cyclic.COORDINATE_BUDGET``.
 
-Stabilizers, extended quotients, their transport and Frobenius
-reciprocity stay enumerations on tuples, each refused before it starts
-past ``TUPLE_BUDGET``.  Orbits are kept by lexicographically least
-representatives, and the dual-picture point map carries the class of
+The extended quotients, their transport and the Frobenius trace are read
+off the dual picture (``dual_picture``), built once per run.  The extended
+quotient at degree n holds the basis vectors (K r_0, ..., K r_n; m) of
+the Hopf-cyclic coalgebra object with every r_i m r_i^{-1} in K, decoded
+from the monomial section of its space; psi carries it onto the basis
+vectors of C(kG|kK) whose cyclic rotations all multiply into K.  The
+Frobenius trace reads the orbit of each conjugation pair (K r, m) off the
+degree-0 projection.  Only the stabilizers stay an enumeration on tuples,
+refused before it starts past ``TUPLE_BUDGET``; their point map carries
 (g_0, ..., g_n) to (g_0...g_n; K, g_0 K, ..., g_0...g_{n-1} K), so the
 stabilizer descriptions are literally equal.
 """
@@ -26,25 +31,32 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from .groups import (
     ClassFunction,
-    GSet,
     GroupError,
     coset_action,
     irreducible_characters,
     subgroup_as_group,
 )
-from .cyclic import COORDINATE_BUDGET, check_identities, cocyclic_dual
+from .cyclic import COORDINATE_BUDGET, check_identities, cocyclic_dual, cocyclic_identities
 from .hopf import (
     AxiomCheck,
     ValidationReport,
+    commutator_quotient,
     equality_check,
     group_algebra,
     setup_from_subalgebra,
+    subalgebra_from_columns,
 )
-from .iso import comodule_algebra_transform, module_coalgebra_transform
-from .linalg import QQ
+from .iso import (
+    CyclicMap,
+    _mutually_inverse,
+    comodule_algebra_transform,
+    module_coalgebra_transform,
+)
+from .linalg import QQ, SubquotientSpace, tensor_unindex
 from .presets import _basis_columns
 
 TUPLE_BUDGET = 10 ** 7
@@ -64,37 +76,33 @@ def _group_pair(g, sub):
     return setup_from_subalgebra(h, _basis_columns(h, sorted(set(sub))), f"k{g.name}/kK")
 
 
-def intertwining_checks(src, tgt, maps):
+def intertwining_checks(src, tgt, maps, n_max):
     """maps[n], from src degree n to tgt degree n, is a permutation matrix,
-    a bijection of the bases, and commutes with every operator."""
+    a bijection of the bases, and commutes with every operator, in
+    degrees 0..n_max."""
     checks = []
 
     def eq(name, left, right):
         checks.append(AxiomCheck(name, left == right))
 
-    N = min(src.n_max, tgt.n_max)
     ops = {}
-    for n in range(N + 1):
+    for n in range(n_max + 1):
         tb = maps[n].table()  # a permutation matrix: all ones, every row hit once
         checks.append(AxiomCheck(f"bijective @ {n}", tb is not None and tb.val is None
                                  and (tb.rows, tb.cols) == (tgt.dims()[n], src.dims()[n])
                                  and sorted(tb.idx[:-1]) == list(range(tb.rows))))
         ops[n] = maps[n] if tb is None else tb
-    for n in range(N):
+    for n in range(n_max):
         for i in range(n + 2):
             eq(f"intertwines delta{i} @ {n}",
                ops[n + 1] @ src.delta[(n, i)], tgt.delta[(n, i)] @ ops[n])
-    for n in range(1, N + 1):
+    for n in range(1, n_max + 1):
         for j in range(n):
             eq(f"intertwines sigma{j} @ {n}",
                ops[n - 1] @ src.sigma[(n, j)], tgt.sigma[(n, j)] @ ops[n])
-    for n in range(N + 1):
+    for n in range(n_max + 1):
         eq(f"intertwines tau @ {n}", ops[n] @ src.tau[n], tgt.tau[n] @ ops[n])
     return checks
-
-
-def _mutually_inverse(fwd, bwd):
-    return (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -117,153 +125,47 @@ def direct_picture_check(g, sub, n_max):
         checks.append(AxiomCheck(
             f"sizes |G||H|^n @ {n}",
             fiber.dims()[n] == prod.dims()[n] == g.order * order_k ** n))
-    checks += intertwining_checks(prod, fiber, gamma.components)
+    checks += intertwining_checks(prod, fiber, gamma.components, n_max)
     return ValidationReport(checks)
 
 
-def dual_picture_check(g, sub, n_max):
-    """The orbit sets G^{n+1}/K^{n+1} and of conjugation-translation pairs,
-    their identities and counts, and phi and psi, mutually inverse and
-    intertwining."""
+@dataclass
+class DualPicture:
+    """psi and phi of (kG, kK) to one degree.  The basis vectors c of
+    C = kG/kK^+ kG are the right cosets K r, and C's section lifts c to
+    reps[c] = r."""
+
+    psi: CyclicMap
+    phi: CyclicMap
+    reps: list
+
+
+def dual_picture(g, sub, n_max):
+    """The dual picture of (G, K) to degree n_max, built once for every
+    check that reads it; refused before anything is built when its
+    largest space passes ``COORDINATE_BUDGET``."""
     index = g.order // len(set(sub))
     _check_budget(max(g.order ** (n_max + 1), index ** (n_max + 1) * g.order),
                   f"max({g.order}^{n_max + 1}, {index}^{n_max + 1}*{g.order})",
                   f"coordinates at degree {n_max}", COORDINATE_BUDGET)
-    psi, phi = module_coalgebra_transform(_group_pair(g, sub), n_max)
-    left, right = cocyclic_dual(phi.source), cocyclic_dual(psi.source)
-    checks = check_identities(left).checks + check_identities(right).checks
+    pair = _group_pair(g, sub)
+    psi, phi = module_coalgebra_transform(pair, n_max)
+    return DualPicture(psi, phi, pair.quotient.space.section.table().idx[:-1])
+
+
+def dual_picture_check(picture, n_max):
+    """The orbit sets G^{n+1}/K^{n+1} and of conjugation-translation pairs,
+    their identities and counts, and phi and psi, mutually inverse and
+    intertwining, in degrees 0..n_max of ``picture``."""
+    left, right = cocyclic_dual(picture.phi.source), cocyclic_dual(picture.psi.source)
+    checks = [AxiomCheck(name, holds) for x in (left, right)
+              for name, holds in cocyclic_identities(n_max, x.delta, x.sigma, x.tau)]
     for n in range(n_max + 1):
         checks.append(AxiomCheck(f"orbit counts agree @ {n}", left.dims()[n] == right.dims()[n]))
         checks.append(AxiomCheck(f"mutually inverse @ {n}", _mutually_inverse(
-            phi.components[n], psi.components[n])))
-    checks += intertwining_checks(left, right, phi.components)
+            picture.phi.components[n], picture.psi.components[n])))
+    checks += intertwining_checks(left, right, picture.phi.components, n_max)
     return ValidationReport(checks)
-
-
-# ---------------------------------------------------------------------------
-# orbit machinery
-
-
-class QuotientSet:
-    """Orbits of a finite group action, canonical lex-least representatives."""
-
-    def __init__(self, points, neighbors_fn):
-        self.canon = {}
-        for p in points:
-            if p in self.canon:
-                continue
-            orbit, frontier = {p}, [p]
-            while frontier:
-                for t in neighbors_fn(frontier.pop()):
-                    if t not in orbit:
-                        orbit.add(t)
-                        frontier.append(t)
-            self.canon.update(dict.fromkeys(orbit, min(orbit)))
-        self.reps = sorted(set(self.canon.values()))
-        self.index = {r: k for k, r in enumerate(self.reps)}
-
-    def __len__(self):
-        return len(self.reps)
-
-    def class_index(self, p):
-        return self.index[self.canon[p]]
-
-
-def left_quotient(g, sub, n):
-    """G^{n+1}/H^{n+1} under (g_i) . (h_i) = (h_i^{-1} g_i h_{i+1})."""
-    subset = sorted(set(sub))
-    # (n + 1) |K| neighbors of each of |G|^{n+1} points
-    _check_budget(g.order ** (n + 1) * (n + 1) * len(subset),
-                  f"{g.order}^{n + 1}*{n + 1}*{len(subset)}", f"neighbors at degree {n}")
-    points = list(itertools.product(g.elements(), repeat=n + 1))
-
-    def neighbors(t):
-        k = len(t)
-        out = []
-        for slot in range(k):
-            for hh in subset:
-                hs = [g.identity] * k
-                hs[slot] = hh
-                out.append(tuple(
-                    g.mul(g.mul(g.inv(hs[i]), t[i]), hs[(i + 1) % k])
-                    for i in range(k)
-                ))
-        return out
-
-    return QuotientSet(points, neighbors)
-
-
-def right_quotient(g, gset, n):
-    """G \\ (ad(G) x X^{n+1}) under gg . (gt, xs) = (gg gt gg^{-1}, gg xs)."""
-    return _conjugation_orbits(g, gset, n, lambda t: True)
-
-
-def _conjugation_orbits(g, gset, n, keep):
-    """Orbits of gg . (gt, xs) = (gg gt gg^{-1}, gg xs) on the points
-    (gt, x_0, ..., x_n) satisfying ``keep``, a condition the action preserves."""
-    _check_budget(g.order * gset.size ** (n + 1), f"{g.order}*{gset.size}^{n + 1}",
-                  f"points at degree {n}")
-    points = [t for t in ((gt,) + xs for gt in g.elements()
-                          for xs in itertools.product(range(gset.size), repeat=n + 1))
-              if keep(t)]
-
-    def neighbors(t):
-        return [(g.conj(gg, t[0]),) + tuple(gset.apply(gg, x) for x in t[1:])
-                for gg in g.elements()]
-
-    return QuotientSet(points, neighbors)
-
-
-def _base_coset_index(g, gset, subset):
-    for k, cs in enumerate(g.left_cosets(subset)):
-        if g.identity in cs:
-            return k
-    raise GroupError("no base coset")
-
-
-def _coset_rep(cosets, x):
-    return min(cosets[x])
-
-
-def _right_coface(gset, n, i, t):
-    """delta_i on (gt; x_0..x_n): duplicate x_i, or for i = n + 1 append
-    gt . x_0, the wrap coface twisted by the conjugation coordinate."""
-    if i <= n:
-        return t[: i + 2] + t[i + 1:]
-    return t + (gset.apply(t[0], t[1]),)
-
-
-def _right_codegen(j, t):
-    """sigma_j on (gt; x_0..x_n): delete x_{j+1}."""
-    return t[: j + 2] + t[j + 3:]
-
-
-def _right_cocyclic(gset, t):
-    """tau on (gt; x_0..x_n): (gt; x_1, ..., x_n, gt . x_0)."""
-    return (t[0],) + t[2:] + (gset.apply(t[0], t[1]),)
-
-
-def dual_forward_point(g, gset, base, tup):
-    """(g_0, ..., g_n) -> (g_0...g_n; H, g_0 H, ..., g_0...g_{n-1} H)."""
-    xs = [base]
-    acc = g.identity
-    for gi in tup[:-1]:
-        acc = g.mul(acc, gi)
-        xs.append(gset.apply(acc, base))
-    total = g.mul(acc, tup[-1])
-    return (total,) + tuple(xs)
-
-
-def dual_backward_point(g, cosets, point):
-    """(gt; x_0, ..., x_n) -> (r_0^{-1} r_1, ..., r_{n-1}^{-1} r_n,
-    r_n^{-1} gt r_0) using the lex-least coset representatives."""
-    gt, xs = point[0], point[1:]
-    reps = [_coset_rep(cosets, x) for x in xs]
-    out = []
-    for i in range(len(xs) - 1):
-        out.append(g.mul(g.inv(reps[i]), reps[i + 1]))
-    out.append(g.mul(g.mul(g.inv(reps[-1]), gt), reps[0]))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +223,24 @@ def rhs_stabilizer(g, gset, point):
     )
 
 
+def _base_coset_index(g, gset, subset):
+    for k, cs in enumerate(g.left_cosets(subset)):
+        if g.identity in cs:
+            return k
+    raise GroupError("no base coset")
+
+
+def dual_forward_point(g, gset, base, tup):
+    """(g_0, ..., g_n) -> (g_0...g_n; H, g_0 H, ..., g_0...g_{n-1} H)."""
+    xs = [base]
+    acc = g.identity
+    for gi in tup[:-1]:
+        acc = g.mul(acc, gi)
+        xs.append(gset.apply(acc, base))
+    total = g.mul(acc, tup[-1])
+    return (total,) + tuple(xs)
+
+
 def _unrank(rank, order, length):
     """The tuple at ``rank`` in the lexicographic list of range(order)^length."""
     return tuple(rank // order ** k % order for k in reversed(range(length)))
@@ -362,48 +282,54 @@ def stabilizer_coincidence_check(g, sub, n_max, sample=None, seed=0):
 # extended quotients
 
 
-def extended_quotient(g, gset, n):
-    """Orbits of (gt, x_0..x_n) with gt fixing every coordinate."""
-    return _conjugation_orbits(
-        g, gset, n, lambda t: all(gset.apply(t[0], x) == x for x in t[1:]))
+def _points(space, dims):
+    """The ambient multi-index, on legs of ``dims``, that the monomial
+    section of ``space`` lifts each basis vector to."""
+    return [tensor_unindex(dims, a) for a in space.section.table().idx[:-1]]
 
 
-def extended_quotient_check(g, gset, n_max):
-    """The ambient cocyclic operators restrict to the extended quotients."""
+def extended_quotient(g, sub, picture, n):
+    """The basis vectors (K r_0, ..., K r_n; m) of the Hopf-cyclic
+    coalgebra object at degree n with r_i m r_i^{-1} in K for every i:
+    m fixes every coset."""
+    subset = set(sub)
+    dims = [len(picture.reps)] * (n + 1) + [g.order]
+    return {k for k, (*cs, m) in enumerate(_points(picture.psi.source.spaces[n], dims))
+            if all(g.conj(picture.reps[c], m) in subset for c in cs)}
+
+
+def extended_quotient_check(g, sub, picture, n_max):
+    """The cocyclic operators of the orbit set of pairs restrict to the
+    extended quotients, which ``picture`` holds up to degree n_max + 1."""
+    ops = cocyclic_dual(picture.psi.source)
+    fixed = [extended_quotient(g, sub, picture, n) for n in range(n_max + 2)]
+
+    def restricts(op, n, m):
+        idx = op.table().idx
+        return all(idx[k] in fixed[m] for k in fixed[n])
+
     checks = []
-    # the largest first, so that a refusal comes before any is built
-    fixed = {n: set(extended_quotient(g, gset, n).canon) for n in reversed(range(n_max + 2))}
     for n in range(n_max + 1):
-        pts = fixed[n]
         checks.append(AxiomCheck(f"cofaces restrict @ {n}", all(
-            _right_coface(gset, n, i, t) in fixed[n + 1] for t in pts for i in range(n + 2))))
+            restricts(ops.delta[(n, i)], n, n + 1) for i in range(n + 2))))
         if n >= 1:
             checks.append(AxiomCheck(f"codegeneracies restrict @ {n}", all(
-                _right_codegen(j, t) in fixed[n - 1] for t in pts for j in range(n))))
-        checks.append(AxiomCheck(f"cocyclic restricts @ {n}", all(
-            _right_cocyclic(gset, t) in fixed[n] for t in pts)))
+                restricts(ops.sigma[(n, j)], n, n - 1) for j in range(n))))
+        checks.append(AxiomCheck(f"cocyclic restricts @ {n}", restricts(ops.tau[n], n, n)))
     return ValidationReport(checks)
 
 
-def extended_quotient_transport_check(g, sub, n_max):
-    """The inverse dual-picture map carries the extended quotients onto the
-    classes of tuples whose cyclic rotations all multiply into H."""
-    subset = sorted(set(sub))
-    gset = coset_action(g, subset)
-    cosets = g.left_cosets(subset)
-    sub_set = set(subset)
+def extended_quotient_transport_check(g, sub, picture, n_max):
+    """psi carries the extended quotients onto the basis vectors of
+    C(kG|kK) whose cyclic rotations all multiply into K."""
+    subset = set(sub)
     checks = []
     for n in range(n_max + 1):
-        ext = extended_quotient(g, gset, n)
-        lq = left_quotient(g, sub, n)
-        carried = {lq.canon[dual_backward_point(g, cosets, rep)] for rep in ext.reps}
-        expected = set()
-        for tup in itertools.product(g.elements(), repeat=n + 1):
-            if all(
-                g.prod(tup[i + 1:] + tup[: i + 1]) in sub_set
-                for i in range(n + 1)
-            ):
-                expected.add(lq.canon[tup])
+        idx = picture.psi.components[n].table().idx
+        carried = {idx[k] for k in extended_quotient(g, sub, picture, n)}
+        expected = {k for k, tup in enumerate(_points(picture.psi.target.spaces[n],
+                                                      [g.order] * (n + 1)))
+                    if all(g.prod(tup[i + 1:] + tup[: i + 1]) in subset for i in range(n + 1))}
         checks.append(AxiomCheck(
             f"extended quotient transported @ {n}", carried == expected,
             None if carried == expected else f"{len(carried)} vs {len(expected)} classes"))
@@ -414,11 +340,13 @@ def extended_quotient_transport_check(g, sub, n_max):
 # Frobenius reciprocity via the trace decomposition
 
 
-def induce_class_function(g, sub, chi_sub):
+def induce_class_function(g, sub, chi_sub, picture):
     """The induced class function computed three ways, asserted equal:
 
-    (a) extension by zero to the orbit set of conjugation pairs, then the
-        trace along the fibers of the projection to conjugacy classes;
+    (a) extension by zero to the orbit set of conjugation pairs (K r, m),
+        the degree-0 basis of ``picture``'s Hopf-cyclic coalgebra object,
+        then the trace along the fibers of the projection to conjugacy
+        classes;
     (b) the coset-representative sum;
     (c) the averaged whole-group sum.
     """
@@ -432,31 +360,31 @@ def induce_class_function(g, sub, chi_sub):
     def chi_at(x):
         return chi_sub.values[subgrp.class_of(pos[x])]
 
-    gset = coset_action(g, subset)
-    cosets = g.left_cosets(subset)
-    pairs = right_quotient(g, gset, 0)
+    # the orbit of (K r, m) at ambient index c |G| + m
+    orbit = picture.psi.source.spaces[0].projection.table().idx
 
     # Tr_i: extension by zero, must be constant on orbits (machine-checked)
     orbit_values = {}
-    for (gt, x), rep in pairs.canon.items():
-        r = _coset_rep(cosets, x)
-        conj = g.mul(g.mul(g.inv(r), gt), r)
-        orbit_values.setdefault(pairs.index[rep], set()).add(
-            chi_at(conj) if conj in pos else f.zero)
+    for c, r in enumerate(picture.reps):
+        for m in g.elements():
+            conj = g.conj(r, m)
+            orbit_values.setdefault(orbit[c * g.order + m], set()).add(
+                chi_at(conj) if conj in pos else f.zero)
     if any(len(vals) != 1 for vals in orbit_values.values()):
         raise GroupError("extension by zero is not constant on orbits")
     tr_i = {k: vals.pop() for k, vals in orbit_values.items()}
 
     def route_a(gt):
         total = f.zero
-        for x in range(gset.size):
-            total = f.add(total, tr_i[pairs.class_index((gt, x))])
+        for c in range(len(picture.reps)):
+            total = f.add(total, tr_i[orbit[c * g.order + gt]])
         return total
+
+    coset_reps = [min(cs) for cs in g.left_cosets(subset)]
 
     def route_b(gt):
         total = f.zero
-        for cs in cosets:
-            rep = min(cs)
+        for rep in coset_reps:
             conj = g.mul(g.mul(g.inv(rep), gt), rep)
             if conj in pos:
                 total = f.add(total, chi_at(conj))
@@ -495,9 +423,10 @@ def frobenius_reciprocity_check(g, sub, chi_sub, induced):
 
 
 def class_function_dim_check(g):
-    """dim O(G \\ ad G) = conjugacy class count."""
-    point = GSet(g, 1, [[0]] * g.order)
-    ext = extended_quotient(g, point, 0)
-    classes = len(g.conjugacy_classes())
+    """dim O(G \\ ad G), the extended quotient of a point, is the class
+    count: it is dim kG/[kG, kG], the commutator quotient over B = kG."""
+    h = group_algebra(g, QQ)
+    whole = subalgebra_from_columns(h, h.ident())
+    dim = commutator_quotient(h, whole, SubquotientSpace.full(h.dim, QQ), 1).dim
     return ValidationReport([equality_check("extended quotient of a point counts classes",
-                                            len(ext), classes)])
+                                            dim, len(g.conjugacy_classes()))])

@@ -13,6 +13,7 @@ acceptance surface runs without external data.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ from . import presets
 from .classical import (
     class_function_dim_check,
     direct_picture_check,
+    dual_picture,
     dual_picture_check,
     extended_quotient_check,
     extended_quotient_transport_check,
@@ -39,7 +41,6 @@ from .groups import (
     ClassFunction,
     GroupError,
     builtin_group,
-    coset_action,
     subgroup_as_group,
 )
 from .hopf import (
@@ -316,6 +317,8 @@ def _resolve_chi(g, sub, text):
     if text in (None, "trivial"):
         return ClassFunction(subgrp, [QQ.one] * k)
     if text == "sign":
+        # the sign of K permuting itself by left multiplication: x is |K|/o(x)
+        # cycles of length o(x)
         vals = []
         for cls in subgrp.conjugacy_classes():
             rep = cls[0]
@@ -324,7 +327,7 @@ def _resolve_chi(g, sub, text):
             while acc != subgrp.identity:
                 acc = subgrp.mul(acc, rep)
                 order += 1
-            vals.append(QQ.one if order % 2 == 1 else QQ.from_int(-1))
+            vals.append(QQ.from_int((-1) ** (subgrp.order // order * (order - 1))))
         return ClassFunction(subgrp, vals)
     try:
         vals = [QQ.from_str(v) for v in text.split(",")]
@@ -344,11 +347,16 @@ def cmd_classical(args, field):
         raise InputError("field characteristic divides the group order")
     ops = [args.op] if args.op != "all" else [
         "direct", "dual", "stabilizers", "extended", "frobenius"]
+    # the dual picture, built once, when the first op that reads it runs, to
+    # the highest degree any op reads: extended reads one degree past its own
+    degree = max(min(n, 2) if "dual" in ops else 0,
+                 min(n, 1) + 1 if "extended" in ops else 0)
+    picture = functools.cache(lambda: dual_picture(g, sub, degree))
     for op in ops:
         if op == "direct":
             rep.add_validation("direct ", direct_picture_check(g, sub, min(n, 3)))
         elif op == "dual":
-            rep.add_validation("dual ", dual_picture_check(g, sub, min(n, 2)))
+            rep.add_validation("dual ", dual_picture_check(picture(), min(n, 2)))
         elif op == "stabilizers":
             exhaustive = min(n, 1)
             rep.add_validation(
@@ -359,14 +367,15 @@ def cmd_classical(args, field):
                     "stabilizers sampled ",
                     stabilizer_coincidence_check(g, sub, 2, sample=40, seed=args.seed))
         elif op == "extended":
-            gset = coset_action(g, sub)
-            rep.add_validation("extended ", extended_quotient_check(g, gset, min(n, 1)))
+            rep.add_validation("extended ",
+                               extended_quotient_check(g, sub, picture(), min(n, 1)))
             rep.add_validation(
-                "transport ", extended_quotient_transport_check(g, sub, min(n, 1)))
+                "transport ", extended_quotient_transport_check(g, sub, picture(), min(n, 1)))
         elif op == "frobenius":
             chi = _resolve_chi(g, sub, args.chi)
+            dual = picture()  # built outside the try: a refusal is bad input
             try:
-                induced = induce_class_function(g, sub, chi)
+                induced = induce_class_function(g, sub, chi, dual)
             except GroupError as exc:
                 # a disagreement of the routes is a mathematical failure, not bad input
                 rep.add_check("three induction routes agree", False, str(exc))
@@ -441,7 +450,10 @@ def build_parser():
     p.add_argument("--subgroup", default="all")
     p.add_argument("--op", choices=("direct", "dual", "stabilizers", "extended",
                                     "frobenius", "all"), default="all")
-    p.add_argument("--chi", default="trivial")
+    p.add_argument("--chi", default="trivial",
+                   help="a class function of K: trivial; sign, the sign of K permuting "
+                        "itself by left multiplication, (-1)^((|K|/o(x))(o(x)-1)) at x; "
+                        "or its values, comma-separated, one per class of K")
     p.add_argument("--max-degree", type=int, default=2)
     return parser
 

@@ -2,8 +2,8 @@
 
 Groups are kept small (built-ins up to order 12), so the multiplication
 table representation is the right level of generality: ``classical``
-reads its two pictures off the group algebra and bounds what it still
-enumerates on tuples by its ``TUPLE_BUDGET``.
+reads its pictures and inertia data off the group algebra and enumerates
+only the stabilizers on tuples, within its ``TUPLE_BUDGET``.
 
 The built-in groups are data: cyclic groups under addition mod n, S3 and A4
 as permutation groups, and Q8 as the unit quaternions under the Hamilton

@@ -100,11 +100,8 @@ def check_cyclic_map(f):
 
 
 def _mutually_inverse(fwd, bwd):
-    for n in fwd.components:
-        a, b = fwd.components[n], bwd.components[n]
-        if not (a @ b).is_identity() or not (b @ a).is_identity():
-            return False
-    return True
+    """Whether the maps fwd and bwd compose to the identity both ways."""
+    return (bwd @ fwd).is_identity() and (fwd @ bwd).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +147,7 @@ def module_coalgebra_transform(setup, n_max):
         bwd[n] = induced_map(_phi_ambient(h, c, n), target.spaces[n], source.spaces[n])
     psi = CyclicMap(source, target, fwd, name="to_relative")
     phi = CyclicMap(target, source, bwd, name="from_relative")
-    if not _mutually_inverse(psi, phi):
+    if not all(_mutually_inverse(fwd[n], bwd[n]) for n in fwd):
         raise NotWellDefined("transform pair is not mutually inverse")
     return psi, phi
 
@@ -199,7 +196,7 @@ def comodule_algebra_transform(setup, n_max):
                              legs.then(source.spaces[n]))
     gamma = CyclicMap(source, target, fwd, name="to_coextension")
     gamma_inv = CyclicMap(target, source, bwd, name="from_coextension")
-    if not _mutually_inverse(gamma, gamma_inv):
+    if not all(_mutually_inverse(fwd[n], bwd[n]) for n in fwd):
         raise NotWellDefined("dual transform pair is not mutually inverse")
     return gamma, gamma_inv
 
@@ -258,7 +255,7 @@ def normal_quotient_comparison(setup, n_max):
         ident_amb = SparseMatrix.identity(cd ** (n + 1) * d, f)
         j_fwd = induced_map(ident_amb, rel_spaces[n], coeff_spaces[n])
         j_bwd = induced_map(ident_amb, coeff_spaces[n], rel_spaces[n])
-        if not (j_fwd @ j_bwd).is_identity() or not (j_bwd @ j_fwd).is_identity():
+        if not _mutually_inverse(j_fwd, j_bwd):
             raise NotWellDefined("coefficient identification is not invertible")
         ident_maps[n] = j_fwd
         phi_n = induced_map(amb, source.spaces[n], coeff_spaces[n])

@@ -20,10 +20,11 @@ from hopfcyclic.cyclic import (
     relative_cyclic,
     relative_cocyclic_coext,
 )
-from hopfcyclic.groups import ClassFunction, builtin_group, coset_action, subgroup_as_group
+from hopfcyclic.groups import ClassFunction, builtin_group, subgroup_as_group
 from hopfcyclic.classical import (
     class_function_dim_check,
     direct_picture_check,
+    dual_picture,
     dual_picture_check,
     extended_quotient,
     frobenius_reciprocity_check,
@@ -217,14 +218,15 @@ def test_criterion_9_classical_suite():
     g = builtin_group("S3")
     sub = [0, 2]  # e, (12)
     assert direct_picture_check(g, sub, 2).ok
-    assert dual_picture_check(g, sub, 2).ok
+    picture = dual_picture(g, sub, 2)
+    assert dual_picture_check(picture, 2).ok
     assert stabilizer_coincidence_check(g, sub, 1).ok
-    assert len(extended_quotient(g, coset_action(g, sub), 0)) == 2
+    assert len(extended_quotient(g, sub, picture, 0)) == 2
     subgrp = subgroup_as_group(g, sub)
     trivial = ClassFunction(subgrp, [QQ.one, QQ.one])
     sign = ClassFunction(subgrp, [QQ.one, QQ.from_int(-1)])
-    up_t = induce_class_function(g, sub, trivial)  # three routes agree inside
-    up_s = induce_class_function(g, sub, sign)
+    up_t = induce_class_function(g, sub, trivial, picture)  # three routes agree inside
+    up_s = induce_class_function(g, sub, sign, picture)
     assert up_t.values == [QQ.from_int(3), QQ.one, QQ.zero]
     assert up_s.values == [QQ.from_int(3), QQ.from_int(-1), QQ.zero]
     assert frobenius_reciprocity_check(g, sub, trivial, up_t).ok

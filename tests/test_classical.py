@@ -23,6 +23,7 @@ from hopfcyclic.classical import (
     _unrank,
     class_function_dim_check,
     direct_picture_check,
+    dual_picture,
     dual_picture_check,
     extended_quotient,
     extended_quotient_check,
@@ -30,9 +31,9 @@ from hopfcyclic.classical import (
     frobenius_reciprocity_check,
     induce_class_function,
     intertwining_checks,
-    left_quotient,
     stabilizer_coincidence_check,
 )
+from hopfcyclic.cli import _resolve_chi
 from hopfcyclic.cyclic import check_identities, cocyclic_dual
 from hopfcyclic.iso import comodule_algebra_transform, module_coalgebra_transform
 from hopfcyclic.linalg import QQ, IndexTable
@@ -105,19 +106,19 @@ def test_direct_picture_c4_c2():
 
 def test_dual_picture_subgroup_equals_group():
     # both sides reduce to conjugacy-class data
-    rep = dual_picture_check(S3, list(S3.elements()), 1)
+    rep = dual_picture_check(dual_picture(S3, list(S3.elements()), 1), 1)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_dual_picture_s3_c2():
-    rep = dual_picture_check(S3, C2_IN_S3, 2)
+    rep = dual_picture_check(dual_picture(S3, C2_IN_S3, 2), 2)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_dual_picture_q8_center():
     q8 = builtin_group("Q8")
     center = [0, 1]  # 1, -1
-    rep = dual_picture_check(q8, center, 2)
+    rep = dual_picture_check(dual_picture(q8, center, 2), 2)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
@@ -149,21 +150,23 @@ def test_stabilizers_sampled_degree_two():
 
 def test_extended_quotient_trivial_group():
     triv = builtin_group("trivial")
+    picture = dual_picture(triv, [0], 2)
+    assert [len(extended_quotient(triv, [0], picture, n)) for n in range(3)] == [1, 1, 1]
     x = GSet(triv, 3, [[0, 1, 2]])
-    assert len(extended_quotient(triv, x, 0)) == 3
+    assert len(reference.extended_quotient(triv, x, 0)) == 3
 
 
 def test_extended_quotient_s3_cosets():
-    gset = coset_action(S3, C2_IN_S3)
-    assert len(extended_quotient(S3, gset, 0)) == 2
-    rep = extended_quotient_check(S3, gset, 1)
+    picture = dual_picture(S3, C2_IN_S3, 2)
+    assert len(extended_quotient(S3, C2_IN_S3, picture, 0)) == 2
+    rep = extended_quotient_check(S3, C2_IN_S3, picture, 1)
     assert rep.ok
 
 
 @pytest.mark.parametrize("gens", [[], ["(12)"], ["(123)"], ["(12)", "(123)"]])
 def test_extended_quotient_check_every_s3_subgroup(gens):
     sub = S3.subgroup_closure([S3.index(x) for x in gens])
-    rep = extended_quotient_check(S3, coset_action(S3, sub), 2)
+    rep = extended_quotient_check(S3, sub, dual_picture(S3, sub, 3), 2)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
@@ -199,7 +202,7 @@ def test_mutant_cocyclic_set_fails():
 
 
 def test_extended_quotient_transport():
-    rep = extended_quotient_transport_check(S3, C2_IN_S3, 1)
+    rep = extended_quotient_transport_check(S3, C2_IN_S3, dual_picture(S3, C2_IN_S3, 1), 1)
     assert rep.ok, [c.witness for c in rep.failures()]
 
 
@@ -207,8 +210,9 @@ def test_induced_characters_s3():
     sub = subgroup_as_group(S3, C2_IN_S3)
     trivial = ClassFunction(sub, [QQ.one, QQ.one])
     sign = ClassFunction(sub, [QQ.one, QQ.from_int(-1)])
-    up_triv = induce_class_function(S3, C2_IN_S3, trivial)
-    up_sign = induce_class_function(S3, C2_IN_S3, sign)
+    picture = dual_picture(S3, C2_IN_S3, 0)
+    up_triv = induce_class_function(S3, C2_IN_S3, trivial, picture)
+    up_sign = induce_class_function(S3, C2_IN_S3, sign, picture)
     # classes ordered e, transpositions, 3-cycles
     assert up_triv.values == [QQ.from_int(3), QQ.one, QQ.zero]
     assert up_sign.values == [QQ.from_int(3), QQ.from_int(-1), QQ.zero]
@@ -216,17 +220,19 @@ def test_induced_characters_s3():
 
 def test_induction_from_whole_group_is_identity():
     chis = irreducible_characters(S3)
+    picture = dual_picture(S3, list(S3.elements()), 0)
     for chi in chis:
-        up = induce_class_function(S3, list(S3.elements()), chi)
+        up = induce_class_function(S3, list(S3.elements()), chi, picture)
         assert up.values == chi.values
 
 
 def test_frobenius_reciprocity_s3():
     sub = subgroup_as_group(S3, C2_IN_S3)
+    picture = dual_picture(S3, C2_IN_S3, 0)
     for vals in ([QQ.one, QQ.one], [QQ.one, QQ.from_int(-1)]):
         chi = ClassFunction(sub, list(vals))
         rep = frobenius_reciprocity_check(
-            S3, C2_IN_S3, chi, induce_class_function(S3, C2_IN_S3, chi))
+            S3, C2_IN_S3, chi, induce_class_function(S3, C2_IN_S3, chi, picture))
         assert rep.ok, [c.witness for c in rep.failures()]
 
 
@@ -235,7 +241,8 @@ def test_non_class_function_rejected():
 
     sub = subgroup_as_group(S3, C2_IN_S3)
     with pytest.raises(GroupError):
-        induce_class_function(S3, C2_IN_S3, ClassFunction(sub, [QQ.one]))
+        induce_class_function(S3, C2_IN_S3, ClassFunction(sub, [QQ.one]),
+                              dual_picture(S3, C2_IN_S3, 0))
 
 
 def test_class_function_dims():
@@ -259,14 +266,14 @@ def test_classical_matches_algebraic_dims():
 
 def test_dual_orbit_count_matches_coextension_dims():
     # orbit counts of the dual picture equal the coextension dims for O(S3)
-    from hopfcyclic.classical import left_quotient
     from hopfcyclic.cyclic import coextension_space
     from hopfcyclic.presets import builtin_setup
 
     s = builtin_setup("OS3/OC2")
+    orbits = dual_picture(S3, C2_IN_S3, 1).phi.source.dims()  # C(kG|kK)
     for n in range(2):
         cox = coextension_space(s.hopf, s.quotient, n + 1)
-        assert cox.dim == len(left_quotient(S3, C2_IN_S3, n))
+        assert cox.dim == orbits[n] == len(reference.left_quotient(S3, C2_IN_S3, n))
 
 
 def test_left_quotient_past_the_tuple_budget_names_its_count():
@@ -275,7 +282,7 @@ def test_left_quotient_past_the_tuple_budget_names_its_count():
                       [[(a + b) % 60 for b in range(60)] for a in range(60)])
     with pytest.raises(GroupError, match=f"60\\^4\\*4\\*1 = 51840000 neighbors at degree 3 "
                                          f"is over the budget of {TUPLE_BUDGET}$"):
-        left_quotient(c60, [0], 3)
+        reference.left_quotient(c60, [0], 3)
 
 
 @pytest.mark.parametrize("order, seed", [(2, 0), (3, 7), (6, 1), (12, 42)])
@@ -311,11 +318,14 @@ def test_pictures_read_off_kg_match_the_hand_enumerated_sets(name, sub):
     same sizes: degree 2, and the direct picture to 3 on S3, C4 and Q8."""
     g = builtin_group(name)
     n_direct = 3 if name in ("S3", "C4", "Q8") else 2
-    for check, n in ((direct_picture_check, n_direct), (dual_picture_check, 2)):
-        mine = [(c.name, c.ok) for c in check(g, sub, n).checks]
-        theirs = [(c.name, c.ok) for c in getattr(reference, check.__name__)(g, sub, n).checks]
-        assert mine == theirs, check.__name__
-        assert all(ok for _, ok in mine), check.__name__
+    for mine, theirs in (
+            (direct_picture_check(g, sub, n_direct),
+             reference.direct_picture_check(g, sub, n_direct)),
+            (dual_picture_check(dual_picture(g, sub, 2), 2),
+             reference.dual_picture_check(g, sub, 2))):
+        mine, theirs = ([(c.name, c.ok) for c in rep.checks] for rep in (mine, theirs))
+        assert mine == theirs
+        assert all(ok for _, ok in mine)
     pair = _group_pair(g, sub)
     gamma, _ = comodule_algebra_transform(pair, n_direct)
     psi, phi = module_coalgebra_transform(pair, 2)
@@ -332,11 +342,65 @@ def test_a_map_that_is_no_permutation_is_not_bijective():
     one basis element, fails "bijective @ 1" and nothing in degree 0."""
     gamma, _ = comodule_algebra_transform(_group_pair(S3, C2_IN_S3), 1)
     src, tgt = cocyclic_dual(gamma.source), cocyclic_dual(gamma.target)
-    assert all(c.ok for c in intertwining_checks(src, tgt, gamma.components))
+    assert all(c.ok for c in intertwining_checks(src, tgt, gamma.components, 1))
     tb = gamma.components[1].table()
     merged = list(tb.idx)
     merged[1] = merged[0]
     for bad in (gamma.components[1].scale(QQ.from_int(2)),
                 IndexTable(tb.rows, tb.cols, QQ, merged, None)):
-        checks = {c.name: c.ok for c in intertwining_checks(src, tgt, {**gamma.components, 1: bad})}
+        checks = {c.name: c.ok
+                  for c in intertwining_checks(src, tgt, {**gamma.components, 1: bad}, 1)}
         assert not checks["bijective @ 1"] and checks["bijective @ 0"]
+
+
+def _inertia(g, sub, picture):
+    """Extended-quotient sizes to degree 2, the (name, ok) lists of the
+    extended and transport checks to degree 1, and the class functions
+    induced from the trivial and the sign character of K, read off
+    ``picture``."""
+    sizes = [len(extended_quotient(g, sub, picture, n)) for n in range(3)]
+    checks = [[(c.name, c.ok) for c in check(g, sub, picture, 1).checks]
+              for check in (extended_quotient_check, extended_quotient_transport_check)]
+    induced = [induce_class_function(g, sub, _resolve_chi(g, sub, chi), picture).values
+               for chi in ("trivial", "sign")]
+    return sizes, checks, induced
+
+
+def _reference_inertia(g, sub):
+    gset = coset_action(g, sub)
+    sizes = [len(reference.extended_quotient(g, gset, n)) for n in range(3)]
+    checks = [[(c.name, c.ok) for c in rep.checks]
+              for rep in (reference.extended_quotient_check(g, gset, 1),
+                          reference.extended_quotient_transport_check(g, sub, 1))]
+    induced = [reference.induce_class_function(g, sub, _resolve_chi(g, sub, chi)).values
+               for chi in ("trivial", "sign")]
+    return sizes, checks, induced
+
+
+@pytest.mark.parametrize("name, sub", _reference_cases())
+def test_inertia_read_off_kg_matches_the_tuple_reference(name, sub):
+    """The extended quotients, their transport and the induced class
+    functions read off the dual picture over kG equal those enumerated on
+    tuples, at degrees <= 1, all checks passing."""
+    g = builtin_group(name)
+    mine = _inertia(g, sub, dual_picture(g, sub, 2))
+    assert mine == _reference_inertia(g, sub)
+    assert all(ok for check in mine[1] for _, ok in check)
+    assert [(c.name, c.ok) for c in class_function_dim_check(g).checks] == \
+        [(c.name, c.ok) for c in reference.class_function_dim_check(g).checks]
+
+
+def test_extended_quotient_conjugated_on_the_wrong_side_fails():
+    """r^{-1} m r in place of r m r^{-1} keeps the wrong basis vectors of
+    the right cosets K r: on S3 with K = <(12)> the sizes read 2, 4, not
+    the reference's 2, 3, and every inertia check fails."""
+    picture = dual_picture(S3, C2_IN_S3, 2)
+    mutant = builtin_group("S3")
+    mutant.conj = lambda r, m: S3.conj(S3.inv(r), m)
+    assert [len(extended_quotient(S3, C2_IN_S3, picture, n)) for n in range(2)] == [2, 3]
+    assert [len(extended_quotient(mutant, C2_IN_S3, picture, n)) for n in range(2)] == [2, 4]
+    assert not extended_quotient_check(mutant, C2_IN_S3, picture, 1).ok
+    rep = extended_quotient_transport_check(mutant, C2_IN_S3, picture, 1)
+    assert [c.witness for c in rep.failures()] == ["4 vs 3 classes"]
+    with pytest.raises(GroupError, match="extension by zero is not constant on orbits"):
+        induce_class_function(mutant, C2_IN_S3, _resolve_chi(S3, C2_IN_S3, "trivial"), picture)

@@ -495,8 +495,9 @@ def test_classical_direct_picture_past_the_tuple_budget_exits_two(tmp_path):
     # each took 23 s, 32 s and over a minute before it was refused up front
     (["--op", "stabilizers", "--max-degree", "2"],
      "3600*60^2 = 12960000 stabilizer candidates at degree 1 is over the budget of 10000000"),
+    # extended reads the dual picture one degree past its own
     (["--op", "extended", "--subgroup", "0"],
-     "60*60^3 = 12960000 points at degree 2 is over the budget of 10000000"),
+     "max(60^3, 60^3*60) = 12960000 coordinates at degree 2 is over the budget of 500000"),
     (["--op", "dual", "--subgroup", "0"],
      "max(60^3, 60^3*60) = 12960000 coordinates at degree 2 is over the budget of 500000"),
     # the coextension object's tables span 60^4 coordinates even where K is trivial
@@ -546,6 +547,50 @@ def test_past_the_coordinate_budget_exits_two(tmp_path, argv):
     assert "12^6 = 2985984 coordinates" in error and str(cli.COORDINATE_BUDGET) in error
 
 
+def test_classical_builds_the_dual_picture_once_to_the_degree_its_ops_read(monkeypatch):
+    import hopfcyclic.classical as classical
+
+    built = []
+
+    def counted(setup, n_max):
+        built.append(n_max)
+        return module_coalgebra_transform(setup, n_max)
+
+    module_coalgebra_transform = classical.module_coalgebra_transform
+    monkeypatch.setattr(classical, "module_coalgebra_transform", counted)
+    for op, n, degree in (("all", 2, 2), ("all", 0, 1), ("dual", 3, 2), ("extended", 3, 2),
+                          ("frobenius", 3, 0), ("direct", 1, None)):
+        built.clear()
+        code, text = run(["classical", "--group", "S3", "--subgroup", "(12)", "--op", op,
+                          "--max-degree", str(n)])
+        assert code == 0, text
+        assert built == ([] if degree is None else [degree]), (op, n)
+
+
+def _subgroups(g):
+    """Every subgroup of a built-in group: each is generated by two elements."""
+    return {tuple(g.subgroup_closure([x, y])) for x in g.elements() for y in g.elements()}
+
+
+def test_chi_sign_is_the_sign_of_k_permuting_itself():
+    from hopfcyclic.cli import _resolve_chi
+    from hopfcyclic.groups import BUILTIN_GROUPS, builtin_group, subgroup_as_group
+    from hopfcyclic.linalg import QQ
+
+    for name in BUILTIN_GROUPS:
+        g = builtin_group(name)
+        for sub in _subgroups(g):
+            k = subgroup_as_group(g, list(sub))
+            chi = _resolve_chi(g, list(sub), "sign")
+            for x in k.elements():
+                for y in k.elements():
+                    assert chi.at(k.mul(x, y)) == chi.at(x) * chi.at(y), (name, sub, x, y)
+    # on C4, g is one 4-cycle, an odd permutation, and g^2 two 2-cycles, an even one
+    c4 = builtin_group("C4")
+    assert _resolve_chi(c4, list(c4.elements()), "sign").values == [
+        QQ.one, QQ.from_int(-1), QQ.one, QQ.from_int(-1)]
+
+
 def test_classical_bad_chi_exit_two():
     # "1/0" was a ZeroDivisionError traceback, "abc" a ValueError traceback
     for chi, detail in (("1/0", "zero denominator in '1/0'"), ("abc", "bad --chi 'abc'")):
@@ -568,7 +613,7 @@ def test_classical_induction_routes_disagreeing_is_a_failed_check(monkeypatch):
     import hopfcyclic.cli as cli
     from hopfcyclic.groups import GroupError
 
-    def fail(g, sub, chi):
+    def fail(g, sub, chi, picture):
         raise GroupError("induction routes disagree at class 1")
 
     monkeypatch.setattr(cli, "induce_class_function", fail)
@@ -590,8 +635,8 @@ def test_classical_reciprocity_checks_the_reported_induced_function(monkeypatch)
     from hopfcyclic.classical import induce_class_function
     from hopfcyclic.groups import ClassFunction
 
-    def doubled(g, sub, chi):
-        true = induce_class_function(g, sub, chi)
+    def doubled(g, sub, chi, picture):
+        true = induce_class_function(g, sub, chi, picture)
         return ClassFunction(g, [v + v for v in true.values], true.field)
 
     monkeypatch.setattr(cli, "induce_class_function", doubled)
