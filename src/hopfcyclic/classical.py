@@ -46,8 +46,6 @@ from .hopf import (
     ValidationReport,
     commutator_quotient,
     equality_check,
-    group_algebra,
-    setup_from_subalgebra,
     subalgebra_from_columns,
 )
 from .iso import (
@@ -56,8 +54,7 @@ from .iso import (
     comodule_algebra_transform,
     module_coalgebra_transform,
 )
-from .linalg import QQ, SubquotientSpace, tensor_unindex
-from .presets import _basis_columns
+from .linalg import SubquotientSpace, tensor_unindex
 
 TUPLE_BUDGET = 10 ** 7
 
@@ -68,12 +65,6 @@ def _check_budget(count, formula, unit, budget=TUPLE_BUDGET):
     if count > budget:
         raise GroupError(f"tuple budget exceeded: {formula} = {count} {unit} is over the "
                          f"budget of {budget}")
-
-
-def _group_pair(g, sub):
-    """The Galois pair (kG, kK) over Q, K spanned by its basis columns."""
-    h = group_algebra(g, QQ)
-    return setup_from_subalgebra(h, _basis_columns(h, sorted(set(sub))), f"k{g.name}/kK")
 
 
 def intertwining_checks(src, tgt, maps, n_max):
@@ -109,14 +100,15 @@ def intertwining_checks(src, tgt, maps, n_max):
 # the two pictures
 
 
-def direct_picture_check(g, sub, n_max):
+def direct_picture_check(g, sub, n_max, pair):
     """The fiber-power and product-one cocyclic sets, their identities and
-    sizes, and gamma and its inverse, mutually inverse and intertwining."""
+    sizes, and gamma and its inverse, mutually inverse and intertwining;
+    ``pair()`` builds (kG, kK) once the budget admits the run."""
     order_k = len(set(sub))
     _check_budget(max(g.order * order_k ** (n_max + 1), g.order ** (n_max + 1)),
                   f"max({g.order}*{order_k}^{n_max + 1}, {g.order}^{n_max + 1})",
                   f"coordinates at degree {n_max}", COORDINATE_BUDGET)
-    gamma, gamma_inv = comodule_algebra_transform(_group_pair(g, sub), n_max)
+    gamma, gamma_inv = comodule_algebra_transform(pair(), n_max)
     fiber, prod = cocyclic_dual(gamma.target), cocyclic_dual(gamma.source)
     checks = check_identities(fiber).checks + check_identities(prod).checks
     for n in range(n_max + 1):
@@ -140,17 +132,17 @@ class DualPicture:
     reps: list
 
 
-def dual_picture(g, sub, n_max):
+def dual_picture(g, sub, n_max, pair):
     """The dual picture of (G, K) to degree n_max, built once for every
-    check that reads it; refused before anything is built when its
-    largest space passes ``COORDINATE_BUDGET``."""
+    check that reads it; refused before ``pair()`` builds (kG, kK) when
+    its largest space passes ``COORDINATE_BUDGET``."""
     index = g.order // len(set(sub))
     _check_budget(max(g.order ** (n_max + 1), index ** (n_max + 1) * g.order),
                   f"max({g.order}^{n_max + 1}, {index}^{n_max + 1}*{g.order})",
                   f"coordinates at degree {n_max}", COORDINATE_BUDGET)
-    pair = _group_pair(g, sub)
-    psi, phi = module_coalgebra_transform(pair, n_max)
-    return DualPicture(psi, phi, pair.quotient.space.section.table().idx[:-1])
+    built = pair()
+    psi, phi = module_coalgebra_transform(built, n_max)
+    return DualPicture(psi, phi, built.quotient.space.section.table().idx[:-1])
 
 
 def dual_picture_check(picture, n_max):
@@ -422,11 +414,10 @@ def frobenius_reciprocity_check(g, sub, chi_sub, induced):
     return ValidationReport(checks)
 
 
-def class_function_dim_check(g):
+def class_function_dim_check(g, h):
     """dim O(G \\ ad G), the extended quotient of a point, is the class
-    count: it is dim kG/[kG, kG], the commutator quotient over B = kG."""
-    h = group_algebra(g, QQ)
+    count: it is dim h/[h, h] for h = kG, the commutator quotient over B = kG."""
     whole = subalgebra_from_columns(h, h.ident())
-    dim = commutator_quotient(h, whole, SubquotientSpace.full(h.dim, QQ), 1).dim
+    dim = commutator_quotient(h, whole, SubquotientSpace.full(h.dim, h.field), 1).dim
     return ValidationReport([equality_check("extended quotient of a point counts classes",
                                             dim, len(g.conjugacy_classes()))])

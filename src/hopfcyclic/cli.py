@@ -4,10 +4,10 @@ Subcommands: validate, galois, homology, isocheck, tor, spectral,
 classical.  Exit code 0 means every check passed, 1 means a mathematical
 check failed (the report carries a witness), 2 means bad input: the input
 could not be parsed, or a Hopf algebra file given to any command but
-``validate`` breaks an axiom.  Built-in algebras (``presets.HOPF_NAMES``)
-and pairs (``presets.PAIR_NAMES``: kS3/kC2, kS3/kC3, H4/B, OS3/OC2, and
-<name>/k for every algebra) can be named in place of files, so the whole
-acceptance surface runs without external data.
+``validate`` breaks an axiom.  Built-in algebras and pairs (``presets``:
+k<G>, O<G>, H4, and pairs such as kA4/(123), OQ8/i and <name>/k) can be
+named in place of files; a built-in Hopf name wins over a file of that
+name, and an existing file over a pair name.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .groups import (
     ClassFunction,
     GroupError,
     builtin_group,
+    resolve_subgroup,
     subgroup_as_group,
 )
 from .hopf import (
@@ -82,7 +83,7 @@ def _parse_field(text, hopf):
     """``--field``, or when it is omitted the field that the Hopf algebra
     file ``hopf`` declares; Q for a built-in algebra or pair."""
     if text is None:
-        is_file = hopf not in presets.HOPF_NAMES and os.path.isfile(hopf or "")
+        is_file = os.path.isfile(hopf or "") and not presets.is_builtin_hopf(hopf)
         return declared_field(hopf) if is_file else QQ
     if text.lower() == "q":
         return QQ
@@ -97,7 +98,7 @@ def _parse_field(text, hopf):
 def _resolve_hopf(arg, field, check_axioms=True):
     """A built-in algebra, or a loaded file that (unless ``validate`` reads
     it) must pass every Hopf axiom: a file that breaks one is bad input."""
-    if arg in presets.HOPF_NAMES:
+    if presets.is_builtin_hopf(arg):
         return presets.builtin_hopf(arg, field)
     if not os.path.exists(arg):
         raise InputError(f"no built-in Hopf algebra or file named {arg!r}")
@@ -114,13 +115,15 @@ def _resolve_setup(args, field):
     sub = getattr(args, "subalgebra", None)
     ideal = getattr(args, "ideal", None)
     if "/" in name and not os.path.exists(name):
-        if name not in presets.PAIR_NAMES:
-            raise InputError(f"no built-in pair or file named {name!r}")
+        try:
+            setup = presets.builtin_setup(name, field)
+        except GroupError as exc:
+            raise InputError(f"no built-in pair or file named {name!r}: {exc}") from None
         if sub or ideal:
             option = "--subalgebra" if sub else "--ideal"
             raise InputError(f"the built-in pair {name!r} fixes B and C; give {option} with a "
                              "Hopf algebra, not a pair")
-        return presets.builtin_setup(name, field)
+        return setup
     h = _resolve_hopf(name, field)
     if sub and ideal:
         raise InputError("give either --subalgebra or --ideal, not both")
@@ -300,17 +303,6 @@ def _resolve_group(name):
         raise InputError(f"no built-in group or file named {name!r}") from None
 
 
-def _resolve_subgroup(g, text):
-    if text in (None, "", "all"):
-        return sorted(g.elements())
-    gens = []
-    for token in text.replace(",", " ").split():
-        if token not in g.names:
-            raise InputError(f"unknown group element {token!r}")
-        gens.append(g.index(token))
-    return g.subgroup_closure(gens)
-
-
 def _resolve_chi(g, sub, text):
     subgrp = subgroup_as_group(g, sub)
     k = len(subgrp.conjugacy_classes())
@@ -341,7 +333,7 @@ def cmd_classical(args, field):
     rep = Report("classical", {"group": args.group, "op": args.op,
                                "max_degree": n, "seed": args.seed})
     g = _resolve_group(args.group)
-    sub = _resolve_subgroup(g, args.subgroup)
+    sub = resolve_subgroup(g, args.subgroup)
     rep.params["subgroup_order"] = len(sub)
     if field.name != "Q" and g.order % field.p == 0:
         raise InputError("field characteristic divides the group order")
@@ -351,10 +343,12 @@ def cmd_classical(args, field):
     # the highest degree any op reads: extended reads one degree past its own
     degree = max(min(n, 2) if "dual" in ops else 0,
                  min(n, 1) + 1 if "extended" in ops else 0)
-    picture = functools.cache(lambda: dual_picture(g, sub, degree))
+    # (kG, kK), built once, when the first op that reads it passes its budget
+    pair = functools.cache(lambda: presets.group_pair(g, sub))
+    picture = functools.cache(lambda: dual_picture(g, sub, degree, pair))
     for op in ops:
         if op == "direct":
-            rep.add_validation("direct ", direct_picture_check(g, sub, min(n, 3)))
+            rep.add_validation("direct ", direct_picture_check(g, sub, min(n, 3), pair))
         elif op == "dual":
             rep.add_validation("dual ", dual_picture_check(picture(), min(n, 2)))
         elif op == "stabilizers":
@@ -391,7 +385,7 @@ def cmd_classical(args, field):
                                        frobenius_reciprocity_check(g, sub, chi, induced))
                 except GroupError as exc:  # no built-in rational character table
                     rep.add_skip("reciprocity", str(exc))
-            rep.add_validation("class functions ", class_function_dim_check(g))
+            rep.add_validation("class functions ", class_function_dim_check(g, pair().hopf))
     return rep
 
 

@@ -34,6 +34,8 @@ class FiniteGroup:
         self.table = [list(r) for r in table]
         self._validate()
         self.identity = self._find_identity()
+        self.generators = self._generators()
+        self._check_associative()
         self.inverse = [row.index(self.identity) for row in self.table]
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self._conj_classes = None
@@ -52,17 +54,31 @@ class FiniteGroup:
         for c in range(n):
             if sorted(self.table[r][c] for r in range(n)) != list(range(n)):
                 raise GroupError("column of multiplication table is not a permutation")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise GroupError(f"associativity fails at ({a},{b},{c})")
 
     def _find_identity(self):
         for e in range(self.order):
             if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
                 return e
         raise GroupError("no identity element")
+
+    def _generators(self):
+        """Each element, in index order, outside the closure of those before it."""
+        gens, have = [], {self.identity}
+        for x in self.elements():
+            if x not in have:
+                gens.append(x)
+                have = set(self.subgroup_closure(gens))
+        return gens
+
+    def _check_associative(self):
+        # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
+        # products, so b need only range over generators, in O(n^2) each
+        t, n = self.table, self.order
+        for b in self.generators:
+            for a in range(n):
+                for c in range(n):
+                    if t[t[a][b]][c] != t[a][t[b][c]]:
+                        raise GroupError(f"associativity fails at ({a},{b},{c})")
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -134,6 +150,18 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def resolve_subgroup(g, text):
+    """The subgroup of ``g`` generated by the elements ``text`` names,
+    comma- or space-separated, as sorted indices; all of ``g`` for none or "all"."""
+    if text in (None, "", "all"):
+        return sorted(g.elements())
+    tokens = text.replace(",", " ").split()
+    for token in tokens:
+        if token not in g.names:
+            raise GroupError(f"unknown group element {token!r}")
+    return g.subgroup_closure([g.index(token) for token in tokens])
 
 
 @dataclass

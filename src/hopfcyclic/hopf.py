@@ -217,9 +217,9 @@ def group_algebra(group, field=QQ):
     counit = {k: one for k in range(n)}
     unit = {group.identity: one}
     antipode = SparseMatrix(n, n, field, {group.inv(j): {j: one} for j in range(n)})
-    gens = _group_generators(group)
     return HopfAlgebra(f"k[{group.name}]", field, list(group.names), mult, unit,
-                       comult, counit, antipode, generator_indices=gens)
+                       comult, counit, antipode,
+                       generator_indices=group.generators or [group.identity])
 
 
 def function_algebra(group, field=QQ):
@@ -236,18 +236,6 @@ def function_algebra(group, field=QQ):
     antipode = SparseMatrix(n, n, field, {group.inv(j): {j: one} for j in range(n)})
     names = [f"d_{nm}" for nm in group.names]
     return HopfAlgebra(f"O({group.name})", field, names, mult, unit, comult, counit, antipode)
-
-
-def _group_generators(group):
-    gens = []
-    have = {group.identity}
-    for x in group.elements():
-        if x not in have:
-            gens.append(x)
-            have = set(group.subgroup_closure(gens))
-        if len(have) == group.order:
-            break
-    return gens or [group.identity]
 
 
 def sweedler_algebra(field=QQ):

@@ -1,62 +1,31 @@
-"""Built-in Hopf algebras and Galois pairs used by the test suite and CLI.
+"""Built-in Hopf algebras and Galois pairs, named by one grammar.
 
-Everything the acceptance checks need is constructible from here with no
-external files: group algebras kC2, kC3, kS3, the function algebra O(S3),
-and the 4-dimensional algebra H4, together with their standard coideal
-subalgebra / quotient coalgebra pairs.
+``k<G>`` is kG and ``O<G>`` is O(G) for every built-in group G, and
+``H4`` (or ``sweedler``) is Sweedler's algebra.  A pair is a Hopf name, a
+slash and generators of a subgroup K in ``classical --subgroup``'s syntax:
+B = kK in kG, or C = O(K) from O(G).  ``<name>/k`` has B = k, ``H4/B`` has
+B spanned by 1 and x, and ``ALIASES`` keeps the older pair names.
 """
 
 from __future__ import annotations
 
-from .groups import builtin_group
+from .groups import BUILTIN_GROUPS, GroupError, builtin_group, resolve_subgroup
 from .hopf import (
-    GaloisSetup,
-    HopfError,
     SparseMatrix,
     group_algebra,
     function_algebra,
     setup_from_ideal,
     setup_from_subalgebra,
     sweedler_algebra,
-    trivial_subalgebra,
-    takeuchi_subalgebra_to_quotient,
 )
 from .linalg import QQ
 
+GROUP_HOPF = {"k": group_algebra, "O": function_algebra}
+SWEEDLER_NAMES = ("H4", "sweedler")
+ALIASES = {"kS3/kC2": "kS3/(12)", "kS3/kC3": "kS3/(123)", "OS3/OC2": "OS3/(12)"}
 
-# the one list of built-in algebras: HOPF_NAMES and builtin_hopf both read it
-BUILTIN_HOPF = {
-    "kC2": lambda f: group_algebra(builtin_group("C2"), f),
-    "kC3": lambda f: group_algebra(builtin_group("C3"), f),
-    "kC4": lambda f: group_algebra(builtin_group("C4"), f),
-    "kS3": lambda f: group_algebra(builtin_group("S3"), f),
-    "OS3": lambda f: function_algebra(builtin_group("S3"), f),
-    "OC2": lambda f: function_algebra(builtin_group("C2"), f),
-    "H4": sweedler_algebra,
-    "sweedler": sweedler_algebra,
-}
-HOPF_NAMES = tuple(BUILTIN_HOPF)
-
-
-def builtin_hopf(name, field=QQ):
-    try:
-        build = BUILTIN_HOPF[name]
-    except KeyError:
-        raise HopfError(f"unknown built-in Hopf algebra {name!r}") from None
-    return build(field)
-
-
-def _basis_columns(h, indices):
-    f = h.field
-    return SparseMatrix.from_entries(h.dim, len(indices), f,
-                                     ((i, j, f.one) for j, i in enumerate(indices)))
-
-
-# basis order of kS3 follows lexicographic one-line notation:
-# 0:e  1:(23)  2:(12)  3:(123)  4:(132)  5:(13)
-S3_C2_INDICES = (0, 2)
-S3_C3_INDICES = (0, 3, 4)
-
+# the names README lists and the tests sweep
+HOPF_NAMES = ("kC2", "kC3", "kC4", "kS3", "OS3", "OC2", "H4", "sweedler")
 SETUP_NAMES = (
     "kC2/k",
     "kC3/k",
@@ -67,28 +36,55 @@ SETUP_NAMES = (
     "H4/B",
     "OS3/OC2",
 )
-# every name builtin_setup accepts: the setups, and <name>/k for every algebra
 PAIR_NAMES = SETUP_NAMES + tuple(f"{n}/k" for n in HOPF_NAMES if f"{n}/k" not in SETUP_NAMES)
 
 
+def is_builtin_hopf(name):
+    """Whether ``builtin_hopf`` builds ``name``."""
+    return name in SWEEDLER_NAMES or (name[:1] in GROUP_HOPF and name[1:] in BUILTIN_GROUPS)
+
+
+def _group_of(name):
+    """The built-in group G of the Hopf name k<G> or O<G>."""
+    if name[:1] not in GROUP_HOPF:
+        raise GroupError(f"unknown Hopf algebra {name!r}: write k<G> or O<G> for a built-in "
+                         "group G, or H4")
+    return builtin_group(name[1:])
+
+
+def builtin_hopf(name, field=QQ):
+    if name in SWEEDLER_NAMES:
+        return sweedler_algebra(field)
+    g = _group_of(name)
+    return GROUP_HOPF[name[0]](g, field)
+
+
+def _basis_columns(h, indices):
+    f = h.field
+    return SparseMatrix.from_entries(h.dim, len(indices), f,
+                                     ((i, j, f.one) for j, i in enumerate(indices)))
+
+
+def group_pair(g, sub, field=QQ, name="kG/kK"):
+    """The pair of the subgroup ``sub`` of ``g``, on the side the prefix of
+    ``name`` picks: B = kK in kG, or C = O(K), O(G) modulo the functions
+    that vanish on K."""
+    h = GROUP_HOPF[name[0]](g, field)
+    if name[0] == "k":
+        return setup_from_subalgebra(h, _basis_columns(h, sorted(set(sub))), name)
+    return setup_from_ideal(h, _basis_columns(h, [x for x in g.elements() if x not in sub]), name)
+
+
 def builtin_setup(name, field=QQ):
-    """A named homogeneous Galois pair (H, B, C), one of ``PAIR_NAMES``."""
-    if name not in PAIR_NAMES:
-        raise HopfError(f"unknown built-in setup {name!r}")
-    if name.endswith("/k"):
-        h = builtin_hopf(name.split("/")[0], field)
-        b = trivial_subalgebra(h)
-        return GaloisSetup(h, b, takeuchi_subalgebra_to_quotient(h, b), name)
-    if name == "kS3/kC2":
-        h = builtin_hopf("kS3", field)
-        return setup_from_subalgebra(h, _basis_columns(h, S3_C2_INDICES), name)
-    if name == "kS3/kC3":
-        h = builtin_hopf("kS3", field)
-        return setup_from_subalgebra(h, _basis_columns(h, S3_C3_INDICES), name)
+    """The Galois pair (H, B, C) of a pair name, which it keeps as typed."""
+    hopf, slash, sub = ALIASES.get(name, name).partition("/")
     if name == "H4/B":
-        h = builtin_hopf("H4", field)
+        h = sweedler_algebra(field)
         return setup_from_subalgebra(h, _basis_columns(h, (0, 2)), name)
-    # OS3/OC2, with the ideal of functions vanishing on the subgroup <(12)> = {0, 2}
-    h = builtin_hopf("OS3", field)
-    gens = _basis_columns(h, tuple(i for i in range(6) if i not in S3_C2_INDICES))
-    return setup_from_ideal(h, gens, name)
+    if slash and sub == "k":
+        h = builtin_hopf(hopf, field)
+        return setup_from_subalgebra(h, h.eta, name)
+    if not slash or hopf in SWEEDLER_NAMES:
+        raise GroupError(f"{name!r} is no pair: write <Hopf name>/<subgroup>, H4/k or H4/B")
+    g = _group_of(hopf)
+    return group_pair(g, resolve_subgroup(g, sub), field, name)

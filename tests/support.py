@@ -2,8 +2,10 @@
 and uncached copies of sparse matrices, predicates on Hopf algebras,
 cyclic maps and SAYD coefficients, the page of a double complex that the
 package only certifies, the unnormalized complexes whose coordinate
-quotients the package ranks, and Connes' dual with t inverted by
-elimination."""
+quotients the package ranks, Connes' dual with t inverted by
+elimination, and the subgroups of a group named in the pair grammar."""
+
+import itertools
 
 from hopfcyclic.cyclic import CyclicModule, hochschild_homology, relative_cyclic
 from hopfcyclic.hopf import group_algebra, trivial_subalgebra
@@ -199,3 +201,16 @@ def reference_dual(ccm):
             for j in range(n + 1):
                 sops[(n, j)] = ccm.delta[(n, j)].matrix()
     return CyclicModule(ccm.n_max, ccm.spaces, dops, sops, tops, name=f"dual({ccm.name})")
+
+
+def subgroup_names(g):
+    """Every subgroup of a built-in group, each generated by at most two
+    elements: {the first generators found, comma-separated: elements}.
+    A lone "k" means B = k in a pair name, so Q8's <k> is written -k."""
+    found = {}
+    for gens in itertools.chain(([x] for x in g.elements()),
+                                itertools.combinations(g.elements(), 2)):
+        name = ",".join(g.names[x] for x in gens)
+        if name != "k":
+            found.setdefault(tuple(g.subgroup_closure(gens)), name)
+    return {name: list(sub) for sub, name in found.items()}

@@ -2,6 +2,7 @@
 with its runtime against the stated budget (run with ``pytest -s`` to see
 the lines stream)."""
 
+import functools
 import time
 
 import pytest
@@ -45,7 +46,7 @@ from hopfcyclic.iso import (
     normal_quotient_comparison,
 )
 from hopfcyclic.linalg import QQ, SparseMatrix, span_contains
-from hopfcyclic.presets import builtin_hopf, builtin_setup
+from hopfcyclic.presets import builtin_hopf, builtin_setup, group_pair
 from hopfcyclic.sayd import ad_module, coad_module
 from hopfcyclic.specseq import (
     extension_double_complex,
@@ -217,8 +218,9 @@ def test_criterion_9_classical_suite():
     start = time.perf_counter()
     g = builtin_group("S3")
     sub = [0, 2]  # e, (12)
-    assert direct_picture_check(g, sub, 2).ok
-    picture = dual_picture(g, sub, 2)
+    pair = functools.cache(functools.partial(group_pair, g, sub))  # built once, as a run does
+    assert direct_picture_check(g, sub, 2, pair).ok
+    picture = dual_picture(g, sub, 2, pair)
     assert dual_picture_check(picture, 2).ok
     assert stabilizer_coincidence_check(g, sub, 1).ok
     assert len(extended_quotient(g, sub, picture, 0)) == 2
@@ -231,7 +233,7 @@ def test_criterion_9_classical_suite():
     assert up_s.values == [QQ.from_int(3), QQ.from_int(-1), QQ.zero]
     assert frobenius_reciprocity_check(g, sub, trivial, up_t).ok
     assert frobenius_reciprocity_check(g, sub, sign, up_s).ok
-    assert class_function_dim_check(g).ok
+    assert class_function_dim_check(g, pair().hopf).ok
     assert group_algebra_hh0(g) == len(g.conjugacy_classes())
     _finish("9 (classical suite)", start, 60)
 

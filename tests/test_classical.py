@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,6 @@ from hopfcyclic.groups import (
 )
 from hopfcyclic.classical import (
     TUPLE_BUDGET,
-    _group_pair,
     _unrank,
     class_function_dim_check,
     direct_picture_check,
@@ -37,16 +38,77 @@ from hopfcyclic.cli import _resolve_chi
 from hopfcyclic.cyclic import check_identities, cocyclic_dual
 from hopfcyclic.iso import comodule_algebra_transform, module_coalgebra_transform
 from hopfcyclic.linalg import QQ, IndexTable
+from hopfcyclic.hopf import group_algebra
+from hopfcyclic.presets import group_pair
 from support import group_algebra_hh0
 
 S3 = builtin_group("S3")
 C2_IN_S3 = [0, 2]  # e, (12)
 
 
+def _pair(g, sub):
+    """The builder of (kG, kK) that the picture checks call once within budget."""
+    return functools.partial(group_pair, g, sub)
+
+
 def test_group_tables_validate():
     for name in ("C2", "C3", "C4", "S3", "Q8", "A4"):
         grp = builtin_group(name)
         assert grp.order in (2, 3, 4, 6, 8, 12)
+
+
+def _reduced_latin_squares(n, rows=None):
+    """Every Latin square of order n whose first row and column are 0..n-1:
+    the loops with identity 0."""
+    rows = rows or [list(range(n))]
+    if len(rows) == n:
+        yield [list(r) for r in rows]
+        return
+    for perm in itertools.permutations(range(n)):
+        if perm[0] == len(rows) and all(perm[c] != r[c] for r in rows for c in range(n)):
+            yield from _reduced_latin_squares(n, rows + [perm])
+
+
+def _latin_squares(rng):
+    """Latin squares isotopic to the built-in groups, (a, b) -> gamma(alpha(a)
+    beta(b)), most of them not associative; every loop L of order 5 with its
+    elements relabelled at random, so its identity may be any element; and
+    C2 x L with C2's generator first, where associativity can fail only at a
+    later generator."""
+    for name in ("C4", "C6", "S3", "Q8"):
+        t = builtin_group(name).table
+        n = len(t)
+        for _ in range(40):
+            alpha, beta, gamma = (rng.sample(range(n), n) for _ in range(3))
+            yield [[gamma[t[alpha[a]][beta[b]]] for b in range(n)] for a in range(n)]
+    for loop in _reduced_latin_squares(5):
+        at = rng.sample(range(5), 5)
+        table = [[0] * 5 for _ in range(5)]
+        for a in range(5):
+            for b in range(5):
+                table[at[a]][at[b]] = at[loop[a][b]]
+        yield table
+        yield [[(a % 2 ^ b % 2) + 2 * loop[a // 2][b // 2] for b in range(10)] for a in range(10)]
+
+
+def test_associativity_is_checked_on_generators_as_on_every_triple():
+    # a table with an identity is refused exactly when some triple fails,
+    # naming a failing triple
+    for table in _latin_squares(random.Random(0)):
+        n = len(table)
+        fails = {(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if table[table[a][b]][c] != table[a][table[b][c]]}
+        unital = any(all(table[e][x] == x == table[x][e] for x in range(n)) for e in range(n))
+        try:
+            FiniteGroup("latin", [str(k) for k in range(n)], table)
+        except GroupError as exc:
+            if not unital:
+                assert str(exc) == "no identity element"
+                continue
+            witness = re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
+            assert tuple(map(int, witness.groups())) in fails
+        else:
+            assert unital and not fails
 
 
 def test_conjugacy_classes_s3_and_q8():
@@ -89,36 +151,38 @@ def test_character_table_is_chosen_by_multiplication_table_not_name():
 
 
 def test_direct_picture_subgroup_equals_group():
-    rep = direct_picture_check(S3, list(S3.elements()), 2)
+    whole = list(S3.elements())
+    rep = direct_picture_check(S3, whole, 2, _pair(S3, whole))
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_direct_picture_s3_c2():
-    rep = direct_picture_check(S3, C2_IN_S3, 3)
+    rep = direct_picture_check(S3, C2_IN_S3, 3, _pair(S3, C2_IN_S3))
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_direct_picture_c4_c2():
     c4 = builtin_group("C4")
-    rep = direct_picture_check(c4, [0, 2], 2)
+    rep = direct_picture_check(c4, [0, 2], 2, _pair(c4, [0, 2]))
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_dual_picture_subgroup_equals_group():
     # both sides reduce to conjugacy-class data
-    rep = dual_picture_check(dual_picture(S3, list(S3.elements()), 1), 1)
+    whole = list(S3.elements())
+    rep = dual_picture_check(dual_picture(S3, whole, 1, _pair(S3, whole)), 1)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_dual_picture_s3_c2():
-    rep = dual_picture_check(dual_picture(S3, C2_IN_S3, 2), 2)
+    rep = dual_picture_check(dual_picture(S3, C2_IN_S3, 2, _pair(S3, C2_IN_S3)), 2)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def test_dual_picture_q8_center():
     q8 = builtin_group("Q8")
     center = [0, 1]  # 1, -1
-    rep = dual_picture_check(dual_picture(q8, center, 2), 2)
+    rep = dual_picture_check(dual_picture(q8, center, 2, _pair(q8, center)), 2)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
@@ -150,14 +214,14 @@ def test_stabilizers_sampled_degree_two():
 
 def test_extended_quotient_trivial_group():
     triv = builtin_group("trivial")
-    picture = dual_picture(triv, [0], 2)
+    picture = dual_picture(triv, [0], 2, _pair(triv, [0]))
     assert [len(extended_quotient(triv, [0], picture, n)) for n in range(3)] == [1, 1, 1]
     x = GSet(triv, 3, [[0, 1, 2]])
     assert len(reference.extended_quotient(triv, x, 0)) == 3
 
 
 def test_extended_quotient_s3_cosets():
-    picture = dual_picture(S3, C2_IN_S3, 2)
+    picture = dual_picture(S3, C2_IN_S3, 2, _pair(S3, C2_IN_S3))
     assert len(extended_quotient(S3, C2_IN_S3, picture, 0)) == 2
     rep = extended_quotient_check(S3, C2_IN_S3, picture, 1)
     assert rep.ok
@@ -166,13 +230,13 @@ def test_extended_quotient_s3_cosets():
 @pytest.mark.parametrize("gens", [[], ["(12)"], ["(123)"], ["(12)", "(123)"]])
 def test_extended_quotient_check_every_s3_subgroup(gens):
     sub = S3.subgroup_closure([S3.index(x) for x in gens])
-    rep = extended_quotient_check(S3, sub, dual_picture(S3, sub, 3), 2)
+    rep = extended_quotient_check(S3, sub, dual_picture(S3, sub, 3, _pair(S3, sub)), 2)
     assert rep.ok, [c.name for c in rep.failures()]
 
 
 def _fiber_power_set(n_max):
     """The fiber powers of S3 -> S3/<(12)>, read off the coextension object."""
-    gamma, _ = comodule_algebra_transform(_group_pair(S3, C2_IN_S3), n_max)
+    gamma, _ = comodule_algebra_transform(group_pair(S3, C2_IN_S3), n_max)
     return cocyclic_dual(gamma.target)
 
 
@@ -202,7 +266,8 @@ def test_mutant_cocyclic_set_fails():
 
 
 def test_extended_quotient_transport():
-    rep = extended_quotient_transport_check(S3, C2_IN_S3, dual_picture(S3, C2_IN_S3, 1), 1)
+    picture = dual_picture(S3, C2_IN_S3, 1, _pair(S3, C2_IN_S3))
+    rep = extended_quotient_transport_check(S3, C2_IN_S3, picture, 1)
     assert rep.ok, [c.witness for c in rep.failures()]
 
 
@@ -210,7 +275,7 @@ def test_induced_characters_s3():
     sub = subgroup_as_group(S3, C2_IN_S3)
     trivial = ClassFunction(sub, [QQ.one, QQ.one])
     sign = ClassFunction(sub, [QQ.one, QQ.from_int(-1)])
-    picture = dual_picture(S3, C2_IN_S3, 0)
+    picture = dual_picture(S3, C2_IN_S3, 0, _pair(S3, C2_IN_S3))
     up_triv = induce_class_function(S3, C2_IN_S3, trivial, picture)
     up_sign = induce_class_function(S3, C2_IN_S3, sign, picture)
     # classes ordered e, transpositions, 3-cycles
@@ -220,7 +285,8 @@ def test_induced_characters_s3():
 
 def test_induction_from_whole_group_is_identity():
     chis = irreducible_characters(S3)
-    picture = dual_picture(S3, list(S3.elements()), 0)
+    whole = list(S3.elements())
+    picture = dual_picture(S3, whole, 0, _pair(S3, whole))
     for chi in chis:
         up = induce_class_function(S3, list(S3.elements()), chi, picture)
         assert up.values == chi.values
@@ -228,7 +294,7 @@ def test_induction_from_whole_group_is_identity():
 
 def test_frobenius_reciprocity_s3():
     sub = subgroup_as_group(S3, C2_IN_S3)
-    picture = dual_picture(S3, C2_IN_S3, 0)
+    picture = dual_picture(S3, C2_IN_S3, 0, _pair(S3, C2_IN_S3))
     for vals in ([QQ.one, QQ.one], [QQ.one, QQ.from_int(-1)]):
         chi = ClassFunction(sub, list(vals))
         rep = frobenius_reciprocity_check(
@@ -242,13 +308,14 @@ def test_non_class_function_rejected():
     sub = subgroup_as_group(S3, C2_IN_S3)
     with pytest.raises(GroupError):
         induce_class_function(S3, C2_IN_S3, ClassFunction(sub, [QQ.one]),
-                              dual_picture(S3, C2_IN_S3, 0))
+                              dual_picture(S3, C2_IN_S3, 0, _pair(S3, C2_IN_S3)))
 
 
 def test_class_function_dims():
-    assert class_function_dim_check(builtin_group("trivial")).ok
+    trivial = builtin_group("trivial")
+    assert class_function_dim_check(trivial, group_algebra(trivial)).ok
     for g in (S3, builtin_group("Q8")):
-        assert class_function_dim_check(g).ok
+        assert class_function_dim_check(g, group_algebra(g)).ok
         assert group_algebra_hh0(g) == len(g.conjugacy_classes())
 
 
@@ -270,7 +337,7 @@ def test_dual_orbit_count_matches_coextension_dims():
     from hopfcyclic.presets import builtin_setup
 
     s = builtin_setup("OS3/OC2")
-    orbits = dual_picture(S3, C2_IN_S3, 1).phi.source.dims()  # C(kG|kK)
+    orbits = dual_picture(S3, C2_IN_S3, 1, _pair(S3, C2_IN_S3)).phi.source.dims()  # C(kG|kK)
     for n in range(2):
         cox = coextension_space(s.hopf, s.quotient, n + 1)
         assert cox.dim == orbits[n] == len(reference.left_quotient(S3, C2_IN_S3, n))
@@ -319,14 +386,14 @@ def test_pictures_read_off_kg_match_the_hand_enumerated_sets(name, sub):
     g = builtin_group(name)
     n_direct = 3 if name in ("S3", "C4", "Q8") else 2
     for mine, theirs in (
-            (direct_picture_check(g, sub, n_direct),
+            (direct_picture_check(g, sub, n_direct, _pair(g, sub)),
              reference.direct_picture_check(g, sub, n_direct)),
-            (dual_picture_check(dual_picture(g, sub, 2), 2),
+            (dual_picture_check(dual_picture(g, sub, 2, _pair(g, sub)), 2),
              reference.dual_picture_check(g, sub, 2))):
         mine, theirs = ([(c.name, c.ok) for c in rep.checks] for rep in (mine, theirs))
         assert mine == theirs
         assert all(ok for _, ok in mine)
-    pair = _group_pair(g, sub)
+    pair = group_pair(g, sub)
     gamma, _ = comodule_algebra_transform(pair, n_direct)
     psi, phi = module_coalgebra_transform(pair, 2)
     read = [cocyclic_dual(x).dims() for x in (gamma.target, gamma.source, phi.source, psi.source)]
@@ -340,7 +407,7 @@ def test_pictures_read_off_kg_match_the_hand_enumerated_sets(name, sub):
 def test_a_map_that_is_no_permutation_is_not_bijective():
     """gamma's degree-1 component, scaled by 2 or with two columns sent to
     one basis element, fails "bijective @ 1" and nothing in degree 0."""
-    gamma, _ = comodule_algebra_transform(_group_pair(S3, C2_IN_S3), 1)
+    gamma, _ = comodule_algebra_transform(group_pair(S3, C2_IN_S3), 1)
     src, tgt = cocyclic_dual(gamma.source), cocyclic_dual(gamma.target)
     assert all(c.ok for c in intertwining_checks(src, tgt, gamma.components, 1))
     tb = gamma.components[1].table()
@@ -383,10 +450,10 @@ def test_inertia_read_off_kg_matches_the_tuple_reference(name, sub):
     functions read off the dual picture over kG equal those enumerated on
     tuples, at degrees <= 1, all checks passing."""
     g = builtin_group(name)
-    mine = _inertia(g, sub, dual_picture(g, sub, 2))
+    mine = _inertia(g, sub, dual_picture(g, sub, 2, _pair(g, sub)))
     assert mine == _reference_inertia(g, sub)
     assert all(ok for check in mine[1] for _, ok in check)
-    assert [(c.name, c.ok) for c in class_function_dim_check(g).checks] == \
+    assert [(c.name, c.ok) for c in class_function_dim_check(g, group_algebra(g)).checks] == \
         [(c.name, c.ok) for c in reference.class_function_dim_check(g).checks]
 
 
@@ -394,7 +461,7 @@ def test_extended_quotient_conjugated_on_the_wrong_side_fails():
     """r^{-1} m r in place of r m r^{-1} keeps the wrong basis vectors of
     the right cosets K r: on S3 with K = <(12)> the sizes read 2, 4, not
     the reference's 2, 3, and every inertia check fails."""
-    picture = dual_picture(S3, C2_IN_S3, 2)
+    picture = dual_picture(S3, C2_IN_S3, 2, _pair(S3, C2_IN_S3))
     mutant = builtin_group("S3")
     mutant.conj = lambda r, m: S3.conj(S3.inv(r), m)
     assert [len(extended_quotient(S3, C2_IN_S3, picture, n)) for n in range(2)] == [2, 3]

@@ -794,6 +794,88 @@ def test_every_builtin_pair_name_resolves():
         assert code == 0, (name, text)
 
 
+def test_galois_passes_on_every_subgroup_of_every_builtin_group_under_both_prefixes():
+    from hopfcyclic.groups import BUILTIN_GROUPS, builtin_group
+    from support import subgroup_names
+
+    for group in BUILTIN_GROUPS:
+        g = builtin_group(group)
+        for gens, sub in subgroup_names(g).items():
+            for prefix, side in (("k", "dim_B"), ("O", "dim_C")):
+                name = f"{prefix}{group}/{gens}"
+                code, text = run(["--format", "json", "galois", name])
+                assert code == 0, (name, text)
+                # B = kK in kG, C = O(K) from O(G)
+                assert json.loads(text)["params"][side] == len(sub), name
+
+
+def test_the_aliases_report_what_they_stand_for():
+    from hopfcyclic.presets import ALIASES
+
+    for alias, pair in ALIASES.items():
+        for argv in (["galois"], ["homology", "--theory", "hc"], ["isocheck", "--theorem", "3.4"]):
+            reports = []
+            for name in (alias, pair):
+                code, text = run(["--format", "json", argv[0], name, *argv[1:]])
+                assert code == 0, (name, text)
+                report = json.loads(text)
+                # a report keeps the name as it was typed
+                assert report["params"].pop("hopf") == report["params"].pop("setup", name) == name
+                reports.append(report)
+            assert reports[0] == reports[1], (alias, argv)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("Xs3/k", "unknown Hopf algebra 'Xs3': write k<G> or O<G> for a built-in group G, or H4"),
+    ("kC5/k", "unknown built-in group 'C5'"),
+    ("kS3/(14)", "unknown group element '(14)'"),
+    ("H4/g", "'H4/g' is no pair: write <Hopf name>/<subgroup>, H4/k or H4/B"),
+])
+def test_a_bad_pair_name_exits_two_naming_the_problem(name, reason):
+    code, text = run(["--format", "json", "homology", name])
+    assert code == 2, text
+    assert json.loads(text)["error"] == f"no built-in pair or file named {name!r}: {reason}"
+
+
+def test_kq8_over_k_is_b_equal_k_and_the_subgroup_of_k_is_written_minus_k():
+    dims = {}
+    for name in ("kQ8/k", "kQ8/-k"):
+        code, text = run(["--format", "json", "galois", name])
+        assert code == 0, text
+        dims[name] = json.loads(text)["params"]["dim_B"]
+    assert dims == {"kQ8/k": 1, "kQ8/-k": 4}
+
+
+def test_classical_builds_one_pair_per_run_and_none_when_refused(monkeypatch, tmp_path):
+    from hopfcyclic import presets
+
+    calls = []
+    group_pair = presets.group_pair
+
+    def counted(*args):
+        calls.append(args)
+        return group_pair(*args)
+
+    monkeypatch.setattr(presets, "group_pair", counted)
+    for group, sub in (("S3", "(12)"), ("Q8", "i"), ("A4", "(123)")):
+        calls.clear()
+        code, text = run(["classical", "--group", group, "--subgroup", sub])
+        assert code == 0, text
+        assert len(calls) == 1, (group, sub)
+    calls.clear()
+    c60 = [[(a + b) % 60 for b in range(60)] for a in range(60)]
+    code, text = _classical_on_group_file(tmp_path, {"name": "C60", "order": 60, "table": c60},
+                                          "--op", "dual", "--subgroup", "0")
+    assert code == 2 and calls == [], text
+
+
+def test_a_group_file_that_is_not_associative_exits_two_with_its_witness(tmp_path):
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    code, text = _classical_on_group_file(tmp_path, {"name": "L5", "order": 5, "table": loop})
+    assert code == 2, text
+    assert json.loads(text)["error"] == "bad group file: associativity fails at (1,1,2)"
+
+
 @pytest.mark.parametrize("name", HOPF_NAMES)
 def test_the_setup_name_a_report_prints_is_accepted_back(name):
     # kC4/k, OC2/k and sweedler/k used to exit 2

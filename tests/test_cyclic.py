@@ -47,7 +47,8 @@ from hopfcyclic.linalg import (
     permutation_matrix,
 )
 from hopfcyclic.loaders import load_hopf_json
-from hopfcyclic.presets import PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
+from hopfcyclic.groups import builtin_group
+from hopfcyclic.presets import ALIASES, PAIR_NAMES, SETUP_NAMES, builtin_hopf, builtin_setup
 from hopfcyclic.sayd import ad_module, coad_module
 from oracle import burghelea_hh, closure
 from support import (
@@ -56,6 +57,7 @@ from support import (
     kept_coordinates,
     reference_dual,
     restricted,
+    subgroup_names,
     to_keyed,
     trivial_sayd,
     uncached,
@@ -558,11 +560,16 @@ def test_hochschild_sweedler_matches_oracle():
 
 
 GENERATORS = {"kC2": [(1, 0)], "kC3": [(1, 2, 0)], "kC4": [(1, 2, 3, 0)],
-              "kS3": [(1, 0, 2), (1, 2, 0)]}
+              "kC6": [(1, 2, 3, 4, 5, 0)], "kS3": [(1, 0, 2), (1, 2, 0)],
+              "kA4": [(1, 2, 0, 3), (1, 0, 3, 2)]}
 
 
-@pytest.mark.parametrize("p", [0, 2, 3])
-@pytest.mark.parametrize("name, upto", [("kC2", 3), ("kC3", 3), ("kC4", 3), ("kS3", 2)])
+# kC6 and kA4 over F_2 and F_3 only: over Q the oracle's dense
+# elimination takes 20-50 s on them
+@pytest.mark.parametrize("name, upto, p", [
+    (name, upto, p) for name, upto in (("kC2", 3), ("kC3", 3), ("kC4", 3), ("kS3", 2))
+    for p in (0, 2, 3)] + [(name, upto, p) for name, upto in (("kC6", 3), ("kA4", 2))
+                           for p in (2, 3)])
 def test_hochschild_homology_of_a_group_algebra_is_burghelea(name, upto, p):
     """HH_n(kG) is the sum of H_n(C_G(g); k) over the conjugacy classes,
     which the oracle reads off the permutations that generate G, with its
@@ -713,22 +720,49 @@ def _relative_hh(name, field, upto):
     return s, hochschild_homology(relative_cyclic(s.hopf, s.subalgebra, upto + 1), upto)
 
 
-@pytest.mark.parametrize("name, p", [("kS3/kC2", 2), ("kS3/kC3", 3)])
-def test_relative_hochschild_vanishes_when_p_does_not_divide_the_index(name, p):
+def _subgroup_cases(hypothesis):
+    """(pair name, p, degree) for every subgroup K of C4, C6, S3, Q8 and A4
+    and each p in {2, 3} that divides |G| where ``hypothesis(p, |K|, [G:K])``
+    holds, named by the alias where there is one."""
+    alias = {pair: name for name, pair in ALIASES.items()}
+    for group, upto in (("C4", 3), ("C6", 3), ("S3", 3), ("Q8", 3), ("A4", 2)):
+        g = builtin_group(group)
+        for gens, sub in subgroup_names(g).items():
+            name = alias.get(f"k{group}/{gens}", f"k{group}/{gens}")
+            for p in (2, 3):
+                if g.order % p == 0 and hypothesis(p, len(sub), g.order // len(sub)):
+                    yield pytest.param(name, p, upto, id=f"{name}-{p}")
+
+
+@functools.cache
+def _absolute_hh(hopf, p, upto):
+    return _relative_hh(f"{hopf}/k", PrimeField(p), upto)[1]
+
+
+@pytest.mark.parametrize("name, p, upto", _subgroup_cases(lambda p, k, index: index % p))
+def test_relative_hochschild_vanishes_when_p_does_not_divide_the_index(name, p, upto):
     # Higman: kG is separable over kK when p does not divide [G:K], so
     # HH_n(kG|kK) = 0 for n > 0, although p divides |G| and kG is not semisimple
-    s, hh = _relative_hh(name, PrimeField(p), 3)
+    s, hh = _relative_hh(name, PrimeField(p), upto)
     assert (s.hopf.dim // s.subalgebra.dim) % p != 0 and s.hopf.dim % p == 0
-    assert hh == [3, 0, 0, 0]
+    assert hh[1:] == [0] * upto
+    if name in ("kS3/kC2", "kS3/kC3"):
+        assert hh == [3, 0, 0, 0]
 
 
-@pytest.mark.parametrize("name, p, want", [("kS3/kC3", 2, [3, 2, 2, 2]),
-                                           ("kS3/kC2", 3, [3, 1, 1, 2])])
-def test_relative_hochschild_is_absolute_when_p_does_not_divide_the_subgroup(name, p, want):
+@pytest.mark.parametrize("name, p, upto, want", [
+    pytest.param("kS3/kC3", 2, 3, [3, 2, 2, 2], id="kS3/kC3-2-want0"),
+    pytest.param("kS3/kC2", 3, 3, [3, 1, 1, 2], id="kS3/kC2-3-want1")] + [
+    pytest.param(*case.values, None, id=case.id)
+    for case in _subgroup_cases(lambda p, k, index: k % p)
+    if case.values[:2] not in (("kS3/kC3", 2), ("kS3/kC2", 3))])
+def test_relative_hochschild_is_absolute_when_p_does_not_divide_the_subgroup(name, p, upto,
+                                                                               want):
     # kK is separable when p does not divide |K|, so HH(kG|kK) = HH(kG)
-    s, hh = _relative_hh(name, PrimeField(p), 3)
+    s, hh = _relative_hh(name, PrimeField(p), upto)
     assert s.subalgebra.dim % p != 0
-    assert hh == _relative_hh("kS3/k", PrimeField(p), 3)[1] == want
+    assert hh == _absolute_hh(name.split("/")[0], p, upto)
+    assert want is None or hh == want
 
 
 def test_cyclic_homology_rejects_faces_with_nonzero_b_squared():

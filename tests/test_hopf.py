@@ -33,7 +33,6 @@ from hopfcyclic.linalg import (
 )
 from hopfcyclic.presets import (
     SETUP_NAMES,
-    S3_C2_INDICES,
     _basis_columns,
     builtin_hopf,
     builtin_setup,
@@ -183,7 +182,7 @@ def test_galois_criterion_true_cases():
 def test_galois_criterion_mismatched_pair():
     h = builtin_hopf("kS3")
     c_full = quotient_module_coalgebra(h, SparseMatrix.zeros(h.dim, 0, QQ))
-    b = subalgebra_from_columns(h, _basis_columns(h, S3_C2_INDICES))
+    b = builtin_setup("kS3/kC2").subalgebra
     assert not galois_criterion(h, b, c_full)
 
 
